@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow
-from .diagrams import (COUNT, MONO, PlanePartition, Z2Z2, diagram_of,
-                       diagram_weight, enumerate_matchings, flippable_faces,
-                       matching_of, tau_move, z_poly)
-from .mesh import BoxDims, Face, build_mesh
+from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2,
+                       diagram_of, diagram_weight, enumerate_matchings,
+                       flippable_faces, matching_of, tau_move, z_poly)
+from .mesh import BoxDims, Face, MeshError, build_mesh
 from .overlay import (enumerate_two_factors, overlay, split,
                       two_factor_weight)
 from .series import (DegreeTooLarge, compare_box_vs_series, eq3_check, mac,
@@ -206,9 +206,21 @@ def check_matrices() -> CheckReport:
     return rep
 
 
+# The series checks compare the n x n x n box through degree n.  The top
+# orders are the largest the test suite covers; an order outside the range
+# is refused rather than run as a smaller instance.
+EQ1_MAX_ORDER = 6
+EQ2_MAX_ORDER = 4
+
+
+def _check_order(name: str, order: int, top: int) -> int:
+    if not 1 <= order <= top:
+        raise UsageError(f"{name} order {order} is outside 1..{top}")
+    return order
+
+
 def check_eq1(order: int = 6) -> CheckReport:
-    # boxes beyond (6,6,6) blow up the profile DP; higher orders are capped
-    n = max(1, min(order, 6))
+    n = _check_order("eq1", order, EQ1_MAX_ORDER)
     rep = CheckReport("eq1", {"order": n})
     report = compare_box_vs_series(BoxDims(n, n, n), n, "mono")
     rep.params["coefficients"] = report["box"]
@@ -218,7 +230,7 @@ def check_eq1(order: int = 6) -> CheckReport:
 
 
 def check_eq2(order: int = 4) -> CheckReport:
-    n = max(1, min(order, 4))
+    n = _check_order("eq2", order, EQ2_MAX_ORDER)
     rep = CheckReport("eq2", {"order": n})
     report = compare_box_vs_series(BoxDims(n, n, n), n, "z2z2")
     if not report["match"]:
@@ -227,6 +239,8 @@ def check_eq2(order: int = 4) -> CheckReport:
 
 
 def check_eq3(order: int = 10) -> CheckReport:
+    if order < 1:
+        raise UsageError(f"eq3 order {order} is below 1")
     rep = CheckReport("eq3", {"order": order})
     if not eq3_check(order):
         lhs = z2z2_rhs(order).specialize_signs(-1, -1, -1)
@@ -266,6 +280,10 @@ def run_check(name: str, dims: Optional[BoxDims], order: Optional[int],
         "pullback": BoxDims(2, 2, 2), "consistency": BoxDims(2, 2, 2),
         "theorem": BoxDims(1, 1, 1), "fibers": BoxDims(1, 1, 1),
     }
+    if name == "all" and order is not None:
+        # refuse a bad order before the other checks spend their time
+        _check_order("eq1", order, EQ1_MAX_ORDER)
+        _check_order("eq2", order, EQ2_MAX_ORDER)
     reports = []
 
     def run(nm):
@@ -285,11 +303,11 @@ def run_check(name: str, dims: Optional[BoxDims], order: Optional[int],
         elif nm == "matrices":
             r = check_matrices()
         elif nm == "eq1":
-            r = check_eq1(order or 6)
+            r = check_eq1(6 if order is None else order)
         elif nm == "eq2":
-            r = check_eq2(order or 4)
+            r = check_eq2(4 if order is None else order)
         elif nm == "eq3":
-            r = check_eq3(order or 10)
+            r = check_eq3(10 if order is None else order)
         elif nm == "fibers":
             r = check_fibers(dims or defaults[nm])
         else:
@@ -312,7 +330,7 @@ def parse_dims(s: str) -> BoxDims:
     try:
         parts = [int(x) for x in s.split(",")]
         return BoxDims(*parts)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MeshError) as exc:
         raise UsageError(f"bad dims {s!r}, want a,b,c") from exc
 
 
@@ -407,8 +425,12 @@ def _svg(polys: List[Tuple[List[Tuple[float, float]], str]]) -> str:
 
 def cmd_render(args) -> int:
     if args.diagram:
-        with open(args.diagram) as fh:
-            pi = PlanePartition.from_json_obj(json.load(fh))
+        try:
+            with open(args.diagram) as fh:
+                pi = PlanePartition.from_json_obj(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError,
+                DiagramError, MeshError) as exc:
+            raise UsageError(f"bad diagram file {args.diagram!r}: {exc}") from exc
     elif args.dims:
         pi = PlanePartition.empty(parse_dims(args.dims))
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .algebra import Monomial, P_VARS, Poly
+from .algebra import Exp, Monomial, P_VARS, Poly
 from .mesh import BoxDims, Face, HexMesh, build_mesh
 
 
@@ -202,10 +202,6 @@ def enumerate_diagrams(dims: BoxDims) -> Iterator[PlanePartition]:
     yield from rec((), (c,) * b)
 
 
-def count_diagrams(dims: BoxDims) -> int:
-    return z_poly(dims, COUNT).constant_value()
-
-
 # -- the matching bijection -------------------------------------------------
 
 
@@ -321,39 +317,79 @@ def flippable_faces(mesh: HexMesh, M: FrozenSet[Face]) -> List[Tuple[int, int]]:
 # -- partition function -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _profile_states(a: int, c: int) -> Tuple[Tuple[int, ...], ...]:
-    """Weakly decreasing a-vectors with entries in [0,c] (DP states)."""
+def _fold_profiles(a: int, c: int, step, start) -> list:
+    """Fold ``step(acc, i, v)`` along every weakly decreasing a-vector with
+    entries in [0,c], in ascending lex order; shared prefixes fold once."""
+    out = []
 
-    def rec(i: int, hi: int):
+    def rec(i: int, hi: int, acc):
         if i == a:
-            yield ()
+            out.append(acc)
             return
-        for v in range(hi, -1, -1):
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
+        for v in range(hi + 1):
+            rec(i + 1, v, step(acc, i, v))
 
-    return tuple(rec(0, c))
-
-
-@lru_cache(maxsize=None)
-def _dominated(a: int, c: int) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """state -> indices of states it dominates entrywise."""
-    states = _profile_states(a, c)
-    out = {}
-    for s in states:
-        out[s] = tuple(
-            idx for idx, u in enumerate(states) if all(x >= y for x, y in zip(s, u))
-        )
+    rec(0, c, start)
     return out
 
 
-def _column_monomial(col: Tuple[int, ...], j: int, scheme: WeightScheme) -> Monomial:
-    w = Monomial(1)
-    for i, height in enumerate(col):
-        for k in range(height):
-            w = w * scheme.box_monomial(i, j, k)
-    return w
+@lru_cache(maxsize=None)
+def _profile_states(a: int, c: int) -> Tuple[Tuple[int, ...], ...]:
+    """The DP states: weakly decreasing a-vectors with entries in [0,c]."""
+    return tuple(_fold_profiles(a, c, lambda s, i, v: s + (v,), ()))
+
+
+@lru_cache(maxsize=None)
+def _sweep_pairs(a: int, c: int) -> Tuple[Tuple[int, int], ...]:
+    """(idx, idx') index pairs of the zeta-transform sweep, in the order
+    they must run.
+
+    For entry i = a-1 .. 0 and states s in ascending lex order, s' is s with
+    entry i lowered by one and every later entry clamped to at most s_i - 1.
+    Running H[s] += H[s'] over all pairs turns H[s] into the sum of H[u] over
+    all states u <= s entrywise: after the pass for entry i, H[s] sums the u
+    that agree with s before i and lie below it from i on.  s' precedes s in
+    lex order, so it is complete when it is read.
+    """
+    states = _profile_states(a, c)
+    index = {s: n for n, s in enumerate(states)}
+    pairs = []
+    for i in range(a - 1, -1, -1):
+        for n, s in enumerate(states):
+            v = s[i] - 1
+            if v >= 0:
+                lower = s[:i] + (v,) + tuple(min(x, v) for x in s[i + 1:])
+                pairs.append((n, index[lower]))
+    return tuple(pairs)
+
+
+def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme) -> List[Monomial]:
+    """Weight of column j filled to each state, in state order.
+
+    Per row i, run[i][h] is the product of the box monomials for k < h, so
+    each prefix of a state costs one monomial product.
+    """
+    a, _, c = dims
+    run = []
+    for i in range(a):
+        row = [Monomial(1)]
+        for k in range(c):
+            row.append(row[-1] * scheme.box_monomial(i, j, k))
+        run.append(row)
+    return _fold_profiles(a, c, lambda w, i, v: w * run[i][v], Monomial(1))
+
+
+def _shifted(terms: Dict[Exp, int], w: Monomial, cap: Optional[int]) -> Dict[Exp, int]:
+    """terms times the monomial w, dropping total degree above cap."""
+    k, (d0, d1, d2, d3) = w.coeff, w.exp
+    if k == 1 and w.exp == (0, 0, 0, 0):
+        return terms  # sums of capped terms are capped already
+    if cap is None:
+        return {(e0 + d0, e1 + d1, e2 + d2, e3 + d3): c * k
+                for (e0, e1, e2, e3), c in terms.items()}
+    room = cap - (d0 + d1 + d2 + d3)
+    return {(e0 + d0, e1 + d1, e2 + d2, e3 + d3): c * k
+            for (e0, e1, e2, e3), c in terms.items() if e0 + e1 + e2 + e3 <= room}
 
 
 def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
@@ -363,6 +399,9 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
     ``cap`` drops monomials of total degree above it during accumulation (the
     surviving coefficients are exact).  ``method`` 'enumerate' brute-forces
     the sum over diagrams for cross-checking.
+
+    The DP runs over columns j = b-1 .. 0 with the column profiles as states:
+    S = C(a+c, a) states and at most S*a term-dict additions per column.
     """
     if method == "enumerate":
         acc = Poly.zero(cap=cap)
@@ -374,26 +413,24 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
 
     a, b, c = dims
     states = _profile_states(a, c)
-    dominated = _dominated(a, c)
-    # f[idx] = weighted sum over partial diagrams on columns j..b-1 whose
-    # column j equals states[idx]; iterate j = b-1 .. 0.
-    f: Optional[List[Poly]] = None
+    sweep = _sweep_pairs(a, c)
+    # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1
+    # whose column j equals states[n]; the empty column b starts it off.
+    f: List[Dict[Exp, int]] = [{} for _ in states]
+    f[0][(0, 0, 0, 0)] = 1
     for j in range(b - 1, -1, -1):
-        col_w = [Poly.from_monomial(_column_monomial(s, j, scheme), cap=cap)
-                 for s in states]
-        if f is None:
-            f = col_w
-            continue
-        prev = f
-        nf = []
-        for idx, s in enumerate(states):
-            acc = Poly.zero(cap=cap)
-            for nxt in dominated[s]:
-                acc = acc + prev[nxt]
-            nf.append(col_w[idx] * acc)
-        f = nf
-    assert f is not None
+        # column j may take state s iff column j+1 lies below s entrywise
+        for n, m in sweep:
+            acc = f[n]
+            for e, v in f[m].items():
+                v += acc.get(e, 0)
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+        f = [_shifted(terms, w, cap)
+             for terms, w in zip(f, _column_weights(dims, j, scheme))]
     total = Poly.zero(cap=cap)
-    for g in f:
-        total = total + g
+    for terms in f:
+        total = total + Poly(terms, cap=cap)
     return total

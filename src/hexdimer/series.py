@@ -4,6 +4,7 @@ exact comparison of boxed partition polynomials against these series."""
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 from .algebra import LExp, LPoly, Series, lp_mul, lp_neg, series_inv
@@ -40,13 +41,18 @@ def _as_lmono(a) -> LPoly:
 
 
 def mac(a, N: int, grading: str = "z") -> Series:
-    """prod_{n=1..N} (1 - a z^n)^(-n), truncated at z^N."""
-    a = _as_lmono(a)
+    """prod_{n=1..N} (1 - a z^n)^(-n), truncated at z^N.
+
+    Each factor is expanded in closed form as sum_k C(n+k-1, k) a^k z^(nk).
+    """
+    ((e, sign),) = _as_lmono(a).items()
     out = Series.one(N, grading)
     for n in range(1, N + 1):
         factor = Series.one(N, grading)
-        factor.coeffs[n] = lp_neg(a)
-        out = out * series_inv(factor) ** n
+        for k in range(1, N // n + 1):
+            factor.coeffs[n * k] = {(k * e[0], k * e[1], k * e[2]):
+                                    sign ** k * math.comb(n + k - 1, k)}
+        out = out * factor
     return out
 
 

@@ -49,6 +49,12 @@ def test_bad_flags(capsys):
     assert run(capsys, "zfun", "-d", "1,1,1", "--set", "x=-1")[0] == 2
     assert run(capsys, "zfun", "-d", "1,1,1", "--set", "q=2")[0] == 2
     assert run(capsys, "check", "bogus")[0] == 2
+    assert run(capsys, "zfun", "-d", "0,1,1")[0] == 2
+    # an order outside the checked range is refused, never run smaller
+    assert run(capsys, "check", "eq1", "--order", "0")[0] == 2
+    code, _, err = run(capsys, "check", "eq2", "--order", "5")
+    assert code == 2 and "order 5" in err
+    assert run(capsys, "check", "all", "--order", "5")[0] == 2
     with pytest.raises(SystemExit) as exc:
         main(["zfun", "-d", "1,1,1", "--method", "teleport"])
     assert exc.value.code == 2
@@ -140,6 +146,10 @@ def test_render_two_factor_and_squish(tmp_path, capsys):
     # squish render needs even dims
     assert run(capsys, "render", "-d", "1,1,1", "--what", "squish",
                "-o", str(tmp_path / "x.svg"))[0] == 2
+    # a diagram whose heights increase along a row is bad input
+    diag.write_text(json.dumps({"dims": [2, 2, 1], "heights": [[0, 1], [0, 0]]}))
+    assert run(capsys, "render", "--diagram", str(diag),
+               "-o", str(tmp_path / "y.svg"))[0] == 2
 
 
 def test_render_deterministic(tmp_path, capsys):

@@ -178,8 +178,55 @@ def test_z_poly_examples():
                                   for b in range(1, 4)
                                   for c in range(1, 4)] + [(4, 4, 2)], ids=str)
 def test_dp_equals_enumeration(dims):
+    # the signed schemes make sums cancel, so a zero coefficient left behind
+    # by the DP's in-place accumulation would show as a difference
     dims = BoxDims(*dims)
-    assert z_poly(dims, Z2Z2) == z_poly(dims, Z2Z2, method="enumerate")
+    for scheme in (Z2Z2, MONO, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
+                   MONO.with_signs({"p": "-p"})):
+        for cap in (None, 2):
+            assert (z_poly(dims, scheme, cap=cap)
+                    == z_poly(dims, scheme, cap=cap, method="enumerate"))
+
+
+def macmahon_oracle(a, b, c):
+    """Coefficients of prod_{i,j,k} (1 - p^(i+j+k-1)) / (1 - p^(i+j+k-2))
+    by exact integer polynomial division."""
+    num, den = [1], [1]
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                for poly, e in ((num, i + j + k - 1), (den, i + j + k - 2)):
+                    poly.extend([0] * e)
+                    for n in range(len(poly) - 1, e - 1, -1):
+                        poly[n] -= poly[n - e]
+    quot = []
+    rem = num[:]
+    for n in range(len(num) - len(den) + 1):  # den[0] == 1
+        quot.append(rem[n])
+        for k, d in enumerate(den):
+            rem[n + k] -= quot[n] * d
+    assert not any(rem)
+    return quot
+
+
+def test_macmahon_oracle_counts_diagrams():
+    for dims in [(1, 1, 1), (2, 1, 3), (2, 2, 2), (3, 2, 2)]:
+        by_size = [0] * (dims[0] * dims[1] * dims[2] + 1)
+        for pi in enumerate_diagrams(BoxDims(*dims)):
+            by_size[pi.size()] += 1
+        assert macmahon_oracle(*dims) == by_size
+
+
+def test_main_theorem_base_333():
+    """Z^{6,6,6}(p,-1,-1,-1) = (Z^{3,3,3}(-p))^2 with the right side from
+    the box product, not from z_poly."""
+    zm = [(-1) ** n * x for n, x in enumerate(macmahon_oracle(3, 3, 3))]
+    square = [0] * (2 * len(zm) - 1)
+    for i, x in enumerate(zm):
+        for j, y in enumerate(zm):
+            square[i + j] += x * y
+    lhs = z_poly(BoxDims(6, 6, 6), Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}))
+    assert lhs.terms == {(n, 0, 0, 0): x for n, x in enumerate(square) if x}
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (3, 2, 1)], ids=str)
