@@ -13,7 +13,6 @@ point anywhere in this module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -105,19 +104,8 @@ class Poly:
         return cls({(0, 0, 0, 0): 1}, vars=vars, cap=cap)
 
     @classmethod
-    def const(cls, c: int, vars=P_VARS, cap=None) -> "Poly":
-        return cls({(0, 0, 0, 0): c}, vars=vars, cap=cap)
-
-    @classmethod
     def from_monomial(cls, m: Monomial, vars=P_VARS, cap=None) -> "Poly":
         return cls({m.exp: m.coeff}, vars=vars, cap=cap)
-
-    @classmethod
-    def variable(cls, name: str, vars=P_VARS, cap=None) -> "Poly":
-        i = vars.index(name)
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        return cls({tuple(e): 1}, vars=vars, cap=cap)
 
     # -- degree bookkeeping -------------------------------------------
 
@@ -181,9 +169,6 @@ class Poly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_value(self) -> int:
         """The value of a constant polynomial (zero or a pure number)."""
         if not self.terms:
@@ -202,9 +187,6 @@ class Poly:
             "vars": list(self.vars),
             "terms": [{"coeff": c, "exp": list(e)} for e, c in self.sorted_terms()],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: dict, cap=None) -> "Poly":
@@ -233,10 +215,6 @@ class Poly:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-def poly_mul(x: Poly, y: Poly) -> Poly:
-    return x * y
 
 
 def _parse_assignment_value(v, vars) -> Tuple[int, Optional[int]]:
@@ -330,11 +308,6 @@ def lp_add(x: LPoly, y: LPoly) -> LPoly:
 def lp_neg(x: LPoly) -> LPoly:
     return {e: -c for e, c in x.items()}
 
-def lp_scale(x: LPoly, k: int) -> LPoly:
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in x.items()}
-
 
 def lp_mul(x: LPoly, y: LPoly) -> LPoly:
     out: Dict[LExp, int] = {}
@@ -378,14 +351,6 @@ class Series:
     @classmethod
     def one(cls, order: int, grading: str = "z") -> "Series":
         return cls([dict(LP_ONE)], order, grading)
-
-    def truncate(self, order: int) -> "Series":
-        return Series(self.coeffs, order, self.grading)
-
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series([lp_add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-                      n, self.grading)
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)

@@ -13,23 +13,20 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2,
                        diagram_of, diagram_weight, enumerate_matchings,
                        flippable_faces, matching_of, tau_move, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh
-from .overlay import (enumerate_two_factors, overlay, split,
+from .overlay import (TooLarge, enumerate_two_factors, overlay, split,
                       two_factor_weight)
 from .series import (DegreeTooLarge, compare_box_vs_series, eq3_check, mac,
                      z2z2_rhs)
 from .squish import (lemma2_sum, lift_preimages, loop_lift_sum, project,
                      pullback_weighting, sign_weighting, transfer_lift_sum,
                      wp_edge_weighting)
-
-CHECK_NAMES = ("split", "parity", "minus-one", "pullback", "consistency",
-               "theorem", "matrices", "eq1", "eq2", "eq3", "fibers")
 
 
 class UsageError(Exception):
@@ -98,18 +95,12 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
     for dims in _all_subdims(max_dims):
         a, b, c = dims
         want = (a * b + b * c + c * a) % 2
+        for lam in enumerate_two_factors(dims):
+            if lam.component_count() % 2 != want:
+                rep.fail({"dims": list(dims), "C": lam.component_count()})
+        # tau-moves preserve the parity against a fixed reference matching
         mesh = build_mesh(dims)
         ms = enumerate_matchings(dims)
-        seen = set()
-        for M1 in ms:
-            for M2 in ms:
-                lam = overlay(mesh, M1, M2)
-                if lam in seen:
-                    continue
-                seen.add(lam)
-                if lam.component_count() % 2 != want:
-                    rep.fail({"dims": list(dims), "C": lam.component_count()})
-        # tau-moves preserve the parity against a fixed reference matching
         M2 = ms[0]
         for M in ms:
             base = overlay(mesh, M, M2).component_count() % 2
@@ -219,7 +210,7 @@ def _check_order(name: str, order: int, top: int) -> int:
     return order
 
 
-def check_eq1(order: int = 6) -> CheckReport:
+def check_eq1(order: int) -> CheckReport:
     n = _check_order("eq1", order, EQ1_MAX_ORDER)
     rep = CheckReport("eq1", {"order": n})
     report = compare_box_vs_series(BoxDims(n, n, n), n, "mono")
@@ -229,7 +220,7 @@ def check_eq1(order: int = 6) -> CheckReport:
     return rep
 
 
-def check_eq2(order: int = 4) -> CheckReport:
+def check_eq2(order: int) -> CheckReport:
     n = _check_order("eq2", order, EQ2_MAX_ORDER)
     rep = CheckReport("eq2", {"order": n})
     report = compare_box_vs_series(BoxDims(n, n, n), n, "z2z2")
@@ -238,7 +229,7 @@ def check_eq2(order: int = 4) -> CheckReport:
     return rep
 
 
-def check_eq3(order: int = 10) -> CheckReport:
+def check_eq3(order: int) -> CheckReport:
     if order < 1:
         raise UsageError(f"eq3 order {order} is below 1")
     rep = CheckReport("eq3", {"order": order})
@@ -273,53 +264,42 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     return rep
 
 
+# name -> runner(dims, order, max_dims), in the order "check all" runs them.
+# The runners look their check up when called and fill in its defaults.
+CHECKS: Dict[str, Callable[..., CheckReport]] = {
+    "split": lambda d, o, m: check_split(d or BoxDims(2, 2, 2)),
+    "parity": lambda d, o, m: check_parity(m or d or BoxDims(2, 2, 2)),
+    "minus-one": lambda d, o, m: check_minus_one(d or BoxDims(1, 1, 1)),
+    "pullback": lambda d, o, m: check_pullback(d or BoxDims(2, 2, 2)),
+    "consistency": lambda d, o, m: check_consistency(d or BoxDims(2, 2, 2)),
+    "theorem": lambda d, o, m: check_theorem(d or BoxDims(1, 1, 1)),
+    "matrices": lambda d, o, m: check_matrices(),
+    "eq1": lambda d, o, m: check_eq1(6 if o is None else o),
+    "eq2": lambda d, o, m: check_eq2(4 if o is None else o),
+    "eq3": lambda d, o, m: check_eq3(10 if o is None else o),
+    "fibers": lambda d, o, m: check_fibers(d or BoxDims(1, 1, 1)),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
 def run_check(name: str, dims: Optional[BoxDims], order: Optional[int],
               max_dims: Optional[BoxDims]) -> List[CheckReport]:
-    defaults: Dict[str, BoxDims] = {
-        "split": BoxDims(2, 2, 2), "minus-one": BoxDims(1, 1, 1),
-        "pullback": BoxDims(2, 2, 2), "consistency": BoxDims(2, 2, 2),
-        "theorem": BoxDims(1, 1, 1), "fibers": BoxDims(1, 1, 1),
-    }
-    if name == "all" and order is not None:
-        # refuse a bad order before the other checks spend their time
-        _check_order("eq1", order, EQ1_MAX_ORDER)
-        _check_order("eq2", order, EQ2_MAX_ORDER)
+    if name == "all":
+        if order is not None:
+            # refuse a bad order before the other checks spend their time
+            _check_order("eq1", order, EQ1_MAX_ORDER)
+            _check_order("eq2", order, EQ2_MAX_ORDER)
+        names = CHECK_NAMES
+    elif name in CHECKS:
+        names = (name,)
+    else:
+        raise UsageError(f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
     reports = []
-
-    def run(nm):
+    for nm in names:
         t0 = time.monotonic()
-        if nm == "split":
-            r = check_split(dims or defaults[nm])
-        elif nm == "parity":
-            r = check_parity(max_dims or dims or BoxDims(2, 2, 2))
-        elif nm == "minus-one":
-            r = check_minus_one(dims or defaults[nm])
-        elif nm == "pullback":
-            r = check_pullback(dims or defaults[nm])
-        elif nm == "consistency":
-            r = check_consistency(dims or defaults[nm])
-        elif nm == "theorem":
-            r = check_theorem(dims or defaults[nm])
-        elif nm == "matrices":
-            r = check_matrices()
-        elif nm == "eq1":
-            r = check_eq1(6 if order is None else order)
-        elif nm == "eq2":
-            r = check_eq2(4 if order is None else order)
-        elif nm == "eq3":
-            r = check_eq3(10 if order is None else order)
-        elif nm == "fibers":
-            r = check_fibers(dims or defaults[nm])
-        else:
-            raise UsageError(f"unknown check {nm!r} (choose from {', '.join(CHECK_NAMES)})")
+        r = CHECKS[nm](dims, order, max_dims)
         r.seconds = time.monotonic() - t0
         reports.append(r)
-
-    if name == "all":
-        for nm in CHECK_NAMES:
-            run(nm)
-    else:
-        run(name)
     return reports
 
 
@@ -335,7 +315,8 @@ def parse_dims(s: str) -> BoxDims:
 
 
 def parse_set(s: Optional[str]) -> Dict[str, str]:
-    """--set grammar: comma-separated name=value, values +-1 or +-variable."""
+    """--set grammar: comma-separated name=value.  WeightScheme checks the
+    names and values."""
     if not s:
         return {}
     out = {}
@@ -343,12 +324,7 @@ def parse_set(s: Optional[str]) -> Dict[str, str]:
         if "=" not in item:
             raise UsageError(f"bad --set item {item!r}")
         name, val = item.split("=", 1)
-        name, val = name.strip(), val.strip()
-        if name not in ("p", "q", "r", "s"):
-            raise UsageError(f"cannot set unknown variable {name!r}")
-        if val.lstrip("+-") not in ("1", "p", "q", "r", "s"):
-            raise UsageError(f"bad value {val!r} for {name} (want +-1 or +-variable)")
-        out[name] = val
+        out[name.strip()] = val.strip()
     return out
 
 
@@ -357,12 +333,12 @@ SCHEMES = {"z2z2": Z2Z2, "mono": MONO, "count": COUNT}
 
 def cmd_zfun(args) -> int:
     dims = parse_dims(args.dims)
-    scheme = SCHEMES.get(args.weighting)
-    if scheme is None:
-        raise UsageError(f"unknown weighting {args.weighting!r}")
-    subs = parse_set(args.set)
-    if subs:
-        scheme = scheme.with_signs(subs)
+    try:
+        scheme = SCHEMES[args.weighting].with_signs(parse_set(args.set))
+    except DiagramError as exc:
+        raise UsageError(f"bad --set: {exc}") from exc
+    if args.cap is not None and args.cap < 0:
+        raise UsageError(f"--cap {args.cap} is below 0")
     if args.method == "enumerate":
         a, b, c = dims
         if math.comb(a + c, a) ** b > 10 ** 7:  # cheap upper bound on diagrams
@@ -456,7 +432,7 @@ def cmd_render(args) -> int:
         for loop in lam.loops:
             for f in loop:
                 add(f, _CLASS_FILL[f.cls], ' fill-opacity="0.9"')
-    elif args.what == "squish":
+    else:  # squish
         if not dims.is_even:
             raise UsageError("squish render needs even dims")
         for f in sorted(M):
@@ -464,8 +440,6 @@ def cmd_render(args) -> int:
                 add(f, "#bbbbbb")
             else:
                 add(f, _CLASS_FILL[f.cls])
-    else:
-        raise UsageError(f"unknown render target {args.what!r}")
     svg = _svg(polys)
     with open(args.out, "w") as fh:
         fh.write(svg + "\n")
@@ -516,10 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegreeTooLarge as exc:
+    except (UsageError, DegreeTooLarge, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ downward-closure condition on the box set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -41,6 +40,9 @@ def box_color(i: int, j: int, k: int) -> str:
 # box weight monomials, (p,q,r,s) frame
 _COLOR_EXP = {"P": (1, 0, 0, 0), "Q": (0, 1, 0, 0), "R": (0, 0, 1, 0), "S": (0, 0, 0, 1)}
 
+# the substitution values: an optional sign, then 1 or a variable
+_SUBSTITUTIONS = {sign + v for sign in ("", "+", "-") for v in ("1",) + P_VARS}
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -63,8 +65,7 @@ class WeightScheme:
         for name, val in self.signs:
             if name not in P_VARS:
                 raise DiagramError(f"cannot specialize unknown variable {name!r}")
-            bare = val.lstrip("+-")
-            if not (bare == "1" or bare in P_VARS):
+            if val not in _SUBSTITUTIONS:
                 raise DiagramError(f"bad substitution {name}={val!r}")
 
     def box_monomial(self, i: int, j: int, k: int) -> Monomial:
@@ -147,9 +148,6 @@ class PlanePartition:
     def to_json_obj(self) -> dict:
         return {"dims": list(self.dims), "heights": [list(r) for r in self.h]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PlanePartition":
         return cls(BoxDims(*obj["dims"]), tuple(tuple(r) for r in obj["heights"]))
@@ -160,22 +158,6 @@ def diagram_weight(pi: PlanePartition, scheme: WeightScheme) -> Monomial:
     for box in pi.boxes():
         w = w * scheme.box_monomial(*box)
     return w
-
-
-def _rows(dims: BoxDims) -> List[Tuple[int, ...]]:
-    """All weakly decreasing b-vectors with entries in [0,c], ascending lex."""
-    _, b, c = dims
-    out: List[Tuple[int, ...]] = []
-
-    def rec(prefix: Tuple[int, ...], lo_cap: int):
-        if len(prefix) == b:
-            out.append(prefix)
-            return
-        for v in range(0, lo_cap + 1):
-            rec(prefix + (v,), v)
-
-    rec((), c)
-    return out
 
 
 def enumerate_diagrams(dims: BoxDims) -> Iterator[PlanePartition]:

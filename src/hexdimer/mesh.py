@@ -63,21 +63,11 @@ class BoxDims:
             raise OddDims(f"{self} has an odd side")
         return BoxDims(self.a // 2, self.b // 2, self.c // 2)
 
-    @property
-    def face_pair_count(self) -> int:
-        return self.a * self.b + self.b * self.c + self.c * self.a
-
 
 class Triangle(NamedTuple):
     x: int
     y: int
     up: bool
-
-    def corners(self) -> Tuple[Tuple[int, int], ...]:
-        x, y = self.x, self.y
-        if self.up:
-            return ((x, y), (x + 1, y + 1), (x, y + 1))
-        return ((x, y), (x + 1, y), (x + 1, y + 1))
 
 
 class Face(NamedTuple):
@@ -114,9 +104,6 @@ class Propeller:
     center: Triangle
     outers: Tuple[Tuple[str, Triangle], ...]  # (class, outer vertex), sorted
     shorts: Tuple[Tuple[str, Face], ...]  # (class, short edge), sorted
-
-    def outer(self, klass: str) -> Triangle:
-        return dict(self.outers)[klass]
 
     def short(self, klass: str) -> Face:
         return dict(self.shorts)[klass]
@@ -256,6 +243,11 @@ class HexMesh:
         return self._propeller_of[t]
 
     @cached_property
+    def propeller_of_base(self) -> Dict[Triangle, Propeller]:
+        """Propeller lookup by the base vertex it contracts to."""
+        return {p.base: p for p in self.propellers}
+
+    @cached_property
     def short_edges(self) -> FrozenSet[Face]:
         return frozenset(f for p in self.propellers for _, f in p.shorts)
 
@@ -339,14 +331,6 @@ def build_mesh(dims: BoxDims) -> HexMesh:
     if key not in _MESH_CACHE:
         _MESH_CACHE[key] = HexMesh(dims)
     return _MESH_CACHE[key]
-
-
-def face_triangles(mesh: HexMesh, f: Face) -> Tuple[Triangle, Triangle]:
-    return mesh.face_triangles(f)
-
-
-def propellers(mesh: HexMesh) -> Tuple[Propeller, ...]:
-    return mesh.propellers
 
 
 def squish_edge(mesh: HexMesh, f: Face):

@@ -150,10 +150,6 @@ def split(lam: TwoFactor) -> List[Tuple[FrozenSet[Face], FrozenSet[Face]]]:
     return out
 
 
-def component_count(lam: TwoFactor) -> int:
-    return lam.component_count()
-
-
 def enumerate_two_factors(dims: BoxDims, limit: int = 10_000) -> List[TwoFactor]:
     """Distinct overlays over all ordered matching pairs."""
     mesh = build_mesh(dims)

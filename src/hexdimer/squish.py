@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .algebra import Monomial, Poly, T_VARS, mono_t
+from .algebra import Monomial, Poly, T_VARS, mat_word, mono_t
 from .diagrams import PlanePartition, matching_of
-from .mesh import BoxDims, Face, HexMesh, OddDims, Propeller, Triangle, build_mesh
-from .overlay import Loop, TwoFactor, assemble_two_factor, loop_vertices
+from .mesh import BoxDims, Face, HexMesh, OddDims, Propeller, build_mesh
+from .overlay import (Loop, TwoFactor, _centroid, assemble_two_factor,
+                      enumerate_two_factors, loop_vertices)
 
 
 class SquishError(Exception):
@@ -29,11 +30,11 @@ CLASSES = ("A", "B", "C")
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """A monomial weight per edge; coefficients are always +1 or -1."""
+    """A monomial weight per edge in the (t,q,r,s) frame; coefficients are
+    always +1 or -1."""
 
     mesh: HexMesh
     weights: Mapping[Face, Monomial]
-    vars: Tuple[str, str, str, str] = T_VARS
 
     def __getitem__(self, f: Face) -> Monomial:
         return self.weights[f]
@@ -108,7 +109,7 @@ class SignRule:
     def sign(self, mesh: HexMesh, base_edge: Face, lift: Face) -> int:
         t1, t2 = mesh.base.face_triangles(base_edge)
         upt = t1 if t1.up else t2
-        prop = propeller_by_base(mesh)[upt]
+        prop = mesh.propeller_of_base[upt]
         ends = set(mesh.edges[lift])
         for ocls, o in prop.outers:
             if o in ends:
@@ -126,8 +127,6 @@ def _candidate_rules() -> List[SignRule]:
 def calibrate_sign_rule() -> SignRule:
     """Pick the first class-side sign rule under which every base loop of the
     calibration meshes has signed lift sum exactly -2."""
-    from .overlay import enumerate_two_factors
-
     calib = [BoxDims(1, 1, 1), BoxDims(2, 1, 1)]
     for rule in _candidate_rules():
         ok = True
@@ -168,15 +167,6 @@ def sign_weighting(mesh: HexMesh, rule: Optional[SignRule] = None) -> EdgeWeight
 
 
 # -- the projection map --------------------------------------------------------
-
-
-# propeller lookup by base vertex, memoized on the mesh object
-def propeller_by_base(mesh: HexMesh) -> Dict[Triangle, Propeller]:
-    cache = getattr(mesh, "_by_base", None)
-    if cache is None:
-        cache = {p.base: p for p in mesh.propellers}
-        mesh._by_base = cache
-    return cache
 
 
 def project(mesh: HexMesh, mu: FrozenSet[Face]) -> TwoFactor:
@@ -224,7 +214,6 @@ def classify_propeller(mesh: HexMesh, mu: FrozenSet[Face], prop: Propeller) -> s
 
 def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[FrozenSet[Face]]:
     """All matchings of the even mesh projecting onto the base 2-factor."""
-    by_base = propeller_by_base(mesh)
     # per component, the admissible long-edge selections
     component_choices: List[List[Tuple[Face, ...]]] = []
     for bf in sorted(lam.doubled):
@@ -268,12 +257,6 @@ def _loop_lift_choices(mesh: HexMesh, loop: Loop) -> List[Tuple[Face, ...]]:
 # -- loop turns and lift sums ---------------------------------------------------
 
 
-def _centroid(t: Triangle) -> Tuple[int, int]:
-    if t.up:
-        return (3 * t.x + 1, 3 * t.y + 2)
-    return (3 * t.x + 2, 3 * t.y + 1)
-
-
 def turn_word(mesh: HexMesh, loop: Loop) -> str:
     """One L or R per vertex of a counterclockwise base loop; any such word
     carries 6 more Ls than Rs."""
@@ -297,11 +280,11 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> Poly:
     lifts = [mesh.lift_fibers[bf] for bf in loop]
     ends = {f: set(mesh.edges[f]) for pair in lifts for f in pair}
     k = len(loop)
-    total = Poly.zero(vars=w.vars)
+    total = Poly.zero(vars=T_VARS)
     for first in range(2):
         start = lifts[0][first]
         vec: List[Optional[Poly]] = [None, None]
-        vec[first] = Poly.from_monomial(w[start], vars=w.vars)
+        vec[first] = Poly.from_monomial(w[start], vars=T_VARS)
         for i in range(1, k):
             nv: List[Optional[Poly]] = [None, None]
             for prev in range(2):
@@ -310,7 +293,7 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> Poly:
                 for cur in range(2):
                     if ends[lifts[i - 1][prev]] & ends[lifts[i][cur]]:
                         continue
-                    term = vec[prev] * Poly.from_monomial(w[lifts[i][cur]], vars=w.vars)
+                    term = vec[prev] * Poly.from_monomial(w[lifts[i][cur]], vars=T_VARS)
                     nv[cur] = term if nv[cur] is None else nv[cur] + term
             vec = nv
         for last in range(2):
@@ -325,8 +308,6 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> Poly:
 def transfer_lift_sum(mesh: HexMesh, loop: Loop) -> int:
     """Sign-weighting loop sum via the state-transition matrices: the sum of
     the (3,3) and (4,4) entries of the turn-word product."""
-    from .algebra import mat_word
-
     m = mat_word(turn_word(mesh, loop))
     return m[2][2] + m[3][3]
 

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from hexdimer.cli import (CheckReport, UsageError, main, parse_dims,
-                          parse_set, run_check)
+from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, main,
+                          parse_dims, parse_set, run_check)
 from hexdimer.mesh import BoxDims
 
 
@@ -55,6 +55,16 @@ def test_bad_flags(capsys):
     code, _, err = run(capsys, "check", "eq2", "--order", "5")
     assert code == 2 and "order 5" in err
     assert run(capsys, "check", "all", "--order", "5")[0] == 2
+    # a negative cap would print a zero partition function
+    code, _, err = run(capsys, "zfun", "-d", "2,2,2", "--cap", "-1")
+    assert code == 2 and "cap" in err
+    # a value takes one sign at most
+    for bad in ("p=--p", "p=+-1"):
+        code, _, err = run(capsys, "zfun", "-d", "1,1,1", "--set", bad)
+        assert code == 2 and "error:" in err
+    # 13,860 matchings exceed the enumeration limit: refused, not failed
+    code, _, err = run(capsys, "check", "minus-one", "-d", "6,4,2")
+    assert code == 2 and "exceeds limit" in err
     with pytest.raises(SystemExit) as exc:
         main(["zfun", "-d", "1,1,1", "--method", "teleport"])
     assert exc.value.code == 2
@@ -104,6 +114,8 @@ def test_check_all_small(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l and not l.startswith("  ")]
     assert len(lines) == 11 and all(l.startswith("PASS") for l in lines)
+    names = [l.split()[1].removeprefix("check=") for l in lines]
+    assert tuple(names) == CHECK_NAMES
 
 
 def test_failing_check_exits_one(capsys, monkeypatch):

@@ -65,6 +65,8 @@ def test_weight_scheme_specialization():
     assert neg.box_monomial(0, 0, 0) == Monomial(-1, (1, 0, 0, 0))
     with pytest.raises(DiagramError):
         WeightScheme("z2z2", (("x", "1"),))
+    with pytest.raises(DiagramError):
+        WeightScheme("z2z2", (("p", "--p"),))
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1),

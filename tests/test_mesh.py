@@ -4,8 +4,7 @@ import pytest
 
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, IN_PROPELLER, MeshError, OddDims, Triangle,
-    UnknownFace, build_mesh, face_triangles, propellers, squish_edge,
-    unsquish,
+    UnknownFace, build_mesh, squish_edge, unsquish,
 )
 
 ALL_SMALL = [BoxDims(a, b, c)
@@ -69,10 +68,10 @@ def test_hexagon_edge_cycle():
 def test_face_triangles_and_errors():
     m = build_mesh(BoxDims(1, 1, 1))
     f = next(iter(m.edges))
-    t1, t2 = face_triangles(m, f)
+    t1, t2 = m.face_triangles(f)
     assert t1 != t2
     with pytest.raises(UnknownFace):
-        face_triangles(m, Face("A", 7, 7, 0))
+        m.face_triangles(Face("A", 7, 7, 0))
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
 
@@ -102,7 +101,7 @@ def test_shifted_face_ids_describe_same_edge():
                                   BoxDims(2, 2, 1), BoxDims(2, 2, 2)], ids=str)
 def test_propellers_partition_and_contract(base):
     even = build_mesh(base.doubled())
-    props = propellers(even)
+    props = even.propellers
     a, b, c = base
     assert len(props) == 2 * (a * b + b * c + c * a)
     seen = [p.center for p in props] + [o for p in props for _, o in p.outers]
@@ -121,7 +120,7 @@ def test_propellers_partition_and_contract(base):
 
 def test_propellers_need_even_dims():
     with pytest.raises(OddDims):
-        propellers(build_mesh(BoxDims(1, 1, 1)))
+        build_mesh(BoxDims(1, 1, 1)).propellers
 
 
 def test_squish_edge():

@@ -4,7 +4,7 @@ from hexdimer.algebra import Monomial
 from hexdimer.diagrams import PlanePartition, enumerate_matchings, matching_of
 from hexdimer.mesh import BoxDims, build_mesh
 from hexdimer.overlay import (
-    MeshMismatch, MissingEdgeWeight, TooLarge, TwoFactor, component_count,
+    MeshMismatch, MissingEdgeWeight, TooLarge, TwoFactor,
     enumerate_two_factors, loop_vertices, overlay, split, two_factor_weight,
 )
 from hexdimer.squish import wp_edge_weighting
@@ -22,7 +22,7 @@ def test_overlay_self_is_all_doubled():
     dims, mesh, empty, _ = hexagon_setup()
     lam = overlay(mesh, empty, empty)
     assert lam.doubled == empty and lam.loops == ()
-    assert component_count(lam) == 3
+    assert lam.component_count() == 3
 
 
 def test_overlay_hexagon_loop():
@@ -30,7 +30,7 @@ def test_overlay_hexagon_loop():
     lam = overlay(mesh, empty, full)
     assert lam.doubled == frozenset()
     assert len(lam.loops) == 1 and len(lam.loops[0]) == 6
-    assert component_count(lam) == 1
+    assert lam.component_count() == 1
     vs = loop_vertices(mesh, lam.loops[0])
     assert sorted(vs) == sorted(mesh.vertices)
 
@@ -91,7 +91,7 @@ def test_parity_lemma(dims):
     a, b, c = dims
     want = (a * b + b * c + c * a) % 2
     for lam in enumerate_two_factors(BoxDims(a, b, c)):
-        assert component_count(lam) % 2 == want
+        assert lam.component_count() % 2 == want
 
 
 def test_two_factor_weight():
