@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow
-from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2,
-                       diagram_of, diagram_weight, enumerate_matchings,
-                       flippable_faces, matching_of, tau_move, z_poly)
+from .diagrams import (COUNT, MATCHING_LIMIT, MONO, DiagramError, PlanePartition,
+                       TooLarge, Z2Z2, diagram_of, diagram_weight,
+                       enumerate_matchings, flippable_faces, matching_of,
+                       tau_move, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh
-from .overlay import (TooLarge, enumerate_two_factors, overlay, split,
-                      two_factor_weight)
+from .overlay import enumerate_two_factors, overlay, split, two_factor_weight
 from .series import (DegreeTooLarge, compare_box_vs_series, eq3_check, mac,
                      z2z2_rhs)
 from .squish import (lemma2_sum, lift_preimages, loop_lift_sum, project,
@@ -65,7 +65,7 @@ class CheckReport:
 def check_split(dims: BoxDims) -> CheckReport:
     rep = CheckReport("split", {"dims": ",".join(map(str, dims))})
     mesh = build_mesh(dims)
-    ms = enumerate_matchings(dims)
+    ms = enumerate_matchings(dims, MATCHING_LIMIT)  # N^2 overlays follow
     lams = {}
     for M1 in ms:
         for M2 in ms:

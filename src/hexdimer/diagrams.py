@@ -29,6 +29,15 @@ class FaceNotFlippable(DiagramError):
     pass
 
 
+class TooLarge(DiagramError):
+    pass
+
+
+# the most matchings an enumeration may produce for the checks that
+# overlay every pair of them (split, and enumerate_two_factors)
+MATCHING_LIMIT = 10_000
+
+
 BOX_COLORS = {(0, 0): "P", (1, 0): "Q", (0, 1): "R", (1, 1): "S"}
 
 
@@ -249,27 +258,37 @@ def diagram_of(mesh: HexMesh, M: FrozenSet[Face]) -> PlanePartition:
     return pi
 
 
-def enumerate_matchings(dims: BoxDims) -> List[FrozenSet[Face]]:
+def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[FrozenSet[Face]]:
     """All perfect matchings by direct backtracking on the mesh (does not go
-    through diagrams; used to verify the bijection independently)."""
+    through diagrams; used to verify the bijection independently).  Raises
+    TooLarge as soon as it finds matching ``limit + 1``."""
     mesh = build_mesh(dims)
     verts = mesh.vertices
+    n = len(verts)
+    pos = {t: i for i, t in enumerate(verts)}
+    # per vertex position: (edge, position of its other end), incident order
+    nbrs = [tuple((f, pos[o]) for f in mesh.incident[t]
+                  for o in mesh.edges[f] if o != t) for t in verts]
     out: List[FrozenSet[Face]] = []
+    chosen: List[Face] = []
 
-    def rec(idx: int, covered: frozenset, chosen: Tuple[Face, ...]):
-        while idx < len(verts) and verts[idx] in covered:
+    def rec(idx: int, covered: int):
+        while covered >> idx & 1:
             idx += 1
-        if idx == len(verts):
+        if idx == n:
             out.append(frozenset(chosen))
+            if limit is not None and len(out) > limit:
+                raise TooLarge(f"the number of matchings of H_{tuple(dims)} "
+                               f"exceeds limit {limit}")
             return
-        t = verts[idx]
-        for f in mesh.incident[t]:
-            t1, t2 = mesh.edges[f]
-            o = t2 if t1 == t else t1
-            if o not in covered:
-                rec(idx + 1, covered | {t, o}, chosen + (f,))
+        covered |= 1 << idx
+        for f, o in nbrs[idx]:
+            if not covered >> o & 1:
+                chosen.append(f)
+                rec(idx + 1, covered | 1 << o)
+                chosen.pop()
 
-    rec(0, frozenset(), ())
+    rec(0, 0)
     return sorted(out, key=sorted)
 
 

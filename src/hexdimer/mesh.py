@@ -175,20 +175,28 @@ class HexMesh:
         except KeyError:
             raise UnknownFace(f"{f} is not an edge of H_{tuple(self.dims)}") from None
 
+    @cached_property
+    def _hexface_set(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset(self.hexfaces)
+
+    @cached_property
+    def _edge_set(self) -> FrozenSet[Face]:
+        return frozenset(self.edges)
+
     def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[Face, ...]:
         """The six edges of a hexagonal face, in cyclic order."""
-        if pt not in set(self.hexfaces):
+        if pt not in self._hexface_set:
             raise UnknownFace(f"{pt} is not a hexagonal face")
         return _hex_edge_cycle(*pt)
 
     def is_perfect_matching(self, M: FrozenSet[Face]) -> bool:
-        deg = {t: 0 for t in self.vertices}
-        for f in M:
-            if f not in self.edges:
-                return False
-            for t in self.edges[f]:
-                deg[t] += 1
-        return all(d == 1 for d in deg.values())
+        """Every vertex has degree one, decided in O(|M|): |M| = V/2 mesh
+        edges whose 2|M| endpoints are V distinct vertices."""
+        n = len(self.vertices)
+        if 2 * len(M) != n or not self._edge_set.issuperset(M):
+            return False
+        edges = self.edges
+        return len({t for f in M for t in edges[f]}) == n
 
     # -- even-mesh structure ---------------------------------------------
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .algebra import Monomial
-from .diagrams import enumerate_matchings
+from .diagrams import MATCHING_LIMIT, TooLarge, enumerate_matchings  # TooLarge: re-export
 from .mesh import BoxDims, Face, HexMesh, Triangle, build_mesh
 
 
@@ -17,10 +17,6 @@ class OverlayError(Exception):
 
 
 class MeshMismatch(OverlayError):
-    pass
-
-
-class TooLarge(OverlayError):
     pass
 
 
@@ -78,25 +74,6 @@ def loop_vertices(mesh: HexMesh, loop: Loop) -> Tuple[Triangle, ...]:
     return tuple(out)
 
 
-def _is_ccw(mesh: HexMesh, loop: Loop) -> bool:
-    vs = loop_vertices(mesh, loop)
-    area2 = 0
-    for i, v in enumerate(vs):
-        x1, y1 = _centroid(v)
-        x2, y2 = _centroid(vs[(i + 1) % len(vs)])
-        # the lattice-to-plane map has positive determinant, so the sign of
-        # the shoelace sum in lattice coordinates is the geometric one
-        area2 += x1 * y2 - x2 * y1
-    return area2 > 0
-
-
-def _canonical_loop(mesh: HexMesh, loop: List[Face]) -> Loop:
-    if not _is_ccw(mesh, tuple(loop)):
-        loop = loop[::-1]
-    k = loop.index(min(loop))
-    return tuple(loop[k:] + loop[:k])
-
-
 def overlay(mesh: HexMesh, M1: FrozenSet[Face], M2: FrozenSet[Face]) -> TwoFactor:
     """Superimpose two perfect matchings of the same mesh."""
     for M in (M1, M2):
@@ -111,29 +88,47 @@ def assemble_two_factor(mesh: HexMesh, doubled: FrozenSet[Face],
                         rest: FrozenSet[Face]) -> TwoFactor:
     """Build a TwoFactor from its doubled edges and the union of its loops
     (every vertex of ``rest`` must have degree exactly 2 there)."""
-    at: Dict[Triangle, List[Face]] = {}
-    for f in rest:
-        for t in mesh.edges[f]:
-            at.setdefault(t, []).append(f)
+    edges, incident = mesh.edges, mesh.incident
     loops: List[Loop] = []
     seen = set()
     for f0 in sorted(rest):
         if f0 in seen:
             continue
-        loop = [f0]
-        seen.add(f0)
-        cur, head = f0, mesh.edges[f0][1]
+        # f0 is the least edge of its loop; vs[i] is the vertex shared by
+        # loop[i] and loop[i+1], recorded as the walk passes it
+        loop, vs = [f0], []
+        cur, head = f0, edges[f0][1]
         while True:
-            nxt = next(f for f in at[head] if f != cur)
+            vs.append(head)
+            for nxt in incident[head]:
+                if nxt != cur and nxt in rest:
+                    break
+            else:
+                raise OverlayError(f"loop edges end at {head}")
             if nxt == f0:
                 break
             loop.append(nxt)
-            seen.add(nxt)
-            t1, t2 = mesh.edges[nxt]
+            t1, t2 = edges[nxt]
             head = t2 if t1 == head else t1
             cur = nxt
-        loops.append(_canonical_loop(mesh, loop))
+        seen.update(loop)
+        if _area2(vs) <= 0:
+            loop[1:] = loop[:0:-1]  # clockwise walk: reverse it, f0 stays first
+        loops.append(tuple(loop))
     return TwoFactor(mesh.dims, doubled, tuple(sorted(loops)))
+
+
+def _area2(vs: List[Triangle]) -> int:
+    """Shoelace sum of a closed vertex walk, positive when counterclockwise.
+    The lattice-to-plane map has positive determinant, so the sign in
+    lattice coordinates is the geometric one."""
+    area2 = 0
+    x0, y0 = _centroid(vs[-1])
+    for v in vs:
+        x1, y1 = _centroid(v)
+        area2 += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return area2
 
 
 def split(lam: TwoFactor) -> List[Tuple[FrozenSet[Face], FrozenSet[Face]]]:
@@ -150,12 +145,11 @@ def split(lam: TwoFactor) -> List[Tuple[FrozenSet[Face], FrozenSet[Face]]]:
     return out
 
 
-def enumerate_two_factors(dims: BoxDims, limit: int = 10_000) -> List[TwoFactor]:
-    """Distinct overlays over all ordered matching pairs."""
+def enumerate_two_factors(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[TwoFactor]:
+    """Distinct overlays over all ordered matching pairs; TooLarge if the
+    box has more than ``limit`` matchings."""
     mesh = build_mesh(dims)
-    ms = enumerate_matchings(dims)
-    if len(ms) > limit:
-        raise TooLarge(f"{len(ms)} matchings exceeds limit {limit}")
+    ms = enumerate_matchings(dims, limit)
     seen: Dict[TwoFactor, None] = {}
     for M1 in ms:
         for M2 in ms:

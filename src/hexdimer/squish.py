@@ -223,13 +223,9 @@ def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[FrozenSet[Face]]:
     out = []
     for pick in itertools.product(*component_choices):
         longs = [f for part in pick for f in part]
-        used_outers: Dict[Propeller, set] = {}
-        for f in longs:
-            for t in mesh.edges[f]:
-                used_outers.setdefault(mesh.propeller_of(t), set()).add(t)
+        used = {t for f in longs for t in mesh.edges[f]}  # outer vertices only
         mu = set(longs)
         for p in mesh.propellers:
-            used = used_outers.get(p, set())
             free = [cls for cls, o in p.outers if o not in used]
             if len(free) != 1:
                 raise SquishError("long-edge selection does not leave one short slot")
@@ -242,16 +238,16 @@ def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[FrozenSet[Face]]:
 
 
 def _loop_lift_choices(mesh: HexMesh, loop: Loop) -> List[Tuple[Face, ...]]:
-    """Pairwise non-adjacent lift selections, one lift per loop edge."""
+    """Pairwise non-adjacent lift selections, one lift per loop edge, in
+    lexicographic order of the lift indices.  Prefixes grow one edge at a
+    time and are dropped as soon as two consecutive lifts touch."""
     lifts = [mesh.lift_fibers[bf] for bf in loop]
     ends = {f: set(mesh.edges[f]) for pair in lifts for f in pair}
-    k = len(loop)
-    out = []
-    for pick in itertools.product((0, 1), repeat=k):
-        chosen = [lifts[i][pick[i]] for i in range(k)]
-        if all(not (ends[chosen[i]] & ends[chosen[(i + 1) % k]]) for i in range(k)):
-            out.append(tuple(chosen))
-    return out
+    picks = [(f,) for f in lifts[0]]
+    for pair in lifts[1:]:
+        picks = [p + (f,) for p in picks for f in pair
+                 if ends[p[-1]].isdisjoint(ends[f])]
+    return [p for p in picks if ends[p[-1]].isdisjoint(ends[p[0]])]
 
 
 # -- loop turns and lift sums ---------------------------------------------------

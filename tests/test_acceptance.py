@@ -2,8 +2,7 @@
 a single pass/fail line.  Everything here is integer/polynomial equality with
 zero tolerance."""
 
-from fractions import Fraction
-
+from conftest import box_count_oracle
 from hexdimer.algebra import (MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow,
                               poly_specialize)
 from hexdimer.diagrams import (COUNT, MONO, PlanePartition, Z2Z2, diagram_of,
@@ -21,15 +20,6 @@ from hexdimer.squish import (lemma2_sum, loop_lift_sum, project,
 def verdict(n, label, ok):
     print(f"ACCEPTANCE {n} ({label}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {n} ({label}) failed"
-
-
-def box_count_oracle(a, b, c):
-    n = Fraction(1)
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                n *= Fraction(i + j + k - 1, i + j + k - 2)
-    return int(n)
 
 
 def test_01_counting():

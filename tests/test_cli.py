@@ -65,6 +65,10 @@ def test_bad_flags(capsys):
     # 13,860 matchings exceed the enumeration limit: refused, not failed
     code, _, err = run(capsys, "check", "minus-one", "-d", "6,4,2")
     assert code == 2 and "exceeds limit" in err
+    # split overlays all N^2 pairs, so it is refused at the same limit, and
+    # the message claims no total it never counted
+    code, _, err = run(capsys, "check", "split", "-d", "6,4,2")
+    assert code == 2 and "exceeds limit 10000" in err and "13860" not in err
     with pytest.raises(SystemExit) as exc:
         main(["zfun", "-d", "1,1,1", "--method", "teleport"])
     assert exc.value.code == 2

@@ -1,29 +1,18 @@
 import itertools
-from fractions import Fraction
 
 import pytest
+from conftest import box_count_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexdimer.algebra import Monomial, Poly, poly_specialize
 from hexdimer.diagrams import (
     COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
-    WeightScheme, Z2Z2, box_color, diagram_of, diagram_weight,
+    TooLarge, WeightScheme, Z2Z2, box_color, diagram_of, diagram_weight,
     enumerate_diagrams, enumerate_matchings, flippable_faces, matching_of,
     tau_move, z_poly,
 )
 from hexdimer.mesh import BoxDims, Face, build_mesh
-
-
-def box_count_oracle(a, b, c):
-    """Product formula for the number of diagrams in a box, exact rationals."""
-    n = Fraction(1)
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                n *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert n.denominator == 1
-    return int(n)
 
 
 def test_box_color():
@@ -85,6 +74,15 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 def test_big_count():
     assert box_count_oracle(4, 4, 4) == 232848
     assert z_poly(BoxDims(4, 4, 4), COUNT).constant_value() == 232848
+
+
+def test_enumerate_matchings_limit():
+    # refused at the first matching past the limit; exactly the limit passes
+    with pytest.raises(TooLarge) as exc:
+        enumerate_matchings(BoxDims(2, 2, 2), limit=5)
+    assert "exceeds limit 5" in str(exc.value) and "20" not in str(exc.value)
+    ms = enumerate_matchings(BoxDims(2, 2, 2), limit=20)
+    assert len(ms) == 20 and ms == enumerate_matchings(BoxDims(2, 2, 2))
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1)],

@@ -1,7 +1,10 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
+from hexdimer.diagrams import enumerate_matchings
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, IN_PROPELLER, MeshError, OddDims, Triangle,
     UnknownFace, build_mesh, squish_edge, unsquish,
@@ -74,6 +77,41 @@ def test_face_triangles_and_errors():
         m.face_triangles(Face("A", 7, 7, 0))
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
+
+
+def degree_oracle(mesh, M):
+    """Perfect matching by brute force: all mesh edges, every degree 1."""
+    if any(f not in mesh.edges for f in M):
+        return False
+    deg = Counter(t for f in M for t in mesh.edges[f])
+    return all(deg[t] == 1 for t in mesh.vertices)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],
+                         ids=str)
+def test_is_perfect_matching_against_degree_count(dims):
+    mesh = build_mesh(BoxDims(*dims))
+    rng = random.Random(str(dims))
+    edges = sorted(mesh.edges)
+    half = len(mesh.vertices) // 2
+    outside = Face("A", 99, 99, 0)
+    cases = [(M, True) for M in enumerate_matchings(BoxDims(*dims))]
+    # one vertex covered twice: trade f for another edge g at one end of f;
+    # the far end of g gets degree 2 and the far end of f degree 0
+    for M, _ in list(cases):
+        f = rng.choice(sorted(M))
+        t = rng.choice(mesh.edges[f])
+        for g in mesh.incident[t]:
+            if g != f:
+                cases.append(((M - {f}) | {g}, False))
+        cases.append(((M - {f}) | {outside}, False))   # not an edge of the mesh
+        cases.append((M - {f}, False))
+        cases.append((M | {outside}, False))
+    cases += [(frozenset(rng.sample(edges, half)), None) for _ in range(200)]
+    for M, want in cases:
+        got = mesh.is_perfect_matching(M)
+        assert got == degree_oracle(mesh, M)
+        assert want is None or got == want
 
 
 def test_face_id_canonical_ranges():

@@ -47,6 +47,45 @@ def test_loops_are_canonical():
     assert overlay(mesh, empty, full) == overlay(mesh, full, empty)
 
 
+def corner_sum(t):
+    """Sum of a triangle's three lattice corners (up(x,y): (x,y), (x+1,y+1),
+    (x,y+1); down(x,y): (x,y), (x+1,y), (x+1,y+1))."""
+    if t.up:
+        corners = [(t.x, t.y), (t.x + 1, t.y + 1), (t.x, t.y + 1)]
+    else:
+        corners = [(t.x, t.y), (t.x + 1, t.y), (t.x + 1, t.y + 1)]
+    return sum(c[0] for c in corners), sum(c[1] for c in corners)
+
+
+def reference_canonical(mesh, loop):
+    """Orient a loop counterclockwise by the shoelace sum over its vertices,
+    then rotate it to its least edge."""
+    pts = [corner_sum(t) for t in loop_vertices(mesh, loop)]
+    area2 = sum(x1 * y2 - x2 * y1
+                for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    assert area2 != 0
+    if area2 < 0:
+        loop = loop[::-1]
+    k = loop.index(min(loop))
+    return loop[k:] + loop[:k]
+
+
+@pytest.mark.parametrize("dims", [(a, b, c) for a in (1, 2) for b in (1, 2)
+                                  for c in (1, 2)] + [(3, 2, 1)], ids=str)
+def test_loops_oriented_as_reference(dims):
+    mesh = build_mesh(BoxDims(*dims))
+    n = 0
+    for lam in enumerate_two_factors(BoxDims(*dims)):
+        for loop in lam.loops:
+            n += 1
+            assert reference_canonical(mesh, loop) == loop
+            # any rotation or reversal of the walk has the same canonical form
+            walks = [loop[i:] + loop[:i] for i in range(len(loop))]
+            for walk in walks + [w[::-1] for w in walks]:
+                assert reference_canonical(mesh, walk) == loop
+    assert n > 0
+
+
 def test_split_counts_and_reconstruction():
     dims = BoxDims(2, 2, 2)
     mesh = build_mesh(dims)

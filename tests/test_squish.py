@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -11,8 +12,8 @@ from hexdimer.overlay import enumerate_two_factors, overlay, two_factor_weight
 from hexdimer.squish import (
     EdgeWeighting, SignRule, SquishError, calibrate_sign_rule,
     classify_propeller, lemma2_sum, lift_preimages, loop_lift_sum, project,
-    pullback_weighting, sign_weighting, transfer_lift_sum, turn_word,
-    wp_edge_weighting,
+    _loop_lift_choices, pullback_weighting, sign_weighting, transfer_lift_sum,
+    turn_word, wp_edge_weighting,
 )
 
 BASE_DIMS = [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 1)]
@@ -243,6 +244,22 @@ def test_aggregate_sign_sum():
     S = sign_weighting(even)
     total = sum(S.weight_of(mu).coeff for mu in enumerate_matchings(BoxDims(2, 2, 2)))
     assert total == -4
+
+
+def test_loop_lift_choices_match_filtered_product():
+    even = build_mesh(BoxDims(4, 4, 2))
+    n = 0
+    for lam in enumerate_two_factors(BoxDims(2, 2, 1)):
+        for loop in lam.loops:
+            k = len(loop)
+            ends = [[set(even.edges[f]) for f in even.lift_fibers[bf]] for bf in loop]
+            want = [tuple(even.lift_fibers[bf][i] for bf, i in zip(loop, pick))
+                    for pick in itertools.product((0, 1), repeat=k)
+                    if all(not ends[i][pick[i]] & ends[(i + 1) % k][pick[(i + 1) % k]]
+                           for i in range(k))]
+            assert _loop_lift_choices(even, loop) == want
+            n += 1
+    assert n > 0
 
 
 def test_lemma2_sum_equals_direct_preimage_sum():
