@@ -285,47 +285,70 @@ def poly_collapse_t(x: Poly) -> Poly:
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in (q, r, s): the coefficient ring for Series.
-# Represented as plain dicts {(eq, er, es): coeff}; kept functional.
+# Represented as plain dicts {lexp(eq, er, es): coeff}; the lp_* helpers
+# return new dicts, the Series kernel accumulates in place.
 # ---------------------------------------------------------------------------
 
 LExp = Tuple[int, int, int]
-LPoly = Dict[LExp, int]
+LPoly = Dict[int, int]
 
-LP_ONE: LPoly = {(0, 0, 0): 1}
+# Each exponent gets a 21-bit signed field; |e| < 2**20 keeps them apart.
+_LBITS = 21
+_LHALF = 1 << (_LBITS - 1)
+_LMASK = (1 << _LBITS) - 1
 
 
-def lp_add(x: LPoly, y: LPoly) -> LPoly:
-    out = dict(x)
-    for e, c in y.items():
-        nc = out.get(e, 0) + c
-        if nc:
-            out[e] = nc
-        else:
-            del out[e]
-    return out
+def lexp(eq: int, er: int, es: int) -> int:
+    """Pack q^eq r^er s^es into one int key.  The map is additive, so a
+    product of monomials is a sum of keys, k*e is the k-th power and -e the
+    inverse, as long as every exponent stays below 2**20 in absolute value."""
+    if not (-_LHALF < eq < _LHALF and -_LHALF < er < _LHALF and -_LHALF < es < _LHALF):
+        raise AlgebraError(f"Laurent exponent {(eq, er, es)} outside +-(2**20 - 1)")
+    return (eq << (2 * _LBITS)) + (er << _LBITS) + es
+
+
+def lexp_split(e: int) -> LExp:
+    """The (eq, er, es) that ``lexp`` packed into ``e``."""
+    es = ((e + _LHALF) & _LMASK) - _LHALF
+    e = (e - es) >> _LBITS
+    er = ((e + _LHALF) & _LMASK) - _LHALF
+    return (e - er) >> _LBITS, er, es
+
+
+LP_ONE: LPoly = {0: 1}
 
 
 def lp_neg(x: LPoly) -> LPoly:
     return {e: -c for e, c in x.items()}
 
 
-def lp_mul(x: LPoly, y: LPoly) -> LPoly:
-    out: Dict[LExp, int] = {}
+def _lp_mul_into(acc: LPoly, x: LPoly, y: LPoly):
+    """acc += x*y, leaving zero coefficients for _drop_zeros."""
+    get = acc.get
     for e1, c1 in x.items():
         for e2, c2 in y.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            nc = out.get(e, 0) + c1 * c2
-            if nc:
-                out[e] = nc
-            else:
-                del out[e]
-    return out
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _drop_zeros(acc: LPoly) -> LPoly:
+    # in place, so a product's largest coefficient is not held twice
+    for e in [e for e, c in acc.items() if not c]:
+        del acc[e]
+    return acc
+
+
+def lp_mul(x: LPoly, y: LPoly) -> LPoly:
+    acc: LPoly = {}
+    _lp_mul_into(acc, x, y)
+    return _drop_zeros(acc)
 
 
 def lp_eval_signs(x: LPoly, sq: int = -1, sr: int = -1, ss: int = -1) -> int:
     """Evaluate at q,r,s in {+1,-1}.  Negative exponents are fine: (-1)^-k = (-1)^k."""
     total = 0
-    for (eq, er, es), c in x.items():
+    for e, c in x.items():
+        eq, er, es = lexp_split(e)
         sign = (sq ** (eq & 1)) * (sr ** (er & 1)) * (ss ** (es & 1))
         total += c * sign
     return total
@@ -335,13 +358,14 @@ class Series:
     """Truncated power series in one grading variable with LPoly coefficients.
 
     ``coeffs[n]`` is the Laurent polynomial in (q,r,s) multiplying grading**n;
-    the sequence always has length ``order + 1``.
+    the sequence always has length ``order + 1``.  The coefficient dicts are
+    taken as they are, not copied: a Series never changes them.
     """
 
     __slots__ = ("grading", "order", "coeffs")
 
     def __init__(self, coeffs: Iterable[LPoly], order: int, grading: str = "z"):
-        cs = [dict(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) < order + 1:
             cs += [{} for _ in range(order + 1 - len(cs))]
         self.coeffs: List[LPoly] = cs[: order + 1]
@@ -353,17 +377,17 @@ class Series:
         return cls([dict(LP_ONE)], order, grading)
 
     def __mul__(self, other: "Series") -> "Series":
+        if self.grading != other.grading:
+            raise AlgebraError(f"gradings differ: {self.grading} vs {other.grading}")
         n = min(self.order, other.order)
-        out = [dict() for _ in range(n + 1)]  # type: List[LPoly]
-        for i in range(n + 1):
-            ci = self.coeffs[i]
-            if not ci:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coeffs[j]
-                if not cj:
-                    continue
-                out[i + j] = lp_add(out[i + j], lp_mul(ci, cj))
+        x, y = self.coeffs, other.coeffs
+        out: List[LPoly] = []
+        for k in range(n + 1):
+            acc: LPoly = {}
+            for i in range(k + 1):
+                if x[i] and y[k - i]:
+                    _lp_mul_into(acc, x[i], y[k - i])
+            out.append(_drop_zeros(acc))
         return Series(out, n, self.grading)
 
     def __pow__(self, k: int) -> "Series":
@@ -372,13 +396,14 @@ class Series:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series) and self.order == other.order
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
+                and self.grading == other.grading and self.coeffs == other.coeffs)
 
     def specialize_signs(self, sq=-1, sr=-1, ss=-1) -> List[int]:
         """Coefficientwise evaluation at q,r,s -> +-1; returns plain integers."""
@@ -390,7 +415,8 @@ class Series:
             "grading": self.grading,
             "order": self.order,
             "coeffs": [
-                [{"coeff": c, "exp": list(e)} for e, c in sorted(cc.items())]
+                [{"coeff": c, "exp": list(e)}
+                 for e, c in sorted((lexp_split(e), c) for e, c in cc.items())]
                 for cc in self.coeffs
             ],
         }
@@ -408,9 +434,9 @@ def series_inv(x: Series) -> Series:
     for k in range(1, n + 1):
         acc: LPoly = {}
         for i in range(1, k + 1):
-            if x.coeffs[i]:
-                acc = lp_add(acc, lp_mul(x.coeffs[i], inv[k - i]))
-        inv.append(lp_neg(acc))
+            if x.coeffs[i] and inv[k - i]:
+                _lp_mul_into(acc, x.coeffs[i], inv[k - i])
+        inv.append({e: -c for e, c in acc.items() if c})
     return Series(inv, n, x.grading)
 
 

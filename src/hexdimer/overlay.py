@@ -146,13 +146,14 @@ def split(lam: TwoFactor) -> List[Tuple[FrozenSet[Face], FrozenSet[Face]]]:
 
 
 def enumerate_two_factors(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[TwoFactor]:
-    """Distinct overlays over all ordered matching pairs; TooLarge if the
-    box has more than ``limit`` matchings."""
+    """Distinct overlays over all matching pairs (an overlay is symmetric,
+    so each unordered pair once); TooLarge if the box has more than
+    ``limit`` matchings."""
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims, limit)
     seen: Dict[TwoFactor, None] = {}
-    for M1 in ms:
-        for M2 in ms:
+    for i, M1 in enumerate(ms):
+        for M2 in ms[i:]:
             seen.setdefault(overlay(mesh, M1, M2))
     return sorted(seen, key=lambda tf: (sorted(tf.doubled), tf.loops))
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
-from .algebra import LExp, LPoly, Series, lp_mul, lp_neg, series_inv
+from .algebra import LExp, LPoly, Series, lexp, lexp_split, lp_mul, lp_neg, series_inv
 from .diagrams import MONO, Z2Z2, z_poly
 from .mesh import BoxDims
 
@@ -24,12 +24,12 @@ def lmono(coeff: int, eq: int = 0, er: int = 0, es: int = 0) -> LPoly:
     """A signed Laurent monomial in (q, r, s), the argument type of mac."""
     if coeff not in (1, -1):
         raise SeriesError("argument coefficient must be +1 or -1")
-    return {(eq, er, es): coeff}
+    return {lexp(eq, er, es): coeff}
 
 
 def _lmono_inv(a: LPoly) -> LPoly:
     ((e, c),) = a.items()
-    return {(-e[0], -e[1], -e[2]): c}
+    return {-e: c}
 
 
 def _as_lmono(a) -> LPoly:
@@ -46,12 +46,13 @@ def mac(a, N: int, grading: str = "z") -> Series:
     Each factor is expanded in closed form as sum_k C(n+k-1, k) a^k z^(nk).
     """
     ((e, sign),) = _as_lmono(a).items()
+    # a^N is the highest power below; lexp raises if its exponents do not fit
+    lexp(*(N * x for x in lexp_split(e)))
     out = Series.one(N, grading)
     for n in range(1, N + 1):
         factor = Series.one(N, grading)
         for k in range(1, N // n + 1):
-            factor.coeffs[n * k] = {(k * e[0], k * e[1], k * e[2]):
-                                    sign ** k * math.comb(n + k - 1, k)}
+            factor.coeffs[n * k] = {k * e: sign ** k * math.comb(n + k - 1, k)}
         out = out * factor
     return out
 
@@ -100,6 +101,7 @@ def _series_to_filtered(ser: Series, D: int) -> Dict[Tuple[int, LExp], int]:
     out: Dict[Tuple[int, LExp], int] = {}
     for n, coeff in enumerate(ser.coeffs):
         for e, c in coeff.items():
+            e = lexp_split(e)
             if 4 * n + e[0] + e[1] + e[2] <= D:
                 out[(n, e)] = c
     return out

@@ -117,6 +117,17 @@ def test_enumerate_two_factors_hexagon():
     assert by_loops == [0, 0, 1]
 
 
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)])
+def test_enumerate_two_factors_equals_ordered_pairs(dims):
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    ms = enumerate_matchings(dims)
+    ordered = {overlay(mesh, M1, M2) for M1 in ms for M2 in ms}
+    assert all(overlay(mesh, M1, M2) == overlay(mesh, M2, M1) for M1 in ms for M2 in ms)
+    assert enumerate_two_factors(dims) == \
+        sorted(ordered, key=lambda tf: (sorted(tf.doubled), tf.loops))
+
+
 def test_enumerate_two_factors_limit():
     with pytest.raises(TooLarge):
         enumerate_two_factors(BoxDims(2, 2, 2), limit=5)
