@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: signed Laurent monomials, sparse integer polynomials,
+"""Exact arithmetic kernel: signed monomials, sparse integer polynomials,
 truncated power series with Laurent coefficients, and 4x4 integer matrices.
 
 Polynomials live in one of two variable frames:
@@ -6,17 +6,16 @@ Polynomials live in one of two variable frames:
 * ``('t', 'q', 'r', 's')`` -- used for edge weightings, where ``p = t**3``;
 * ``('p', 'q', 'r', 's')`` -- used for diagram weights and partition functions.
 
-``poly_collapse_t`` converts from the first frame to the second.  All
+Every exponent vector, in either frame and in the Laurent coefficients of a
+series, is one int key made by ``pack`` and read by ``split``.  All
 coefficients are Python ints (arbitrary precision); there is no floating
 point anywhere in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-Exp = Tuple[int, int, int, int]
+from itertools import chain
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Tuple
 
 T_VARS = ("t", "q", "r", "s")
 P_VARS = ("p", "q", "r", "s")
@@ -34,64 +33,127 @@ class NonUnitConstantTerm(AlgebraError):
     """Series inversion requires constant coefficient exactly 1."""
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# The packed exponent key.  From the top: four exponent fields of _W bits,
+# then their sum, the total degree, in the lowest _D bits.  Fields are signed
+# and stored by plain addition, so keys add like exponent vectors.
+# ---------------------------------------------------------------------------
+
+_W = 22
+_D = _W + 2                     # a sum of four exponents needs two more bits
+LIMIT = 1 << (_W - 2)           # every exponent lies in [-LIMIT, LIMIT)
+_SHIFTS = _S0, _S1, _S2, _S3 = (_D + 3 * _W, _D + 2 * _W, _D + _W, _D)
+_U0, _U1, _U2, _U3 = ((1 << s) + 1 for s in _SHIFTS)  # one variable's key
+_MASK = (1 << _W) - 1
+_DBIAS = 1 << (_D - 2)
+_DMASK = (1 << _D) - 1
+# Adding _BIAS takes every in-range field (the degree field included) to the
+# lower half of its bits.  A sum of two in-range keys sets one of the top
+# bits in _GUARD exactly when some exponent has left the range.
+_BIAS = sum(LIMIT << s for s in _SHIFTS) + _DBIAS
+_GUARD = sum(1 << (s + _W - 1) for s in _SHIFTS) + (1 << (_D - 1))
+# The same test for one in-range key: no bit of _HALF_GUARD is set exactly
+# when every exponent lies in [-LIMIT/2, LIMIT/2), so that any two such keys
+# add without leaving the range.
+_HALF_BIAS = sum((LIMIT // 2) << s for s in _SHIFTS) + _DBIAS
+_HALF_GUARD = sum((3 * LIMIT) << s for s in _SHIFTS)
+
+
+def pack(e0: int, e1: int, e2: int, e3: int) -> int:
+    """The key of x0^e0 x1^e1 x2^e2 x3^e3, where x0 is p or t; a Laurent
+    coefficient q^eq r^er s^es of a series has the key pack(0, eq, er, es).
+
+    Keys are additive: a product of monomials has the sum of their keys, the
+    k-th power k times the key and the inverse its negative.  Sorted keys
+    follow the lexicographic order of the exponent tuples, and ``degree``
+    reads e0 + e1 + e2 + e3 off the lowest field.  Every exponent must lie in
+    [-2**20, 2**20); ``pack`` refuses any other.
+
+    A sum of keys is checked where it can leave that range: Monomial products
+    by the guard bits; Poly, Series and lp_mul products by the extreme fields
+    of their operands, once per product; series_inv by n times each key of
+    its input.  The sums left unchecked cannot wrap: a z_poly key adds at
+    most a*b*c box keys whose fields are 0 or 1 (each column weight is a
+    checked Monomial product), and a box of 2**20 boxes is far beyond the DP;
+    the Q grading in compare_box_vs_series adds at most min(a,b,c) times
+    pack(1, 1, 1, 1).
+    """
+    if not (-LIMIT <= e0 < LIMIT and -LIMIT <= e1 < LIMIT
+            and -LIMIT <= e2 < LIMIT and -LIMIT <= e3 < LIMIT):
+        raise AlgebraError(f"exponent {(e0, e1, e2, e3)} outside [-2**20, 2**20)")
+    return e0 * _U0 + e1 * _U1 + e2 * _U2 + e3 * _U3
+
+
+def split(key: int) -> Tuple[int, int, int, int]:
+    """The exponents (e0, e1, e2, e3) that ``pack`` put into ``key``."""
+    v = key + _BIAS
+    if v & _GUARD:
+        raise AlgebraError(f"key {key} holds an exponent outside [-2**20, 2**20)")
+    return ((v >> _S0) - LIMIT, (v >> _S1 & _MASK) - LIMIT,
+            (v >> _S2 & _MASK) - LIMIT, (v >> _S3 & _MASK) - LIMIT)
+
+
+def degree(key: int) -> int:
+    """e0 + e1 + e2 + e3 of the key, without decoding it."""
+    return ((key + _DBIAS) & _DMASK) - _DBIAS
+
+
+def _check_product(xs: Collection[int], ys: Collection[int]):
+    """Raise AlgebraError if a key of xs plus a key of ys leaves the range.
+    Keys with small exponents pass on one bit test each; otherwise the
+    extreme fields of the two operands are added."""
+    if xs and ys and any((k + _HALF_BIAS) & _HALF_GUARD for k in chain(xs, ys)):
+        fx, fy = list(zip(*map(split, xs))), list(zip(*map(split, ys)))
+        for pick in (min, max):
+            pack(*(pick(a) + pick(b) for a, b in zip(fx, fy)))
+
+
 class Monomial:
-    """A signed monomial c * v0^e0 v1^e1 v2^e2 v3^e3 (exponents may be negative)."""
+    """A signed monomial coeff * x^key, with ``key`` from ``pack``
+    (exponents may be negative).  A zero monomial has key 0."""
 
-    coeff: int
-    exp: Exp = (0, 0, 0, 0)
+    __slots__ = ("coeff", "key")
 
-    def __post_init__(self):
-        if self.coeff == 0 and self.exp != (0, 0, 0, 0):
-            object.__setattr__(self, "exp", (0, 0, 0, 0))
+    def __init__(self, coeff: int, key: int = 0):
+        self.coeff = coeff
+        self.key = key if coeff else 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.coeff == 0 or other.coeff == 0:
-            return ZERO
-        return Monomial(self.coeff * other.coeff,
-                        tuple(a + b for a, b in zip(self.exp, other.exp)))
+        key = self.key + other.key
+        if (key + _BIAS) & _GUARD:
+            raise AlgebraError(f"{self} * {other} leaves the exponent range")
+        return Monomial(self.coeff * other.coeff, key)
 
-    def __pow__(self, n: int) -> "Monomial":
-        if n == 0:
-            return ONE
-        return Monomial(self.coeff ** n, tuple(e * n for e in self.exp))
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Monomial) and self.coeff == other.coeff
+                and self.key == other.key)
 
-
-ZERO = Monomial(0)
-ONE = Monomial(1)
+    def __repr__(self) -> str:
+        return f"Monomial({self.coeff}, pack{split(self.key)})"
 
 
 def mono_t(exp_t: int, coeff: int = 1) -> Monomial:
-    return Monomial(coeff, (exp_t, 0, 0, 0))
+    return Monomial(coeff, pack(exp_t, 0, 0, 0))
 
 
 class Poly:
     """Sparse polynomial with integer coefficients over a fixed 4-variable frame.
 
-    ``terms`` maps exponent 4-vectors to nonzero coefficients.  An optional
+    ``terms`` maps exponent keys to nonzero coefficients.  An optional
     ``cap`` discards terms whose total degree (in p,q,r,s, counting t^3 as one
     unit of p) exceeds it; products inherit the smaller cap.
     """
 
     __slots__ = ("vars", "terms", "cap")
 
-    def __init__(self, terms: Optional[Mapping[Exp, int]] = None,
+    def __init__(self, terms: Optional[Mapping[int, int]] = None,
                  vars: Tuple[str, str, str, str] = P_VARS,
                  cap: Optional[int] = None):
         self.vars = tuple(vars)
         self.cap = cap
-        tt: Dict[Exp, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c == 0:
-                    continue
-                e = tuple(e)
-                if cap is not None and self._total_degree(e) > cap:
-                    continue
-                tt[e] = tt.get(e, 0) + c
-                if tt[e] == 0:
-                    del tt[e]
-        self.terms = tt
+        self.terms: Dict[int, int] = {
+            e: c for e, c in (terms or {}).items()
+            if c and (cap is None or self._total_degree(e) <= cap)}
 
     # -- constructors -------------------------------------------------
 
@@ -101,21 +163,22 @@ class Poly:
 
     @classmethod
     def one(cls, vars=P_VARS, cap=None) -> "Poly":
-        return cls({(0, 0, 0, 0): 1}, vars=vars, cap=cap)
+        return cls({0: 1}, vars=vars, cap=cap)
 
     @classmethod
     def from_monomial(cls, m: Monomial, vars=P_VARS, cap=None) -> "Poly":
-        return cls({m.exp: m.coeff}, vars=vars, cap=cap)
+        return cls({m.key: m.coeff}, vars=vars, cap=cap)
 
     # -- degree bookkeeping -------------------------------------------
 
-    def _total_degree(self, e: Exp) -> int:
+    def _total_degree(self, e: int) -> int:
         if self.vars[0] == "t":
-            if e[0] % 3 != 0:
+            t = split(e)[0]
+            if t % 3 != 0:
                 raise NonDivisibleExponent(
-                    f"t-exponent {e[0]} not divisible by 3 under a degree cap")
-            return e[0] // 3 + e[1] + e[2] + e[3]
-        return e[0] + e[1] + e[2] + e[3]
+                    f"t-exponent {t} not divisible by 3 under a degree cap")
+            return degree(e) - t + t // 3
+        return degree(e)
 
     # -- ring operations ----------------------------------------------
 
@@ -151,55 +214,43 @@ class Poly:
         if isinstance(other, Monomial):
             other = Poly.from_monomial(other, vars=self.vars)
         self._check_vars(other)
-        cap = self._merged_cap(other)
-        tt: Dict[Exp, int] = {}
+        _check_product(self.terms, other.terms)
+        tt: Dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                e = e1 + e2
                 nc = tt.get(e, 0) + c1 * c2
                 if nc:
                     tt[e] = nc
                 else:
                     del tt[e]
-        return Poly(tt, vars=self.vars, cap=cap)
+        return Poly(tt, vars=self.vars, cap=self._merged_cap(other))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def constant_value(self) -> int:
         """The value of a constant polynomial (zero or a pure number)."""
-        if not self.terms:
-            return 0
-        if set(self.terms) != {(0, 0, 0, 0)}:
+        if self.terms.keys() - {0}:
             raise AlgebraError("polynomial is not constant")
-        return self.terms[(0, 0, 0, 0)]
+        return self.terms.get(0, 0)
 
     # -- serialization / display ---------------------------------------
-
-    def sorted_terms(self) -> List[Tuple[Exp, int]]:
-        return sorted(self.terms.items())
 
     def to_json_obj(self) -> dict:
         return {
             "vars": list(self.vars),
-            "terms": [{"coeff": c, "exp": list(e)} for e, c in self.sorted_terms()],
+            "terms": [{"coeff": c, "exp": list(split(e))}
+                      for e, c in sorted(self.terms.items())],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, cap=None) -> "Poly":
-        return cls({tuple(t["exp"]): t["coeff"] for t in obj["terms"]},
-                   vars=tuple(obj["vars"]), cap=cap)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items()):
             factors = []
-            for name, k in zip(self.vars, e):
+            for name, k in zip(self.vars, split(e)):
                 if k == 0:
                     continue
                 factors.append(name if k == 1 else f"{name}^{k}")
@@ -246,11 +297,11 @@ def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
         if name not in assignment:
             raise AlgebraError(f"assignment missing variable {name!r}")
     plan = [_parse_assignment_value(assignment[name], x.vars) for name in x.vars]
-    tt: Dict[Exp, int] = {}
+    tt: Dict[int, int] = {}
     for e, c in x.terms.items():
         ne = [0, 0, 0, 0]
         sign = 1
-        for i, k in enumerate(e):
+        for i, k in enumerate(split(e)):
             if k == 0:
                 continue
             sg, tgt = plan[i]
@@ -262,7 +313,7 @@ def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
                     sign = -sign
             if tgt is not None:
                 ne[tgt] += k
-        key = tuple(ne)
+        key = pack(*ne)
         nc = tt.get(key, 0) + sign * c
         if nc:
             tt[key] = nc
@@ -271,49 +322,13 @@ def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
     return Poly(tt, vars=x.vars, cap=x.cap)
 
 
-def poly_collapse_t(x: Poly) -> Poly:
-    """Convert a (t,q,r,s)-frame polynomial to the (p,q,r,s) frame via p = t^3."""
-    if x.vars[0] != "t":
-        raise AlgebraError("poly_collapse_t expects the (t,q,r,s) frame")
-    tt: Dict[Exp, int] = {}
-    for e, c in x.terms.items():
-        if e[0] % 3 != 0:
-            raise NonDivisibleExponent(f"t-exponent {e[0]} is not a multiple of 3")
-        tt[(e[0] // 3, e[1], e[2], e[3])] = c
-    return Poly(tt, vars=P_VARS, cap=x.cap)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in (q, r, s): the coefficient ring for Series.
-# Represented as plain dicts {lexp(eq, er, es): coeff}; the lp_* helpers
+# Represented as plain dicts {pack(0, eq, er, es): coeff}; the lp_* helpers
 # return new dicts, the Series kernel accumulates in place.
 # ---------------------------------------------------------------------------
 
-LExp = Tuple[int, int, int]
 LPoly = Dict[int, int]
-
-# Each exponent gets a 21-bit signed field; |e| < 2**20 keeps them apart.
-_LBITS = 21
-_LHALF = 1 << (_LBITS - 1)
-_LMASK = (1 << _LBITS) - 1
-
-
-def lexp(eq: int, er: int, es: int) -> int:
-    """Pack q^eq r^er s^es into one int key.  The map is additive, so a
-    product of monomials is a sum of keys, k*e is the k-th power and -e the
-    inverse, as long as every exponent stays below 2**20 in absolute value."""
-    if not (-_LHALF < eq < _LHALF and -_LHALF < er < _LHALF and -_LHALF < es < _LHALF):
-        raise AlgebraError(f"Laurent exponent {(eq, er, es)} outside +-(2**20 - 1)")
-    return (eq << (2 * _LBITS)) + (er << _LBITS) + es
-
-
-def lexp_split(e: int) -> LExp:
-    """The (eq, er, es) that ``lexp`` packed into ``e``."""
-    es = ((e + _LHALF) & _LMASK) - _LHALF
-    e = (e - es) >> _LBITS
-    er = ((e + _LHALF) & _LMASK) - _LHALF
-    return (e - er) >> _LBITS, er, es
-
 
 LP_ONE: LPoly = {0: 1}
 
@@ -339,6 +354,7 @@ def _drop_zeros(acc: LPoly) -> LPoly:
 
 
 def lp_mul(x: LPoly, y: LPoly) -> LPoly:
+    _check_product(x, y)
     acc: LPoly = {}
     _lp_mul_into(acc, x, y)
     return _drop_zeros(acc)
@@ -348,7 +364,7 @@ def lp_eval_signs(x: LPoly, sq: int = -1, sr: int = -1, ss: int = -1) -> int:
     """Evaluate at q,r,s in {+1,-1}.  Negative exponents are fine: (-1)^-k = (-1)^k."""
     total = 0
     for e, c in x.items():
-        eq, er, es = lexp_split(e)
+        _, eq, er, es = split(e)
         sign = (sq ** (eq & 1)) * (sr ** (er & 1)) * (ss ** (es & 1))
         total += c * sign
     return total
@@ -381,6 +397,7 @@ class Series:
             raise AlgebraError(f"gradings differ: {self.grading} vs {other.grading}")
         n = min(self.order, other.order)
         x, y = self.coeffs, other.coeffs
+        _check_product([e for c in x[:n + 1] for e in c], [e for c in y[:n + 1] for e in c])
         out: List[LPoly] = []
         for k in range(n + 1):
             acc: LPoly = {}
@@ -415,8 +432,7 @@ class Series:
             "grading": self.grading,
             "order": self.order,
             "coeffs": [
-                [{"coeff": c, "exp": list(e)}
-                 for e, c in sorted((lexp_split(e), c) for e, c in cc.items())]
+                [{"coeff": c, "exp": list(split(e)[1:])} for e, c in sorted(cc.items())]
                 for cc in self.coeffs
             ],
         }
@@ -430,6 +446,8 @@ def series_inv(x: Series) -> Series:
     if x.coeffs[0] != LP_ONE:
         raise NonUnitConstantTerm(f"constant coefficient is {x.coeffs[0]!r}, need 1")
     n = x.order
+    for e in chain.from_iterable(x.coeffs[1:]):  # a term of the inverse adds <= n keys
+        pack(*(n * f for f in split(e)))
     inv: List[LPoly] = [dict(LP_ONE)]
     for k in range(1, n + 1):
         acc: LPoly = {}

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebra import MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow
+from .algebra import MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow, split as split_key
 from .diagrams import (COUNT, MATCHING_LIMIT, MONO, DiagramError, PlanePartition,
                        TooLarge, Z2Z2, diagram_of, diagram_weight,
                        enumerate_matchings, flippable_faces, matching_of,
@@ -162,8 +162,8 @@ def check_consistency(dims: BoxDims) -> CheckReport:
 
     def W(mu):
         u = U.weight_of(mu)
-        sign = S.weight_of(mu).coeff * u.coeff * (-1) ** (u.exp[0] % 2)
-        return sign, u.exp[0]
+        t = split_key(u.key)[0]
+        return S.weight_of(mu).coeff * u.coeff * (-1) ** (t % 2), t
 
     a, b, c = base.dims
     s0, e0 = W(matching_of(PlanePartition.empty(dims)))
@@ -172,9 +172,9 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     for mu in enumerate_matchings(dims):
         s, e = W(mu)
         dw = diagram_weight(diagram_of(mesh, mu), scheme)
-        if (s * s0, e) != (dw.coeff, 3 * dw.exp[0]):
-            rep.fail({"matching_weight": (s * s0, e),
-                      "diagram_weight": (dw.coeff, dw.exp[0])})
+        p = split_key(dw.key)[0]
+        if (s * s0, e) != (dw.coeff, 3 * p):
+            rep.fail({"matching_weight": (s * s0, e), "diagram_weight": (dw.coeff, p)})
     return rep
 
 
@@ -264,20 +264,21 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     return rep
 
 
-# name -> runner(dims, order, max_dims), in the order "check all" runs them.
-# The runners look their check up when called and fill in its defaults.
-CHECKS: Dict[str, Callable[..., CheckReport]] = {
-    "split": lambda d, o, m: check_split(d or BoxDims(2, 2, 2)),
-    "parity": lambda d, o, m: check_parity(m or d or BoxDims(2, 2, 2)),
-    "minus-one": lambda d, o, m: check_minus_one(d or BoxDims(1, 1, 1)),
-    "pullback": lambda d, o, m: check_pullback(d or BoxDims(2, 2, 2)),
-    "consistency": lambda d, o, m: check_consistency(d or BoxDims(2, 2, 2)),
-    "theorem": lambda d, o, m: check_theorem(d or BoxDims(1, 1, 1)),
-    "matrices": lambda d, o, m: check_matrices(),
-    "eq1": lambda d, o, m: check_eq1(6 if o is None else o),
-    "eq2": lambda d, o, m: check_eq2(4 if o is None else o),
-    "eq3": lambda d, o, m: check_eq3(10 if o is None else o),
-    "fibers": lambda d, o, m: check_fibers(d or BoxDims(1, 1, 1)),
+# name -> (flags it reads, runner(dims, order, max_dims)), in the order
+# "check all" runs them.  The runners look their check up when called and
+# fill in its defaults.
+CHECKS: Dict[str, Tuple[str, Callable[..., CheckReport]]] = {
+    "split": ("-d", lambda d, o, m: check_split(d or BoxDims(2, 2, 2))),
+    "parity": ("-d --max-dims", lambda d, o, m: check_parity(m or d or BoxDims(2, 2, 2))),
+    "minus-one": ("-d", lambda d, o, m: check_minus_one(d or BoxDims(1, 1, 1))),
+    "pullback": ("-d", lambda d, o, m: check_pullback(d or BoxDims(2, 2, 2))),
+    "consistency": ("-d", lambda d, o, m: check_consistency(d or BoxDims(2, 2, 2))),
+    "theorem": ("-d", lambda d, o, m: check_theorem(d or BoxDims(1, 1, 1))),
+    "matrices": ("", lambda d, o, m: check_matrices()),
+    "eq1": ("--order", lambda d, o, m: check_eq1(6 if o is None else o)),
+    "eq2": ("--order", lambda d, o, m: check_eq2(4 if o is None else o)),
+    "eq3": ("--order", lambda d, o, m: check_eq3(10 if o is None else o)),
+    "fibers": ("-d", lambda d, o, m: check_fibers(d or BoxDims(1, 1, 1))),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -291,13 +292,19 @@ def run_check(name: str, dims: Optional[BoxDims], order: Optional[int],
             _check_order("eq2", order, EQ2_MAX_ORDER)
         names = CHECK_NAMES
     elif name in CHECKS:
+        # a flag the check does not read would run an instance nobody asked for
+        reads = CHECKS[name][0].split()
+        given = {"-d": dims, "--order": order, "--max-dims": max_dims}
+        unread = [f for f, v in given.items() if v is not None and f not in reads]
+        if unread:
+            raise UsageError(f"check {name} does not read {', '.join(unread)}")
         names = (name,)
     else:
         raise UsageError(f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
     reports = []
     for nm in names:
         t0 = time.monotonic()
-        r = CHECKS[nm](dims, order, max_dims)
+        r = CHECKS[nm][1](dims, order, max_dims)
         r.seconds = time.monotonic() - t0
         reports.append(r)
     return reports

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .algebra import Exp, Monomial, P_VARS, Poly
+from .algebra import Monomial, P_VARS, Poly, degree, pack
 from .mesh import BoxDims, Face, HexMesh, build_mesh
 
 
@@ -46,9 +46,6 @@ def box_color(i: int, j: int, k: int) -> str:
     return BOX_COLORS[((i - k) % 2, (j - k) % 2)]
 
 
-# box weight monomials, (p,q,r,s) frame
-_COLOR_EXP = {"P": (1, 0, 0, 0), "Q": (0, 1, 0, 0), "R": (0, 0, 1, 0), "S": (0, 0, 0, 1)}
-
 # the substitution values: an optional sign, then 1 or a variable
 _SUBSTITUTIONS = {sign + v for sign in ("", "+", "-") for v in ("1",) + P_VARS}
 
@@ -80,29 +77,13 @@ class WeightScheme:
     def box_monomial(self, i: int, j: int, k: int) -> Monomial:
         if self.kind == "count":
             return Monomial(1)
-        if self.kind == "mono":
-            base = (1, 0, 0, 0)
-        else:
-            base = _COLOR_EXP[box_color(i, j, k)]
-        if not self.signs:
-            return Monomial(1, base)
-        sub = dict(self.signs)
-        coeff = 1
-        exp = [0, 0, 0, 0]
-        for idx, e in enumerate(base):
-            if e == 0:
-                continue
-            val = sub.get(P_VARS[idx])
-            if val is None:
-                exp[idx] += e
-                continue
-            if val.startswith("-"):
-                coeff = -coeff
-                val = val[1:]
-            val = val.lstrip("+")
-            if val != "1":
-                exp[P_VARS.index(val)] += e
-        return Monomial(coeff, tuple(exp))
+        name = "p" if self.kind == "mono" else box_color(i, j, k).lower()
+        val = dict(self.signs).get(name, name)
+        coeff = -1 if val.startswith("-") else 1
+        val = val.lstrip("+-")
+        if val == "1":
+            return Monomial(coeff)
+        return Monomial(coeff, pack(*(int(v == val) for v in P_VARS)))
 
     def with_signs(self, assignment: Dict[str, object]) -> "WeightScheme":
         items = dict(self.signs)
@@ -380,17 +361,15 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme) -> List[Monomia
     return _fold_profiles(a, c, lambda w, i, v: w * run[i][v], Monomial(1))
 
 
-def _shifted(terms: Dict[Exp, int], w: Monomial, cap: Optional[int]) -> Dict[Exp, int]:
+def _shifted(terms: Dict[int, int], w: Monomial, cap: Optional[int]) -> Dict[int, int]:
     """terms times the monomial w, dropping total degree above cap."""
-    k, (d0, d1, d2, d3) = w.coeff, w.exp
-    if k == 1 and w.exp == (0, 0, 0, 0):
+    k, d = w.coeff, w.key
+    if k == 1 and not d:
         return terms  # sums of capped terms are capped already
     if cap is None:
-        return {(e0 + d0, e1 + d1, e2 + d2, e3 + d3): c * k
-                for (e0, e1, e2, e3), c in terms.items()}
-    room = cap - (d0 + d1 + d2 + d3)
-    return {(e0 + d0, e1 + d1, e2 + d2, e3 + d3): c * k
-            for (e0, e1, e2, e3), c in terms.items() if e0 + e1 + e2 + e3 <= room}
+        return {e + d: c * k for e, c in terms.items()}
+    room = cap - degree(d)
+    return {e + d: c * k for e, c in terms.items() if degree(e) <= room}
 
 
 def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
@@ -417,8 +396,8 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
     sweep = _sweep_pairs(a, c)
     # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1
     # whose column j equals states[n]; the empty column b starts it off.
-    f: List[Dict[Exp, int]] = [{} for _ in states]
-    f[0][(0, 0, 0, 0)] = 1
+    f: List[Dict[int, int]] = [{} for _ in states]
+    f[0][0] = 1
     for j in range(b - 1, -1, -1):
         # column j may take state s iff column j+1 lies below s entrywise
         for n, m in sweep:

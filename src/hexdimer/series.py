@@ -5,9 +5,8 @@ exact comparison of boxed partition polynomials against these series."""
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
 
-from .algebra import LExp, LPoly, Series, lexp, lexp_split, lp_mul, lp_neg, series_inv
+from .algebra import LPoly, Series, degree, lp_mul, lp_neg, pack, series_inv, split
 from .diagrams import MONO, Z2Z2, z_poly
 from .mesh import BoxDims
 
@@ -24,7 +23,7 @@ def lmono(coeff: int, eq: int = 0, er: int = 0, es: int = 0) -> LPoly:
     """A signed Laurent monomial in (q, r, s), the argument type of mac."""
     if coeff not in (1, -1):
         raise SeriesError("argument coefficient must be +1 or -1")
-    return {lexp(eq, er, es): coeff}
+    return {pack(0, eq, er, es): coeff}
 
 
 def _lmono_inv(a: LPoly) -> LPoly:
@@ -46,8 +45,8 @@ def mac(a, N: int, grading: str = "z") -> Series:
     Each factor is expanded in closed form as sum_k C(n+k-1, k) a^k z^(nk).
     """
     ((e, sign),) = _as_lmono(a).items()
-    # a^N is the highest power below; lexp raises if its exponents do not fit
-    lexp(*(N * x for x in lexp_split(e)))
+    # a^N is the highest power below; pack raises if its exponents do not fit
+    pack(*(N * x for x in split(e)))
     out = Series.one(N, grading)
     for n in range(1, N + 1):
         factor = Series.one(N, grading)
@@ -88,25 +87,6 @@ def eq3_check(N: int) -> bool:
 # -- boxed polynomial vs series -------------------------------------------------
 
 
-def _poly_to_q_graded(zp) -> Dict[Tuple[int, LExp], int]:
-    """Regrade p^a q^b r^c s^d as Q^a q^(b-a) r^(c-a) s^(d-a)."""
-    out: Dict[Tuple[int, LExp], int] = {}
-    for (ep, eq, er, es), c in zp.terms.items():
-        out[(ep, (eq - ep, er - ep, es - ep))] = c
-    return out
-
-
-def _series_to_filtered(ser: Series, D: int) -> Dict[Tuple[int, LExp], int]:
-    """Terms Q^n q^i r^j s^k of original total degree 4n+i+j+k <= D."""
-    out: Dict[Tuple[int, LExp], int] = {}
-    for n, coeff in enumerate(ser.coeffs):
-        for e, c in coeff.items():
-            e = lexp_split(e)
-            if 4 * n + e[0] + e[1] + e[2] <= D:
-                out[(n, e)] = c
-    return out
-
-
 def compare_box_vs_series(dims: BoxDims, D: int, scheme: str = "z2z2") -> dict:
     """Compare the boxed partition polynomial against the matching infinite
     product, coefficientwise through total degree D.
@@ -122,16 +102,21 @@ def compare_box_vs_series(dims: BoxDims, D: int, scheme: str = "z2z2") -> dict:
     report = {"dims": list(dims), "degree": D, "scheme": scheme}
     if scheme == "mono":
         zp = z_poly(dims, MONO, cap=D)
-        box = [zp.terms.get((n, 0, 0, 0), 0) for n in range(D + 1)]
+        box = [zp.terms.get(pack(n, 0, 0, 0), 0) for n in range(D + 1)]
         prod = mac(1, D).specialize_signs(1, 1, 1)
         report["box"] = box
         report["series"] = prod
         mismatches = [n for n in range(D + 1) if box[n] != prod[n]]
     elif scheme == "z2z2":
-        zp = z_poly(dims, Z2Z2, cap=D)
-        box = _poly_to_q_graded(zp)
-        prod = _series_to_filtered(z2z2_rhs(D), D)
-        mismatches = sorted(k for k in set(box) | set(prod)
+        # one key space for both: Q^n q^i r^j s^k = p^n q^(n+i) r^(n+j) s^(n+k)
+        box = z_poly(dims, Z2Z2, cap=D).terms
+        prod = {}
+        for n, coeff in enumerate(z2z2_rhs(D).coeffs):
+            for e, c in coeff.items():
+                e += n * pack(1, 1, 1, 1)
+                if degree(e) <= D:
+                    prod[e] = c
+        mismatches = sorted(k for k in box.keys() | prod.keys()
                             if box.get(k, 0) != prod.get(k, 0))
     else:
         raise SeriesError(f"unknown scheme {scheme!r} (want z2z2 or mono)")
@@ -143,7 +128,8 @@ def compare_box_vs_series(dims: BoxDims, D: int, scheme: str = "z2z2") -> dict:
             report["first_mismatch"] = {
                 "term": f"p^{k}", "box": box[k], "series": prod[k]}
         else:
+            n, *qrs = split(k)
             report["first_mismatch"] = {
-                "term": {"Q": k[0], "qrs": list(k[1])},
+                "term": {"Q": n, "qrs": [e - n for e in qrs]},
                 "box": box.get(k, 0), "series": prod.get(k, 0)}
     return report

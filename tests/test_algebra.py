@@ -3,34 +3,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexdimer.algebra import (
-    MAT_I, MAT_L, MAT_R, Monomial, NonDivisibleExponent, NonUnitConstantTerm,
-    P_VARS, Poly, Series, T_VARS, AlgebraError, lexp, lexp_split, lp_eval_signs,
-    lp_mul, mat_mul, mat_neg, mat_pow, mat_word, mono_t, poly_collapse_t,
-    poly_specialize, series_inv,
+    LIMIT, MAT_I, MAT_L, MAT_R, Monomial, NonDivisibleExponent, NonUnitConstantTerm,
+    P_VARS, Poly, Series, T_VARS, AlgebraError, degree, lp_eval_signs, lp_mul,
+    mat_mul, mat_neg, mat_pow, mat_word, mono_t, pack, poly_specialize,
+    series_inv, split,
 )
 
-exps = st.tuples(*[st.integers(0, 5)] * 4)
+exps = st.tuples(*[st.integers(0, 5)] * 4).map(lambda e: pack(*e))
 coeffs = st.integers(-9, 9)
 polys = st.dictionaries(exps, coeffs, max_size=6).map(lambda d: Poly(d))
 
 
+def lq(eq, er, es):
+    """The key of a Laurent coefficient q^eq r^er s^es."""
+    return pack(0, eq, er, es)
+
+
 def test_monomial_mul_and_zero():
-    m = Monomial(2, (1, 0, 3, 0)) * Monomial(-1, (0, 2, 0, 0))
-    assert m == Monomial(-2, (1, 2, 3, 0))
-    assert Monomial(0, (5, 5, 5, 5)) == Monomial(0)
-    assert Monomial(3, (1, 1, 0, 0)) ** 2 == Monomial(9, (2, 2, 0, 0))
+    m = Monomial(2, pack(1, 0, 3, 0)) * Monomial(-1, pack(0, 2, 0, 0))
+    assert m == Monomial(-2, pack(1, 2, 3, 0))
+    assert Monomial(0, pack(5, 5, 5, 5)) == Monomial(0)
 
 
 def test_poly_str():
-    p = Poly({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1, (1, 1, 0, 0): 1})
+    p = Poly({pack(1, 0, 0, 0): 1, pack(0, 0, 0, 0): 1, pack(1, 1, 0, 0): 1})
     assert str(p) == "1 + p + p*q"
-    assert str(Poly({(2, 0, 0, 0): 1, (1, 0, 0, 0): -2, (0, 0, 0, 0): 1})) == "1 - 2*p + p^2"
+    assert str(Poly({pack(2, 0, 0, 0): 1, pack(1, 0, 0, 0): -2, pack(0, 0, 0, 0): 1})) \
+        == "1 - 2*p + p^2"
     assert str(Poly.zero()) == "0"
 
 
-def test_poly_json_roundtrip():
-    p = Poly({(1, 2, 0, 0): -3, (0, 0, 0, 1): 7})
-    assert Poly.from_json_obj(p.to_json_obj()) == p
+def test_poly_json():
+    p = Poly({pack(1, 2, 0, 0): -3, pack(0, 0, 0, 1): 7, pack(0, -1, 0, 0): 1})
+    assert p.to_json_obj() == {"vars": ["p", "q", "r", "s"], "terms": [
+        {"coeff": 1, "exp": [0, -1, 0, 0]}, {"coeff": 7, "exp": [0, 0, 0, 1]},
+        {"coeff": -3, "exp": [1, 2, 0, 0]}]}
 
 
 def test_variable_frames_must_match():
@@ -57,58 +64,120 @@ def test_specialize_is_multiplicative(x, y):
 
 
 def test_specialize_to_other_variable():
-    p = Poly({(1, 1, 0, 0): 1})  # p*q
+    p = Poly({pack(1, 1, 0, 0): 1})  # p*q
     out = poly_specialize(p, {"p": "-p", "q": "p", "r": 1, "s": 1})
-    assert out == Poly({(2, 0, 0, 0): -1})
-
-
-def test_collapse_t():
-    p = Poly({(6, 1, 0, 0): 2}, vars=T_VARS)
-    assert poly_collapse_t(p) == Poly({(2, 1, 0, 0): 2})
-    with pytest.raises(NonDivisibleExponent):
-        poly_collapse_t(Poly({(4, 0, 0, 0): 1}, vars=T_VARS))
+    assert out == Poly({pack(2, 0, 0, 0): -1})
 
 
 def test_cap_truncates_products():
-    x = Poly({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, cap=2)
+    x = Poly({pack(1, 0, 0, 0): 1, pack(0, 0, 0, 0): 1}, cap=2)
     cube = x * x * x
-    assert cube == Poly({(0, 0, 0, 0): 1, (1, 0, 0, 0): 3, (2, 0, 0, 0): 3})
-    t = Poly({(3, 0, 0, 0): 1}, vars=T_VARS, cap=2)  # t^3 counts as one p
-    assert (t * t).terms == {(6, 0, 0, 0): 1}
+    assert cube == Poly({pack(0, 0, 0, 0): 1, pack(1, 0, 0, 0): 3, pack(2, 0, 0, 0): 3})
+    t = Poly({pack(3, 0, 0, 0): 1}, vars=T_VARS, cap=2)  # t^3 counts as one p
+    assert (t * t).terms == {pack(6, 0, 0, 0): 1}
     assert (t * t * t).terms == {}  # t^9 exceeds the cap
 
 
 def test_laurent_helpers():
-    x = {lexp(1, 0, 0): 1, lexp(-1, 0, 0): 1}
-    assert lp_mul(x, x) == {lexp(2, 0, 0): 1, lexp(0, 0, 0): 2, lexp(-2, 0, 0): 1}
+    x = {lq(1, 0, 0): 1, lq(-1, 0, 0): 1}
+    assert lp_mul(x, x) == {lq(2, 0, 0): 1, lq(0, 0, 0): 2, lq(-2, 0, 0): 1}
     assert lp_eval_signs(x, -1, 1, 1) == -2
-    assert lp_eval_signs({lexp(-3, 2, 1): 5}, -1, -1, -1) == 5  # (-1)^-3 * (-1)^1
+    assert lp_eval_signs({lq(-3, 2, 1): 5}, -1, -1, -1) == 5  # (-1)^-3 * (-1)^1
 
 
-def test_lexp_packing_and_range_guard():
-    top = 2 ** 20 - 1
-    for e in [(0, 0, 0), (1, -1, 0), (-3, 2, 1), (top, -top, top), (-top, top, -top)]:
-        assert lexp_split(lexp(*e)) == e
-        assert lexp_split(-lexp(*e)) == tuple(-x for x in e)
-        assert lexp_split(3 * lexp(*e) - 2 * lexp(*e)) == e
-    assert lexp(1, 2, 3) + lexp(-4, 5, -6) == lexp(-3, 7, -3)
-    assert sorted([lexp(0, 1, -1), lexp(-1, 5, 5), lexp(0, 0, 9)]) == \
-        [lexp(-1, 5, 5), lexp(0, 0, 9), lexp(0, 1, -1)]  # lexicographic order
-    for e in [(2 ** 20, 0, 0), (0, -2 ** 20, 0), (0, 0, 2 ** 20), (0, 0, -2 ** 21)]:
+EDGES = (0, 1, -1, LIMIT - 1, -LIMIT, LIMIT // 2, -(LIMIT // 2))
+vectors = st.tuples(*[st.one_of(st.sampled_from(EDGES),
+                                st.integers(-LIMIT, LIMIT - 1))] * 4)
+
+
+def test_pack_split_at_the_field_edges():
+    assert LIMIT == 2 ** 20
+    top, low = LIMIT - 1, -LIMIT
+    for e in [(0, 0, 0, 0), (1, -1, 0, 2), (-3, 2, 1, 0), (top, low, top, low),
+              (low, top, low, top), (top, top, top, top), (low, low, low, low)]:
+        k = pack(*e)
+        assert split(k) == e and degree(k) == sum(e)
+        if low not in e:
+            assert split(-k) == tuple(-x for x in e)  # the inverse
+        assert split(3 * k - 2 * k) == e
+    assert pack(1, 2, 3, 0) + pack(-4, 5, -6, 1) == pack(-3, 7, -3, 1)
+    for i in range(4):
+        for bad in (LIMIT, low - 1, -2 ** 21):
+            with pytest.raises(AlgebraError):
+                pack(*(bad if j == i else 0 for j in range(4)))
+
+
+@given(vectors, vectors, st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_pack_is_additive(x, y, k):
+    kx, ky = pack(*x), pack(*y)
+    total = tuple(a + b for a, b in zip(x, y))
+    power = tuple(k * a for a in x)
+    if all(-LIMIT <= e < LIMIT for e in total):
+        assert split(kx + ky) == total and degree(kx + ky) == sum(total)
+        assert Monomial(1, kx) * Monomial(-1, ky) == Monomial(-1, pack(*total))
+    else:
         with pytest.raises(AlgebraError):
-            lexp(*e)
+            Monomial(1, kx) * Monomial(1, ky)
+    if all(-LIMIT <= e < LIMIT for e in power):
+        assert split(k * kx) == power and degree(k * kx) == k * sum(x)
+
+
+@given(st.lists(vectors, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_sorted_keys_follow_tuple_order(es):
+    assert [split(k) for k in sorted(pack(*e) for e in es)] == sorted(es)
+    small = [tuple(x % 7 - 3 for x in e) for e in es]  # many equal fields
+    assert [split(k) for k in sorted(pack(*e) for e in small)] == sorted(small)
+
+
+def test_t_frame_cap_rule():
+    # t^3 counts as one degree unit; other t-exponents cannot be capped
+    t = Poly({pack(3, 1, 0, 0): 1, pack(6, 0, 0, 0): 2}, vars=T_VARS, cap=2)
+    assert t.terms == {pack(3, 1, 0, 0): 1, pack(6, 0, 0, 0): 2}
+    assert Poly({pack(9, 0, 0, 0): 1}, vars=T_VARS, cap=2).terms == {}
+    assert Poly({pack(4, 0, 0, 0): 1}, vars=T_VARS).terms == {pack(4, 0, 0, 0): 1}
+    with pytest.raises(NonDivisibleExponent):
+        Poly({pack(4, 0, 0, 0): 1}, vars=T_VARS, cap=5)
+    with pytest.raises(NonDivisibleExponent):
+        Poly({pack(2, 0, 0, 0): 1}, vars=T_VARS) * Poly.one(vars=T_VARS, cap=3)
+
+
+def test_products_past_the_range_raise():
+    top = pack(0, 0, LIMIT - 1, 0)
+    # r^(2**21 - 2) must raise, not wrap into another monomial
+    with pytest.raises(AlgebraError):
+        Series([{top: 1}], 0) ** 2
+    with pytest.raises(AlgebraError):
+        Series([{0: 1}, {top: 1}], 1) * Series([{pack(0, 0, 1, 0): 1}], 1)
+    with pytest.raises(AlgebraError):
+        series_inv(Series([{0: 1}, {pack(0, LIMIT // 2, 0, 0): 1}], 2))
+    with pytest.raises(AlgebraError):
+        lp_mul({top: 1}, {top: 1})
+    for e in [(LIMIT - 1, 0, 0, 0), (0, -LIMIT, 0, 0), (0, 0, 0, LIMIT - 1)]:
+        x = Poly({pack(*e): 1, 0: 1})
+        with pytest.raises(AlgebraError):
+            x * x
+        with pytest.raises(AlgebraError):
+            Monomial(1, pack(*e)) * Monomial(-1, pack(*e))
+    # right at the edge is still fine
+    half = pack(0, LIMIT // 2, 0, -(LIMIT // 2))
+    assert (Poly({half: 1}) * Poly({half - pack(0, 1, 0, 0): 1})).terms == \
+        {pack(0, LIMIT - 1, 0, -LIMIT): 1}
+    assert (Monomial(1, half) * Monomial(1, half - pack(0, 1, 0, 0))).key == \
+        pack(0, LIMIT - 1, 0, -LIMIT)
 
 
 def test_series_inverse():
-    s = Series([{lexp(0, 0, 0): 1}, {lexp(0, 0, 0): -1}], order=6)
+    s = Series([{lq(0, 0, 0): 1}, {lq(0, 0, 0): -1}], order=6)
     inv = series_inv(s)
     assert (s * inv).specialize_signs(1, 1, 1) == [1, 0, 0, 0, 0, 0, 0]
     with pytest.raises(NonUnitConstantTerm):
-        series_inv(Series([{lexp(0, 0, 0): 2}], order=3))
+        series_inv(Series([{lq(0, 0, 0): 2}], order=3))
 
 
 def test_series_pow_matches_repeated_mul(monkeypatch):
-    s = Series([{lexp(0, 0, 0): 1}, {lexp(1, 0, 0): 1}], order=5)
+    s = Series([{lq(0, 0, 0): 1}, {lq(1, 0, 0): 1}], order=5)
     assert s ** 3 == s * s * s
     expected = Series.one(5)
     for k in range(6):
@@ -166,11 +235,11 @@ def _tuple_series_inv(x):
 
 
 def _packed(x):
-    return [{lexp(*k): c for k, c in cc.items()} for cc in x]
+    return [{lq(*k): c for k, c in cc.items()} for cc in x]
 
 
 def _unpacked(ser):
-    return [{lexp_split(e): c for e, c in cc.items()} for cc in ser.coeffs]
+    return [{split(e)[1:]: c for e, c in cc.items()} for cc in ser.coeffs]
 
 
 laurent = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3),
@@ -197,11 +266,11 @@ def test_series_inv_matches_schoolbook(x):
 
 def test_series_kernel_cancels_to_empty():
     # (1 + q z)(1 - q z) = 1 - q^2 z^2: the z coefficient cancels away
-    a = Series([{lexp(0, 0, 0): 1}, {lexp(1, 0, 0): 1}], 2)
-    b = Series([{lexp(0, 0, 0): 1}, {lexp(1, 0, 0): -1}], 2)
-    assert (a * b).coeffs == [{lexp(0, 0, 0): 1}, {}, {lexp(2, 0, 0): -1}]
-    assert series_inv(a).coeffs == [{lexp(0, 0, 0): 1}, {lexp(1, 0, 0): -1},
-                                    {lexp(2, 0, 0): 1}]
+    a = Series([{lq(0, 0, 0): 1}, {lq(1, 0, 0): 1}], 2)
+    b = Series([{lq(0, 0, 0): 1}, {lq(1, 0, 0): -1}], 2)
+    assert (a * b).coeffs == [{lq(0, 0, 0): 1}, {}, {lq(2, 0, 0): -1}]
+    assert series_inv(a).coeffs == [{lq(0, 0, 0): 1}, {lq(1, 0, 0): -1},
+                                    {lq(2, 0, 0): 1}]
 
 
 def test_matrix_identities():
@@ -235,4 +304,4 @@ def test_mat_word_rejects_garbage():
 
 
 def test_mono_t():
-    assert mono_t(4, -1) == Monomial(-1, (4, 0, 0, 0))
+    assert mono_t(4, -1) == Monomial(-1, pack(4, 0, 0, 0))

@@ -55,6 +55,12 @@ def test_bad_flags(capsys):
     code, _, err = run(capsys, "check", "eq2", "--order", "5")
     assert code == 2 and "order 5" in err
     assert run(capsys, "check", "all", "--order", "5")[0] == 2
+    # a flag the check does not read is refused, never silently dropped
+    code, _, err = run(capsys, "check", "theorem", "--max-dims", "2,2,2")
+    assert code == 2 and "--max-dims" in err
+    code, _, err = run(capsys, "check", "split", "-d", "1,1,1", "--order", "3")
+    assert code == 2 and "--order" in err
+    assert run(capsys, "check", "matrices", "-d", "1,1,1")[0] == 2
     # a negative cap would print a zero partition function
     code, _, err = run(capsys, "zfun", "-d", "2,2,2", "--cap", "-1")
     assert code == 2 and "cap" in err

@@ -5,7 +5,7 @@ from conftest import box_count_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexdimer.algebra import Monomial, Poly, poly_specialize
+from hexdimer.algebra import Monomial, Poly, pack, poly_specialize, split
 from hexdimer.diagrams import (
     COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
     TooLarge, WeightScheme, Z2Z2, box_color, diagram_of, diagram_weight,
@@ -39,19 +39,19 @@ def test_diagram_weight_examples():
     dims = BoxDims(2, 1, 1)
     assert diagram_weight(PlanePartition.empty(dims), Z2Z2) == Monomial(1)
     one = PlanePartition(dims, ((1,), (0,)))
-    assert diagram_weight(one, Z2Z2) == Monomial(1, (1, 0, 0, 0))  # p
+    assert diagram_weight(one, Z2Z2) == Monomial(1, pack(1, 0, 0, 0))  # p
     two = PlanePartition(dims, ((1,), (1,)))
-    assert diagram_weight(two, Z2Z2) == Monomial(1, (1, 1, 0, 0))  # p*q
-    assert diagram_weight(two, MONO) == Monomial(1, (2, 0, 0, 0))
+    assert diagram_weight(two, Z2Z2) == Monomial(1, pack(1, 1, 0, 0))  # p*q
+    assert diagram_weight(two, MONO) == Monomial(1, pack(2, 0, 0, 0))
     assert diagram_weight(two, COUNT) == Monomial(1)
 
 
 def test_weight_scheme_specialization():
     sch = Z2Z2.with_signs({"q": -1, "r": -1, "s": -1})
     assert sch.box_monomial(1, 0, 0) == Monomial(-1)
-    assert sch.box_monomial(0, 0, 0) == Monomial(1, (1, 0, 0, 0))
+    assert sch.box_monomial(0, 0, 0) == Monomial(1, pack(1, 0, 0, 0))
     neg = MONO.with_signs({"p": "-p"})
-    assert neg.box_monomial(0, 0, 0) == Monomial(-1, (1, 0, 0, 0))
+    assert neg.box_monomial(0, 0, 0) == Monomial(-1, pack(1, 0, 0, 0))
     with pytest.raises(DiagramError):
         WeightScheme("z2z2", (("x", "1"),))
     with pytest.raises(DiagramError):
@@ -226,7 +226,7 @@ def test_main_theorem_base_333():
         for j, y in enumerate(zm):
             square[i + j] += x * y
     lhs = z_poly(BoxDims(6, 6, 6), Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}))
-    assert lhs.terms == {(n, 0, 0, 0): x for n, x in enumerate(square) if x}
+    assert lhs.terms == {pack(n, 0, 0, 0): x for n, x in enumerate(square) if x}
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (3, 2, 1)], ids=str)
@@ -247,8 +247,8 @@ def test_degree_cap():
     full = z_poly(BoxDims(3, 3, 3), MONO)
     capped = z_poly(BoxDims(3, 3, 3), MONO, cap=3)
     for n in range(4):
-        assert capped.terms.get((n, 0, 0, 0), 0) == full.terms.get((n, 0, 0, 0), 0)
-    assert all(e[0] <= 3 for e in capped.terms)
+        assert capped.terms.get(pack(n, 0, 0, 0), 0) == full.terms.get(pack(n, 0, 0, 0), 0)
+    assert all(split(e)[0] <= 3 for e in capped.terms)
 
 
 def test_json_format():

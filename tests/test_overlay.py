@@ -1,6 +1,6 @@
 import pytest
 
-from hexdimer.algebra import Monomial
+from hexdimer.algebra import Monomial, pack
 from hexdimer.diagrams import PlanePartition, enumerate_matchings, matching_of
 from hexdimer.mesh import BoxDims, build_mesh
 from hexdimer.overlay import (
@@ -151,7 +151,7 @@ def test_two_factor_weight():
     assert two_factor_weight(lam, wp.weights) == Monomial(1)
     loop = overlay(mesh, empty, full)
     # whole hexagon once = empty * full = t^3
-    assert two_factor_weight(loop, wp.weights) == Monomial(1, (3, 0, 0, 0))
+    assert two_factor_weight(loop, wp.weights) == Monomial(1, pack(3, 0, 0, 0))
     with pytest.raises(MissingEdgeWeight):
         two_factor_weight(loop, {})
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexdimer.algebra import AlgebraError, lexp, lp_neg, series_inv
+from hexdimer.algebra import AlgebraError, lp_neg, pack, series_inv
 from hexdimer.mesh import BoxDims
 from hexdimer.series import (
     DegreeTooLarge, SeriesError, compare_box_vs_series, eq3_check, lmono,
@@ -35,8 +35,8 @@ def test_mac_small():
     assert mac(1, 0).specialize_signs(1, 1, 1) == [1]
     a = lmono(1, 1, 0, 0)  # q
     m = mac(a, 1)
-    assert m.coeffs[0] == {lexp(0, 0, 0): 1}
-    assert m.coeffs[1] == {lexp(1, 0, 0): 1}
+    assert m.coeffs[0] == {pack(0, 0, 0, 0): 1}
+    assert m.coeffs[1] == {pack(0, 1, 0, 0): 1}
 
 
 def test_mac_coefficients_weakly_increasing():
@@ -49,9 +49,9 @@ def test_mac_rejects_non_monomials():
     with pytest.raises(SeriesError):
         mac(2, 3)
     with pytest.raises(SeriesError):
-        mac({lexp(0, 0, 0): 1, lexp(1, 0, 0): 1}, 3)
+        mac({pack(0, 0, 0, 0): 1, pack(0, 1, 0, 0): 1}, 3)
     # r^(2^19) is a valid monomial, but its fourth power would overflow
-    assert mac(lmono(1, 0, 2 ** 19, 0), 1).coeffs[1] == {lexp(0, 2 ** 19, 0): 1}
+    assert mac(lmono(1, 0, 2 ** 19, 0), 1).coeffs[1] == {pack(0, 0, 2 ** 19, 0): 1}
     with pytest.raises(AlgebraError):
         mac(lmono(1, 0, 2 ** 19, 0), 4)
 
@@ -59,21 +59,21 @@ def test_mac_rejects_non_monomials():
 def test_mac_tilde():
     a = lmono(1, 1, 1, 0)  # q*r
     m = mac_tilde(a, 1)
-    assert m.coeffs[1] == {lexp(1, 1, 0): 1, lexp(-1, -1, 0): 1}
+    assert m.coeffs[1] == {pack(0, 1, 1, 0): 1, pack(0, -1, -1, 0): 1}
     assert mac_tilde(1, 8) == mac(1, 8) ** 2
     # z^2 coefficient two ways: truncated product vs direct expansion of
     # (1 + az + a^2 z^2 + 2az^2)(1 + z/a + z^2/a^2 + 2z^2/a)
     m2 = mac_tilde(a, 2)
-    direct = {lexp(2, 2, 0): 1, lexp(1, 1, 0): 2, lexp(0, 0, 0): 1,
-              lexp(-1, -1, 0): 2, lexp(-2, -2, 0): 1}
+    direct = {pack(0, 2, 2, 0): 1, pack(0, 1, 1, 0): 2, pack(0, 0, 0, 0): 1,
+              pack(0, -1, -1, 0): 2, pack(0, -2, -2, 0): 1}
     assert m2.coeffs[2] == direct
 
 
 def test_z2z2_rhs_low_order():
     ser = z2z2_rhs(3)
-    assert ser.coeffs[0] == {lexp(0, 0, 0): 1}
+    assert ser.coeffs[0] == {pack(0, 0, 0, 0): 1}
     # the Q^1 (qrs)^-1 term is the single one-box diagram of color P
-    assert ser.coeffs[1].get(lexp(-1, -1, -1)) == 1
+    assert ser.coeffs[1].get(pack(0, -1, -1, -1)) == 1
 
 
 def test_z2z2_rhs_internal_consistency():
@@ -131,4 +131,4 @@ def test_series_json():
     for cc, terms in zip(ser.coeffs, ser.to_json_obj()["coeffs"]):
         exps = [tuple(t["exp"]) for t in terms]
         assert exps == sorted(exps)
-        assert {lexp(*e): t["coeff"] for e, t in zip(exps, terms)} == cc
+        assert {pack(0, *e): t["coeff"] for e, t in zip(exps, terms)} == cc
