@@ -1,15 +1,12 @@
 """Exact arithmetic kernel: signed monomials, sparse integer polynomials,
 truncated power series with Laurent coefficients, and 4x4 integer matrices.
 
-Polynomials live in one of two variable frames:
-
-* ``('t', 'q', 'r', 's')`` -- used for edge weightings, where ``p = t**3``;
-* ``('p', 'q', 'r', 's')`` -- used for diagram weights and partition functions.
-
-Every exponent vector, in either frame and in the Laurent coefficients of a
-series, is one int key made by ``pack`` and read by ``split``.  All
-coefficients are Python ints (arbitrary precision); there is no floating
-point anywhere in this module.
+Polynomials are in ``('p', 'q', 'r', 's')``, the frame of diagram weights
+and partition functions.  Edge weights are monomials whose first variable is
+t, with ``p = t**3``.  Every exponent vector, of either kind and in the
+Laurent coefficients of a series, is one int key made by ``pack`` and read
+by ``split``.  All coefficients are Python ints (arbitrary precision); there
+is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -17,16 +14,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Tuple
 
-T_VARS = ("t", "q", "r", "s")
 P_VARS = ("p", "q", "r", "s")
 
 
 class AlgebraError(Exception):
     pass
-
-
-class NonDivisibleExponent(AlgebraError):
-    """A t-exponent was not a multiple of 3 where p = t**3 was required."""
 
 
 class NonUnitConstantTerm(AlgebraError):
@@ -137,48 +129,31 @@ def mono_t(exp_t: int, coeff: int = 1) -> Monomial:
 
 
 class Poly:
-    """Sparse polynomial with integer coefficients over a fixed 4-variable frame.
+    """Sparse polynomial in p, q, r, s with integer coefficients.
 
     ``terms`` maps exponent keys to nonzero coefficients.  An optional
-    ``cap`` discards terms whose total degree (in p,q,r,s, counting t^3 as one
-    unit of p) exceeds it; products inherit the smaller cap.
+    ``cap`` discards terms whose total degree exceeds it; products inherit
+    the smaller cap.
     """
 
-    __slots__ = ("vars", "terms", "cap")
+    __slots__ = ("terms", "cap")
 
     def __init__(self, terms: Optional[Mapping[int, int]] = None,
-                 vars: Tuple[str, str, str, str] = P_VARS,
                  cap: Optional[int] = None):
-        self.vars = tuple(vars)
         self.cap = cap
         self.terms: Dict[int, int] = {
             e: c for e, c in (terms or {}).items()
-            if c and (cap is None or self._total_degree(e) <= cap)}
+            if c and (cap is None or degree(e) <= cap)}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, vars=P_VARS, cap=None) -> "Poly":
-        return cls({}, vars=vars, cap=cap)
+    def zero(cls, cap=None) -> "Poly":
+        return cls({}, cap=cap)
 
     @classmethod
-    def one(cls, vars=P_VARS, cap=None) -> "Poly":
-        return cls({0: 1}, vars=vars, cap=cap)
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, vars=P_VARS, cap=None) -> "Poly":
-        return cls({m.key: m.coeff}, vars=vars, cap=cap)
-
-    # -- degree bookkeeping -------------------------------------------
-
-    def _total_degree(self, e: int) -> int:
-        if self.vars[0] == "t":
-            t = split(e)[0]
-            if t % 3 != 0:
-                raise NonDivisibleExponent(
-                    f"t-exponent {t} not divisible by 3 under a degree cap")
-            return degree(e) - t + t // 3
-        return degree(e)
+    def from_monomial(cls, m: Monomial, cap=None) -> "Poly":
+        return cls({m.key: m.coeff}, cap=cap)
 
     # -- ring operations ----------------------------------------------
 
@@ -189,12 +164,7 @@ class Poly:
             return self.cap
         return min(self.cap, other.cap)
 
-    def _check_vars(self, other: "Poly"):
-        if self.vars != other.vars:
-            raise AlgebraError(f"variable frames differ: {self.vars} vs {other.vars}")
-
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_vars(other)
         tt = dict(self.terms)
         for e, c in other.terms.items():
             nc = tt.get(e, 0) + c
@@ -202,18 +172,15 @@ class Poly:
                 tt[e] = nc
             else:
                 tt.pop(e, None)
-        return Poly(tt, vars=self.vars, cap=self._merged_cap(other))
+        return Poly(tt, cap=self._merged_cap(other))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, vars=self.vars, cap=self.cap)
+        return Poly({e: -c for e, c in self.terms.items()}, cap=self.cap)
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, Monomial):
-            other = Poly.from_monomial(other, vars=self.vars)
-        self._check_vars(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         _check_product(self.terms, other.terms)
         tt: Dict[int, int] = {}
         for e1, c1 in self.terms.items():
@@ -224,10 +191,10 @@ class Poly:
                     tt[e] = nc
                 else:
                     del tt[e]
-        return Poly(tt, vars=self.vars, cap=self._merged_cap(other))
+        return Poly(tt, cap=self._merged_cap(other))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
+        return isinstance(other, Poly) and self.terms == other.terms
 
     def constant_value(self) -> int:
         """The value of a constant polynomial (zero or a pure number)."""
@@ -239,7 +206,7 @@ class Poly:
 
     def to_json_obj(self) -> dict:
         return {
-            "vars": list(self.vars),
+            "vars": list(P_VARS),
             "terms": [{"coeff": c, "exp": list(split(e))}
                       for e, c in sorted(self.terms.items())],
         }
@@ -250,7 +217,7 @@ class Poly:
         parts = []
         for e, c in sorted(self.terms.items()):
             factors = []
-            for name, k in zip(self.vars, split(e)):
+            for name, k in zip(P_VARS, split(e)):
                 if k == 0:
                     continue
                 factors.append(name if k == 1 else f"{name}^{k}")
@@ -268,7 +235,7 @@ class Poly:
     __repr__ = __str__
 
 
-def _parse_assignment_value(v, vars) -> Tuple[int, Optional[int]]:
+def _parse_assignment_value(v) -> Tuple[int, Optional[int]]:
     """Normalize an assignment value to (sign, target_index or None)."""
     if v in (1, "1", "+1"):
         return 1, None
@@ -282,21 +249,21 @@ def _parse_assignment_value(v, vars) -> Tuple[int, Optional[int]]:
         sign, s = -1, s[1:]
     elif s.startswith("+"):
         s = s[1:]
-    if s not in vars:
-        raise AlgebraError(f"cannot substitute into variable {v!r} (frame {vars})")
-    return sign, vars.index(s)
+    if s not in P_VARS:
+        raise AlgebraError(f"cannot substitute into variable {v!r} (frame {P_VARS})")
+    return sign, P_VARS.index(s)
 
 
 def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
-    """Substitute each variable by +-1 or a signed variable of the same frame.
+    """Substitute each variable by +-1 or a signed variable of p, q, r, s.
 
     ``assignment`` must cover all four variables; the value ``"keep"`` leaves
     a variable untouched.  Substitution is exact and multiplicative.
     """
-    for name in x.vars:
+    for name in P_VARS:
         if name not in assignment:
             raise AlgebraError(f"assignment missing variable {name!r}")
-    plan = [_parse_assignment_value(assignment[name], x.vars) for name in x.vars]
+    plan = [_parse_assignment_value(assignment[name]) for name in P_VARS]
     tt: Dict[int, int] = {}
     for e, c in x.terms.items():
         ne = [0, 0, 0, 0]
@@ -319,7 +286,7 @@ def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
             tt[key] = nc
         else:
             del tt[key]
-    return Poly(tt, vars=x.vars, cap=x.cap)
+    return Poly(tt, cap=x.cap)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
             rep.fail({"two_factor": lam.to_json_obj(), "sum": got,
                       "expected": sgn * 2 ** len(lam.loops)})
         for loop in lam.loops:
-            brute = loop_lift_sum(even, loop, S).constant_value()
+            brute = loop_lift_sum(even, loop, S)
             if brute != -2 or transfer_lift_sum(even, loop) != brute:
                 rep.fail({"loop": [list(f) for f in loop], "brute": brute,
                           "transfer": transfer_lift_sum(even, loop)})
@@ -298,6 +298,8 @@ def run_check(name: str, dims: Optional[BoxDims], order: Optional[int],
         unread = [f for f, v in given.items() if v is not None and f not in reads]
         if unread:
             raise UsageError(f"check {name} does not read {', '.join(unread)}")
+        if dims and max_dims:
+            raise UsageError(f"check {name} takes -d or --max-dims, not both")
         names = (name,)
     else:
         raise UsageError(f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
@@ -448,8 +450,11 @@ def cmd_render(args) -> int:
             else:
                 add(f, _CLASS_FILL[f.cls])
     svg = _svg(polys)
-    with open(args.out, "w") as fh:
-        fh.write(svg + "\n")
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(svg + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
     print(f"wrote {args.out} ({len(polys)} rhombi)")
     return 0
 

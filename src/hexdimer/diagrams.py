@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, degree, pack
@@ -151,27 +152,23 @@ def diagram_weight(pi: PlanePartition, scheme: WeightScheme) -> Monomial:
 
 
 def enumerate_diagrams(dims: BoxDims) -> Iterator[PlanePartition]:
-    """All diagrams in the box, ascending lexicographic on the heights matrix."""
+    """All diagrams in the box, ascending lexicographic on the heights matrix.
+
+    Each is the successor of the one before: on the row-major entries, raise
+    the last entry that is below its bounds (the entries above and to its
+    left) and zero every entry after it."""
     a, b, c = dims
-
-    def rec(rows: Tuple[Tuple[int, ...], ...], bound: Tuple[int, ...]):
-        if len(rows) == a:
-            yield PlanePartition(dims, rows)
+    n = a * b
+    h = [0] * n
+    while True:
+        yield PlanePartition(dims, tuple(tuple(h[i:i + b]) for i in range(0, n, b)))
+        k = n - 1
+        while k >= 0 and h[k] == min(h[k - b] if k >= b else c, h[k - 1] if k % b else c):
+            k -= 1
+        if k < 0:
             return
-
-        def row_rec(prefix: Tuple[int, ...]):
-            if len(prefix) == b:
-                yield from rec(rows + (prefix,), prefix)
-                return
-            hi = bound[len(prefix)]
-            if prefix:
-                hi = min(hi, prefix[-1])
-            for v in range(0, hi + 1):
-                yield from row_rec(prefix + (v,))
-
-        yield from row_rec(())
-
-    yield from rec((), (c,) * b)
+        h[k] += 1
+        h[k + 1:] = [0] * (n - 1 - k)
 
 
 # -- the matching bijection -------------------------------------------------
@@ -299,26 +296,11 @@ def flippable_faces(mesh: HexMesh, M: FrozenSet[Face]) -> List[Tuple[int, int]]:
 # -- partition function -------------------------------------------------------
 
 
-def _fold_profiles(a: int, c: int, step, start) -> list:
-    """Fold ``step(acc, i, v)`` along every weakly decreasing a-vector with
-    entries in [0,c], in ascending lex order; shared prefixes fold once."""
-    out = []
-
-    def rec(i: int, hi: int, acc):
-        if i == a:
-            out.append(acc)
-            return
-        for v in range(hi + 1):
-            rec(i + 1, v, step(acc, i, v))
-
-    rec(0, c, start)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _profile_states(a: int, c: int) -> Tuple[Tuple[int, ...], ...]:
-    """The DP states: weakly decreasing a-vectors with entries in [0,c]."""
-    return tuple(_fold_profiles(a, c, lambda s, i, v: s + (v,), ()))
+    """The DP states: weakly decreasing a-vectors with entries in [0,c], in
+    ascending lex order."""
+    return tuple(reversed(list(combinations_with_replacement(range(c, -1, -1), a))))
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +330,10 @@ def _sweep_pairs(a: int, c: int) -> Tuple[Tuple[int, int], ...]:
 def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme) -> List[Monomial]:
     """Weight of column j filled to each state, in state order.
 
-    Per row i, run[i][h] is the product of the box monomials for k < h, so
-    each prefix of a state costs one monomial product.
+    Per row i, run[i][h] is the product of the box monomials for k < h.
+    States come in lex order, so a state shares its longest common prefix
+    with the one before; pre[i] keeps the weight of the first i entries, and
+    each distinct prefix costs one monomial product.
     """
     a, _, c = dims
     run = []
@@ -358,7 +342,18 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme) -> List[Monomia
         for k in range(c):
             row.append(row[-1] * scheme.box_monomial(i, j, k))
         run.append(row)
-    return _fold_profiles(a, c, lambda w, i, v: w * run[i][v], Monomial(1))
+    out = []
+    pre = [Monomial(1)] * (a + 1)
+    last = (-1,) * a
+    for s in _profile_states(a, c):
+        i = 0
+        while s[i] == last[i]:
+            i += 1
+        for k in range(i, a):
+            pre[k + 1] = pre[k] * run[k][s[k]]
+        out.append(pre[a])
+        last = s
+    return out
 
 
 def _shifted(terms: Dict[int, int], w: Monomial, cap: Optional[int]) -> Dict[int, int]:

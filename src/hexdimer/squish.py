@@ -8,9 +8,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
-from .algebra import Monomial, Poly, T_VARS, mat_word, mono_t
+from .algebra import Monomial, mat_word, mono_t
 from .diagrams import PlanePartition, matching_of
 from .mesh import BoxDims, Face, HexMesh, OddDims, Propeller, build_mesh
 from .overlay import (Loop, TwoFactor, _centroid, assemble_two_factor,
@@ -30,10 +30,9 @@ CLASSES = ("A", "B", "C")
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """A monomial weight per edge in the (t,q,r,s) frame; coefficients are
-    always +1 or -1."""
+    """A monomial weight per edge, with t in the first exponent field;
+    coefficients are always +1 or -1."""
 
-    mesh: HexMesh
     weights: Mapping[Face, Monomial]
 
     def __getitem__(self, f: Face) -> Monomial:
@@ -72,7 +71,7 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
     for f in mesh.edges:
         if f.cls == "A" and f.lattice[0] - f.lattice[1] == a - 1:
             exps[f] -= leftover
-    return EdgeWeighting(mesh, {f: mono_t(e) for f, e in exps.items()})
+    return EdgeWeighting({f: mono_t(e) for f, e in exps.items()})
 
 
 def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
@@ -85,7 +84,7 @@ def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
     for bf, lifts in mesh.lift_fibers.items():
         for lf in lifts:
             w[lf] = base_w[bf]
-    return EdgeWeighting(mesh, w)
+    return EdgeWeighting(w)
 
 
 # -- sign rule and sign weighting ---------------------------------------------
@@ -135,7 +134,7 @@ def calibrate_sign_rule() -> SignRule:
             S = _sign_weighting_for(even, rule)
             for lam in enumerate_two_factors(dims):
                 for loop in lam.loops:
-                    if loop_lift_sum(even, loop, S).constant_value() != -2:
+                    if loop_lift_sum(even, loop, S) != -2:
                         ok = False
                         break
                 if not ok:
@@ -156,14 +155,14 @@ def _sign_weighting_for(mesh: HexMesh, rule: SignRule) -> EdgeWeighting:
             raise SquishError(f"lift pair of {bf} got equal signs")
         for lf, s in zip(lifts, signs):
             w[lf] = Monomial(s)
-    return EdgeWeighting(mesh, w)
+    return EdgeWeighting(w)
 
 
-def sign_weighting(mesh: HexMesh, rule: Optional[SignRule] = None) -> EdgeWeighting:
+def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
     """S: +1 on short edges, calibrated +-1 on long edges."""
     if not mesh.dims.is_even:
         raise OddDims(f"sign weighting needs even dims, got {tuple(mesh.dims)}")
-    return _sign_weighting_for(mesh, rule or calibrate_sign_rule())
+    return _sign_weighting_for(mesh, calibrate_sign_rule())
 
 
 # -- the projection map --------------------------------------------------------
@@ -270,34 +269,27 @@ def turn_word(mesh: HexMesh, loop: Loop) -> str:
     return "".join(letters)
 
 
-def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> Poly:
+def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     """Sum, over all matchings of the loop's blow-up projecting onto it, of
-    the product of long-edge weights (short edges weigh 1 in U and S)."""
+    the product of long-edge weights (short edges weigh 1 in S).
+
+    A two-state transfer along the loop: for each lift of the current edge,
+    the signed sum over the lift choices so far that end in it.  Every lift
+    must weigh +1 or -1; a weight with an exponent, as in U, is refused."""
     lifts = [mesh.lift_fibers[bf] for bf in loop]
     ends = {f: set(mesh.edges[f]) for pair in lifts for f in pair}
-    k = len(loop)
-    total = Poly.zero(vars=T_VARS)
-    for first in range(2):
-        start = lifts[0][first]
-        vec: List[Optional[Poly]] = [None, None]
-        vec[first] = Poly.from_monomial(w[start], vars=T_VARS)
-        for i in range(1, k):
-            nv: List[Optional[Poly]] = [None, None]
-            for prev in range(2):
-                if vec[prev] is None:
-                    continue
-                for cur in range(2):
-                    if ends[lifts[i - 1][prev]] & ends[lifts[i][cur]]:
-                        continue
-                    term = vec[prev] * Poly.from_monomial(w[lifts[i][cur]], vars=T_VARS)
-                    nv[cur] = term if nv[cur] is None else nv[cur] + term
-            vec = nv
-        for last in range(2):
-            if vec[last] is None:
-                continue
-            if ends[lifts[k - 1][last]] & ends[start]:
-                continue
-            total = total + vec[last]
+    sign = {}
+    for f in ends:
+        if w[f].key or w[f].coeff not in (1, -1):
+            raise SquishError(f"lift {f} weighs {w[f]}, not +1 or -1")
+        sign[f] = w[f].coeff
+    total = 0
+    for start in lifts[0]:
+        vec = [(start, sign[start])]
+        for pair in lifts[1:]:
+            vec = [(f, sign[f] * sum(v for g, v in vec if ends[g].isdisjoint(ends[f])))
+                   for f in pair]
+        total += sum(v for g, v in vec if ends[g].isdisjoint(ends[start]))
     return total
 
 
@@ -308,15 +300,14 @@ def transfer_lift_sum(mesh: HexMesh, loop: Loop) -> int:
     return m[2][2] + m[3][3]
 
 
-def lemma2_sum(mesh: HexMesh, lam: TwoFactor,
-               rule: Optional[SignRule] = None) -> int:
+def lemma2_sum(mesh: HexMesh, lam: TwoFactor) -> int:
     """Sum of sign weights over all preimage matchings of a base 2-factor;
     factors over components as (-1 per doubled edge) * (loop sums)."""
-    S = sign_weighting(mesh, rule)
+    S = sign_weighting(mesh)
     total = 1
     for bf in lam.doubled:
         l1, l2 = mesh.lift_fibers[bf]
         total *= S[l1].coeff * S[l2].coeff
     for loop in lam.loops:
-        total *= loop_lift_sum(mesh, loop, S).constant_value()
+        total *= loop_lift_sum(mesh, loop, S)
     return total

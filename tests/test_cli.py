@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,9 @@ def test_bad_flags(capsys):
     code, _, err = run(capsys, "check", "split", "-d", "1,1,1", "--order", "3")
     assert code == 2 and "--order" in err
     assert run(capsys, "check", "matrices", "-d", "1,1,1")[0] == 2
+    # parity reads either flag, but not both at once
+    code, _, err = run(capsys, "check", "parity", "-d", "2,2,2", "--max-dims", "1,1,1")
+    assert code == 2 and "-d" in err and "--max-dims" in err
     # a negative cap would print a zero partition function
     code, _, err = run(capsys, "zfun", "-d", "2,2,2", "--cap", "-1")
     assert code == 2 and "cap" in err
@@ -172,6 +177,27 @@ def test_render_two_factor_and_squish(tmp_path, capsys):
     diag.write_text(json.dumps({"dims": [2, 2, 1], "heights": [[0, 1], [0, 0]]}))
     assert run(capsys, "render", "--diagram", str(diag),
                "-o", str(tmp_path / "y.svg"))[0] == 2
+    # an output file that cannot be written is a usage error
+    code, _, err = run(capsys, "render", "-d", "1,1,1",
+                       "-o", str(tmp_path / "missing" / "out.svg"))
+    assert code == 2 and err.startswith("error: cannot write")
+
+
+def _masked(text):
+    """Output with its timing fields zeroed."""
+    text = re.sub(r'"seconds": [0-9.]+', '"seconds": 0', text)
+    return re.sub(r"\(\d+\.\d\ds\)", "(0.00s)", text)
+
+
+def test_output_matches_golden_file(capsys):
+    # stdout, stderr and exit code of fast calls, recorded from an earlier
+    # version of the program; every refactor must keep them byte-identical
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    assert len(golden) == 30
+    for case in golden:
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, _masked(out), err) == (case["code"], case["stdout"], case["stderr"]), \
+            case["argv"]
 
 
 def test_render_deterministic(tmp_path, capsys):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hexdimer.algebra import Monomial, Poly, pack, poly_specialize, split
 from hexdimer.diagrams import (
     COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
-    TooLarge, WeightScheme, Z2Z2, box_color, diagram_of, diagram_weight,
-    enumerate_diagrams, enumerate_matchings, flippable_faces, matching_of,
-    tau_move, z_poly,
+    TooLarge, WeightScheme, Z2Z2, _profile_states, box_color, diagram_of,
+    diagram_weight, enumerate_diagrams, enumerate_matchings, flippable_faces,
+    matching_of, tau_move, z_poly,
 )
 from hexdimer.mesh import BoxDims, Face, build_mesh
 
@@ -69,6 +69,29 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     seen = [pi.h for pi in enumerate_diagrams(BoxDims(2, 2, 2))]
     assert seen == sorted(seen)
     assert len(set(seen)) == len(seen) == 20
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 3, 2), (2, 3, 1), (3, 2, 2),
+                                  (2, 2, 3)], ids=str)
+def test_enumeration_order_equals_filtered_product(dims):
+    a, b, c = dims
+    want = []
+    for flat in itertools.product(range(c + 1), repeat=a * b):  # lex order
+        h = tuple(flat[i:i + b] for i in range(0, a * b, b))
+        if all(h[i][j] >= h[i][j + 1] for i in range(a) for j in range(b - 1)) and \
+                all(h[i][j] >= h[i + 1][j] for i in range(a - 1) for j in range(b)):
+            want.append(h)
+    assert [pi.h for pi in enumerate_diagrams(BoxDims(*dims))] == want
+    assert list(_profile_states(a, c)) == sorted(
+        s for s in itertools.product(range(c + 1), repeat=a)
+        if all(x >= y for x, y in zip(s, s[1:])))
+
+
+def test_tall_boxes_do_not_recurse():
+    states = _profile_states(1500, 1)
+    assert len(states) == 1501 and states[1] == (1,) + (0,) * 1499
+    pis = list(enumerate_diagrams(BoxDims(1100, 1, 1)))
+    assert len(pis) == 1101 and pis[-1] == PlanePartition.full(BoxDims(1100, 1, 1))
 
 
 def test_big_count():

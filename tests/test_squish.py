@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -12,8 +14,8 @@ from hexdimer.overlay import enumerate_two_factors, overlay, two_factor_weight
 from hexdimer.squish import (
     EdgeWeighting, SignRule, SquishError, calibrate_sign_rule,
     classify_propeller, lemma2_sum, lift_preimages, loop_lift_sum, project,
-    _loop_lift_choices, pullback_weighting, sign_weighting, transfer_lift_sum,
-    turn_word, wp_edge_weighting,
+    _loop_lift_choices, _sign_weighting_for, pullback_weighting, sign_weighting,
+    transfer_lift_sum, turn_word, wp_edge_weighting,
 )
 
 BASE_DIMS = [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 1)]
@@ -113,8 +115,8 @@ def test_global_class_flip_is_gauge():
         even = build_mesh(base.doubled())
         for lam in enumerate_two_factors(base):
             for loop in lam.loops:
-                a = loop_lift_sum(even, loop, sign_weighting(even, rule))
-                b = loop_lift_sum(even, loop, sign_weighting(even, flipped))
+                a = loop_lift_sum(even, loop, _sign_weighting_for(even, rule))
+                b = loop_lift_sum(even, loop, _sign_weighting_for(even, flipped))
                 assert a == b
 
 
@@ -123,7 +125,7 @@ def test_some_candidate_rules_fail_nothing():
     # the first, so rejecting alternatives is not required, but every rule
     # must give opposite in-pair signs
     mesh = build_mesh(BoxDims(2, 2, 2))
-    from hexdimer.squish import _candidate_rules, _sign_weighting_for
+    from hexdimer.squish import _candidate_rules
     assert len(_candidate_rules()) == 8
     for rule in _candidate_rules():
         _sign_weighting_for(mesh, rule)  # raises if a pair got equal signs
@@ -199,10 +201,10 @@ def test_hexagon_loop_lift_sums():
     _, loop = hexagon_loop()
     even = build_mesh(BoxDims(2, 2, 2))
     S = sign_weighting(even)
-    assert loop_lift_sum(even, loop, S).constant_value() == -2
+    assert loop_lift_sum(even, loop, S) == -2
     assert transfer_lift_sum(even, loop) == -2
-    ones = EdgeWeighting(even, {f: Monomial(1) for f in even.edges})
-    assert loop_lift_sum(even, loop, ones).constant_value() == 18
+    ones = EdgeWeighting({f: Monomial(1) for f in even.edges})
+    assert loop_lift_sum(even, loop, ones) == 18
 
 
 @pytest.mark.parametrize("base", BASE_DIMS, ids=str)
@@ -212,10 +214,35 @@ def test_transfer_equals_brute_force(base):
     mesh = build_mesh(base)
     for lam in enumerate_two_factors(base):
         for loop in lam.loops:
-            brute = loop_lift_sum(even, loop, S).constant_value()
+            brute = loop_lift_sum(even, loop, S)
             assert brute == transfer_lift_sum(even, loop) == -2
             m = mat_word(turn_word(mesh, loop))
             assert m[2][2] + m[3][3] == -2
+
+
+@pytest.mark.parametrize("base", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1),
+                                  (3, 2, 1)], ids=str)
+def test_loop_lift_sum_equals_sum_over_lift_choices(base):
+    # the transfer against the enumerated lift selections, for three +-1
+    # weightings; a weighting with t-exponents (U) is refused
+    base = BoxDims(*base)
+    even = build_mesh(base.doubled())
+    rng = random.Random(7)
+    ones = EdgeWeighting({f: Monomial(1) for f in even.edges})
+    coin = EdgeWeighting({f: Monomial(rng.choice((1, -1))) for f in sorted(even.edges)})
+    U = pullback_weighting(even)
+    n = 0
+    for lam in enumerate_two_factors(base):
+        for loop in lam.loops:
+            choices = _loop_lift_choices(even, loop)
+            for w in (sign_weighting(even), ones, coin):
+                want = sum(math.prod(w[f].coeff for f in pick) for pick in choices)
+                assert loop_lift_sum(even, loop, w) == want
+            if any(U[f].key for bf in loop for f in even.lift_fibers[bf]):
+                with pytest.raises(SquishError):
+                    loop_lift_sum(even, loop, U)
+                n += 1
+    assert n > 0
 
 
 # -- the sign-weighting lemma ----------------------------------------------------
