@@ -62,13 +62,13 @@ def pack(e0: int, e1: int, e2: int, e3: int) -> int:
     [-2**20, 2**20); ``pack`` refuses any other.
 
     A sum of keys is checked where it can leave that range: Monomial products
-    by the guard bits; Poly, Series and lp_mul products by the extreme fields
-    of their operands, once per product; series_inv by n times each key of
-    its input.  The sums left unchecked cannot wrap: a z_poly key adds at
-    most a*b*c box keys whose fields are 0 or 1 (each column weight is a
-    checked Monomial product), and a box of 2**20 boxes is far beyond the DP;
-    the Q grading in compare_box_vs_series adds at most min(a,b,c) times
-    pack(1, 1, 1, 1).
+    by the guard bits; lp_mul products, which Poly products are, and Series
+    products by the extreme fields of their operands, once per product;
+    series_inv by n times each key of its input.  The sums left unchecked
+    cannot wrap: a z_poly key adds at most a*b*c box keys whose fields are 0
+    or 1 (each column weight is a checked Monomial product), and a box of
+    2**20 boxes is far beyond the DP; the Q grading in compare_box_vs_series
+    adds at most min(a,b,c) times pack(1, 1, 1, 1).
     """
     if not (-LIMIT <= e0 < LIMIT and -LIMIT <= e1 < LIMIT
             and -LIMIT <= e2 < LIMIT and -LIMIT <= e3 < LIMIT):
@@ -128,70 +128,79 @@ def mono_t(exp_t: int, coeff: int = 1) -> Monomial:
     return Monomial(coeff, pack(exp_t, 0, 0, 0))
 
 
+# ---------------------------------------------------------------------------
+# Term dicts {key: coeff}: the terms of a Poly, and the Laurent coefficients
+# in (q, r, s) of a Series, keyed by pack(0, eq, er, es).  The lp_* helpers
+# return new dicts; the *_into helpers accumulate in place.
+# ---------------------------------------------------------------------------
+
+LPoly = Dict[int, int]
+
+LP_ONE: LPoly = {0: 1}
+
+
+def lp_neg(x: LPoly) -> LPoly:
+    return {e: -c for e, c in x.items()}
+
+
+def _add_into(acc: LPoly, x: LPoly):
+    """acc += x, dropping the coefficients that cancel."""
+    get = acc.get
+    for e, c in x.items():
+        c += get(e, 0)
+        if c:
+            acc[e] = c
+        else:
+            del acc[e]
+
+
+def _lp_mul_into(acc: LPoly, x: LPoly, y: LPoly):
+    """acc += x*y, leaving zero coefficients for _drop_zeros."""
+    get = acc.get
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _drop_zeros(acc: LPoly) -> LPoly:
+    # in place, so a product's largest coefficient is not held twice
+    for e in [e for e, c in acc.items() if not c]:
+        del acc[e]
+    return acc
+
+
+def lp_mul(x: LPoly, y: LPoly) -> LPoly:
+    _check_product(x, y)
+    acc: LPoly = {}
+    _lp_mul_into(acc, x, y)
+    return _drop_zeros(acc)
+
+
 class Poly:
     """Sparse polynomial in p, q, r, s with integer coefficients.
 
-    ``terms`` maps exponent keys to nonzero coefficients.  An optional
-    ``cap`` discards terms whose total degree exceeds it; products inherit
-    the smaller cap.
+    ``terms`` maps exponent keys to nonzero coefficients.
     """
 
-    __slots__ = ("terms", "cap")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[int, int]] = None,
-                 cap: Optional[int] = None):
-        self.cap = cap
-        self.terms: Dict[int, int] = {
-            e: c for e, c in (terms or {}).items()
-            if c and (cap is None or degree(e) <= cap)}
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, cap=None) -> "Poly":
-        return cls({}, cap=cap)
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, cap=None) -> "Poly":
-        return cls({m.key: m.coeff}, cap=cap)
-
-    # -- ring operations ----------------------------------------------
-
-    def _merged_cap(self, other: "Poly") -> Optional[int]:
-        if self.cap is None:
-            return other.cap
-        if other.cap is None:
-            return self.cap
-        return min(self.cap, other.cap)
+    def __init__(self, terms: Optional[Mapping[int, int]] = None):
+        self.terms: Dict[int, int] = {e: c for e, c in (terms or {}).items() if c}
 
     def __add__(self, other: "Poly") -> "Poly":
         tt = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = tt.get(e, 0) + c
-            if nc:
-                tt[e] = nc
-            else:
-                tt.pop(e, None)
-        return Poly(tt, cap=self._merged_cap(other))
+        _add_into(tt, other.terms)
+        return Poly(tt)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, cap=self.cap)
+        return Poly(lp_neg(self.terms))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        _check_product(self.terms, other.terms)
-        tt: Dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                nc = tt.get(e, 0) + c1 * c2
-                if nc:
-                    tt[e] = nc
-                else:
-                    del tt[e]
-        return Poly(tt, cap=self._merged_cap(other))
+        return Poly(lp_mul(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -286,45 +295,7 @@ def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
             tt[key] = nc
         else:
             del tt[key]
-    return Poly(tt, cap=x.cap)
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in (q, r, s): the coefficient ring for Series.
-# Represented as plain dicts {pack(0, eq, er, es): coeff}; the lp_* helpers
-# return new dicts, the Series kernel accumulates in place.
-# ---------------------------------------------------------------------------
-
-LPoly = Dict[int, int]
-
-LP_ONE: LPoly = {0: 1}
-
-
-def lp_neg(x: LPoly) -> LPoly:
-    return {e: -c for e, c in x.items()}
-
-
-def _lp_mul_into(acc: LPoly, x: LPoly, y: LPoly):
-    """acc += x*y, leaving zero coefficients for _drop_zeros."""
-    get = acc.get
-    for e1, c1 in x.items():
-        for e2, c2 in y.items():
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-
-
-def _drop_zeros(acc: LPoly) -> LPoly:
-    # in place, so a product's largest coefficient is not held twice
-    for e in [e for e, c in acc.items() if not c]:
-        del acc[e]
-    return acc
-
-
-def lp_mul(x: LPoly, y: LPoly) -> LPoly:
-    _check_product(x, y)
-    acc: LPoly = {}
-    _lp_mul_into(acc, x, y)
-    return _drop_zeros(acc)
+    return Poly(tt)
 
 
 def lp_eval_signs(x: LPoly, sq: int = -1, sr: int = -1, ss: int = -1) -> int:
@@ -338,30 +309,28 @@ def lp_eval_signs(x: LPoly, sq: int = -1, sr: int = -1, ss: int = -1) -> int:
 
 
 class Series:
-    """Truncated power series in one grading variable with LPoly coefficients.
+    """Truncated power series in a grading variable z with LPoly coefficients
+    (z is Q = p*q*r*s in the four-variable product formula).
 
-    ``coeffs[n]`` is the Laurent polynomial in (q,r,s) multiplying grading**n;
+    ``coeffs[n]`` is the Laurent polynomial in (q,r,s) multiplying z**n;
     the sequence always has length ``order + 1``.  The coefficient dicts are
     taken as they are, not copied: a Series never changes them.
     """
 
-    __slots__ = ("grading", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[LPoly], order: int, grading: str = "z"):
+    def __init__(self, coeffs: Iterable[LPoly], order: int):
         cs = list(coeffs)
         if len(cs) < order + 1:
             cs += [{} for _ in range(order + 1 - len(cs))]
         self.coeffs: List[LPoly] = cs[: order + 1]
         self.order = order
-        self.grading = grading
 
     @classmethod
-    def one(cls, order: int, grading: str = "z") -> "Series":
-        return cls([dict(LP_ONE)], order, grading)
+    def one(cls, order: int) -> "Series":
+        return cls([dict(LP_ONE)], order)
 
     def __mul__(self, other: "Series") -> "Series":
-        if self.grading != other.grading:
-            raise AlgebraError(f"gradings differ: {self.grading} vs {other.grading}")
         n = min(self.order, other.order)
         x, y = self.coeffs, other.coeffs
         _check_product([e for c in x[:n + 1] for e in c], [e for c in y[:n + 1] for e in c])
@@ -372,10 +341,10 @@ class Series:
                 if x[i] and y[k - i]:
                     _lp_mul_into(acc, x[i], y[k - i])
             out.append(_drop_zeros(acc))
-        return Series(out, n, self.grading)
+        return Series(out, n)
 
     def __pow__(self, k: int) -> "Series":
-        out = Series.one(self.order, self.grading)
+        out = Series.one(self.order)
         base = self
         while k:
             if k & 1:
@@ -387,7 +356,7 @@ class Series:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series) and self.order == other.order
-                and self.grading == other.grading and self.coeffs == other.coeffs)
+                and self.coeffs == other.coeffs)
 
     def specialize_signs(self, sq=-1, sr=-1, ss=-1) -> List[int]:
         """Coefficientwise evaluation at q,r,s -> +-1; returns plain integers."""
@@ -396,7 +365,6 @@ class Series:
     def to_json_obj(self) -> dict:
         return {
             "vars": ["q", "r", "s"],
-            "grading": self.grading,
             "order": self.order,
             "coeffs": [
                 [{"coeff": c, "exp": list(split(e)[1:])} for e, c in sorted(cc.items())]
@@ -405,7 +373,7 @@ class Series:
         }
 
     def __repr__(self):
-        return f"Series({self.grading}, order={self.order})"
+        return f"Series(order={self.order})"
 
 
 def series_inv(x: Series) -> Series:
@@ -422,7 +390,7 @@ def series_inv(x: Series) -> Series:
             if x.coeffs[i] and inv[k - i]:
                 _lp_mul_into(acc, x.coeffs[i], inv[k - i])
         inv.append({e: -c for e, c in acc.items() if c})
-    return Series(inv, n, x.grading)
+    return Series(inv, n)
 
 
 # ---------------------------------------------------------------------------

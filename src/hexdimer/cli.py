@@ -120,16 +120,17 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     S = sign_weighting(even)
     values = []
     for lam in enumerate_two_factors(dims):
-        got = lemma2_sum(even, lam)
+        got = lemma2_sum(even, lam, S)
         values.append(got)
         if got != sgn * 2 ** len(lam.loops):
             rep.fail({"two_factor": lam.to_json_obj(), "sum": got,
                       "expected": sgn * 2 ** len(lam.loops)})
         for loop in lam.loops:
             brute = loop_lift_sum(even, loop, S)
-            if brute != -2 or transfer_lift_sum(even, loop) != brute:
+            transfer = transfer_lift_sum(even, loop)
+            if brute != -2 or transfer != brute:
                 rep.fail({"loop": [list(f) for f in loop], "brute": brute,
-                          "transfer": transfer_lift_sum(even, loop)})
+                          "transfer": transfer})
     rep.params["per_two_factor"] = values
     return rep
 
@@ -235,7 +236,7 @@ def check_eq3(order: int) -> CheckReport:
     rep = CheckReport("eq3", {"order": order})
     if not eq3_check(order):
         lhs = z2z2_rhs(order).specialize_signs(-1, -1, -1)
-        rhs = (mac(1, order, "Q") ** 2).specialize_signs(1, 1, 1)
+        rhs = (mac(1, order) ** 2).specialize_signs(1, 1, 1)
         rep.fail({"lhs": lhs, "rhs": rhs})
     return rep
 
@@ -332,8 +333,10 @@ def parse_set(s: Optional[str]) -> Dict[str, str]:
     for item in s.split(","):
         if "=" not in item:
             raise UsageError(f"bad --set item {item!r}")
-        name, val = item.split("=", 1)
-        out[name.strip()] = val.strip()
+        name, val = (x.strip() for x in item.split("=", 1))
+        if name in out:
+            raise UsageError(f"--set names {name!r} twice")
+        out[name] = val
     return out
 
 
@@ -409,6 +412,8 @@ def _svg(polys: List[Tuple[List[Tuple[float, float]], str]]) -> str:
 
 
 def cmd_render(args) -> int:
+    if args.diagram and args.dims:
+        raise UsageError("render takes --diagram or -d, not both")
     if args.diagram:
         try:
             with open(args.diagram) as fh:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .algebra import Monomial, P_VARS, Poly, degree, pack
+from .algebra import Monomial, P_VARS, Poly, _add_into, degree, pack
 from .mesh import BoxDims, Face, HexMesh, build_mesh
 
 
@@ -244,13 +244,18 @@ def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[Froz
     verts = mesh.vertices
     n = len(verts)
     pos = {t: i for i, t in enumerate(verts)}
-    # per vertex position: (edge, position of its other end), incident order
+    # per vertex position: (edge, position of its other end)
     nbrs = [tuple((f, pos[o]) for f in mesh.incident[t]
                   for o in mesh.edges[f] if o != t) for t in verts]
     out: List[FrozenSet[Face]] = []
-    chosen: List[Face] = []
-
-    def rec(idx: int, covered: int):
+    # an explicit stack, since a long box matches thousands of edges deep:
+    # each entry is (edges matched before it, its edge, lowest vertex that
+    # may be free, covered vertices), and chosen[:d] holds the edges matched
+    # on the way to an entry with d edges before it
+    chosen: List[Face] = [None] * (n // 2)  # type: ignore[list-item]
+    stack: List[Tuple[int, Face, int, int]] = []
+    d = idx = covered = 0
+    while True:
         while covered >> idx & 1:
             idx += 1
         if idx == n:
@@ -258,15 +263,16 @@ def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[Froz
             if limit is not None and len(out) > limit:
                 raise TooLarge(f"the number of matchings of H_{tuple(dims)} "
                                f"exceeds limit {limit}")
-            return
-        covered |= 1 << idx
-        for f, o in nbrs[idx]:
-            if not covered >> o & 1:
-                chosen.append(f)
-                rec(idx + 1, covered | 1 << o)
-                chosen.pop()
-
-    rec(0, 0)
+        else:
+            covered |= 1 << idx
+            for f, o in nbrs[idx]:
+                if not covered >> o & 1:
+                    stack.append((d, f, idx + 1, covered | 1 << o))
+        if not stack:
+            break
+        d, f, idx, covered = stack.pop()
+        chosen[d] = f
+        d += 1
     return sorted(out, key=sorted)
 
 
@@ -379,10 +385,12 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
     S = C(a+c, a) states and at most S*a term-dict additions per column.
     """
     if method == "enumerate":
-        acc = Poly.zero(cap=cap)
+        acc: Dict[int, int] = {}
         for pi in enumerate_diagrams(dims):
-            acc = acc + Poly.from_monomial(diagram_weight(pi, scheme), cap=cap)
-        return acc
+            w = diagram_weight(pi, scheme)
+            if cap is None or degree(w.key) <= cap:
+                acc[w.key] = acc.get(w.key, 0) + w.coeff
+        return Poly(acc)
     if method != "dp":
         raise DiagramError(f"unknown method {method!r}")
 
@@ -390,22 +398,18 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
     states = _profile_states(a, c)
     sweep = _sweep_pairs(a, c)
     # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1
-    # whose column j equals states[n]; the empty column b starts it off.
+    # whose column j equals states[n]; the empty column b starts it off,
+    # unless the cap drops even the empty diagram.
     f: List[Dict[int, int]] = [{} for _ in states]
-    f[0][0] = 1
+    if cap is None or cap >= 0:
+        f[0][0] = 1
     for j in range(b - 1, -1, -1):
         # column j may take state s iff column j+1 lies below s entrywise
         for n, m in sweep:
-            acc = f[n]
-            for e, v in f[m].items():
-                v += acc.get(e, 0)
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
+            _add_into(f[n], f[m])
         f = [_shifted(terms, w, cap)
              for terms, w in zip(f, _column_weights(dims, j, scheme))]
-    total = Poly.zero(cap=cap)
+    total = Poly()
     for terms in f:
-        total = total + Poly(terms, cap=cap)
+        total = total + Poly(terms)
     return total

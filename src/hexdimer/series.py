@@ -39,7 +39,7 @@ def _as_lmono(a) -> LPoly:
     return dict(a)
 
 
-def mac(a, N: int, grading: str = "z") -> Series:
+def mac(a, N: int) -> Series:
     """prod_{n=1..N} (1 - a z^n)^(-n), truncated at z^N.
 
     Each factor is expanded in closed form as sum_k C(n+k-1, k) a^k z^(nk).
@@ -47,19 +47,19 @@ def mac(a, N: int, grading: str = "z") -> Series:
     ((e, sign),) = _as_lmono(a).items()
     # a^N is the highest power below; pack raises if its exponents do not fit
     pack(*(N * x for x in split(e)))
-    out = Series.one(N, grading)
+    out = Series.one(N)
     for n in range(1, N + 1):
-        factor = Series.one(N, grading)
+        factor = Series.one(N)
         for k in range(1, N // n + 1):
             factor.coeffs[n * k] = {k * e: sign ** k * math.comb(n + k - 1, k)}
         out = out * factor
     return out
 
 
-def mac_tilde(a, N: int, grading: str = "z") -> Series:
+def mac_tilde(a, N: int) -> Series:
     """M(a,z) * M(1/a,z)."""
     a = _as_lmono(a)
-    return mac(a, N, grading) * mac(_lmono_inv(a), N, grading)
+    return mac(a, N) * mac(_lmono_inv(a), N)
 
 
 def z2z2_rhs(N: int) -> Series:
@@ -70,17 +70,16 @@ def z2z2_rhs(N: int) -> Series:
     qs = lp_mul(q, s)
     rs = lp_mul(r, s)
     qrs = lp_mul(qr, s)
-    num = (mac(1, N, "Q") ** 4 * mac_tilde(qr, N, "Q")
-           * mac_tilde(qs, N, "Q") * mac_tilde(rs, N, "Q"))
-    den = (mac_tilde(lp_neg(q), N, "Q") * mac_tilde(lp_neg(r), N, "Q")
-           * mac_tilde(lp_neg(s), N, "Q") * mac_tilde(lp_neg(qrs), N, "Q"))
+    num = mac(1, N) ** 4 * mac_tilde(qr, N) * mac_tilde(qs, N) * mac_tilde(rs, N)
+    den = (mac_tilde(lp_neg(q), N) * mac_tilde(lp_neg(r), N)
+           * mac_tilde(lp_neg(s), N) * mac_tilde(lp_neg(qrs), N))
     return num * series_inv(den)
 
 
 def eq3_check(N: int) -> bool:
     """Does the four-variable product at q,r,s -> -1 equal M(1,Q)^2?"""
     lhs = z2z2_rhs(N).specialize_signs(-1, -1, -1)
-    rhs = (mac(1, N, "Q") ** 2).specialize_signs(1, 1, 1)
+    rhs = (mac(1, N) ** 2).specialize_signs(1, 1, 1)
     return lhs == rhs
 
 

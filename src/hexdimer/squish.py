@@ -300,10 +300,10 @@ def transfer_lift_sum(mesh: HexMesh, loop: Loop) -> int:
     return m[2][2] + m[3][3]
 
 
-def lemma2_sum(mesh: HexMesh, lam: TwoFactor) -> int:
-    """Sum of sign weights over all preimage matchings of a base 2-factor;
-    factors over components as (-1 per doubled edge) * (loop sums)."""
-    S = sign_weighting(mesh)
+def lemma2_sum(mesh: HexMesh, lam: TwoFactor, S: EdgeWeighting) -> int:
+    """Sum of the sign weights S (see sign_weighting) over all preimage
+    matchings of a base 2-factor; factors over components as (-1 per doubled
+    edge) * (loop sums)."""
     total = 1
     for bf in lam.doubled:
         l1, l2 = mesh.lift_fibers[bf]

@@ -77,7 +77,7 @@ def test_04_sign_weighting_lemma():
         even = build_mesh(base.doubled())
         S = sign_weighting(even)
         for lam in enumerate_two_factors(base):
-            ok = ok and lemma2_sum(even, lam) == sgn * 2 ** len(lam.loops)
+            ok = ok and lemma2_sum(even, lam, S) == sgn * 2 ** len(lam.loops)
             for loop in lam.loops:
                 brute = loop_lift_sum(even, loop, S)
                 ok = ok and brute == transfer_lift_sum(even, loop) == -2

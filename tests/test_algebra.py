@@ -30,7 +30,7 @@ def test_poly_str():
     assert str(p) == "1 + p + p*q"
     assert str(Poly({pack(2, 0, 0, 0): 1, pack(1, 0, 0, 0): -2, pack(0, 0, 0, 0): 1})) \
         == "1 - 2*p + p^2"
-    assert str(Poly.zero()) == "0"
+    assert str(Poly()) == "0"
 
 
 def test_poly_json():
@@ -46,7 +46,7 @@ def test_ring_laws(x, y, z):
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
-    assert x - x == Poly.zero()
+    assert x - x == Poly()
 
 
 @given(polys, polys)
@@ -62,12 +62,6 @@ def test_specialize_to_other_variable():
     p = Poly({pack(1, 1, 0, 0): 1})  # p*q
     out = poly_specialize(p, {"p": "-p", "q": "p", "r": 1, "s": 1})
     assert out == Poly({pack(2, 0, 0, 0): -1})
-
-
-def test_cap_truncates_products():
-    x = Poly({pack(1, 0, 0, 0): 1, pack(0, 0, 0, 0): 1}, cap=2)
-    cube = x * x * x
-    assert cube == Poly({pack(0, 0, 0, 0): 1, pack(1, 0, 0, 0): 3, pack(2, 0, 0, 0): 3})
 
 
 def test_laurent_helpers():
@@ -169,13 +163,6 @@ def test_series_pow_matches_repeated_mul(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     s ** 4
     assert len(products) == 3
-
-
-def test_series_gradings_must_match():
-    z, Q = Series.one(3, "z"), Series.one(3, "Q")
-    with pytest.raises(AlgebraError):
-        z * Q
-    assert z != Q and z == Series.one(3, "z")
 
 
 # Oracle for the packed kernel: series whose coefficients are dicts over

@@ -69,8 +69,8 @@ def test_bad_flags(capsys):
     # a negative cap would print a zero partition function
     code, _, err = run(capsys, "zfun", "-d", "2,2,2", "--cap", "-1")
     assert code == 2 and "cap" in err
-    # a value takes one sign at most
-    for bad in ("p=--p", "p=+-1"):
+    # a value takes one sign at most, and a variable one value
+    for bad in ("p=--p", "p=+-1", "q=-1,q=1"):
         code, _, err = run(capsys, "zfun", "-d", "1,1,1", "--set", bad)
         assert code == 2 and "error:" in err
     # 13,860 matchings exceed the enumeration limit: refused, not failed
@@ -91,6 +91,8 @@ def test_parse_helpers():
     assert parse_set(None) == {}
     with pytest.raises(UsageError):
         parse_set("qrs")
+    with pytest.raises(UsageError):
+        parse_set("q=-1,q=1")
 
 
 def test_check_matrices(capsys):
@@ -144,6 +146,11 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_matrices", broken)
     code, out, _ = run(capsys, "check", "matrices")
     assert code == 1 and "FAIL" in out and "synthetic failure" in out
+    # a transfer sum that disagrees with the lift sum fails minus-one
+    monkeypatch.setattr(cli, "transfer_lift_sum", lambda mesh, loop: 5)
+    code, out, _ = run(capsys, "check", "minus-one", "-d", "1,1,1", "--format", "json")
+    witness = json.loads(out)[0]["witness"]
+    assert code == 1 and witness["brute"] == -2 and witness["transfer"] == 5
 
 
 def test_run_check_unknown_name():
@@ -167,6 +174,10 @@ def test_render_two_factor_and_squish(tmp_path, capsys):
     code, out, _ = run(capsys, "render", "--diagram", str(diag),
                        "--what", "twofactor", "-o", str(out_file))
     assert code == 0 and out_file.read_text().count("<polygon") == 6
+    # the diagram file fixes the dims, so -d beside it is refused
+    code, _, err = run(capsys, "render", "--diagram", str(diag), "-d", "3,3,3",
+                       "-o", str(tmp_path / "z.svg"))
+    assert code == 2 and "--diagram" in err and " -d" in err
     code, _, _ = run(capsys, "render", "-d", "2,2,2", "--what", "squish",
                      "-o", str(tmp_path / "s.svg"))
     assert code == 0

@@ -92,6 +92,9 @@ def test_tall_boxes_do_not_recurse():
     assert len(states) == 1501 and states[1] == (1,) + (0,) * 1499
     pis = list(enumerate_diagrams(BoxDims(1100, 1, 1)))
     assert len(pis) == 1101 and pis[-1] == PlanePartition.full(BoxDims(1100, 1, 1))
+    assert len(enumerate_matchings(BoxDims(500, 1, 1))) == 501
+    with pytest.raises(TooLarge):
+        enumerate_matchings(BoxDims(1100, 1, 1), limit=50)
 
 
 def test_big_count():
@@ -104,6 +107,8 @@ def test_enumerate_matchings_limit():
     with pytest.raises(TooLarge) as exc:
         enumerate_matchings(BoxDims(2, 2, 2), limit=5)
     assert "exceeds limit 5" in str(exc.value) and "20" not in str(exc.value)
+    with pytest.raises(TooLarge):
+        enumerate_matchings(BoxDims(2, 2, 2), limit=19)
     ms = enumerate_matchings(BoxDims(2, 2, 2), limit=20)
     assert len(ms) == 20 and ms == enumerate_matchings(BoxDims(2, 2, 2))
 
@@ -206,7 +211,7 @@ def test_dp_equals_enumeration(dims):
     dims = BoxDims(*dims)
     for scheme in (Z2Z2, MONO, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
                    MONO.with_signs({"p": "-p"})):
-        for cap in (None, 2):
+        for cap in (None, 0, 2):
             assert (z_poly(dims, scheme, cap=cap)
                     == z_poly(dims, scheme, cap=cap, method="enumerate"))
 
@@ -272,6 +277,9 @@ def test_degree_cap():
     for n in range(4):
         assert capped.terms.get(pack(n, 0, 0, 0), 0) == full.terms.get(pack(n, 0, 0, 0), 0)
     assert all(split(e)[0] <= 3 for e in capped.terms)
+    # a cap below 0 drops the empty diagram too, on both paths
+    for method in ("dp", "enumerate"):
+        assert z_poly(BoxDims(2, 2, 2), MONO, cap=-1, method=method) == Poly()
 
 
 def test_json_format():

@@ -253,13 +253,15 @@ def test_lemma2(base):
     a, b, c = base
     sgn = (-1) ** (a * b + b * c + c * a)
     even = build_mesh(base.doubled())
+    S = sign_weighting(even)
     for lam in enumerate_two_factors(base):
-        assert lemma2_sum(even, lam) == sgn * 2 ** len(lam.loops)
+        assert lemma2_sum(even, lam, S) == sgn * 2 ** len(lam.loops)
 
 
 def test_lemma2_hexagon_values():
     even = build_mesh(BoxDims(2, 2, 2))
-    values = sorted(lemma2_sum(even, lam)
+    S = sign_weighting(even)
+    values = sorted(lemma2_sum(even, lam, S)
                     for lam in enumerate_two_factors(BoxDims(1, 1, 1)))
     assert values == [-2, -1, -1]
 
@@ -290,11 +292,16 @@ def test_loop_lift_choices_match_filtered_product():
 
 
 def test_lemma2_sum_equals_direct_preimage_sum():
+    # also for seeded random signs on the long edges, which no sign rule
+    # gives, so that the weighting passed in is the one summed
     even = build_mesh(BoxDims(2, 2, 2))
-    S = sign_weighting(even)
-    for lam in enumerate_two_factors(BoxDims(1, 1, 1)):
-        direct = sum(S.weight_of(mu).coeff for mu in lift_preimages(even, lam))
-        assert direct == lemma2_sum(even, lam)
+    rng = random.Random(7)
+    coin = EdgeWeighting({f: Monomial(1 if f in even.short_edges else rng.choice((1, -1)))
+                          for f in sorted(even.edges)})
+    for S in (sign_weighting(even), coin):
+        for lam in enumerate_two_factors(BoxDims(1, 1, 1)):
+            direct = sum(S.weight_of(mu).coeff for mu in lift_preimages(even, lam))
+            assert direct == lemma2_sum(even, lam, S)
 
 
 # -- diagram consistency of the gauge ---------------------------------------------
