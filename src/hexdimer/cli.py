@@ -21,7 +21,8 @@ from .diagrams import (COUNT, MATCHING_LIMIT, MONO, DiagramError, PlanePartition
                        enumerate_matchings, flippable_faces, matching_of,
                        tau_move, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh
-from .overlay import enumerate_two_factors, overlay, split, two_factor_weight
+from .overlay import (bound_pair_work, enumerate_two_factors, overlay, split,
+                      two_factor_weight)
 from .series import (DegreeTooLarge, compare_box_vs_series, eq3_check, mac,
                      z2z2_rhs)
 from .squish import (lemma2_sum, lift_preimages, loop_lift_sum, project,
@@ -66,6 +67,7 @@ def check_split(dims: BoxDims) -> CheckReport:
     rep = CheckReport("split", {"dims": ",".join(map(str, dims))})
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims, MATCHING_LIMIT)  # N^2 overlays follow
+    bound_pair_work(dims, len(ms))
     lams = {}
     for M1 in ms:
         for M2 in ms:
@@ -245,7 +247,7 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     """The projection fibers partition the even mesh's matchings."""
     rep = CheckReport("fibers", {"dims": ",".join(map(str, dims))})
     even = build_mesh(dims.doubled())
-    mus = enumerate_matchings(dims.doubled())
+    mus = enumerate_matchings(dims.doubled(), MATCHING_LIMIT)
     fibers: Dict[object, set] = {}
     for mu in mus:
         fibers.setdefault(project(even, mu), set()).add(mu)

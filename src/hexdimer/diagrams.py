@@ -35,7 +35,8 @@ class TooLarge(DiagramError):
 
 
 # the most matchings an enumeration may produce for the checks that
-# overlay every pair of them (split, and enumerate_two_factors)
+# overlay every pair of them (split, and enumerate_two_factors) and for
+# the even box of fibers, which holds every fiber at once
 MATCHING_LIMIT = 10_000
 
 
@@ -110,8 +111,8 @@ class PlanePartition:
         for i in range(a):
             for j in range(b):
                 v = self.h[i][j]
-                if not 0 <= v <= c:
-                    raise DiagramError(f"height {v} at ({i},{j}) outside [0,{c}]")
+                if type(v) is not int or not 0 <= v <= c:
+                    raise DiagramError(f"height {v!r} at ({i},{j}) is not an integer in [0,{c}]")
                 if i + 1 < a and self.h[i + 1][j] > v:
                     raise DiagramError("heights increase along a column")
                 if j + 1 < b and self.h[i][j + 1] > v:
@@ -175,32 +176,30 @@ def enumerate_diagrams(dims: BoxDims) -> Iterator[PlanePartition]:
 
 
 def matching_of(pi: PlanePartition) -> FrozenSet[Face]:
-    """The perfect matching of H_{a,b,c} whose rhombi tile the diagram surface."""
-    a, b, c = pi.dims
-    h = pi.h
-
-    def filled(i, j, k):
-        return 0 <= i < a and 0 <= j < b and k < h[i][j]
-
-    M = set()
-    for i in range(a):
-        for j in range(b):
-            k = h[i][j]
-            M.add(Face.from_lattice("A", i - k, j - k))
-    # class B: vertical faces seen along the j axis (wall at j=0 counts as full)
-    for i in range(a):
-        for j in range(b + 1):
-            for k in range(c):
-                left = filled(i, j - 1, k) if j > 0 else True
-                if left and not filled(i, j, k):
-                    M.add(Face.from_lattice("B", i - k - 1, j - k - 1))
-    # class C: vertical faces seen along the i axis
-    for j in range(b):
-        for i in range(a + 1):
-            for k in range(c):
-                left = filled(i - 1, j, k) if i > 0 else True
-                if left and not filled(i, j, k):
-                    M.add(Face.from_lattice("C", i - k - 1, j - k - 1))
+    """The perfect matching of H_{a,b,c} whose rhombi tile the diagram
+    surface, in O(ab + bc + ca): cell (i,j) shows its top face A(i,j,h[i][j]);
+    in row i the wall between columns j-1 and j shows B(i,j,k) for k in
+    [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is the
+    same down each column.  Faces are made canonical by subtracting min(i,j,k)."""
+    c, h = pi.dims.c, pi.h
+    M = []
+    for i, row in enumerate(h):
+        left = c
+        for j, k in enumerate((*row, 0)):
+            for z in range(k, left):
+                m = min(i, j, z)
+                M.append(Face("B", i - m, j - m, z - m))
+            left = k
+        for j, k in enumerate(row):
+            m = min(i, j, k)
+            M.append(Face("A", i - m, j - m, k - m))
+    for j, col in enumerate(zip(*h)):
+        up = c
+        for i, k in enumerate((*col, 0)):
+            for z in range(k, up):
+                m = min(i, j, z)
+                M.append(Face("C", i - m, j - m, z - m))
+            up = k
     return frozenset(M)
 
 
@@ -214,9 +213,8 @@ def diagram_of(mesh: HexMesh, M: FrozenSet[Face]) -> PlanePartition:
     # map i -> x = i - h(i, i-d) is strictly increasing, so sort and assign.
     by_diag: Dict[int, List[int]] = {}
     for f in M:
-        if f.cls == "A":
-            x, y = f.lattice
-            by_diag.setdefault(x - y, []).append(x)
+        if f.cls == "A":  # at lattice point (i - k, j - k)
+            by_diag.setdefault(f.i - f.j, []).append(f.i - f.k)
     h = [[0] * b for _ in range(a)]
     for d, xs in by_diag.items():
         cells = [(i, i - d) for i in range(max(0, d), min(a, b + d))]
@@ -291,12 +289,9 @@ def tau_move(mesh: HexMesh, M: FrozenSet[Face], face: Tuple[int, int]) -> Frozen
 
 
 def flippable_faces(mesh: HexMesh, M: FrozenSet[Face]) -> List[Tuple[int, int]]:
-    out = []
-    for pt in mesh.hexfaces:
-        cycle = mesh.hexface_edges(pt)
-        if frozenset(cycle[0::2]) <= M or frozenset(cycle[1::2]) <= M:
-            out.append(pt)
-    return out
+    """The hexagonal faces around which M alternates, in ``hexfaces`` order."""
+    return [pt for pt, (e0, e1, e2, e3, e4, e5) in mesh.hex_cycles.items()
+            if e0 in M and e2 in M and e4 in M or e1 in M and e3 in M and e5 in M]
 
 
 # -- partition function -------------------------------------------------------

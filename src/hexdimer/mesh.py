@@ -45,8 +45,8 @@ class BoxDims:
     c: int
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) < 1:
-            raise MeshError(f"side lengths must be >= 1, got {self}")
+        if any(type(v) is not int or v < 1 for v in self):
+            raise MeshError(f"side lengths must be integers >= 1, got {self}")
 
     def __iter__(self):
         return iter((self.a, self.b, self.c))
@@ -86,11 +86,11 @@ class Face(NamedTuple):
 
     @classmethod
     def from_lattice(cls, klass: str, x: int, y: int) -> "Face":
-        if klass == "A":
-            k = max(0, -x, -y)
-            return cls("A", x + k, y + k, k)
-        k = max(0, -x - 1, -y - 1)
-        return cls(klass, x + 1 + k, y + 1 + k, k)
+        # A(x,y) is box (x,y,0), B and C(x,y) box (x+1,y+1,0); subtracting
+        # min(i,j,k) from a box point gives the canonical one
+        i, j = (x, y) if klass == "A" else (x + 1, y + 1)
+        m = min(i, j, 0)
+        return cls(klass, i - m, j - m, -m)
 
 
 IN_PROPELLER = object()  # sentinel returned by squish_edge for short edges
@@ -176,18 +176,21 @@ class HexMesh:
             raise UnknownFace(f"{f} is not an edge of H_{tuple(self.dims)}") from None
 
     @cached_property
-    def _hexface_set(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset(self.hexfaces)
-
-    @cached_property
     def _edge_set(self) -> FrozenSet[Face]:
         return frozenset(self.edges)
 
+    @cached_property
+    def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[Face, ...]]:
+        """Each hexagonal face -> its six edges in cyclic order (``edges`` keys)."""
+        own = {f: f for f in self.edges}
+        return {pt: tuple(own[f] for f in _hex_edge_cycle(*pt)) for pt in self.hexfaces}
+
     def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[Face, ...]:
         """The six edges of a hexagonal face, in cyclic order."""
-        if pt not in self._hexface_set:
-            raise UnknownFace(f"{pt} is not a hexagonal face")
-        return _hex_edge_cycle(*pt)
+        try:
+            return self.hex_cycles[pt]
+        except KeyError:
+            raise UnknownFace(f"{pt} is not a hexagonal face") from None
 
     def is_perfect_matching(self, M: FrozenSet[Face]) -> bool:
         """Every vertex has degree one, decided in O(|M|): |M| = V/2 mesh

@@ -145,12 +145,29 @@ def split(lam: TwoFactor) -> List[Tuple[FrozenSet[Face], FrozenSet[Face]]]:
     return out
 
 
+# the most edge visits a check may spend overlaying all pairs of a box's
+# N matchings, N^2 (ab + bc + ca): the 10,000-matching limit alone lets a
+# long box like 500x1x1 overlay its 501 matchings' pairs into gigabytes
+PAIR_WORK_LIMIT = 10 ** 8
+
+
+def bound_pair_work(dims: BoxDims, n: int) -> None:
+    """TooLarge unless n^2 (ab + bc + ca) <= PAIR_WORK_LIMIT, for a check
+    about to overlay all pairs of the box's n matchings."""
+    a, b, c = dims
+    work = n * n * (a * b + b * c + c * a)
+    if work > PAIR_WORK_LIMIT:
+        raise TooLarge(f"overlaying all pairs of the {n} matchings of H_{tuple(dims)} "
+                       f"visits {work} edges, over the bound {PAIR_WORK_LIMIT}")
+
+
 def enumerate_two_factors(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[TwoFactor]:
     """Distinct overlays over all matching pairs (an overlay is symmetric,
     so each unordered pair once); TooLarge if the box has more than
-    ``limit`` matchings."""
+    ``limit`` matchings or past the pair bound (bound_pair_work)."""
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims, limit)
+    bound_pair_work(dims, len(ms))
     seen: Dict[TwoFactor, None] = {}
     for i, M1 in enumerate(ms):
         for M2 in ms[i:]:

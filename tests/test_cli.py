@@ -80,6 +80,16 @@ def test_bad_flags(capsys):
     # the message claims no total it never counted
     code, _, err = run(capsys, "check", "split", "-d", "6,4,2")
     assert code == 2 and "exceeds limit 10000" in err and "13860" not in err
+    # fibers enumerates the doubled box, 6x6x6, under the same limit
+    for dims in ("3,3,3", "2,2,2"):
+        code, _, err = run(capsys, "check", "fibers", "-d", dims)
+        assert code == 2 and "exceeds limit 10000" in err
+    # a long box has few matchings but N^2 (ab+bc+ca) pair-overlay work past
+    # the bound: refused after the enumeration, by either pair check
+    for check, dims in (("minus-one", "500,1,1"), ("split", "1100,1,1")):
+        code, _, err = run(capsys, "check", check, "-d", dims)
+        assert code == 2 and "over the bound 100000000" in err
+        assert "limit 10000" not in err
     with pytest.raises(SystemExit) as exc:
         main(["zfun", "-d", "1,1,1", "--method", "teleport"])
     assert exc.value.code == 2
@@ -188,6 +198,14 @@ def test_render_two_factor_and_squish(tmp_path, capsys):
     diag.write_text(json.dumps({"dims": [2, 2, 1], "heights": [[0, 1], [0, 0]]}))
     assert run(capsys, "render", "--diagram", str(diag),
                "-o", str(tmp_path / "y.svg"))[0] == 2
+    # so is a height or side that is not an int, even one equal to an int
+    for obj, named in (({"dims": [1, 1, 1], "heights": [[1.0]]}, "1.0"),
+                       ({"dims": [1, 1, 1], "heights": [[True]]}, "True"),
+                       ({"dims": [True, 1, 1], "heights": [[1]]}, "a=True")):
+        diag.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "render", "--diagram", str(diag),
+                           "-o", str(tmp_path / "y.svg"))
+        assert code == 2 and "integer" in err and named in err
     # an output file that cannot be written is a usage error
     code, _, err = run(capsys, "render", "-d", "1,1,1",
                        "-o", str(tmp_path / "missing" / "out.svg"))

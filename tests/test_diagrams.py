@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from conftest import box_count_oracle
@@ -131,6 +132,65 @@ def test_bijection_roundtrip(dims):
     assert set(enumerate_matchings(dims)) == matchings
 
 
+def filled_scan_matching(pi):
+    """Reference matching_of in O(abc): scan every cell of the box for the
+    faces between a filled cell and an empty one."""
+    a, b, c = pi.dims
+    h = pi.h
+
+    def filled(i, j, k):
+        return 0 <= i < a and 0 <= j < b and k < h[i][j]
+
+    M = set()
+    for i in range(a):
+        for j in range(b):
+            k = h[i][j]
+            M.add(Face.from_lattice("A", i - k, j - k))
+    # class B: vertical faces seen along the j axis (wall at j=0 counts as full)
+    for i in range(a):
+        for j in range(b + 1):
+            for k in range(c):
+                left = filled(i, j - 1, k) if j > 0 else True
+                if left and not filled(i, j, k):
+                    M.add(Face.from_lattice("B", i - k - 1, j - k - 1))
+    # class C: vertical faces seen along the i axis
+    for j in range(b):
+        for i in range(a + 1):
+            for k in range(c):
+                left = filled(i - 1, j, k) if i > 0 else True
+                if left and not filled(i, j, k):
+                    M.add(Face.from_lattice("C", i - k - 1, j - k - 1))
+    return frozenset(M)
+
+
+def random_partition(rng, dims):
+    """A random diagram: each height drawn below the bounds above and left."""
+    a, b, c = dims
+    h = [[0] * b for _ in range(a)]
+    for i in range(a):
+        for j in range(b):
+            h[i][j] = rng.randint(0, min(h[i - 1][j] if i else c, h[i][j - 1] if j else c))
+    return PlanePartition(dims, tuple(map(tuple, h)))
+
+
+def test_matching_of_equals_filled_scan():
+    for dims in itertools.product(range(1, 4), repeat=3):
+        for pi in enumerate_diagrams(BoxDims(*dims)):
+            assert matching_of(pi) == filled_scan_matching(pi), pi
+    for dims in ((40, 1, 1), (1, 1, 40)):
+        for pi in enumerate_diagrams(BoxDims(*dims)):
+            assert matching_of(pi) == filled_scan_matching(pi), pi
+    rng = random.Random(9)
+    for _ in range(50):
+        dims = BoxDims(*(rng.randint(1, 12) for _ in range(3)))
+        pi = random_partition(rng, dims)
+        M = matching_of(pi)
+        assert M == filled_scan_matching(pi), pi
+        assert diagram_of(build_mesh(dims), M) == pi
+    pi = random_partition(rng, BoxDims(12, 12, 12))
+    assert matching_of(pi) == filled_scan_matching(pi)
+
+
 def test_empty_and_full_on_hexagon():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
@@ -148,6 +208,25 @@ def test_diagram_of_rejects_non_matchings():
         diagram_of(mesh, frozenset(mesh.edges))
     with pytest.raises(NotAMatching):
         diagram_of(mesh, frozenset())
+    dims = BoxDims(3, 2, 2)
+    mesh = build_mesh(dims)
+    pi = PlanePartition(dims, ((2, 1), (1, 1), (1, 0)))
+    M = matching_of(pi)
+    assert diagram_of(mesh, M) == pi
+    f = min(M)
+    with pytest.raises(NotAMatching):  # one face swapped for a non-edge
+        diagram_of(mesh, (M - {f}) | {Face("A", 99, 99, 0)})
+    with pytest.raises(NotAMatching):  # one extra edge
+        diagram_of(mesh, M | {min(frozenset(mesh.edges) - M)})
+    # on a flippable hexagon, its three matched faces traded for three of
+    # its faces that do not alternate
+    for pt in flippable_faces(mesh, M):
+        cycle = mesh.hexface_edges(pt)
+        mine = frozenset(cycle) & M
+        for three in itertools.combinations(cycle, 3):
+            if frozenset(three) not in (frozenset(cycle[0::2]), frozenset(cycle[1::2])):
+                with pytest.raises(NotAMatching):
+                    diagram_of(mesh, (M - mine) | frozenset(three))
 
 
 def test_tau_move():

@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from hexdimer.diagrams import enumerate_matchings
+from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, IN_PROPELLER, MeshError, OddDims, Triangle,
-    UnknownFace, build_mesh, squish_edge, unsquish,
+    UnknownFace, _hex_edge_cycle, build_mesh, squish_edge, unsquish,
 )
 
 ALL_SMALL = [BoxDims(a, b, c)
@@ -21,6 +21,9 @@ def test_dims_validation():
     assert not BoxDims(2, 3, 2).is_even
     with pytest.raises(OddDims):
         BoxDims(1, 2, 2).halved()
+    for bad in ((True, 1, 1), (1, 1.0, 1), (1, 1, "2")):
+        with pytest.raises(MeshError, match="integers"):
+            BoxDims(*bad)
     assert BoxDims(1, 2, 3).doubled() == BoxDims(2, 4, 6)
 
 
@@ -68,6 +71,28 @@ def test_hexagon_edge_cycle():
     assert sorted(touched) == sorted(m.vertices)
 
 
+@pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(4, 3, 5)],
+                         ids=str)
+def test_hex_cycles_are_the_mesh_edge_keys(dims):
+    m = build_mesh(dims)
+    own = {f: f for f in m.edges}
+    assert tuple(m.hex_cycles) == m.hexfaces
+    for pt in m.hexfaces:
+        cycle = m.hexface_edges(pt)
+        assert cycle is m.hex_cycles[pt] and cycle == _hex_edge_cycle(*pt)
+        assert all(f is own[f] for f in cycle)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)], ids=str)
+def test_flippable_faces_against_frozensets(dims):
+    m = build_mesh(BoxDims(*dims))
+    halves = [(pt, frozenset(cycle[0::2]), frozenset(cycle[1::2]))
+              for pt in m.hexfaces for cycle in (_hex_edge_cycle(*pt),)]
+    for M in enumerate_matchings(BoxDims(*dims)):
+        want = [pt for pt, odd, even in halves if odd <= M or even <= M]
+        assert flippable_faces(m, M) == want
+
+
 def test_face_triangles_and_errors():
     m = build_mesh(BoxDims(1, 1, 1))
     f = next(iter(m.edges))
@@ -77,6 +102,10 @@ def test_face_triangles_and_errors():
         m.face_triangles(Face("A", 7, 7, 0))
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
+    M = enumerate_matchings(BoxDims(1, 1, 1))[0]
+    for pt in ((9, 9), (1, 1), (-1, 0)):  # (1, 1) and (-1, 0) are boundary corners
+        with pytest.raises(UnknownFace):
+            tau_move(m, M, pt)
 
 
 def degree_oracle(mesh, M):
@@ -133,6 +162,10 @@ def test_face_id_canonical_ranges():
 def test_shifted_face_ids_describe_same_edge():
     assert Face("A", 1, 1, 1).lattice == Face("A", 0, 0, 0).lattice
     assert Face.from_lattice("A", 0, 0) == Face("A", 0, 0, 0)
+    for cls in "ABC":
+        for x, y in itertools.product(range(-4, 5), repeat=2):
+            f = Face.from_lattice(cls, x, y)
+            assert f.lattice == (x, y) and min(f.i, f.j, f.k) == 0
 
 
 @pytest.mark.parametrize("base", [BoxDims(1, 1, 1), BoxDims(2, 1, 1),

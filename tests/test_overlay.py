@@ -4,7 +4,7 @@ from hexdimer.algebra import Monomial, pack
 from hexdimer.diagrams import PlanePartition, enumerate_matchings, matching_of
 from hexdimer.mesh import BoxDims, build_mesh
 from hexdimer.overlay import (
-    MeshMismatch, MissingEdgeWeight, TooLarge, TwoFactor,
+    MeshMismatch, MissingEdgeWeight, TooLarge, TwoFactor, bound_pair_work,
     enumerate_two_factors, loop_vertices, overlay, split, two_factor_weight,
 )
 from hexdimer.squish import wp_edge_weighting
@@ -171,3 +171,11 @@ def test_json_dump():
     obj = overlay(mesh, empty, full).to_json_obj()
     assert obj["dims"] == [1, 1, 1]
     assert obj["doubled"] == [] and len(obj["loops"][0]) == 6
+
+
+def test_pair_work_bound():
+    # N^2 (ab + bc + ca) against 10^8: 4x4x2's 1,764 matchings fit
+    bound_pair_work(BoxDims(4, 4, 2), 1764)
+    bound_pair_work(BoxDims(3, 3, 3), 980)
+    with pytest.raises(TooLarge, match="over the bound"):
+        bound_pair_work(BoxDims(4, 4, 2), 1768)
