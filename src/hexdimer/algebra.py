@@ -417,10 +417,9 @@ MAT_I: Mat4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
 def mat_mul(x: Mat4, y: Mat4) -> Mat4:
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
+    cols = tuple(zip(*y))
+    return tuple([tuple([r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in cols])
+                  for r0, r1, r2, r3 in x])
 
 
 def mat_neg(x: Mat4) -> Mat4:

@@ -18,14 +18,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .algebra import MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow, split as split_key
 from .diagrams import (COUNT, MATCHING_LIMIT, MONO, DiagramError, PlanePartition,
                        TooLarge, Z2Z2, diagram_of, diagram_weight,
-                       enumerate_matchings, flippable_faces, matching_of,
-                       tau_move, z_poly)
+                       flippable_faces, iter_matchings, matching_of, tau_move,
+                       z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh
-from .overlay import (bound_pair_work, enumerate_two_factors, overlay, split,
-                      two_factor_weight)
+from .overlay import (assemble_pairs, distinct_overlays, enumerate_two_factors,
+                      overlay, pair_keys, pair_matchings, split, two_factor_weight)
 from .series import (DegreeTooLarge, compare_box_vs_series, eq3_check, mac,
                      z2z2_rhs)
-from .squish import (lemma2_sum, lift_preimages, loop_lift_sum, project,
+from .squish import (lemma2_sum, lift_preimages, project, projection_key,
                      pullback_weighting, sign_weighting, transfer_lift_sum,
                      wp_edge_weighting)
 
@@ -66,15 +66,15 @@ class CheckReport:
 def check_split(dims: BoxDims) -> CheckReport:
     rep = CheckReport("split", {"dims": ",".join(map(str, dims))})
     mesh = build_mesh(dims)
-    ms = enumerate_matchings(dims, MATCHING_LIMIT)  # N^2 overlays follow
-    bound_pair_work(dims, len(ms))
-    lams = {}
-    for M1 in ms:
-        for M2 in ms:
-            lam = overlay(mesh, M1, M2)
-            lams.setdefault(lam, set()).add((M1, M2))
+    ms = pair_matchings(dims)
+    shares = pair_keys(mesh, ms)
+    pairs_of: Dict[int, set] = {}  # overlay key -> its ordered pairs
+    for M1, k1 in zip(ms, shares):
+        for M2, k2 in zip(ms, shares):
+            pairs_of.setdefault(k1 + k2, set()).add((M1, M2))
+    groups = list(pairs_of.values())
     total = 0
-    for lam, pairs in lams.items():
+    for lam, pairs in zip(assemble_pairs(mesh, (next(iter(p)) for p in groups)), groups):
         rec = split(lam)
         total += len(rec)
         if len(rec) != 2 ** len(lam.loops) or set(rec) != pairs:
@@ -97,12 +97,12 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
     for dims in _all_subdims(max_dims):
         a, b, c = dims
         want = (a * b + b * c + c * a) % 2
-        for lam in enumerate_two_factors(dims):
+        mesh = build_mesh(dims)
+        ms = pair_matchings(dims)
+        for lam in distinct_overlays(mesh, ms):
             if lam.component_count() % 2 != want:
                 rep.fail({"dims": list(dims), "C": lam.component_count()})
         # tau-moves preserve the parity against a fixed reference matching
-        mesh = build_mesh(dims)
-        ms = enumerate_matchings(dims)
         M2 = ms[0]
         for M in ms:
             base = overlay(mesh, M, M2).component_count() % 2
@@ -121,14 +121,19 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     even = build_mesh(dims.doubled())
     S = sign_weighting(even)
     values = []
+    loop_sums: Dict[object, int] = {}  # each distinct loop summed once
+    checked = set()
     for lam in enumerate_two_factors(dims):
-        got = lemma2_sum(even, lam, S)
+        got = lemma2_sum(even, lam, S, loop_sums)
         values.append(got)
         if got != sgn * 2 ** len(lam.loops):
             rep.fail({"two_factor": lam.to_json_obj(), "sum": got,
                       "expected": sgn * 2 ** len(lam.loops)})
         for loop in lam.loops:
-            brute = loop_lift_sum(even, loop, S)
+            if loop in checked:
+                continue
+            checked.add(loop)
+            brute = loop_sums[loop]
             transfer = transfer_lift_sum(even, loop)
             if brute != -2 or transfer != brute:
                 rep.fail({"loop": [list(f) for f in loop], "brute": brute,
@@ -145,9 +150,12 @@ def check_pullback(dims: BoxDims) -> CheckReport:
     mesh = build_mesh(dims)
     U = pullback_weighting(mesh)
     wp = wp_edge_weighting(mesh.base)
-    for mu in enumerate_matchings(dims):
-        lam = project(mesh, mu)
-        if U.weight_of(mu) != two_factor_weight(lam, wp.weights):
+    want = {}  # projection key -> w_p of its 2-factor
+    for mu in iter_matchings(dims):
+        key = projection_key(mesh, mu)
+        if key not in want:
+            want[key] = two_factor_weight(project(mesh, mu), wp.weights)
+        if U.weight_of(mu) != want[key]:
             rep.fail({"matching": sorted(map(list, mu))})
     return rep
 
@@ -172,7 +180,7 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     s0, e0 = W(matching_of(PlanePartition.empty(dims)))
     if (s0, e0) != ((-1) ** (a * b + b * c + c * a), 0):
         rep.fail({"empty_weight": (s0, e0)})
-    for mu in enumerate_matchings(dims):
+    for mu in iter_matchings(dims):
         s, e = W(mu)
         dw = diagram_weight(diagram_of(mesh, mu), scheme)
         p = split_key(dw.key)[0]
@@ -247,10 +255,12 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     """The projection fibers partition the even mesh's matchings."""
     rep = CheckReport("fibers", {"dims": ",".join(map(str, dims))})
     even = build_mesh(dims.doubled())
-    mus = enumerate_matchings(dims.doubled(), MATCHING_LIMIT)
-    fibers: Dict[object, set] = {}
-    for mu in mus:
-        fibers.setdefault(project(even, mu), set()).add(mu)
+    groups: Dict[object, set] = {}  # projection key -> its matchings
+    n = 0
+    for mu in iter_matchings(dims.doubled(), MATCHING_LIMIT):
+        groups.setdefault(projection_key(even, mu), set()).add(mu)
+        n += 1
+    fibers = {project(even, next(iter(mus))): mus for mus in groups.values()}
     lams = set(enumerate_two_factors(dims))
     if set(fibers) != lams:
         rep.fail({"projected": len(fibers), "two_factors": len(lams)})
@@ -261,8 +271,9 @@ def check_fibers(dims: BoxDims) -> CheckReport:
         if pre != got:
             rep.fail({"two_factor": lam.to_json_obj(),
                       "enumerated": len(pre), "projected": len(got)})
-    if total != len(mus):
-        rep.fail({"fiber_total": total, "matchings": len(mus)})
+        del pre  # free this fiber's preimages before the next fiber's
+    if total != n:
+        rep.fail({"fiber_total": total, "matchings": n})
     rep.params["fiber_sizes"] = sorted(len(v) for v in fibers.values())
     return rep
 

@@ -10,8 +10,9 @@ downward-closure condition on the box set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from math import gcd
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, _add_into, degree, pack
@@ -76,16 +77,26 @@ class WeightScheme:
             if val not in _SUBSTITUTIONS:
                 raise DiagramError(f"bad substitution {name}={val!r}")
 
+    @cached_property
+    def _by_color(self) -> Dict[Tuple[int, int], Monomial]:
+        """The box monomial of each color class ((i-k) % 2, (j-k) % 2), with
+        ``signs`` applied; a scheme parses its substitutions once."""
+        subst = dict(self.signs)
+        out = {}
+        for pos, color in BOX_COLORS.items():
+            if self.kind == "count":
+                out[pos] = Monomial(1)
+                continue
+            name = "p" if self.kind == "mono" else color.lower()
+            val = subst.get(name, name)
+            coeff = -1 if val.startswith("-") else 1
+            val = val.lstrip("+-")
+            out[pos] = (Monomial(coeff) if val == "1"
+                        else Monomial(coeff, pack(*(int(v == val) for v in P_VARS))))
+        return out
+
     def box_monomial(self, i: int, j: int, k: int) -> Monomial:
-        if self.kind == "count":
-            return Monomial(1)
-        name = "p" if self.kind == "mono" else box_color(i, j, k).lower()
-        val = dict(self.signs).get(name, name)
-        coeff = -1 if val.startswith("-") else 1
-        val = val.lstrip("+-")
-        if val == "1":
-            return Monomial(coeff)
-        return Monomial(coeff, pack(*(int(v == val) for v in P_VARS)))
+        return self._by_color[(i - k) % 2, (j - k) % 2]
 
     def with_signs(self, assignment: Dict[str, object]) -> "WeightScheme":
         items = dict(self.signs)
@@ -234,10 +245,44 @@ def diagram_of(mesh: HexMesh, M: FrozenSet[Face]) -> PlanePartition:
     return pi
 
 
-def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[FrozenSet[Face]]:
-    """All perfect matchings by direct backtracking on the mesh (does not go
-    through diagrams; used to verify the bijection independently).  Raises
-    TooLarge as soon as it finds matching ``limit + 1``."""
+def box_count(dims: BoxDims, stop: Optional[int] = None) -> int:
+    """The number of diagrams in the box, which is the number of matchings of
+    H_{a,b,c}, by MacMahon's product over the cells of the a x b base:
+    prod (i + j + c - 1) / (i + j - 1), exact in ints.
+
+    Every factor is at least 1, so once the partial product passes ``stop``
+    so does the count: the product stops there and returns its ceiling, a
+    lower bound of the count that lies above ``stop``."""
+    a, b, c = dims
+    num = den = 1
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            num *= i + j + c - 1
+            den *= i + j - 1
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            if stop is not None and num > stop * den:
+                return -(-num // den)
+    if den != 1:
+        raise DiagramError(f"MacMahon's product for {tuple(dims)} is not an integer")
+    return num
+
+
+def count_within(dims: BoxDims, limit: int) -> int:
+    """The number of matchings of H_{a,b,c}; TooLarge if it exceeds ``limit``."""
+    n = box_count(dims, limit)
+    if n > limit:
+        raise TooLarge(f"the number of matchings of H_{tuple(dims)} exceeds limit {limit}")
+    return n
+
+
+def iter_matchings(dims: BoxDims, limit: Optional[int] = None) -> Iterator[FrozenSet[Face]]:
+    """Every perfect matching, by direct backtracking on the mesh (it does
+    not go through diagrams, so it verifies the bijection independently), in
+    backtracking order.  Raises TooLarge before any backtracking when the box
+    has more than ``limit`` matchings (count_within)."""
+    if limit is not None:
+        count_within(dims, limit)
     mesh = build_mesh(dims)
     verts = mesh.vertices
     n = len(verts)
@@ -245,7 +290,6 @@ def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[Froz
     # per vertex position: (edge, position of its other end)
     nbrs = [tuple((f, pos[o]) for f in mesh.incident[t]
                   for o in mesh.edges[f] if o != t) for t in verts]
-    out: List[FrozenSet[Face]] = []
     # an explicit stack, since a long box matches thousands of edges deep:
     # each entry is (edges matched before it, its edge, lowest vertex that
     # may be free, covered vertices), and chosen[:d] holds the edges matched
@@ -257,21 +301,22 @@ def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[Froz
         while covered >> idx & 1:
             idx += 1
         if idx == n:
-            out.append(frozenset(chosen))
-            if limit is not None and len(out) > limit:
-                raise TooLarge(f"the number of matchings of H_{tuple(dims)} "
-                               f"exceeds limit {limit}")
+            yield frozenset(chosen)
         else:
             covered |= 1 << idx
             for f, o in nbrs[idx]:
                 if not covered >> o & 1:
                     stack.append((d, f, idx + 1, covered | 1 << o))
         if not stack:
-            break
+            return
         d, f, idx, covered = stack.pop()
         chosen[d] = f
         d += 1
-    return sorted(out, key=sorted)
+
+
+def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[FrozenSet[Face]]:
+    """Every perfect matching (iter_matchings), sorted by their sorted edges."""
+    return sorted(iter_matchings(dims, limit), key=sorted)
 
 
 # -- hexagon flips ------------------------------------------------------------

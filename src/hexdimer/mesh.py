@@ -105,9 +105,6 @@ class Propeller:
     outers: Tuple[Tuple[str, Triangle], ...]  # (class, outer vertex), sorted
     shorts: Tuple[Tuple[str, Face], ...]  # (class, short edge), sorted
 
-    def short(self, klass: str) -> Face:
-        return dict(self.shorts)[klass]
-
 
 def _up_valid(x, y, a, b, c) -> bool:
     return -c <= x <= a - 1 and -c <= y <= b - 1 and 1 - b <= x - y <= a

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .algebra import Monomial
-from .diagrams import MATCHING_LIMIT, TooLarge, enumerate_matchings  # TooLarge: re-export
+from .diagrams import (MATCHING_LIMIT, TooLarge,  # TooLarge: re-export
+                       count_within, enumerate_matchings)
 from .mesh import BoxDims, Face, HexMesh, Triangle, build_mesh
 
 
@@ -161,18 +162,62 @@ def bound_pair_work(dims: BoxDims, n: int) -> None:
                        f"visits {work} edges, over the bound {PAIR_WORK_LIMIT}")
 
 
-def enumerate_two_factors(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[TwoFactor]:
-    """Distinct overlays over all matching pairs (an overlay is symmetric,
-    so each unordered pair once); TooLarge if the box has more than
-    ``limit`` matchings or past the pair bound (bound_pair_work)."""
+def pair_matchings(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[FrozenSet[Face]]:
+    """The box's matchings, sorted, for a check that overlays all their pairs,
+    each validated once as ``overlay`` validates its arguments.  TooLarge
+    before any enumeration if the box has more than ``limit`` matchings or
+    its pairs pass the bound (bound_pair_work)."""
+    bound_pair_work(dims, count_within(dims, limit))
     mesh = build_mesh(dims)
-    ms = enumerate_matchings(dims, limit)
-    bound_pair_work(dims, len(ms))
-    seen: Dict[TwoFactor, None] = {}
-    for i, M1 in enumerate(ms):
-        for M2 in ms[i:]:
-            seen.setdefault(overlay(mesh, M1, M2))
-    return sorted(seen, key=lambda tf: (sorted(tf.doubled), tf.loops))
+    ms = enumerate_matchings(dims)
+    for M in ms:
+        if not mesh.is_perfect_matching(M):
+            raise MeshMismatch("argument is not a perfect matching of the given mesh")
+    return ms
+
+
+def pair_keys(mesh: HexMesh, ms: List[FrozenSet[Face]]) -> List[int]:
+    """Each matching's share of the overlay key of a pair: the sum of 3^i
+    over its edges, i the edge's position in ``mesh.edges``.  A pair's key
+    is the sum of its two shares.  Its base-3 digit is 2 on the doubled
+    edges M1 & M2, 1 on the loop edges M1 ^ M2 and 0 elsewhere, so it
+    encodes those two sets, which make the overlay: pairs with one key have
+    one 2-factor.  An int key costs one addition per pair and holds no set."""
+    power = {f: 3 ** i for i, f in enumerate(mesh.edges)}
+    return [sum(map(power.__getitem__, M)) for M in ms]
+
+
+def assemble_pairs(mesh: HexMesh, pairs: Iterable[Tuple[FrozenSet[Face], FrozenSet[Face]]]
+                   ) -> List[TwoFactor]:
+    """The 2-factor of each validated pair, for pairs whose overlay keys
+    (pair_keys) are distinct.  The two edge sets a key encodes are read back
+    from its 2-factor, so distinct keys must give distinct 2-factors;
+    OverlayError otherwise."""
+    lams = [assemble_two_factor(mesh, M1 & M2, M1 ^ M2) for M1, M2 in pairs]
+    if len(set(lams)) != len(lams):
+        raise OverlayError("two overlay keys assemble to the same 2-factor")
+    return lams
+
+
+def distinct_overlays(mesh: HexMesh, ms: List[FrozenSet[Face]]) -> List[TwoFactor]:
+    """The distinct overlays of all pairs of the validated matchings ``ms``
+    (an overlay is symmetric, so each unordered pair once), each assembled
+    once, sorted by doubled edges and loops."""
+    shares = pair_keys(mesh, ms)
+    first: Dict[int, Tuple[int, int]] = {}  # overlay key -> its first pair
+    for i, k1 in enumerate(shares):
+        for j in range(i, len(ms)):
+            k = k1 + shares[j]
+            if k not in first:
+                first[k] = (i, j)
+    lams = assemble_pairs(mesh, ((ms[i], ms[j]) for i, j in first.values()))
+    return sorted(lams, key=lambda tf: (sorted(tf.doubled), tf.loops))
+
+
+def enumerate_two_factors(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[TwoFactor]:
+    """Distinct overlays over all matching pairs of the box (pair_matchings,
+    distinct_overlays)."""
+    return distinct_overlays(build_mesh(dims), pair_matchings(dims, limit))
 
 
 def two_factor_weight(lam: TwoFactor, weights: Mapping[Face, Monomial]) -> Monomial:

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from functools import cached_property, lru_cache
+from math import prod
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .algebra import Monomial, mat_word, mono_t
+from .algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, split
 from .diagrams import PlanePartition, matching_of
 from .mesh import BoxDims, Face, HexMesh, OddDims, Propeller, build_mesh
 from .overlay import (Loop, TwoFactor, _centroid, assemble_two_factor,
@@ -38,11 +39,26 @@ class EdgeWeighting:
     def __getitem__(self, f: Face) -> Monomial:
         return self.weights[f]
 
-    def weight_of(self, edge_set) -> Monomial:
-        w = Monomial(1)
-        for f in edge_set:
-            w = w * self.weights[f]
-        return w
+    @cached_property
+    def _keys_and_coeffs(self) -> Tuple[Dict[Face, int], Dict[Face, int]]:
+        """Each edge's key and coefficient.  In every field the exponents'
+        absolute values must sum to less than LIMIT over all edges, so that
+        no edge set's key sum can leave the range; AlgebraError otherwise."""
+        spread = [0, 0, 0, 0]
+        for m in self.weights.values():
+            spread = [s + abs(e) for s, e in zip(spread, split(m.key))]
+        if max(spread) >= LIMIT:
+            raise AlgebraError(f"edge weights spread {spread} in the exponent fields: "
+                               f"a product may leave [-2**20, 2**20)")
+        return ({f: m.key for f, m in self.weights.items()},
+                {f: m.coeff for f, m in self.weights.items()})
+
+    def weight_of(self, edge_set: Collection[Face]) -> Monomial:
+        """The product of the weights of ``edge_set``: its keys added, its
+        coefficients multiplied."""
+        keys, coeffs = self._keys_and_coeffs
+        return Monomial(prod(map(coeffs.__getitem__, edge_set)),
+                        sum(map(keys.__getitem__, edge_set)))
 
 
 # -- the t-power weighting on the base mesh ----------------------------------
@@ -168,20 +184,26 @@ def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
 # -- the projection map --------------------------------------------------------
 
 
+def projection_key(mesh: HexMesh, mu: FrozenSet[Face]) -> Tuple[FrozenSet[Face], FrozenSet[Face]]:
+    """The base edges that the long edges of a matching project onto twice
+    (doubled) and once (loop edges).  Refuses anything but a perfect matching."""
+    if not mesh.is_perfect_matching(mu):
+        raise SquishError("projection needs a perfect matching")
+    squish = mesh._squish_of
+    once, twice = set(), set()
+    for f in mu:
+        bf = squish.get(f)  # None for a short edge
+        if bf in once:
+            twice.add(bf)
+        elif bf is not None:
+            once.add(bf)
+    return frozenset(twice), frozenset(once - twice)
+
+
 def project(mesh: HexMesh, mu: FrozenSet[Face]) -> TwoFactor:
     """Contract every propeller: the long edges of a matching project onto a
     2-factor of the base mesh (doubled where both lifts are present)."""
-    if not mesh.is_perfect_matching(mu):
-        raise SquishError("projection needs a perfect matching")
-    counts: Dict[Face, int] = {}
-    for f in mu:
-        if f in mesh.short_edges:
-            continue
-        bf = mesh._squish_of[f]
-        counts[bf] = counts.get(bf, 0) + 1
-    doubled = frozenset(bf for bf, n in counts.items() if n == 2)
-    rest = frozenset(bf for bf, n in counts.items() if n == 1)
-    return assemble_two_factor(mesh.base, doubled, rest)
+    return assemble_two_factor(mesh.base, *projection_key(mesh, mu))
 
 
 def classify_propeller(mesh: HexMesh, mu: FrozenSet[Face], prop: Propeller) -> str:
@@ -219,17 +241,21 @@ def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[FrozenSet[Face]]:
         component_choices.append([mesh.lift_fibers[bf]])
     for loop in lam.loops:
         component_choices.append(_loop_lift_choices(mesh, loop))
+    # each outer vertex with the short edge that covers it when no long edge
+    # does (a propeller's outers and shorts are both sorted by class)
+    outer_shorts = [(o, f) for p in mesh.propellers
+                    for (_, o), (_, f) in zip(p.outers, p.shorts)]
     out = []
     for pick in itertools.product(*component_choices):
         longs = [f for part in pick for f in part]
         used = {t for f in longs for t in mesh.edges[f]}  # outer vertices only
-        mu = set(longs)
-        for p in mesh.propellers:
-            free = [cls for cls, o in p.outers if o not in used]
-            if len(free) != 1:
-                raise SquishError("long-edge selection does not leave one short slot")
-            mu.add(p.short(free[0]))
-        mu = frozenset(mu)
+        shorts = [f for o, f in outer_shorts if o not in used]
+        # one short per propeller in total; a propeller left with two and
+        # another with none fail the matching test below (a center covered
+        # twice)
+        if len(shorts) != len(mesh.propellers):
+            raise SquishError("long-edge selection does not leave one short slot per propeller")
+        mu = frozenset(longs + shorts)
         if not mesh.is_perfect_matching(mu):
             raise SquishError("assembled preimage is not a perfect matching")
         out.append(mu)
@@ -300,14 +326,20 @@ def transfer_lift_sum(mesh: HexMesh, loop: Loop) -> int:
     return m[2][2] + m[3][3]
 
 
-def lemma2_sum(mesh: HexMesh, lam: TwoFactor, S: EdgeWeighting) -> int:
+def lemma2_sum(mesh: HexMesh, lam: TwoFactor, S: EdgeWeighting,
+               loop_sums: Optional[Dict[Loop, int]] = None) -> int:
     """Sum of the sign weights S (see sign_weighting) over all preimage
     matchings of a base 2-factor; factors over components as (-1 per doubled
-    edge) * (loop sums)."""
+    edge) * (loop sums).  ``loop_sums`` keeps each loop's lift sum under S
+    across calls, so that a check over many 2-factors sums a loop once."""
+    if loop_sums is None:
+        loop_sums = {}
     total = 1
     for bf in lam.doubled:
         l1, l2 = mesh.lift_fibers[bf]
         total *= S[l1].coeff * S[l2].coeff
     for loop in lam.loops:
-        total *= loop_lift_sum(mesh, loop, S)
+        if loop not in loop_sums:
+            loop_sums[loop] = loop_lift_sum(mesh, loop, S)
+        total *= loop_sums[loop]
     return total

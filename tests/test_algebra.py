@@ -272,3 +272,12 @@ def test_mat_word_rejects_garbage():
 
 def test_mono_t():
     assert mono_t(4, -1) == Monomial(-1, pack(4, 0, 0, 0))
+
+
+@given(st.lists(st.integers(-9, 9), min_size=32, max_size=32))
+def test_mat_mul_is_the_row_by_column_product(xs):
+    x = tuple(tuple(xs[4 * i:4 * i + 4]) for i in range(4))
+    y = tuple(tuple(xs[16 + 4 * i:20 + 4 * i]) for i in range(4))
+    want = tuple(tuple(sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4))
+                 for i in range(4))
+    assert mat_mul(x, y) == want

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,10 @@ def test_bad_flags(capsys):
         code, _, err = run(capsys, "check", check, "-d", dims)
         assert code == 2 and "over the bound 100000000" in err
         assert "limit 10000" not in err
+    # both refusals come from the box count, before any enumeration
+    t0 = time.perf_counter()
+    assert run(capsys, "check", "minus-one", "-d", "500,1,1")[0] == 2
+    assert time.perf_counter() - t0 < 1.0
     with pytest.raises(SystemExit) as exc:
         main(["zfun", "-d", "1,1,1", "--method", "teleport"])
     assert exc.value.code == 2

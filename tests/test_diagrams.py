@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from hexdimer.algebra import Monomial, Poly, pack, poly_specialize, split
 from hexdimer.diagrams import (
     COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
-    TooLarge, WeightScheme, Z2Z2, _profile_states, box_color, diagram_of,
-    diagram_weight, enumerate_diagrams, enumerate_matchings, flippable_faces,
-    matching_of, tau_move, z_poly,
+    TooLarge, WeightScheme, Z2Z2, _profile_states, box_color, box_count,
+    count_within, diagram_of, diagram_weight, enumerate_diagrams,
+    enumerate_matchings, flippable_faces, iter_matchings, matching_of, tau_move,
+    z_poly,
 )
 from hexdimer.mesh import BoxDims, Face, build_mesh
 
@@ -59,6 +60,26 @@ def test_weight_scheme_specialization():
         WeightScheme("z2z2", (("p", "--p"),))
 
 
+@pytest.mark.parametrize("scheme", [Z2Z2, MONO, COUNT,
+                                    Z2Z2.with_signs({"q": -1, "r": "-s", "s": "+p"}),
+                                    MONO.with_signs({"p": "-p"}),
+                                    Z2Z2.with_signs({"p": "-1", "q": "r"})], ids=repr)
+def test_box_monomial_table_equals_substitution(scheme):
+    # the per-color table gives each box the variable of its color (p for
+    # mono, 1 for count) with the scheme's substitution applied
+    subst = dict(scheme.signs)
+    for i, j, k in itertools.product(range(3), repeat=3):
+        if scheme.kind == "count":
+            want = Monomial(1)
+        else:
+            name = "p" if scheme.kind == "mono" else box_color(i, j, k).lower()
+            val = subst.get(name, name)
+            coeff = -1 if val.startswith("-") else 1
+            var = val.lstrip("+-")
+            want = Monomial(coeff, 0 if var == "1" else pack(*(int(v == var) for v in "pqrs")))
+        assert scheme.box_monomial(i, j, k) == want
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1),
                                   (3, 3, 3)], ids=str)
 def test_enumeration_count_matches_product_formula(dims):
@@ -101,6 +122,37 @@ def test_tall_boxes_do_not_recurse():
 def test_big_count():
     assert box_count_oracle(4, 4, 4) == 232848
     assert z_poly(BoxDims(4, 4, 4), COUNT).constant_value() == 232848
+
+
+@pytest.mark.parametrize("dims", [(a, b, c) for a in range(1, 4) for b in range(1, 4)
+                                  for c in range(1, 4)] + [(40, 1, 1), (1, 1, 40)], ids=str)
+def test_box_count_equals_matching_count(dims):
+    dims = BoxDims(*dims)
+    ms = list(iter_matchings(dims))
+    assert box_count(dims) == len(ms) == len(set(ms)) == box_count_oracle(*dims)
+    assert set(ms) == set(enumerate_matchings(dims))
+
+
+def test_box_count_stops_above_the_bound():
+    # below the count, a number above the bound; from the count on, the count
+    for dims in (BoxDims(2, 2, 2), BoxDims(3, 2, 1), BoxDims(40, 1, 1)):
+        n = box_count(dims)
+        for stop in range(n + 3):
+            got = box_count(dims, stop)
+            assert (got > stop and got <= n) if stop < n else got == n
+    assert box_count(BoxDims(1100, 1, 1), 10_000) == 1101
+    assert box_count(BoxDims(6, 6, 6), 10_000) > 10_000
+
+
+def test_iter_matchings_refuses_before_backtracking(monkeypatch):
+    import hexdimer.diagrams as dg
+
+    monkeypatch.setattr(dg, "build_mesh", None)  # any backtracking would fail
+    with pytest.raises(TooLarge, match="exceeds limit 19"):
+        next(iter_matchings(BoxDims(2, 2, 2), limit=19))
+    with pytest.raises(TooLarge, match="exceeds limit 10000"):
+        count_within(BoxDims(6, 4, 2), 10_000)
+    assert count_within(BoxDims(2, 2, 2), 20) == 20
 
 
 def test_enumerate_matchings_limit():

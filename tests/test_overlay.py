@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 
 from hexdimer.algebra import Monomial, pack
 from hexdimer.diagrams import PlanePartition, enumerate_matchings, matching_of
 from hexdimer.mesh import BoxDims, build_mesh
 from hexdimer.overlay import (
-    MeshMismatch, MissingEdgeWeight, TooLarge, TwoFactor, bound_pair_work,
-    enumerate_two_factors, loop_vertices, overlay, split, two_factor_weight,
+    MeshMismatch, MissingEdgeWeight, OverlayError, TooLarge, TwoFactor,
+    assemble_pairs, bound_pair_work, enumerate_two_factors, loop_vertices,
+    overlay, pair_keys, pair_matchings, split, two_factor_weight,
 )
 from hexdimer.squish import wp_edge_weighting
 
@@ -179,3 +182,76 @@ def test_pair_work_bound():
     bound_pair_work(BoxDims(3, 3, 3), 980)
     with pytest.raises(TooLarge, match="over the bound"):
         bound_pair_work(BoxDims(4, 4, 2), 1768)
+
+
+@pytest.mark.parametrize("dims", [(a, b, c)
+                                  for a in range(1, 4)
+                                  for b in range(1, 4)
+                                  for c in range(1, 3)], ids=str)
+def test_grouped_overlays_equal_per_pair_overlays(dims):
+    # one assembly per (M1 & M2, M1 ^ M2) key gives what overlaying every
+    # pair gives: the same distinct 2-factors, and for split the same set of
+    # ordered pairs behind each 2-factor
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    ms = enumerate_matchings(dims)
+    per_pair = {}
+    for i, M1 in enumerate(ms):
+        for M2 in ms[i:]:
+            lam = overlay(mesh, M1, M2)
+            per_pair.setdefault(lam, set()).update({(M1, M2), (M2, M1)})
+    assert enumerate_two_factors(dims) == \
+        sorted(per_pair, key=lambda tf: (sorted(tf.doubled), tf.loops))
+    shares = pair_keys(mesh, ms)
+    pairs_of = {}
+    for M1, k1 in zip(ms, shares):
+        for M2, k2 in zip(ms, shares):
+            pairs_of.setdefault(k1 + k2, set()).add((M1, M2))
+    groups = list(pairs_of.values())
+    lams = assemble_pairs(mesh, (next(iter(p)) for p in groups))
+    assert dict(zip(lams, groups)) == per_pair
+
+
+def test_pair_key_digits_are_the_overlay_edge_sets():
+    dims = BoxDims(2, 2, 1)
+    mesh = build_mesh(dims)
+    ms = enumerate_matchings(dims)
+    index = {f: i for i, f in enumerate(mesh.edges)}
+    for (M1, k1), (M2, k2) in itertools.product(zip(ms, pair_keys(mesh, ms)), repeat=2):
+        k, digits = k1 + k2, {}
+        for i in range(len(index)):
+            k, digits[i] = divmod(k, 3)
+        assert k == 0
+        assert {f for f in mesh.edges if digits[index[f]] == 2} == M1 & M2
+        assert {f for f in mesh.edges if digits[index[f]] == 1} == M1 ^ M2
+
+
+def test_assemble_pairs_refuses_a_repeated_two_factor():
+    dims, mesh, empty, full = hexagon_setup()
+    assert assemble_pairs(mesh, [(empty, full)]) == [overlay(mesh, empty, full)]
+    with pytest.raises(OverlayError, match="same 2-factor"):
+        assemble_pairs(mesh, [(empty, full), (full, empty)])
+
+
+def test_pair_matchings_refuse_before_enumerating(monkeypatch):
+    import hexdimer.overlay as ov
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a box it should refuse")
+
+    monkeypatch.setattr(ov, "enumerate_matchings", no_enumeration)
+    with pytest.raises(TooLarge, match="exceeds limit 19"):
+        pair_matchings(BoxDims(2, 2, 2), 19)
+    with pytest.raises(TooLarge, match="over the bound"):
+        pair_matchings(BoxDims(500, 1, 1))
+    monkeypatch.undo()
+    assert pair_matchings(BoxDims(2, 2, 2), 20) == enumerate_matchings(BoxDims(2, 2, 2))
+
+
+def test_pair_matchings_validate_each_matching(monkeypatch):
+    import hexdimer.overlay as ov
+
+    dims, mesh, empty, _ = hexagon_setup()
+    monkeypatch.setattr(ov, "enumerate_matchings", lambda d: [empty, empty - {min(empty)}])
+    with pytest.raises(MeshMismatch):
+        pair_matchings(dims)

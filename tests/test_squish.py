@@ -2,18 +2,21 @@ import itertools
 import math
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 
-from hexdimer.algebra import Monomial, mat_word, pack, split
+from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
                                enumerate_matchings, matching_of)
 from hexdimer.mesh import BoxDims, OddDims, build_mesh
-from hexdimer.overlay import enumerate_two_factors, overlay, two_factor_weight
+from hexdimer.overlay import (assemble_two_factor, enumerate_two_factors, overlay,
+                              two_factor_weight)
 from hexdimer.squish import (
     EdgeWeighting, SignRule, SquishError, calibrate_sign_rule,
     classify_propeller, lemma2_sum, lift_preimages, loop_lift_sum, project,
+    projection_key,
     _loop_lift_choices, _sign_weighting_for, pullback_weighting, sign_weighting,
     transfer_lift_sum, turn_word, wp_edge_weighting,
 )
@@ -326,3 +329,85 @@ def test_consistency_factorization(base):
         s, e = W(mu)
         dw = diagram_weight(diagram_of(mesh, mu), scheme)
         assert s * s0 == dw.coeff and e == 3 * split(dw.key)[0]
+
+
+# -- one computation per distinct 2-factor ---------------------------------------
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 2)], ids=str)
+def test_grouped_projection_equals_per_matching_assembly(dims):
+    # project once per projection key: every matching of the group assembles,
+    # on its own, to the group's 2-factor
+    mesh = build_mesh(BoxDims(*dims))
+    groups = {}
+    for mu in enumerate_matchings(mesh.dims):
+        groups.setdefault(projection_key(mesh, mu), []).append(mu)
+    lams = [project(mesh, mus[0]) for mus in groups.values()]
+    assert len(set(lams)) == len(lams)
+    for lam, (key, mus) in zip(lams, groups.items()):
+        assert (lam.doubled, frozenset(f for loop in lam.loops for f in loop)) == key
+        for mu in mus:
+            counts = Counter(mesh._squish_of[f] for f in mu if f not in mesh.short_edges)
+            doubled = frozenset(bf for bf, n in counts.items() if n == 2)
+            rest = frozenset(bf for bf, n in counts.items() if n == 1)
+            assert assemble_two_factor(mesh.base, doubled, rest) == lam
+
+
+def test_projection_key_refuses_a_non_matching():
+    mesh = build_mesh(BoxDims(2, 2, 2))
+    mu = matching_of(PlanePartition.empty(mesh.dims))
+    with pytest.raises(SquishError, match="perfect matching"):
+        projection_key(mesh, mu - {min(mu)})
+
+
+def test_key_sum_weight_equals_monomial_product():
+    mesh = build_mesh(BoxDims(4, 4, 2))
+    for w in (pullback_weighting(mesh), sign_weighting(mesh)):
+        for mu in enumerate_matchings(mesh.dims):
+            want = reduce(Monomial.__mul__, (w[f] for f in mu), Monomial(1))
+            assert w.weight_of(mu) == want
+
+
+def test_weighting_past_the_range_raises():
+    mesh = build_mesh(BoxDims(1, 1, 1))
+    f, g = sorted(mesh.edges)[:2]
+    edge = EdgeWeighting({f: mono_t(LIMIT // 2), g: mono_t(LIMIT // 2 - 1)})
+    assert edge.weight_of({f, g}) == Monomial(1, pack(LIMIT - 1, 0, 0, 0))
+    # |exponents| summed over all edges reach LIMIT in the t field: any edge
+    # set is refused, even one whose own sum would fit
+    for exps in ((LIMIT // 2, LIMIT // 2), (-LIMIT // 2, LIMIT // 2)):
+        over = EdgeWeighting({f: mono_t(exps[0]), g: mono_t(exps[1])})
+        with pytest.raises(AlgebraError):
+            over.weight_of({f})
+    with pytest.raises(KeyError):
+        edge.weight_of(mesh.edges)
+
+
+def test_minus_one_sums_each_distinct_loop_once(monkeypatch):
+    import hexdimer.cli as cli
+    import hexdimer.squish as sq
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(mesh, loop, *rest):
+            calls[name, loop] += 1
+            return fn(mesh, loop, *rest)
+        return wrapper
+
+    monkeypatch.setattr(sq, "loop_lift_sum", counting("brute", sq.loop_lift_sum))
+    monkeypatch.setattr(cli, "transfer_lift_sum", counting("transfer", cli.transfer_lift_sum))
+    rep = cli.check_minus_one(BoxDims(2, 2, 2))
+    assert rep.status == "pass"
+    loops = {loop for lam in enumerate_two_factors(BoxDims(2, 2, 2)) for loop in lam.loops}
+    assert set(calls) == {(name, loop) for name in ("brute", "transfer") for loop in loops}
+    assert set(calls.values()) == {1}
+
+
+def test_lemma2_sum_keeps_loop_sums():
+    even = build_mesh(BoxDims(4, 2, 2))
+    S = sign_weighting(even)
+    loop_sums = {}
+    for lam in enumerate_two_factors(BoxDims(2, 1, 1)):
+        assert lemma2_sum(even, lam, S, loop_sums) == lemma2_sum(even, lam, S)
+    assert loop_sums and all(loop_lift_sum(even, loop, S) == v for loop, v in loop_sums.items())
