@@ -68,7 +68,7 @@ def pack(e0: int, e1: int, e2: int, e3: int) -> int:
     cannot wrap: a z_poly key adds at most a*b*c box keys whose fields are 0
     or 1 (each column weight is a checked Monomial product), and a box of
     2**20 boxes is far beyond the DP; the Q grading in compare_box_vs_series
-    adds at most min(a,b,c) times pack(1, 1, 1, 1).
+    adds at most D times pack(1, 1, 1, 1).
     """
     if not (-LIMIT <= e0 < LIMIT and -LIMIT <= e1 < LIMIT
             and -LIMIT <= e2 < LIMIT and -LIMIT <= e3 < LIMIT):

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .algebra import Monomial, P_VARS, Poly, _add_into, degree, pack
+from .algebra import Monomial, P_VARS, Poly, _add_into, pack
 from .mesh import BoxDims, Face, HexMesh, build_mesh
 
 
@@ -163,23 +163,32 @@ def diagram_weight(pi: PlanePartition, scheme: WeightScheme) -> Monomial:
     return w
 
 
-def enumerate_diagrams(dims: BoxDims) -> Iterator[PlanePartition]:
-    """All diagrams in the box, ascending lexicographic on the heights matrix.
+def enumerate_diagrams(dims: BoxDims, budget: Optional[int] = None) -> Iterator[PlanePartition]:
+    """All diagrams in the box with at most ``budget`` boxes (every diagram
+    if None), ascending lexicographic on the heights matrix.
 
     Each is the successor of the one before: on the row-major entries, raise
     the last entry that is below its bounds (the entries above and to its
-    left) and zero every entry after it."""
+    left) and whose prefix sum is below the budget, and zero every entry
+    after it."""
     a, b, c = dims
     n = a * b
+    budget = n * c if budget is None else budget
+    if budget < 0:
+        return
     h = [0] * n
+    total = 0  # while scanning back from entry k, the sum of h[:k + 1]
     while True:
         yield PlanePartition(dims, tuple(tuple(h[i:i + b]) for i in range(0, n, b)))
         k = n - 1
-        while k >= 0 and h[k] == min(h[k - b] if k >= b else c, h[k - 1] if k % b else c):
+        while k >= 0 and (total >= budget or
+                          h[k] == min(h[k - b] if k >= b else c, h[k - 1] if k % b else c)):
+            total -= h[k]
             k -= 1
         if k < 0:
             return
         h[k] += 1
+        total += 1
         h[k + 1:] = [0] * (n - 1 - k)
 
 
@@ -402,24 +411,19 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme) -> List[Monomia
     return out
 
 
-def _shifted(terms: Dict[int, int], w: Monomial, cap: Optional[int]) -> Dict[int, int]:
-    """terms times the monomial w, dropping total degree above cap."""
+def _shifted(terms: Dict[int, int], w: Monomial) -> Dict[int, int]:
+    """terms times the monomial w."""
     k, d = w.coeff, w.key
     if k == 1 and not d:
-        return terms  # sums of capped terms are capped already
-    if cap is None:
-        return {e + d: c * k for e, c in terms.items()}
-    room = cap - degree(d)
-    return {e + d: c * k for e, c in terms.items() if degree(e) <= room}
+        return terms
+    return {e + d: c * k for e, c in terms.items()}
 
 
-def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
-           cap: Optional[int] = None, method: str = "dp") -> Poly:
+def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2, method: str = "dp") -> Poly:
     """The box partition function: sum of diagram weights over the box.
 
-    ``cap`` drops monomials of total degree above it during accumulation (the
-    surviving coefficients are exact).  ``method`` 'enumerate' brute-forces
-    the sum over diagrams for cross-checking.
+    ``method`` 'enumerate' brute-forces the sum over diagrams for
+    cross-checking.
 
     The DP runs over columns j = b-1 .. 0 with the column profiles as states:
     S = C(a+c, a) states and at most S*a term-dict additions per column.
@@ -428,8 +432,7 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
         acc: Dict[int, int] = {}
         for pi in enumerate_diagrams(dims):
             w = diagram_weight(pi, scheme)
-            if cap is None or degree(w.key) <= cap:
-                acc[w.key] = acc.get(w.key, 0) + w.coeff
+            acc[w.key] = acc.get(w.key, 0) + w.coeff
         return Poly(acc)
     if method != "dp":
         raise DiagramError(f"unknown method {method!r}")
@@ -438,16 +441,14 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2,
     states = _profile_states(a, c)
     sweep = _sweep_pairs(a, c)
     # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1
-    # whose column j equals states[n]; the empty column b starts it off,
-    # unless the cap drops even the empty diagram.
+    # whose column j equals states[n]; the empty column b starts it off.
     f: List[Dict[int, int]] = [{} for _ in states]
-    if cap is None or cap >= 0:
-        f[0][0] = 1
+    f[0][0] = 1
     for j in range(b - 1, -1, -1):
         # column j may take state s iff column j+1 lies below s entrywise
         for n, m in sweep:
             _add_into(f[n], f[m])
-        f = [_shifted(terms, w, cap)
+        f = [_shifted(terms, w)
              for terms, w in zip(f, _column_weights(dims, j, scheme))]
     total = Poly()
     for terms in f:

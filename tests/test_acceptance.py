@@ -129,13 +129,13 @@ def test_06_main_theorem():
 
 
 def test_07_monochromatic_series():
-    report = compare_box_vs_series(BoxDims(6, 6, 6), 6, "mono")
+    report = compare_box_vs_series(6, "mono")
     ok = report["match"] and report["box"] == [1, 1, 3, 6, 13, 24, 48]
     verdict(7, "monochromatic generating function", ok)
 
 
 def test_08_four_variable_series():
-    report = compare_box_vs_series(BoxDims(4, 4, 4), 4, "z2z2")
+    report = compare_box_vs_series(4, "z2z2")
     verdict(8, "four-variable generating function", report["match"])
 
 

@@ -41,6 +41,27 @@ def test_zfun_methods_agree(capsys):
     assert dp == en
 
 
+def test_zfun_cap_filters_total_degree(capsys):
+    for weighting in ("z2z2", "mono"):
+        _, out, _ = run(capsys, "zfun", "-d", "3,2,2", "-w", weighting, "--format", "json")
+        full = json.loads(out)
+        for k in range(4):
+            code, out, _ = run(capsys, "zfun", "-d", "3,2,2", "-w", weighting,
+                               "--cap", str(k), "--format", "json")
+            assert code == 0
+            assert json.loads(out) == {**full, "terms": [
+                t for t in full["terms"] if sum(t["exp"]) <= k]}
+
+
+def test_eq1_order_range(capsys):
+    code, out, _ = run(capsys, "check", "eq1", "--order", "12", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["params"]["coefficients"][-1] == 1479  # plane partitions of 12
+    code, _, err = run(capsys, "check", "eq1", "--order", "13")
+    assert code == 2 and "order 13" in err
+
+
 def test_zfun_deterministic(capsys):
     a = run(capsys, "zfun", "-d", "3,2,2", "--format", "json")
     b = run(capsys, "zfun", "-d", "3,2,2", "--format", "json")

@@ -6,7 +6,7 @@ from conftest import box_count_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexdimer.algebra import Monomial, Poly, pack, poly_specialize, split
+from hexdimer.algebra import Monomial, pack, poly_specialize
 from hexdimer.diagrams import (
     COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
     TooLarge, WeightScheme, Z2Z2, _profile_states, box_color, box_count,
@@ -107,6 +107,26 @@ def test_enumeration_order_equals_filtered_product(dims):
     assert list(_profile_states(a, c)) == sorted(
         s for s in itertools.product(range(c + 1), repeat=a)
         if all(x >= y for x, y in zip(s, s[1:])))
+
+
+def test_budgeted_enumeration_is_the_size_filtered_enumeration():
+    for a, b, c in itertools.product(range(1, 4), repeat=3):
+        dims = BoxDims(a, b, c)
+        full = [pi.h for pi in enumerate_diagrams(dims)]
+        for budget in range(a * b * c + 1):
+            want = [h for h in full if sum(map(sum, h)) <= budget]
+            assert [pi.h for pi in enumerate_diagrams(dims, budget)] == want
+        assert list(enumerate_diagrams(dims, -1)) == []
+
+
+def test_budgeted_counts_are_the_plane_partition_numbers():
+    # plane partitions of n, n = 0..14 (OEIS A000219); each fits in the
+    # n x n x n box, so the 14 x 14 x 14 box under budget 14 holds them all
+    want = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479, 2485, 4167]
+    by_size = [0] * 15
+    for pi in enumerate_diagrams(BoxDims(14, 14, 14), budget=14):
+        by_size[pi.size()] += 1
+    assert by_size == want
 
 
 def test_tall_boxes_do_not_recurse():
@@ -342,9 +362,7 @@ def test_dp_equals_enumeration(dims):
     dims = BoxDims(*dims)
     for scheme in (Z2Z2, MONO, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
                    MONO.with_signs({"p": "-p"})):
-        for cap in (None, 0, 2):
-            assert (z_poly(dims, scheme, cap=cap)
-                    == z_poly(dims, scheme, cap=cap, method="enumerate"))
+        assert z_poly(dims, scheme) == z_poly(dims, scheme, method="enumerate")
 
 
 def macmahon_oracle(a, b, c):
@@ -400,17 +418,6 @@ def test_count_symmetric_under_permutation():
     for perm in itertools.permutations((2, 3, 4)):
         assert (z_poly(BoxDims(*perm), COUNT).constant_value()
                 == box_count_oracle(2, 3, 4))
-
-
-def test_degree_cap():
-    full = z_poly(BoxDims(3, 3, 3), MONO)
-    capped = z_poly(BoxDims(3, 3, 3), MONO, cap=3)
-    for n in range(4):
-        assert capped.terms.get(pack(n, 0, 0, 0), 0) == full.terms.get(pack(n, 0, 0, 0), 0)
-    assert all(split(e)[0] <= 3 for e in capped.terms)
-    # a cap below 0 drops the empty diagram too, on both paths
-    for method in ("dp", "enumerate"):
-        assert z_poly(BoxDims(2, 2, 2), MONO, cap=-1, method=method) == Poly()
 
 
 def test_json_format():

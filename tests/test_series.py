@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hexdimer.algebra import AlgebraError, lp_neg, pack, series_inv
-from hexdimer.mesh import BoxDims
+from hexdimer import series
 from hexdimer.series import (
-    DegreeTooLarge, SeriesError, compare_box_vs_series, eq3_check, lmono,
-    mac, mac_tilde, z2z2_rhs,
+    SeriesError, compare_box_vs_series, eq3_check, lmono, mac, mac_tilde,
+    z2z2_rhs,
 )
 
 
@@ -101,23 +101,40 @@ def test_eq3_negative_control():
 
 
 def test_compare_mono_boxes():
-    r = compare_box_vs_series(BoxDims(1, 1, 1), 1, "mono")
+    r = compare_box_vs_series(1, "mono")
     assert r["match"] and r["box"] == [1, 1]
-    r = compare_box_vs_series(BoxDims(6, 6, 6), 6, "mono")
+    r = compare_box_vs_series(6, "mono")
     assert r["match"] and r["box"] == [1, 1, 3, 6, 13, 24, 48]
 
 
 def test_compare_z2z2_boxes():
-    for n in (1, 2, 3, 4):
-        r = compare_box_vs_series(BoxDims(n, n, n), n, "z2z2")
+    for n in (1, 2, 3, 4, 8, 10):
+        r = compare_box_vs_series(n, "z2z2")
         assert r["match"], r["first_mismatch"]
 
 
-def test_compare_rejects_unstable_degrees():
-    with pytest.raises(DegreeTooLarge):
-        compare_box_vs_series(BoxDims(2, 2, 2), 3, "mono")
+def test_compare_rejects_bad_scheme():
     with pytest.raises(SeriesError):
-        compare_box_vs_series(BoxDims(2, 2, 2), 2, "nope")
+        compare_box_vs_series(2, "nope")
+
+
+def test_compare_detects_a_perturbed_series(monkeypatch):
+    # one extra factor on the series side must show as a mismatch, reported
+    # at the first differing term in the scheme's format
+    N = 5
+    q = lmono(1, 1, 0, 0)
+    monkeypatch.setattr(series, "z2z2_rhs",
+                        lambda n: z2z2_rhs(n) * mac_tilde(lp_neg(q), n))
+    r = compare_box_vs_series(N, "z2z2")
+    assert r["match"] is False
+    # the factor adds -Q/q: the one diagram p*r*s (heights [[2, 1]]) is lost
+    assert r["first_mismatch"] == {"term": {"Q": 1, "qrs": [-1, 0, 0]},
+                                   "box": 1, "series": 0}
+    monkeypatch.undo()
+    monkeypatch.setattr(series, "mac", lambda a, n: mac(a, n) * mac(a, n))
+    r = compare_box_vs_series(N, "mono")
+    assert r["match"] is False
+    assert r["first_mismatch"] == {"term": "p^1", "box": 1, "series": 2}
 
 
 def test_series_json():
