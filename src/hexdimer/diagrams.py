@@ -51,6 +51,8 @@ def box_color(i: int, j: int, k: int) -> str:
 
 # the substitution values: an optional sign, then 1 or a variable
 _SUBSTITUTIONS = {sign + v for sign in ("", "+", "-") for v in ("1",) + P_VARS}
+# the variables each kind of scheme produces, so the ones it may specialize
+_KIND_VARS = {"z2z2": P_VARS, "mono": ("p",), "count": ()}
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,11 @@ class WeightScheme:
     signs: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("z2z2", "mono", "count"):
+        if self.kind not in _KIND_VARS:
             raise DiagramError(f"unknown weight scheme {self.kind!r}")
         for name, val in self.signs:
-            if name not in P_VARS:
-                raise DiagramError(f"cannot specialize unknown variable {name!r}")
+            if name not in _KIND_VARS[self.kind]:
+                raise DiagramError(f"weight scheme {self.kind!r} has no variable {name!r}")
             if val not in _SUBSTITUTIONS:
                 raise DiagramError(f"bad substitution {name}={val!r}")
 
@@ -84,10 +86,8 @@ class WeightScheme:
         subst = dict(self.signs)
         out = {}
         for pos, color in BOX_COLORS.items():
-            if self.kind == "count":
-                out[pos] = Monomial(1)
-                continue
-            name = "p" if self.kind == "mono" else color.lower()
+            # count weighs every box 1, and has no variable to substitute
+            name = {"z2z2": color.lower(), "mono": "p"}.get(self.kind, "1")
             val = subst.get(name, name)
             coeff = -1 if val.startswith("-") else 1
             val = val.lstrip("+-")
@@ -190,6 +190,18 @@ def enumerate_diagrams(dims: BoxDims, budget: Optional[int] = None) -> Iterator[
         h[k] += 1
         total += 1
         h[k + 1:] = [0] * (n - 1 - k)
+
+
+def diagram_sum(dims: BoxDims, scheme: WeightScheme = Z2Z2,
+                budget: Optional[int] = None) -> Poly:
+    """The sum of diagram weights over the diagrams in the box with at most
+    ``budget`` boxes, one diagram at a time: the brute-force reference for
+    z_poly."""
+    acc: Dict[int, int] = {}
+    for pi in enumerate_diagrams(dims, budget):
+        w = diagram_weight(pi, scheme)
+        acc[w.key] = acc.get(w.key, 0) + w.coeff
+    return Poly(acc)
 
 
 # -- the matching bijection -------------------------------------------------
@@ -363,22 +375,21 @@ def _sweep_pairs(a: int, c: int) -> Tuple[Tuple[int, int], ...]:
     """(idx, idx') index pairs of the zeta-transform sweep, in the order
     they must run.
 
-    For entry i = a-1 .. 0 and states s in ascending lex order, s' is s with
-    entry i lowered by one and every later entry clamped to at most s_i - 1.
-    Running H[s] += H[s'] over all pairs turns H[s] into the sum of H[u] over
-    all states u <= s entrywise: after the pass for entry i, H[s] sums the u
-    that agree with s before i and lie below it from i on.  s' precedes s in
-    lex order, so it is complete when it is read.
+    For entry i = 0 .. a-1 and states s in ascending lex order, s' is s with
+    entry i lowered by one, where that is still a state: s_i > s_{i+1},
+    taking s_a = 0.  Running H[s] += H[s'] over all pairs turns H[s] into the
+    sum of H[u] over all states u <= s entrywise: u reaches s along exactly
+    one path, which raises entry 0 to s_0 in the first pass, then entry 1 to
+    s_1, and so on, and every vector on the way is a state.  s' precedes s
+    in lex order, so it is complete when it is read.
     """
     states = _profile_states(a, c)
     index = {s: n for n, s in enumerate(states)}
     pairs = []
-    for i in range(a - 1, -1, -1):
+    for i in range(a):
         for n, s in enumerate(states):
-            v = s[i] - 1
-            if v >= 0:
-                lower = s[:i] + (v,) + tuple(min(x, v) for x in s[i + 1:])
-                pairs.append((n, index[lower]))
+            if s[i] > (s[i + 1] if i + 1 < a else 0):
+                pairs.append((n, index[s[:i] + (s[i] - 1,) + s[i + 1:]]))
     return tuple(pairs)
 
 
@@ -419,24 +430,12 @@ def _shifted(terms: Dict[int, int], w: Monomial) -> Dict[int, int]:
     return {e + d: c * k for e, c in terms.items()}
 
 
-def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2, method: str = "dp") -> Poly:
+def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
     """The box partition function: sum of diagram weights over the box.
 
-    ``method`` 'enumerate' brute-forces the sum over diagrams for
-    cross-checking.
-
     The DP runs over columns j = b-1 .. 0 with the column profiles as states:
-    S = C(a+c, a) states and at most S*a term-dict additions per column.
+    S = C(a+c, a) states and fewer than S*a term-dict additions per column.
     """
-    if method == "enumerate":
-        acc: Dict[int, int] = {}
-        for pi in enumerate_diagrams(dims):
-            w = diagram_weight(pi, scheme)
-            acc[w.key] = acc.get(w.key, 0) + w.coeff
-        return Poly(acc)
-    if method != "dp":
-        raise DiagramError(f"unknown method {method!r}")
-
     a, b, c = dims
     states = _profile_states(a, c)
     sweep = _sweep_pairs(a, c)

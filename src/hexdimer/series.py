@@ -5,10 +5,9 @@ exact comparison of sums over plane partitions against these series."""
 from __future__ import annotations
 
 import math
-from typing import Dict
 
 from .algebra import LPoly, Series, degree, lp_mul, lp_neg, pack, series_inv, split
-from .diagrams import MONO, Z2Z2, diagram_weight, enumerate_diagrams
+from .diagrams import MONO, Z2Z2, diagram_sum
 from .mesh import BoxDims
 
 
@@ -97,10 +96,7 @@ def compare_box_vs_series(D: int, scheme: str = "z2z2") -> dict:
     weights = {"mono": MONO, "z2z2": Z2Z2}.get(scheme)
     if weights is None:
         raise SeriesError(f"unknown scheme {scheme!r} (want z2z2 or mono)")
-    box: Dict[int, int] = {}
-    for pi in enumerate_diagrams(BoxDims(D, D, D), budget=D):
-        w = diagram_weight(pi, weights)
-        box[w.key] = box.get(w.key, 0) + w.coeff
+    box = diagram_sum(BoxDims(D, D, D), weights, budget=D).terms
     report = {"degree": D, "scheme": scheme}
     # one key space for both sides: Q^n q^i r^j s^k = p^n q^(n+i) r^(n+j) s^(n+k)
     if scheme == "mono":

@@ -7,6 +7,7 @@ import pytest
 
 from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, main,
                           parse_dims, parse_set, run_check)
+from hexdimer.diagrams import diagram_sum
 from hexdimer.mesh import BoxDims
 
 
@@ -36,9 +37,9 @@ def test_zfun_json_and_set(capsys):
 
 
 def test_zfun_methods_agree(capsys):
-    _, dp, _ = run(capsys, "zfun", "-d", "2,2,1", "--method", "dp")
-    _, en, _ = run(capsys, "zfun", "-d", "2,2,1", "--method", "enumerate")
-    assert dp == en
+    code, out, _ = run(capsys, "zfun", "-d", "2,2,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == diagram_sum(BoxDims(2, 2, 1)).to_json_obj()
 
 
 def test_zfun_cap_filters_total_degree(capsys):
@@ -72,6 +73,10 @@ def test_bad_flags(capsys):
     assert run(capsys, "zfun", "-d", "nope")[0] == 2
     assert run(capsys, "zfun", "-d", "1,1,1", "--set", "x=-1")[0] == 2
     assert run(capsys, "zfun", "-d", "1,1,1", "--set", "q=2")[0] == 2
+    # a variable the weighting does not have is refused, not ignored
+    for weighting, bad in (("count", "p=-1,q=-1"), ("mono", "q=-1")):
+        code, _, err = run(capsys, "zfun", "-d", "2,2,2", "-w", weighting, "--set", bad)
+        assert code == 2 and "has no variable" in err
     assert run(capsys, "check", "bogus")[0] == 2
     assert run(capsys, "zfun", "-d", "0,1,1")[0] == 2
     # an order outside the checked range is refused, never run smaller
@@ -79,6 +84,12 @@ def test_bad_flags(capsys):
     code, _, err = run(capsys, "check", "eq2", "--order", "5")
     assert code == 2 and "order 5" in err
     assert run(capsys, "check", "all", "--order", "5")[0] == 2
+    # no box passes every check, so check all refuses -d before running any
+    for dims in ("2,2,2", "1,1,1"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", "all", "-d", dims)
+        assert code == 2 and "-d" in err and out == ""
+        assert time.perf_counter() - t0 < 0.5
     # a flag the check does not read is refused, never silently dropped
     code, _, err = run(capsys, "check", "theorem", "--max-dims", "2,2,2")
     assert code == 2 and "--max-dims" in err
@@ -116,6 +127,7 @@ def test_bad_flags(capsys):
     t0 = time.perf_counter()
     assert run(capsys, "check", "minus-one", "-d", "500,1,1")[0] == 2
     assert time.perf_counter() - t0 < 1.0
+    # zfun has no --method: the DP is its only path
     with pytest.raises(SystemExit) as exc:
         main(["zfun", "-d", "1,1,1", "--method", "teleport"])
     assert exc.value.code == 2

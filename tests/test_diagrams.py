@@ -10,7 +10,7 @@ from hexdimer.algebra import Monomial, pack, poly_specialize
 from hexdimer.diagrams import (
     COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
     TooLarge, WeightScheme, Z2Z2, _profile_states, box_color, box_count,
-    count_within, diagram_of, diagram_weight, enumerate_diagrams,
+    count_within, diagram_of, diagram_sum, diagram_weight, enumerate_diagrams,
     enumerate_matchings, flippable_faces, iter_matchings, matching_of, tau_move,
     z_poly,
 )
@@ -58,6 +58,13 @@ def test_weight_scheme_specialization():
         WeightScheme("z2z2", (("x", "1"),))
     with pytest.raises(DiagramError):
         WeightScheme("z2z2", (("p", "--p"),))
+    # a variable the kind never produces cannot be specialized
+    for kind, name in (("count", "p"), ("count", "q"), ("mono", "q"),
+                       ("mono", "r"), ("mono", "s")):
+        with pytest.raises(DiagramError):
+            WeightScheme(kind, ((name, "-1"),))
+    with pytest.raises(DiagramError):
+        COUNT.with_signs({"p": -1})
 
 
 @pytest.mark.parametrize("scheme", [Z2Z2, MONO, COUNT,
@@ -137,6 +144,10 @@ def test_tall_boxes_do_not_recurse():
     assert len(enumerate_matchings(BoxDims(500, 1, 1))) == 501
     with pytest.raises(TooLarge):
         enumerate_matchings(BoxDims(1100, 1, 1), limit=50)
+    # a profile of one column has one descent, so the sweep has one pair
+    # per state and the DP stays well under a second
+    assert z_poly(BoxDims(990, 1, 1), COUNT).constant_value() == 991
+    assert z_poly(BoxDims(1, 1, 990), COUNT).constant_value() == 991
 
 
 def test_big_count():
@@ -355,14 +366,17 @@ def test_z_poly_examples():
 @pytest.mark.parametrize("dims", [(a, b, c)
                                   for a in range(1, 4)
                                   for b in range(1, 4)
-                                  for c in range(1, 4)] + [(4, 4, 2)], ids=str)
+                                  for c in range(1, 4)] + [(4, 4, 2)]
+                         # sides past 3: a < c, b < c, a > c, and a long column
+                         + [(5, 1, 3), (1, 5, 3), (3, 1, 5), (2, 5, 1), (40, 1, 2)],
+                         ids=str)
 def test_dp_equals_enumeration(dims):
     # the signed schemes make sums cancel, so a zero coefficient left behind
     # by the DP's in-place accumulation would show as a difference
     dims = BoxDims(*dims)
     for scheme in (Z2Z2, MONO, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
                    MONO.with_signs({"p": "-p"})):
-        assert z_poly(dims, scheme) == z_poly(dims, scheme, method="enumerate")
+        assert z_poly(dims, scheme) == diagram_sum(dims, scheme)
 
 
 def macmahon_oracle(a, b, c):
