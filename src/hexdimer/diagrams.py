@@ -10,9 +10,9 @@ downward-closure condition on the box set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, _add_into, pack
@@ -35,10 +35,10 @@ class TooLarge(DiagramError):
     pass
 
 
-# the most matchings an enumeration may produce for the checks that
-# overlay every pair of them (split, and enumerate_two_factors) and for
-# the even box of fibers, which holds every fiber at once
-MATCHING_LIMIT = 10_000
+# the most edge visits a check that enumerates a box's N matchings may
+# spend: N^k (ab + bc + ca), with k = 1 for a check that handles each
+# matching once and k = 2 for one that overlays every pair of them
+WORK_LIMIT = 10 ** 8
 
 
 BOX_COLORS = {(0, 0): "P", (1, 0): "Q", (0, 1): "R", (1, 1): "S"}
@@ -289,21 +289,26 @@ def box_count(dims: BoxDims, stop: Optional[int] = None) -> int:
     return num
 
 
-def count_within(dims: BoxDims, limit: int) -> int:
-    """The number of matchings of H_{a,b,c}; TooLarge if it exceeds ``limit``."""
-    n = box_count(dims, limit)
-    if n > limit:
-        raise TooLarge(f"the number of matchings of H_{tuple(dims)} exceeds limit {limit}")
+def bounded_count(dims: BoxDims, k: int) -> int:
+    """The number N of matchings of H_{a,b,c}, for a check that visits
+    N^k (ab + bc + ca) edges (see WORK_LIMIT); TooLarge, from the box count
+    alone, if that passes WORK_LIMIT.  The count stops at the largest
+    allowed N, so an n above it is exactly a refused one."""
+    a, b, c = dims
+    edges = a * b + b * c + c * a
+    stop = isqrt(WORK_LIMIT // edges) if k == 2 else WORK_LIMIT // edges
+    n = box_count(dims, stop)
+    if n > stop:
+        raise TooLarge(f"H_{tuple(dims)} has more than {stop} matchings: {edges} edges for "
+                       f"each {'pair' if k == 2 else 'one'} of them is over the bound "
+                       f"{WORK_LIMIT} edge visits")
     return n
 
 
-def iter_matchings(dims: BoxDims, limit: Optional[int] = None) -> Iterator[FrozenSet[Face]]:
+def iter_matchings(dims: BoxDims) -> Iterator[FrozenSet[Face]]:
     """Every perfect matching, by direct backtracking on the mesh (it does
     not go through diagrams, so it verifies the bijection independently), in
-    backtracking order.  Raises TooLarge before any backtracking when the box
-    has more than ``limit`` matchings (count_within)."""
-    if limit is not None:
-        count_within(dims, limit)
+    backtracking order."""
     mesh = build_mesh(dims)
     verts = mesh.vertices
     n = len(verts)
@@ -335,9 +340,9 @@ def iter_matchings(dims: BoxDims, limit: Optional[int] = None) -> Iterator[Froze
         d += 1
 
 
-def enumerate_matchings(dims: BoxDims, limit: Optional[int] = None) -> List[FrozenSet[Face]]:
+def enumerate_matchings(dims: BoxDims) -> List[FrozenSet[Face]]:
     """Every perfect matching (iter_matchings), sorted by their sorted edges."""
-    return sorted(iter_matchings(dims, limit), key=sorted)
+    return sorted(iter_matchings(dims), key=sorted)
 
 
 # -- hexagon flips ------------------------------------------------------------
@@ -363,17 +368,15 @@ def flippable_faces(mesh: HexMesh, M: FrozenSet[Face]) -> List[Tuple[int, int]]:
 # -- partition function -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _profile_states(a: int, c: int) -> Tuple[Tuple[int, ...], ...]:
     """The DP states: weakly decreasing a-vectors with entries in [0,c], in
     ascending lex order."""
     return tuple(reversed(list(combinations_with_replacement(range(c, -1, -1), a))))
 
 
-@lru_cache(maxsize=None)
-def _sweep_pairs(a: int, c: int) -> Tuple[Tuple[int, int], ...]:
-    """(idx, idx') index pairs of the zeta-transform sweep, in the order
-    they must run.
+def _sweep_pairs(states: Tuple[Tuple[int, ...], ...]) -> List[Tuple[int, int]]:
+    """(idx, idx') index pairs of the zeta-transform sweep over the states
+    (_profile_states), in the order they must run.
 
     For entry i = 0 .. a-1 and states s in ascending lex order, s' is s with
     entry i lowered by one, where that is still a state: s_i > s_{i+1},
@@ -383,18 +386,19 @@ def _sweep_pairs(a: int, c: int) -> Tuple[Tuple[int, int], ...]:
     s_1, and so on, and every vector on the way is a state.  s' precedes s
     in lex order, so it is complete when it is read.
     """
-    states = _profile_states(a, c)
+    a = len(states[0])
     index = {s: n for n, s in enumerate(states)}
     pairs = []
     for i in range(a):
         for n, s in enumerate(states):
             if s[i] > (s[i + 1] if i + 1 < a else 0):
                 pairs.append((n, index[s[:i] + (s[i] - 1,) + s[i + 1:]]))
-    return tuple(pairs)
+    return pairs
 
 
-def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme) -> List[Monomial]:
-    """Weight of column j filled to each state, in state order.
+def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme,
+                    states: Tuple[Tuple[int, ...], ...]) -> List[Monomial]:
+    """Weight of column j filled to each of the states, in state order.
 
     Per row i, run[i][h] is the product of the box monomials for k < h.
     States come in lex order, so a state shares its longest common prefix
@@ -411,7 +415,7 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme) -> List[Monomia
     out = []
     pre = [Monomial(1)] * (a + 1)
     last = (-1,) * a
-    for s in _profile_states(a, c):
+    for s in states:
         i = 0
         while s[i] == last[i]:
             i += 1
@@ -438,7 +442,7 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
     """
     a, b, c = dims
     states = _profile_states(a, c)
-    sweep = _sweep_pairs(a, c)
+    sweep = _sweep_pairs(states)
     # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1
     # whose column j equals states[n]; the empty column b starts it off.
     f: List[Dict[int, int]] = [{} for _ in states]
@@ -448,7 +452,7 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
         for n, m in sweep:
             _add_into(f[n], f[m])
         f = [_shifted(terms, w)
-             for terms, w in zip(f, _column_weights(dims, j, scheme))]
+             for terms, w in zip(f, _column_weights(dims, j, scheme, states))]
     total = Poly()
     for terms in f:
         total = total + Poly(terms)

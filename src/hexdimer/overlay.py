@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .algebra import Monomial
-from .diagrams import (MATCHING_LIMIT, TooLarge,  # TooLarge: re-export
-                       count_within, enumerate_matchings)
+from .diagrams import TooLarge, bounded_count, enumerate_matchings  # TooLarge: re-export
 from .mesh import BoxDims, Face, HexMesh, Triangle, build_mesh
 
 
@@ -146,28 +145,12 @@ def split(lam: TwoFactor) -> List[Tuple[FrozenSet[Face], FrozenSet[Face]]]:
     return out
 
 
-# the most edge visits a check may spend overlaying all pairs of a box's
-# N matchings, N^2 (ab + bc + ca): the 10,000-matching limit alone lets a
-# long box like 500x1x1 overlay its 501 matchings' pairs into gigabytes
-PAIR_WORK_LIMIT = 10 ** 8
-
-
-def bound_pair_work(dims: BoxDims, n: int) -> None:
-    """TooLarge unless n^2 (ab + bc + ca) <= PAIR_WORK_LIMIT, for a check
-    about to overlay all pairs of the box's n matchings."""
-    a, b, c = dims
-    work = n * n * (a * b + b * c + c * a)
-    if work > PAIR_WORK_LIMIT:
-        raise TooLarge(f"overlaying all pairs of the {n} matchings of H_{tuple(dims)} "
-                       f"visits {work} edges, over the bound {PAIR_WORK_LIMIT}")
-
-
-def pair_matchings(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[FrozenSet[Face]]:
+def pair_matchings(dims: BoxDims) -> List[FrozenSet[Face]]:
     """The box's matchings, sorted, for a check that overlays all their pairs,
     each validated once as ``overlay`` validates its arguments.  TooLarge
-    before any enumeration if the box has more than ``limit`` matchings or
-    its pairs pass the bound (bound_pair_work)."""
-    bound_pair_work(dims, count_within(dims, limit))
+    before any enumeration if overlaying the pairs would pass the work bound
+    (bounded_count with k = 2)."""
+    bounded_count(dims, 2)
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims)
     for M in ms:
@@ -214,10 +197,10 @@ def distinct_overlays(mesh: HexMesh, ms: List[FrozenSet[Face]]) -> List[TwoFacto
     return sorted(lams, key=lambda tf: (sorted(tf.doubled), tf.loops))
 
 
-def enumerate_two_factors(dims: BoxDims, limit: int = MATCHING_LIMIT) -> List[TwoFactor]:
+def enumerate_two_factors(dims: BoxDims) -> List[TwoFactor]:
     """Distinct overlays over all matching pairs of the box (pair_matchings,
     distinct_overlays)."""
-    return distinct_overlays(build_mesh(dims), pair_matchings(dims, limit))
+    return distinct_overlays(build_mesh(dims), pair_matchings(dims))
 
 
 def two_factor_weight(lam: TwoFactor, weights: Mapping[Face, Monomial]) -> Monomial:

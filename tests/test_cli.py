@@ -7,7 +7,7 @@ import pytest
 
 from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, main,
                           parse_dims, parse_set, run_check)
-from hexdimer.diagrams import diagram_sum
+from hexdimer.diagrams import diagram_sum, iter_matchings
 from hexdimer.mesh import BoxDims
 
 
@@ -106,24 +106,24 @@ def test_bad_flags(capsys):
     for bad in ("p=--p", "p=+-1", "q=-1,q=1"):
         code, _, err = run(capsys, "zfun", "-d", "1,1,1", "--set", bad)
         assert code == 2 and "error:" in err
-    # 13,860 matchings exceed the enumeration limit: refused, not failed
-    code, _, err = run(capsys, "check", "minus-one", "-d", "6,4,2")
-    assert code == 2 and "exceeds limit" in err
-    # split overlays all N^2 pairs, so it is refused at the same limit, and
-    # the message claims no total it never counted
-    code, _, err = run(capsys, "check", "split", "-d", "6,4,2")
-    assert code == 2 and "exceeds limit 10000" in err and "13860" not in err
-    # fibers enumerates the doubled box, 6x6x6, under the same limit
-    for dims in ("3,3,3", "2,2,2"):
+    # overlaying the pairs of 13,860 matchings passes the work bound:
+    # refused, not failed, and the message claims no total it never counted
+    for check in ("split", "minus-one"):
+        code, _, err = run(capsys, "check", check, "-d", "6,4,2")
+        assert code == 2 and "over the bound" in err and "13860" not in err
+    # fibers lifts each matching of the doubled box once: N (ab+bc+ca) is
+    # 6.0e8 for 6x4x4, refused from the count before anything is enumerated
+    for dims in ("3,2,2", "3,3,3"):
+        t0 = time.perf_counter()
         code, _, err = run(capsys, "check", "fibers", "-d", dims)
-        assert code == 2 and "exceeds limit 10000" in err
+        assert code == 2 and "over the bound 100000000" in err
+        assert time.perf_counter() - t0 < 0.5
     # a long box has few matchings but N^2 (ab+bc+ca) pair-overlay work past
-    # the bound: refused after the enumeration, by either pair check
+    # the bound: refused by either pair check
     for check, dims in (("minus-one", "500,1,1"), ("split", "1100,1,1")):
         code, _, err = run(capsys, "check", check, "-d", dims)
         assert code == 2 and "over the bound 100000000" in err
-        assert "limit 10000" not in err
-    # both refusals come from the box count, before any enumeration
+    # the refusals come from the box count, before any enumeration
     t0 = time.perf_counter()
     assert run(capsys, "check", "minus-one", "-d", "500,1,1")[0] == 2
     assert time.perf_counter() - t0 < 1.0
@@ -171,6 +171,58 @@ def test_check_fibers(capsys):
     assert code == 0
     (rep,) = json.loads(out)
     assert rep["params"]["fiber_sizes"] == [1, 1, 18]
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1)], ids=str)
+def test_fiber_sizes_sum_to_the_enumerated_matchings(capsys, dims):
+    # ties MacMahon's count, which the check sums the fibers against, to
+    # the backtracking enumerator
+    dims = BoxDims(*dims)
+    code, out, _ = run(capsys, "check", "fibers", "-d", ",".join(map(str, dims)),
+                       "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 0
+    assert sum(rep["params"]["fiber_sizes"]) == len(list(iter_matchings(dims.doubled())))
+
+
+def test_check_fibers_past_the_old_matching_limit(capsys):
+    code, out, _ = run(capsys, "check", "fibers", "-d", "3,2,1", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 0 and sum(rep["params"]["fiber_sizes"]) == 13860
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda pre, earlier: pre[1:], "fiber_total"),
+    (lambda pre, earlier: pre[:-1] + pre[:1], "distinct"),
+    (lambda pre, earlier: pre + earlier[0][:1], "stray"),
+], ids=["drop", "repeat", "stranger"])
+def test_check_fibers_fails_on_a_wrong_fiber(capsys, monkeypatch, edit, field):
+    # one fiber of more than one matching, after at least one other fiber,
+    # is edited once: one matching dropped, one repeated in place of
+    # another, or one of the first fiber's matchings added to it
+    import hexdimer.cli as cli
+
+    real, earlier, edited = cli.lift_preimages, [], []
+
+    def lifts(mesh, lam):
+        pre = real(mesh, lam)
+        if earlier and len(pre) > 1 and not edited:
+            edited.append(lam)
+            pre = edit(pre, earlier)
+        earlier.append(pre)
+        return pre
+
+    monkeypatch.setattr(cli, "lift_preimages", lifts)
+    code, out, _ = run(capsys, "check", "fibers", "-d", "2,1,1", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 1 and edited and rep["status"] == "fail"
+    witness = rep["witness"]
+    if field == "fiber_total":
+        assert witness[field] == witness["matchings"] - 1
+    elif field == "distinct":
+        assert witness[field] == witness["preimages"] - 1
+    else:
+        assert witness[field] and witness["distinct"] == witness["preimages"]
 
 
 def test_check_all_small(capsys):

@@ -10,7 +10,7 @@ from hexdimer.algebra import Monomial, pack, poly_specialize
 from hexdimer.diagrams import (
     COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
     TooLarge, WeightScheme, Z2Z2, _profile_states, box_color, box_count,
-    count_within, diagram_of, diagram_sum, diagram_weight, enumerate_diagrams,
+    bounded_count, diagram_of, diagram_sum, diagram_weight, enumerate_diagrams,
     enumerate_matchings, flippable_faces, iter_matchings, matching_of, tau_move,
     z_poly,
 )
@@ -142,8 +142,6 @@ def test_tall_boxes_do_not_recurse():
     pis = list(enumerate_diagrams(BoxDims(1100, 1, 1)))
     assert len(pis) == 1101 and pis[-1] == PlanePartition.full(BoxDims(1100, 1, 1))
     assert len(enumerate_matchings(BoxDims(500, 1, 1))) == 501
-    with pytest.raises(TooLarge):
-        enumerate_matchings(BoxDims(1100, 1, 1), limit=50)
     # a profile of one column has one descent, so the sweep has one pair
     # per state and the DP stays well under a second
     assert z_poly(BoxDims(990, 1, 1), COUNT).constant_value() == 991
@@ -175,26 +173,30 @@ def test_box_count_stops_above_the_bound():
     assert box_count(BoxDims(6, 6, 6), 10_000) > 10_000
 
 
-def test_iter_matchings_refuses_before_backtracking(monkeypatch):
+def test_bounded_count_on_both_sides_of_the_bound(monkeypatch):
     import hexdimer.diagrams as dg
 
-    monkeypatch.setattr(dg, "build_mesh", None)  # any backtracking would fail
-    with pytest.raises(TooLarge, match="exceeds limit 19"):
-        next(iter_matchings(BoxDims(2, 2, 2), limit=19))
-    with pytest.raises(TooLarge, match="exceeds limit 10000"):
-        count_within(BoxDims(6, 4, 2), 10_000)
-    assert count_within(BoxDims(2, 2, 2), 20) == 20
-
-
-def test_enumerate_matchings_limit():
-    # refused at the first matching past the limit; exactly the limit passes
-    with pytest.raises(TooLarge) as exc:
-        enumerate_matchings(BoxDims(2, 2, 2), limit=5)
-    assert "exceeds limit 5" in str(exc.value) and "20" not in str(exc.value)
-    with pytest.raises(TooLarge):
-        enumerate_matchings(BoxDims(2, 2, 2), limit=19)
-    ms = enumerate_matchings(BoxDims(2, 2, 2), limit=20)
-    assert len(ms) == 20 and ms == enumerate_matchings(BoxDims(2, 2, 2))
+    monkeypatch.setattr(dg, "build_mesh", None)  # any enumeration would fail
+    # at N^k (ab + bc + ca) the count passes; one edge visit less refuses it
+    for dims in (BoxDims(2, 2, 2), BoxDims(3, 2, 1), BoxDims(40, 1, 1)):
+        a, b, c = dims
+        n, edges = box_count(dims), a * b + b * c + c * a
+        for k in (1, 2):
+            monkeypatch.setattr(dg, "WORK_LIMIT", n ** k * edges)
+            assert bounded_count(dims, k) == n
+            monkeypatch.setattr(dg, "WORK_LIMIT", n ** k * edges - 1)
+            with pytest.raises(TooLarge, match=f"over the bound {n ** k * edges - 1}"):
+                bounded_count(dims, k)
+    monkeypatch.setattr(dg, "WORK_LIMIT", 10 ** 8)
+    # 4x4x2's pairs take 1,764^2 * 32 edge visits, 4x4x4's matchings 232,848 * 48
+    assert bounded_count(BoxDims(4, 4, 2), 2) == 1764
+    assert bounded_count(BoxDims(4, 4, 4), 1) == 232848
+    # refused from a count stopped short of the true one, which it never names
+    for dims, k in ((BoxDims(4, 4, 3), 2), (BoxDims(6, 4, 2), 2), (BoxDims(6, 4, 4), 1),
+                    (BoxDims(6, 6, 6), 1)):
+        with pytest.raises(TooLarge, match="over the bound 100000000") as exc:
+            bounded_count(dims, k)
+        assert str(box_count(dims)) not in str(exc.value)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1)],

@@ -7,7 +7,7 @@ from hexdimer.diagrams import PlanePartition, enumerate_matchings, matching_of
 from hexdimer.mesh import BoxDims, build_mesh
 from hexdimer.overlay import (
     MeshMismatch, MissingEdgeWeight, OverlayError, TooLarge, TwoFactor,
-    assemble_pairs, bound_pair_work, enumerate_two_factors, loop_vertices,
+    assemble_pairs, enumerate_two_factors, loop_vertices,
     overlay, pair_keys, pair_matchings, split, two_factor_weight,
 )
 from hexdimer.squish import wp_edge_weighting
@@ -131,11 +131,6 @@ def test_enumerate_two_factors_equals_ordered_pairs(dims):
         sorted(ordered, key=lambda tf: (sorted(tf.doubled), tf.loops))
 
 
-def test_enumerate_two_factors_limit():
-    with pytest.raises(TooLarge):
-        enumerate_two_factors(BoxDims(2, 2, 2), limit=5)
-
-
 @pytest.mark.parametrize("dims", [(a, b, c)
                                   for a in range(1, 4)
                                   for b in range(1, 4)
@@ -174,14 +169,6 @@ def test_json_dump():
     obj = overlay(mesh, empty, full).to_json_obj()
     assert obj["dims"] == [1, 1, 1]
     assert obj["doubled"] == [] and len(obj["loops"][0]) == 6
-
-
-def test_pair_work_bound():
-    # N^2 (ab + bc + ca) against 10^8: 4x4x2's 1,764 matchings fit
-    bound_pair_work(BoxDims(4, 4, 2), 1764)
-    bound_pair_work(BoxDims(3, 3, 3), 980)
-    with pytest.raises(TooLarge, match="over the bound"):
-        bound_pair_work(BoxDims(4, 4, 2), 1768)
 
 
 @pytest.mark.parametrize("dims", [(a, b, c)
@@ -240,12 +227,11 @@ def test_pair_matchings_refuse_before_enumerating(monkeypatch):
         raise AssertionError("enumerated a box it should refuse")
 
     monkeypatch.setattr(ov, "enumerate_matchings", no_enumeration)
-    with pytest.raises(TooLarge, match="exceeds limit 19"):
-        pair_matchings(BoxDims(2, 2, 2), 19)
-    with pytest.raises(TooLarge, match="over the bound"):
-        pair_matchings(BoxDims(500, 1, 1))
+    for dims in (BoxDims(500, 1, 1), BoxDims(6, 4, 2)):
+        with pytest.raises(TooLarge, match="over the bound"):
+            pair_matchings(dims)
     monkeypatch.undo()
-    assert pair_matchings(BoxDims(2, 2, 2), 20) == enumerate_matchings(BoxDims(2, 2, 2))
+    assert pair_matchings(BoxDims(2, 2, 2)) == enumerate_matchings(BoxDims(2, 2, 2))
 
 
 def test_pair_matchings_validate_each_matching(monkeypatch):
