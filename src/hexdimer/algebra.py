@@ -64,7 +64,9 @@ def pack(e0: int, e1: int, e2: int, e3: int) -> int:
     A sum of keys is checked where it can leave that range: Monomial products
     by the guard bits; lp_mul products, which Poly products are, and Series
     products by the extreme fields of their operands, once per product;
-    series_inv by n times each key of its input.  The sums left unchecked
+    series_inv by n times each key of its input, and the sparse-factor
+    products of the series module by N times each factor's key, once per
+    factor.  The sums left unchecked
     cannot wrap: a z_poly key adds at most a*b*c box keys whose fields are 0
     or 1 (each column weight is a checked Monomial product), and a box of
     2**20 boxes is far beyond the DP; the Q grading in compare_box_vs_series

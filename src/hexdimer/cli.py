@@ -23,7 +23,7 @@ from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, TooLarge, Z2Z2
 from .mesh import BoxDims, Face, MeshError, build_mesh
 from .overlay import (assemble_pairs, distinct_overlays, enumerate_two_factors,
                       overlay, pair_keys, pair_matchings, split, two_factor_weight)
-from .series import compare_box_vs_series, eq3_check, mac, z2z2_rhs
+from .series import compare_box_vs_series, eq3_check
 from .squish import (lemma2_sum, lift_preimages, project, projection_key,
                      pullback_weighting, sign_weighting, transfer_lift_sum,
                      wp_edge_weighting)
@@ -243,10 +243,9 @@ def check_eq3(order: int) -> CheckReport:
     if order < 1:
         raise UsageError(f"eq3 order {order} is below 1")
     rep = CheckReport("eq3", {"order": order})
-    if not eq3_check(order):
-        lhs = z2z2_rhs(order).specialize_signs(-1, -1, -1)
-        rhs = (mac(1, order) ** 2).specialize_signs(1, 1, 1)
-        rep.fail({"lhs": lhs, "rhs": rhs})
+    report = eq3_check(order)
+    if not report["match"]:
+        rep.fail({"lhs": report["lhs"], "rhs": report["rhs"]})
     return rep
 
 
@@ -254,7 +253,9 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     """The lifts of the base 2-factors are the projection fibers.  Each lift
     set must be nonempty, repeat no matching and project onto its 2-factor,
     so the sets are disjoint; their sizes must sum to the even box's matching
-    count, so they hold every matching.  One fiber is held at a time."""
+    count, so they hold every matching.  Each lift is tested for being a
+    perfect matching once, by ``projection_key``.  One fiber is held at a
+    time."""
     rep = CheckReport("fibers", {"dims": ",".join(map(str, dims))})
     n = bounded_count(dims.doubled(), 1)
     even = build_mesh(dims.doubled())

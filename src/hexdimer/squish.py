@@ -234,7 +234,11 @@ def classify_propeller(mesh: HexMesh, mu: FrozenSet[Face], prop: Propeller) -> s
 
 
 def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[FrozenSet[Face]]:
-    """All matchings of the even mesh projecting onto the base 2-factor."""
+    """All matchings of the even mesh projecting onto the base 2-factor.
+
+    The preimages are assembled from lifts and not validated here: a caller
+    that must know they are perfect matchings passes each to
+    ``projection_key``, which refuses anything else."""
     # per component, the admissible long-edge selections
     component_choices: List[List[Tuple[Face, ...]]] = []
     for bf in sorted(lam.doubled):
@@ -251,14 +255,11 @@ def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[FrozenSet[Face]]:
         used = {t for f in longs for t in mesh.edges[f]}  # outer vertices only
         shorts = [f for o, f in outer_shorts if o not in used]
         # one short per propeller in total; a propeller left with two and
-        # another with none fail the matching test below (a center covered
-        # twice)
+        # another with none leave a center covered twice, which
+        # projection_key refuses
         if len(shorts) != len(mesh.propellers):
             raise SquishError("long-edge selection does not leave one short slot per propeller")
-        mu = frozenset(longs + shorts)
-        if not mesh.is_perfect_matching(mu):
-            raise SquishError("assembled preimage is not a perfect matching")
-        out.append(mu)
+        out.append(frozenset(longs + shorts))
     return out
 
 

@@ -225,6 +225,57 @@ def test_check_fibers_fails_on_a_wrong_fiber(capsys, monkeypatch, edit, field):
         assert witness[field] and witness["distinct"] == witness["preimages"]
 
 
+def test_check_fibers_tests_each_lift_once(monkeypatch):
+    # lift_preimages assembles, projection_key validates: one perfect-matching
+    # test per matching of the even mesh
+    from hexdimer.mesh import HexMesh
+
+    real, even_calls = HexMesh.is_perfect_matching, []
+
+    def counted(mesh, M):
+        if mesh.dims == BoxDims(4, 2, 2):
+            even_calls.append(M)
+        return real(mesh, M)
+
+    monkeypatch.setattr(HexMesh, "is_perfect_matching", counted)
+    rep = run_check("fibers", BoxDims(2, 1, 1), None, None)[0]
+    assert rep.status == "pass"
+    assert len(even_calls) == len(set(even_calls)) == sum(rep.params["fiber_sizes"])
+
+
+def test_check_fibers_refuses_a_lift_that_is_not_a_matching(monkeypatch):
+    import hexdimer.cli as cli
+    from hexdimer.squish import SquishError
+
+    real = cli.lift_preimages
+    monkeypatch.setattr(cli, "lift_preimages",
+                        lambda mesh, lam: [mu - {min(mu)} for mu in real(mesh, lam)])
+    with pytest.raises(SquishError, match="perfect matching"):
+        run_check("fibers", BoxDims(1, 1, 1), None, None)
+
+
+def test_check_eq3_witness_is_what_was_compared(capsys, monkeypatch):
+    # one extra factor on the product side: the check fails, the product is
+    # built once, and the witness holds the two lists the verdict compared
+    import hexdimer.series as series
+    from hexdimer.algebra import lp_neg
+    from hexdimer.series import lmono, mac, mac_tilde
+
+    real, built = series.z2z2_rhs, []
+
+    def perturbed(n):
+        built.append(real(n) * mac_tilde(lp_neg(lmono(1, 1, 0, 0)), n))
+        return built[-1]
+
+    monkeypatch.setattr(series, "z2z2_rhs", perturbed)
+    code, out, _ = run(capsys, "check", "eq3", "--order", "5", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 1 and rep["status"] == "fail" and len(built) == 1
+    assert rep["witness"] == {"lhs": built[0].specialize_signs(-1, -1, -1),
+                              "rhs": (mac(1, 5) ** 2).specialize_signs(1, 1, 1)}
+    assert rep["witness"]["lhs"] != rep["witness"]["rhs"]
+
+
 def test_check_all_small(capsys):
     code, out, _ = run(capsys, "check", "all", "--max-dims", "2,2,1",
                        "--order", "3")

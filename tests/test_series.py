@@ -1,13 +1,47 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexdimer.algebra import AlgebraError, lp_neg, pack, series_inv
+from hexdimer.algebra import AlgebraError, Series, lp_mul, lp_neg, pack, series_inv
 from hexdimer import series
 from hexdimer.series import (
     SeriesError, compare_box_vs_series, eq3_check, lmono, mac, mac_tilde,
     z2z2_rhs,
 )
+
+
+# The dense route the sparse-factor product replaced, kept as a reference:
+# every factor of M(a, z) is a full Series, the factors are multiplied with
+# Series.__mul__, and the denominator is inverted with series_inv.
+
+def _dense_mac(a, N, comb=math.comb):
+    ((e, sign),) = a.items()
+    out = Series.one(N)
+    for n in range(1, N + 1):
+        factor = Series.one(N)
+        for k in range(1, N // n + 1):
+            factor.coeffs[n * k] = {k * e: sign ** k * comb(n + k - 1, k)}
+        out = out * factor
+    return out
+
+
+def _dense_mac_tilde(a, N, comb=math.comb):
+    ((e, sign),) = a.items()
+    return _dense_mac(a, N, comb) * _dense_mac({-e: sign}, N, comb)
+
+
+def _dense_z2z2_rhs(N, comb=math.comb):
+    q, r, s = lmono(1, 1, 0, 0), lmono(1, 0, 1, 0), lmono(1, 0, 0, 1)
+    qr, qs, rs = lp_mul(q, r), lp_mul(q, s), lp_mul(r, s)
+    qrs = lp_mul(qr, s)
+    num = (_dense_mac(lmono(1), N, comb) ** 4 * _dense_mac_tilde(qr, N, comb)
+           * _dense_mac_tilde(qs, N, comb) * _dense_mac_tilde(rs, N, comb))
+    den = (_dense_mac_tilde(lp_neg(q), N, comb) * _dense_mac_tilde(lp_neg(r), N, comb)
+           * _dense_mac_tilde(lp_neg(s), N, comb) * _dense_mac_tilde(lp_neg(qrs), N, comb))
+    return num * series_inv(den)
 
 
 def pp_counts_oracle(N):
@@ -76,6 +110,51 @@ def test_z2z2_rhs_low_order():
     assert ser.coeffs[1].get(pack(0, -1, -1, -1)) == 1
 
 
+def test_sparse_products_match_the_dense_route():
+    for N in range(9):
+        assert z2z2_rhs(N) == _dense_z2z2_rhs(N)
+    for a in (lmono(1), lmono(-1), lmono(1, 2, -1, 0), lmono(-1, 0, 1, -3)):
+        assert mac(a, 7) == _dense_mac(a, 7)
+        assert mac_tilde(a, 7) == _dense_mac_tilde(a, 7)
+
+
+def _expansion(a, m, n, N):
+    """(1 - a z^n)^(-m*n) truncated at z^N, as a power of the geometric
+    series 1/(1 - a z^n) for m > 0 and of the binomial 1 - a z^n for m < 0."""
+    ((e, c),) = a.items()
+    if m > 0:
+        geo = [{d // n * e: c ** (d // n)} if d % n == 0 else {} for d in range(N + 1)]
+        return Series(geo, N) ** (m * n)
+    return Series([{0: 1}] + [{}] * (n - 1) + [{e: -c}], N) ** (-m * n)
+
+
+lmonos = st.builds(lmono, st.sampled_from([1, -1]), *[st.integers(-2, 2)] * 3)
+factor_lists = st.lists(st.tuples(lmonos, st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                        max_size=3)
+
+
+@given(st.integers(0, 6), factor_lists)
+@settings(max_examples=60, deadline=None)
+def test_product_matches_schoolbook(N, factors):
+    want = Series.one(N)
+    for a, m in factors:
+        for n in range(1, N + 1):
+            want = want * _expansion(a, m, n, N)
+    assert series._product(N, factors) == want
+
+
+def test_product_refuses_a_factor_key_out_of_range_before_any_work(monkeypatch):
+    # the N-th power of each factor key must fit [-2**20, 2**20)
+    r_low, r_high = lmono(1, 0, -2 ** 19, 0), lmono(-1, 0, 2 ** 19, 0)
+    assert mac(r_low, 2).coeffs[2][pack(0, 0, -2 ** 20, 0)] == 1
+    calls = []
+    monkeypatch.setattr(series, "_coefficients", lambda M, top: calls.append(M) or [])
+    for N, factors in ((3, [(1, 4), (r_low, 1)]), (2, [(1, 4), (r_high, -1)])):
+        with pytest.raises(AlgebraError):
+            series._product(N, factors)
+    assert calls == []
+
+
 def test_z2z2_rhs_internal_consistency():
     # at q=r=s=1 the product collapses to mac(1)^10 / mac(-1)^8
     N = 6
@@ -85,9 +164,37 @@ def test_z2z2_rhs_internal_consistency():
 
 
 def test_eq3():
-    assert eq3_check(0)
-    assert eq3_check(10)
-    assert eq3_check(12)
+    for N in (0, 10, 12):
+        report = eq3_check(N)
+        assert report["match"] and report["lhs"] == report["rhs"]
+    # the right side is M(1,Q)^2, here against the sigma_2 recurrence
+    counts = pp_counts_oracle(6)
+    square = [sum(counts[i] * counts[n - i] for i in range(n + 1)) for n in range(7)]
+    assert eq3_check(6) == {"lhs": square, "rhs": square, "match": True}
+
+
+def test_eq3_fails_on_one_wrong_infinite_binomial(monkeypatch):
+    # C(2, 2), the z^2 coefficient of 1/(1 - a z), read as 2.  In the dense
+    # route every factor specializes to a power of the same wrong M(1), so
+    # its eq3 (M^10 / M^8 against M^2) still passes; the right side of
+    # eq3_check inverts a finite product and shares no infinite expansion
+    N = 6
+
+    def wrong(n, k):
+        return math.comb(n, k) + ((n, k) == (2, 2))
+
+    lhs = _dense_z2z2_rhs(N, wrong).specialize_signs(-1, -1, -1)
+    assert lhs == (_dense_mac(lmono(1), N, wrong) ** 2).specialize_signs(1, 1, 1)
+    real = series._coefficients
+
+    def one_wrong(M, top):
+        cs = real(M, top)
+        if M == 1 and top >= 2:
+            cs[1] += 1
+        return cs
+
+    monkeypatch.setattr(series, "_coefficients", one_wrong)
+    assert eq3_check(N)["match"] is False
 
 
 def test_eq3_negative_control():
