@@ -2,7 +2,9 @@
 SVG rendering.
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed
-(a witness is printed), 2 = usage error.
+(a witness is printed), 2 = usage error (including a check refused by the
+work bound), 3 = internal error: the program raised one of its own errors,
+which says nothing about an identity.
 """
 
 from __future__ import annotations
@@ -15,17 +17,17 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebra import (MAT_I, MAT_L, MAT_R, Poly, degree, mat_mul, mat_neg, mat_pow,
-                      split as split_key)
+from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Poly, degree, mat_mul, mat_neg,
+                      mat_pow, split as split_key)
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, TooLarge, Z2Z2,
                        bounded_count, diagram_of, diagram_weight, flippable_faces,
                        iter_matchings, matching_of, tau_move, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh
-from .overlay import (assemble_pairs, distinct_overlays, enumerate_two_factors,
-                      overlay, pair_keys, pair_matchings, split, two_factor_weight)
-from .series import compare_box_vs_series, eq3_check
-from .squish import (lemma2_sum, lift_preimages, project, projection_key,
-                     pullback_weighting, sign_weighting, transfer_lift_sum,
+from .overlay import (OverlayError, assemble_two_factor, iter_two_factors, overlay,
+                      overlay_keys, pair_matchings, split, two_factor_weight)
+from .series import SeriesError, compare_box_vs_series, eq3_check
+from .squish import (SquishError, lemma2_sum, lift_key, lift_preimages, project,
+                     projection_key, pullback_weighting, sign_weighting, transfer_lift_sum,
                      wp_edge_weighting)
 
 
@@ -66,15 +68,14 @@ def check_split(dims: BoxDims) -> CheckReport:
     rep = CheckReport("split", {"dims": ",".join(map(str, dims))})
     mesh = build_mesh(dims)
     ms = pair_matchings(dims)
-    shares = pair_keys(mesh, ms)
-    pairs_of: Dict[int, set] = {}  # overlay key -> its ordered pairs
-    for M1, k1 in zip(ms, shares):
-        for M2, k2 in zip(ms, shares):
-            pairs_of.setdefault(k1 + k2, set()).add((M1, M2))
-    groups = list(pairs_of.values())
+    pairs_of: Dict[Tuple[int, int], set] = {}  # overlay key -> its ordered pairs
+    for M1 in ms:
+        for M2 in ms:
+            pairs_of.setdefault((M1 & M2, M1 ^ M2), set()).add((M1, M2))
     total = 0
-    for lam, pairs in zip(assemble_pairs(mesh, (next(iter(p)) for p in groups)), groups):
-        rec = split(lam)
+    for key, pairs in pairs_of.items():
+        lam = assemble_two_factor(mesh, *key)
+        rec = split(mesh, lam)
         total += len(rec)
         if len(rec) != 2 ** len(lam.loops) or set(rec) != pairs:
             rep.fail({"two_factor": lam.to_json_obj(),
@@ -98,12 +99,14 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
         want = (a * b + b * c + c * a) % 2
         mesh = build_mesh(dims)
         ms = pair_matchings(dims)
-        for lam in distinct_overlays(mesh, ms):
+        for key in overlay_keys(ms):  # one 2-factor held at a time
+            lam = assemble_two_factor(mesh, *key)
             if lam.component_count() % 2 != want:
                 rep.fail({"dims": list(dims), "C": lam.component_count()})
-        # tau-moves preserve the parity against a fixed reference matching
-        M2 = ms[0]
-        for M in ms:
+        # tau-moves preserve the parity against a fixed reference matching;
+        # the face-level flips and overlays take faces
+        M2 = mesh.faces_of(ms[0])
+        for M in map(mesh.faces_of, ms):
             base = overlay(mesh, M, M2).component_count() % 2
             for f in flippable_faces(mesh, M):
                 flipped = overlay(mesh, tau_move(mesh, M, f), M2)
@@ -122,7 +125,7 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     values = []
     loop_sums: Dict[object, int] = {}  # each distinct loop summed once
     checked = set()
-    for lam in enumerate_two_factors(dims):
+    for lam in iter_two_factors(dims):
         got = lemma2_sum(even, lam, S, loop_sums)
         values.append(got)
         if got != sgn * 2 ** len(lam.loops):
@@ -155,7 +158,7 @@ def check_pullback(dims: BoxDims) -> CheckReport:
         if key not in want:
             want[key] = two_factor_weight(project(mesh, mu), wp.weights)
         if U.weight_of(mu) != want[key]:
-            rep.fail({"matching": sorted(map(list, mu))})
+            rep.fail({"matching": sorted(map(list, mesh.faces_of(mu)))})
     return rep
 
 
@@ -176,12 +179,12 @@ def check_consistency(dims: BoxDims) -> CheckReport:
         return S.weight_of(mu).coeff * u.coeff * (-1) ** (t % 2), t
 
     a, b, c = base.dims
-    s0, e0 = W(matching_of(PlanePartition.empty(dims)))
+    s0, e0 = W(mesh.mask_of(matching_of(PlanePartition.empty(dims))))
     if (s0, e0) != ((-1) ** (a * b + b * c + c * a), 0):
         rep.fail({"empty_weight": (s0, e0)})
     for mu in iter_matchings(dims):
         s, e = W(mu)
-        dw = diagram_weight(diagram_of(mesh, mu), scheme)
+        dw = diagram_weight(diagram_of(mesh, mesh.faces_of(mu)), scheme)
         p = split_key(dw.key)[0]
         if (s * s0, e) != (dw.coeff, 3 * p):
             rep.fail({"matching_weight": (s * s0, e), "diagram_weight": (dw.coeff, p)})
@@ -260,14 +263,15 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     n = bounded_count(dims.doubled(), 1)
     even = build_mesh(dims.doubled())
     sizes = []
-    for lam in enumerate_two_factors(dims):
+    for lam in iter_two_factors(dims):
         pre = lift_preimages(even, lam)
-        key = (lam.doubled, frozenset(f for loop in lam.loops for f in loop))
+        key = lift_key(even, lam)
         distinct = len(set(pre))
         stray = next((mu for mu in pre if projection_key(even, mu) != key), None)
         if not pre or distinct != len(pre) or stray is not None:
             rep.fail({"two_factor": lam.to_json_obj(), "preimages": len(pre),
-                      "distinct": distinct, "stray": stray and sorted(map(list, stray))})
+                      "distinct": distinct,
+                      "stray": None if stray is None else sorted(map(list, even.faces_of(stray)))})
         sizes.append(len(pre))
     if sum(sizes) != n:
         rep.fail({"fiber_total": sum(sizes), "matchings": n})
@@ -514,6 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the package's own errors: one escaping a command is a fault of the
+# program, not a failed identity (exit 1) or bad input (exit 2)
+INTERNAL_ERRORS = (AlgebraError, DiagramError, MeshError, OverlayError, SeriesError,
+                   SquishError)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
@@ -522,6 +532,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, _add_into, pack
-from .mesh import BoxDims, Face, HexMesh, build_mesh
+from .mesh import BoxDims, Face, HexMesh, build_mesh, face_order
 
 
 class DiagramError(Exception):
@@ -305,44 +305,33 @@ def bounded_count(dims: BoxDims, k: int) -> int:
     return n
 
 
-def iter_matchings(dims: BoxDims) -> Iterator[FrozenSet[Face]]:
-    """Every perfect matching, by direct backtracking on the mesh (it does
-    not go through diagrams, so it verifies the bijection independently), in
-    backtracking order."""
+def iter_matchings(dims: BoxDims) -> Iterator[int]:
+    """Every perfect matching, as an edge mask (HexMesh.mask_of), by direct
+    backtracking on the mesh (it does not go through diagrams, so it
+    verifies the bijection independently), in backtracking order."""
     mesh = build_mesh(dims)
-    verts = mesh.vertices
-    n = len(verts)
-    pos = {t: i for i, t in enumerate(verts)}
-    # per vertex position: (edge, position of its other end)
-    nbrs = [tuple((f, pos[o]) for f in mesh.incident[t]
-                  for o in mesh.edges[f] if o != t) for t in verts]
+    full = (1 << len(mesh.vertices)) - 1
+    # per vertex position: (edge bit, other end's bit)
+    nbrs = [tuple((1 << e, 1 << o) for e, o in ves) for ves in mesh.vertex_edges]
     # an explicit stack, since a long box matches thousands of edges deep:
-    # each entry is (edges matched before it, its edge, lowest vertex that
-    # may be free, covered vertices), and chosen[:d] holds the edges matched
-    # on the way to an entry with d edges before it
-    chosen: List[Face] = [None] * (n // 2)  # type: ignore[list-item]
-    stack: List[Tuple[int, Face, int, int]] = []
-    d = idx = covered = 0
-    while True:
-        while covered >> idx & 1:
-            idx += 1
-        if idx == n:
-            yield frozenset(chosen)
-        else:
-            covered |= 1 << idx
-            for f, o in nbrs[idx]:
-                if not covered >> o & 1:
-                    stack.append((d, f, idx + 1, covered | 1 << o))
-        if not stack:
-            return
-        d, f, idx, covered = stack.pop()
-        chosen[d] = f
-        d += 1
+    # each entry is (edges matched, vertices covered); every vertex below
+    # the lowest uncovered one is covered, so that one is matched next
+    stack = [(0, 0)]
+    while stack:
+        mask, covered = stack.pop()
+        if covered == full:
+            yield mask
+            continue
+        low = ~covered & (covered + 1)
+        covered |= low
+        for ebit, obit in nbrs[low.bit_length() - 1]:
+            if not covered & obit:
+                stack.append((mask | ebit, covered | obit))
 
 
-def enumerate_matchings(dims: BoxDims) -> List[FrozenSet[Face]]:
+def enumerate_matchings(dims: BoxDims) -> List[int]:
     """Every perfect matching (iter_matchings), sorted by their sorted edges."""
-    return sorted(iter_matchings(dims), key=sorted)
+    return sorted(iter_matchings(dims), key=face_order)
 
 
 # -- hexagon flips ------------------------------------------------------------
@@ -403,7 +392,8 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme,
     Per row i, run[i][h] is the product of the box monomials for k < h.
     States come in lex order, so a state shares its longest common prefix
     with the one before; pre[i] keeps the weight of the first i entries, and
-    each distinct prefix costs one monomial product.
+    each distinct prefix up to the state's first zero costs one monomial
+    product.
     """
     a, _, c = dims
     run = []
@@ -419,9 +409,14 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme,
         i = 0
         while s[i] == last[i]:
             i += 1
-        for k in range(i, a):
+        # a state is weakly decreasing, so its entries from its first zero
+        # on weigh 1 and are skipped; the state before has no zero before i
+        # (the two would agree from that zero on), so pre[i] is up to date
+        k = i
+        while k < a and s[k]:
             pre[k + 1] = pre[k] * run[k][s[k]]
-        out.append(pre[a])
+            k += 1
+        out.append(pre[k])
         last = s
     return out
 

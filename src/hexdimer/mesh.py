@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 
 class MeshError(Exception):
@@ -189,14 +189,92 @@ class HexMesh:
         except KeyError:
             raise UnknownFace(f"{pt} is not a hexagonal face") from None
 
-    def is_perfect_matching(self, M: FrozenSet[Face]) -> bool:
-        """Every vertex has degree one, decided in O(|M|): |M| = V/2 mesh
-        edges whose 2|M| endpoints are V distinct vertices."""
+    def is_perfect_matching(self, M: Union[int, Collection[Face]]) -> bool:
+        """Every vertex has degree one.
+
+        An edge mask (an int, see ``mask_of``) is decided by one table sum:
+        its V/2 edges' endpoint bits, 2^u + 2^v for the endpoints' positions
+        in ``vertices``, must add up to 2^V - 1.  A sum of V bits that
+        carries anywhere has fewer than V ones, so that sum is reached only
+        with one bit per vertex.  A face set is decided in O(|M|), without
+        tables, so the face-level bijection never builds them: |M| = V/2
+        mesh edges whose 2|M| endpoints are V distinct vertices."""
         n = len(self.vertices)
+        if isinstance(M, int):
+            return (M >> len(self.edges) == 0 and 2 * M.bit_count() == n
+                    and self.edge_sum(M, self._endpoint_table) == (1 << n) - 1)
         if 2 * len(M) != n or not self._edge_set.issuperset(M):
             return False
         edges = self.edges
         return len({t for f in M for t in edges[f]}) == n
+
+    # -- edge masks ---------------------------------------------------------
+    # An edge set is also an int mask: bit i stands for the i-th edge of
+    # ``edges``.  A per-edge int that adds up over an edge set is read off
+    # a mask with per-byte tables (edge_table, edge_sum); each table is a
+    # cached property, built the first time it is read.
+
+    @cached_property
+    def edge_index(self) -> Dict[Face, int]:
+        """Each edge's bit position in a mask: its position in ``edges``."""
+        return {f: i for i, f in enumerate(self.edges)}
+
+    @cached_property
+    def _faces(self) -> Tuple[Face, ...]:
+        return tuple(self.edges)
+
+    def mask_of(self, faces: Iterable[Face]) -> int:
+        """The mask of distinct edges; UnknownFace for a face that is not one."""
+        index = self.edge_index
+        try:
+            return sum(1 << index[f] for f in faces)
+        except KeyError as exc:
+            raise UnknownFace(f"{exc.args[0]} is not an edge of H_{tuple(self.dims)}") from None
+
+    def faces_of(self, mask: int) -> FrozenSet[Face]:
+        """The edges of a mask (the inverse of ``mask_of``)."""
+        self._check_mask(mask)
+        faces = self._faces
+        return frozenset([faces[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
+
+    def _check_mask(self, mask: int) -> None:
+        if mask >> len(self.edges):  # a negative mask shifts to -1
+            raise UnknownFace(f"mask {mask:#x} has a bit past the last edge "
+                              f"of H_{tuple(self.dims)}")
+
+    def edge_sum(self, mask: int, table: List[List[int]]) -> int:
+        """The sum over the edges of a mask of the values an ``edge_table``
+        was built from: one lookup and one addition per byte of the mask."""
+        self._check_mask(mask)
+        return sum(map(list.__getitem__, table, mask.to_bytes(len(table), "little")))
+
+    @cached_property
+    def _vertex_index(self) -> Dict[Triangle, int]:
+        return {t: i for i, t in enumerate(self.vertices)}
+
+    @cached_property
+    def edge_ends(self) -> Tuple[Tuple[int, int], ...]:
+        """Per edge, the positions in ``vertices`` of its up and down end."""
+        pos = self._vertex_index
+        return tuple((pos[t1], pos[t2]) for t1, t2 in self.edges.values())
+
+    @cached_property
+    def vertex_edges(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per vertex position, (edge position, other end's position) for
+        each edge at it, in ``incident`` order."""
+        pos, index = self._vertex_index, self.edge_index
+        return tuple(tuple((index[f], pos[o]) for f in self.incident[t]
+                           for o in self.edges[f] if o != t)
+                     for t in self.vertices)
+
+    @cached_property
+    def centroids(self) -> Tuple[Tuple[int, int], ...]:
+        """3x each vertex's centroid (its corner sum), in ``vertices`` order."""
+        return tuple(map(corner_sum, self.vertices))
+
+    @cached_property
+    def _endpoint_table(self) -> List[List[int]]:
+        return edge_table([(1 << u) | (1 << v) for u, v in self.edge_ends])
 
     # -- even-mesh structure ---------------------------------------------
 
@@ -284,6 +362,25 @@ class HexMesh:
     def _squish_of(self) -> Dict[Face, Face]:
         return {lift: bf for bf, lifts in self.lift_fibers.items() for lift in lifts}
 
+    @cached_property
+    def squish_table(self) -> List[List[int]]:
+        """The ``edge_table`` of the squish map: a long edge adds 4^j, j its
+        image's position in ``base.edges``, and a short edge 0.  A perfect
+        matching's sum has base-4 digit 2, 1 or 0 at each base edge whose
+        two lifts it holds, one lift or none; no digit can carry."""
+        base = self.base.edge_index
+        squish = self._squish_of
+        return edge_table([4 ** base[squish[f]] if f in squish else 0 for f in self.edges])
+
+    @cached_property
+    def short_at_outer(self) -> Dict[Triangle, int]:
+        """Each outer vertex of a propeller -> the bit of the short edge that
+        covers it in a matching where no long edge does."""
+        index = self.edge_index
+        # a propeller's outers and shorts are both sorted by class
+        return {o: 1 << index[f] for p in self.propellers
+                for (_, o), (_, f) in zip(p.outers, p.shorts)}
+
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -329,6 +426,38 @@ def _hex_edge_cycle(x: int, y: int) -> Tuple[Face, ...]:
         Face.from_lattice("C", x - 1, y - 1),
         Face.from_lattice("B", x - 1, y),
     )
+
+
+def corner_sum(t: Triangle) -> Tuple[int, int]:
+    """The sum of a triangle's three lattice corners, 3x its centroid."""
+    if t.up:
+        return (3 * t.x + 1, 3 * t.y + 2)
+    return (3 * t.x + 2, 3 * t.y + 1)
+
+
+_FACE_ORDER = str.maketrans("01", "ba")
+
+
+def face_order(mask: int) -> str:
+    """A sort key that orders masks as their sorted edge lists: the mask's
+    bits from bit 0 up to its highest, 'a' for an edge and 'b' for none.
+    At the least edge in one mask and not the other, the mask holding it
+    reads 'a' and comes first, unless the other mask ends there, which
+    makes its list a prefix of the first's."""
+    return bin(mask)[:1:-1].translate(_FACE_ORDER) if mask else ""
+
+
+def edge_table(values: Sequence[int]) -> List[List[int]]:
+    """Per-byte sum tables of one int per edge, in ``edges`` order: entry k
+    of row c is the sum of the values of edges 8c + j over the bits j set
+    in k.  The last row has one entry per subset of the edges it covers."""
+    table = []
+    for start in range(0, len(values), 8):
+        row = [0]
+        for v in values[start:start + 8]:
+            row += [r + v for r in row]
+        table.append(row)
+    return table
 
 
 _MESH_CACHE: Dict[Tuple[int, int, int], HexMesh] = {}

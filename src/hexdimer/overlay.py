@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
 from .algebra import Monomial
 from .diagrams import TooLarge, bounded_count, enumerate_matchings  # TooLarge: re-export
-from .mesh import BoxDims, Face, HexMesh, Triangle, build_mesh
+from .mesh import BoxDims, Face, HexMesh, Triangle, build_mesh, face_order
 
 
 class OverlayError(Exception):
@@ -55,13 +55,6 @@ class TwoFactor:
         }
 
 
-def _centroid(t: Triangle) -> Tuple[int, int]:
-    # corner sum (3x the centroid); only the orientation sign is used
-    if t.up:
-        return (3 * t.x + 1, 3 * t.y + 2)
-    return (3 * t.x + 2, 3 * t.y + 1)
-
-
 def loop_vertices(mesh: HexMesh, loop: Loop) -> Tuple[Triangle, ...]:
     """vertices[i] is shared by loop[i] and loop[i+1] (cyclically)."""
     k = len(loop)
@@ -75,81 +68,79 @@ def loop_vertices(mesh: HexMesh, loop: Loop) -> Tuple[Triangle, ...]:
 
 
 def overlay(mesh: HexMesh, M1: FrozenSet[Face], M2: FrozenSet[Face]) -> TwoFactor:
-    """Superimpose two perfect matchings of the same mesh."""
+    """Superimpose two perfect matchings of the same mesh, given as faces."""
     for M in (M1, M2):
         if not mesh.is_perfect_matching(M):
             raise MeshMismatch("argument is not a perfect matching of the given mesh")
-    doubled = frozenset(M1 & M2)
-    rest = (M1 | M2) - doubled
-    return assemble_two_factor(mesh, doubled, rest)
+    m1, m2 = mesh.mask_of(M1), mesh.mask_of(M2)
+    return assemble_two_factor(mesh, m1 & m2, m1 ^ m2)
 
 
-def assemble_two_factor(mesh: HexMesh, doubled: FrozenSet[Face],
-                        rest: FrozenSet[Face]) -> TwoFactor:
-    """Build a TwoFactor from its doubled edges and the union of its loops
-    (every vertex of ``rest`` must have degree exactly 2 there)."""
-    edges, incident = mesh.edges, mesh.incident
-    loops: List[Loop] = []
-    seen = set()
-    for f0 in sorted(rest):
-        if f0 in seen:
-            continue
-        # f0 is the least edge of its loop; vs[i] is the vertex shared by
-        # loop[i] and loop[i+1], recorded as the walk passes it
-        loop, vs = [f0], []
-        cur, head = f0, edges[f0][1]
+def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
+    """Build a TwoFactor from the masks of its doubled edges and of the
+    union of its loops (every vertex of ``loops`` must have degree exactly
+    2 there)."""
+    ends, nbrs, centroids = mesh.edge_ends, mesh.vertex_edges, mesh.centroids
+    walks: List[List[int]] = []
+    rest, limit = loops, loops.bit_count()
+    while rest:
+        # e0 is the least edge of its loop; the walk leaves it at its down
+        # end and adds the shoelace term of each vertex it passes
+        e0 = (rest & -rest).bit_length() - 1
+        walk, cur = [e0], e0
+        head = first = ends[e0][1]
+        x0, y0 = centroids[first]
+        area2 = 0
         while True:
-            vs.append(head)
-            for nxt in incident[head]:
-                if nxt != cur and nxt in rest:
+            for nxt, other in nbrs[head]:
+                if loops >> nxt & 1 and nxt != cur:
                     break
             else:
-                raise OverlayError(f"loop edges end at {head}")
-            if nxt == f0:
+                raise OverlayError(f"loop edges end at {mesh.vertices[head]}")
+            if nxt == e0:
                 break
-            loop.append(nxt)
-            t1, t2 = edges[nxt]
-            head = t2 if t1 == head else t1
-            cur = nxt
-        seen.update(loop)
-        if _area2(vs) <= 0:
-            loop[1:] = loop[:0:-1]  # clockwise walk: reverse it, f0 stays first
-        loops.append(tuple(loop))
-    return TwoFactor(mesh.dims, doubled, tuple(sorted(loops)))
-
-
-def _area2(vs: List[Triangle]) -> int:
-    """Shoelace sum of a closed vertex walk, positive when counterclockwise.
-    The lattice-to-plane map has positive determinant, so the sign in
-    lattice coordinates is the geometric one."""
-    area2 = 0
-    x0, y0 = _centroid(vs[-1])
-    for v in vs:
-        x1, y1 = _centroid(v)
+            walk.append(nxt)
+            if len(walk) > limit:
+                raise OverlayError(f"loop edges branch off the loop of {mesh._faces[e0]}")
+            cur, head = nxt, other
+            x1, y1 = centroids[head]
+            area2 += x0 * y1 - x1 * y0
+            x0, y0 = x1, y1
+        x1, y1 = centroids[first]
         area2 += x0 * y1 - x1 * y0
-        x0, y0 = x1, y1
-    return area2
+        # positive when counterclockwise: the lattice-to-plane map has
+        # positive determinant, so the sign in lattice coordinates is the
+        # geometric one
+        if area2 <= 0:
+            walk[1:] = walk[:0:-1]  # clockwise walk: reverse it, e0 stays first
+        rest &= ~sum(1 << e for e in walk)
+        walks.append(walk)
+    faces = mesh._faces  # edge positions sort as the edges do
+    return TwoFactor(mesh.dims, mesh.faces_of(doubled),
+                     tuple(tuple(map(faces.__getitem__, w)) for w in sorted(walks)))
 
 
-def split(lam: TwoFactor) -> List[Tuple[FrozenSet[Face], FrozenSet[Face]]]:
-    """All 2^{#loops} ordered matching pairs overlaying to lam: doubled edges
-    go to both sides, each loop alternates one way or the other."""
-    halves = [(frozenset(loop[0::2]), frozenset(loop[1::2])) for loop in lam.loops]
+def split(mesh: HexMesh, lam: TwoFactor) -> List[Tuple[int, int]]:
+    """All 2^{#loops} ordered matching pairs overlaying to lam, as masks:
+    doubled edges go to both sides, each loop alternates one way or the
+    other."""
+    doubled = mesh.mask_of(lam.doubled)
+    halves = [(mesh.mask_of(loop[0::2]), mesh.mask_of(loop[1::2])) for loop in lam.loops]
     out = []
     for pick in itertools.product((0, 1), repeat=len(halves)):
-        M1, M2 = set(lam.doubled), set(lam.doubled)
+        M1 = M2 = doubled
         for choice, (even, odd) in zip(pick, halves):
             M1 |= even if choice == 0 else odd
             M2 |= odd if choice == 0 else even
-        out.append((frozenset(M1), frozenset(M2)))
+        out.append((M1, M2))
     return out
 
 
-def pair_matchings(dims: BoxDims) -> List[FrozenSet[Face]]:
-    """The box's matchings, sorted, for a check that overlays all their pairs,
-    each validated once as ``overlay`` validates its arguments.  TooLarge
-    before any enumeration if overlaying the pairs would pass the work bound
-    (bounded_count with k = 2)."""
+def pair_matchings(dims: BoxDims) -> List[int]:
+    """The box's matchings as sorted masks, for a check that overlays all
+    their pairs, each validated once.  TooLarge before any enumeration if
+    overlaying the pairs would pass the work bound (bounded_count with
+    k = 2)."""
     bounded_count(dims, 2)
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims)
@@ -159,48 +150,35 @@ def pair_matchings(dims: BoxDims) -> List[FrozenSet[Face]]:
     return ms
 
 
-def pair_keys(mesh: HexMesh, ms: List[FrozenSet[Face]]) -> List[int]:
-    """Each matching's share of the overlay key of a pair: the sum of 3^i
-    over its edges, i the edge's position in ``mesh.edges``.  A pair's key
-    is the sum of its two shares.  Its base-3 digit is 2 on the doubled
-    edges M1 & M2, 1 on the loop edges M1 ^ M2 and 0 elsewhere, so it
-    encodes those two sets, which make the overlay: pairs with one key have
-    one 2-factor.  An int key costs one addition per pair and holds no set."""
-    power = {f: 3 ** i for i, f in enumerate(mesh.edges)}
-    return [sum(map(power.__getitem__, M)) for M in ms]
+def overlay_keys(ms: List[int]) -> Set[Tuple[int, int]]:
+    """The distinct overlay keys over all pairs of the matching masks ``ms``
+    (an overlay is symmetric, so each unordered pair once): the masks of the
+    doubled edges M1 & M2 and of the loop edges M1 ^ M2, which make the
+    overlay (assemble_two_factor)."""
+    return {(M1 & M2, M1 ^ M2) for i, M1 in enumerate(ms) for M2 in ms[i:]}
 
 
-def assemble_pairs(mesh: HexMesh, pairs: Iterable[Tuple[FrozenSet[Face], FrozenSet[Face]]]
-                   ) -> List[TwoFactor]:
-    """The 2-factor of each validated pair, for pairs whose overlay keys
-    (pair_keys) are distinct.  The two edge sets a key encodes are read back
-    from its 2-factor, so distinct keys must give distinct 2-factors;
-    OverlayError otherwise."""
-    lams = [assemble_two_factor(mesh, M1 & M2, M1 ^ M2) for M1, M2 in pairs]
-    if len(set(lams)) != len(lams):
-        raise OverlayError("two overlay keys assemble to the same 2-factor")
-    return lams
+def distinct_overlays(mesh: HexMesh, ms: List[int]) -> Iterator[TwoFactor]:
+    """The distinct overlays of all pairs of the validated matching masks
+    ``ms``, each assembled once, in the order of their doubled edges and
+    then their loops.  The keys are sorted by their doubled edges, so only
+    the 2-factors of one doubled-edge set are held at a time."""
+    keys = sorted(overlay_keys(ms), key=lambda key: face_order(key[0]))
+    for _, group in itertools.groupby(keys, key=lambda key: key[0]):
+        yield from sorted((assemble_two_factor(mesh, *key) for key in group),
+                          key=lambda tf: tf.loops)
 
 
-def distinct_overlays(mesh: HexMesh, ms: List[FrozenSet[Face]]) -> List[TwoFactor]:
-    """The distinct overlays of all pairs of the validated matchings ``ms``
-    (an overlay is symmetric, so each unordered pair once), each assembled
-    once, sorted by doubled edges and loops."""
-    shares = pair_keys(mesh, ms)
-    first: Dict[int, Tuple[int, int]] = {}  # overlay key -> its first pair
-    for i, k1 in enumerate(shares):
-        for j in range(i, len(ms)):
-            k = k1 + shares[j]
-            if k not in first:
-                first[k] = (i, j)
-    lams = assemble_pairs(mesh, ((ms[i], ms[j]) for i, j in first.values()))
-    return sorted(lams, key=lambda tf: (sorted(tf.doubled), tf.loops))
+def iter_two_factors(dims: BoxDims) -> Iterator[TwoFactor]:
+    """Distinct overlays over all matching pairs of the box, streamed
+    (pair_matchings, distinct_overlays); TooLarge when called, before any
+    enumeration."""
+    return distinct_overlays(build_mesh(dims), pair_matchings(dims))
 
 
 def enumerate_two_factors(dims: BoxDims) -> List[TwoFactor]:
-    """Distinct overlays over all matching pairs of the box (pair_matchings,
-    distinct_overlays)."""
-    return distinct_overlays(build_mesh(dims), pair_matchings(dims))
+    """The list of iter_two_factors."""
+    return list(iter_two_factors(dims))
 
 
 def two_factor_weight(lam: TwoFactor, weights: Mapping[Face, Monomial]) -> Monomial:

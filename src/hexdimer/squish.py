@@ -8,14 +8,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import prod
-from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, split
 from .diagrams import PlanePartition, matching_of
-from .mesh import BoxDims, Face, HexMesh, OddDims, Propeller, build_mesh
-from .overlay import (Loop, TwoFactor, _centroid, assemble_two_factor,
-                      enumerate_two_factors, loop_vertices)
+from .mesh import (BoxDims, Face, HexMesh, OddDims, Propeller, build_mesh, corner_sum,
+                   edge_table)
+from .overlay import (Loop, TwoFactor, assemble_two_factor, enumerate_two_factors,
+                      loop_vertices)
 
 
 class SquishError(Exception):
@@ -31,34 +31,42 @@ CLASSES = ("A", "B", "C")
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """A monomial weight per edge, with t in the first exponent field;
-    coefficients are always +1 or -1."""
+    """A monomial weight per edge of a mesh, with t in the first exponent
+    field; coefficients are always +1 or -1."""
 
+    mesh: HexMesh
     weights: Mapping[Face, Monomial]
 
     def __getitem__(self, f: Face) -> Monomial:
         return self.weights[f]
 
     @cached_property
-    def _keys_and_coeffs(self) -> Tuple[Dict[Face, int], Dict[Face, int]]:
-        """Each edge's key and coefficient.  In every field the exponents'
-        absolute values must sum to less than LIMIT over all edges, so that
-        no edge set's key sum can leave the range; AlgebraError otherwise."""
+    def _tables(self) -> Tuple[List[List[int]], int]:
+        """The edge_table of the edges' keys, and the mask of the edges
+        weighing -1.  In every field the exponents' absolute values must sum
+        to less than LIMIT over all edges, so that no edge set's key sum can
+        leave the range; AlgebraError otherwise."""
+        try:
+            ms = [self.weights[f] for f in self.mesh.edges]
+        except KeyError as exc:
+            raise SquishError(f"no weight for edge {exc.args[0]}") from None
+        if any(m.coeff not in (1, -1) for m in ms):
+            raise SquishError("an edge weight has a coefficient other than +1 or -1")
         spread = [0, 0, 0, 0]
-        for m in self.weights.values():
+        for m in ms:
             spread = [s + abs(e) for s, e in zip(spread, split(m.key))]
         if max(spread) >= LIMIT:
             raise AlgebraError(f"edge weights spread {spread} in the exponent fields: "
                                f"a product may leave [-2**20, 2**20)")
-        return ({f: m.key for f, m in self.weights.items()},
-                {f: m.coeff for f, m in self.weights.items()})
+        return (edge_table([m.key for m in ms]),
+                sum(1 << i for i, m in enumerate(ms) if m.coeff == -1))
 
-    def weight_of(self, edge_set: Collection[Face]) -> Monomial:
-        """The product of the weights of ``edge_set``: its keys added, its
-        coefficients multiplied."""
-        keys, coeffs = self._keys_and_coeffs
-        return Monomial(prod(map(coeffs.__getitem__, edge_set)),
-                        sum(map(keys.__getitem__, edge_set)))
+    def weight_of(self, mask: int) -> Monomial:
+        """The product of the weights of the edges of a mask: their keys
+        added, and -1 if an odd number of them weighs -1."""
+        keys, neg = self._tables
+        key = self.mesh.edge_sum(mask, keys)
+        return Monomial(-1 if (mask & neg).bit_count() & 1 else 1, key)
 
 
 # -- the t-power weighting on the base mesh ----------------------------------
@@ -87,7 +95,7 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
     for f in mesh.edges:
         if f.cls == "A" and f.lattice[0] - f.lattice[1] == a - 1:
             exps[f] -= leftover
-    return EdgeWeighting({f: mono_t(e) for f, e in exps.items()})
+    return EdgeWeighting(mesh, {f: mono_t(e) for f, e in exps.items()})
 
 
 def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
@@ -100,7 +108,7 @@ def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
     for bf, lifts in mesh.lift_fibers.items():
         for lf in lifts:
             w[lf] = base_w[bf]
-    return EdgeWeighting(w)
+    return EdgeWeighting(mesh, w)
 
 
 # -- sign rule and sign weighting ---------------------------------------------
@@ -171,7 +179,7 @@ def _sign_weighting_for(mesh: HexMesh, rule: SignRule) -> EdgeWeighting:
             raise SquishError(f"lift pair of {bf} got equal signs")
         for lf, s in zip(lifts, signs):
             w[lf] = Monomial(s)
-    return EdgeWeighting(w)
+    return EdgeWeighting(mesh, w)
 
 
 def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
@@ -184,26 +192,40 @@ def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
 # -- the projection map --------------------------------------------------------
 
 
-def projection_key(mesh: HexMesh, mu: FrozenSet[Face]) -> Tuple[FrozenSet[Face], FrozenSet[Face]]:
-    """The base edges that the long edges of a matching project onto twice
-    (doubled) and once (loop edges).  Refuses anything but a perfect matching."""
+def projection_key(mesh: HexMesh, mu: int) -> int:
+    """The base edges that the long edges of a matching mask project onto,
+    as one int: base-4 digit 2 at a base edge covered twice (doubled), 1 at
+    one covered once (a loop edge), 0 elsewhere, digit j for the j-th edge
+    of ``mesh.base.edges`` (HexMesh.squish_table).  Refuses anything but a
+    perfect matching."""
     if not mesh.is_perfect_matching(mu):
         raise SquishError("projection needs a perfect matching")
-    squish = mesh._squish_of
-    once, twice = set(), set()
-    for f in mu:
-        bf = squish.get(f)  # None for a short edge
-        if bf in once:
-            twice.add(bf)
-        elif bf is not None:
-            once.add(bf)
-    return frozenset(twice), frozenset(once - twice)
+    return mesh.edge_sum(mu, mesh.squish_table)
 
 
-def project(mesh: HexMesh, mu: FrozenSet[Face]) -> TwoFactor:
-    """Contract every propeller: the long edges of a matching project onto a
-    2-factor of the base mesh (doubled where both lifts are present)."""
-    return assemble_two_factor(mesh.base, *projection_key(mesh, mu))
+def key_masks(key: int, n: int) -> Tuple[int, int]:
+    """The masks of the doubled and the loop edges of a projection key over
+    n base edges: the high and the low bits of its base-4 digits."""
+    bits = format(key, f"0{2 * n}b")
+    return int(bits[0::2], 2), int(bits[1::2], 2)
+
+
+def lift_key(mesh: HexMesh, lam: TwoFactor) -> int:
+    """The projection key that every lift of the base 2-factor lam has."""
+    base = mesh.base
+
+    def spread(faces) -> int:  # bit j of the mask to bit 2j
+        return int("0".join(format(base.mask_of(faces), "b")), 2)
+
+    return 2 * spread(lam.doubled) + spread(f for loop in lam.loops for f in loop)
+
+
+def project(mesh: HexMesh, mu: int) -> TwoFactor:
+    """Contract every propeller: the long edges of a matching mask project
+    onto a 2-factor of the base mesh (doubled where both lifts are
+    present)."""
+    base = mesh.base
+    return assemble_two_factor(base, *key_masks(projection_key(mesh, mu), len(base.edges)))
 
 
 def classify_propeller(mesh: HexMesh, mu: FrozenSet[Face], prop: Propeller) -> str:
@@ -233,33 +255,43 @@ def classify_propeller(mesh: HexMesh, mu: FrozenSet[Face], prop: Propeller) -> s
     return "TwoTurn"
 
 
-def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[FrozenSet[Face]]:
-    """All matchings of the even mesh projecting onto the base 2-factor.
+def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[int]:
+    """All matchings of the even mesh projecting onto the base 2-factor, as
+    masks.
 
     The preimages are assembled from lifts and not validated here: a caller
     that must know they are perfect matchings passes each to
     ``projection_key``, which refuses anything else."""
+    short_at = mesh.short_at_outer
+
+    def part(lifts: Tuple[Face, ...]) -> Tuple[int, int]:
+        # the lifts' mask, and the shorts at the outer vertices they cover
+        # (both ends of a long edge are outer vertices)
+        covered = 0
+        for f in lifts:
+            for t in mesh.edges[f]:
+                covered |= short_at[t]
+        return mesh.mask_of(lifts), covered
+
     # per component, the admissible long-edge selections
-    component_choices: List[List[Tuple[Face, ...]]] = []
-    for bf in sorted(lam.doubled):
-        component_choices.append([mesh.lift_fibers[bf]])
-    for loop in lam.loops:
-        component_choices.append(_loop_lift_choices(mesh, loop))
-    # each outer vertex with the short edge that covers it when no long edge
-    # does (a propeller's outers and shorts are both sorted by class)
-    outer_shorts = [(o, f) for p in mesh.propellers
-                    for (_, o), (_, f) in zip(p.outers, p.shorts)]
+    component_choices = [[part(mesh.lift_fibers[bf])] for bf in sorted(lam.doubled)]
+    component_choices += [list(map(part, _loop_lift_choices(mesh, loop)))
+                          for loop in lam.loops]
+    picks = [(0, 0)]
+    for choices in component_choices:
+        picks = [(m | cm, c | cc) for m, c in picks for cm, cc in choices]
+    # each outer vertex no long edge covers takes its short edge
+    shorts_all = sum(short_at.values())
+    n = len(mesh.propellers)
     out = []
-    for pick in itertools.product(*component_choices):
-        longs = [f for part in pick for f in part]
-        used = {t for f in longs for t in mesh.edges[f]}  # outer vertices only
-        shorts = [f for o, f in outer_shorts if o not in used]
+    for longs, covered in picks:
+        shorts = shorts_all & ~covered
         # one short per propeller in total; a propeller left with two and
         # another with none leave a center covered twice, which
         # projection_key refuses
-        if len(shorts) != len(mesh.propellers):
+        if shorts.bit_count() != n:
             raise SquishError("long-edge selection does not leave one short slot per propeller")
-        out.append(frozenset(longs + shorts))
+        out.append(longs | shorts)
     return out
 
 
@@ -286,9 +318,9 @@ def turn_word(mesh: HexMesh, loop: Loop) -> str:
     k = len(loop)
     letters = []
     for i in range(k):
-        x0, y0 = _centroid(vs[(i - 1) % k])
-        x1, y1 = _centroid(vs[i])
-        x2, y2 = _centroid(vs[(i + 1) % k])
+        x0, y0 = corner_sum(vs[(i - 1) % k])
+        x1, y1 = corner_sum(vs[i])
+        x2, y2 = corner_sum(vs[(i + 1) % k])
         cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
         if cross == 0:
             raise SquishError("straight passage in a hexagon-lattice loop")

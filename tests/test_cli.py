@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -249,9 +252,94 @@ def test_check_fibers_refuses_a_lift_that_is_not_a_matching(monkeypatch):
 
     real = cli.lift_preimages
     monkeypatch.setattr(cli, "lift_preimages",
-                        lambda mesh, lam: [mu - {min(mu)} for mu in real(mesh, lam)])
+                        lambda mesh, lam: [mu & (mu - 1) for mu in real(mesh, lam)])
     with pytest.raises(SquishError, match="perfect matching"):
         run_check("fibers", BoxDims(1, 1, 1), None, None)
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    # a lift with one edge bit dropped is refused by projection_key: the
+    # program's own error, neither a failed identity nor bad input
+    import hexdimer.cli as cli
+
+    real = cli.lift_preimages
+    monkeypatch.setattr(cli, "lift_preimages",
+                        lambda mesh, lam: [mu & (mu - 1) for mu in real(mesh, lam)])
+    code, out, err = run(capsys, "check", "fibers", "-d", "1,1,1")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: SquishError") and "perfect matching" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["AlgebraError", "DiagramError", "MeshError",
+                                  "OverlayError", "SeriesError", "SquishError"])
+def test_each_package_error_exits_three(capsys, monkeypatch, name):
+    import hexdimer.cli as cli
+
+    error = next(e for e in cli.INTERNAL_ERRORS if e.__name__ == name)
+
+    def broken():
+        raise error("synthetic")
+
+    monkeypatch.setattr(cli, "check_matrices", broken)
+    code, _, err = run(capsys, "check", "matrices")
+    assert code == 3 and err == f"internal error: {name}: synthetic\n"
+
+
+def test_pullback_fails_on_one_changed_lift_weight(capsys, monkeypatch):
+    import hexdimer.cli as cli
+    from hexdimer.algebra import mono_t
+    from hexdimer.squish import EdgeWeighting
+
+    real = cli.pullback_weighting
+
+    def mutant(mesh):
+        U = real(mesh)
+        lift = mesh.lift_fibers[max(mesh.lift_fibers)][0]
+        return EdgeWeighting(mesh, {**U.weights, lift: U[lift] * mono_t(1)})
+
+    monkeypatch.setattr(cli, "pullback_weighting", mutant)
+    for dims in ("2,2,2", "4,4,2"):
+        code, out, _ = run(capsys, "check", "pullback", "-d", dims, "--format", "json")
+        (rep,) = json.loads(out)
+        assert code == 1 and rep["status"] == "fail" and rep["witness"]["matching"]
+
+
+def test_minus_one_fails_on_one_flipped_sign(capsys, monkeypatch):
+    import hexdimer.cli as cli
+    from hexdimer.algebra import Monomial
+    from hexdimer.mesh import build_mesh
+    from hexdimer.squish import EdgeWeighting
+
+    real = cli.sign_weighting
+    lifts = [f for pair in build_mesh(BoxDims(2, 2, 2)).lift_fibers.values() for f in pair]
+    for lift in lifts:
+        def mutant(mesh):
+            S = real(mesh)
+            return EdgeWeighting(mesh, {**S.weights, lift: Monomial(-S[lift].coeff)})
+
+        monkeypatch.setattr(cli, "sign_weighting", mutant)
+        code, out, _ = run(capsys, "check", "minus-one", "-d", "1,1,1", "--format", "json")
+        assert code == 1 and json.loads(out)[0]["status"] == "fail"
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hexdimer", "check", "matrices"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("PASS check=matrices")
+
+
+def test_import_builds_no_mesh():
+    # meshes, edge indices and byte tables are built on first use, never at
+    # import, so the start-up of every command pays for none of them
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import hexdimer.cli, hexdimer.mesh as m; print(len(m._MESH_CACHE))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "0"
 
 
 def test_check_eq3_witness_is_what_was_compared(capsys, monkeypatch):

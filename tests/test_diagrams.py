@@ -160,6 +160,8 @@ def test_box_count_equals_matching_count(dims):
     ms = list(iter_matchings(dims))
     assert box_count(dims) == len(ms) == len(set(ms)) == box_count_oracle(*dims)
     assert set(ms) == set(enumerate_matchings(dims))
+    mesh = build_mesh(dims)
+    assert all(mesh.is_perfect_matching(M) for M in ms)
 
 
 def test_box_count_stops_above_the_bound():
@@ -212,7 +214,7 @@ def test_bijection_roundtrip(dims):
         by_cls = {cls: sum(1 for f in M if f.cls == cls) for cls in "ABC"}
         assert by_cls == {"A": a * b, "B": a * c, "C": b * c}
         assert diagram_of(mesh, M) == pi
-        matchings.add(M)
+        matchings.add(mesh.mask_of(M))
     # independent enumeration straight on the graph
     assert set(enumerate_matchings(dims)) == matchings
 
@@ -359,6 +361,36 @@ def test_tau_move_changes_size_by_one():
             assert abs(pi2.size() - pi.size()) == 1
 
 
+@pytest.mark.parametrize("dims", [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)]
+                         + [(3, 2, 1)], ids=str)
+def test_matching_masks_are_the_diagrams_matchings(dims):
+    # the backtracking masks against the bijection, one diagram at a time;
+    # enumerate_matchings sorts them as their sorted face lists sort
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    want = {mesh.mask_of(matching_of(pi)) for pi in enumerate_diagrams(dims)}
+    ms = list(iter_matchings(dims))
+    assert len(ms) == len(want) and set(ms) == want
+    assert [sorted(mesh.faces_of(M)) for M in enumerate_matchings(dims)] == \
+        sorted(sorted(mesh.faces_of(M)) for M in ms)
+
+
+def test_column_weights_multiply_up_to_the_first_zero(monkeypatch):
+    from hexdimer import algebra
+
+    real, calls = algebra.Monomial.__mul__, []
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(algebra.Monomial, "__mul__", counted)
+    assert z_poly(BoxDims(990, 1, 1), COUNT).constant_value() == 991
+    # a*c products fill the run table, then one product per state but the
+    # empty one; before, the entries past the first zero cost 492,525
+    assert len(calls) == 990 + 990
+
+
 def test_z_poly_examples():
     assert str(z_poly(BoxDims(1, 1, 1))) == "1 + p"
     assert str(z_poly(BoxDims(2, 1, 1))) == "1 + p + p*q"
@@ -370,13 +402,16 @@ def test_z_poly_examples():
                                   for b in range(1, 4)
                                   for c in range(1, 4)] + [(4, 4, 2)]
                          # sides past 3: a < c, b < c, a > c, and a long column
-                         + [(5, 1, 3), (1, 5, 3), (3, 1, 5), (2, 5, 1), (40, 1, 2)],
+                         + [(5, 1, 3), (1, 5, 3), (3, 1, 5), (2, 5, 1), (40, 1, 2)]
+                         # tall boxes, whose states end in zeros that the
+                         # column weights skip
+                         + [(6, 1, 1), (5, 1, 2), (4, 2, 1), (6, 2, 3)],
                          ids=str)
 def test_dp_equals_enumeration(dims):
     # the signed schemes make sums cancel, so a zero coefficient left behind
     # by the DP's in-place accumulation would show as a difference
     dims = BoxDims(*dims)
-    for scheme in (Z2Z2, MONO, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
+    for scheme in (Z2Z2, MONO, COUNT, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
                    MONO.with_signs({"p": "-p"})):
         assert z_poly(dims, scheme) == diagram_sum(dims, scheme)
 

@@ -3,11 +3,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, IN_PROPELLER, MeshError, OddDims, Triangle,
-    UnknownFace, _hex_edge_cycle, build_mesh, squish_edge, unsquish,
+    UnknownFace, _hex_edge_cycle, build_mesh, edge_table, squish_edge, unsquish,
 )
 
 ALL_SMALL = [BoxDims(a, b, c)
@@ -88,7 +90,7 @@ def test_flippable_faces_against_frozensets(dims):
     m = build_mesh(BoxDims(*dims))
     halves = [(pt, frozenset(cycle[0::2]), frozenset(cycle[1::2]))
               for pt in m.hexfaces for cycle in (_hex_edge_cycle(*pt),)]
-    for M in enumerate_matchings(BoxDims(*dims)):
+    for M in map(m.faces_of, enumerate_matchings(BoxDims(*dims))):
         want = [pt for pt, odd, even in halves if odd <= M or even <= M]
         assert flippable_faces(m, M) == want
 
@@ -102,7 +104,7 @@ def test_face_triangles_and_errors():
         m.face_triangles(Face("A", 7, 7, 0))
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
-    M = enumerate_matchings(BoxDims(1, 1, 1))[0]
+    M = m.faces_of(enumerate_matchings(BoxDims(1, 1, 1))[0])
     for pt in ((9, 9), (1, 1), (-1, 0)):  # (1, 1) and (-1, 0) are boundary corners
         with pytest.raises(UnknownFace):
             tau_move(m, M, pt)
@@ -124,7 +126,7 @@ def test_is_perfect_matching_against_degree_count(dims):
     edges = sorted(mesh.edges)
     half = len(mesh.vertices) // 2
     outside = Face("A", 99, 99, 0)
-    cases = [(M, True) for M in enumerate_matchings(BoxDims(*dims))]
+    cases = [(mesh.faces_of(M), True) for M in enumerate_matchings(BoxDims(*dims))]
     # one vertex covered twice: trade f for another edge g at one end of f;
     # the far end of g gets degree 2 and the far end of f degree 0
     for M, _ in list(cases):
@@ -141,6 +143,98 @@ def test_is_perfect_matching_against_degree_count(dims):
         got = mesh.is_perfect_matching(M)
         assert got == degree_oracle(mesh, M)
         assert want is None or got == want
+        if outside not in M:  # the same edge set as a mask
+            assert mesh.is_perfect_matching(mesh.mask_of(M)) == got
+
+
+# -- edge masks -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 2), (12, 12, 12)],
+                         ids=str)
+def test_mask_of_and_faces_of_round_trip(dims):
+    mesh = build_mesh(BoxDims(*dims))
+    edges = list(mesh.edges)
+    rng = random.Random(str(dims))
+    assert mesh.mask_of(edges) == (1 << len(edges)) - 1
+    assert mesh.faces_of(0) == frozenset() and mesh.mask_of([]) == 0
+    for i, f in enumerate(edges):
+        assert mesh.mask_of([f]) == 1 << i and mesh.faces_of(1 << i) == {f}
+    for _ in range(50):
+        faces = frozenset(rng.sample(edges, rng.randrange(len(edges) + 1)))
+        mask = mesh.mask_of(faces)
+        assert mesh.faces_of(mask) == faces
+        assert mesh.mask_of(mesh.faces_of(mask)) == mask
+    with pytest.raises(UnknownFace):
+        mesh.mask_of([Face("A", 99, 99, 0)])
+    for bad in (1 << len(edges), -1):
+        with pytest.raises(UnknownFace):
+            mesh.faces_of(bad)
+
+
+# 6, 11, 30 and 86 edges: a top chunk of 6, 3, 6 and 6 edges, never a full byte
+TABLE_DIMS = [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 2), BoxDims(4, 2, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TABLE_DIMS), st.data())
+def test_edge_sums_equal_per_edge_sums(dims, data):
+    mesh = build_mesh(dims)
+    m = len(mesh.edges)
+    values = data.draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=m, max_size=m))
+    # any mask, one with a bit in the top (partial) chunk, and all edges
+    top = 1 << (m - 1)
+    mask = data.draw(st.one_of(st.integers(0, (1 << m) - 1),
+                               st.integers(0, top - 1).map(lambda x: x | top),
+                               st.just((1 << m) - 1)))
+    table = edge_table(values)
+    assert len(table) == -(-m // 8) and len(table[-1]) == 2 ** (m - 8 * (len(table) - 1))
+    want = sum(v for i, v in enumerate(values) if mask >> i & 1)
+    assert mesh.edge_sum(mask, table) == want
+    with pytest.raises(UnknownFace):
+        mesh.edge_sum(mask | 1 << m, table)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1),
+                                  (4, 2, 2)], ids=str)
+def test_is_perfect_matching_refuses_broken_masks(dims):
+    mesh = build_mesh(BoxDims(*dims))
+    m = len(mesh.edges)
+    doubly_covered = 0
+    for M in enumerate_matchings(BoxDims(*dims)):
+        assert mesh.is_perfect_matching(M)
+        bits = [i for i in range(m) if M >> i & 1]
+        others = [i for i in range(m) if not M >> i & 1]
+        for i in bits:
+            assert not mesh.is_perfect_matching(M ^ 1 << i)  # a bit dropped
+        for j in others:
+            assert not mesh.is_perfect_matching(M | 1 << j)  # a bit added
+            for i in bits:
+                # one edge traded for another, at the right popcount; j
+                # always shares a vertex with an edge left in the mask
+                N = M ^ 1 << i ^ 1 << j
+                doubly_covered += any(N >> e & 1 for v in mesh.edge_ends[j]
+                                      for e, _ in mesh.vertex_edges[v] if e != j)
+                assert not mesh.is_perfect_matching(N)
+        # a bit past the last edge: in the top byte, past it, far past it
+        for past in (M | 1 << m, M | 1 << (8 * -(-m // 8)), M | 1 << (m + 64), -M):
+            assert not mesh.is_perfect_matching(past)
+    assert doubly_covered
+
+
+def test_tables_are_built_on_first_use():
+    mesh = HexMesh(BoxDims(3, 3, 3))  # a fresh mesh, outside the cache
+    lazy = ("edge_index", "edge_ends", "vertex_edges", "centroids", "_endpoint_table",
+            "squish_table", "short_at_outer")
+    assert not any(name in vars(mesh) for name in lazy)
+    # the face-level test builds none of them
+    assert not mesh.is_perfect_matching(frozenset())
+    assert not any(name in vars(mesh) for name in lazy)
+    # a mask at the wrong popcount is refused before the table is read
+    assert not mesh.is_perfect_matching(0)
+    assert "_endpoint_table" not in vars(mesh)
+    assert not mesh.is_perfect_matching((1 << (len(mesh.vertices) // 2)) - 1)
+    assert "_endpoint_table" in vars(mesh) and "squish_table" not in vars(mesh)
 
 
 def test_face_id_canonical_ranges():

@@ -7,8 +7,8 @@ from hexdimer.diagrams import PlanePartition, enumerate_matchings, matching_of
 from hexdimer.mesh import BoxDims, build_mesh
 from hexdimer.overlay import (
     MeshMismatch, MissingEdgeWeight, OverlayError, TooLarge, TwoFactor,
-    assemble_pairs, enumerate_two_factors, loop_vertices,
-    overlay, pair_keys, pair_matchings, split, two_factor_weight,
+    assemble_two_factor, enumerate_two_factors, iter_two_factors, loop_vertices,
+    overlay, overlay_keys, pair_matchings, split, two_factor_weight,
 )
 from hexdimer.squish import wp_edge_weighting
 
@@ -93,15 +93,15 @@ def test_split_counts_and_reconstruction():
     dims = BoxDims(2, 2, 2)
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims)
-    total = 0
+    faces = mesh.faces_of
     for M1 in ms:
         for M2 in ms:
-            lam = overlay(mesh, M1, M2)
-            pairs = split(lam)
+            lam = overlay(mesh, faces(M1), faces(M2))
+            pairs = split(mesh, lam)
             assert len(pairs) == 2 ** len(lam.loops)
             assert (M1, M2) in pairs
             for N1, N2 in pairs:
-                assert overlay(mesh, N1, N2) == lam
+                assert overlay(mesh, faces(N1), faces(N2)) == lam
     # sum over distinct 2-factors
     lams = enumerate_two_factors(dims)
     assert sum(2 ** len(l.loops) for l in lams) == len(ms) ** 2 == 400
@@ -110,7 +110,7 @@ def test_split_counts_and_reconstruction():
 def test_split_no_loops_single_pair():
     dims, mesh, empty, _ = hexagon_setup()
     lam = overlay(mesh, empty, empty)
-    assert split(lam) == [(empty, empty)]
+    assert split(mesh, lam) == [(mesh.mask_of(empty), mesh.mask_of(empty))]
 
 
 def test_enumerate_two_factors_hexagon():
@@ -124,7 +124,7 @@ def test_enumerate_two_factors_hexagon():
 def test_enumerate_two_factors_equals_ordered_pairs(dims):
     dims = BoxDims(*dims)
     mesh = build_mesh(dims)
-    ms = enumerate_matchings(dims)
+    ms = list(map(mesh.faces_of, enumerate_matchings(dims)))
     ordered = {overlay(mesh, M1, M2) for M1 in ms for M2 in ms}
     assert all(overlay(mesh, M1, M2) == overlay(mesh, M2, M1) for M1 in ms for M2 in ms)
     assert enumerate_two_factors(dims) == \
@@ -160,7 +160,7 @@ def test_weight_factors_over_any_split():
     wp = wp_edge_weighting(mesh)
     for lam in enumerate_two_factors(dims):
         w = two_factor_weight(lam, wp.weights)
-        for M1, M2 in split(lam):
+        for M1, M2 in split(mesh, lam):
             assert w == wp.weight_of(M1) * wp.weight_of(M2)
 
 
@@ -177,47 +177,60 @@ def test_json_dump():
                                   for c in range(1, 3)], ids=str)
 def test_grouped_overlays_equal_per_pair_overlays(dims):
     # one assembly per (M1 & M2, M1 ^ M2) key gives what overlaying every
-    # pair gives: the same distinct 2-factors, and for split the same set of
-    # ordered pairs behind each 2-factor
+    # pair of face sets gives: the same distinct 2-factors, and for split
+    # the same set of ordered pairs behind each 2-factor
     dims = BoxDims(*dims)
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims)
     per_pair = {}
     for i, M1 in enumerate(ms):
         for M2 in ms[i:]:
-            lam = overlay(mesh, M1, M2)
+            lam = overlay(mesh, mesh.faces_of(M1), mesh.faces_of(M2))
             per_pair.setdefault(lam, set()).update({(M1, M2), (M2, M1)})
     assert enumerate_two_factors(dims) == \
         sorted(per_pair, key=lambda tf: (sorted(tf.doubled), tf.loops))
-    shares = pair_keys(mesh, ms)
     pairs_of = {}
-    for M1, k1 in zip(ms, shares):
-        for M2, k2 in zip(ms, shares):
-            pairs_of.setdefault(k1 + k2, set()).add((M1, M2))
-    groups = list(pairs_of.values())
-    lams = assemble_pairs(mesh, (next(iter(p)) for p in groups))
-    assert dict(zip(lams, groups)) == per_pair
+    for M1 in ms:
+        for M2 in ms:
+            pairs_of.setdefault((M1 & M2, M1 ^ M2), set()).add((M1, M2))
+    assert set(pairs_of) == overlay_keys(ms)
+    lams = [assemble_two_factor(mesh, *key) for key in pairs_of]
+    assert dict(zip(lams, pairs_of.values())) == per_pair
 
 
-def test_pair_key_digits_are_the_overlay_edge_sets():
+def test_overlay_key_masks_are_the_overlay_edge_sets():
     dims = BoxDims(2, 2, 1)
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims)
-    index = {f: i for i, f in enumerate(mesh.edges)}
-    for (M1, k1), (M2, k2) in itertools.product(zip(ms, pair_keys(mesh, ms)), repeat=2):
-        k, digits = k1 + k2, {}
-        for i in range(len(index)):
-            k, digits[i] = divmod(k, 3)
-        assert k == 0
-        assert {f for f in mesh.edges if digits[index[f]] == 2} == M1 & M2
-        assert {f for f in mesh.edges if digits[index[f]] == 1} == M1 ^ M2
+    for M1, M2 in itertools.product(ms, repeat=2):
+        F1, F2 = mesh.faces_of(M1), mesh.faces_of(M2)
+        assert mesh.faces_of(M1 & M2) == F1 & F2
+        assert mesh.faces_of(M1 ^ M2) == F1 ^ F2
+        lam = assemble_two_factor(mesh, M1 & M2, M1 ^ M2)
+        assert lam.doubled == F1 & F2
+        assert {f for loop in lam.loops for f in loop} == F1 ^ F2
 
 
-def test_assemble_pairs_refuses_a_repeated_two_factor():
+def test_assemble_refuses_loop_edges_that_are_no_loops():
     dims, mesh, empty, full = hexagon_setup()
-    assert assemble_pairs(mesh, [(empty, full)]) == [overlay(mesh, empty, full)]
-    with pytest.raises(OverlayError, match="same 2-factor"):
-        assemble_pairs(mesh, [(empty, full), (full, empty)])
+    e, f = mesh.mask_of(empty), mesh.mask_of(full)
+    assert assemble_two_factor(mesh, e & f, e ^ f) == overlay(mesh, empty, full)
+    # five of the hexagon's edges: the walk ends at a vertex of degree one
+    for i in range(6):
+        with pytest.raises(OverlayError, match="end at"):
+            assemble_two_factor(mesh, 0, (e ^ f) & ~(1 << i))
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)], ids=str)
+def test_streamed_two_factors_are_the_sorted_overlays(dims):
+    # iter_two_factors holds one doubled-edge group at a time and yields
+    # what sorting every distinct overlay gives
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    ms = list(map(mesh.faces_of, enumerate_matchings(dims)))
+    every = {overlay(mesh, M1, M2) for M1 in ms for M2 in ms}
+    assert list(iter_two_factors(dims)) == \
+        sorted(every, key=lambda tf: (sorted(tf.doubled), tf.loops))
 
 
 def test_pair_matchings_refuse_before_enumerating(monkeypatch):
@@ -238,6 +251,7 @@ def test_pair_matchings_validate_each_matching(monkeypatch):
     import hexdimer.overlay as ov
 
     dims, mesh, empty, _ = hexagon_setup()
-    monkeypatch.setattr(ov, "enumerate_matchings", lambda d: [empty, empty - {min(empty)}])
+    M = mesh.mask_of(empty)
+    monkeypatch.setattr(ov, "enumerate_matchings", lambda d: [M, M & (M - 1)])
     with pytest.raises(MeshMismatch):
         pair_matchings(dims)

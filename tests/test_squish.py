@@ -10,13 +10,13 @@ from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, pa
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
                                enumerate_matchings, matching_of)
-from hexdimer.mesh import BoxDims, OddDims, build_mesh
+from hexdimer.mesh import BoxDims, OddDims, UnknownFace, build_mesh
 from hexdimer.overlay import (assemble_two_factor, enumerate_two_factors, overlay,
                               two_factor_weight)
 from hexdimer.squish import (
     EdgeWeighting, SignRule, SquishError, calibrate_sign_rule,
-    classify_propeller, lemma2_sum, lift_preimages, loop_lift_sum, project,
-    projection_key,
+    classify_propeller, key_masks, lemma2_sum, lift_key, lift_preimages, loop_lift_sum,
+    project, projection_key,
     _loop_lift_choices, _sign_weighting_for, pullback_weighting, sign_weighting,
     transfer_lift_sum, turn_word, wp_edge_weighting,
 )
@@ -39,16 +39,19 @@ def hexagon_loop():
                                   (3, 3, 2)], ids=str)
 def test_wp_weighs_matchings_by_box_count(dims):
     dims = BoxDims(*dims)
-    wp = wp_edge_weighting(build_mesh(dims))
+    mesh = build_mesh(dims)
+    wp = wp_edge_weighting(mesh)
     for pi in enumerate_diagrams(dims):
-        assert wp.weight_of(matching_of(pi)) == Monomial(1, pack(3 * pi.size(), 0, 0, 0))
+        assert wp.weight_of(mesh.mask_of(matching_of(pi))) == \
+            Monomial(1, pack(3 * pi.size(), 0, 0, 0))
 
 
 def test_wp_empty_matching_is_one():
     for dims in BASE_DIMS:
-        wp = wp_edge_weighting(build_mesh(dims))
+        mesh = build_mesh(dims)
+        wp = wp_edge_weighting(mesh)
         empty = matching_of(PlanePartition.empty(dims))
-        assert wp.weight_of(empty) == Monomial(1)
+        assert wp.weight_of(mesh.mask_of(empty)) == Monomial(1)
 
 
 # -- pullback weighting --------------------------------------------------------
@@ -139,7 +142,7 @@ def test_some_candidate_rules_fail_nothing():
 
 def test_project_empty_matching_is_all_doubled():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    empty = matching_of(PlanePartition.empty(BoxDims(2, 2, 2)))
+    empty = mesh.mask_of(matching_of(PlanePartition.empty(BoxDims(2, 2, 2))))
     lam = project(mesh, empty)
     assert lam.loops == ()
     assert lam.doubled == matching_of(PlanePartition.empty(BoxDims(1, 1, 1)))
@@ -158,7 +161,7 @@ def test_projection_fibers_partition_matchings():
 
 def test_every_propeller_has_one_matched_short_edge():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    for mu in enumerate_matchings(BoxDims(2, 2, 2)):
+    for mu in map(mesh.faces_of, enumerate_matchings(BoxDims(2, 2, 2))):
         for p in mesh.propellers:
             assert sum(1 for _, f in p.shorts if f in mu) == 1
 
@@ -173,7 +176,7 @@ def test_classify_propeller():
         lam = project(mesh, mu)
         non_parallel = 0
         for p in mesh.propellers:
-            kind = classify_propeller(mesh, mu, p)
+            kind = classify_propeller(mesh, mesh.faces_of(mu), p)
             counts[kind] += 1
             non_parallel += kind != "Parallel"
         # loops pass through every propeller on them
@@ -206,7 +209,7 @@ def test_hexagon_loop_lift_sums():
     S = sign_weighting(even)
     assert loop_lift_sum(even, loop, S) == -2
     assert transfer_lift_sum(even, loop) == -2
-    ones = EdgeWeighting({f: Monomial(1) for f in even.edges})
+    ones = EdgeWeighting(even, {f: Monomial(1) for f in even.edges})
     assert loop_lift_sum(even, loop, ones) == 18
 
 
@@ -231,8 +234,8 @@ def test_loop_lift_sum_equals_sum_over_lift_choices(base):
     base = BoxDims(*base)
     even = build_mesh(base.doubled())
     rng = random.Random(7)
-    ones = EdgeWeighting({f: Monomial(1) for f in even.edges})
-    coin = EdgeWeighting({f: Monomial(rng.choice((1, -1))) for f in sorted(even.edges)})
+    ones = EdgeWeighting(even, {f: Monomial(1) for f in even.edges})
+    coin = EdgeWeighting(even, {f: Monomial(rng.choice((1, -1))) for f in sorted(even.edges)})
     U = pullback_weighting(even)
     n = 0
     for lam in enumerate_two_factors(base):
@@ -299,8 +302,9 @@ def test_lemma2_sum_equals_direct_preimage_sum():
     # gives, so that the weighting passed in is the one summed
     even = build_mesh(BoxDims(2, 2, 2))
     rng = random.Random(7)
-    coin = EdgeWeighting({f: Monomial(1 if f in even.short_edges else rng.choice((1, -1)))
-                          for f in sorted(even.edges)})
+    coin = EdgeWeighting(even, {f: Monomial(1 if f in even.short_edges
+                                            else rng.choice((1, -1)))
+                                for f in sorted(even.edges)})
     for S in (sign_weighting(even), coin):
         for lam in enumerate_two_factors(BoxDims(1, 1, 1)):
             direct = sum(S.weight_of(mu).coeff for mu in lift_preimages(even, lam))
@@ -323,11 +327,11 @@ def test_consistency_factorization(base):
         t = split(U.weight_of(mu).key)[0]
         return S.weight_of(mu).coeff * (-1) ** (t % 2), t
 
-    s0, e0 = W(matching_of(PlanePartition.empty(dims)))
+    s0, e0 = W(mesh.mask_of(matching_of(PlanePartition.empty(dims))))
     assert (s0, e0) == ((-1) ** (a * b + b * c + c * a), 0)
     for mu in enumerate_matchings(dims):
         s, e = W(mu)
-        dw = diagram_weight(diagram_of(mesh, mu), scheme)
+        dw = diagram_weight(diagram_of(mesh, mesh.faces_of(mu)), scheme)
         assert s * s0 == dw.coeff and e == 3 * split(dw.key)[0]
 
 
@@ -337,50 +341,66 @@ def test_consistency_factorization(base):
 @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 2)], ids=str)
 def test_grouped_projection_equals_per_matching_assembly(dims):
     # project once per projection key: every matching of the group assembles,
-    # on its own, to the group's 2-factor
+    # on its own, to the group's 2-factor; the key's base-4 digits, read one
+    # base edge at a time, are the 2-factor's doubled and loop edges
     mesh = build_mesh(BoxDims(*dims))
+    base = mesh.base
     groups = {}
     for mu in enumerate_matchings(mesh.dims):
         groups.setdefault(projection_key(mesh, mu), []).append(mu)
     lams = [project(mesh, mus[0]) for mus in groups.values()]
     assert len(set(lams)) == len(lams)
     for lam, (key, mus) in zip(lams, groups.items()):
-        assert (lam.doubled, frozenset(f for loop in lam.loops for f in loop)) == key
+        digits = [key >> 2 * j & 3 for j in range(len(base.edges))]
+        assert key >> 2 * len(base.edges) == 0 and max(digits) <= 2
+        decoded = ({f for f, d in zip(base.edges, digits) if d == 2},
+                   {f for f, d in zip(base.edges, digits) if d == 1})
+        assert decoded == (lam.doubled, {f for loop in lam.loops for f in loop})
+        assert key == lift_key(mesh, lam)
+        assert key_masks(key, len(base.edges)) == tuple(map(base.mask_of, decoded))
         for mu in mus:
-            counts = Counter(mesh._squish_of[f] for f in mu if f not in mesh.short_edges)
-            doubled = frozenset(bf for bf, n in counts.items() if n == 2)
-            rest = frozenset(bf for bf, n in counts.items() if n == 1)
-            assert assemble_two_factor(mesh.base, doubled, rest) == lam
+            counts = Counter(mesh._squish_of[f] for f in mesh.faces_of(mu)
+                             if f not in mesh.short_edges)
+            doubled = base.mask_of(bf for bf, n in counts.items() if n == 2)
+            rest = base.mask_of(bf for bf, n in counts.items() if n == 1)
+            assert assemble_two_factor(base, doubled, rest) == lam
 
 
 def test_projection_key_refuses_a_non_matching():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    mu = matching_of(PlanePartition.empty(mesh.dims))
+    mu = mesh.mask_of(matching_of(PlanePartition.empty(mesh.dims)))
     with pytest.raises(SquishError, match="perfect matching"):
-        projection_key(mesh, mu - {min(mu)})
+        projection_key(mesh, mu & (mu - 1))
 
 
 def test_key_sum_weight_equals_monomial_product():
     mesh = build_mesh(BoxDims(4, 4, 2))
     for w in (pullback_weighting(mesh), sign_weighting(mesh)):
         for mu in enumerate_matchings(mesh.dims):
-            want = reduce(Monomial.__mul__, (w[f] for f in mu), Monomial(1))
+            want = reduce(Monomial.__mul__, (w[f] for f in mesh.faces_of(mu)), Monomial(1))
             assert w.weight_of(mu) == want
 
 
 def test_weighting_past_the_range_raises():
     mesh = build_mesh(BoxDims(1, 1, 1))
     f, g = sorted(mesh.edges)[:2]
-    edge = EdgeWeighting({f: mono_t(LIMIT // 2), g: mono_t(LIMIT // 2 - 1)})
-    assert edge.weight_of({f, g}) == Monomial(1, pack(LIMIT - 1, 0, 0, 0))
+    ones = {h: Monomial(1) for h in mesh.edges}
+    edge = EdgeWeighting(mesh, {**ones, f: mono_t(LIMIT // 2), g: mono_t(LIMIT // 2 - 1)})
+    assert edge.weight_of(mesh.mask_of({f, g})) == Monomial(1, pack(LIMIT - 1, 0, 0, 0))
     # |exponents| summed over all edges reach LIMIT in the t field: any edge
     # set is refused, even one whose own sum would fit
     for exps in ((LIMIT // 2, LIMIT // 2), (-LIMIT // 2, LIMIT // 2)):
-        over = EdgeWeighting({f: mono_t(exps[0]), g: mono_t(exps[1])})
+        over = EdgeWeighting(mesh, {**ones, f: mono_t(exps[0]), g: mono_t(exps[1])})
         with pytest.raises(AlgebraError):
-            over.weight_of({f})
-    with pytest.raises(KeyError):
-        edge.weight_of(mesh.edges)
+            over.weight_of(mesh.mask_of({f}))
+    # an edge without a weight, a coefficient other than +-1, a bit past the
+    # last edge
+    with pytest.raises(SquishError, match="no weight"):
+        EdgeWeighting(mesh, {f: Monomial(1)}).weight_of(0)
+    with pytest.raises(SquishError, match="coefficient"):
+        EdgeWeighting(mesh, {**ones, g: Monomial(2)}).weight_of(0)
+    with pytest.raises(UnknownFace):
+        edge.weight_of(1 << len(mesh.edges))
 
 
 def test_minus_one_sums_each_distinct_loop_once(monkeypatch):
