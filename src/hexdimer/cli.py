@@ -24,7 +24,7 @@ from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, TooLarge, Z2Z2
                        iter_matchings, matching_of, tau_move, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh
 from .overlay import (OverlayError, assemble_two_factor, iter_two_factors, overlay,
-                      overlay_keys, pair_matchings, split, two_factor_weight)
+                      overlay_keys, pair_matchings, split)
 from .series import SeriesError, compare_box_vs_series, eq3_check
 from .squish import (SquishError, lemma2_sum, lift_key, lift_preimages, project,
                      projection_key, pullback_weighting, sign_weighting, transfer_lift_sum,
@@ -75,7 +75,7 @@ def check_split(dims: BoxDims) -> CheckReport:
     total = 0
     for key, pairs in pairs_of.items():
         lam = assemble_two_factor(mesh, *key)
-        rec = split(mesh, lam)
+        rec = split(lam)
         total += len(rec)
         if len(rec) != 2 ** len(lam.loops) or set(rec) != pairs:
             rep.fail({"two_factor": lam.to_json_obj(),
@@ -120,10 +120,11 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     rep = CheckReport("minus-one", {"dims": ",".join(map(str, dims))})
     a, b, c = dims
     sgn = (-1) ** (a * b + b * c + c * a)
+    faces = build_mesh(dims).faces
     even = build_mesh(dims.doubled())
     S = sign_weighting(even)
     values = []
-    loop_sums: Dict[object, int] = {}  # each distinct loop summed once
+    loop_sums: Dict[Tuple[int, ...], int] = {}  # each distinct loop summed once
     checked = set()
     for lam in iter_two_factors(dims):
         got = lemma2_sum(even, lam, S, loop_sums)
@@ -138,7 +139,7 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
             brute = loop_sums[loop]
             transfer = transfer_lift_sum(even, loop)
             if brute != -2 or transfer != brute:
-                rep.fail({"loop": [list(f) for f in loop], "brute": brute,
+                rep.fail({"loop": [list(faces[e]) for e in loop], "brute": brute,
                           "transfer": transfer})
     rep.params["per_two_factor"] = values
     return rep
@@ -156,7 +157,9 @@ def check_pullback(dims: BoxDims) -> CheckReport:
     for mu in iter_matchings(dims):
         key = projection_key(mesh, mu)
         if key not in want:
-            want[key] = two_factor_weight(project(mesh, mu), wp.weights)
+            lam = project(mesh, mu)
+            w = wp.weight_of(lam.doubled)
+            want[key] = w * w * wp.weight_of(lam.loop_mask())
         if U.weight_of(mu) != want[key]:
             rep.fail({"matching": sorted(map(list, mesh.faces_of(mu)))})
     return rep
@@ -265,7 +268,7 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     sizes = []
     for lam in iter_two_factors(dims):
         pre = lift_preimages(even, lam)
-        key = lift_key(even, lam)
+        key = lift_key(lam)
         distinct = len(set(pre))
         stray = next((mu for mu in pre if projection_key(even, mu) != key), None)
         if not pre or distinct != len(pre) or stray is not None:
@@ -458,11 +461,10 @@ def cmd_render(args) -> int:
     elif args.what == "twofactor":
         empty = matching_of(PlanePartition.empty(dims))
         lam = overlay(mesh, M, empty)
-        for f in sorted(lam.doubled):
+        for f in sorted(mesh.faces_of(lam.doubled)):
             add(f, "#cccccc")
-        for loop in lam.loops:
-            for f in loop:
-                add(f, _CLASS_FILL[f.cls], ' fill-opacity="0.9"')
+        for f in (mesh.faces[e] for loop in lam.loops for e in loop):
+            add(f, _CLASS_FILL[f.cls], ' fill-opacity="0.9"')
     else:  # squish
         if not dims.is_even:
             raise UsageError("squish render needs even dims")

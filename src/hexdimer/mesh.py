@@ -93,9 +93,6 @@ class Face(NamedTuple):
         return cls(klass, i - m, j - m, -m)
 
 
-IN_PROPELLER = object()  # sentinel returned by squish_edge for short edges
-
-
 @dataclass(frozen=True)
 class Propeller:
     """A claw of three short edges around a center vertex of an even mesh."""
@@ -220,7 +217,8 @@ class HexMesh:
         return {f: i for i, f in enumerate(self.edges)}
 
     @cached_property
-    def _faces(self) -> Tuple[Face, ...]:
+    def faces(self) -> Tuple[Face, ...]:
+        """Each edge position's face: the inverse of ``edge_index``."""
         return tuple(self.edges)
 
     def mask_of(self, faces: Iterable[Face]) -> int:
@@ -233,11 +231,11 @@ class HexMesh:
 
     def faces_of(self, mask: int) -> FrozenSet[Face]:
         """The edges of a mask (the inverse of ``mask_of``)."""
-        self._check_mask(mask)
-        faces = self._faces
-        return frozenset([faces[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
+        self.check_mask(mask)
+        return frozenset(map(self.faces.__getitem__, positions(mask)))
 
-    def _check_mask(self, mask: int) -> None:
+    def check_mask(self, mask: int) -> None:
+        """UnknownFace for a mask with a bit past the last edge."""
         if mask >> len(self.edges):  # a negative mask shifts to -1
             raise UnknownFace(f"mask {mask:#x} has a bit past the last edge "
                               f"of H_{tuple(self.dims)}")
@@ -245,7 +243,7 @@ class HexMesh:
     def edge_sum(self, mask: int, table: List[List[int]]) -> int:
         """The sum over the edges of a mask of the values an ``edge_table``
         was built from: one lookup and one addition per byte of the mask."""
-        self._check_mask(mask)
+        self.check_mask(mask)
         return sum(map(list.__getitem__, table, mask.to_bytes(len(table), "little")))
 
     @cached_property
@@ -273,8 +271,14 @@ class HexMesh:
         return tuple(map(corner_sum, self.vertices))
 
     @cached_property
+    def endpoint_bits(self) -> Tuple[int, ...]:
+        """Per edge, 2^u + 2^v for the positions u, v of its ends: two edges
+        share a vertex exactly when their bits meet."""
+        return tuple((1 << u) | (1 << v) for u, v in self.edge_ends)
+
+    @cached_property
     def _endpoint_table(self) -> List[List[int]]:
-        return edge_table([(1 << u) | (1 << v) for u, v in self.edge_ends])
+        return edge_table(self.endpoint_bits)
 
     # -- even-mesh structure ---------------------------------------------
 
@@ -325,9 +329,6 @@ class HexMesh:
                 own[o] = p
         return own
 
-    def propeller_of(self, t: Triangle) -> Propeller:
-        return self._propeller_of[t]
-
     @cached_property
     def propeller_of_base(self) -> Dict[Triangle, Propeller]:
         """Propeller lookup by the base vertex it contracts to."""
@@ -338,29 +339,25 @@ class HexMesh:
         return frozenset(f for p in self.propellers for _, f in p.shorts)
 
     @cached_property
-    def lift_fibers(self) -> Dict[Face, Tuple[Face, Face]]:
-        """base Face -> its two long-edge preimages, sorted."""
-        base_by_pair = {
-            frozenset(ts): f for f, ts in self.base.edges.items()
-        }
-        fibers: Dict[Face, List[Face]] = {}
+    def lifts(self) -> Tuple[Tuple[int, int], ...]:
+        """Per base edge position, the positions of its two long-edge
+        preimages (its lifts), ascending: the squish map, 2-to-1 and
+        class-preserving onto the base edges."""
+        base = self.base
+        base_at = {frozenset(ts): j for j, ts in enumerate(base.edges.values())}
+        fibers: List[List[int]] = [[] for _ in base.edges]
         own = self._propeller_of
-        for f, (t1, t2) in self.edges.items():
+        for i, (f, (t1, t2)) in enumerate(self.edges.items()):
             p1, p2 = own[t1], own[t2]
             if p1 is p2:
                 continue  # short edge
-            key = frozenset((p1.base, p2.base))
-            bf = base_by_pair.get(key)
-            if bf is None or bf.cls != f.cls:
+            j = base_at.get(frozenset((p1.base, p2.base)))
+            if j is None or base.faces[j].cls != f.cls:
                 raise MeshError(f"long edge {f} does not project onto a base edge")
-            fibers.setdefault(bf, []).append(f)
-        if set(fibers) != set(self.base.edges) or any(len(v) != 2 for v in fibers.values()):
+            fibers[j].append(i)
+        if any(len(v) != 2 for v in fibers):
             raise MeshError("squish map is not 2-to-1 onto the base edge set")
-        return {bf: tuple(sorted(v)) for bf, v in sorted(fibers.items())}
-
-    @cached_property
-    def _squish_of(self) -> Dict[Face, Face]:
-        return {lift: bf for bf, lifts in self.lift_fibers.items() for lift in lifts}
+        return tuple(map(tuple, fibers))
 
     @cached_property
     def squish_table(self) -> List[List[int]]:
@@ -368,18 +365,31 @@ class HexMesh:
         image's position in ``base.edges``, and a short edge 0.  A perfect
         matching's sum has base-4 digit 2, 1 or 0 at each base edge whose
         two lifts it holds, one lift or none; no digit can carry."""
-        base = self.base.edge_index
-        squish = self._squish_of
-        return edge_table([4 ** base[squish[f]] if f in squish else 0 for f in self.edges])
+        values = [0] * len(self.edges)
+        for j, pair in enumerate(self.lifts):
+            for i in pair:
+                values[i] = 4 ** j
+        return edge_table(values)
 
     @cached_property
-    def short_at_outer(self) -> Dict[Triangle, int]:
-        """Each outer vertex of a propeller -> the bit of the short edge that
-        covers it in a matching where no long edge does."""
+    def short_mask(self) -> int:
+        """The mask of the short edges."""
+        return self.mask_of(self.short_edges)
+
+    @cached_property
+    def long_cover(self) -> Tuple[int, ...]:
+        """Per edge position i, 2^i plus the bits of the short edges at the
+        edge's ends where these are outer vertices of propellers.  For a
+        long edge that is both ends: a matching that holds it leaves out
+        those two shorts."""
         index = self.edge_index
+        short_at: Dict[Triangle, int] = {}
         # a propeller's outers and shorts are both sorted by class
-        return {o: 1 << index[f] for p in self.propellers
-                for (_, o), (_, f) in zip(p.outers, p.shorts)}
+        for p in self.propellers:
+            for (_, o), (_, f) in zip(p.outers, p.shorts):
+                short_at[o] = 1 << index[f]
+        return tuple((1 << i) | short_at.get(t1, 0) | short_at.get(t2, 0)
+                     for i, (t1, t2) in enumerate(self.edges.values()))
 
     # -- serialization ----------------------------------------------------
 
@@ -447,6 +457,11 @@ def face_order(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_FACE_ORDER) if mask else ""
 
 
+def positions(mask: int) -> List[int]:
+    """The positions of a mask's bits, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 def edge_table(values: Sequence[int]) -> List[List[int]]:
     """Per-byte sum tables of one int per edge, in ``edges`` order: entry k
     of row c is the sum of the values of edges 8c + j over the bits j set
@@ -469,26 +484,3 @@ def build_mesh(dims: BoxDims) -> HexMesh:
         _MESH_CACHE[key] = HexMesh(dims)
     return _MESH_CACHE[key]
 
-
-def squish_edge(mesh: HexMesh, f: Face):
-    """Image of an even-mesh edge under squishing; IN_PROPELLER for short edges."""
-    if f not in mesh.edges:
-        raise UnknownFace(f"{f} is not an edge of H_{tuple(mesh.dims)}")
-    if f in mesh.short_edges:
-        return IN_PROPELLER
-    return mesh._squish_of[f]
-
-
-def unsquish(mesh: HexMesh, base_edges) -> FrozenSet[Face]:
-    """All long-edge preimages of the given base edges, plus every short edge
-    of a propeller incident to one of those preimages."""
-    out = set()
-    touched = set()
-    for bf in base_edges:
-        for lift in mesh.lift_fibers[bf]:
-            out.add(lift)
-            for t in mesh.edges[lift]:
-                touched.add(mesh.propeller_of(t))
-    for p in touched:
-        out.update(f for _, f in p.shorts)
-    return frozenset(out)

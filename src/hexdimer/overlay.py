@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import FrozenSet, Iterator, List, Set, Tuple
 
-from .algebra import Monomial
 from .diagrams import TooLarge, bounded_count, enumerate_matchings  # TooLarge: re-export
-from .mesh import BoxDims, Face, HexMesh, Triangle, build_mesh, face_order
+from .mesh import BoxDims, Face, HexMesh, build_mesh, face_order, positions
 
 
 class OverlayError(Exception):
@@ -20,50 +19,48 @@ class MeshMismatch(OverlayError):
     pass
 
 
-class MissingEdgeWeight(OverlayError):
-    pass
-
-
-Loop = Tuple[Face, ...]  # edges in counterclockwise cyclic order
+Loop = Tuple[int, ...]  # edge positions in counterclockwise cyclic order
 
 
 @dataclass(frozen=True)
 class TwoFactor:
     """Doubled edges plus disjoint even loops; every vertex has degree two
-    with multiplicity.  Loops are stored counterclockwise and rotated to
-    their lexicographically least edge, so equal 2-factors compare equal."""
+    with multiplicity.  ``doubled`` is the mask of the doubled edges; each
+    loop is a tuple of edge positions (``edges`` order), counterclockwise
+    and rotated to its least position, so equal 2-factors compare equal.
+    Positions sort as the edges do, so 2-factors sort as by their faces."""
 
     dims: BoxDims
-    doubled: FrozenSet[Face]
+    doubled: int
     loops: Tuple[Loop, ...]
 
     def component_count(self) -> int:
-        return len(self.doubled) + len(self.loops)
+        return self.doubled.bit_count() + len(self.loops)
 
-    def edges_with_multiplicity(self) -> Iterable[Face]:
-        for f in self.doubled:
-            yield f
-            yield f
-        for loop in self.loops:
-            yield from loop
+    def loop_mask(self) -> int:
+        """The mask of the loop edges."""
+        return sum(1 << e for loop in self.loops for e in loop)
 
     def to_json_obj(self) -> dict:
+        mesh = build_mesh(self.dims)
+        faces = mesh.faces
         return {
             "dims": list(self.dims),
-            "doubled": [list(f) for f in sorted(self.doubled)],
-            "loops": [[list(f) for f in loop] for loop in self.loops],
+            "doubled": [list(faces[e]) for e in positions(self.doubled)],
+            "loops": [[list(faces[e]) for e in loop] for loop in self.loops],
         }
 
 
-def loop_vertices(mesh: HexMesh, loop: Loop) -> Tuple[Triangle, ...]:
-    """vertices[i] is shared by loop[i] and loop[i+1] (cyclically)."""
-    k = len(loop)
+def loop_vertices(mesh: HexMesh, loop: Loop) -> Tuple[int, ...]:
+    """vertices[i], a position in ``mesh.vertices``, is shared by loop[i]
+    and loop[i+1] (cyclically)."""
+    ends = mesh.edge_ends
     out = []
-    for i in range(k):
-        shared = set(mesh.edges[loop[i]]) & set(mesh.edges[loop[(i + 1) % k]])
-        if len(shared) != 1:
-            raise OverlayError(f"edges {loop[i]} and {loop[(i+1) % k]} not consecutive")
-        out.append(shared.pop())
+    for e, f in zip(loop, loop[1:] + loop[:1]):
+        (u, v), (u2, v2) = ends[e], ends[f]
+        if (u == u2) == (v == v2):  # an edge's ends are one up and one down vertex
+            raise OverlayError(f"edges {e} and {f} not consecutive")
+        out.append(u if u == u2 else v)
     return tuple(out)
 
 
@@ -77,31 +74,37 @@ def overlay(mesh: HexMesh, M1: FrozenSet[Face], M2: FrozenSet[Face]) -> TwoFacto
 
 
 def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
-    """Build a TwoFactor from the masks of its doubled edges and of the
-    union of its loops (every vertex of ``loops`` must have degree exactly
-    2 there)."""
+    """Build a TwoFactor from the disjoint masks of its doubled edges and
+    of the union of its loops (every vertex of ``loops`` must have degree
+    exactly 2 there)."""
+    mesh.check_mask(doubled | loops)
+    if doubled & loops:
+        raise OverlayError("an edge is both doubled and on a loop")
     ends, nbrs, centroids = mesh.edge_ends, mesh.vertex_edges, mesh.centroids
     walks: List[List[int]] = []
-    rest, limit = loops, loops.bit_count()
+    rest = loops
     while rest:
         # e0 is the least edge of its loop; the walk leaves it at its down
         # end and adds the shoelace term of each vertex it passes
-        e0 = (rest & -rest).bit_length() - 1
+        seen = rest & -rest
+        e0 = seen.bit_length() - 1
         walk, cur = [e0], e0
         head = first = ends[e0][1]
         x0, y0 = centroids[first]
         area2 = 0
         while True:
             for nxt, other in nbrs[head]:
-                if loops >> nxt & 1 and nxt != cur:
+                if nxt != cur and loops >> nxt & 1:
                     break
             else:
                 raise OverlayError(f"loop edges end at {mesh.vertices[head]}")
             if nxt == e0:
                 break
+            bit = 1 << nxt
+            if seen & bit:
+                raise OverlayError(f"loop edges branch off the loop of {mesh.faces[e0]}")
+            seen |= bit
             walk.append(nxt)
-            if len(walk) > limit:
-                raise OverlayError(f"loop edges branch off the loop of {mesh._faces[e0]}")
             cur, head = nxt, other
             x1, y1 = centroids[head]
             area2 += x0 * y1 - x1 * y0
@@ -113,19 +116,19 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
         # geometric one
         if area2 <= 0:
             walk[1:] = walk[:0:-1]  # clockwise walk: reverse it, e0 stays first
-        rest &= ~sum(1 << e for e in walk)
+        rest ^= seen
         walks.append(walk)
-    faces = mesh._faces  # edge positions sort as the edges do
-    return TwoFactor(mesh.dims, mesh.faces_of(doubled),
-                     tuple(tuple(map(faces.__getitem__, w)) for w in sorted(walks)))
+    walks.sort()
+    return TwoFactor(mesh.dims, doubled, tuple(map(tuple, walks)))
 
 
-def split(mesh: HexMesh, lam: TwoFactor) -> List[Tuple[int, int]]:
+def split(lam: TwoFactor) -> List[Tuple[int, int]]:
     """All 2^{#loops} ordered matching pairs overlaying to lam, as masks:
     doubled edges go to both sides, each loop alternates one way or the
     other."""
-    doubled = mesh.mask_of(lam.doubled)
-    halves = [(mesh.mask_of(loop[0::2]), mesh.mask_of(loop[1::2])) for loop in lam.loops]
+    doubled = lam.doubled
+    halves = [(sum(1 << e for e in loop[0::2]), sum(1 << e for e in loop[1::2]))
+              for loop in lam.loops]
     out = []
     for pick in itertools.product((0, 1), repeat=len(halves)):
         M1 = M2 = doubled
@@ -180,13 +183,3 @@ def enumerate_two_factors(dims: BoxDims) -> List[TwoFactor]:
     """The list of iter_two_factors."""
     return list(iter_two_factors(dims))
 
-
-def two_factor_weight(lam: TwoFactor, weights: Mapping[Face, Monomial]) -> Monomial:
-    """Product of edge weights with multiplicity (doubled edges squared)."""
-    w = Monomial(1)
-    for f in lam.edges_with_multiplicity():
-        try:
-            w = w * weights[f]
-        except KeyError:
-            raise MissingEdgeWeight(f"no weight for edge {f}") from None
-    return w

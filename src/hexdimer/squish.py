@@ -1,5 +1,5 @@
 """The matching-level squish correspondence: projecting even-mesh matchings
-onto base-mesh 2-factors, the propeller case analysis, preimage enumeration,
+onto base-mesh 2-factors, preimage enumeration,
 the two proof weightings (the pullback U and the sign weighting S), and the
 transfer-matrix evaluation of signed loop lifts."""
 
@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from functools import cached_property, lru_cache, reduce
+from operator import or_
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, split
 from .diagrams import PlanePartition, matching_of
-from .mesh import (BoxDims, Face, HexMesh, OddDims, Propeller, build_mesh, corner_sum,
-                   edge_table)
+from .mesh import BoxDims, Face, HexMesh, OddDims, build_mesh, edge_table, positions
 from .overlay import (Loop, TwoFactor, assemble_two_factor, enumerate_two_factors,
                       loop_vertices)
 
@@ -41,11 +41,12 @@ class EdgeWeighting:
         return self.weights[f]
 
     @cached_property
-    def _tables(self) -> Tuple[List[List[int]], int]:
-        """The edge_table of the edges' keys, and the mask of the edges
-        weighing -1.  In every field the exponents' absolute values must sum
-        to less than LIMIT over all edges, so that no edge set's key sum can
-        leave the range; AlgebraError otherwise."""
+    def _tables(self) -> Tuple[List[List[int]], int, int]:
+        """The edge_table of the edges' keys, the mask of the edges weighing
+        -1, and the mask of the edges whose key is not 0.  In every field the
+        exponents' absolute values must sum to less than LIMIT over all
+        edges, so that no edge set's key sum can leave the range;
+        AlgebraError otherwise."""
         try:
             ms = [self.weights[f] for f in self.mesh.edges]
         except KeyError as exc:
@@ -59,12 +60,13 @@ class EdgeWeighting:
             raise AlgebraError(f"edge weights spread {spread} in the exponent fields: "
                                f"a product may leave [-2**20, 2**20)")
         return (edge_table([m.key for m in ms]),
-                sum(1 << i for i, m in enumerate(ms) if m.coeff == -1))
+                sum(1 << i for i, m in enumerate(ms) if m.coeff == -1),
+                sum(1 << i for i, m in enumerate(ms) if m.key))
 
     def weight_of(self, mask: int) -> Monomial:
         """The product of the weights of the edges of a mask: their keys
         added, and -1 if an odd number of them weighs -1."""
-        keys, neg = self._tables
+        keys, neg, _ = self._tables
         key = self.mesh.edge_sum(mask, keys)
         return Monomial(-1 if (mask & neg).bit_count() & 1 else 1, key)
 
@@ -104,10 +106,11 @@ def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
     if not mesh.dims.is_even:
         raise OddDims(f"pullback weighting needs even dims, got {tuple(mesh.dims)}")
     base_w = wp_edge_weighting(mesh.base)
+    faces, base_faces = mesh.faces, mesh.base.faces
     w: Dict[Face, Monomial] = {f: Monomial(1) for f in mesh.short_edges}
-    for bf, lifts in mesh.lift_fibers.items():
-        for lf in lifts:
-            w[lf] = base_w[bf]
+    for j, pair in enumerate(mesh.lifts):
+        for i in pair:
+            w[faces[i]] = base_w[base_faces[j]]
     return EdgeWeighting(mesh, w)
 
 
@@ -172,8 +175,10 @@ def calibrate_sign_rule() -> SignRule:
 
 
 def _sign_weighting_for(mesh: HexMesh, rule: SignRule) -> EdgeWeighting:
+    faces, base_faces = mesh.faces, mesh.base.faces
     w: Dict[Face, Monomial] = {f: Monomial(1) for f in mesh.short_edges}
-    for bf, lifts in mesh.lift_fibers.items():
+    for j, pair in enumerate(mesh.lifts):
+        bf, lifts = base_faces[j], [faces[i] for i in pair]
         signs = [rule.sign(mesh, bf, lf) for lf in lifts]
         if signs[0] == signs[1]:
             raise SquishError(f"lift pair of {bf} got equal signs")
@@ -210,14 +215,13 @@ def key_masks(key: int, n: int) -> Tuple[int, int]:
     return int(bits[0::2], 2), int(bits[1::2], 2)
 
 
-def lift_key(mesh: HexMesh, lam: TwoFactor) -> int:
+def lift_key(lam: TwoFactor) -> int:
     """The projection key that every lift of the base 2-factor lam has."""
-    base = mesh.base
 
-    def spread(faces) -> int:  # bit j of the mask to bit 2j
-        return int("0".join(format(base.mask_of(faces), "b")), 2)
+    def spread(mask: int) -> int:  # bit j of the mask to bit 2j
+        return int("0".join(format(mask, "b")), 2)
 
-    return 2 * spread(lam.doubled) + spread(f for loop in lam.loops for f in loop)
+    return 2 * spread(lam.doubled) + spread(lam.loop_mask())
 
 
 def project(mesh: HexMesh, mu: int) -> TwoFactor:
@@ -228,33 +232,6 @@ def project(mesh: HexMesh, mu: int) -> TwoFactor:
     return assemble_two_factor(base, *key_masks(projection_key(mesh, mu), len(base.edges)))
 
 
-def classify_propeller(mesh: HexMesh, mu: FrozenSet[Face], prop: Propeller) -> str:
-    """How a matching passes through one propeller: 'Parallel' (the two long
-    edges are the two lifts of one base edge, giving a doubled passage) or a
-    turning passage, 'OneTurn'/'TwoTurn' by how far apart the two touched
-    outer classes sit from the matched short edge's class."""
-    longs = []
-    short_cls = None
-    for _, f in prop.shorts:
-        if f in mu:
-            short_cls = f.cls
-    for _, o in prop.outers:
-        for f in mesh.incident[o]:
-            if f in mu and f not in mesh.short_edges:
-                longs.append(f)
-    if short_cls is None or len(longs) != 2:
-        raise SquishError("matching does not pass cleanly through the propeller")
-    b1, b2 = (mesh._squish_of[f] for f in longs)
-    if b1 == b2:
-        return "Parallel"
-    # turning passage: the two base edges meet the base vertex at 120 or 240
-    # degrees; classes tell them apart (same class twice is impossible here)
-    pair = {b1.cls, b2.cls}
-    if short_cls in pair:
-        return "OneTurn"
-    return "TwoTurn"
-
-
 def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[int]:
     """All matchings of the even mesh projecting onto the base 2-factor, as
     masks.
@@ -262,50 +239,40 @@ def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[int]:
     The preimages are assembled from lifts and not validated here: a caller
     that must know they are perfect matchings passes each to
     ``projection_key``, which refuses anything else."""
-    short_at = mesh.short_at_outer
-
-    def part(lifts: Tuple[Face, ...]) -> Tuple[int, int]:
-        # the lifts' mask, and the shorts at the outer vertices they cover
-        # (both ends of a long edge are outer vertices)
-        covered = 0
-        for f in lifts:
-            for t in mesh.edges[f]:
-                covered |= short_at[t]
-        return mesh.mask_of(lifts), covered
-
-    # per component, the admissible long-edge selections
-    component_choices = [[part(mesh.lift_fibers[bf])] for bf in sorted(lam.doubled)]
-    component_choices += [list(map(part, _loop_lift_choices(mesh, loop)))
-                          for loop in lam.loops]
-    picks = [(0, 0)]
-    for choices in component_choices:
-        picks = [(m | cm, c | cc) for m, c in picks for cm, cc in choices]
-    # each outer vertex no long edge covers takes its short edge
-    shorts_all = sum(short_at.values())
+    # a preimage holds its lifts and, at each outer vertex none of them
+    # covers, that vertex's short edge.  The OR x of the lifts' long_cover
+    # holds the lifts and the shorts they leave out, so the preimage is
+    # x ^ short_mask.  A doubled base edge takes both its lifts, a loop
+    # any admissible selection.
+    cover = mesh.long_cover
+    picks = [reduce(or_, (cover[i] for j in positions(lam.doubled) for i in mesh.lifts[j]), 0)]
+    for loop in lam.loops:
+        choices = [reduce(or_, map(cover.__getitem__, sel))
+                   for sel in _loop_lift_choices(mesh, loop)]
+        picks = [x | c for x in picks for c in choices]
+    shorts_all = mesh.short_mask
     n = len(mesh.propellers)
     out = []
-    for longs, covered in picks:
-        shorts = shorts_all & ~covered
+    for x in picks:
+        mu = x ^ shorts_all
         # one short per propeller in total; a propeller left with two and
         # another with none leave a center covered twice, which
         # projection_key refuses
-        if shorts.bit_count() != n:
+        if (mu & shorts_all).bit_count() != n:
             raise SquishError("long-edge selection does not leave one short slot per propeller")
-        out.append(longs | shorts)
+        out.append(mu)
     return out
 
 
-def _loop_lift_choices(mesh: HexMesh, loop: Loop) -> List[Tuple[Face, ...]]:
-    """Pairwise non-adjacent lift selections, one lift per loop edge, in
-    lexicographic order of the lift indices.  Prefixes grow one edge at a
-    time and are dropped as soon as two consecutive lifts touch."""
-    lifts = [mesh.lift_fibers[bf] for bf in loop]
-    ends = {f: set(mesh.edges[f]) for pair in lifts for f in pair}
-    picks = [(f,) for f in lifts[0]]
-    for pair in lifts[1:]:
-        picks = [p + (f,) for p in picks for f in pair
-                 if ends[p[-1]].isdisjoint(ends[f])]
-    return [p for p in picks if ends[p[-1]].isdisjoint(ends[p[0]])]
+def _loop_lift_choices(mesh: HexMesh, loop: Loop) -> List[Tuple[int, ...]]:
+    """Pairwise non-adjacent lift selections, one lift position per loop
+    edge, in lexicographic order of the lift indices.  Prefixes grow one
+    edge at a time and are dropped as soon as two consecutive lifts touch."""
+    lifts, bits = mesh.lifts, mesh.endpoint_bits
+    picks = [(i,) for i in lifts[loop[0]]]
+    for j in loop[1:]:
+        picks = [p + (i,) for p in picks for i in lifts[j] if not bits[p[-1]] & bits[i]]
+    return [p for p in picks if not bits[p[-1]] & bits[p[0]]]
 
 
 # -- loop turns and lift sums ---------------------------------------------------
@@ -314,13 +281,10 @@ def _loop_lift_choices(mesh: HexMesh, loop: Loop) -> List[Tuple[Face, ...]]:
 def turn_word(mesh: HexMesh, loop: Loop) -> str:
     """One L or R per vertex of a counterclockwise base loop; any such word
     carries 6 more Ls than Rs."""
-    vs = loop_vertices(mesh, loop)
-    k = len(loop)
+    centroids = mesh.centroids
+    pts = [centroids[v] for v in loop_vertices(mesh, loop)]
     letters = []
-    for i in range(k):
-        x0, y0 = corner_sum(vs[(i - 1) % k])
-        x1, y1 = corner_sum(vs[i])
-        x2, y2 = corner_sum(vs[(i + 1) % k])
+    for (x0, y0), (x1, y1), (x2, y2) in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1]):
         cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
         if cross == 0:
             raise SquishError("straight passage in a hexagon-lattice loop")
@@ -332,30 +296,35 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     """Sum, over all matchings of the loop's blow-up projecting onto it, of
     the product of long-edge weights (short edges weigh 1 in S).
 
-    A two-state transfer along the loop: for each lift of the current edge,
-    the signed sum over the lift choices so far that end in it.  Every lift
-    must weigh +1 or -1; a weight with an exponent, as in U, is refused."""
-    lifts = [mesh.lift_fibers[bf] for bf in loop]
-    ends = {f: set(mesh.edges[f]) for pair in lifts for f in pair}
-    sign = {}
-    for f in ends:
-        if w[f].key or w[f].coeff not in (1, -1):
-            raise SquishError(f"lift {f} weighs {w[f]}, not +1 or -1")
-        sign[f] = w[f].coeff
-    total = 0
-    for start in lifts[0]:
-        vec = [(start, sign[start])]
-        for pair in lifts[1:]:
-            vec = [(f, sign[f] * sum(v for g, v in vec if ends[g].isdisjoint(ends[f])))
-                   for f in pair]
-        total += sum(v for g, v in vec if ends[g].isdisjoint(ends[start]))
-    return total
+    A two-state transfer along the loop: entry (x, y) of the step from one
+    loop edge to the next is the sign of the next edge's lift y if it does
+    not touch the current edge's lift x, and 0 if it does; the sum is the
+    trace of the steps' product around the loop.  Every lift must weigh +1
+    or -1; a weight with an exponent, as in U, is refused."""
+    _, neg, keyed = w._tables
+    pairs = [mesh.lifts[j] for j in loop]
+    exps = sum(1 << i for pair in pairs for i in pair) & keyed
+    if exps:
+        f = mesh.faces[exps.bit_length() - 1]
+        raise SquishError(f"lift {f} weighs {w[f]}, not +1 or -1")
+    bits = mesh.endpoint_bits
+    a, b, c, d = 1, 0, 0, 1  # the product so far, rows (a, b) and (c, d)
+    for (p0, p1), (q0, q1) in zip(pairs, pairs[1:] + pairs[:1]):
+        s0 = -1 if neg >> q0 & 1 else 1
+        s1 = -1 if neg >> q1 & 1 else 1
+        t00 = 0 if bits[p0] & bits[q0] else s0
+        t01 = 0 if bits[p0] & bits[q1] else s1
+        t10 = 0 if bits[p1] & bits[q0] else s0
+        t11 = 0 if bits[p1] & bits[q1] else s1
+        a, b, c, d = a * t00 + b * t10, a * t01 + b * t11, c * t00 + d * t10, c * t01 + d * t11
+    return a + d
 
 
 def transfer_lift_sum(mesh: HexMesh, loop: Loop) -> int:
     """Sign-weighting loop sum via the state-transition matrices: the sum of
-    the (3,3) and (4,4) entries of the turn-word product."""
-    m = mat_word(turn_word(mesh, loop))
+    the (3,3) and (4,4) entries of the product of the turn word that the
+    loop, a loop of the even mesh's base, makes there."""
+    m = mat_word(turn_word(mesh.base, loop))
     return m[2][2] + m[3][3]
 
 
@@ -367,10 +336,10 @@ def lemma2_sum(mesh: HexMesh, lam: TwoFactor, S: EdgeWeighting,
     across calls, so that a check over many 2-factors sums a loop once."""
     if loop_sums is None:
         loop_sums = {}
-    total = 1
-    for bf in lam.doubled:
-        l1, l2 = mesh.lift_fibers[bf]
-        total *= S[l1].coeff * S[l2].coeff
+    # the doubled edges' lifts lie in every preimage
+    neg = S._tables[1]
+    doubled = [i for j in positions(lam.doubled) for i in mesh.lifts[j]]
+    total = -1 if sum(neg >> i & 1 for i in doubled) & 1 else 1
     for loop in lam.loops:
         if loop not in loop_sums:
             loop_sums[loop] = loop_lift_sum(mesh, loop, S)

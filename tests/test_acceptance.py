@@ -2,15 +2,14 @@
 a single pass/fail line.  Everything here is integer/polynomial equality with
 zero tolerance."""
 
-from conftest import box_count_oracle
+from conftest import as_faces, box_count_oracle, two_factor_weight
 from hexdimer.algebra import (MAT_I, MAT_L, MAT_R, mat_mul, mat_neg, mat_pow, pack,
                               poly_specialize, split as split_key)
 from hexdimer.diagrams import (COUNT, MONO, PlanePartition, Z2Z2, diagram_of,
                                diagram_sum, diagram_weight, enumerate_matchings,
                                flippable_faces, matching_of, tau_move, z_poly)
 from hexdimer.mesh import BoxDims, build_mesh
-from hexdimer.overlay import (enumerate_two_factors, overlay, split,
-                              two_factor_weight)
+from hexdimer.overlay import enumerate_two_factors, overlay, split
 from hexdimer.series import compare_box_vs_series, eq3_check
 from hexdimer.squish import (lemma2_sum, loop_lift_sum, project,
                              pullback_weighting, sign_weighting,
@@ -39,7 +38,7 @@ def test_02_splitting_lemma():
     for M1 in ms:
         for M2 in ms:
             lam = overlay(mesh, mesh.faces_of(M1), mesh.faces_of(M2))
-            pairs = split(mesh, lam)
+            pairs = split(lam)
             ok = ok and len(pairs) == 2 ** len(lam.loops) and (M1, M2) in pairs
             reconstructed += 1
     lams = enumerate_two_factors(dims)
@@ -107,7 +106,7 @@ def test_05_pullback_and_consistency():
         ok = ok and (s0, e0) == ((-1) ** (a * b + b * c + c * a), 0)
         for mu in enumerate_matchings(dims):
             ok = ok and U.weight_of(mu) == two_factor_weight(
-                project(mesh, mu), wp.weights)
+                as_faces(project(mesh, mu)), wp.weights)
             s, e = W(mu)
             dw = diagram_weight(diagram_of(mesh, mesh.faces_of(mu)), scheme)
             ok = ok and s * s0 == dw.coeff and e == 3 * split_key(dw.key)[0]

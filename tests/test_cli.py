@@ -295,7 +295,7 @@ def test_pullback_fails_on_one_changed_lift_weight(capsys, monkeypatch):
 
     def mutant(mesh):
         U = real(mesh)
-        lift = mesh.lift_fibers[max(mesh.lift_fibers)][0]
+        lift = mesh.faces[mesh.lifts[-1][0]]
         return EdgeWeighting(mesh, {**U.weights, lift: U[lift] * mono_t(1)})
 
     monkeypatch.setattr(cli, "pullback_weighting", mutant)
@@ -312,7 +312,8 @@ def test_minus_one_fails_on_one_flipped_sign(capsys, monkeypatch):
     from hexdimer.squish import EdgeWeighting
 
     real = cli.sign_weighting
-    lifts = [f for pair in build_mesh(BoxDims(2, 2, 2)).lift_fibers.values() for f in pair]
+    even = build_mesh(BoxDims(2, 2, 2))
+    lifts = [even.faces[i] for pair in even.lifts for i in pair]
     for lift in lifts:
         def mutant(mesh):
             S = real(mesh)

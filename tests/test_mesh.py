@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
-    BoxDims, Face, HexMesh, IN_PROPELLER, MeshError, OddDims, Triangle,
-    UnknownFace, _hex_edge_cycle, build_mesh, edge_table, squish_edge, unsquish,
+    BoxDims, Face, HexMesh, MeshError, OddDims,
+    UnknownFace, _hex_edge_cycle, build_mesh, edge_table, positions,
 )
 
 ALL_SMALL = [BoxDims(a, b, c)
@@ -224,8 +224,8 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(3, 3, 3))  # a fresh mesh, outside the cache
-    lazy = ("edge_index", "edge_ends", "vertex_edges", "centroids", "_endpoint_table",
-            "squish_table", "short_at_outer")
+    lazy = ("edge_index", "edge_ends", "vertex_edges", "centroids", "endpoint_bits",
+            "_endpoint_table", "lifts", "squish_table", "long_cover", "short_mask")
     assert not any(name in vars(mesh) for name in lazy)
     # the face-level test builds none of them
     assert not mesh.is_perfect_matching(frozenset())
@@ -275,17 +275,65 @@ def test_propellers_partition_and_contract(base):
         assert tuple(cls for cls, _ in p.shorts) == ("A", "B", "C")
     # contraction is the doubled base mesh: the fiber map is a 2-to-1,
     # class-preserving surjection onto base edges
-    fibers = even.lift_fibers
-    assert set(fibers) == set(build_mesh(base).edges)
-    for bf, lifts in fibers.items():
-        assert len(lifts) == 2
-        for lf in lifts:
-            assert lf.cls == bf.cls
+    faces, base_faces = list(even.edges), list(build_mesh(base).edges)
+    assert len(even.lifts) == len(base_faces)
+    assert sorted(i for pair in even.lifts for i in pair) == \
+        [i for i, f in enumerate(faces) if f not in even.short_edges]
+    for bf, lifts in zip(base_faces, even.lifts):
+        assert len(lifts) == 2 and lifts[0] < lifts[1]
+        for i in lifts:
+            assert faces[i].cls == bf.cls
+            assert squish_edge(even, faces[i]) == bf
+
+
+def test_positions_are_the_set_bits():
+    rng = random.Random(5)
+    for mask in [0, 1, 2, 0b1011] + [rng.getrandbits(70) for _ in range(20)]:
+        assert positions(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_propellers_need_even_dims():
     with pytest.raises(OddDims):
         build_mesh(BoxDims(1, 1, 1)).propellers
+
+
+# -- the face-level squish map, an oracle for HexMesh.lifts ---------------------
+
+IN_PROPELLER = object()  # sentinel returned by squish_edge for short edges
+
+
+def propeller_of(mesh, t):
+    """The propeller holding the even-mesh vertex t, as its center or an outer."""
+    (p,) = [p for p in mesh.propellers if t == p.center or t in dict(p.outers).values()]
+    return p
+
+
+def squish_edge(mesh, f):
+    """Image of an even-mesh edge under squishing: the base edge joining the
+    base vertices of the propellers at its two ends; IN_PROPELLER for short
+    edges."""
+    if f not in mesh.edges:
+        raise UnknownFace(f"{f} is not an edge of H_{tuple(mesh.dims)}")
+    p1, p2 = (propeller_of(mesh, t) for t in mesh.edges[f])
+    if p1 is p2:
+        return IN_PROPELLER
+    (bf,) = [g for g, ts in mesh.base.edges.items() if set(ts) == {p1.base, p2.base}]
+    return bf
+
+
+def unsquish(mesh, base_edges):
+    """All long-edge preimages of the given base edges, plus every short edge
+    of a propeller incident to one of those preimages."""
+    out = set()
+    touched = set()
+    for f in mesh.edges:
+        if squish_edge(mesh, f) in base_edges:
+            out.add(f)
+            for t in mesh.edges[f]:
+                touched.add(propeller_of(mesh, t))
+    for p in touched:
+        out.update(f for _, f in p.shorts)
+    return frozenset(out)
 
 
 def test_squish_edge():
@@ -307,12 +355,13 @@ def test_blowup_lifts_are_crossed():
     # the two lifts of a class-o base edge touch outer vertices of the two
     # classes other than o, in crossed pairs
     even = build_mesh(BoxDims(2, 2, 2))
-    for bf, (l1, l2) in even.lift_fibers.items():
+    faces = list(even.edges)
+    for bf, pair in zip(even.base.edges, even.lifts):
         for prop_end in range(2):
             classes = set()
-            for lf in (l1, l2):
+            for lf in (faces[i] for i in pair):
                 t = even.edges[lf][prop_end]
-                p = even.propeller_of(t)
+                p = propeller_of(even, t)
                 (cls,) = [c for c, o in p.outers if o == t]
                 classes.add(cls)
             assert classes == set("ABC") - {bf.cls}

@@ -1,14 +1,18 @@
 import itertools
+import random
+from typing import List
 
 import pytest
 
+from conftest import FaceTwoFactor, as_faces, two_factor_weight
 from hexdimer.algebra import Monomial, pack
-from hexdimer.diagrams import PlanePartition, enumerate_matchings, matching_of
-from hexdimer.mesh import BoxDims, build_mesh
+from hexdimer.diagrams import (PlanePartition, diagram_of, enumerate_matchings,
+                               flippable_faces, matching_of, tau_move)
+from hexdimer.mesh import BoxDims, HexMesh, UnknownFace, build_mesh
 from hexdimer.overlay import (
-    MeshMismatch, MissingEdgeWeight, OverlayError, TooLarge, TwoFactor,
-    assemble_two_factor, enumerate_two_factors, iter_two_factors, loop_vertices,
-    overlay, overlay_keys, pair_matchings, split, two_factor_weight,
+    MeshMismatch, OverlayError, TooLarge, TwoFactor,
+    assemble_two_factor, distinct_overlays, enumerate_two_factors, iter_two_factors,
+    loop_vertices, overlay, overlay_keys, pair_matchings, split,
 )
 from hexdimer.squish import wp_edge_weighting
 
@@ -24,18 +28,18 @@ def hexagon_setup():
 def test_overlay_self_is_all_doubled():
     dims, mesh, empty, _ = hexagon_setup()
     lam = overlay(mesh, empty, empty)
-    assert lam.doubled == empty and lam.loops == ()
+    assert lam.doubled == mesh.mask_of(empty) and lam.loops == ()
     assert lam.component_count() == 3
 
 
 def test_overlay_hexagon_loop():
     dims, mesh, empty, full = hexagon_setup()
     lam = overlay(mesh, empty, full)
-    assert lam.doubled == frozenset()
+    assert lam.doubled == 0
     assert len(lam.loops) == 1 and len(lam.loops[0]) == 6
     assert lam.component_count() == 1
     vs = loop_vertices(mesh, lam.loops[0])
-    assert sorted(vs) == sorted(mesh.vertices)
+    assert sorted(vs) == list(range(len(mesh.vertices)))
 
 
 def test_overlay_rejects_non_matchings():
@@ -63,7 +67,7 @@ def corner_sum(t):
 def reference_canonical(mesh, loop):
     """Orient a loop counterclockwise by the shoelace sum over its vertices,
     then rotate it to its least edge."""
-    pts = [corner_sum(t) for t in loop_vertices(mesh, loop)]
+    pts = [corner_sum(mesh.vertices[v]) for v in loop_vertices(mesh, loop)]
     area2 = sum(x1 * y2 - x2 * y1
                 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
     assert area2 != 0
@@ -97,7 +101,7 @@ def test_split_counts_and_reconstruction():
     for M1 in ms:
         for M2 in ms:
             lam = overlay(mesh, faces(M1), faces(M2))
-            pairs = split(mesh, lam)
+            pairs = split(lam)
             assert len(pairs) == 2 ** len(lam.loops)
             assert (M1, M2) in pairs
             for N1, N2 in pairs:
@@ -110,7 +114,7 @@ def test_split_counts_and_reconstruction():
 def test_split_no_loops_single_pair():
     dims, mesh, empty, _ = hexagon_setup()
     lam = overlay(mesh, empty, empty)
-    assert split(mesh, lam) == [(mesh.mask_of(empty), mesh.mask_of(empty))]
+    assert split(lam) == [(mesh.mask_of(empty), mesh.mask_of(empty))]
 
 
 def test_enumerate_two_factors_hexagon():
@@ -128,7 +132,7 @@ def test_enumerate_two_factors_equals_ordered_pairs(dims):
     ordered = {overlay(mesh, M1, M2) for M1 in ms for M2 in ms}
     assert all(overlay(mesh, M1, M2) == overlay(mesh, M2, M1) for M1 in ms for M2 in ms)
     assert enumerate_two_factors(dims) == \
-        sorted(ordered, key=lambda tf: (sorted(tf.doubled), tf.loops))
+        sorted(ordered, key=lambda tf: (sorted(mesh.faces_of(tf.doubled)), tf.loops))
 
 
 @pytest.mark.parametrize("dims", [(a, b, c)
@@ -142,26 +146,33 @@ def test_parity_lemma(dims):
         assert lam.component_count() % 2 == want
 
 
+def mask_weight(wp, lam):
+    """A 2-factor's weight as check pullback takes it: the doubled edges'
+    weight squared times the loop edges' weight."""
+    w = wp.weight_of(lam.doubled)
+    return w * w * wp.weight_of(lam.loop_mask())
+
+
 def test_two_factor_weight():
     dims, mesh, empty, full = hexagon_setup()
     wp = wp_edge_weighting(mesh)
     lam = overlay(mesh, empty, empty)
-    assert two_factor_weight(lam, wp.weights) == Monomial(1)
+    assert two_factor_weight(as_faces(lam), wp.weights) == mask_weight(wp, lam) == Monomial(1)
     loop = overlay(mesh, empty, full)
     # whole hexagon once = empty * full = t^3
-    assert two_factor_weight(loop, wp.weights) == Monomial(1, pack(3, 0, 0, 0))
-    with pytest.raises(MissingEdgeWeight):
-        two_factor_weight(loop, {})
+    assert two_factor_weight(as_faces(loop), wp.weights) == mask_weight(wp, loop) == \
+        Monomial(1, pack(3, 0, 0, 0))
 
 
 def test_weight_factors_over_any_split():
-    dims = BoxDims(2, 2, 2)
-    mesh = build_mesh(dims)
-    wp = wp_edge_weighting(mesh)
-    for lam in enumerate_two_factors(dims):
-        w = two_factor_weight(lam, wp.weights)
-        for M1, M2 in split(mesh, lam):
-            assert w == wp.weight_of(M1) * wp.weight_of(M2)
+    for dims in (BoxDims(2, 2, 2), BoxDims(3, 2, 1)):
+        mesh = build_mesh(dims)
+        wp = wp_edge_weighting(mesh)
+        for lam in enumerate_two_factors(dims):
+            w = two_factor_weight(as_faces(lam), wp.weights)
+            assert mask_weight(wp, lam) == w
+            for M1, M2 in split(lam):
+                assert w == wp.weight_of(M1) * wp.weight_of(M2)
 
 
 def test_json_dump():
@@ -188,7 +199,7 @@ def test_grouped_overlays_equal_per_pair_overlays(dims):
             lam = overlay(mesh, mesh.faces_of(M1), mesh.faces_of(M2))
             per_pair.setdefault(lam, set()).update({(M1, M2), (M2, M1)})
     assert enumerate_two_factors(dims) == \
-        sorted(per_pair, key=lambda tf: (sorted(tf.doubled), tf.loops))
+        sorted(per_pair, key=lambda tf: (sorted(mesh.faces_of(tf.doubled)), tf.loops))
     pairs_of = {}
     for M1 in ms:
         for M2 in ms:
@@ -206,7 +217,7 @@ def test_overlay_key_masks_are_the_overlay_edge_sets():
         F1, F2 = mesh.faces_of(M1), mesh.faces_of(M2)
         assert mesh.faces_of(M1 & M2) == F1 & F2
         assert mesh.faces_of(M1 ^ M2) == F1 ^ F2
-        lam = assemble_two_factor(mesh, M1 & M2, M1 ^ M2)
+        lam = as_faces(assemble_two_factor(mesh, M1 & M2, M1 ^ M2))
         assert lam.doubled == F1 & F2
         assert {f for loop in lam.loops for f in loop} == F1 ^ F2
 
@@ -230,7 +241,7 @@ def test_streamed_two_factors_are_the_sorted_overlays(dims):
     ms = list(map(mesh.faces_of, enumerate_matchings(dims)))
     every = {overlay(mesh, M1, M2) for M1 in ms for M2 in ms}
     assert list(iter_two_factors(dims)) == \
-        sorted(every, key=lambda tf: (sorted(tf.doubled), tf.loops))
+        sorted(every, key=lambda tf: (sorted(mesh.faces_of(tf.doubled)), tf.loops))
 
 
 def test_pair_matchings_refuse_before_enumerating(monkeypatch):
@@ -255,3 +266,119 @@ def test_pair_matchings_validate_each_matching(monkeypatch):
     monkeypatch.setattr(ov, "enumerate_matchings", lambda d: [M, M & (M - 1)])
     with pytest.raises(MeshMismatch):
         pair_matchings(dims)
+
+
+# -- the face-level assembly, kept as the oracle of the position-level one -------
+
+
+def face_assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> FaceTwoFactor:
+    """Build a TwoFactor from the masks of its doubled edges and of the
+    union of its loops (every vertex of ``loops`` must have degree exactly
+    2 there)."""
+    ends, nbrs, centroids = mesh.edge_ends, mesh.vertex_edges, mesh.centroids
+    walks: List[List[int]] = []
+    rest, limit = loops, loops.bit_count()
+    while rest:
+        # e0 is the least edge of its loop; the walk leaves it at its down
+        # end and adds the shoelace term of each vertex it passes
+        e0 = (rest & -rest).bit_length() - 1
+        walk, cur = [e0], e0
+        head = first = ends[e0][1]
+        x0, y0 = centroids[first]
+        area2 = 0
+        while True:
+            for nxt, other in nbrs[head]:
+                if loops >> nxt & 1 and nxt != cur:
+                    break
+            else:
+                raise OverlayError(f"loop edges end at {mesh.vertices[head]}")
+            if nxt == e0:
+                break
+            walk.append(nxt)
+            if len(walk) > limit:
+                raise OverlayError(f"loop edges branch off the loop of {mesh.faces[e0]}")
+            cur, head = nxt, other
+            x1, y1 = centroids[head]
+            area2 += x0 * y1 - x1 * y0
+            x0, y0 = x1, y1
+        x1, y1 = centroids[first]
+        area2 += x0 * y1 - x1 * y0
+        # positive when counterclockwise: the lattice-to-plane map has
+        # positive determinant, so the sign in lattice coordinates is the
+        # geometric one
+        if area2 <= 0:
+            walk[1:] = walk[:0:-1]  # clockwise walk: reverse it, e0 stays first
+        rest &= ~sum(1 << e for e in walk)
+        walks.append(walk)
+    faces = mesh.faces  # edge positions sort as the edges do
+    return FaceTwoFactor(mesh.dims, mesh.faces_of(doubled),
+                         tuple(tuple(map(faces.__getitem__, w)) for w in sorted(walks)))
+
+
+ORACLE_DIMS = [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)] + [(3, 2, 1)]
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+def test_position_assembly_equals_face_assembly(dims):
+    # every matching pair: the same witness, the same loops read as faces;
+    # and the distinct overlays come in the order of their face-level forms
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    ms = enumerate_matchings(dims)
+    oracles = {}
+    for M1, M2 in itertools.product(ms, repeat=2):
+        lam = assemble_two_factor(mesh, M1 & M2, M1 ^ M2)
+        want = face_assemble_two_factor(mesh, M1 & M2, M1 ^ M2)
+        assert lam.to_json_obj() == want.to_json_obj()
+        assert as_faces(lam) == want
+        assert lam.component_count() == want.component_count()
+        oracles[lam] = want
+    got = list(distinct_overlays(mesh, ms))
+    assert len(got) == len(set(got)) == len(oracles)
+    assert [oracles[lam] for lam in got] == \
+        sorted(oracles.values(), key=lambda tf: (sorted(tf.doubled), tf.loops))
+
+
+def test_assemble_refuses_a_doubled_edge_on_a_loop():
+    mesh = build_mesh(BoxDims(2, 2, 2))
+    hexagon = mesh.mask_of(mesh.hexface_edges((0, 0)))
+    one = hexagon & -hexagon
+    with pytest.raises(OverlayError, match="both doubled and on a loop"):
+        assemble_two_factor(mesh, one, hexagon)
+    assert assemble_two_factor(mesh, 0, hexagon).component_count() == 1
+    with pytest.raises(UnknownFace):
+        assemble_two_factor(mesh, 1 << len(mesh.edges), hexagon)
+
+
+def per_byte_tables(mesh: HexMesh) -> List[str]:
+    """The cached attributes of a mesh that hold edge_table rows."""
+    return [name for name, v in vars(mesh).items()
+            if isinstance(v, list) and v and isinstance(v[0], list)]
+
+
+def test_bijection_calls_build_no_per_byte_table():
+    # the face-level bijection API on a large mesh: round trips, flips and
+    # overlays validate face sets and assemble without any per-byte table
+    dims = BoxDims(8, 8, 8)
+    mesh = HexMesh(dims)  # a fresh mesh, outside the cache
+    rng = random.Random(3)
+    empty = matching_of(PlanePartition.empty(dims))
+    h = [[8] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            h[i][j] = min(h[i - 1][j] if i else 8, h[i][j - 1] if j else 8, rng.randint(0, 8))
+    pi = PlanePartition(dims, tuple(map(tuple, h)))
+    M = matching_of(pi)
+    assert diagram_of(mesh, M) == pi
+    faces = flippable_faces(mesh, M)
+    assert faces
+    for face in faces[:5]:
+        diagram_of(mesh, tau_move(mesh, M, face))
+    assert overlay(mesh, M, empty).component_count() % 2 == (3 * 64) % 2
+    assert overlay(mesh, M, M).loops == ()
+    names = vars(mesh)
+    assert "_endpoint_table" not in names and "squish_table" not in names
+    assert per_byte_tables(mesh) == []
+    # the guard sees a table once one is built
+    mesh.is_perfect_matching(mesh.mask_of(M))
+    assert per_byte_tables(mesh) == ["_endpoint_table"]

@@ -6,22 +6,28 @@ from functools import reduce
 
 import pytest
 
+from conftest import as_faces, two_factor_weight
 from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
                                enumerate_matchings, matching_of)
 from hexdimer.mesh import BoxDims, OddDims, UnknownFace, build_mesh
-from hexdimer.overlay import (assemble_two_factor, enumerate_two_factors, overlay,
-                              two_factor_weight)
+from hexdimer.overlay import assemble_two_factor, enumerate_two_factors, overlay
 from hexdimer.squish import (
     EdgeWeighting, SignRule, SquishError, calibrate_sign_rule,
-    classify_propeller, key_masks, lemma2_sum, lift_key, lift_preimages, loop_lift_sum,
+    key_masks, lemma2_sum, lift_key, lift_preimages, loop_lift_sum,
     project, projection_key,
     _loop_lift_choices, _sign_weighting_for, pullback_weighting, sign_weighting,
     transfer_lift_sum, turn_word, wp_edge_weighting,
 )
 
 BASE_DIMS = [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 1)]
+
+
+def lift_fibers(mesh):
+    """base face -> the faces of its two lifts (HexMesh.lifts read as faces)."""
+    faces = list(mesh.edges)
+    return {bf: tuple(faces[i] for i in pair) for bf, pair in zip(mesh.base.edges, mesh.lifts)}
 
 
 def hexagon_loop():
@@ -70,7 +76,7 @@ def test_pullback_short_edges_weigh_one_and_lifts_agree():
     for f in mesh.short_edges:
         assert U[f] == Monomial(1)
     wp = wp_edge_weighting(mesh.base)
-    for bf, (l1, l2) in mesh.lift_fibers.items():
+    for bf, (l1, l2) in lift_fibers(mesh).items():
         assert U[l1] == U[l2] == wp[bf]
 
 
@@ -81,7 +87,7 @@ def test_pullback_lemma(base):
     U = pullback_weighting(mesh)
     wp = wp_edge_weighting(mesh.base)
     for mu in enumerate_matchings(dims):
-        assert U.weight_of(mu) == two_factor_weight(project(mesh, mu), wp.weights)
+        assert U.weight_of(mu) == two_factor_weight(as_faces(project(mesh, mu)), wp.weights)
 
 
 # -- sign rule -----------------------------------------------------------------
@@ -107,7 +113,7 @@ def test_lift_pairs_have_opposite_signs():
     S = sign_weighting(mesh)
     for f in mesh.short_edges:
         assert S[f] == Monomial(1)
-    for bf, (l1, l2) in mesh.lift_fibers.items():
+    for bf, (l1, l2) in lift_fibers(mesh).items():
         assert {S[l1].coeff, S[l2].coeff} == {1, -1}
 
 
@@ -145,7 +151,7 @@ def test_project_empty_matching_is_all_doubled():
     empty = mesh.mask_of(matching_of(PlanePartition.empty(BoxDims(2, 2, 2))))
     lam = project(mesh, empty)
     assert lam.loops == ()
-    assert lam.doubled == matching_of(PlanePartition.empty(BoxDims(1, 1, 1)))
+    assert lam.doubled == mesh.base.mask_of(matching_of(PlanePartition.empty(BoxDims(1, 1, 1))))
 
 
 def test_projection_fibers_partition_matchings():
@@ -164,6 +170,34 @@ def test_every_propeller_has_one_matched_short_edge():
     for mu in map(mesh.faces_of, enumerate_matchings(BoxDims(2, 2, 2))):
         for p in mesh.propellers:
             assert sum(1 for _, f in p.shorts if f in mu) == 1
+
+
+def classify_propeller(mesh, mu, prop):
+    """How a matching (a face set) passes through one propeller: 'Parallel'
+    (the two long edges are the two lifts of one base edge, giving a doubled
+    passage) or a turning passage, 'OneTurn'/'TwoTurn' by how far apart the
+    two touched outer classes sit from the matched short edge's class."""
+    longs = []
+    short_cls = None
+    for _, f in prop.shorts:
+        if f in mu:
+            short_cls = f.cls
+    for _, o in prop.outers:
+        for f in mesh.incident[o]:
+            if f in mu and f not in mesh.short_edges:
+                longs.append(f)
+    if short_cls is None or len(longs) != 2:
+        raise SquishError("matching does not pass cleanly through the propeller")
+    squish_of = {lf: bf for bf, pair in lift_fibers(mesh).items() for lf in pair}
+    b1, b2 = (squish_of[f] for f in longs)
+    if b1 == b2:
+        return "Parallel"
+    # turning passage: the two base edges meet the base vertex at 120 or 240
+    # degrees; classes tell them apart (same class twice is impossible here)
+    pair = {b1.cls, b2.cls}
+    if short_cls in pair:
+        return "OneTurn"
+    return "TwoTurn"
 
 
 def test_classify_propeller():
@@ -237,14 +271,15 @@ def test_loop_lift_sum_equals_sum_over_lift_choices(base):
     ones = EdgeWeighting(even, {f: Monomial(1) for f in even.edges})
     coin = EdgeWeighting(even, {f: Monomial(rng.choice((1, -1))) for f in sorted(even.edges)})
     U = pullback_weighting(even)
+    fibers, faces = lift_fibers(even), list(even.edges)
     n = 0
     for lam in enumerate_two_factors(base):
         for loop in lam.loops:
             choices = _loop_lift_choices(even, loop)
             for w in (sign_weighting(even), ones, coin):
-                want = sum(math.prod(w[f].coeff for f in pick) for pick in choices)
+                want = sum(math.prod(w[faces[i]].coeff for i in pick) for pick in choices)
                 assert loop_lift_sum(even, loop, w) == want
-            if any(U[f].key for bf in loop for f in even.lift_fibers[bf]):
+            if any(U[f].key for e in loop for f in fibers[even.base.faces[e]]):
                 with pytest.raises(SquishError):
                     loop_lift_sum(even, loop, U)
                 n += 1
@@ -283,12 +318,14 @@ def test_aggregate_sign_sum():
 
 def test_loop_lift_choices_match_filtered_product():
     even = build_mesh(BoxDims(4, 4, 2))
+    fibers, base_faces, index = lift_fibers(even), list(even.base.edges), even.edge_index
     n = 0
     for lam in enumerate_two_factors(BoxDims(2, 2, 1)):
         for loop in lam.loops:
             k = len(loop)
-            ends = [[set(even.edges[f]) for f in even.lift_fibers[bf]] for bf in loop]
-            want = [tuple(even.lift_fibers[bf][i] for bf, i in zip(loop, pick))
+            pairs = [fibers[base_faces[e]] for e in loop]
+            ends = [[set(even.edges[f]) for f in pair] for pair in pairs]
+            want = [tuple(index[pair[i]] for pair, i in zip(pairs, pick))
                     for pick in itertools.product((0, 1), repeat=k)
                     if all(not ends[i][pick[i]] & ends[(i + 1) % k][pick[(i + 1) % k]]
                            for i in range(k))]
@@ -355,11 +392,13 @@ def test_grouped_projection_equals_per_matching_assembly(dims):
         assert key >> 2 * len(base.edges) == 0 and max(digits) <= 2
         decoded = ({f for f, d in zip(base.edges, digits) if d == 2},
                    {f for f, d in zip(base.edges, digits) if d == 1})
-        assert decoded == (lam.doubled, {f for loop in lam.loops for f in loop})
-        assert key == lift_key(mesh, lam)
+        faces = as_faces(lam)
+        assert decoded == (faces.doubled, {f for loop in faces.loops for f in loop})
+        assert key == lift_key(lam)
         assert key_masks(key, len(base.edges)) == tuple(map(base.mask_of, decoded))
+        squish_of = {lf: bf for bf, pair in lift_fibers(mesh).items() for lf in pair}
         for mu in mus:
-            counts = Counter(mesh._squish_of[f] for f in mesh.faces_of(mu)
+            counts = Counter(squish_of[f] for f in mesh.faces_of(mu)
                              if f not in mesh.short_edges)
             doubled = base.mask_of(bf for bf, n in counts.items() if n == 2)
             rest = base.mask_of(bf for bf, n in counts.items() if n == 1)
@@ -431,3 +470,33 @@ def test_lemma2_sum_keeps_loop_sums():
     for lam in enumerate_two_factors(BoxDims(2, 1, 1)):
         assert lemma2_sum(even, lam, S, loop_sums) == lemma2_sum(even, lam, S)
     assert loop_sums and all(loop_lift_sum(even, loop, S) == v for loop, v in loop_sums.items())
+
+
+@pytest.mark.parametrize("base", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)], ids=str)
+def test_loop_sums_equal_preimage_sums(base):
+    # a loop's lift choices are the distinct restrictions of its 2-factor's
+    # preimages to the loop's lifts; summing S over them is the brute force
+    # that loop_lift_sum and transfer_lift_sum must give, and their product
+    # over the loops, with the doubled edges' lifts, is lemma2_sum
+    base = BoxDims(*base)
+    even = build_mesh(base.doubled())
+    fibers, base_faces = lift_fibers(even), list(even.base.edges)
+    rng = random.Random(11)
+    coin = EdgeWeighting(even, {f: Monomial(1 if f in even.short_edges
+                                            else rng.choice((1, -1)))
+                                for f in sorted(even.edges)})
+    S = sign_weighting(even)
+    n = 0
+    for lam in enumerate_two_factors(base):
+        pre = lift_preimages(even, lam)
+        for w in (S, coin):
+            assert lemma2_sum(even, lam, w) == sum(w.weight_of(mu).coeff for mu in pre)
+        for loop in lam.loops:
+            lifts = even.mask_of(f for e in loop for f in fibers[base_faces[e]])
+            choices = {mu & lifts for mu in pre}
+            for w in (S, coin):
+                brute = sum(w.weight_of(r).coeff for r in choices)
+                assert loop_lift_sum(even, loop, w) == brute
+            assert transfer_lift_sum(even, loop) == loop_lift_sum(even, loop, S) == -2
+            n += 1
+    assert n > 0
