@@ -438,17 +438,3 @@ def mat_pow(x: Mat4, n: int) -> Mat4:
         n >>= 1
     return out
 
-
-def mat_word(word: str) -> Mat4:
-    """Product of L/R matrices for a turn word, rightmost letter applied first."""
-    if not word:
-        raise AlgebraError("empty turn word")
-    out = MAT_I
-    for ch in word:
-        if ch == "L":
-            out = mat_mul(out, MAT_L)
-        elif ch == "R":
-            out = mat_mul(out, MAT_R)
-        else:
-            raise AlgebraError(f"bad letter {ch!r} in turn word")
-    return out

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import (Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 
 class MeshError(Exception):
@@ -189,17 +190,14 @@ class HexMesh:
     def is_perfect_matching(self, M: Union[int, Collection[Face]]) -> bool:
         """Every vertex has degree one.
 
-        An edge mask (an int, see ``mask_of``) is decided by one table sum:
-        its V/2 edges' endpoint bits, 2^u + 2^v for the endpoints' positions
-        in ``vertices``, must add up to 2^V - 1.  A sum of V bits that
-        carries anywhere has fewer than V ones, so that sum is reached only
-        with one bit per vertex.  A face set is decided in O(|M|), without
-        tables, so the face-level bijection never builds them: |M| = V/2
-        mesh edges whose 2|M| endpoints are V distinct vertices."""
-        n = len(self.vertices)
+        An edge mask (an int, see ``mask_of``) is decided by one sum over
+        the endpoint table (``matching_sum``).  A face set is decided in
+        O(|M|), without tables, so the face-level bijection never builds
+        them: |M| = V/2 mesh edges whose 2|M| endpoints are V distinct
+        vertices."""
         if isinstance(M, int):
-            return (M >> len(self.edges) == 0 and 2 * M.bit_count() == n
-                    and self.edge_sum(M, self._endpoint_table) == (1 << n) - 1)
+            return self.matching_sum(M) is not None
+        n = len(self.vertices)
         if 2 * len(M) != n or not self._edge_set.issuperset(M):
             return False
         edges = self.edges
@@ -245,6 +243,34 @@ class HexMesh:
         was built from: one lookup and one addition per byte of the mask."""
         self.check_mask(mask)
         return sum(map(list.__getitem__, table, mask.to_bytes(len(table), "little")))
+
+    def matching_sum(self, M: int, squish: bool = False) -> Optional[int]:
+        """None unless the mask M is a perfect matching; else the part of
+        M's sum over the endpoint table above its low ``endpoint_width``
+        bits: 0, or with ``squish`` (an even mesh) the squish digits.
+
+        The endpoint table is ``squish_table`` with ``squish`` and
+        ``_endpoint_table`` without; either holds each edge's endpoint bits
+        (``endpoint_bits``) in the low bits of its values, and is read only
+        for a mask of the right size.  The V/2 edges of such a mask add V
+        bits below V 2^V, so the low part carries into no higher bit; it
+        must be 2^V - 1, and a sum of V bits that carries anywhere has fewer
+        than V ones, so it is reached only with one bit per vertex."""
+        n = len(self.vertices)
+        if M >> len(self.edges) or 2 * M.bit_count() != n:  # a negative mask shifts to -1
+            return None
+        total = self.edge_sum(M, self.squish_table if squish else self._endpoint_table)
+        width = self.endpoint_width
+        if total & ((1 << width) - 1) != (1 << n) - 1:
+            return None
+        return total >> width
+
+    @property
+    def endpoint_width(self) -> int:
+        """How many low bits of an endpoint table's values hold endpoint
+        bits: V + bit_length(V), which a sum of V such bits cannot pass."""
+        n = len(self.vertices)
+        return n + n.bit_length()
 
     @cached_property
     def _vertex_index(self) -> Dict[Triangle, int]:
@@ -361,14 +387,17 @@ class HexMesh:
 
     @cached_property
     def squish_table(self) -> List[List[int]]:
-        """The ``edge_table`` of the squish map: a long edge adds 4^j, j its
-        image's position in ``base.edges``, and a short edge 0.  A perfect
-        matching's sum has base-4 digit 2, 1 or 0 at each base edge whose
-        two lifts it holds, one lift or none; no digit can carry."""
-        values = [0] * len(self.edges)
+        """The ``edge_table`` of each edge's endpoint bits plus, above the
+        low ``endpoint_width`` bits, its squish digit: 4^j for a long edge,
+        j its image's position in ``base.edges``, and 0 for a short edge.
+        One sum decides a perfect matching and gives its digits
+        (``matching_sum`` with ``squish``): 2, 1 or 0 at each base edge
+        whose two lifts it holds, one lift or none; no digit can carry."""
+        values = list(self.endpoint_bits)
+        width = self.endpoint_width
         for j, pair in enumerate(self.lifts):
             for i in pair:
-                values[i] = 4 ** j
+                values[i] += 4 ** j << width
         return edge_table(values)
 
     @cached_property

@@ -9,9 +9,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, split
+from .algebra import LIMIT, MAT_L, MAT_R, AlgebraError, Monomial, mono_t, split
 from .diagrams import PlanePartition, matching_of
 from .mesh import BoxDims, Face, HexMesh, OddDims, build_mesh, edge_table, positions
 from .overlay import (Loop, TwoFactor, assemble_two_factor, enumerate_two_factors,
@@ -38,7 +38,10 @@ class EdgeWeighting:
     weights: Mapping[Face, Monomial]
 
     def __getitem__(self, f: Face) -> Monomial:
-        return self.weights[f]
+        try:
+            return self.weights[f]
+        except KeyError:
+            raise SquishError(f"no weight for edge {f}") from None
 
     @cached_property
     def _tables(self) -> Tuple[List[List[int]], int, int]:
@@ -69,6 +72,18 @@ class EdgeWeighting:
         keys, neg, _ = self._tables
         key = self.mesh.edge_sum(mask, keys)
         return Monomial(-1 if (mask & neg).bit_count() & 1 else 1, key)
+
+    def face_ratio(self, cycle: Sequence[Face]) -> Monomial:
+        """The product of the weights on cycle[1::2] over the product on
+        cycle[0::2]: what a matching's weight is multiplied by when a flip
+        of the even cycle (a hexagon, ``HexMesh.hex_cycles``) swaps the
+        first set of its edges for the second.  Reads ``weights`` directly,
+        without the per-byte tables."""
+        num = reduce(Monomial.__mul__, map(self.__getitem__, cycle[1::2]))
+        den = reduce(Monomial.__mul__, map(self.__getitem__, cycle[0::2]))
+        if num.coeff * den.coeff not in (1, -1):
+            raise SquishError("an edge weight has a coefficient other than +1 or -1")
+        return num * Monomial(den.coeff, -den.key)  # a coefficient +-1 is its own inverse
 
 
 # -- the t-power weighting on the base mesh ----------------------------------
@@ -201,11 +216,13 @@ def projection_key(mesh: HexMesh, mu: int) -> int:
     """The base edges that the long edges of a matching mask project onto,
     as one int: base-4 digit 2 at a base edge covered twice (doubled), 1 at
     one covered once (a loop edge), 0 elsewhere, digit j for the j-th edge
-    of ``mesh.base.edges`` (HexMesh.squish_table).  Refuses anything but a
-    perfect matching."""
-    if not mesh.is_perfect_matching(mu):
+    of ``mesh.base.edges``.  Refuses anything but a perfect matching; one
+    sum over ``HexMesh.squish_table`` decides that and gives the digits
+    (``HexMesh.matching_sum``)."""
+    key = mesh.matching_sum(mu, squish=True)
+    if key is None:
         raise SquishError("projection needs a perfect matching")
-    return mesh.edge_sum(mu, mesh.squish_table)
+    return key
 
 
 def key_masks(key: int, n: int) -> Tuple[int, int]:
@@ -320,12 +337,22 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     return a + d
 
 
+# the columns of the turn matrices, by letter
+_TURN_COLUMNS = {"L": tuple(zip(*MAT_L)), "R": tuple(zip(*MAT_R))}
+
+
 def transfer_lift_sum(mesh: HexMesh, loop: Loop) -> int:
     """Sign-weighting loop sum via the state-transition matrices: the sum of
     the (3,3) and (4,4) entries of the product of the turn word that the
-    loop, a loop of the even mesh's base, makes there."""
-    m = mat_word(turn_word(mesh.base, loop))
-    return m[2][2] + m[3][3]
+    loop, a loop of the even mesh's base, makes there.  Only rows 3 and 4 of
+    the product are read, so those two rows are carried through the word,
+    one row-by-matrix product each per letter."""
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = (0, 0, 1, 0), (0, 0, 0, 1)
+    for letter in turn_word(mesh.base, loop):
+        cols = _TURN_COLUMNS[letter]
+        x0, x1, x2, x3 = [x0 * c0 + x1 * c1 + x2 * c2 + x3 * c3 for c0, c1, c2, c3 in cols]
+        y0, y1, y2, y3 = [y0 * c0 + y1 * c1 + y2 * c2 + y3 * c3 for c0, c1, c2, c3 in cols]
+    return x2 + y3
 
 
 def lemma2_sum(mesh: HexMesh, lam: TwoFactor, S: EdgeWeighting,

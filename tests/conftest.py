@@ -2,10 +2,10 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
-from hexdimer.algebra import Monomial
-from hexdimer.mesh import BoxDims, Face, build_mesh, positions
+from hexdimer.algebra import MAT_I, MAT_L, MAT_R, AlgebraError, Mat4, Monomial, mat_mul
+from hexdimer.mesh import BoxDims, Face, HexMesh, build_mesh, positions
 
 
 def box_count_oracle(a, b, c):
@@ -17,6 +17,28 @@ def box_count_oracle(a, b, c):
                 n *= Fraction(i + j + k - 1, i + j + k - 2)
     assert n.denominator == 1
     return int(n)
+
+
+def mat_word(word: str) -> Mat4:
+    """Product of L/R matrices for a turn word, rightmost letter applied
+    first: the full 4x4 product, the oracle for squish.transfer_lift_sum."""
+    if not word:
+        raise AlgebraError("empty turn word")
+    out = MAT_I
+    for ch in word:
+        if ch == "L":
+            out = mat_mul(out, MAT_L)
+        elif ch == "R":
+            out = mat_mul(out, MAT_R)
+        else:
+            raise AlgebraError(f"bad letter {ch!r} in turn word")
+    return out
+
+
+def per_byte_tables(mesh: HexMesh) -> List[str]:
+    """The cached attributes of a mesh that hold edge_table rows."""
+    return [name for name, v in vars(mesh).items()
+            if isinstance(v, list) and v and isinstance(v[0], list)]
 
 
 # -- the face-level 2-factor, an oracle for hexdimer.overlay.TwoFactor ----------

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_word
 from hexdimer.algebra import (
     LIMIT, MAT_I, MAT_L, MAT_R, Monomial, NonUnitConstantTerm,
     Poly, Series, AlgebraError, degree, lp_eval_signs, lp_mul,
-    mat_mul, mat_neg, mat_pow, mat_word, mono_t, pack, poly_specialize,
+    mat_mul, mat_neg, mat_pow, mono_t, pack, poly_specialize,
     series_inv, split,
 )
 

@@ -230,20 +230,28 @@ def test_check_fibers_fails_on_a_wrong_fiber(capsys, monkeypatch, edit, field):
 
 def test_check_fibers_tests_each_lift_once(monkeypatch):
     # lift_preimages assembles, projection_key validates: one perfect-matching
-    # test per matching of the even mesh
+    # test (HexMesh.matching_sum) per matching of the even mesh, which is
+    # also its one per-byte table sum
     from hexdimer.mesh import HexMesh
 
-    real, even_calls = HexMesh.is_perfect_matching, []
+    calls = {"matching_sum": [], "edge_sum": []}
 
-    def counted(mesh, M):
-        if mesh.dims == BoxDims(4, 2, 2):
-            even_calls.append(M)
-        return real(mesh, M)
+    def counted(name):
+        real = getattr(HexMesh, name)
 
-    monkeypatch.setattr(HexMesh, "is_perfect_matching", counted)
+        def wrapper(mesh, M, *args, **kwargs):
+            if mesh.dims == BoxDims(4, 2, 2):
+                calls[name].append(M)
+            return real(mesh, M, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(HexMesh, name, counted(name))
     rep = run_check("fibers", BoxDims(2, 1, 1), None, None)[0]
     assert rep.status == "pass"
-    assert len(even_calls) == len(set(even_calls)) == sum(rep.params["fiber_sizes"])
+    n = sum(rep.params["fiber_sizes"])
+    for masks in calls.values():
+        assert len(masks) == len(set(masks)) == n
 
 
 def test_check_fibers_refuses_a_lift_that_is_not_a_matching(monkeypatch):

@@ -1,0 +1,183 @@
+"""`check consistency` by hexagon face ratios, against the per-matching
+comparison it replaces."""
+
+import itertools
+import json
+from functools import reduce
+
+import pytest
+
+import hexdimer.cli as cli
+import hexdimer.diagrams as diagrams
+import hexdimer.mesh as mesh_module
+import hexdimer.overlay as overlay
+import hexdimer.squish as squish
+from conftest import per_byte_tables
+from hexdimer.algebra import Monomial, mono_t, split
+from hexdimer.cli import check_consistency, main, run_check
+from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of, diagram_weight,
+                               enumerate_diagrams, iter_matchings, matching_of)
+from hexdimer.mesh import BoxDims, build_mesh
+from hexdimer.squish import (EdgeWeighting, calibrate_sign_rule, pullback_weighting,
+                             sign_weighting, wp_edge_weighting)
+
+
+def consistency_by_matchings(dims: BoxDims, U: EdgeWeighting, S: EdgeWeighting) -> bool:
+    """The per-matching comparison: normalized U(t -> -t) * S against the
+    diagram weight at q,r,s -> -1, p = t^3, on every matching of the mesh."""
+    mesh = build_mesh(dims)
+    scheme = Z2Z2.with_signs({"q": -1, "r": -1, "s": -1})
+    a, b, c = mesh.base.dims
+
+    def W(mu):
+        u = U.weight_of(mu)
+        t = split(u.key)[0]
+        return S.weight_of(mu).coeff * u.coeff * (-1) ** (t % 2), t
+
+    s0, e0 = W(mesh.mask_of(matching_of(PlanePartition.empty(dims))))
+    ok = (s0, e0) == ((-1) ** (a * b + b * c + c * a), 0)
+    for mu in iter_matchings(dims):
+        s, e = W(mu)
+        dw = diagram_weight(diagram_of(mesh, mesh.faces_of(mu)), scheme)
+        ok = ok and (s * s0, e) == (dw.coeff, 3 * split(dw.key)[0])
+    return ok
+
+
+def with_weightings(monkeypatch, U=None, S=None):
+    """Make check_consistency use the given U and S (the real ones where None)."""
+    if U is not None:
+        monkeypatch.setattr(cli, "pullback_weighting", lambda mesh: U)
+    if S is not None:
+        monkeypatch.setattr(cli, "sign_weighting", lambda mesh: S)
+
+
+def changed(w: EdgeWeighting, f, factor: Monomial) -> EdgeWeighting:
+    """The weighting w with the weight of edge f multiplied by factor."""
+    return EdgeWeighting(w.mesh, {**w.weights, f: w[f] * factor})
+
+
+def long_edges(mesh):
+    return [mesh.faces[i] for pair in mesh.lifts for i in pair]
+
+
+@pytest.mark.parametrize("dims", [(a, b, c) for a, b, c in
+                                  itertools.product((1, 2, 3), repeat=3)], ids=str)
+def test_adding_a_box_flips_its_hexagon(dims):
+    # adding box (i,j,k) to any diagram turns the edges cycle[0::2] of the
+    # hexagon at (i-k, j-k) into cycle[1::2], the orientation the check's
+    # face ratios assume
+    dims = BoxDims(*dims)
+    a, b, c = dims
+    mesh = build_mesh(dims)
+    flips = 0
+    for pi in enumerate_diagrams(dims):
+        M, h = matching_of(pi), pi.h
+        for i, j in itertools.product(range(a), range(b)):
+            k = h[i][j]
+            if k == c or i and h[i - 1][j] == k or j and h[i][j - 1] == k:
+                continue  # not addable
+            grown = [list(row) for row in h]
+            grown[i][j] += 1
+            cycle = mesh.hex_cycles[i - k, j - k]
+            leave, enter = frozenset(cycle[0::2]), frozenset(cycle[1::2])
+            assert leave <= M
+            grown = PlanePartition(dims, tuple(map(tuple, grown)))
+            assert matching_of(grown) == (M - leave) | enter
+            flips += 1
+    assert flips >= a * b * c
+
+
+def test_each_long_edge_sign_mutant_fails(monkeypatch):
+    # one flipped sign of S on any long edge of 4,4,4 fails the check; the
+    # witness is the first hexagon that has the edge, its ratio negated,
+    # unless the empty matching holds the edge
+    dims = BoxDims(4, 4, 4)
+    mesh = build_mesh(dims)
+    S = sign_weighting(mesh)
+    empty = matching_of(PlanePartition.empty(dims))
+    edges = long_edges(mesh)
+    assert len(edges) == 60
+    for f in edges:
+        with_weightings(monkeypatch, S=changed(S, f, Monomial(-1)))
+        rep = check_consistency(dims)
+        assert rep.status == "fail", f
+        if f in empty:
+            assert "empty_weight" in rep.witness
+            continue
+        first = next(pt for pt, cycle in mesh.hex_cycles.items() if f in cycle)
+        ratio, want = rep.witness["ratio"], rep.witness["expected"]
+        assert rep.witness["hexagon"] == list(first)
+        assert ratio == (-want[0], want[1])
+
+
+def test_a_changed_lift_weight_fails(monkeypatch, capsys):
+    # exit 1, and at the witness hexagon the extra t, read at -t, leaves
+    # the t-exponent one off and the sign negated
+    dims = BoxDims(4, 4, 4)
+    mesh = build_mesh(dims)
+    U = pullback_weighting(mesh)
+    f = next(f for f in long_edges(mesh) if f not in matching_of(PlanePartition.empty(dims)))
+    with_weightings(monkeypatch, U=changed(U, f, mono_t(1)))
+    assert main(["check", "consistency", "-d", "4,4,4", "--format", "json"]) == 1
+    [rep] = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "fail"
+    pt, ratio, want = (rep["witness"][k] for k in ("hexagon", "ratio", "expected"))
+    assert f in mesh.hex_cycles[tuple(pt)]
+    assert ratio[0] == -want[0] and abs(ratio[1] - want[1]) == 1
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 2, 2), (2, 2, 4)], ids=str)
+def test_face_ratios_agree_with_the_per_matching_comparison(dims, monkeypatch):
+    # on the real weightings; on a sign flipped or a t^2 added at any one
+    # edge; and on the signs flipped at every edge at one vertex, which
+    # negates every matching and leaves every face ratio as it is, so that
+    # only the empty matching's test can see it
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    U, S = pullback_weighting(mesh), sign_weighting(mesh)
+    assert consistency_by_matchings(dims, U, S)
+    assert check_consistency(dims).status == "pass"
+    mutants = []  # (U, S, whether only the empty matching's test sees it)
+    for f in mesh.edges:
+        mutants += [(U, changed(S, f, Monomial(-1)), False), (changed(U, f, mono_t(2)), S, False)]
+    for t in mesh.vertices:
+        minus = {f: S[f] * Monomial(-1) for f in mesh.incident[t]}
+        mutants.append((U, EdgeWeighting(mesh, {**S.weights, **minus}), True))
+    for u, s, gauge in mutants:
+        with_weightings(monkeypatch, U=u, S=s)
+        assert not consistency_by_matchings(dims, u, s)
+        rep = check_consistency(dims)
+        assert rep.status == "fail"
+        if gauge:
+            assert "empty_weight" in rep.witness
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (5, 5, 5)], ids=str)
+def test_wp_weighting_has_face_ratio_t_cubed(dims):
+    # so every matching weighs t^(3 * boxes): the empty one weighs 1 and
+    # each added box multiplies by t^3
+    mesh = build_mesh(BoxDims(*dims))
+    wp = wp_edge_weighting(mesh)
+    empty = matching_of(PlanePartition.empty(mesh.dims))
+    assert reduce(Monomial.__mul__, (wp[f] for f in empty)) == Monomial(1)
+    assert mesh.hex_cycles
+    assert all(wp.face_ratio(cycle) == mono_t(3) for cycle in mesh.hex_cycles.values())
+
+
+def test_consistency_enumerates_nothing_and_builds_no_table(monkeypatch):
+    calibrate_sign_rule()  # searched once per process, on its own small meshes
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for module in (cli, diagrams, mesh_module, overlay, squish):
+        for name in ("iter_matchings", "diagram_of", "edge_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(mesh_module, "_MESH_CACHE", {})  # fresh meshes
+    rep = run_check("consistency", BoxDims(16, 16, 16), None, None)[0]
+    assert rep.status == "pass"
+    mesh = build_mesh(BoxDims(16, 16, 16))
+    assert per_byte_tables(mesh) == per_byte_tables(mesh.base) == []

@@ -4,7 +4,7 @@ from typing import List
 
 import pytest
 
-from conftest import FaceTwoFactor, as_faces, two_factor_weight
+from conftest import FaceTwoFactor, as_faces, per_byte_tables, two_factor_weight
 from hexdimer.algebra import Monomial, pack
 from hexdimer.diagrams import (PlanePartition, diagram_of, enumerate_matchings,
                                flippable_faces, matching_of, tau_move)
@@ -348,12 +348,6 @@ def test_assemble_refuses_a_doubled_edge_on_a_loop():
     assert assemble_two_factor(mesh, 0, hexagon).component_count() == 1
     with pytest.raises(UnknownFace):
         assemble_two_factor(mesh, 1 << len(mesh.edges), hexagon)
-
-
-def per_byte_tables(mesh: HexMesh) -> List[str]:
-    """The cached attributes of a mesh that hold edge_table rows."""
-    return [name for name, v in vars(mesh).items()
-            if isinstance(v, list) and v and isinstance(v[0], list)]
 
 
 def test_bijection_calls_build_no_per_byte_table():

@@ -6,8 +6,8 @@ from functools import reduce
 
 import pytest
 
-from conftest import as_faces, two_factor_weight
-from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mat_word, mono_t, pack, split
+from conftest import as_faces, mat_word, two_factor_weight
+from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
                                enumerate_matchings, matching_of)
@@ -260,6 +260,18 @@ def test_transfer_equals_brute_force(base):
             assert m[2][2] + m[3][3] == -2
 
 
+def test_transfer_rows_equal_the_full_matrix_product():
+    # the two carried rows against the full 4x4 product of the turn word,
+    # over every distinct base loop that minus-one -d 2,2,2 sums
+    base = BoxDims(2, 2, 2)
+    even, mesh = build_mesh(base.doubled()), build_mesh(base)
+    loops = {loop for lam in enumerate_two_factors(base) for loop in lam.loops}
+    assert len(loops) == 64
+    for loop in loops:
+        m = mat_word(turn_word(mesh, loop))
+        assert transfer_lift_sum(even, loop) == m[2][2] + m[3][3]
+
+
 @pytest.mark.parametrize("base", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1),
                                   (3, 2, 1)], ids=str)
 def test_loop_lift_sum_equals_sum_over_lift_choices(base):
@@ -410,6 +422,15 @@ def test_projection_key_refuses_a_non_matching():
     mu = mesh.mask_of(matching_of(PlanePartition.empty(mesh.dims)))
     with pytest.raises(SquishError, match="perfect matching"):
         projection_key(mesh, mu & (mu - 1))
+    # V/2 edges, one vertex covered twice: trade an edge e for an edge g
+    # at one of its ends, whose other end an edge of mu covers
+    bits = mesh.endpoint_bits
+    e = mu.bit_length() - 1
+    g = next(i for i in range(len(bits)) if i != e and bits[i] & bits[e])
+    twice = mu ^ 1 << e | 1 << g
+    assert 2 * twice.bit_count() == len(mesh.vertices)
+    with pytest.raises(SquishError, match="perfect matching"):
+        projection_key(mesh, twice)
 
 
 def test_key_sum_weight_equals_monomial_product():
@@ -440,6 +461,14 @@ def test_weighting_past_the_range_raises():
         EdgeWeighting(mesh, {**ones, g: Monomial(2)}).weight_of(0)
     with pytest.raises(UnknownFace):
         edge.weight_of(1 << len(mesh.edges))
+    # the same refusals where the weights are read edge by edge
+    [cycle] = mesh.hex_cycles.values()
+    for i, want in ((1, mono_t(1)), (0, mono_t(-1))):
+        assert EdgeWeighting(mesh, {**ones, cycle[i]: mono_t(1)}).face_ratio(cycle) == want
+    with pytest.raises(SquishError, match="no weight"):
+        EdgeWeighting(mesh, {f: Monomial(1)}).face_ratio(cycle)
+    with pytest.raises(SquishError, match="coefficient"):
+        EdgeWeighting(mesh, {**ones, cycle[2]: Monomial(2)}).face_ratio(cycle)
 
 
 def test_minus_one_sums_each_distinct_loop_once(monkeypatch):
