@@ -104,10 +104,9 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
             lam = assemble_two_factor(mesh, *key)
             if lam.component_count() % 2 != want:
                 rep.fail({"dims": list(dims), "C": lam.component_count()})
-        # tau-moves preserve the parity against a fixed reference matching;
-        # the face-level flips and overlays take faces
-        M2 = mesh.faces_of(ms[0])
-        for M in map(mesh.faces_of, ms):
+        # tau-moves preserve the parity against a fixed reference matching
+        M2 = ms[0]
+        for M in ms:
             base = overlay(mesh, M, M2).component_count() % 2
             for f in flippable_faces(mesh, M):
                 flipped = overlay(mesh, tau_move(mesh, M, f), M2)
@@ -198,7 +197,7 @@ def check_consistency(dims: BoxDims) -> CheckReport:
 
     W = EdgeWeighting(mesh, {f: minus_t(S[f] * U[f]) for f in mesh.edges})
     a, b, c = mesh.base.dims
-    empty = matching_of(PlanePartition.empty(dims))
+    empty = mesh.faces_of(matching_of(PlanePartition.empty(dims)))
     w0 = reduce(Monomial.__mul__, (W[f] for f in empty))
     s0, e0 = w0.coeff, split_key(w0.key)[0]
     if (s0, e0) != ((-1) ** (a * b + b * c + c * a), 0):
@@ -474,7 +473,7 @@ def cmd_render(args) -> int:
         polys.append((poly, style))
 
     if args.what == "matching":
-        for f in sorted(M):
+        for f in sorted(mesh.faces_of(M)):
             add(f, _CLASS_FILL[f.cls])
     elif args.what == "twofactor":
         empty = matching_of(PlanePartition.empty(dims))
@@ -486,7 +485,7 @@ def cmd_render(args) -> int:
     else:  # squish
         if not dims.is_even:
             raise UsageError("squish render needs even dims")
-        for f in sorted(M):
+        for f in sorted(mesh.faces_of(M)):
             if f in mesh.short_edges:
                 add(f, "#bbbbbb")
             else:

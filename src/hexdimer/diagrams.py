@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import gcd, isqrt
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, _add_into, pack
-from .mesh import BoxDims, Face, HexMesh, build_mesh, face_order
+from .mesh import BoxDims, Face, HexMesh, build_mesh, face_order, positions
 
 
 class DiagramError(Exception):
@@ -207,12 +207,14 @@ def diagram_sum(dims: BoxDims, scheme: WeightScheme = Z2Z2,
 # -- the matching bijection -------------------------------------------------
 
 
-def matching_of(pi: PlanePartition) -> FrozenSet[Face]:
+def matching_of(pi: PlanePartition) -> int:
     """The perfect matching of H_{a,b,c} whose rhombi tile the diagram
-    surface, in O(ab + bc + ca): cell (i,j) shows its top face A(i,j,h[i][j]);
-    in row i the wall between columns j-1 and j shows B(i,j,k) for k in
-    [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is the
-    same down each column.  Faces are made canonical by subtracting min(i,j,k)."""
+    surface, as an edge mask of the mesh (HexMesh.mask_of), in
+    O(ab + bc + ca): cell (i,j) shows its top face A(i,j,h[i][j]); in row i
+    the wall between columns j-1 and j shows B(i,j,k) for k in
+    [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is
+    the same down each column.  Faces are made canonical by subtracting
+    min(i,j,k)."""
     c, h = pi.dims.c, pi.h
     M = []
     for i, row in enumerate(h):
@@ -232,19 +234,20 @@ def matching_of(pi: PlanePartition) -> FrozenSet[Face]:
                 m = min(i, j, z)
                 M.append(Face("C", i - m, j - m, z - m))
             up = k
-    return frozenset(M)
+    return build_mesh(pi.dims).mask_of(M)
 
 
-def diagram_of(mesh: HexMesh, M: FrozenSet[Face]) -> PlanePartition:
-    """Inverse of matching_of.  Raises NotAMatching unless M is a perfect
-    matching of the mesh (equivalently, unless it arises from a diagram)."""
+def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
+    """Inverse of matching_of.  Raises NotAMatching unless the edge mask M
+    is a perfect matching of the mesh (equivalently, unless it arises from
+    a diagram)."""
     if not mesh.is_perfect_matching(M):
         raise NotAMatching("edge set has a vertex of degree != 1")
     a, b, c = mesh.dims
     # class-A edges determine the heights: on the anti-diagonal i - j = d the
     # map i -> x = i - h(i, i-d) is strictly increasing, so sort and assign.
     by_diag: Dict[int, List[int]] = {}
-    for f in M:
+    for f in map(mesh.faces.__getitem__, positions(M)):
         if f.cls == "A":  # at lattice point (i - k, j - k)
             by_diag.setdefault(f.i - f.j, []).append(f.i - f.k)
     h = [[0] * b for _ in range(a)]
@@ -337,21 +340,21 @@ def enumerate_matchings(dims: BoxDims) -> List[int]:
 # -- hexagon flips ------------------------------------------------------------
 
 
-def tau_move(mesh: HexMesh, M: FrozenSet[Face], face: Tuple[int, int]) -> FrozenSet[Face]:
-    """Flip the matching on one hexagonal face (add or remove one box)."""
+def tau_move(mesh: HexMesh, M: int, face: Tuple[int, int]) -> int:
+    """Flip the matching mask on one hexagonal face (add or remove one box):
+    M ^ the hexagon's mask, when M holds every other edge of its cycle."""
     cycle = mesh.hexface_edges(face)
-    odd, even = frozenset(cycle[0::2]), frozenset(cycle[1::2])
-    if odd <= M:
-        return (M - odd) | even
-    if even <= M:
-        return (M - even) | odd
+    odd, even = mesh.mask_of(cycle[0::2]), mesh.mask_of(cycle[1::2])
+    if M & odd == odd or M & even == even:
+        return M ^ odd ^ even
     raise FaceNotFlippable(f"matching does not alternate around face {face}")
 
 
-def flippable_faces(mesh: HexMesh, M: FrozenSet[Face]) -> List[Tuple[int, int]]:
-    """The hexagonal faces around which M alternates, in ``hexfaces`` order."""
-    return [pt for pt, (e0, e1, e2, e3, e4, e5) in mesh.hex_cycles.items()
-            if e0 in M and e2 in M and e4 in M or e1 in M and e3 in M and e5 in M]
+def flippable_faces(mesh: HexMesh, M: int) -> List[Tuple[int, int]]:
+    """The hexagonal faces around which the mask M alternates, in
+    ``hexfaces`` order."""
+    return [pt for pt, (odd, even) in mesh.hex_masks.items()
+            if M & odd == odd or M & even == even]
 
 
 # -- partition function -------------------------------------------------------

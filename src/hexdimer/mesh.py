@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class MeshError(Exception):
@@ -171,10 +170,6 @@ class HexMesh:
             raise UnknownFace(f"{f} is not an edge of H_{tuple(self.dims)}") from None
 
     @cached_property
-    def _edge_set(self) -> FrozenSet[Face]:
-        return frozenset(self.edges)
-
-    @cached_property
     def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[Face, ...]]:
         """Each hexagonal face -> its six edges in cyclic order (``edges`` keys)."""
         own = {f: f for f in self.edges}
@@ -187,21 +182,25 @@ class HexMesh:
         except KeyError:
             raise UnknownFace(f"{pt} is not a hexagonal face") from None
 
-    def is_perfect_matching(self, M: Union[int, Collection[Face]]) -> bool:
-        """Every vertex has degree one.
+    @cached_property
+    def hex_masks(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
+        """Each hexagonal face -> the masks of its edges cycle[0::2] and
+        cycle[1::2] (``hex_cycles``): a matching alternates around the
+        face when it holds either."""
+        return {pt: (self.mask_of(cycle[0::2]), self.mask_of(cycle[1::2]))
+                for pt, cycle in self.hex_cycles.items()}
 
-        An edge mask (an int, see ``mask_of``) is decided by one sum over
-        the endpoint table (``matching_sum``).  A face set is decided in
-        O(|M|), without tables, so the face-level bijection never builds
-        them: |M| = V/2 mesh edges whose 2|M| endpoints are V distinct
-        vertices."""
-        if isinstance(M, int):
-            return self.matching_sum(M) is not None
+    def is_perfect_matching(self, M: int) -> bool:
+        """Every vertex has degree one, for an edge mask M (see ``mask_of``):
+        M holds V/2 mesh edges whose endpoint bits (``endpoint_bits``),
+        summed edge by edge, add up to 2^V - 1.  A sum of V bits that
+        carries anywhere has fewer than V ones, so the sum is reached only
+        with one bit per vertex.  No table is read or built."""
         n = len(self.vertices)
-        if 2 * len(M) != n or not self._edge_set.issuperset(M):
+        if M >> len(self.edges) or 2 * M.bit_count() != n:  # a negative mask shifts to -1
             return False
-        edges = self.edges
-        return len({t for f in M for t in edges[f]}) == n
+        bits = self.endpoint_bits
+        return sum(bits[e] for e in positions(M)) == (1 << n) - 1
 
     # -- edge masks ---------------------------------------------------------
     # An edge set is also an int mask: bit i stands for the i-th edge of
@@ -244,22 +243,19 @@ class HexMesh:
         self.check_mask(mask)
         return sum(map(list.__getitem__, table, mask.to_bytes(len(table), "little")))
 
-    def matching_sum(self, M: int, squish: bool = False) -> Optional[int]:
-        """None unless the mask M is a perfect matching; else the part of
-        M's sum over the endpoint table above its low ``endpoint_width``
-        bits: 0, or with ``squish`` (an even mesh) the squish digits.
+    def matching_sum(self, M: int) -> Optional[int]:
+        """On an even mesh: None unless the mask M is a perfect matching;
+        else its squish digits, the part of M's sum over ``squish_table``
+        above the low ``endpoint_width`` bits.
 
-        The endpoint table is ``squish_table`` with ``squish`` and
-        ``_endpoint_table`` without; either holds each edge's endpoint bits
-        (``endpoint_bits``) in the low bits of its values, and is read only
-        for a mask of the right size.  The V/2 edges of such a mask add V
-        bits below V 2^V, so the low part carries into no higher bit; it
-        must be 2^V - 1, and a sum of V bits that carries anywhere has fewer
-        than V ones, so it is reached only with one bit per vertex."""
+        The table is read only for a mask of the right size.  The V/2 edges
+        of such a mask add V endpoint bits below V 2^V, so the low part
+        carries into no higher bit; it must be 2^V - 1, the rule of
+        ``is_perfect_matching``."""
         n = len(self.vertices)
         if M >> len(self.edges) or 2 * M.bit_count() != n:  # a negative mask shifts to -1
             return None
-        total = self.edge_sum(M, self.squish_table if squish else self._endpoint_table)
+        total = self.edge_sum(M, self.squish_table)
         width = self.endpoint_width
         if total & ((1 << width) - 1) != (1 << n) - 1:
             return None
@@ -267,7 +263,7 @@ class HexMesh:
 
     @property
     def endpoint_width(self) -> int:
-        """How many low bits of an endpoint table's values hold endpoint
+        """How many low bits of ``squish_table``'s values hold endpoint
         bits: V + bit_length(V), which a sum of V such bits cannot pass."""
         n = len(self.vertices)
         return n + n.bit_length()
@@ -301,10 +297,6 @@ class HexMesh:
         """Per edge, 2^u + 2^v for the positions u, v of its ends: two edges
         share a vertex exactly when their bits meet."""
         return tuple((1 << u) | (1 << v) for u, v in self.edge_ends)
-
-    @cached_property
-    def _endpoint_table(self) -> List[List[int]]:
-        return edge_table(self.endpoint_bits)
 
     # -- even-mesh structure ---------------------------------------------
 
@@ -391,8 +383,8 @@ class HexMesh:
         low ``endpoint_width`` bits, its squish digit: 4^j for a long edge,
         j its image's position in ``base.edges``, and 0 for a short edge.
         One sum decides a perfect matching and gives its digits
-        (``matching_sum`` with ``squish``): 2, 1 or 0 at each base edge
-        whose two lifts it holds, one lift or none; no digit can carry."""
+        (``matching_sum``): 2, 1 or 0 at each base edge whose two lifts it
+        holds, one lift or none; no digit can carry."""
         values = list(self.endpoint_bits)
         width = self.endpoint_width
         for j, pair in enumerate(self.lifts):
@@ -419,27 +411,6 @@ class HexMesh:
                 short_at[o] = 1 << index[f]
         return tuple((1 << i) | short_at.get(t1, 0) | short_at.get(t2, 0)
                      for i, (t1, t2) in enumerate(self.edges.values()))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "dims": list(self.dims),
-            "vertices": [[t.x, t.y, int(t.up)] for t in self.vertices],
-            "edges": [
-                {"face": list(f), "class": f.cls,
-                 "endpoints": [[t.x, t.y, int(t.up)] for t in ts]}
-                for f, ts in self.edges.items()
-            ],
-        }
-        if self.dims.is_even:
-            obj["propellers"] = [
-                {"base": [p.base.x, p.base.y, int(p.base.up)],
-                 "center": [p.center.x, p.center.y, int(p.center.up)],
-                 "shorts": {k: list(f) for k, f in p.shorts}}
-                for p in self.propellers
-            ]
-        return obj
 
 
 def _hex_ring(x: int, y: int) -> Tuple[Triangle, ...]:

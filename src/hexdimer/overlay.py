@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from .diagrams import TooLarge, bounded_count, enumerate_matchings  # TooLarge: re-export
-from .mesh import BoxDims, Face, HexMesh, build_mesh, face_order, positions
+from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
 
 
 class OverlayError(Exception):
@@ -64,13 +64,13 @@ def loop_vertices(mesh: HexMesh, loop: Loop) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def overlay(mesh: HexMesh, M1: FrozenSet[Face], M2: FrozenSet[Face]) -> TwoFactor:
-    """Superimpose two perfect matchings of the same mesh, given as faces."""
+def overlay(mesh: HexMesh, M1: int, M2: int) -> TwoFactor:
+    """Superimpose two perfect matchings of the same mesh, given as edge
+    masks."""
     for M in (M1, M2):
         if not mesh.is_perfect_matching(M):
             raise MeshMismatch("argument is not a perfect matching of the given mesh")
-    m1, m2 = mesh.mask_of(M1), mesh.mask_of(M2)
-    return assemble_two_factor(mesh, m1 & m2, m1 ^ m2)
+    return assemble_two_factor(mesh, M1 & M2, M1 ^ M2)
 
 
 def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:

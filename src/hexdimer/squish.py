@@ -107,7 +107,7 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
             exps[f] = y - max(-c, x - a + 1)
         else:
             exps[f] = x - max(-c, y + 1 - b)
-    empty = matching_of(PlanePartition.empty(mesh.dims))
+    empty = mesh.faces_of(matching_of(PlanePartition.empty(mesh.dims)))
     leftover = sum(exps[f] for f in empty)
     for f in mesh.edges:
         if f.cls == "A" and f.lattice[0] - f.lattice[1] == a - 1:
@@ -219,7 +219,7 @@ def projection_key(mesh: HexMesh, mu: int) -> int:
     of ``mesh.base.edges``.  Refuses anything but a perfect matching; one
     sum over ``HexMesh.squish_table`` decides that and gives the digits
     (``HexMesh.matching_sum``)."""
-    key = mesh.matching_sum(mu, squish=True)
+    key = mesh.matching_sum(mu)
     if key is None:
         raise SquishError("projection needs a perfect matching")
     return key

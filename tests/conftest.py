@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Mapping, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from hexdimer.algebra import MAT_I, MAT_L, MAT_R, AlgebraError, Mat4, Monomial, mat_mul
 from hexdimer.mesh import BoxDims, Face, HexMesh, build_mesh, positions
@@ -33,6 +33,23 @@ def mat_word(word: str) -> Mat4:
         else:
             raise AlgebraError(f"bad letter {ch!r} in turn word")
     return out
+
+
+def broken_masks(mesh: HexMesh, M: int) -> Iterator[int]:
+    """Ints made from the perfect matching mask M that are no perfect
+    matching: each bit dropped, each bit added, each edge traded for another
+    at the right popcount, a bit past the last edge (in the top byte, past
+    it, far past it), and -M."""
+    m = len(mesh.edges)
+    bits = positions(M)
+    others = [j for j in range(m) if not M >> j & 1]
+    for i in bits:
+        yield M ^ 1 << i  # a bit dropped
+    for j in others:
+        yield M | 1 << j  # a bit added
+        for i in bits:
+            yield M ^ 1 << i ^ 1 << j  # one edge traded for another
+    yield from (M | 1 << m, M | 1 << (8 * -(-m // 8)), M | 1 << (m + 64), -M)
 
 
 def per_byte_tables(mesh: HexMesh) -> List[str]:

@@ -37,7 +37,7 @@ def test_02_splitting_lemma():
     reconstructed = 0
     for M1 in ms:
         for M2 in ms:
-            lam = overlay(mesh, mesh.faces_of(M1), mesh.faces_of(M2))
+            lam = overlay(mesh, M1, M2)
             pairs = split(lam)
             ok = ok and len(pairs) == 2 ** len(lam.loops) and (M1, M2) in pairs
             reconstructed += 1
@@ -54,7 +54,7 @@ def test_03_parity_lemma():
                 dims = BoxDims(a, b, c)
                 want = (a * b + b * c + c * a) % 2
                 mesh = build_mesh(dims)
-                ms = list(map(mesh.faces_of, enumerate_matchings(dims)))
+                ms = enumerate_matchings(dims)
                 for lam in enumerate_two_factors(dims):
                     ok = ok and lam.component_count() % 2 == want
                 ref = ms[0]
@@ -102,13 +102,13 @@ def test_05_pullback_and_consistency():
             t = split_key(U.weight_of(mu).key)[0]
             return S.weight_of(mu).coeff * (-1) ** (t % 2), t
 
-        s0, e0 = W(mesh.mask_of(matching_of(PlanePartition.empty(dims))))
+        s0, e0 = W(matching_of(PlanePartition.empty(dims)))
         ok = ok and (s0, e0) == ((-1) ** (a * b + b * c + c * a), 0)
         for mu in enumerate_matchings(dims):
             ok = ok and U.weight_of(mu) == two_factor_weight(
                 as_faces(project(mesh, mu)), wp.weights)
             s, e = W(mu)
-            dw = diagram_weight(diagram_of(mesh, mesh.faces_of(mu)), scheme)
+            dw = diagram_weight(diagram_of(mesh, mu), scheme)
             ok = ok and s * s0 == dw.coeff and e == 3 * split_key(dw.key)[0]
     verdict(5, "pullback lemma and consistency", ok)
 

@@ -34,11 +34,11 @@ def consistency_by_matchings(dims: BoxDims, U: EdgeWeighting, S: EdgeWeighting) 
         t = split(u.key)[0]
         return S.weight_of(mu).coeff * u.coeff * (-1) ** (t % 2), t
 
-    s0, e0 = W(mesh.mask_of(matching_of(PlanePartition.empty(dims))))
+    s0, e0 = W(matching_of(PlanePartition.empty(dims)))
     ok = (s0, e0) == ((-1) ** (a * b + b * c + c * a), 0)
     for mu in iter_matchings(dims):
         s, e = W(mu)
-        dw = diagram_weight(diagram_of(mesh, mesh.faces_of(mu)), scheme)
+        dw = diagram_weight(diagram_of(mesh, mu), scheme)
         ok = ok and (s * s0, e) == (dw.coeff, 3 * split(dw.key)[0])
     return ok
 
@@ -71,7 +71,7 @@ def test_adding_a_box_flips_its_hexagon(dims):
     mesh = build_mesh(dims)
     flips = 0
     for pi in enumerate_diagrams(dims):
-        M, h = matching_of(pi), pi.h
+        M, h = mesh.faces_of(matching_of(pi)), pi.h
         for i, j in itertools.product(range(a), range(b)):
             k = h[i][j]
             if k == c or i and h[i - 1][j] == k or j and h[i][j - 1] == k:
@@ -82,7 +82,7 @@ def test_adding_a_box_flips_its_hexagon(dims):
             leave, enter = frozenset(cycle[0::2]), frozenset(cycle[1::2])
             assert leave <= M
             grown = PlanePartition(dims, tuple(map(tuple, grown)))
-            assert matching_of(grown) == (M - leave) | enter
+            assert mesh.faces_of(matching_of(grown)) == (M - leave) | enter
             flips += 1
     assert flips >= a * b * c
 
@@ -94,7 +94,7 @@ def test_each_long_edge_sign_mutant_fails(monkeypatch):
     dims = BoxDims(4, 4, 4)
     mesh = build_mesh(dims)
     S = sign_weighting(mesh)
-    empty = matching_of(PlanePartition.empty(dims))
+    empty = mesh.faces_of(matching_of(PlanePartition.empty(dims)))
     edges = long_edges(mesh)
     assert len(edges) == 60
     for f in edges:
@@ -116,7 +116,8 @@ def test_a_changed_lift_weight_fails(monkeypatch, capsys):
     dims = BoxDims(4, 4, 4)
     mesh = build_mesh(dims)
     U = pullback_weighting(mesh)
-    f = next(f for f in long_edges(mesh) if f not in matching_of(PlanePartition.empty(dims)))
+    empty = mesh.faces_of(matching_of(PlanePartition.empty(dims)))
+    f = next(f for f in long_edges(mesh) if f not in empty)
     with_weightings(monkeypatch, U=changed(U, f, mono_t(1)))
     assert main(["check", "consistency", "-d", "4,4,4", "--format", "json"]) == 1
     [rep] = json.loads(capsys.readouterr().out)
@@ -158,7 +159,7 @@ def test_wp_weighting_has_face_ratio_t_cubed(dims):
     # each added box multiplies by t^3
     mesh = build_mesh(BoxDims(*dims))
     wp = wp_edge_weighting(mesh)
-    empty = matching_of(PlanePartition.empty(mesh.dims))
+    empty = mesh.faces_of(matching_of(PlanePartition.empty(mesh.dims)))
     assert reduce(Monomial.__mul__, (wp[f] for f in empty)) == Monomial(1)
     assert mesh.hex_cycles
     assert all(wp.face_ratio(cycle) == mono_t(3) for cycle in mesh.hex_cycles.values())

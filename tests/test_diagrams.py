@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import box_count_oracle
+from conftest import box_count_oracle, broken_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from hexdimer.diagrams import (
     z_poly,
 )
 from hexdimer.mesh import BoxDims, Face, build_mesh
+from hexdimer.overlay import MeshMismatch, overlay
 
 
 def test_box_color():
@@ -211,10 +212,10 @@ def test_bijection_roundtrip(dims):
     for pi in enumerate_diagrams(dims):
         M = matching_of(pi)
         assert mesh.is_perfect_matching(M)
-        by_cls = {cls: sum(1 for f in M if f.cls == cls) for cls in "ABC"}
+        by_cls = {cls: sum(1 for f in mesh.faces_of(M) if f.cls == cls) for cls in "ABC"}
         assert by_cls == {"A": a * b, "B": a * c, "C": b * c}
         assert diagram_of(mesh, M) == pi
-        matchings.add(mesh.mask_of(M))
+        matchings.add(M)
     # independent enumeration straight on the graph
     assert set(enumerate_matchings(dims)) == matchings
 
@@ -261,28 +262,31 @@ def random_partition(rng, dims):
 
 
 def test_matching_of_equals_filled_scan():
+    def faces(pi):
+        return build_mesh(pi.dims).faces_of(matching_of(pi))
+
     for dims in itertools.product(range(1, 4), repeat=3):
         for pi in enumerate_diagrams(BoxDims(*dims)):
-            assert matching_of(pi) == filled_scan_matching(pi), pi
+            assert faces(pi) == filled_scan_matching(pi), pi
     for dims in ((40, 1, 1), (1, 1, 40)):
         for pi in enumerate_diagrams(BoxDims(*dims)):
-            assert matching_of(pi) == filled_scan_matching(pi), pi
+            assert faces(pi) == filled_scan_matching(pi), pi
     rng = random.Random(9)
     for _ in range(50):
         dims = BoxDims(*(rng.randint(1, 12) for _ in range(3)))
         pi = random_partition(rng, dims)
         M = matching_of(pi)
-        assert M == filled_scan_matching(pi), pi
+        assert build_mesh(dims).faces_of(M) == filled_scan_matching(pi), pi
         assert diagram_of(build_mesh(dims), M) == pi
     pi = random_partition(rng, BoxDims(12, 12, 12))
-    assert matching_of(pi) == filled_scan_matching(pi)
+    assert faces(pi) == filled_scan_matching(pi)
 
 
 def test_empty_and_full_on_hexagon():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
-    empty = matching_of(PlanePartition.empty(dims))
-    full = matching_of(PlanePartition.full(dims))
+    empty = mesh.faces_of(matching_of(PlanePartition.empty(dims)))
+    full = mesh.faces_of(matching_of(PlanePartition.full(dims)))
     assert empty | full == frozenset(mesh.edges)
     assert not empty & full
     assert {f.cls for f in empty} == {"A", "B", "C"}
@@ -292,28 +296,46 @@ def test_diagram_of_rejects_non_matchings():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
     with pytest.raises(NotAMatching):
-        diagram_of(mesh, frozenset(mesh.edges))
+        diagram_of(mesh, mesh.mask_of(mesh.edges))
     with pytest.raises(NotAMatching):
-        diagram_of(mesh, frozenset())
+        diagram_of(mesh, mesh.mask_of(frozenset()))
     dims = BoxDims(3, 2, 2)
     mesh = build_mesh(dims)
     pi = PlanePartition(dims, ((2, 1), (1, 1), (1, 0)))
     M = matching_of(pi)
     assert diagram_of(mesh, M) == pi
-    f = min(M)
-    with pytest.raises(NotAMatching):  # one face swapped for a non-edge
-        diagram_of(mesh, (M - {f}) | {Face("A", 99, 99, 0)})
+    F = mesh.faces_of(M)
+    f = min(F)
+    with pytest.raises(NotAMatching):  # one face swapped for a non-edge, a bit past the last
+        diagram_of(mesh, mesh.mask_of(F - {f}) | 1 << len(mesh.edges))
     with pytest.raises(NotAMatching):  # one extra edge
-        diagram_of(mesh, M | {min(frozenset(mesh.edges) - M)})
+        diagram_of(mesh, mesh.mask_of(F | {min(frozenset(mesh.edges) - F)}))
     # on a flippable hexagon, its three matched faces traded for three of
     # its faces that do not alternate
     for pt in flippable_faces(mesh, M):
         cycle = mesh.hexface_edges(pt)
-        mine = frozenset(cycle) & M
+        mine = frozenset(cycle) & F
         for three in itertools.combinations(cycle, 3):
             if frozenset(three) not in (frozenset(cycle[0::2]), frozenset(cycle[1::2])):
                 with pytest.raises(NotAMatching):
-                    diagram_of(mesh, (M - mine) | frozenset(three))
+                    diagram_of(mesh, mesh.mask_of((F - mine) | frozenset(three)))
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],
+                         ids=str)
+def test_bijection_refuses_broken_masks(dims):
+    # every int that is no perfect matching, among them a negative one and
+    # one with a bit past the last edge, is refused before it is read
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    for M in enumerate_matchings(dims):
+        for N in broken_masks(mesh, M):
+            with pytest.raises(NotAMatching):
+                diagram_of(mesh, N)
+            with pytest.raises(MeshMismatch):
+                overlay(mesh, M, N)
+            with pytest.raises(MeshMismatch):
+                overlay(mesh, N, M)
 
 
 def test_tau_move():
@@ -368,7 +390,7 @@ def test_matching_masks_are_the_diagrams_matchings(dims):
     # enumerate_matchings sorts them as their sorted face lists sort
     dims = BoxDims(*dims)
     mesh = build_mesh(dims)
-    want = {mesh.mask_of(matching_of(pi)) for pi in enumerate_diagrams(dims)}
+    want = {matching_of(pi) for pi in enumerate_diagrams(dims)}
     ms = list(iter_matchings(dims))
     assert len(ms) == len(want) and set(ms) == want
     assert [sorted(mesh.faces_of(M)) for M in enumerate_matchings(dims)] == \

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import broken_masks, per_byte_tables
 from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, MeshError, OddDims,
@@ -90,8 +91,9 @@ def test_flippable_faces_against_frozensets(dims):
     m = build_mesh(BoxDims(*dims))
     halves = [(pt, frozenset(cycle[0::2]), frozenset(cycle[1::2]))
               for pt in m.hexfaces for cycle in (_hex_edge_cycle(*pt),)]
-    for M in map(m.faces_of, enumerate_matchings(BoxDims(*dims))):
-        want = [pt for pt, odd, even in halves if odd <= M or even <= M]
+    for M in enumerate_matchings(BoxDims(*dims)):
+        F = m.faces_of(M)
+        want = [pt for pt, odd, even in halves if odd <= F or even <= F]
         assert flippable_faces(m, M) == want
 
 
@@ -104,7 +106,7 @@ def test_face_triangles_and_errors():
         m.face_triangles(Face("A", 7, 7, 0))
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
-    M = m.faces_of(enumerate_matchings(BoxDims(1, 1, 1))[0])
+    M = enumerate_matchings(BoxDims(1, 1, 1))[0]
     for pt in ((9, 9), (1, 1), (-1, 0)):  # (1, 1) and (-1, 0) are boundary corners
         with pytest.raises(UnknownFace):
             tau_move(m, M, pt)
@@ -140,11 +142,14 @@ def test_is_perfect_matching_against_degree_count(dims):
         cases.append((M | {outside}, False))
     cases += [(frozenset(rng.sample(edges, half)), None) for _ in range(200)]
     for M, want in cases:
-        got = mesh.is_perfect_matching(M)
+        if outside in M:  # no mask holds a face that is not an edge
+            assert not degree_oracle(mesh, M) and want is False
+            with pytest.raises(UnknownFace):
+                mesh.mask_of(M)
+            continue
+        got = mesh.is_perfect_matching(mesh.mask_of(M))
         assert got == degree_oracle(mesh, M)
         assert want is None or got == want
-        if outside not in M:  # the same edge set as a mask
-            assert mesh.is_perfect_matching(mesh.mask_of(M)) == got
 
 
 # -- edge masks -----------------------------------------------------------------
@@ -199,49 +204,39 @@ def test_edge_sums_equal_per_edge_sums(dims, data):
                                   (4, 2, 2)], ids=str)
 def test_is_perfect_matching_refuses_broken_masks(dims):
     mesh = build_mesh(BoxDims(*dims))
-    m = len(mesh.edges)
 
     def perfect(M):
         got = mesh.is_perfect_matching(M)
         if mesh.dims.is_even:  # the squish table's low bits decide the same
-            assert (mesh.matching_sum(M, squish=True) is not None) == got
+            assert (mesh.matching_sum(M) is not None) == got
         return got
 
     doubly_covered = 0
     for M in enumerate_matchings(BoxDims(*dims)):
         assert perfect(M)
-        bits = [i for i in range(m) if M >> i & 1]
-        others = [i for i in range(m) if not M >> i & 1]
-        for i in bits:
-            assert not perfect(M ^ 1 << i)  # a bit dropped
-        for j in others:
-            assert not perfect(M | 1 << j)  # a bit added
-            for i in bits:
-                # one edge traded for another, at the right popcount; j
-                # always shares a vertex with an edge left in the mask
-                N = M ^ 1 << i ^ 1 << j
+        for N in broken_masks(mesh, M):
+            assert not perfect(N)
+            if N >= 0 and N.bit_count() == M.bit_count():
+                # one edge traded for another, at the right popcount; the
+                # new edge j always shares a vertex with an edge left in N
+                j = (N & ~M).bit_length() - 1
                 doubly_covered += any(N >> e & 1 for v in mesh.edge_ends[j]
                                       for e, _ in mesh.vertex_edges[v] if e != j)
-                assert not perfect(N)
-        # a bit past the last edge: in the top byte, past it, far past it
-        for past in (M | 1 << m, M | 1 << (8 * -(-m // 8)), M | 1 << (m + 64), -M):
-            assert not perfect(past)
     assert doubly_covered
 
 
 def test_tables_are_built_on_first_use():
-    mesh = HexMesh(BoxDims(3, 3, 3))  # a fresh mesh, outside the cache
+    mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
     lazy = ("edge_index", "edge_ends", "vertex_edges", "centroids", "endpoint_bits",
-            "_endpoint_table", "lifts", "squish_table", "long_cover", "short_mask")
+            "lifts", "squish_table", "long_cover", "short_mask")
     assert not any(name in vars(mesh) for name in lazy)
-    # the face-level test builds none of them
-    assert not mesh.is_perfect_matching(frozenset())
-    assert not any(name in vars(mesh) for name in lazy)
-    # a mask at the wrong popcount is refused before the table is read
+    # a mask at the wrong popcount is refused before anything is read
     assert not mesh.is_perfect_matching(0)
-    assert "_endpoint_table" not in vars(mesh)
+    assert not any(name in vars(mesh) for name in lazy)
+    # the endpoint bits are summed edge by edge, without a per-byte table
     assert not mesh.is_perfect_matching((1 << (len(mesh.vertices) // 2)) - 1)
-    assert "_endpoint_table" in vars(mesh) and "squish_table" not in vars(mesh)
+    assert "endpoint_bits" in vars(mesh) and "squish_table" not in vars(mesh)
+    assert per_byte_tables(mesh) == []
 
 
 def test_face_id_canonical_ranges():
@@ -388,10 +383,3 @@ def test_unsquish():
         sub = sorted(base.edges)[:subset_size]
         back = {squish_edge(even, f) for f in unsquish(even, sub)} - {IN_PROPELLER}
         assert back == set(sub)
-
-
-def test_json_dump():
-    obj = build_mesh(BoxDims(2, 2, 2)).to_json_obj()
-    assert obj["dims"] == [2, 2, 2]
-    assert len(obj["vertices"]) == 24 and len(obj["edges"]) == 30
-    assert len(obj["propellers"]) == 6

@@ -28,7 +28,7 @@ def hexagon_setup():
 def test_overlay_self_is_all_doubled():
     dims, mesh, empty, _ = hexagon_setup()
     lam = overlay(mesh, empty, empty)
-    assert lam.doubled == mesh.mask_of(empty) and lam.loops == ()
+    assert lam.doubled == empty and lam.loops == ()
     assert lam.component_count() == 3
 
 
@@ -45,7 +45,7 @@ def test_overlay_hexagon_loop():
 def test_overlay_rejects_non_matchings():
     dims, mesh, empty, _ = hexagon_setup()
     with pytest.raises(MeshMismatch):
-        overlay(mesh, empty, frozenset())
+        overlay(mesh, empty, mesh.mask_of(frozenset()))
 
 
 def test_loops_are_canonical():
@@ -97,15 +97,14 @@ def test_split_counts_and_reconstruction():
     dims = BoxDims(2, 2, 2)
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims)
-    faces = mesh.faces_of
     for M1 in ms:
         for M2 in ms:
-            lam = overlay(mesh, faces(M1), faces(M2))
+            lam = overlay(mesh, M1, M2)
             pairs = split(lam)
             assert len(pairs) == 2 ** len(lam.loops)
             assert (M1, M2) in pairs
             for N1, N2 in pairs:
-                assert overlay(mesh, faces(N1), faces(N2)) == lam
+                assert overlay(mesh, N1, N2) == lam
     # sum over distinct 2-factors
     lams = enumerate_two_factors(dims)
     assert sum(2 ** len(l.loops) for l in lams) == len(ms) ** 2 == 400
@@ -114,7 +113,7 @@ def test_split_counts_and_reconstruction():
 def test_split_no_loops_single_pair():
     dims, mesh, empty, _ = hexagon_setup()
     lam = overlay(mesh, empty, empty)
-    assert split(lam) == [(mesh.mask_of(empty), mesh.mask_of(empty))]
+    assert split(lam) == [(empty, empty)]
 
 
 def test_enumerate_two_factors_hexagon():
@@ -128,7 +127,7 @@ def test_enumerate_two_factors_hexagon():
 def test_enumerate_two_factors_equals_ordered_pairs(dims):
     dims = BoxDims(*dims)
     mesh = build_mesh(dims)
-    ms = list(map(mesh.faces_of, enumerate_matchings(dims)))
+    ms = enumerate_matchings(dims)
     ordered = {overlay(mesh, M1, M2) for M1 in ms for M2 in ms}
     assert all(overlay(mesh, M1, M2) == overlay(mesh, M2, M1) for M1 in ms for M2 in ms)
     assert enumerate_two_factors(dims) == \
@@ -196,7 +195,7 @@ def test_grouped_overlays_equal_per_pair_overlays(dims):
     per_pair = {}
     for i, M1 in enumerate(ms):
         for M2 in ms[i:]:
-            lam = overlay(mesh, mesh.faces_of(M1), mesh.faces_of(M2))
+            lam = overlay(mesh, M1, M2)
             per_pair.setdefault(lam, set()).update({(M1, M2), (M2, M1)})
     assert enumerate_two_factors(dims) == \
         sorted(per_pair, key=lambda tf: (sorted(mesh.faces_of(tf.doubled)), tf.loops))
@@ -224,7 +223,7 @@ def test_overlay_key_masks_are_the_overlay_edge_sets():
 
 def test_assemble_refuses_loop_edges_that_are_no_loops():
     dims, mesh, empty, full = hexagon_setup()
-    e, f = mesh.mask_of(empty), mesh.mask_of(full)
+    e, f = empty, full
     assert assemble_two_factor(mesh, e & f, e ^ f) == overlay(mesh, empty, full)
     # five of the hexagon's edges: the walk ends at a vertex of degree one
     for i in range(6):
@@ -238,7 +237,7 @@ def test_streamed_two_factors_are_the_sorted_overlays(dims):
     # what sorting every distinct overlay gives
     dims = BoxDims(*dims)
     mesh = build_mesh(dims)
-    ms = list(map(mesh.faces_of, enumerate_matchings(dims)))
+    ms = enumerate_matchings(dims)
     every = {overlay(mesh, M1, M2) for M1 in ms for M2 in ms}
     assert list(iter_two_factors(dims)) == \
         sorted(every, key=lambda tf: (sorted(mesh.faces_of(tf.doubled)), tf.loops))
@@ -261,8 +260,7 @@ def test_pair_matchings_refuse_before_enumerating(monkeypatch):
 def test_pair_matchings_validate_each_matching(monkeypatch):
     import hexdimer.overlay as ov
 
-    dims, mesh, empty, _ = hexagon_setup()
-    M = mesh.mask_of(empty)
+    dims, mesh, M, _ = hexagon_setup()
     monkeypatch.setattr(ov, "enumerate_matchings", lambda d: [M, M & (M - 1)])
     with pytest.raises(MeshMismatch):
         pair_matchings(dims)
@@ -351,8 +349,8 @@ def test_assemble_refuses_a_doubled_edge_on_a_loop():
 
 
 def test_bijection_calls_build_no_per_byte_table():
-    # the face-level bijection API on a large mesh: round trips, flips and
-    # overlays validate face sets and assemble without any per-byte table
+    # the bijection API on a large mesh: round trips, flips, overlays and
+    # the perfect-matching test take masks and build no per-byte table
     dims = BoxDims(8, 8, 8)
     mesh = HexMesh(dims)  # a fresh mesh, outside the cache
     rng = random.Random(3)
@@ -370,9 +368,9 @@ def test_bijection_calls_build_no_per_byte_table():
         diagram_of(mesh, tau_move(mesh, M, face))
     assert overlay(mesh, M, empty).component_count() % 2 == (3 * 64) % 2
     assert overlay(mesh, M, M).loops == ()
-    names = vars(mesh)
-    assert "_endpoint_table" not in names and "squish_table" not in names
+    assert mesh.is_perfect_matching(M)
+    assert "squish_table" not in vars(mesh)
     assert per_byte_tables(mesh) == []
     # the guard sees a table once one is built
-    mesh.is_perfect_matching(mesh.mask_of(M))
-    assert per_byte_tables(mesh) == ["_endpoint_table"]
+    mesh.squish_table
+    assert per_byte_tables(mesh) == ["squish_table"]

@@ -48,7 +48,7 @@ def test_wp_weighs_matchings_by_box_count(dims):
     mesh = build_mesh(dims)
     wp = wp_edge_weighting(mesh)
     for pi in enumerate_diagrams(dims):
-        assert wp.weight_of(mesh.mask_of(matching_of(pi))) == \
+        assert wp.weight_of(matching_of(pi)) == \
             Monomial(1, pack(3 * pi.size(), 0, 0, 0))
 
 
@@ -57,7 +57,7 @@ def test_wp_empty_matching_is_one():
         mesh = build_mesh(dims)
         wp = wp_edge_weighting(mesh)
         empty = matching_of(PlanePartition.empty(dims))
-        assert wp.weight_of(mesh.mask_of(empty)) == Monomial(1)
+        assert wp.weight_of(empty) == Monomial(1)
 
 
 # -- pullback weighting --------------------------------------------------------
@@ -148,10 +148,10 @@ def test_some_candidate_rules_fail_nothing():
 
 def test_project_empty_matching_is_all_doubled():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    empty = mesh.mask_of(matching_of(PlanePartition.empty(BoxDims(2, 2, 2))))
+    empty = matching_of(PlanePartition.empty(BoxDims(2, 2, 2)))
     lam = project(mesh, empty)
     assert lam.loops == ()
-    assert lam.doubled == mesh.base.mask_of(matching_of(PlanePartition.empty(BoxDims(1, 1, 1))))
+    assert lam.doubled == matching_of(PlanePartition.empty(BoxDims(1, 1, 1)))
 
 
 def test_projection_fibers_partition_matchings():
@@ -202,7 +202,7 @@ def classify_propeller(mesh, mu, prop):
 
 def test_classify_propeller():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    empty = matching_of(PlanePartition.empty(BoxDims(2, 2, 2)))
+    empty = mesh.faces_of(matching_of(PlanePartition.empty(BoxDims(2, 2, 2))))
     for p in mesh.propellers:
         assert classify_propeller(mesh, empty, p) == "Parallel"
     counts = Counter()
@@ -376,11 +376,11 @@ def test_consistency_factorization(base):
         t = split(U.weight_of(mu).key)[0]
         return S.weight_of(mu).coeff * (-1) ** (t % 2), t
 
-    s0, e0 = W(mesh.mask_of(matching_of(PlanePartition.empty(dims))))
+    s0, e0 = W(matching_of(PlanePartition.empty(dims)))
     assert (s0, e0) == ((-1) ** (a * b + b * c + c * a), 0)
     for mu in enumerate_matchings(dims):
         s, e = W(mu)
-        dw = diagram_weight(diagram_of(mesh, mesh.faces_of(mu)), scheme)
+        dw = diagram_weight(diagram_of(mesh, mu), scheme)
         assert s * s0 == dw.coeff and e == 3 * split(dw.key)[0]
 
 
@@ -419,7 +419,7 @@ def test_grouped_projection_equals_per_matching_assembly(dims):
 
 def test_projection_key_refuses_a_non_matching():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    mu = mesh.mask_of(matching_of(PlanePartition.empty(mesh.dims)))
+    mu = matching_of(PlanePartition.empty(mesh.dims))
     with pytest.raises(SquishError, match="perfect matching"):
         projection_key(mesh, mu & (mu - 1))
     # V/2 edges, one vertex covered twice: trade an edge e for an edge g
