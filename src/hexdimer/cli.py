@@ -95,6 +95,8 @@ def _all_subdims(top: BoxDims):
 
 def check_parity(max_dims: BoxDims) -> CheckReport:
     rep = CheckReport("parity", {"max_dims": ",".join(map(str, max_dims))})
+    for dims in _all_subdims(max_dims):  # refuse before enumerating any box
+        bounded_count(dims, 2)
     for dims in _all_subdims(max_dims):
         a, b, c = dims
         want = (a * b + b * c + c * a) % 2
@@ -150,6 +152,7 @@ def check_pullback(dims: BoxDims) -> CheckReport:
     rep = CheckReport("pullback", {"dims": ",".join(map(str, dims))})
     if not dims.is_even:
         raise UsageError("pullback check needs even dims")
+    bounded_count(dims, 1)
     mesh = build_mesh(dims)
     U = pullback_weighting(mesh)
     wp = wp_edge_weighting(mesh.base)

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, _add_into, pack
-from .mesh import BoxDims, Face, HexMesh, build_mesh, face_order, positions
+from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
 
 
 class DiagramError(Exception):
@@ -211,30 +211,39 @@ def matching_of(pi: PlanePartition) -> int:
     """The perfect matching of H_{a,b,c} whose rhombi tile the diagram
     surface, as an edge mask of the mesh (HexMesh.mask_of), in
     O(ab + bc + ca): cell (i,j) shows its top face A(i,j,h[i][j]); in row i
-    the wall between columns j-1 and j shows B(i,j,k) for k in
+    the wall between columns j-1 and j shows B(i,j,z) for z in
     [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is
-    the same down each column.  Faces are made canonical by subtracting
-    min(i,j,k)."""
-    c, h = pi.dims.c, pi.h
-    M = []
-    for i, row in enumerate(h):
+    the same down each column.
+
+    The positions are read off the mesh's ``lattice_table``, naming no
+    face.  A(i,j,k) sits at lattice point (i-k, j-k), B and C(i,j,z) at
+    (i-z-1, j-z-1), which moves by (-1,-1), so by -S in the table, per
+    step of z: a wall is one strided slice.  Its stop index is that of
+    (i-c-1, j-c-1), in the padding and never negative, so it never wraps."""
+    mesh = build_mesh(pi.dims)
+    A, B, C = mesh.lattice_table
+    W = mesh.lattice_width
+    S = W + 1
+    c = pi.dims.c
+    out: List[int] = []
+    for i, row in enumerate(pi.h):
+        st = mesh.lattice_index(i - 1, -1)  # B(i,j,0), at j = 0
         left = c
-        for j, k in enumerate((*row, 0)):
-            for z in range(k, left):
-                m = min(i, j, z)
-                M.append(Face("B", i - m, j - m, z - m))
+        for k in row:
+            out += B[st - k * S:st - left * S:-S]
+            out.append(A[st + S - k * S])
             left = k
-        for j, k in enumerate(row):
-            m = min(i, j, k)
-            M.append(Face("A", i - m, j - m, k - m))
-    for j, col in enumerate(zip(*h)):
+            st += 1
+        out += B[st:st - left * S:-S]
+    for j, col in enumerate(zip(*pi.h)):
+        st = mesh.lattice_index(-1, j - 1)  # C(i,j,0), at i = 0
         up = c
-        for i, k in enumerate((*col, 0)):
-            for z in range(k, up):
-                m = min(i, j, z)
-                M.append(Face("C", i - m, j - m, z - m))
+        for k in col:
+            out += C[st - k * S:st - up * S:-S]
             up = k
-    return build_mesh(pi.dims).mask_of(M)
+            st += W
+        out += C[st:st - up * S:-S]
+    return sum(map((1).__lshift__, out))
 
 
 def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:

@@ -170,10 +170,44 @@ class HexMesh:
             raise UnknownFace(f"{f} is not an edge of H_{tuple(self.dims)}") from None
 
     @cached_property
+    def lattice_table(self) -> Tuple[List[int], List[int], List[int]]:
+        """Per class A, B, C, a flat list that maps each lattice point to
+        the position of the edge of that class there, -1 where there is
+        none, at ``lattice_index``.  One row and one column of padding lie
+        below every edge."""
+        size = (self.dims.a + self.dims.c + 1) * self.lattice_width
+        table = {cls: [-1] * size for cls in "ABC"}
+        for p, f in enumerate(self.edges):
+            table[f.cls][self.lattice_index(*f.lattice)] = p
+        return table["A"], table["B"], table["C"]
+
+    @property
+    def lattice_width(self) -> int:
+        """b + c + 2, the index step of x in ``lattice_table``; the step
+        of y is 1, so moving (x, y) by (-1, -1) moves the index by
+        -(lattice_width + 1)."""
+        return self.dims.b + self.dims.c + 2
+
+    def lattice_index(self, x: int, y: int) -> int:
+        """The index of lattice point (x, y) in ``lattice_table``."""
+        c = self.dims.c
+        return (x + c + 1) * self.lattice_width + y + c + 1
+
+    def _hex_positions(self, x: int, y: int) -> Tuple[int, ...]:
+        """The edge positions of the hexagonal face at lattice point (x, y),
+        in cyclic order: up(x,y) -A(x,y)- down(x,y) -C(x,y-1)- up(x,y-1)
+        -B(x-1,y-1)- down(x-1,y-1) -A(x-1,y-1)- up(x-1,y-1) -C(x-1,y-1)-
+        down(x-1,y) -B(x-1,y)- up(x,y)."""
+        A, B, C = self.lattice_table
+        n, W = self.lattice_index(x, y), self.lattice_width
+        return A[n], C[n - 1], B[n - W - 1], A[n - W - 1], C[n - W - 1], B[n - W]
+
+    @cached_property
     def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[Face, ...]]:
         """Each hexagonal face -> its six edges in cyclic order (``edges`` keys)."""
-        own = {f: f for f in self.edges}
-        return {pt: tuple(own[f] for f in _hex_edge_cycle(*pt)) for pt in self.hexfaces}
+        faces = self.faces
+        return {pt: tuple(map(faces.__getitem__, self._hex_positions(*pt)))
+                for pt in self.hexfaces}
 
     def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[Face, ...]:
         """The six edges of a hexagonal face, in cyclic order."""
@@ -187,8 +221,11 @@ class HexMesh:
         """Each hexagonal face -> the masks of its edges cycle[0::2] and
         cycle[1::2] (``hex_cycles``): a matching alternates around the
         face when it holds either."""
-        return {pt: (self.mask_of(cycle[0::2]), self.mask_of(cycle[1::2]))
-                for pt, cycle in self.hex_cycles.items()}
+        out = {}
+        for pt in self.hexfaces:
+            p = self._hex_positions(*pt)
+            out[pt] = (1 << p[0] | 1 << p[2] | 1 << p[4], 1 << p[1] | 1 << p[3] | 1 << p[5])
+        return out
 
     def is_perfect_matching(self, M: int) -> bool:
         """Every vertex has degree one, for an edge mask M (see ``mask_of``):
@@ -422,19 +459,6 @@ def _hex_ring(x: int, y: int) -> Tuple[Triangle, ...]:
         Triangle(x - 1, y - 1, True),
         Triangle(x - 1, y - 1, False),
         Triangle(x, y - 1, True),
-    )
-
-
-def _hex_edge_cycle(x: int, y: int) -> Tuple[Face, ...]:
-    # cycle: up(x,y) -A- down(x,y) -C(x,y-1)- up(x,y-1) -B(x-1,y-1)-
-    #        down(x-1,y-1) -A- up(x-1,y-1) -C- down(x-1,y) -B(x-1,y)- up(x,y)
-    return (
-        Face.from_lattice("A", x, y),
-        Face.from_lattice("C", x, y - 1),
-        Face.from_lattice("B", x - 1, y - 1),
-        Face.from_lattice("A", x - 1, y - 1),
-        Face.from_lattice("C", x - 1, y - 1),
-        Face.from_lattice("B", x - 1, y),
     )
 
 

@@ -52,6 +52,63 @@ def broken_masks(mesh: HexMesh, M: int) -> Iterator[int]:
     yield from (M | 1 << m, M | 1 << (8 * -(-m // 8)), M | 1 << (m + 64), -M)
 
 
+def filled_scan_matching(pi):
+    """Reference matching_of in O(abc): scan every cell of the box for the
+    faces between a filled cell and an empty one."""
+    a, b, c = pi.dims
+    h = pi.h
+
+    def filled(i, j, k):
+        return 0 <= i < a and 0 <= j < b and k < h[i][j]
+
+    M = set()
+    for i in range(a):
+        for j in range(b):
+            k = h[i][j]
+            M.add(Face.from_lattice("A", i - k, j - k))
+    # class B: vertical faces seen along the j axis (wall at j=0 counts as full)
+    for i in range(a):
+        for j in range(b + 1):
+            for k in range(c):
+                left = filled(i, j - 1, k) if j > 0 else True
+                if left and not filled(i, j, k):
+                    M.add(Face.from_lattice("B", i - k - 1, j - k - 1))
+    # class C: vertical faces seen along the i axis
+    for j in range(b):
+        for i in range(a + 1):
+            for k in range(c):
+                left = filled(i - 1, j, k) if i > 0 else True
+                if left and not filled(i, j, k):
+                    M.add(Face.from_lattice("C", i - k - 1, j - k - 1))
+    return frozenset(M)
+
+
+def face_matching_of(pi) -> int:
+    """Reference matching_of in O(ab + bc + ca) that names every face: the
+    same walls as matching_of, each face made canonical by subtracting
+    min(i,j,k) and looked up with HexMesh.mask_of."""
+    c, h = pi.dims.c, pi.h
+    M = []
+    for i, row in enumerate(h):
+        left = c
+        for j, k in enumerate((*row, 0)):
+            for z in range(k, left):
+                m = min(i, j, z)
+                M.append(Face("B", i - m, j - m, z - m))
+            left = k
+        for j, k in enumerate(row):
+            m = min(i, j, k)
+            M.append(Face("A", i - m, j - m, k - m))
+    for j, col in enumerate(zip(*h)):
+        up = c
+        for i, k in enumerate((*col, 0)):
+            for z in range(k, up):
+                m = min(i, j, z)
+                M.append(Face("C", i - m, j - m, z - m))
+            up = k
+    return build_mesh(pi.dims).mask_of(M)
+
+
 def per_byte_tables(mesh: HexMesh) -> List[str]:
     """The cached attributes of a mesh that hold edge_table rows."""
     return [name for name, v in vars(mesh).items()

@@ -265,6 +265,45 @@ def test_check_fibers_refuses_a_lift_that_is_not_a_matching(monkeypatch):
         run_check("fibers", BoxDims(1, 1, 1), None, None)
 
 
+class Enumerated(Exception):
+    pass
+
+
+def enumeration_raises(*args):
+    raise Enumerated
+
+
+def test_check_pullback_refuses_from_the_count(capsys, monkeypatch):
+    # pullback handles each matching once: N (ab+bc+ca) is bounded from the
+    # box count before iter_matchings runs
+    import hexdimer.cli as cli
+
+    monkeypatch.setattr(cli, "iter_matchings", enumeration_raises)
+    for dims in ("8,8,8", "6,6,4"):
+        code, _, err = run(capsys, "check", "pullback", "-d", dims)
+        assert code == 2 and "over the bound 100000000" in err
+        assert f"H_({dims.replace(',', ', ')})" in err
+    # 4,4,4 (232,848 matchings, 48 edges) is admitted and reaches the enumeration
+    with pytest.raises(Enumerated):
+        run_check("pullback", BoxDims(4, 4, 4), None, None)
+
+
+def test_check_parity_refuses_before_enumerating_any_box(capsys, monkeypatch):
+    # every sub-box is bounded first, in the order the check runs them, so
+    # the first box past the bound is named and nothing is enumerated
+    import hexdimer.overlay as overlay_module
+    from hexdimer.diagrams import TooLarge, bounded_count
+
+    monkeypatch.setattr(overlay_module, "enumerate_matchings", enumeration_raises)
+    with pytest.raises(TooLarge) as want:
+        bounded_count(BoxDims(3, 4, 3), 2)
+    code, out, err = run(capsys, "check", "parity", "--max-dims", "4,4,3")
+    assert code == 2 and out == "" and err == f"error: {want.value}\n"
+    # an admitted top box gets as far as its first enumeration
+    with pytest.raises(Enumerated):
+        run_check("parity", None, None, BoxDims(2, 2, 2))
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     # a lift with one edge bit dropped is refused by projection_key: the
     # program's own error, neither a failed identity nor bad input

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import box_count_oracle, broken_masks
+from conftest import box_count_oracle, broken_masks, face_matching_of, filled_scan_matching
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,37 +220,6 @@ def test_bijection_roundtrip(dims):
     assert set(enumerate_matchings(dims)) == matchings
 
 
-def filled_scan_matching(pi):
-    """Reference matching_of in O(abc): scan every cell of the box for the
-    faces between a filled cell and an empty one."""
-    a, b, c = pi.dims
-    h = pi.h
-
-    def filled(i, j, k):
-        return 0 <= i < a and 0 <= j < b and k < h[i][j]
-
-    M = set()
-    for i in range(a):
-        for j in range(b):
-            k = h[i][j]
-            M.add(Face.from_lattice("A", i - k, j - k))
-    # class B: vertical faces seen along the j axis (wall at j=0 counts as full)
-    for i in range(a):
-        for j in range(b + 1):
-            for k in range(c):
-                left = filled(i, j - 1, k) if j > 0 else True
-                if left and not filled(i, j, k):
-                    M.add(Face.from_lattice("B", i - k - 1, j - k - 1))
-    # class C: vertical faces seen along the i axis
-    for j in range(b):
-        for i in range(a + 1):
-            for k in range(c):
-                left = filled(i - 1, j, k) if i > 0 else True
-                if left and not filled(i, j, k):
-                    M.add(Face.from_lattice("C", i - k - 1, j - k - 1))
-    return frozenset(M)
-
-
 def random_partition(rng, dims):
     """A random diagram: each height drawn below the bounds above and left."""
     a, b, c = dims
@@ -262,24 +231,47 @@ def random_partition(rng, dims):
 
 
 def test_matching_of_equals_filled_scan():
-    def faces(pi):
-        return build_mesh(pi.dims).faces_of(matching_of(pi))
+    def check(pi):
+        M = matching_of(pi)
+        assert M == face_matching_of(pi), pi
+        assert build_mesh(pi.dims).faces_of(M) == filled_scan_matching(pi), pi
+        return M
 
     for dims in itertools.product(range(1, 4), repeat=3):
         for pi in enumerate_diagrams(BoxDims(*dims)):
-            assert faces(pi) == filled_scan_matching(pi), pi
-    for dims in ((40, 1, 1), (1, 1, 40)):
+            check(pi)
+    # long and skewed boxes, where a wall runs c deep or a side is 1
+    for dims in ((40, 1, 1), (1, 1, 40), (1, 40, 1), (1, 2, 30), (30, 2, 1)):
         for pi in enumerate_diagrams(BoxDims(*dims)):
-            assert faces(pi) == filled_scan_matching(pi), pi
+            check(pi)
     rng = random.Random(9)
+    # a < c, b < c, both, and neither
+    for dims in ((2, 9, 5), (9, 2, 5), (2, 3, 9), (1, 6, 2), (7, 1, 3)):
+        for _ in range(10):
+            check(random_partition(rng, BoxDims(*dims)))
     for _ in range(50):
-        dims = BoxDims(*(rng.randint(1, 12) for _ in range(3)))
+        dims = BoxDims(*(rng.randint(1, 14) for _ in range(3)))
         pi = random_partition(rng, dims)
-        M = matching_of(pi)
-        assert build_mesh(dims).faces_of(M) == filled_scan_matching(pi), pi
-        assert diagram_of(build_mesh(dims), M) == pi
-    pi = random_partition(rng, BoxDims(12, 12, 12))
-    assert faces(pi) == filled_scan_matching(pi)
+        assert diagram_of(build_mesh(dims), check(pi)) == pi
+    check(random_partition(rng, BoxDims(12, 12, 12)))
+
+
+def test_matching_of_builds_no_face(monkeypatch):
+    # on a built mesh the positions come from the lattice table alone
+    dims = BoxDims(6, 5, 7)
+    rng = random.Random(4)
+    pis = [PlanePartition.empty(dims), PlanePartition.full(dims)]
+    pis += [random_partition(rng, dims) for _ in range(20)]
+    build_mesh(dims)
+    want = [face_matching_of(pi) for pi in pis]
+
+    def no_face(*args, **kwargs):
+        raise AssertionError("a Face was built")
+
+    monkeypatch.setattr(Face, "__new__", no_face)
+    with pytest.raises(AssertionError, match="a Face was built"):  # the guard bites
+        Face.from_lattice("A", 0, 0)
+    assert [matching_of(pi) for pi in pis] == want
 
 
 def test_empty_and_full_on_hexagon():

@@ -10,8 +10,22 @@ from conftest import broken_masks, per_byte_tables
 from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, MeshError, OddDims,
-    UnknownFace, _hex_edge_cycle, build_mesh, edge_table, positions,
+    UnknownFace, build_mesh, edge_table, positions,
 )
+
+
+def hex_edge_cycle(x, y):
+    """The six edges of the hexagonal face at lattice point (x, y), in
+    cyclic order, as faces: the oracle for HexMesh.hex_cycles."""
+    return (
+        Face.from_lattice("A", x, y),
+        Face.from_lattice("C", x, y - 1),
+        Face.from_lattice("B", x - 1, y - 1),
+        Face.from_lattice("A", x - 1, y - 1),
+        Face.from_lattice("C", x - 1, y - 1),
+        Face.from_lattice("B", x - 1, y),
+    )
+
 
 ALL_SMALL = [BoxDims(a, b, c)
              for a in range(1, 5) for b in range(1, 5) for c in range(1, 5)]
@@ -82,15 +96,33 @@ def test_hex_cycles_are_the_mesh_edge_keys(dims):
     assert tuple(m.hex_cycles) == m.hexfaces
     for pt in m.hexfaces:
         cycle = m.hexface_edges(pt)
-        assert cycle is m.hex_cycles[pt] and cycle == _hex_edge_cycle(*pt)
+        assert cycle is m.hex_cycles[pt] and cycle == hex_edge_cycle(*pt)
         assert all(f is own[f] for f in cycle)
+
+
+@pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
+                                  BoxDims(4, 1, 6)], ids=str)
+def test_lattice_table_maps_each_point_to_its_edge(dims):
+    m = build_mesh(dims)
+    a, b, c = dims
+    W = b + c + 2
+    found = 0
+    for cls, table in zip("ABC", m.lattice_table):
+        assert type(table) is list and len(table) == (a + c + 1) * W
+        for n, p in enumerate(table):
+            x, y = divmod(n, W)
+            if p != -1:
+                assert m.faces[p] == Face.from_lattice(cls, x - c - 1, y - c - 1)
+                assert x and y  # the padding row and column hold no edge
+                found += 1
+    assert found == len(m.edges)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)], ids=str)
 def test_flippable_faces_against_frozensets(dims):
     m = build_mesh(BoxDims(*dims))
     halves = [(pt, frozenset(cycle[0::2]), frozenset(cycle[1::2]))
-              for pt in m.hexfaces for cycle in (_hex_edge_cycle(*pt),)]
+              for pt in m.hexfaces for cycle in (hex_edge_cycle(*pt),)]
     for M in enumerate_matchings(BoxDims(*dims)):
         F = m.faces_of(M)
         want = [pt for pt, odd, even in halves if odd <= F or even <= F]
@@ -228,7 +260,7 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
     lazy = ("edge_index", "edge_ends", "vertex_edges", "centroids", "endpoint_bits",
-            "lifts", "squish_table", "long_cover", "short_mask")
+            "lifts", "squish_table", "long_cover", "short_mask", "lattice_table")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
     assert not mesh.is_perfect_matching(0)
