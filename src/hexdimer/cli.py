@@ -23,7 +23,7 @@ from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, degree,
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, TooLarge, Z2Z2,
                        bounded_count, flippable_faces, iter_matchings, matching_of,
                        tau_move, z_poly)
-from .mesh import BoxDims, Face, MeshError, build_mesh
+from .mesh import BoxDims, Face, MeshError, build_mesh, positions
 from .overlay import (OverlayError, assemble_two_factor, iter_two_factors, overlay,
                       overlay_keys, pair_matchings, split)
 from .series import SeriesError, compare_box_vs_series, eq3_check
@@ -175,13 +175,13 @@ def check_consistency(dims: BoxDims) -> CheckReport:
 
     Every diagram is built from the empty one a box at a time, and adding
     box (i,j,k) flips the matching at the hexagon at lattice point
-    (i-k, j-k): the edges cycle[0::2] of ``mesh.hex_cycles`` leave it and
-    cycle[1::2] enter.  The flip multiplies the matching's weight by the
-    hexagon's face ratio (EdgeWeighting.face_ratio) and the diagram's by
-    the box weight, which depends on (i-k, j-k) alone.  So the two agree on
-    every matching exactly when they agree on the empty matching and, at
-    every hexagon, the face ratio is the box weight: t^3 on a P hexagon
-    and -1 on the others.  Lozenge tilings are connected by hexagon flips
+    (i-k, j-k): the edges at positions cycle[0::2] of ``mesh.hex_cycles``
+    leave it and cycle[1::2] enter.  The flip multiplies the matching's
+    weight by the hexagon's face ratio (EdgeWeighting.face_ratio) and the
+    diagram's by the box weight, which depends on (i-k, j-k) alone.  So
+    the two agree on every matching exactly when they agree on the empty
+    matching and, at every hexagon, the face ratio is the box weight: t^3
+    on a P hexagon and -1 on the others.  Lozenge tilings are connected by hexagon flips
     (Thurston, "Conway's tiling groups", 1990); Kenyon's "Lectures on
     dimers" states the same as gauge equivalence through face weights.
     An edge on no hexagon lies in every matching or in none, so the empty
@@ -198,10 +198,10 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     def minus_t(m: Monomial) -> Monomial:  # t -> -t
         return Monomial(m.coeff * (-1) ** (split_key(m.key)[0] % 2), m.key)
 
-    W = EdgeWeighting(mesh, {f: minus_t(S[f] * U[f]) for f in mesh.edges})
+    W = EdgeWeighting(mesh, tuple(minus_t(s * u) for s, u in zip(S.weights, U.weights)))
     a, b, c = mesh.base.dims
-    empty = mesh.faces_of(matching_of(PlanePartition.empty(dims)))
-    w0 = reduce(Monomial.__mul__, (W[f] for f in empty))
+    empty = positions(matching_of(PlanePartition.empty(dims)))
+    w0 = reduce(Monomial.__mul__, map(W.weights.__getitem__, empty))
     s0, e0 = w0.coeff, split_key(w0.key)[0]
     if (s0, e0) != ((-1) ** (a * b + b * c + c * a), 0):
         rep.fail({"empty_weight": (s0, e0)})
@@ -488,11 +488,9 @@ def cmd_render(args) -> int:
     else:  # squish
         if not dims.is_even:
             raise UsageError("squish render needs even dims")
-        for f in sorted(mesh.faces_of(M)):
-            if f in mesh.short_edges:
-                add(f, "#bbbbbb")
-            else:
-                add(f, _CLASS_FILL[f.cls])
+        for p in positions(M):
+            f = mesh.faces[p]
+            add(f, "#bbbbbb" if mesh.short_mask >> p & 1 else _CLASS_FILL[f.cls])
     svg = _svg(polys)
     try:
         with open(args.out, "w") as fh:

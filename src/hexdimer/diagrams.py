@@ -209,7 +209,7 @@ def diagram_sum(dims: BoxDims, scheme: WeightScheme = Z2Z2,
 
 def matching_of(pi: PlanePartition) -> int:
     """The perfect matching of H_{a,b,c} whose rhombi tile the diagram
-    surface, as an edge mask of the mesh (HexMesh.mask_of), in
+    surface, as an edge mask of the mesh (bit p for edge position p), in
     O(ab + bc + ca): cell (i,j) shows its top face A(i,j,h[i][j]); in row i
     the wall between columns j-1 and j shows B(i,j,z) for z in
     [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is
@@ -318,9 +318,9 @@ def bounded_count(dims: BoxDims, k: int) -> int:
 
 
 def iter_matchings(dims: BoxDims) -> Iterator[int]:
-    """Every perfect matching, as an edge mask (HexMesh.mask_of), by direct
-    backtracking on the mesh (it does not go through diagrams, so it
-    verifies the bijection independently), in backtracking order."""
+    """Every perfect matching, as an edge mask (bit p for edge position p),
+    by direct backtracking on the mesh (it does not go through diagrams, so
+    it verifies the bijection independently), in backtracking order."""
     mesh = build_mesh(dims)
     full = (1 << len(mesh.vertices)) - 1
     # per vertex position: (edge bit, other end's bit)
@@ -353,7 +353,8 @@ def tau_move(mesh: HexMesh, M: int, face: Tuple[int, int]) -> int:
     """Flip the matching mask on one hexagonal face (add or remove one box):
     M ^ the hexagon's mask, when M holds every other edge of its cycle."""
     cycle = mesh.hexface_edges(face)
-    odd, even = mesh.mask_of(cycle[0::2]), mesh.mask_of(cycle[1::2])
+    odd = 1 << cycle[0] | 1 << cycle[2] | 1 << cycle[4]
+    even = 1 << cycle[1] | 1 << cycle[3] | 1 << cycle[5]
     if M & odd == odd or M & even == even:
         return M ^ odd ^ even
     raise FaceNotFlippable(f"matching does not alternate around face {face}")

@@ -93,16 +93,6 @@ class Face(NamedTuple):
         return cls(klass, i - m, j - m, -m)
 
 
-@dataclass(frozen=True)
-class Propeller:
-    """A claw of three short edges around a center vertex of an even mesh."""
-
-    base: Triangle  # the base-mesh vertex it contracts to
-    center: Triangle
-    outers: Tuple[Tuple[str, Triangle], ...]  # (class, outer vertex), sorted
-    shorts: Tuple[Tuple[str, Face], ...]  # (class, short edge), sorted
-
-
 def _up_valid(x, y, a, b, c) -> bool:
     return -c <= x <= a - 1 and -c <= y <= b - 1 and 1 - b <= x - y <= a
 
@@ -143,14 +133,6 @@ class HexMesh:
                 edges[Face.from_lattice("C", x, y)] = (t, down)
         self.edges: Dict[Face, Tuple[Triangle, Triangle]] = dict(sorted(edges.items()))
 
-        inc: Dict[Triangle, List[Face]] = {t: [] for t in self.vertices}
-        for f, (t1, t2) in self.edges.items():
-            inc[t1].append(f)
-            inc[t2].append(f)
-        self.incident: Dict[Triangle, Tuple[Face, ...]] = {
-            t: tuple(sorted(fs)) for t, fs in inc.items()
-        }
-
         # hexagonal faces <-> interior lattice points: all six surrounding
         # triangles present.
         hexes = []
@@ -162,12 +144,6 @@ class HexMesh:
         self.hexfaces: Tuple[Tuple[int, int], ...] = tuple(sorted(hexes))
 
     # -- basic queries --------------------------------------------------
-
-    def face_triangles(self, f: Face) -> Tuple[Triangle, Triangle]:
-        try:
-            return self.edges[f]
-        except KeyError:
-            raise UnknownFace(f"{f} is not an edge of H_{tuple(self.dims)}") from None
 
     @cached_property
     def lattice_table(self) -> Tuple[List[int], List[int], List[int]]:
@@ -193,24 +169,22 @@ class HexMesh:
         c = self.dims.c
         return (x + c + 1) * self.lattice_width + y + c + 1
 
-    def _hex_positions(self, x: int, y: int) -> Tuple[int, ...]:
-        """The edge positions of the hexagonal face at lattice point (x, y),
-        in cyclic order: up(x,y) -A(x,y)- down(x,y) -C(x,y-1)- up(x,y-1)
-        -B(x-1,y-1)- down(x-1,y-1) -A(x-1,y-1)- up(x-1,y-1) -C(x-1,y-1)-
-        down(x-1,y) -B(x-1,y)- up(x,y)."""
-        A, B, C = self.lattice_table
-        n, W = self.lattice_index(x, y), self.lattice_width
-        return A[n], C[n - 1], B[n - W - 1], A[n - W - 1], C[n - W - 1], B[n - W]
-
     @cached_property
-    def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[Face, ...]]:
-        """Each hexagonal face -> its six edges in cyclic order (``edges`` keys)."""
-        faces = self.faces
-        return {pt: tuple(map(faces.__getitem__, self._hex_positions(*pt)))
-                for pt in self.hexfaces}
+    def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+        """Each hexagonal face -> the positions of its six edges in cyclic
+        order; at lattice point (x, y): up(x,y) -A(x,y)- down(x,y)
+        -C(x,y-1)- up(x,y-1) -B(x-1,y-1)- down(x-1,y-1) -A(x-1,y-1)-
+        up(x-1,y-1) -C(x-1,y-1)- down(x-1,y) -B(x-1,y)- up(x,y)."""
+        A, B, C = self.lattice_table
+        W = self.lattice_width
+        out = {}
+        for pt in self.hexfaces:
+            n = self.lattice_index(*pt)
+            out[pt] = A[n], C[n - 1], B[n - W - 1], A[n - W - 1], C[n - W - 1], B[n - W]
+        return out
 
-    def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[Face, ...]:
-        """The six edges of a hexagonal face, in cyclic order."""
+    def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[int, ...]:
+        """The positions of the six edges of a hexagonal face, in cyclic order."""
         try:
             return self.hex_cycles[pt]
         except KeyError:
@@ -221,18 +195,16 @@ class HexMesh:
         """Each hexagonal face -> the masks of its edges cycle[0::2] and
         cycle[1::2] (``hex_cycles``): a matching alternates around the
         face when it holds either."""
-        out = {}
-        for pt in self.hexfaces:
-            p = self._hex_positions(*pt)
-            out[pt] = (1 << p[0] | 1 << p[2] | 1 << p[4], 1 << p[1] | 1 << p[3] | 1 << p[5])
-        return out
+        return {pt: (1 << p[0] | 1 << p[2] | 1 << p[4], 1 << p[1] | 1 << p[3] | 1 << p[5])
+                for pt, p in self.hex_cycles.items()}
 
     def is_perfect_matching(self, M: int) -> bool:
-        """Every vertex has degree one, for an edge mask M (see ``mask_of``):
-        M holds V/2 mesh edges whose endpoint bits (``endpoint_bits``),
-        summed edge by edge, add up to 2^V - 1.  A sum of V bits that
-        carries anywhere has fewer than V ones, so the sum is reached only
-        with one bit per vertex.  No table is read or built."""
+        """Every vertex has degree one, for an edge mask M (bit p for the
+        edge at position p of ``edges``): M holds V/2 mesh edges whose
+        endpoint bits (``endpoint_bits``), summed edge by edge, add up to
+        2^V - 1.  A sum of V bits that carries anywhere has fewer than V
+        ones, so the sum is reached only with one bit per vertex.  No table
+        is read or built."""
         n = len(self.vertices)
         if M >> len(self.edges) or 2 * M.bit_count() != n:  # a negative mask shifts to -1
             return False
@@ -318,11 +290,12 @@ class HexMesh:
     @cached_property
     def vertex_edges(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """Per vertex position, (edge position, other end's position) for
-        each edge at it, in ``incident`` order."""
-        pos, index = self._vertex_index, self.edge_index
-        return tuple(tuple((index[f], pos[o]) for f in self.incident[t]
-                           for o in self.edges[f] if o != t)
-                     for t in self.vertices)
+        each edge at it, by ascending edge position."""
+        out: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
+        for e, (u, v) in enumerate(self.edge_ends):
+            out[u].append((e, v))
+            out[v].append((e, u))
+        return tuple(map(tuple, out))
 
     @cached_property
     def centroids(self) -> Tuple[Tuple[int, int], ...]:
@@ -343,72 +316,50 @@ class HexMesh:
         return build_mesh(self.dims.halved())
 
     @cached_property
-    def propellers(self) -> Tuple[Propeller, ...]:
-        """Claw partition of an even mesh's vertices, one claw per base vertex."""
+    def claws(self) -> Tuple[Tuple[int, Optional[str], int], ...]:
+        """The claw partition of an even mesh's vertices, per vertex
+        position: the position in ``base.vertices`` of the base vertex its
+        claw contracts to; its outer class, which is its short edge's
+        class, or None at the claw's center; and its short edge's
+        position, -1 at the center.
+
+        The centers are the down triangles (x, y) with x even and y odd
+        and the up triangles with x odd and y even.  A center contracts to
+        base vertex (x >> 1, y >> 1) of the other orientation, and its
+        three edges, one per class, are the claw's short edges."""
         if not self.dims.is_even:
-            raise OddDims(f"propellers need even side lengths, got {tuple(self.dims)}")
-        out = []
-        for t in self.base.vertices:
-            x, y = t.x, t.y
-            if t.up:
-                center = Triangle(2 * x, 2 * y + 1, False)
-                outers = {
-                    "A": Triangle(2 * x, 2 * y + 1, True),
-                    "B": Triangle(2 * x + 1, 2 * y + 1, True),
-                    "C": Triangle(2 * x, 2 * y, True),
-                }
-            else:
-                center = Triangle(2 * x + 1, 2 * y, True)
-                outers = {
-                    "A": Triangle(2 * x + 1, 2 * y, False),
-                    "B": Triangle(2 * x, 2 * y, False),
-                    "C": Triangle(2 * x + 1, 2 * y + 1, False),
-                }
-            shorts = {}
-            for klass, o in outers.items():
-                found = [f for f in self.incident[center] if o in self.edges[f]]
-                if len(found) != 1:
-                    raise MeshError(f"propeller claw broken at {t}")
-                shorts[klass] = found[0]
-            out.append(Propeller(t, center,
-                                 tuple(sorted(outers.items())),
-                                 tuple(sorted(shorts.items()))))
-        return tuple(out)
-
-    @cached_property
-    def _propeller_of(self) -> Dict[Triangle, Propeller]:
-        own: Dict[Triangle, Propeller] = {}
-        for p in self.propellers:
-            own[p.center] = p
-            for _, o in p.outers:
-                own[o] = p
-        return own
-
-    @cached_property
-    def propeller_of_base(self) -> Dict[Triangle, Propeller]:
-        """Propeller lookup by the base vertex it contracts to."""
-        return {p.base: p for p in self.propellers}
-
-    @cached_property
-    def short_edges(self) -> FrozenSet[Face]:
-        return frozenset(f for p in self.propellers for _, f in p.shorts)
+            raise OddDims(f"claws need even side lengths, got {tuple(self.dims)}")
+        base_index, faces, nbrs = self.base._vertex_index, self.faces, self.vertex_edges
+        table: List[Optional[Tuple[int, Optional[str], int]]] = [None] * len(self.vertices)
+        for v, t in enumerate(self.vertices):
+            if t.x & 1 == t.up and t.y & 1 != t.up:
+                if len(nbrs[v]) != 3:
+                    raise MeshError(f"claw broken at {t}")
+                b = base_index[Triangle(t.x >> 1, t.y >> 1, not t.up)]
+                table[v] = (b, None, -1)
+                for e, o in nbrs[v]:
+                    table[o] = (b, faces[e].cls, e)
+        if None in table:
+            raise MeshError("a vertex lies in no claw")
+        return tuple(table)
 
     @cached_property
     def lifts(self) -> Tuple[Tuple[int, int], ...]:
         """Per base edge position, the positions of its two long-edge
         preimages (its lifts), ascending: the squish map, 2-to-1 and
         class-preserving onto the base edges."""
-        base = self.base
-        base_at = {frozenset(ts): j for j, ts in enumerate(base.edges.values())}
-        fibers: List[List[int]] = [[] for _ in base.edges]
-        own = self._propeller_of
-        for i, (f, (t1, t2)) in enumerate(self.edges.items()):
-            p1, p2 = own[t1], own[t2]
-            if p1 is p2:
+        base, claws = self.base, self.claws
+        base_at = {ends: j for j, ends in enumerate(base.edge_ends)}
+        fibers: List[List[int]] = [[] for _ in base.edge_ends]
+        for i, (u, v) in enumerate(self.edge_ends):
+            ends = (claws[u][0], claws[v][0])
+            if ends[0] == ends[1]:
                 continue  # short edge
-            j = base_at.get(frozenset((p1.base, p2.base)))
-            if j is None or base.faces[j].cls != f.cls:
-                raise MeshError(f"long edge {f} does not project onto a base edge")
+            # a long edge joins two outers, its up end in the claw of an up
+            # base vertex: ends is (up, down), as in base.edge_ends
+            j = base_at.get(ends)
+            if j is None or base.faces[j].cls != self.faces[i].cls:
+                raise MeshError(f"long edge {self.faces[i]} does not project onto a base edge")
             fibers[j].append(i)
         if any(len(v) != 2 for v in fibers):
             raise MeshError("squish map is not 2-to-1 onto the base edge set")
@@ -432,22 +383,16 @@ class HexMesh:
     @cached_property
     def short_mask(self) -> int:
         """The mask of the short edges."""
-        return self.mask_of(self.short_edges)
+        return sum(1 << e for _, cls, e in self.claws if cls)
 
     @cached_property
     def long_cover(self) -> Tuple[int, ...]:
         """Per edge position i, 2^i plus the bits of the short edges at the
-        edge's ends where these are outer vertices of propellers.  For a
-        long edge that is both ends: a matching that holds it leaves out
-        those two shorts."""
-        index = self.edge_index
-        short_at: Dict[Triangle, int] = {}
-        # a propeller's outers and shorts are both sorted by class
-        for p in self.propellers:
-            for (_, o), (_, f) in zip(p.outers, p.shorts):
-                short_at[o] = 1 << index[f]
-        return tuple((1 << i) | short_at.get(t1, 0) | short_at.get(t2, 0)
-                     for i, (t1, t2) in enumerate(self.edges.values()))
+        edge's ends where these are outer vertices of claws.  For a long
+        edge that is both ends: a matching that holds it leaves out those
+        two shorts."""
+        bit = [1 << e if cls else 0 for _, cls, e in self.claws]
+        return tuple((1 << i) | bit[u] | bit[v] for i, (u, v) in enumerate(self.edge_ends))
 
 
 def _hex_ring(x: int, y: int) -> Tuple[Triangle, ...]:

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Set, Tuple
 
-from .diagrams import TooLarge, bounded_count, enumerate_matchings  # TooLarge: re-export
+from .diagrams import bounded_count, enumerate_matchings
 from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
 
 
@@ -177,9 +177,3 @@ def iter_two_factors(dims: BoxDims) -> Iterator[TwoFactor]:
     (pair_matchings, distinct_overlays); TooLarge when called, before any
     enumeration."""
     return distinct_overlays(build_mesh(dims), pair_matchings(dims))
-
-
-def enumerate_two_factors(dims: BoxDims) -> List[TwoFactor]:
-    """The list of iter_two_factors."""
-    return list(iter_two_factors(dims))
-

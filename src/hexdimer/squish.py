@@ -9,13 +9,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LIMIT, MAT_L, MAT_R, AlgebraError, Monomial, mono_t, split
 from .diagrams import PlanePartition, matching_of
-from .mesh import BoxDims, Face, HexMesh, OddDims, build_mesh, edge_table, positions
-from .overlay import (Loop, TwoFactor, assemble_two_factor, enumerate_two_factors,
-                      loop_vertices)
+from .mesh import BoxDims, HexMesh, OddDims, build_mesh, edge_table, positions
+from .overlay import Loop, TwoFactor, assemble_two_factor, iter_two_factors, loop_vertices
 
 
 class SquishError(Exception):
@@ -31,17 +30,17 @@ CLASSES = ("A", "B", "C")
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """A monomial weight per edge of a mesh, with t in the first exponent
-    field; coefficients are always +1 or -1."""
+    """A monomial weight per edge of a mesh, in ``edges`` order, with t in
+    the first exponent field; coefficients are always +1 or -1."""
 
     mesh: HexMesh
-    weights: Mapping[Face, Monomial]
+    weights: Tuple[Monomial, ...]
 
-    def __getitem__(self, f: Face) -> Monomial:
-        try:
-            return self.weights[f]
-        except KeyError:
-            raise SquishError(f"no weight for edge {f}") from None
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if len(self.weights) != len(self.mesh.edges):
+            raise SquishError(f"{len(self.weights)} edge weights for "
+                              f"{len(self.mesh.edges)} edges of H_{tuple(self.mesh.dims)}")
 
     @cached_property
     def _tables(self) -> Tuple[List[List[int]], int, int]:
@@ -50,10 +49,7 @@ class EdgeWeighting:
         exponents' absolute values must sum to less than LIMIT over all
         edges, so that no edge set's key sum can leave the range;
         AlgebraError otherwise."""
-        try:
-            ms = [self.weights[f] for f in self.mesh.edges]
-        except KeyError as exc:
-            raise SquishError(f"no weight for edge {exc.args[0]}") from None
+        ms = self.weights
         if any(m.coeff not in (1, -1) for m in ms):
             raise SquishError("an edge weight has a coefficient other than +1 or -1")
         spread = [0, 0, 0, 0]
@@ -73,14 +69,15 @@ class EdgeWeighting:
         key = self.mesh.edge_sum(mask, keys)
         return Monomial(-1 if (mask & neg).bit_count() & 1 else 1, key)
 
-    def face_ratio(self, cycle: Sequence[Face]) -> Monomial:
+    def face_ratio(self, cycle: Sequence[int]) -> Monomial:
         """The product of the weights on cycle[1::2] over the product on
-        cycle[0::2]: what a matching's weight is multiplied by when a flip
-        of the even cycle (a hexagon, ``HexMesh.hex_cycles``) swaps the
-        first set of its edges for the second.  Reads ``weights`` directly,
-        without the per-byte tables."""
-        num = reduce(Monomial.__mul__, map(self.__getitem__, cycle[1::2]))
-        den = reduce(Monomial.__mul__, map(self.__getitem__, cycle[0::2]))
+        cycle[0::2], for an even cycle of edge positions: what a matching's
+        weight is multiplied by when a flip of the cycle (a hexagon,
+        ``HexMesh.hex_cycles``) swaps the first set of its edges for the
+        second.  Reads ``weights`` directly, without the per-byte tables."""
+        w = self.weights
+        num = reduce(Monomial.__mul__, map(w.__getitem__, cycle[1::2]))
+        den = reduce(Monomial.__mul__, map(w.__getitem__, cycle[0::2]))
         if num.coeff * den.coeff not in (1, -1):
             raise SquishError("an edge weight has a coefficient other than +1 or -1")
         return num * Monomial(den.coeff, -den.key)  # a coefficient +-1 is its own inverse
@@ -98,21 +95,20 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
     crosses exactly once.
     """
     a, b, c = mesh.dims
-    exps: Dict[Face, int] = {}
-    for f in mesh.edges:
+    exps: List[int] = []
+    for f in mesh.faces:
         x, y = f.lattice
         if f.cls == "A":
-            exps[f] = min(a - 1 - x, b - 1 - y)
+            exps.append(min(a - 1 - x, b - 1 - y))
         elif f.cls == "B":
-            exps[f] = y - max(-c, x - a + 1)
+            exps.append(y - max(-c, x - a + 1))
         else:
-            exps[f] = x - max(-c, y + 1 - b)
-    empty = mesh.faces_of(matching_of(PlanePartition.empty(mesh.dims)))
-    leftover = sum(exps[f] for f in empty)
-    for f in mesh.edges:
+            exps.append(x - max(-c, y + 1 - b))
+    leftover = sum(exps[p] for p in positions(matching_of(PlanePartition.empty(mesh.dims))))
+    for p, f in enumerate(mesh.faces):
         if f.cls == "A" and f.lattice[0] - f.lattice[1] == a - 1:
-            exps[f] -= leftover
-    return EdgeWeighting(mesh, {f: mono_t(e) for f, e in exps.items()})
+            exps[p] -= leftover
+    return EdgeWeighting(mesh, tuple(map(mono_t, exps)))
 
 
 def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
@@ -120,13 +116,12 @@ def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
     weighs on the base mesh.  Requires even dims."""
     if not mesh.dims.is_even:
         raise OddDims(f"pullback weighting needs even dims, got {tuple(mesh.dims)}")
-    base_w = wp_edge_weighting(mesh.base)
-    faces, base_faces = mesh.faces, mesh.base.faces
-    w: Dict[Face, Monomial] = {f: Monomial(1) for f in mesh.short_edges}
+    base_w = wp_edge_weighting(mesh.base).weights
+    w = [Monomial(1)] * len(mesh.edges)
     for j, pair in enumerate(mesh.lifts):
         for i in pair:
-            w[faces[i]] = base_w[base_faces[j]]
-    return EdgeWeighting(mesh, w)
+            w[i] = base_w[j]
+    return EdgeWeighting(mesh, tuple(w))
 
 
 # -- sign rule and sign weighting ---------------------------------------------
@@ -134,8 +129,8 @@ def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
 
 @dataclass(frozen=True)
 class SignRule:
-    """For each edge class, the outer-vertex class (at the propeller of the
-    base edge's up-triangle endpoint) whose lift carries the -1.  The two
+    """For each edge class, the outer-vertex class (in the claw of the base
+    edge's up-triangle endpoint) whose lift carries the -1.  The two
     lifts of a base edge touch the two outer classes other than its own, so
     this gives opposite signs within every lift pair."""
 
@@ -147,15 +142,15 @@ class SignRule:
                                              for k in d):
             raise SquishError(f"malformed sign rule {self.minus_side}")
 
-    def sign(self, mesh: HexMesh, base_edge: Face, lift: Face) -> int:
-        t1, t2 = mesh.base.face_triangles(base_edge)
-        upt = t1 if t1.up else t2
-        prop = mesh.propeller_of_base[upt]
-        ends = set(mesh.edges[lift])
-        for ocls, o in prop.outers:
-            if o in ends:
-                return -1 if ocls == dict(self.minus_side)[base_edge.cls] else 1
-        raise SquishError(f"{lift} does not touch the up-endpoint propeller")
+    def sign(self, mesh: HexMesh, j: int, i: int) -> int:
+        """The sign of the edge at position i, a lift of the base edge at
+        position j (``HexMesh.claws``)."""
+        up = mesh.base.edge_ends[j][0]
+        for v in mesh.edge_ends[i]:
+            b, ocls, _ = mesh.claws[v]
+            if b == up and ocls:
+                return -1 if ocls == dict(self.minus_side)[mesh.base.faces[j].cls] else 1
+        raise SquishError(f"{mesh.faces[i]} does not touch the up-endpoint claw")
 
 
 def _candidate_rules() -> List[SignRule]:
@@ -174,7 +169,7 @@ def calibrate_sign_rule() -> SignRule:
         for dims in calib:
             even = build_mesh(dims.doubled())
             S = _sign_weighting_for(even, rule)
-            for lam in enumerate_two_factors(dims):
+            for lam in iter_two_factors(dims):
                 for loop in lam.loops:
                     if loop_lift_sum(even, loop, S) != -2:
                         ok = False
@@ -190,16 +185,14 @@ def calibrate_sign_rule() -> SignRule:
 
 
 def _sign_weighting_for(mesh: HexMesh, rule: SignRule) -> EdgeWeighting:
-    faces, base_faces = mesh.faces, mesh.base.faces
-    w: Dict[Face, Monomial] = {f: Monomial(1) for f in mesh.short_edges}
+    w = [Monomial(1)] * len(mesh.edges)
     for j, pair in enumerate(mesh.lifts):
-        bf, lifts = base_faces[j], [faces[i] for i in pair]
-        signs = [rule.sign(mesh, bf, lf) for lf in lifts]
+        signs = [rule.sign(mesh, j, i) for i in pair]
         if signs[0] == signs[1]:
-            raise SquishError(f"lift pair of {bf} got equal signs")
-        for lf, s in zip(lifts, signs):
-            w[lf] = Monomial(s)
-    return EdgeWeighting(mesh, w)
+            raise SquishError(f"lift pair of {mesh.base.faces[j]} got equal signs")
+        for i, s in zip(pair, signs):
+            w[i] = Monomial(s)
+    return EdgeWeighting(mesh, tuple(w))
 
 
 def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
@@ -242,7 +235,7 @@ def lift_key(lam: TwoFactor) -> int:
 
 
 def project(mesh: HexMesh, mu: int) -> TwoFactor:
-    """Contract every propeller: the long edges of a matching mask project
+    """Contract every claw: the long edges of a matching mask project
     onto a 2-factor of the base mesh (doubled where both lifts are
     present)."""
     base = mesh.base
@@ -268,15 +261,15 @@ def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[int]:
                    for sel in _loop_lift_choices(mesh, loop)]
         picks = [x | c for x in picks for c in choices]
     shorts_all = mesh.short_mask
-    n = len(mesh.propellers)
+    n = len(mesh.base.vertices)
     out = []
     for x in picks:
         mu = x ^ shorts_all
-        # one short per propeller in total; a propeller left with two and
-        # another with none leave a center covered twice, which
-        # projection_key refuses
+        # one short per claw in total; a claw left with two and another
+        # with none leave a center covered twice, which projection_key
+        # refuses
         if (mu & shorts_all).bit_count() != n:
-            raise SquishError("long-edge selection does not leave one short slot per propeller")
+            raise SquishError("long-edge selection does not leave one short slot per claw")
         out.append(mu)
     return out
 
@@ -322,8 +315,8 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     pairs = [mesh.lifts[j] for j in loop]
     exps = sum(1 << i for pair in pairs for i in pair) & keyed
     if exps:
-        f = mesh.faces[exps.bit_length() - 1]
-        raise SquishError(f"lift {f} weighs {w[f]}, not +1 or -1")
+        p = exps.bit_length() - 1
+        raise SquishError(f"lift {mesh.faces[p]} weighs {w.weights[p]}, not +1 or -1")
     bits = mesh.endpoint_bits
     a, b, c, d = 1, 0, 0, 1  # the product so far, rows (a, b) and (c, d)
     for (p0, p1), (q0, q1) in zip(pairs, pairs[1:] + pairs[:1]):

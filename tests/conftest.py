@@ -2,10 +2,10 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from hexdimer.algebra import MAT_I, MAT_L, MAT_R, AlgebraError, Mat4, Monomial, mat_mul
-from hexdimer.mesh import BoxDims, Face, HexMesh, build_mesh, positions
+from hexdimer.mesh import BoxDims, Face, HexMesh, Triangle, build_mesh, positions
 
 
 def box_count_oracle(a, b, c):
@@ -109,6 +109,39 @@ def face_matching_of(pi) -> int:
     return build_mesh(pi.dims).mask_of(M)
 
 
+class Propeller(NamedTuple):
+    """A claw of three short edges around a center vertex of an even mesh."""
+
+    base: Triangle  # the base-mesh vertex it contracts to
+    center: Triangle
+    outers: Dict[str, Triangle]  # class -> outer vertex, by class
+    shorts: Dict[str, Face]  # class -> short edge, by class
+
+
+def propellers(mesh):
+    """The claw partition of an even mesh by triangle arithmetic, one claw
+    per base vertex, the oracle for HexMesh.claws: up(x,y) contracts
+    down(2x,2y+1) and its neighbours, down(x,y) up(2x+1,2y) and its
+    neighbours."""
+    edge_at = {frozenset(ts): f for f, ts in mesh.edges.items()}
+    out = []
+    for t in mesh.base.vertices:
+        x, y = t.x, t.y
+        if t.up:
+            center = Triangle(2 * x, 2 * y + 1, False)
+            outers = {"A": Triangle(2 * x, 2 * y + 1, True),
+                      "B": Triangle(2 * x + 1, 2 * y + 1, True),
+                      "C": Triangle(2 * x, 2 * y, True)}
+        else:
+            center = Triangle(2 * x + 1, 2 * y, True)
+            outers = {"A": Triangle(2 * x + 1, 2 * y, False),
+                      "B": Triangle(2 * x, 2 * y, False),
+                      "C": Triangle(2 * x + 1, 2 * y + 1, False)}
+        shorts = {cls: edge_at[frozenset((center, o))] for cls, o in outers.items()}
+        out.append(Propeller(t, center, outers, shorts))
+    return out
+
+
 def per_byte_tables(mesh: HexMesh) -> List[str]:
     """The cached attributes of a mesh that hold edge_table rows."""
     return [name for name, v in vars(mesh).items()
@@ -154,8 +187,10 @@ def as_faces(lam) -> FaceTwoFactor:
                          tuple(tuple(faces[e] for e in loop) for loop in lam.loops))
 
 
-def two_factor_weight(lam: FaceTwoFactor, weights: Mapping[Face, Monomial]) -> Monomial:
-    """Product of edge weights with multiplicity (doubled edges squared)."""
+def two_factor_weight(lam: FaceTwoFactor, weighting) -> Monomial:
+    """Product of the edge weights of an EdgeWeighting, each read by its
+    face, with multiplicity (doubled edges squared)."""
+    weights = dict(zip(weighting.mesh.faces, weighting.weights))
     w = Monomial(1)
     for f in lam.edges_with_multiplicity():
         w = w * weights[f]

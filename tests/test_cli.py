@@ -341,9 +341,9 @@ def test_pullback_fails_on_one_changed_lift_weight(capsys, monkeypatch):
     real = cli.pullback_weighting
 
     def mutant(mesh):
-        U = real(mesh)
-        lift = mesh.faces[mesh.lifts[-1][0]]
-        return EdgeWeighting(mesh, {**U.weights, lift: U[lift] * mono_t(1)})
+        weights = list(real(mesh).weights)
+        weights[mesh.lifts[-1][0]] *= mono_t(1)
+        return EdgeWeighting(mesh, tuple(weights))
 
     monkeypatch.setattr(cli, "pullback_weighting", mutant)
     for dims in ("2,2,2", "4,4,2"):
@@ -360,11 +360,12 @@ def test_minus_one_fails_on_one_flipped_sign(capsys, monkeypatch):
 
     real = cli.sign_weighting
     even = build_mesh(BoxDims(2, 2, 2))
-    lifts = [even.faces[i] for pair in even.lifts for i in pair]
+    lifts = [i for pair in even.lifts for i in pair]
     for lift in lifts:
         def mutant(mesh):
-            S = real(mesh)
-            return EdgeWeighting(mesh, {**S.weights, lift: Monomial(-S[lift].coeff)})
+            weights = list(real(mesh).weights)
+            weights[lift] = Monomial(-weights[lift].coeff)
+            return EdgeWeighting(mesh, tuple(weights))
 
         monkeypatch.setattr(cli, "sign_weighting", mutant)
         code, out, _ = run(capsys, "check", "minus-one", "-d", "1,1,1", "--format", "json")

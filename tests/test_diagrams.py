@@ -305,7 +305,7 @@ def test_diagram_of_rejects_non_matchings():
     # on a flippable hexagon, its three matched faces traded for three of
     # its faces that do not alternate
     for pt in flippable_faces(mesh, M):
-        cycle = mesh.hexface_edges(pt)
+        cycle = tuple(map(mesh.faces.__getitem__, mesh.hexface_edges(pt)))
         mine = frozenset(cycle) & F
         for three in itertools.combinations(cycle, 3):
             if frozenset(three) not in (frozenset(cycle[0::2]), frozenset(cycle[1::2])):

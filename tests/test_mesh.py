@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import broken_masks, per_byte_tables
+from conftest import broken_masks, per_byte_tables, propellers
 from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, MeshError, OddDims,
@@ -61,8 +61,17 @@ def test_bipartite_and_degrees(dims):
     mesh = build_mesh(dims)
     for f, (t1, t2) in mesh.edges.items():
         assert t1.up and not t2.up  # endpoints in opposite classes
-    for t in mesh.vertices:
-        assert 1 <= len(mesh.incident[t]) <= 3
+    assert all(1 <= len(at) <= 3 for at in mesh.vertex_edges)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 1), (4, 4, 4), (2, 5, 3)], ids=str)
+def test_vertex_edges_list_each_vertex_edges_by_face(dims):
+    # the edges at each vertex, found by scanning every edge's triangles,
+    # sorted as faces: positions ascend as faces do
+    mesh = build_mesh(BoxDims(*dims))
+    for v, t in enumerate(mesh.vertices):
+        want = sorted((f, o) for f, ts in mesh.edges.items() if t in ts for o in ts if o != t)
+        assert [(mesh.faces[e], mesh.vertices[o]) for e, o in mesh.vertex_edges[v]] == want
 
 
 def test_small_examples():
@@ -78,26 +87,27 @@ def test_small_examples():
 def test_hexagon_edge_cycle():
     m = build_mesh(BoxDims(1, 1, 1))
     cycle = m.hexface_edges(m.hexfaces[0])
-    assert len(cycle) == 6 and set(cycle) == set(m.edges)
+    assert len(cycle) == 6 and set(cycle) == set(range(len(m.edges)))
     # consecutive edges share a vertex; each vertex seen exactly twice
     touched = []
     for i in range(6):
-        shared = set(m.edges[cycle[i]]) & set(m.edges[cycle[(i + 1) % 6]])
+        shared = set(m.edge_ends[cycle[i]]) & set(m.edge_ends[cycle[(i + 1) % 6]])
         assert len(shared) == 1
         touched.append(shared.pop())
-    assert sorted(touched) == sorted(m.vertices)
+    assert sorted(touched) == list(range(len(m.vertices)))
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(4, 3, 5)],
                          ids=str)
 def test_hex_cycles_are_the_mesh_edge_keys(dims):
     m = build_mesh(dims)
-    own = {f: f for f in m.edges}
-    assert tuple(m.hex_cycles) == m.hexfaces
+    assert tuple(m.hex_cycles) == tuple(m.hex_masks) == m.hexfaces
     for pt in m.hexfaces:
         cycle = m.hexface_edges(pt)
-        assert cycle is m.hex_cycles[pt] and cycle == hex_edge_cycle(*pt)
-        assert all(f is own[f] for f in cycle)
+        assert cycle is m.hex_cycles[pt]
+        assert tuple(map(m.faces.__getitem__, cycle)) == hex_edge_cycle(*pt)
+        assert m.hex_masks[pt] == (m.mask_of(hex_edge_cycle(*pt)[0::2]),
+                                   m.mask_of(hex_edge_cycle(*pt)[1::2]))
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
@@ -129,13 +139,10 @@ def test_flippable_faces_against_frozensets(dims):
         assert flippable_faces(m, M) == want
 
 
-def test_face_triangles_and_errors():
+def test_unknown_faces_and_hexagons():
     m = build_mesh(BoxDims(1, 1, 1))
-    f = next(iter(m.edges))
-    t1, t2 = m.face_triangles(f)
-    assert t1 != t2
     with pytest.raises(UnknownFace):
-        m.face_triangles(Face("A", 7, 7, 0))
+        m.mask_of([Face("A", 7, 7, 0)])
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
     M = enumerate_matchings(BoxDims(1, 1, 1))[0]
@@ -165,8 +172,8 @@ def test_is_perfect_matching_against_degree_count(dims):
     # the far end of g gets degree 2 and the far end of f degree 0
     for M, _ in list(cases):
         f = rng.choice(sorted(M))
-        t = rng.choice(mesh.edges[f])
-        for g in mesh.incident[t]:
+        t = mesh.vertices.index(rng.choice(mesh.edges[f]))
+        for g in (mesh.faces[e] for e, _ in mesh.vertex_edges[t]):
             if g != f:
                 cases.append(((M - {f}) | {g}, False))
         cases.append(((M - {f}) | {outside}, False))   # not an edge of the mesh
@@ -260,7 +267,7 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
     lazy = ("edge_index", "edge_ends", "vertex_edges", "centroids", "endpoint_bits",
-            "lifts", "squish_table", "long_cover", "short_mask", "lattice_table")
+            "claws", "lifts", "squish_table", "long_cover", "short_mask", "lattice_table")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
     assert not mesh.is_perfect_matching(0)
@@ -300,24 +307,48 @@ def test_shifted_face_ids_describe_same_edge():
                                   BoxDims(2, 2, 1), BoxDims(2, 2, 2)], ids=str)
 def test_propellers_partition_and_contract(base):
     even = build_mesh(base.doubled())
-    props = even.propellers
+    props = propellers(even)
     a, b, c = base
     assert len(props) == 2 * (a * b + b * c + c * a)
-    seen = [p.center for p in props] + [o for p in props for _, o in p.outers]
+    seen = [p.center for p in props] + [o for p in props for o in p.outers.values()]
     assert sorted(seen) == sorted(even.vertices)
-    for p in props:
-        assert tuple(cls for cls, _ in p.shorts) == ("A", "B", "C")
+    shorts = {f for p in props for f in p.shorts.values()}
+    assert all(tuple(p.shorts) == ("A", "B", "C") for p in props)
     # contraction is the doubled base mesh: the fiber map is a 2-to-1,
     # class-preserving surjection onto base edges
     faces, base_faces = list(even.edges), list(build_mesh(base).edges)
     assert len(even.lifts) == len(base_faces)
     assert sorted(i for pair in even.lifts for i in pair) == \
-        [i for i, f in enumerate(faces) if f not in even.short_edges]
+        [i for i, f in enumerate(faces) if f not in shorts]
     for bf, lifts in zip(base_faces, even.lifts):
         assert len(lifts) == 2 and lifts[0] < lifts[1]
         for i in lifts:
             assert faces[i].cls == bf.cls
             assert squish_edge(even, faces[i]) == bf
+
+
+@pytest.mark.parametrize("base", [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 1),
+                                  BoxDims(3, 2, 2), BoxDims(1, 3, 2), BoxDims(4, 4, 4)],
+                         ids=str)
+def test_claws_against_triangle_arithmetic(base):
+    # the claw table, the short mask and the long covers against the
+    # propellers built from each base vertex's triangles
+    even = build_mesh(base.doubled())
+    vertex = {t: v for v, t in enumerate(even.vertices)}
+    base_vertex = {t: v for v, t in enumerate(even.base.vertices)}
+    want = [None] * len(even.vertices)
+    short_at = {}
+    for p in propellers(even):
+        b = base_vertex[p.base]
+        want[vertex[p.center]] = (b, None, -1)
+        for cls, o in p.outers.items():
+            want[vertex[o]] = (b, cls, even.edge_index[p.shorts[cls]])
+            short_at[o] = p.shorts[cls]
+    assert list(even.claws) == want
+    assert even.short_mask == even.mask_of(short_at.values())
+    for i, (f, ends) in enumerate(even.edges.items()):
+        assert even.long_cover[i] == even.mask_of({f} | {short_at[t] for t in ends
+                                                          if t in short_at})
 
 
 def test_positions_are_the_set_bits():
@@ -327,8 +358,9 @@ def test_positions_are_the_set_bits():
 
 
 def test_propellers_need_even_dims():
-    with pytest.raises(OddDims):
-        build_mesh(BoxDims(1, 1, 1)).propellers
+    for name in ("claws", "lifts", "short_mask", "long_cover"):
+        with pytest.raises(OddDims):
+            getattr(HexMesh(BoxDims(2, 1, 2)), name)
 
 
 # -- the face-level squish map, an oracle for HexMesh.lifts ---------------------
@@ -338,7 +370,7 @@ IN_PROPELLER = object()  # sentinel returned by squish_edge for short edges
 
 def propeller_of(mesh, t):
     """The propeller holding the even-mesh vertex t, as its center or an outer."""
-    (p,) = [p for p in mesh.propellers if t == p.center or t in dict(p.outers).values()]
+    (p,) = [p for p in propellers(mesh) if t == p.center or t in p.outers.values()]
     return p
 
 
@@ -349,7 +381,7 @@ def squish_edge(mesh, f):
     if f not in mesh.edges:
         raise UnknownFace(f"{f} is not an edge of H_{tuple(mesh.dims)}")
     p1, p2 = (propeller_of(mesh, t) for t in mesh.edges[f])
-    if p1 is p2:
+    if p1 == p2:
         return IN_PROPELLER
     (bf,) = [g for g, ts in mesh.base.edges.items() if set(ts) == {p1.base, p2.base}]
     return bf
@@ -359,14 +391,11 @@ def unsquish(mesh, base_edges):
     """All long-edge preimages of the given base edges, plus every short edge
     of a propeller incident to one of those preimages."""
     out = set()
-    touched = set()
     for f in mesh.edges:
         if squish_edge(mesh, f) in base_edges:
             out.add(f)
             for t in mesh.edges[f]:
-                touched.add(propeller_of(mesh, t))
-    for p in touched:
-        out.update(f for _, f in p.shorts)
+                out.update(propeller_of(mesh, t).shorts.values())
     return frozenset(out)
 
 
@@ -396,7 +425,7 @@ def test_blowup_lifts_are_crossed():
             for lf in (faces[i] for i in pair):
                 t = even.edges[lf][prop_end]
                 p = propeller_of(even, t)
-                (cls,) = [c for c, o in p.outers if o == t]
+                (cls,) = [c for c, o in p.outers.items() if o == t]
                 classes.add(cls)
             assert classes == set("ABC") - {bf.cls}
 
