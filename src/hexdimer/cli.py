@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, degree, mat_mul,
@@ -24,8 +25,8 @@ from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, TooLarge, Z2Z2
                        bounded_count, flippable_faces, iter_matchings, matching_of,
                        tau_move, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh, positions
-from .overlay import (OverlayError, assemble_two_factor, iter_two_factors, overlay,
-                      overlay_keys, pair_matchings, split)
+from .overlay import (OverlayError, assemble_two_factor, distinct_overlays, iter_two_factors,
+                      overlay, overlay_keys, pair_matchings, split)
 from .series import SeriesError, compare_box_vs_series, eq3_check
 from .squish import (EdgeWeighting, SquishError, lemma2_sum, lift_key, lift_preimages, project,
                      projection_key, pullback_weighting, sign_weighting, transfer_lift_sum,
@@ -66,21 +67,25 @@ class CheckReport:
 
 
 def check_split(dims: BoxDims) -> CheckReport:
+    """Each distinct overlay must split into 2^#loops distinct ordered pairs
+    of enumerated matchings that overlay back to it, so distinct overlays
+    have disjoint splits; split sizes that add up to N^2 then leave no
+    pair out."""
     rep = CheckReport("split", {"dims": ",".join(map(str, dims))})
     mesh = build_mesh(dims)
     ms = pair_matchings(dims)
-    pairs_of: Dict[Tuple[int, int], set] = {}  # overlay key -> its ordered pairs
-    for M1 in ms:
-        for M2 in ms:
-            pairs_of.setdefault((M1 & M2, M1 ^ M2), set()).add((M1, M2))
+    known = set(ms)
     total = 0
-    for key, pairs in pairs_of.items():
-        lam = assemble_two_factor(mesh, *key)
+    for lam in distinct_overlays(mesh, ms):
         rec = split(lam)
-        total += len(rec)
-        if len(rec) != 2 ** len(lam.loops) or set(rec) != pairs:
-            rep.fail({"two_factor": lam.to_json_obj(),
-                      "expected_pairs": len(pairs), "split_pairs": len(rec)})
+        pairs = set(rec)
+        total += len(pairs)
+        doubled, loops = lam.doubled, lam.loop_mask()
+        sound = (known.issuperset(chain.from_iterable(pairs))
+                 and all(M1 & M2 == doubled and M1 ^ M2 == loops for M1, M2 in pairs))
+        if not sound or not len(rec) == len(pairs) == 2 ** len(lam.loops):
+            rep.fail({"two_factor": lam.to_json_obj(), "expected_pairs": 2 ** len(lam.loops),
+                      "split_pairs": len(rec)})
     if total != len(ms) ** 2:
         rep.fail({"split_total": total, "pairs": len(ms) ** 2})
     return rep
@@ -122,7 +127,7 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     rep = CheckReport("minus-one", {"dims": ",".join(map(str, dims))})
     a, b, c = dims
     sgn = (-1) ** (a * b + b * c + c * a)
-    faces = build_mesh(dims).faces
+    faces = build_mesh(dims).edges
     even = build_mesh(dims.doubled())
     S = sign_weighting(even)
     values = []
@@ -483,13 +488,13 @@ def cmd_render(args) -> int:
         lam = overlay(mesh, M, empty)
         for f in sorted(mesh.faces_of(lam.doubled)):
             add(f, "#cccccc")
-        for f in (mesh.faces[e] for loop in lam.loops for e in loop):
+        for f in (mesh.edges[e] for loop in lam.loops for e in loop):
             add(f, _CLASS_FILL[f.cls], ' fill-opacity="0.9"')
     else:  # squish
         if not dims.is_even:
             raise UsageError("squish render needs even dims")
         for p in positions(M):
-            f = mesh.faces[p]
+            f = mesh.edges[p]
             add(f, "#bbbbbb" if mesh.short_mask >> p & 1 else _CLASS_FILL[f.cls])
     svg = _svg(polys)
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, _add_into, pack
@@ -37,7 +37,8 @@ class TooLarge(DiagramError):
 
 # the most edge visits a check that enumerates a box's N matchings may
 # spend: N^k (ab + bc + ca), with k = 1 for a check that handles each
-# matching once and k = 2 for one that overlays every pair of them
+# matching once and k = 2 for one that overlays every pair of them; also
+# the most term-dict additions the partition-function DP (z_poly) may run
 WORK_LIMIT = 10 ** 8
 
 
@@ -256,7 +257,7 @@ def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
     # class-A edges determine the heights: on the anti-diagonal i - j = d the
     # map i -> x = i - h(i, i-d) is strictly increasing, so sort and assign.
     by_diag: Dict[int, List[int]] = {}
-    for f in map(mesh.faces.__getitem__, positions(M)):
+    for f in map(mesh.edges.__getitem__, positions(M)):
         if f.cls == "A":  # at lattice point (i - k, j - k)
             by_diag.setdefault(f.i - f.j, []).append(f.i - f.k)
     h = [[0] * b for _ in range(a)]
@@ -362,7 +363,7 @@ def tau_move(mesh: HexMesh, M: int, face: Tuple[int, int]) -> int:
 
 def flippable_faces(mesh: HexMesh, M: int) -> List[Tuple[int, int]]:
     """The hexagonal faces around which the mask M alternates, in
-    ``hexfaces`` order."""
+    ``hex_cycles`` order."""
     return [pt for pt, (odd, even) in mesh.hex_masks.items()
             if M & odd == odd or M & even == even]
 
@@ -447,8 +448,12 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
 
     The DP runs over columns j = b-1 .. 0 with the column profiles as states:
     S = C(a+c, a) states and fewer than S*a term-dict additions per column.
+    TooLarge, before any state is listed, if a*b*S passes WORK_LIMIT.
     """
     a, b, c = dims
+    if a * b * comb(a + c, a) > WORK_LIMIT:
+        raise TooLarge(f"the partition function of H_{tuple(dims)} takes a*b*C(a+c, a) "
+                       f"term-dict additions, over the bound {WORK_LIMIT}")
     states = _profile_states(a, c)
     sweep = _sweep_pairs(states)
     # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1

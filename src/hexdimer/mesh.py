@@ -7,7 +7,7 @@ Lattice conventions (projection P(x,y,z) = (x-z, y-z)):
 * up triangle   up(x,y)   = corners (x,y), (x+1,y+1), (x,y+1)
 * down triangle down(x,y) = corners (x,y), (x+1,y),   (x+1,y+1)
 
-Edge classes, keyed by a lattice base point:
+Edge classes, keyed by a lattice base point (the table ``_ENDS``):
 
 * A(x,y): up(x,y)   -- down(x,y)     (the "horizontal" rhombus, a square here)
 * B(x,y): up(x+1,y) -- down(x,y)
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class MeshError(Exception):
@@ -101,6 +101,11 @@ def _down_valid(x, y, a, b, c) -> bool:
     return -c <= x <= a - 1 and -c <= y <= b - 1 and -b <= x - y <= a - 1
 
 
+# per class, the offsets from an edge's lattice point of its up end and of
+# its down end: the one place that knows the edge classes' geometry
+_ENDS = {"A": ((0, 0), (0, 0)), "B": ((1, 0), (0, 0)), "C": ((0, 0), (0, 1))}
+
+
 class HexMesh:
     """Immutable hexagonal mesh; build with :func:`build_mesh`."""
 
@@ -110,47 +115,29 @@ class HexMesh:
         verts: List[Triangle] = []
         for x in range(-c, a):
             for y in range(-c, b):
-                if _up_valid(x, y, a, b, c):
-                    verts.append(Triangle(x, y, True))
                 if _down_valid(x, y, a, b, c):
                     verts.append(Triangle(x, y, False))
-        self.vertices: Tuple[Triangle, ...] = tuple(sorted(verts))
-        vset = set(self.vertices)
+                if _up_valid(x, y, a, b, c):
+                    verts.append(Triangle(x, y, True))
+        self.vertices: Tuple[Triangle, ...] = tuple(verts)  # sorted as built
 
-        edges: Dict[Face, Tuple[Triangle, Triangle]] = {}
-        for t in self.vertices:
-            if not t.up:
-                continue
-            x, y = t.x, t.y
-            down = Triangle(x, y, False)
-            if down in vset:
-                edges[Face.from_lattice("A", x, y)] = (t, down)
-            down = Triangle(x - 1, y, False)
-            if down in vset:
-                edges[Face.from_lattice("B", x - 1, y)] = (t, down)
-            down = Triangle(x, y + 1, False)
-            if down in vset:
-                edges[Face.from_lattice("C", x, y)] = (t, down)
-        self.edges: Dict[Face, Tuple[Triangle, Triangle]] = dict(sorted(edges.items()))
-
-        # hexagonal faces <-> interior lattice points: all six surrounding
-        # triangles present.
-        hexes = []
-        for x in range(-c, a + 1):
-            for y in range(-c, b + 1):
-                ring = _hex_ring(x, y)
-                if all(t in vset for t in ring):
-                    hexes.append((x, y))
-        self.hexfaces: Tuple[Tuple[int, int], ...] = tuple(sorted(hexes))
+        # an edge of class cls at lattice point (x, y) is there when both
+        # of its ends are
+        edges = [Face.from_lattice(cls, x, y)
+                 for cls, ((ux, uy), (dx, dy)) in _ENDS.items()
+                 for x in range(-c, a) for y in range(-c, b)
+                 if _up_valid(x + ux, y + uy, a, b, c) and _down_valid(x + dx, y + dy, a, b, c)]
+        self.edges: Tuple[Face, ...] = tuple(sorted(edges))
 
     # -- basic queries --------------------------------------------------
 
     @cached_property
     def lattice_table(self) -> Tuple[List[int], List[int], List[int]]:
         """Per class A, B, C, a flat list that maps each lattice point to
-        the position of the edge of that class there, -1 where there is
-        none, at ``lattice_index``.  One row and one column of padding lie
-        below every edge."""
+        the position in ``edges`` of the edge of that class there, -1 where
+        there is none, at ``lattice_index``.  One row and one column of
+        padding lie below every edge, so ``hex_cycles`` reads each
+        hexagon's six edges without a bounds test."""
         size = (self.dims.a + self.dims.c + 1) * self.lattice_width
         table = {cls: [-1] * size for cls in "ABC"}
         for p, f in enumerate(self.edges):
@@ -171,16 +158,23 @@ class HexMesh:
 
     @cached_property
     def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
-        """Each hexagonal face -> the positions of its six edges in cyclic
-        order; at lattice point (x, y): up(x,y) -A(x,y)- down(x,y)
-        -C(x,y-1)- up(x,y-1) -B(x-1,y-1)- down(x-1,y-1) -A(x-1,y-1)-
-        up(x-1,y-1) -C(x-1,y-1)- down(x-1,y) -B(x-1,y)- up(x,y)."""
+        """Each hexagonal face, in sorted order, -> the positions of its six
+        edges in cyclic order; at lattice point (x, y): up(x,y) -A(x,y)-
+        down(x,y) -C(x,y-1)- up(x,y-1) -B(x-1,y-1)- down(x-1,y-1)
+        -A(x-1,y-1)- up(x-1,y-1) -C(x-1,y-1)- down(x-1,y) -B(x-1,y)- up(x,y).
+        A lattice point is a hexagonal face when all six edges are there,
+        which holds exactly when all six triangles are."""
         A, B, C = self.lattice_table
         W = self.lattice_width
+        a, b, c = self.dims
         out = {}
-        for pt in self.hexfaces:
-            n = self.lattice_index(*pt)
-            out[pt] = A[n], C[n - 1], B[n - W - 1], A[n - W - 1], C[n - W - 1], B[n - W]
+        for x in range(-c, a):
+            n = self.lattice_index(x, -c)
+            for y in range(-c, b):
+                cycle = A[n], C[n - 1], B[n - W - 1], A[n - W - 1], C[n - W - 1], B[n - W]
+                if -1 not in cycle:
+                    out[x, y] = cycle
+                n += 1
         return out
 
     def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[int, ...]:
@@ -217,28 +211,10 @@ class HexMesh:
     # a mask with per-byte tables (edge_table, edge_sum); each table is a
     # cached property, built the first time it is read.
 
-    @cached_property
-    def edge_index(self) -> Dict[Face, int]:
-        """Each edge's bit position in a mask: its position in ``edges``."""
-        return {f: i for i, f in enumerate(self.edges)}
-
-    @cached_property
-    def faces(self) -> Tuple[Face, ...]:
-        """Each edge position's face: the inverse of ``edge_index``."""
-        return tuple(self.edges)
-
-    def mask_of(self, faces: Iterable[Face]) -> int:
-        """The mask of distinct edges; UnknownFace for a face that is not one."""
-        index = self.edge_index
-        try:
-            return sum(1 << index[f] for f in faces)
-        except KeyError as exc:
-            raise UnknownFace(f"{exc.args[0]} is not an edge of H_{tuple(self.dims)}") from None
-
     def faces_of(self, mask: int) -> FrozenSet[Face]:
-        """The edges of a mask (the inverse of ``mask_of``)."""
+        """The edges of a mask, as faces."""
         self.check_mask(mask)
-        return frozenset(map(self.faces.__getitem__, positions(mask)))
+        return frozenset(map(self.edges.__getitem__, positions(mask)))
 
     def check_mask(self, mask: int) -> None:
         """UnknownFace for a mask with a bit past the last edge."""
@@ -285,7 +261,12 @@ class HexMesh:
     def edge_ends(self) -> Tuple[Tuple[int, int], ...]:
         """Per edge, the positions in ``vertices`` of its up and down end."""
         pos = self._vertex_index
-        return tuple((pos[t1], pos[t2]) for t1, t2 in self.edges.values())
+        out = []
+        for f in self.edges:
+            x, y = f.lattice
+            (ux, uy), (dx, dy) = _ENDS[f.cls]
+            out.append((pos[Triangle(x + ux, y + uy, True)], pos[Triangle(x + dx, y + dy, False)]))
+        return tuple(out)
 
     @cached_property
     def vertex_edges(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
@@ -329,7 +310,7 @@ class HexMesh:
         three edges, one per class, are the claw's short edges."""
         if not self.dims.is_even:
             raise OddDims(f"claws need even side lengths, got {tuple(self.dims)}")
-        base_index, faces, nbrs = self.base._vertex_index, self.faces, self.vertex_edges
+        base_index, edges, nbrs = self.base._vertex_index, self.edges, self.vertex_edges
         table: List[Optional[Tuple[int, Optional[str], int]]] = [None] * len(self.vertices)
         for v, t in enumerate(self.vertices):
             if t.x & 1 == t.up and t.y & 1 != t.up:
@@ -338,7 +319,7 @@ class HexMesh:
                 b = base_index[Triangle(t.x >> 1, t.y >> 1, not t.up)]
                 table[v] = (b, None, -1)
                 for e, o in nbrs[v]:
-                    table[o] = (b, faces[e].cls, e)
+                    table[o] = (b, edges[e].cls, e)
         if None in table:
             raise MeshError("a vertex lies in no claw")
         return tuple(table)
@@ -358,8 +339,8 @@ class HexMesh:
             # a long edge joins two outers, its up end in the claw of an up
             # base vertex: ends is (up, down), as in base.edge_ends
             j = base_at.get(ends)
-            if j is None or base.faces[j].cls != self.faces[i].cls:
-                raise MeshError(f"long edge {self.faces[i]} does not project onto a base edge")
+            if j is None or base.edges[j].cls != self.edges[i].cls:
+                raise MeshError(f"long edge {self.edges[i]} does not project onto a base edge")
             fibers[j].append(i)
         if any(len(v) != 2 for v in fibers):
             raise MeshError("squish map is not 2-to-1 onto the base edge set")
@@ -393,18 +374,6 @@ class HexMesh:
         two shorts."""
         bit = [1 << e if cls else 0 for _, cls, e in self.claws]
         return tuple((1 << i) | bit[u] | bit[v] for i, (u, v) in enumerate(self.edge_ends))
-
-
-def _hex_ring(x: int, y: int) -> Tuple[Triangle, ...]:
-    """The six triangles having lattice point (x,y) as a corner, in cyclic order."""
-    return (
-        Triangle(x, y, False),
-        Triangle(x, y, True),
-        Triangle(x - 1, y, False),
-        Triangle(x - 1, y - 1, True),
-        Triangle(x - 1, y - 1, False),
-        Triangle(x, y - 1, True),
-    )
 
 
 def corner_sum(t: Triangle) -> Tuple[int, int]:

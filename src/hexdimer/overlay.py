@@ -26,9 +26,10 @@ Loop = Tuple[int, ...]  # edge positions in counterclockwise cyclic order
 class TwoFactor:
     """Doubled edges plus disjoint even loops; every vertex has degree two
     with multiplicity.  ``doubled`` is the mask of the doubled edges; each
-    loop is a tuple of edge positions (``edges`` order), counterclockwise
-    and rotated to its least position, so equal 2-factors compare equal.
-    Positions sort as the edges do, so 2-factors sort as by their faces."""
+    loop is a tuple of edge positions, counterclockwise and rotated to its
+    least position, so equal 2-factors compare equal.  A position indexes
+    the mesh's sorted tuple of faces ``edges``, so 2-factors sort as by
+    their faces, and ``to_json_obj`` names each edge by its face."""
 
     dims: BoxDims
     doubled: int
@@ -42,12 +43,11 @@ class TwoFactor:
         return sum(1 << e for loop in self.loops for e in loop)
 
     def to_json_obj(self) -> dict:
-        mesh = build_mesh(self.dims)
-        faces = mesh.faces
+        edges = build_mesh(self.dims).edges
         return {
             "dims": list(self.dims),
-            "doubled": [list(faces[e]) for e in positions(self.doubled)],
-            "loops": [[list(faces[e]) for e in loop] for loop in self.loops],
+            "doubled": [list(edges[e]) for e in positions(self.doubled)],
+            "loops": [[list(edges[e]) for e in loop] for loop in self.loops],
         }
 
 
@@ -102,7 +102,7 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
                 break
             bit = 1 << nxt
             if seen & bit:
-                raise OverlayError(f"loop edges branch off the loop of {mesh.faces[e0]}")
+                raise OverlayError(f"loop edges branch off the loop of {mesh.edges[e0]}")
             seen |= bit
             walk.append(nxt)
             cur, head = nxt, other

@@ -96,7 +96,7 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
     """
     a, b, c = mesh.dims
     exps: List[int] = []
-    for f in mesh.faces:
+    for f in mesh.edges:
         x, y = f.lattice
         if f.cls == "A":
             exps.append(min(a - 1 - x, b - 1 - y))
@@ -105,7 +105,7 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
         else:
             exps.append(x - max(-c, y + 1 - b))
     leftover = sum(exps[p] for p in positions(matching_of(PlanePartition.empty(mesh.dims))))
-    for p, f in enumerate(mesh.faces):
+    for p, f in enumerate(mesh.edges):
         if f.cls == "A" and f.lattice[0] - f.lattice[1] == a - 1:
             exps[p] -= leftover
     return EdgeWeighting(mesh, tuple(map(mono_t, exps)))
@@ -149,8 +149,8 @@ class SignRule:
         for v in mesh.edge_ends[i]:
             b, ocls, _ = mesh.claws[v]
             if b == up and ocls:
-                return -1 if ocls == dict(self.minus_side)[mesh.base.faces[j].cls] else 1
-        raise SquishError(f"{mesh.faces[i]} does not touch the up-endpoint claw")
+                return -1 if ocls == dict(self.minus_side)[mesh.base.edges[j].cls] else 1
+        raise SquishError(f"{mesh.edges[i]} does not touch the up-endpoint claw")
 
 
 def _candidate_rules() -> List[SignRule]:
@@ -189,7 +189,7 @@ def _sign_weighting_for(mesh: HexMesh, rule: SignRule) -> EdgeWeighting:
     for j, pair in enumerate(mesh.lifts):
         signs = [rule.sign(mesh, j, i) for i in pair]
         if signs[0] == signs[1]:
-            raise SquishError(f"lift pair of {mesh.base.faces[j]} got equal signs")
+            raise SquishError(f"lift pair of {mesh.base.edges[j]} got equal signs")
         for i, s in zip(pair, signs):
             w[i] = Monomial(s)
     return EdgeWeighting(mesh, tuple(w))
@@ -316,7 +316,7 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     exps = sum(1 << i for pair in pairs for i in pair) & keyed
     if exps:
         p = exps.bit_length() - 1
-        raise SquishError(f"lift {mesh.faces[p]} weighs {w.weights[p]}, not +1 or -1")
+        raise SquishError(f"lift {mesh.edges[p]} weighs {w.weights[p]}, not +1 or -1")
     bits = mesh.endpoint_bits
     a, b, c, d = 1, 0, 0, 1  # the product so far, rows (a, b) and (c, d)
     for (p0, p1), (q0, q1) in zip(pairs, pairs[1:] + pairs[:1]):

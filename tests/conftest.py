@@ -2,10 +2,12 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from hexdimer.algebra import MAT_I, MAT_L, MAT_R, AlgebraError, Mat4, Monomial, mat_mul
-from hexdimer.mesh import BoxDims, Face, HexMesh, Triangle, build_mesh, positions
+from hexdimer.mesh import BoxDims, Face, HexMesh, Triangle, UnknownFace, build_mesh, positions
 
 
 def box_count_oracle(a, b, c):
@@ -33,6 +35,61 @@ def mat_word(word: str) -> Mat4:
         else:
             raise AlgebraError(f"bad letter {ch!r} in turn word")
     return out
+
+
+# -- faces and triangles, oracles for HexMesh's tables -----------------------
+
+
+def triangle_corners(t: Triangle) -> Tuple[Tuple[int, int], ...]:
+    """A triangle's three lattice corners, sorted: up(x,y) has (x,y),
+    (x,y+1), (x+1,y+1) and down(x,y) has (x,y), (x+1,y), (x+1,y+1)."""
+    x, y = t.x, t.y
+    if t.up:
+        return ((x, y), (x, y + 1), (x + 1, y + 1))
+    return ((x, y), (x + 1, y), (x + 1, y + 1))
+
+
+# a shared lattice edge's direction -> the rhombus class, and the offset of
+# the rhombus's lattice point from the edge's lower corner: the diagonal of
+# A(x,y) runs from (x,y), the vertical side of B(x,y) from (x+1,y) and the
+# horizontal side of C(x,y) from (x,y+1)
+SIDE_CLASS = {(1, 1): ("A", (0, 0)), (0, 1): ("B", (1, 0)), (1, 0): ("C", (0, 1))}
+
+
+@lru_cache(maxsize=None)
+def rhombus_ends(mesh: HexMesh) -> Dict[Face, Tuple[Triangle, Triangle]]:
+    """Each rhombus of the mesh, sorted, -> its (up, down) triangles: every
+    two triangles of ``mesh.vertices`` with two common corners, named by
+    the direction of the lattice edge they share.  The oracle for
+    HexMesh.edges, edge_ends and vertex_edges."""
+    at: Dict[Tuple[Tuple[int, int], ...], List[Triangle]] = {}
+    for t in mesh.vertices:
+        for side in combinations(triangle_corners(t), 2):
+            at.setdefault(side, []).append(t)
+    out = {}
+    for ((x, y), (x2, y2)), ts in at.items():
+        if len(ts) == 2:
+            down, up = sorted(ts, key=lambda t: t.up)
+            assert up.up and not down.up
+            cls, (dx, dy) = SIDE_CLASS[x2 - x, y2 - y]
+            out[Face.from_lattice(cls, x - dx, y - dy)] = (up, down)
+    return dict(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def edge_positions(mesh: HexMesh) -> Dict[Face, int]:
+    """Each edge's position in ``mesh.edges``."""
+    return {f: i for i, f in enumerate(mesh.edges)}
+
+
+def mask_of(mesh: HexMesh, faces: Iterable[Face]) -> int:
+    """The mask of distinct edges, the inverse of HexMesh.faces_of;
+    UnknownFace for a face that is not an edge of the mesh."""
+    index = edge_positions(mesh)
+    try:
+        return sum(1 << index[f] for f in faces)
+    except KeyError as exc:
+        raise UnknownFace(f"{exc.args[0]} is not an edge of H_{tuple(mesh.dims)}") from None
 
 
 def broken_masks(mesh: HexMesh, M: int) -> Iterator[int]:
@@ -86,7 +143,7 @@ def filled_scan_matching(pi):
 def face_matching_of(pi) -> int:
     """Reference matching_of in O(ab + bc + ca) that names every face: the
     same walls as matching_of, each face made canonical by subtracting
-    min(i,j,k) and looked up with HexMesh.mask_of."""
+    min(i,j,k) and looked up with mask_of."""
     c, h = pi.dims.c, pi.h
     M = []
     for i, row in enumerate(h):
@@ -106,7 +163,7 @@ def face_matching_of(pi) -> int:
                 m = min(i, j, z)
                 M.append(Face("C", i - m, j - m, z - m))
             up = k
-    return build_mesh(pi.dims).mask_of(M)
+    return mask_of(build_mesh(pi.dims), M)
 
 
 class Propeller(NamedTuple):
@@ -123,7 +180,7 @@ def propellers(mesh):
     per base vertex, the oracle for HexMesh.claws: up(x,y) contracts
     down(2x,2y+1) and its neighbours, down(x,y) up(2x+1,2y) and its
     neighbours."""
-    edge_at = {frozenset(ts): f for f, ts in mesh.edges.items()}
+    edge_at = {frozenset(ts): f for f, ts in rhombus_ends(mesh).items()}
     out = []
     for t in mesh.base.vertices:
         x, y = t.x, t.y
@@ -190,7 +247,7 @@ def as_faces(lam) -> FaceTwoFactor:
 def two_factor_weight(lam: FaceTwoFactor, weighting) -> Monomial:
     """Product of the edge weights of an EdgeWeighting, each read by its
     face, with multiplicity (doubled edges squared)."""
-    weights = dict(zip(weighting.mesh.faces, weighting.weights))
+    weights = dict(zip(weighting.mesh.edges, weighting.weights))
     w = Monomial(1)
     for f in lam.edges_with_multiplicity():
         w = w * weights[f]

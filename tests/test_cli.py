@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -302,6 +303,63 @@ def test_check_parity_refuses_before_enumerating_any_box(capsys, monkeypatch):
     # an admitted top box gets as far as its first enumeration
     with pytest.raises(Enumerated):
         run_check("parity", None, None, BoxDims(2, 2, 2))
+
+
+def test_partition_function_refuses_before_listing_states(capsys, monkeypatch):
+    # the DP runs fewer than a*b*C(a+c, a) term-dict additions; past the
+    # work bound it is refused before any profile state is listed
+    import hexdimer.diagrams as diagrams
+
+    monkeypatch.setattr(diagrams, "_profile_states", enumeration_raises)
+    for argv in (["zfun", "-d", "300,300,300"], ["check", "theorem", "-d", "6,6,6"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "over the bound 100000000" in err
+        assert time.perf_counter() - t0 < 0.5
+    # admitted: 13,635,300 additions for zfun -d 300,1,2, and 18,475,600 for
+    # the 10,10,10 side of theorem -d 5,5,5, which is computed first
+    with pytest.raises(Enumerated):
+        diagrams.z_poly(BoxDims(300, 1, 2))
+    with pytest.raises(Enumerated):
+        run_check("theorem", BoxDims(5, 5, 5), None, None)
+
+
+def _swap_one_edge(pairs):
+    """The first pair with one of M1's loop edges moved to M2: the same
+    overlay, and M1 no matching."""
+    M1, M2 = pairs[0]
+    bit = M1 & ~M2 & -(M1 & ~M2)
+    return [(M1 ^ bit, M2 | bit)] + pairs[1:]
+
+
+SPLIT_MUTANTS = {
+    "drop": lambda pairs: pairs[1:],
+    "append": lambda pairs: pairs + pairs[:1],
+    "repeat": lambda pairs: pairs[:-1] + pairs[:1],
+    "stray": lambda pairs: [(pairs[0][0], pairs[0][0])] + pairs[1:],
+    "swap": _swap_one_edge,
+}
+
+
+@pytest.mark.parametrize("mutation", [*SPLIT_MUTANTS, "skip"])
+def test_check_split_fails_a_broken_split(capsys, monkeypatch, mutation):
+    # a split with one pair dropped, one pair listed twice (added, or in
+    # place of another), one pair that overlays elsewhere or one side that
+    # is no matching fails the check; so does a stream that skips a
+    # 2-factor, by the count of all pairs
+    import hexdimer.cli as cli
+
+    assert run(capsys, "check", "split", "-d", "2,2,1")[0] == 0
+    if mutation == "skip":
+        real_stream = cli.distinct_overlays
+        monkeypatch.setattr(cli, "distinct_overlays",
+                            lambda mesh, ms: itertools.islice(real_stream(mesh, ms), 1, None))
+    else:
+        real = cli.split
+        monkeypatch.setattr(cli, "split", lambda lam: (SPLIT_MUTANTS[mutation](real(lam))
+                                                       if lam.loops else real(lam)))
+    code, out, _ = run(capsys, "check", "split", "-d", "2,2,1")
+    assert code == 1 and out.startswith("FAIL check=split")
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-from conftest import box_count_oracle, broken_masks, face_matching_of, filled_scan_matching
+from conftest import (box_count_oracle, broken_masks, face_matching_of, filled_scan_matching,
+                      mask_of)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -288,9 +289,9 @@ def test_diagram_of_rejects_non_matchings():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
     with pytest.raises(NotAMatching):
-        diagram_of(mesh, mesh.mask_of(mesh.edges))
+        diagram_of(mesh, mask_of(mesh, mesh.edges))
     with pytest.raises(NotAMatching):
-        diagram_of(mesh, mesh.mask_of(frozenset()))
+        diagram_of(mesh, mask_of(mesh, frozenset()))
     dims = BoxDims(3, 2, 2)
     mesh = build_mesh(dims)
     pi = PlanePartition(dims, ((2, 1), (1, 1), (1, 0)))
@@ -299,18 +300,18 @@ def test_diagram_of_rejects_non_matchings():
     F = mesh.faces_of(M)
     f = min(F)
     with pytest.raises(NotAMatching):  # one face swapped for a non-edge, a bit past the last
-        diagram_of(mesh, mesh.mask_of(F - {f}) | 1 << len(mesh.edges))
+        diagram_of(mesh, mask_of(mesh, F - {f}) | 1 << len(mesh.edges))
     with pytest.raises(NotAMatching):  # one extra edge
-        diagram_of(mesh, mesh.mask_of(F | {min(frozenset(mesh.edges) - F)}))
+        diagram_of(mesh, mask_of(mesh, F | {min(frozenset(mesh.edges) - F)}))
     # on a flippable hexagon, its three matched faces traded for three of
     # its faces that do not alternate
     for pt in flippable_faces(mesh, M):
-        cycle = tuple(map(mesh.faces.__getitem__, mesh.hexface_edges(pt)))
+        cycle = tuple(map(mesh.edges.__getitem__, mesh.hexface_edges(pt)))
         mine = frozenset(cycle) & F
         for three in itertools.combinations(cycle, 3):
             if frozenset(three) not in (frozenset(cycle[0::2]), frozenset(cycle[1::2])):
                 with pytest.raises(NotAMatching):
-                    diagram_of(mesh, mesh.mask_of((F - mine) | frozenset(three)))
+                    diagram_of(mesh, mask_of(mesh, (F - mine) | frozenset(three)))
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],
@@ -334,7 +335,7 @@ def test_tau_move():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
     empty = matching_of(PlanePartition.empty(dims))
-    face = mesh.hexfaces[0]
+    (face,) = mesh.hex_cycles
     flipped = tau_move(mesh, empty, face)
     assert flipped == matching_of(PlanePartition.full(dims))
     assert tau_move(mesh, flipped, face) == empty  # involution
@@ -342,7 +343,7 @@ def test_tau_move():
     dims2 = BoxDims(2, 2, 2)
     mesh2 = build_mesh(dims2)
     M = matching_of(PlanePartition.empty(dims2))
-    bad = [pt for pt in mesh2.hexfaces if pt not in flippable_faces(mesh2, M)]
+    bad = [pt for pt in mesh2.hex_cycles if pt not in flippable_faces(mesh2, M)]
     assert bad  # only the single box-add corner is flippable
     with pytest.raises(FaceNotFlippable):
         tau_move(mesh2, M, bad[0])

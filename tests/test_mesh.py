@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import broken_masks, per_byte_tables, propellers
+from conftest import (broken_masks, mask_of, per_byte_tables, propellers, rhombus_ends,
+                      triangle_corners)
 from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
     BoxDims, Face, HexMesh, MeshError, OddDims,
@@ -27,8 +28,18 @@ def hex_edge_cycle(x, y):
     )
 
 
+def hex_points(mesh):
+    """The lattice points that are a corner of six triangles of the mesh,
+    sorted: the oracle for the hexagonal faces, the keys of
+    HexMesh.hex_cycles."""
+    seen = Counter(p for t in mesh.vertices for p in triangle_corners(t))
+    return sorted(p for p, n in seen.items() if n == 6)
+
+
 ALL_SMALL = [BoxDims(a, b, c)
              for a in range(1, 5) for b in range(1, 5) for c in range(1, 5)]
+# every dims up to (4,4,4) and the long thin boxes below
+ORACLE_DIMS = [tuple(d) for d in ALL_SMALL] + [(2, 5, 3), (4, 1, 6), (4, 3, 5)]
 
 
 def test_dims_validation():
@@ -52,41 +63,52 @@ def test_vertex_and_edge_counts(dims):
     assert len(mesh.vertices) == 2 * pairs
     assert len(mesh.edges) == 3 * pairs - (a + b + c)
     # Euler: internal faces of a connected planar graph
-    assert len(mesh.hexfaces) == len(mesh.edges) - len(mesh.vertices) + 1
+    assert len(mesh.hex_cycles) == len(mesh.edges) - len(mesh.vertices) + 1
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(2, 1, 1),
                                   BoxDims(2, 2, 2), BoxDims(3, 2, 1)], ids=str)
 def test_bipartite_and_degrees(dims):
     mesh = build_mesh(dims)
-    for f, (t1, t2) in mesh.edges.items():
-        assert t1.up and not t2.up  # endpoints in opposite classes
+    for u, v in mesh.edge_ends:
+        assert mesh.vertices[u].up and not mesh.vertices[v].up  # ends in opposite classes
     assert all(1 <= len(at) <= 3 for at in mesh.vertex_edges)
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 1), (4, 4, 4), (2, 5, 3)], ids=str)
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+def test_edges_and_edge_ends_against_shared_sides(dims):
+    mesh = build_mesh(BoxDims(*dims))
+    ends = rhombus_ends(mesh)
+    assert type(mesh.edges) is tuple and mesh.edges == tuple(ends)
+    assert [(mesh.vertices[u], mesh.vertices[v]) for u, v in mesh.edge_ends] == list(ends.values())
+    assert list(mesh.vertices) == sorted(set(mesh.vertices))
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
 def test_vertex_edges_list_each_vertex_edges_by_face(dims):
-    # the edges at each vertex, found by scanning every edge's triangles,
+    # the edges at each vertex, found by scanning every rhombus's triangles,
     # sorted as faces: positions ascend as faces do
     mesh = build_mesh(BoxDims(*dims))
+    ends = rhombus_ends(mesh)
     for v, t in enumerate(mesh.vertices):
-        want = sorted((f, o) for f, ts in mesh.edges.items() if t in ts for o in ts if o != t)
-        assert [(mesh.faces[e], mesh.vertices[o]) for e, o in mesh.vertex_edges[v]] == want
+        want = sorted((f, o) for f, ts in ends.items() if t in ts for o in ts if o != t)
+        assert [(mesh.edges[e], mesh.vertices[o]) for e, o in mesh.vertex_edges[v]] == want
 
 
 def test_small_examples():
     m = build_mesh(BoxDims(1, 1, 1))
-    assert len(m.vertices) == 6 and len(m.edges) == 6 and len(m.hexfaces) == 1
+    assert len(m.vertices) == 6 and len(m.edges) == 6 and len(m.hex_cycles) == 1
     m = build_mesh(BoxDims(2, 2, 2))
     assert len(m.vertices) == 24 and len(m.edges) == 30
     m = build_mesh(BoxDims(2, 1, 1))
     assert len(m.vertices) == 10 and len(m.edges) == 11
-    assert len(m.hexfaces) == 2
+    assert len(m.hex_cycles) == 2
 
 
 def test_hexagon_edge_cycle():
     m = build_mesh(BoxDims(1, 1, 1))
-    cycle = m.hexface_edges(m.hexfaces[0])
+    (pt,) = m.hex_cycles
+    cycle = m.hexface_edges(pt)
     assert len(cycle) == 6 and set(cycle) == set(range(len(m.edges)))
     # consecutive edges share a vertex; each vertex seen exactly twice
     touched = []
@@ -101,13 +123,13 @@ def test_hexagon_edge_cycle():
                          ids=str)
 def test_hex_cycles_are_the_mesh_edge_keys(dims):
     m = build_mesh(dims)
-    assert tuple(m.hex_cycles) == tuple(m.hex_masks) == m.hexfaces
-    for pt in m.hexfaces:
+    assert list(m.hex_cycles) == list(m.hex_masks) == hex_points(m)
+    for pt in m.hex_cycles:
         cycle = m.hexface_edges(pt)
         assert cycle is m.hex_cycles[pt]
-        assert tuple(map(m.faces.__getitem__, cycle)) == hex_edge_cycle(*pt)
-        assert m.hex_masks[pt] == (m.mask_of(hex_edge_cycle(*pt)[0::2]),
-                                   m.mask_of(hex_edge_cycle(*pt)[1::2]))
+        assert tuple(map(m.edges.__getitem__, cycle)) == hex_edge_cycle(*pt)
+        assert m.hex_masks[pt] == (mask_of(m, hex_edge_cycle(*pt)[0::2]),
+                                   mask_of(m, hex_edge_cycle(*pt)[1::2]))
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
@@ -122,7 +144,7 @@ def test_lattice_table_maps_each_point_to_its_edge(dims):
         for n, p in enumerate(table):
             x, y = divmod(n, W)
             if p != -1:
-                assert m.faces[p] == Face.from_lattice(cls, x - c - 1, y - c - 1)
+                assert m.edges[p] == Face.from_lattice(cls, x - c - 1, y - c - 1)
                 assert x and y  # the padding row and column hold no edge
                 found += 1
     assert found == len(m.edges)
@@ -132,7 +154,7 @@ def test_lattice_table_maps_each_point_to_its_edge(dims):
 def test_flippable_faces_against_frozensets(dims):
     m = build_mesh(BoxDims(*dims))
     halves = [(pt, frozenset(cycle[0::2]), frozenset(cycle[1::2]))
-              for pt in m.hexfaces for cycle in (hex_edge_cycle(*pt),)]
+              for pt in hex_points(m) for cycle in (hex_edge_cycle(*pt),)]
     for M in enumerate_matchings(BoxDims(*dims)):
         F = m.faces_of(M)
         want = [pt for pt, odd, even in halves if odd <= F or even <= F]
@@ -142,7 +164,7 @@ def test_flippable_faces_against_frozensets(dims):
 def test_unknown_faces_and_hexagons():
     m = build_mesh(BoxDims(1, 1, 1))
     with pytest.raises(UnknownFace):
-        m.mask_of([Face("A", 7, 7, 0)])
+        m.faces_of(1 << len(m.edges))
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
     M = enumerate_matchings(BoxDims(1, 1, 1))[0]
@@ -153,9 +175,10 @@ def test_unknown_faces_and_hexagons():
 
 def degree_oracle(mesh, M):
     """Perfect matching by brute force: all mesh edges, every degree 1."""
-    if any(f not in mesh.edges for f in M):
+    ends = rhombus_ends(mesh)
+    if any(f not in ends for f in M):
         return False
-    deg = Counter(t for f in M for t in mesh.edges[f])
+    deg = Counter(t for f in M for t in ends[f])
     return all(deg[t] == 1 for t in mesh.vertices)
 
 
@@ -172,8 +195,8 @@ def test_is_perfect_matching_against_degree_count(dims):
     # the far end of g gets degree 2 and the far end of f degree 0
     for M, _ in list(cases):
         f = rng.choice(sorted(M))
-        t = mesh.vertices.index(rng.choice(mesh.edges[f]))
-        for g in (mesh.faces[e] for e, _ in mesh.vertex_edges[t]):
+        t = mesh.vertices.index(rng.choice(rhombus_ends(mesh)[f]))
+        for g in (mesh.edges[e] for e, _ in mesh.vertex_edges[t]):
             if g != f:
                 cases.append(((M - {f}) | {g}, False))
         cases.append(((M - {f}) | {outside}, False))   # not an edge of the mesh
@@ -184,9 +207,9 @@ def test_is_perfect_matching_against_degree_count(dims):
         if outside in M:  # no mask holds a face that is not an edge
             assert not degree_oracle(mesh, M) and want is False
             with pytest.raises(UnknownFace):
-                mesh.mask_of(M)
+                mask_of(mesh, M)
             continue
-        got = mesh.is_perfect_matching(mesh.mask_of(M))
+        got = mesh.is_perfect_matching(mask_of(mesh, M))
         assert got == degree_oracle(mesh, M)
         assert want is None or got == want
 
@@ -200,17 +223,17 @@ def test_mask_of_and_faces_of_round_trip(dims):
     mesh = build_mesh(BoxDims(*dims))
     edges = list(mesh.edges)
     rng = random.Random(str(dims))
-    assert mesh.mask_of(edges) == (1 << len(edges)) - 1
-    assert mesh.faces_of(0) == frozenset() and mesh.mask_of([]) == 0
+    assert mask_of(mesh, edges) == (1 << len(edges)) - 1
+    assert mesh.faces_of(0) == frozenset() and mask_of(mesh, []) == 0
     for i, f in enumerate(edges):
-        assert mesh.mask_of([f]) == 1 << i and mesh.faces_of(1 << i) == {f}
+        assert mask_of(mesh, [f]) == 1 << i and mesh.faces_of(1 << i) == {f}
     for _ in range(50):
         faces = frozenset(rng.sample(edges, rng.randrange(len(edges) + 1)))
-        mask = mesh.mask_of(faces)
+        mask = mask_of(mesh, faces)
         assert mesh.faces_of(mask) == faces
-        assert mesh.mask_of(mesh.faces_of(mask)) == mask
+        assert mask_of(mesh, mesh.faces_of(mask)) == mask
     with pytest.raises(UnknownFace):
-        mesh.mask_of([Face("A", 99, 99, 0)])
+        mask_of(mesh, [Face("A", 99, 99, 0)])
     for bad in (1 << len(edges), -1):
         with pytest.raises(UnknownFace):
             mesh.faces_of(bad)
@@ -266,8 +289,8 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
-    lazy = ("edge_index", "edge_ends", "vertex_edges", "centroids", "endpoint_bits",
-            "claws", "lifts", "squish_table", "long_cover", "short_mask", "lattice_table")
+    lazy = ("edge_ends", "vertex_edges", "centroids", "endpoint_bits", "claws", "lifts",
+            "squish_table", "long_cover", "short_mask", "lattice_table", "hex_cycles")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
     assert not mesh.is_perfect_matching(0)
@@ -342,12 +365,13 @@ def test_claws_against_triangle_arithmetic(base):
         b = base_vertex[p.base]
         want[vertex[p.center]] = (b, None, -1)
         for cls, o in p.outers.items():
-            want[vertex[o]] = (b, cls, even.edge_index[p.shorts[cls]])
+            want[vertex[o]] = (b, cls, even.edges.index(p.shorts[cls]))
             short_at[o] = p.shorts[cls]
     assert list(even.claws) == want
-    assert even.short_mask == even.mask_of(short_at.values())
-    for i, (f, ends) in enumerate(even.edges.items()):
-        assert even.long_cover[i] == even.mask_of({f} | {short_at[t] for t in ends
+    assert even.short_mask == mask_of(even, short_at.values())
+    ends = rhombus_ends(even)
+    for i, f in enumerate(even.edges):
+        assert even.long_cover[i] == mask_of(even, {f} | {short_at[t] for t in ends[f]
                                                           if t in short_at})
 
 
@@ -378,12 +402,13 @@ def squish_edge(mesh, f):
     """Image of an even-mesh edge under squishing: the base edge joining the
     base vertices of the propellers at its two ends; IN_PROPELLER for short
     edges."""
-    if f not in mesh.edges:
+    ends = rhombus_ends(mesh)
+    if f not in ends:
         raise UnknownFace(f"{f} is not an edge of H_{tuple(mesh.dims)}")
-    p1, p2 = (propeller_of(mesh, t) for t in mesh.edges[f])
+    p1, p2 = (propeller_of(mesh, t) for t in ends[f])
     if p1 == p2:
         return IN_PROPELLER
-    (bf,) = [g for g, ts in mesh.base.edges.items() if set(ts) == {p1.base, p2.base}]
+    (bf,) = [g for g, ts in rhombus_ends(mesh.base).items() if set(ts) == {p1.base, p2.base}]
     return bf
 
 
@@ -394,7 +419,7 @@ def unsquish(mesh, base_edges):
     for f in mesh.edges:
         if squish_edge(mesh, f) in base_edges:
             out.add(f)
-            for t in mesh.edges[f]:
+            for t in rhombus_ends(mesh)[f]:
                 out.update(propeller_of(mesh, t).shorts.values())
     return frozenset(out)
 
@@ -423,7 +448,7 @@ def test_blowup_lifts_are_crossed():
         for prop_end in range(2):
             classes = set()
             for lf in (faces[i] for i in pair):
-                t = even.edges[lf][prop_end]
+                t = rhombus_ends(even)[lf][prop_end]
                 p = propeller_of(even, t)
                 (cls,) = [c for c, o in p.outers.items() if o == t]
                 classes.add(cls)

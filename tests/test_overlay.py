@@ -4,7 +4,7 @@ from typing import List
 
 import pytest
 
-from conftest import FaceTwoFactor, as_faces, per_byte_tables, two_factor_weight
+from conftest import FaceTwoFactor, as_faces, mask_of, per_byte_tables, two_factor_weight
 from hexdimer.algebra import Monomial, pack
 from hexdimer.diagrams import (PlanePartition, TooLarge, diagram_of, enumerate_matchings,
                                flippable_faces, matching_of, tau_move)
@@ -45,7 +45,7 @@ def test_overlay_hexagon_loop():
 def test_overlay_rejects_non_matchings():
     dims, mesh, empty, _ = hexagon_setup()
     with pytest.raises(MeshMismatch):
-        overlay(mesh, empty, mesh.mask_of(frozenset()))
+        overlay(mesh, empty, mask_of(mesh, frozenset()))
 
 
 def test_loops_are_canonical():
@@ -294,7 +294,7 @@ def face_assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> FaceTwo
                 break
             walk.append(nxt)
             if len(walk) > limit:
-                raise OverlayError(f"loop edges branch off the loop of {mesh.faces[e0]}")
+                raise OverlayError(f"loop edges branch off the loop of {mesh.edges[e0]}")
             cur, head = nxt, other
             x1, y1 = centroids[head]
             area2 += x0 * y1 - x1 * y0
@@ -308,7 +308,7 @@ def face_assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> FaceTwo
             walk[1:] = walk[:0:-1]  # clockwise walk: reverse it, e0 stays first
         rest &= ~sum(1 << e for e in walk)
         walks.append(walk)
-    faces = mesh.faces  # edge positions sort as the edges do
+    faces = mesh.edges  # edge positions sort as the edges do
     return FaceTwoFactor(mesh.dims, mesh.faces_of(doubled),
                          tuple(tuple(map(faces.__getitem__, w)) for w in sorted(walks)))
 

@@ -6,7 +6,8 @@ from functools import reduce
 
 import pytest
 
-from conftest import as_faces, mat_word, propellers, two_factor_weight
+from conftest import (as_faces, edge_positions, mask_of, mat_word, propellers, rhombus_ends,
+                      two_factor_weight)
 from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
@@ -152,10 +153,10 @@ def test_sign_weightings_against_the_propellers(base):
     for rule in _candidate_rules():
         S = _sign_weighting_for(even, rule).weights
         minus = dict(rule.minus_side)
-        for (bf, (up, _)), pair in zip(even.base.edges.items(), even.lifts):
+        for (bf, (up, _)), pair in zip(rhombus_ends(even.base).items(), even.lifts):
             outers = by_base[up].outers
             for i in pair:
-                (cls,) = [c for c, o in outers.items() if o in even.edges[even.faces[i]]]
+                (cls,) = [c for c, o in outers.items() if o in rhombus_ends(even)[even.edges[i]]]
                 assert S[i] == Monomial(-1 if cls == minus[bf.cls] else 1)
         assert all(S[i] == Monomial(1) for i in positions(even.short_mask))
 
@@ -234,7 +235,7 @@ def classify_propeller(mesh, mu, outers):
         return "Parallel"
     # turning passage: the two base edges meet the base vertex at 120 or 240
     # degrees; classes tell them apart (same class twice is impossible here)
-    pair = {mesh.base.faces[b1].cls, mesh.base.faces[b2].cls}
+    pair = {mesh.base.edges[b1].cls, mesh.base.edges[b2].cls}
     if short_cls[0] in pair:
         return "OneTurn"
     return "TwoTurn"
@@ -368,13 +369,13 @@ def test_aggregate_sign_sum():
 
 def test_loop_lift_choices_match_filtered_product():
     even = build_mesh(BoxDims(4, 4, 2))
-    fibers, base_faces, index = lift_fibers(even), list(even.base.edges), even.edge_index
+    fibers, base_faces, index = lift_fibers(even), list(even.base.edges), edge_positions(even)
     n = 0
     for lam in iter_two_factors(BoxDims(2, 2, 1)):
         for loop in lam.loops:
             k = len(loop)
             pairs = [fibers[base_faces[e]] for e in loop]
-            ends = [[set(even.edges[f]) for f in pair] for pair in pairs]
+            ends = [[set(rhombus_ends(even)[f]) for f in pair] for pair in pairs]
             want = [tuple(index[pair[i]] for pair, i in zip(pairs, pick))
                     for pick in itertools.product((0, 1), repeat=k)
                     if all(not ends[i][pick[i]] & ends[(i + 1) % k][pick[(i + 1) % k]]
@@ -441,7 +442,7 @@ def test_grouped_projection_equals_per_matching_assembly(dims):
         faces = as_faces(lam)
         assert decoded == (faces.doubled, {f for loop in faces.loops for f in loop})
         assert key == lift_key(lam)
-        assert key_masks(key, len(base.edges)) == tuple(map(base.mask_of, decoded))
+        assert key_masks(key, len(base.edges)) == tuple(mask_of(base, F) for F in decoded)
         squish_of = {i: j for j, pair in enumerate(mesh.lifts) for i in pair}
         for mu in mus:
             counts = Counter(squish_of[i] for i in positions(mu & ~mesh.short_mask))
