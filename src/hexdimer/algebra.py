@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: signed monomials, sparse integer polynomials,
-truncated power series with Laurent coefficients, and 4x4 integer matrices.
+truncated power series with Laurent coefficients, 4x4 integer matrices, and
+determinants of sparse integer matrices modulo a prime.
 
 Polynomials are in ``('p', 'q', 'r', 's')``, the frame of diagram weights
 and partition functions.  Edge weights are monomials whose first variable is
@@ -12,7 +13,7 @@ is no floating point anywhere in this module.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Collection, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 P_VARS = ("p", "q", "r", "s")
 
@@ -23,6 +24,11 @@ class AlgebraError(Exception):
 
 class NonUnitConstantTerm(AlgebraError):
     """Series inversion requires constant coefficient exactly 1."""
+
+
+class TooLarge(AlgebraError):
+    """A computation refused before it starts, because its size passes a
+    work bound or the list of primes (a usage error, not a fault)."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +147,6 @@ LPoly = Dict[int, int]
 LP_ONE: LPoly = {0: 1}
 
 
-def lp_neg(x: LPoly) -> LPoly:
-    return {e: -c for e, c in x.items()}
-
-
 def _add_into(acc: LPoly, x: LPoly):
     """acc += x, dropping the coefficients that cancel."""
     get = acc.get
@@ -190,28 +192,23 @@ class Poly:
     def __init__(self, terms: Optional[Mapping[int, int]] = None):
         self.terms: Dict[int, int] = {e: c for e, c in (terms or {}).items() if c}
 
+    @classmethod
+    def _of(cls, terms: Dict[int, int]) -> "Poly":
+        """A Poly that takes ``terms``, which must hold no zero, as it is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     def __add__(self, other: "Poly") -> "Poly":
         tt = dict(self.terms)
-        _add_into(tt, other.terms)
-        return Poly(tt)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(lp_neg(self.terms))
+        _add_into(tt, other.terms)  # drops the terms that cancel
+        return Poly._of(tt)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(lp_mul(self.terms, other.terms))
+        return Poly._of(lp_mul(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def constant_value(self) -> int:
-        """The value of a constant polynomial (zero or a pure number)."""
-        if self.terms.keys() - {0}:
-            raise AlgebraError("polynomial is not constant")
-        return self.terms.get(0, 0)
 
     # -- serialization / display ---------------------------------------
 
@@ -244,60 +241,6 @@ class Poly:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-def _parse_assignment_value(v) -> Tuple[int, Optional[int]]:
-    """Normalize an assignment value to (sign, target_index or None)."""
-    if v in (1, "1", "+1"):
-        return 1, None
-    if v in (-1, "-1"):
-        return -1, None
-    if v in (None, "keep"):
-        return None, None  # type: ignore[return-value]
-    s = str(v)
-    sign = 1
-    if s.startswith("-"):
-        sign, s = -1, s[1:]
-    elif s.startswith("+"):
-        s = s[1:]
-    if s not in P_VARS:
-        raise AlgebraError(f"cannot substitute into variable {v!r} (frame {P_VARS})")
-    return sign, P_VARS.index(s)
-
-
-def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
-    """Substitute each variable by +-1 or a signed variable of p, q, r, s.
-
-    ``assignment`` must cover all four variables; the value ``"keep"`` leaves
-    a variable untouched.  Substitution is exact and multiplicative.
-    """
-    for name in P_VARS:
-        if name not in assignment:
-            raise AlgebraError(f"assignment missing variable {name!r}")
-    plan = [_parse_assignment_value(assignment[name]) for name in P_VARS]
-    tt: Dict[int, int] = {}
-    for e, c in x.terms.items():
-        ne = [0, 0, 0, 0]
-        sign = 1
-        for i, k in enumerate(split(e)):
-            if k == 0:
-                continue
-            sg, tgt = plan[i]
-            if sg is None:  # keep
-                ne[i] += k
-                continue
-            if sg == -1:
-                if k % 2:
-                    sign = -sign
-            if tgt is not None:
-                ne[tgt] += k
-        key = pack(*ne)
-        nc = tt.get(key, 0) + sign * c
-        if nc:
-            tt[key] = nc
-        else:
-            del tt[key]
-    return Poly(tt)
 
 
 def lp_eval_signs(x: LPoly, sq: int = -1, sr: int = -1, ss: int = -1) -> int:
@@ -438,3 +381,87 @@ def mat_pow(x: Mat4, n: int) -> Mat4:
         n >>= 1
     return out
 
+
+
+# ---------------------------------------------------------------------------
+# Determinants of sparse integer matrices over Z/P.
+# ---------------------------------------------------------------------------
+
+# Mersenne primes 2^k - 1: the moduli of exact determinant checks.  A value
+# whose absolute value is below P/2 is read back exactly from its residue.
+MERSENNE_PRIMES: Tuple[int, ...] = tuple(
+    (1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423))
+
+
+def prime_above(bound: int) -> int:
+    """The smallest prime of MERSENNE_PRIMES above ``bound``; TooLarge when
+    there is none."""
+    for P in MERSENNE_PRIMES:
+        if P > bound:
+            return P
+    raise TooLarge(f"no listed prime lies above {bound.bit_length()}-bit bound "
+                   f"(the largest is 2^4423 - 1)")
+
+
+def det_mod(rows: Sequence[Mapping[int, int]], P: int) -> int:
+    """The determinant, in [0, P), of the n x n matrix whose row i holds
+    rows[i][j] in column j (absent entries are 0), for a prime P.
+
+    Gaussian elimination on the sparse rows, one column at a time in
+    ascending order: the pivot of a column is the sparsest live row that
+    holds it (the lower index on a tie), and it is subtracted from every
+    other live row that holds the column.  The determinant is the product
+    of the pivots times the sign of the permutation that sends each column
+    to its pivot row, so it is the true determinant mod P, sign included."""
+    n = len(rows)
+    live: List[Dict[int, int]] = []
+    holders: List[set] = [set() for _ in range(n)]  # column -> live rows holding it
+    for i, row in enumerate(rows):
+        r = {}
+        for j, v in row.items():
+            if not 0 <= j < n:
+                raise AlgebraError(f"row {i} has column {j} outside 0..{n - 1}")
+            v %= P
+            if v:
+                r[j] = v
+                holders[j].add(i)
+        live.append(r)
+    det = 1
+    pivot_of: List[int] = []
+    for j in range(n):
+        holding = holders[j]
+        if not holding:
+            return 0
+        p = min(holding, key=lambda i: (len(live[i]), i))
+        holding.discard(p)
+        prow = live[p]
+        pivot_of.append(p)
+        pv = prow.pop(j)
+        for k in prow:
+            holders[k].discard(p)
+        det = det * pv % P
+        inv = pow(pv, -1, P)
+        for i in holding:
+            r = live[i]
+            f = r.pop(j) * inv % P
+            for k, v in prow.items():
+                x = (r.get(k, 0) - f * v) % P
+                if x:
+                    if k not in r:
+                        holders[k].add(i)
+                    r[k] = x
+                elif k in r:
+                    del r[k]
+                    holders[k].discard(i)
+        holding.clear()
+    # a permutation of n points with m cycles has sign (-1)^(n - m)
+    seen = [False] * n
+    flips = n
+    for start in range(n):
+        if not seen[start]:
+            flips -= 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = pivot_of[j]
+    return det if flips % 2 == 0 else -det % P

@@ -16,17 +16,16 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, degree, mat_mul,
-                      mat_neg, mat_pow, split as split_key)
-from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, TooLarge, Z2Z2,
-                       bounded_count, flippable_faces, iter_matchings, matching_of,
-                       tau_move, z_poly)
+from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, TooLarge, degree,
+                      det_mod, mat_mul, mat_neg, mat_pow, prime_above, split as split_key)
+from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2, box_count,
+                       bounded_count, iter_matchings, matching_of, tau_move, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh, positions
-from .overlay import (OverlayError, assemble_two_factor, distinct_overlays, iter_two_factors,
-                      overlay, overlay_keys, pair_matchings, split)
+from .overlay import (OverlayError, distinct_overlays, iter_two_factors, overlay,
+                      pair_matchings, split)
 from .series import SeriesError, compare_box_vs_series, eq3_check
 from .squish import (EdgeWeighting, SquishError, lemma2_sum, lift_key, lift_preimages, project,
                      projection_key, pullback_weighting, sign_weighting, transfer_lift_sum,
@@ -98,27 +97,70 @@ def _all_subdims(top: BoxDims):
                 yield BoxDims(a, b, c)
 
 
+# the most work `check parity` may take: the sum over the sub-boxes of n^2,
+# with n = ab + bc + ca up vertices (the determinant's size), since the
+# elimination and the hexagon walk each cost about n^2 steps per box;
+# --max-dims 12,12,12 (3.9e7, about 34 s and 49 MB on a 2-vCPU VM) is
+# admitted, 13,13,13 (6.7e7) refused
+PARITY_WORK_LIMIT = 5 * 10 ** 7
+
+
+def parity_work(top: BoxDims) -> int:
+    """The sum of (ab + bc + ca)^2 over the sub-boxes (a, b, c) of ``top``,
+    in closed form: (ab + bc + ca)^2 = a^2 b^2 + b^2 c^2 + c^2 a^2
+    + 2abc (a + b + c), and a sum of products over a box is the product of
+    the sums over its sides."""
+    (A, s1a, s2a), (B, s1b, s2b), (C, s1c, s2c) = (
+        (m, m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6) for m in top)
+    return (s2a * s2b * C + A * s2b * s2c + s2a * B * s2c
+            + 2 * (s2a * s1b * s1c + s1a * s2b * s1c + s1a * s1b * s2c))
+
+
 def check_parity(max_dims: BoxDims) -> CheckReport:
+    """The parity lemma on every sub-box: any two matchings overlay with
+    C = ab + bc + ca (mod 2) components, checked without enumerating any.
+
+    Read a matching as a bijection from the n up vertices to the down ones.
+    For two matchings M1, M2, each overlay component is one cycle of
+    M2^-1 M1 (a doubled edge a fixed point, a loop of 2m edges an m-cycle),
+    so sgn(M1) sgn(M2) = (-1)^(n - C).  The lemma holds for every pair
+    exactly when every matching has the same sign, that is when the
+    all-plus bipartite adjacency matrix, whose determinant is the sum of
+    the signs, has det = +-N, with N from MacMahon's product (box_count)
+    (Kasteleyn 1963; Kenyon, "Lectures on dimers", arXiv:0910.3129).
+    |det| <= N < P/2, so det = +-N holds exactly when it holds mod P.
+
+    The hexagon flips, by which the bijection walks between diagrams, are
+    checked locally: once per hexagon, the matching before a flip of it
+    and the one after must overlay with C = n (mod 2).  The walk adds the
+    boxes of the full diagram to the empty one in lexicographic order, and
+    adding box (i,j,k) flips the hexagon at (i-k, j-k)."""
     rep = CheckReport("parity", {"max_dims": ",".join(map(str, max_dims))})
-    for dims in _all_subdims(max_dims):  # refuse before enumerating any box
-        bounded_count(dims, 2)
+    work = parity_work(max_dims)
+    if work > PARITY_WORK_LIMIT:
+        raise TooLarge(f"parity up to H_{tuple(max_dims)} takes {work} steps (the sum of "
+                       f"(ab + bc + ca)^2 over the sub-boxes), over the bound "
+                       f"{PARITY_WORK_LIMIT}")
+    prime_above(2 * box_count(max_dims))  # the largest count of any sub-box
     for dims in _all_subdims(max_dims):
         a, b, c = dims
-        want = (a * b + b * c + c * a) % 2
+        n = a * b + b * c + c * a
         mesh = build_mesh(dims)
-        ms = pair_matchings(dims)
-        for key in overlay_keys(ms):  # one 2-factor held at a time
-            lam = assemble_two_factor(mesh, *key)
-            if lam.component_count() % 2 != want:
-                rep.fail({"dims": list(dims), "C": lam.component_count()})
-        # tau-moves preserve the parity against a fixed reference matching
-        M2 = ms[0]
-        for M in ms:
-            base = overlay(mesh, M, M2).component_count() % 2
-            for f in flippable_faces(mesh, M):
-                flipped = overlay(mesh, tau_move(mesh, M, f), M2)
-                if flipped.component_count() % 2 != base:
-                    rep.fail({"dims": list(dims), "face": list(f)})
+        count = box_count(dims)
+        P = prime_above(2 * count)
+        det = det_mod(mesh.kasteleyn_rows(), P)
+        if det not in (count, P - count):
+            rep.fail({"dims": list(dims), "det": det if det <= P // 2 else det - P,
+                      "count": count})
+        M = matching_of(PlanePartition.empty(dims))
+        for i, j, k in product(range(a), range(b), range(c)):
+            pt = (i - k, j - k)
+            M2 = tau_move(mesh, M, pt)
+            if 0 in (i, j, k):  # the first box over hexagon pt, so its first flip
+                C = overlay(mesh, M, M2).component_count()
+                if C % 2 != n % 2:
+                    rep.fail({"dims": list(dims), "face": list(pt), "C": C})
+            M = M2
     return rep
 
 
@@ -241,8 +283,11 @@ def check_matrices() -> CheckReport:
 # An order outside 1..top is refused, never run smaller.  eq1's top is the
 # largest order the tests cover; eq2 stays at 4 because the benchmark's
 # self-test (perfbench/selftest.py) needs `check eq2 --order 5` refused.
+# eq3's cost grows steeply with its order (order 20 runs in 2.5 s and 30 MB, 25 in
+# 5.8 s and 51 MB, 30 in 19 s and 87 MB on a 2-vCPU VM), so its top is 25.
 EQ1_MAX_ORDER = 12
 EQ2_MAX_ORDER = 4
+EQ3_MAX_ORDER = 25
 
 
 def _check_order(name: str, order: int, top: int) -> int:
@@ -271,10 +316,9 @@ def check_eq2(order: int) -> CheckReport:
 
 
 def check_eq3(order: int) -> CheckReport:
-    if order < 1:
-        raise UsageError(f"eq3 order {order} is below 1")
-    rep = CheckReport("eq3", {"order": order})
-    report = eq3_check(order)
+    n = _check_order("eq3", order, EQ3_MAX_ORDER)
+    rep = CheckReport("eq3", {"order": n})
+    report = eq3_check(n)
     if not report["match"]:
         rep.fail({"lhs": report["lhs"], "rhs": report["rhs"]})
     return rep

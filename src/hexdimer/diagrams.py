@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import Monomial, P_VARS, Poly, _add_into, pack
+from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, pack
 from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
 
 
@@ -31,10 +31,6 @@ class FaceNotFlippable(DiagramError):
     pass
 
 
-class TooLarge(DiagramError):
-    pass
-
-
 # the most edge visits a check that enumerates a box's N matchings may
 # spend: N^k (ab + bc + ca), with k = 1 for a check that handles each
 # matching once and k = 2 for one that overlays every pair of them; also
@@ -42,12 +38,8 @@ class TooLarge(DiagramError):
 WORK_LIMIT = 10 ** 8
 
 
+# the color of box (i,j,k), by ((i - k) % 2, (j - k) % 2)
 BOX_COLORS = {(0, 0): "P", (1, 0): "Q", (0, 1): "R", (1, 1): "S"}
-
-
-def box_color(i: int, j: int, k: int) -> str:
-    """Color of box (i,j,k) under the Z2xZ2 grading of (i-k, j-k)."""
-    return BOX_COLORS[((i - k) % 2, (j - k) % 2)]
 
 
 # the substitution values: an optional sign, then 1 or a variable
@@ -134,14 +126,6 @@ class PlanePartition:
     def empty(cls, dims: BoxDims) -> "PlanePartition":
         a, b, _ = dims
         return cls(dims, tuple((0,) * b for _ in range(a)))
-
-    @classmethod
-    def full(cls, dims: BoxDims) -> "PlanePartition":
-        a, b, c = dims
-        return cls(dims, tuple((c,) * b for _ in range(a)))
-
-    def size(self) -> int:
-        return sum(map(sum, self.h))
 
     def boxes(self) -> Iterator[Tuple[int, int, int]]:
         for i, row in enumerate(self.h):

@@ -278,6 +278,21 @@ class HexMesh:
             out[v].append((e, u))
         return tuple(map(tuple, out))
 
+    def kasteleyn_rows(self) -> List[Dict[int, int]]:
+        """The bipartite adjacency matrix as sparse rows, for
+        ``algebra.det_mod``: one row per up vertex and one column per down
+        vertex, each numbered in ``vertices`` order, with entry 1 at the
+        two ends of every edge."""
+        number: List[int] = []
+        count = [0, 0]  # down, up
+        for t in self.vertices:
+            number.append(count[t.up])
+            count[t.up] += 1
+        rows: List[Dict[int, int]] = [{} for _ in range(count[1])]
+        for u, v in self.edge_ends:
+            rows[number[u]][number[v]] = 1
+        return rows
+
     @cached_property
     def centroids(self) -> Tuple[Tuple[int, int], ...]:
         """3x each vertex's centroid (its corner sum), in ``vertices`` order."""
@@ -413,12 +428,19 @@ def edge_table(values: Sequence[int]) -> List[List[int]]:
     return table
 
 
+# the most meshes held at once: a check that sweeps every sub-box of a
+# large box (check parity) would otherwise keep all of them
+MESH_CACHE_SIZE = 64
 _MESH_CACHE: Dict[Tuple[int, int, int], HexMesh] = {}
 
 
 def build_mesh(dims: BoxDims) -> HexMesh:
+    """The mesh of the box, built once while it stays among the last
+    MESH_CACHE_SIZE meshes built."""
     key = tuple(dims)
     if key not in _MESH_CACHE:
+        if len(_MESH_CACHE) >= MESH_CACHE_SIZE:
+            del _MESH_CACHE[next(iter(_MESH_CACHE))]  # the oldest
         _MESH_CACHE[key] = HexMesh(dims)
     return _MESH_CACHE[key]
 

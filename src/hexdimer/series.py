@@ -85,12 +85,6 @@ def mac(a, N: int) -> Series:
     return _product(N, [(a, 1)])
 
 
-def mac_tilde(a, N: int) -> Series:
-    """M(a,z) * M(1/a,z)."""
-    a = _as_lmono(a)
-    return _product(N, [(a, 1), (_lmono_inv(a), 1)])
-
-
 def z2z2_rhs(N: int) -> Series:
     """The four-variable product formula in the grading variable Q = p*q*r*s,
     with Laurent-polynomial coefficients in (q, r, s):

@@ -4,10 +4,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from hexdimer.algebra import MAT_I, MAT_L, MAT_R, AlgebraError, Mat4, Monomial, mat_mul
+from hexdimer.algebra import (MAT_I, MAT_L, MAT_R, P_VARS, AlgebraError, LPoly, Mat4, Monomial,
+                              Poly, Series, mat_mul, pack, split)
+from hexdimer.diagrams import PlanePartition
 from hexdimer.mesh import BoxDims, Face, HexMesh, Triangle, UnknownFace, build_mesh, positions
+from hexdimer.series import _as_lmono, _lmono_inv, _product
 
 
 def box_count_oracle(a, b, c):
@@ -35,6 +38,87 @@ def mat_word(word: str) -> Mat4:
         else:
             raise AlgebraError(f"bad letter {ch!r} in turn word")
     return out
+
+
+# -- polynomials, diagrams and series ----------------------------------------
+
+
+def lp_neg(x: LPoly) -> LPoly:
+    return {e: -c for e, c in x.items()}
+
+
+def poly_neg(x: Poly) -> Poly:
+    return Poly(lp_neg(x.terms))
+
+
+def constant_value(x: Poly) -> int:
+    """The value of a constant polynomial (zero or a pure number)."""
+    if x.terms.keys() - {0}:
+        raise AlgebraError("polynomial is not constant")
+    return x.terms.get(0, 0)
+
+
+def _parse_assignment_value(v) -> Tuple[Optional[int], Optional[int]]:
+    """Normalize an assignment value to (sign, target_index or None)."""
+    if v in (1, "1", "+1"):
+        return 1, None
+    if v in (-1, "-1"):
+        return -1, None
+    if v in (None, "keep"):
+        return None, None
+    s = str(v)
+    sign = 1
+    if s.startswith("-"):
+        sign, s = -1, s[1:]
+    elif s.startswith("+"):
+        s = s[1:]
+    if s not in P_VARS:
+        raise AlgebraError(f"cannot substitute into variable {v!r} (frame {P_VARS})")
+    return sign, P_VARS.index(s)
+
+
+def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
+    """Substitute each variable by +-1 or a signed variable of p, q, r, s,
+    term by term: the oracle for WeightScheme.with_signs.  ``assignment``
+    must cover all four variables; the value ``"keep"`` leaves a variable
+    untouched."""
+    for name in P_VARS:
+        if name not in assignment:
+            raise AlgebraError(f"assignment missing variable {name!r}")
+    plan = [_parse_assignment_value(assignment[name]) for name in P_VARS]
+    tt: Dict[int, int] = {}
+    for e, c in x.terms.items():
+        ne = [0, 0, 0, 0]
+        sign = 1
+        for i, k in enumerate(split(e)):
+            if k == 0:
+                continue
+            sg, tgt = plan[i]
+            if sg is None:  # keep
+                ne[i] += k
+                continue
+            if sg == -1 and k % 2:
+                sign = -sign
+            if tgt is not None:
+                ne[tgt] += k
+        key = pack(*ne)
+        tt[key] = tt.get(key, 0) + sign * c
+    return Poly(tt)
+
+
+def full_diagram(dims: BoxDims) -> PlanePartition:
+    a, b, c = dims
+    return PlanePartition(dims, tuple((c,) * b for _ in range(a)))
+
+
+def diagram_size(pi: PlanePartition) -> int:
+    return sum(map(sum, pi.h))
+
+
+def mac_tilde(a, N: int) -> Series:
+    """M(a,z) * M(1/a,z)."""
+    a = _as_lmono(a)
+    return _product(N, [(a, 1), (_lmono_inv(a), 1)])
 
 
 # -- faces and triangles, oracles for HexMesh's tables -----------------------

@@ -1,12 +1,14 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_word
+from conftest import mat_word, poly_neg, poly_specialize
 from hexdimer.algebra import (
-    LIMIT, MAT_I, MAT_L, MAT_R, Monomial, NonUnitConstantTerm,
-    Poly, Series, AlgebraError, degree, lp_eval_signs, lp_mul,
-    mat_mul, mat_neg, mat_pow, mono_t, pack, poly_specialize,
+    LIMIT, MAT_I, MAT_L, MAT_R, MERSENNE_PRIMES, Monomial, NonUnitConstantTerm,
+    Poly, Series, AlgebraError, TooLarge, degree, det_mod, lp_eval_signs, lp_mul,
+    mat_mul, mat_neg, mat_pow, mono_t, pack, prime_above,
     series_inv, split,
 )
 
@@ -47,7 +49,7 @@ def test_ring_laws(x, y, z):
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
-    assert x - x == Poly()
+    assert x + poly_neg(x) == Poly()
 
 
 @given(polys, polys)
@@ -282,3 +284,71 @@ def test_mat_mul_is_the_row_by_column_product(xs):
     want = tuple(tuple(sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4))
                  for i in range(4))
     assert mat_mul(x, y) == want
+
+
+# -- determinants mod P ------------------------------------------------------
+
+
+def leibniz_det(rows, n):
+    """The determinant by the permutation expansion, with the sign of each
+    permutation from its inversions: the oracle for det_mod."""
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i].get(j, 0)
+        total += term
+    return total
+
+
+sparse_squares = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=n),
+    min_size=n, max_size=n) if n else st.just([]))
+
+
+@settings(max_examples=300)
+@given(sparse_squares)
+def test_det_mod_is_the_determinant_with_its_sign(rows):
+    want = leibniz_det(rows, len(rows))
+    # a large prime reads the value back; a small one makes pivots vanish
+    for P in (MERSENNE_PRIMES[0], 7, 2):
+        assert det_mod(rows, P) == want % P
+
+
+def test_det_mod_small_cases():
+    P = MERSENNE_PRIMES[0]
+    assert det_mod([], P) == 1
+    assert det_mod([{0: 1, 1: 1}, {0: 1, 1: 1}], P) == 0  # a square face
+    assert det_mod([{1: 1}, {0: 1}], P) == P - 1  # a transposition
+    assert det_mod([{0: 2}, {1: 3}], P) == 6
+    assert det_mod([{0: 1}, {}], P) == 0  # an empty row
+    assert det_mod([{1: 1, 2: 1}, {0: 1, 2: 1}, {0: 1, 1: 1}], P) == 2
+    with pytest.raises(AlgebraError):
+        det_mod([{2: 1}, {0: 1}], P)
+
+
+def test_the_primes_are_the_listed_mersenne_primes():
+    ks = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+    assert MERSENNE_PRIMES == tuple(2 ** k - 1 for k in ks)
+    for P in MERSENNE_PRIMES[:4]:  # Fermat's little theorem, base 3
+        assert pow(3, P - 1, P) == 1
+
+
+def test_prime_above_takes_the_smallest_listed_prime_past_the_bound():
+    # synthetic bounds 2N at the edges of the list
+    assert prime_above(0) == prime_above(2 ** 61 - 2) == 2 ** 61 - 1
+    assert prime_above(2 ** 61 - 1) == 2 ** 89 - 1
+    assert prime_above(2 ** 127) == 2 ** 521 - 1
+    assert prime_above(2 ** 4423 - 2) == 2 ** 4423 - 1
+    for bound in (2 ** 4423 - 1, 2 ** 4423, 2 ** 10000):
+        with pytest.raises(TooLarge):
+            prime_above(bound)
+
+
+@given(polys, polys)
+def test_sums_and_products_hold_no_zero_coefficient(x, y):
+    before = dict(x.terms)
+    for z in (x + y, x * y, x + poly_neg(x), poly_neg(y) + y):
+        assert all(z.terms.values())
+    assert x.terms == before  # a sum is a new dict, never the operand's

@@ -290,17 +290,106 @@ def test_check_pullback_refuses_from_the_count(capsys, monkeypatch):
 
 
 def test_check_parity_refuses_before_enumerating_any_box(capsys, monkeypatch):
-    # every sub-box is bounded first, in the order the check runs them, so
-    # the first box past the bound is named and nothing is enumerated
+    # parity enumerates no matching: with every enumeration patched to
+    # raise, a box whose pairs the old sweep refused (4,4,3) passes
+    import hexdimer.cli as cli
+    import hexdimer.diagrams as diagrams
     import hexdimer.overlay as overlay_module
-    from hexdimer.diagrams import TooLarge, bounded_count
 
-    monkeypatch.setattr(overlay_module, "enumerate_matchings", enumeration_raises)
-    with pytest.raises(TooLarge) as want:
-        bounded_count(BoxDims(3, 4, 3), 2)
+    for module in (cli, diagrams, overlay_module):
+        for name in ("enumerate_matchings", "iter_matchings", "pair_matchings"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, enumeration_raises)
     code, out, err = run(capsys, "check", "parity", "--max-dims", "4,4,3")
-    assert code == 2 and out == "" and err == f"error: {want.value}\n"
-    # an admitted top box gets as far as its first enumeration
+    assert code == 0 and out.startswith("PASS check=parity max_dims=4,4,3") and err == ""
+    # past the work rule (the sum of (ab + bc + ca)^2 over the sub-boxes) it
+    # is refused from the dims alone, before the first determinant
+    monkeypatch.setattr(cli, "det_mod", enumeration_raises)
+    for dims in ("16,16,16", "13,13,13", "400,1,1", "1000000,1000000,1000000"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", "parity", "--max-dims", dims)
+        assert code == 2 and out == "" and f"over the bound {cli.PARITY_WORK_LIMIT}" in err
+        assert time.perf_counter() - t0 < 0.5
+    # an admitted top box gets as far as its first determinant
+    with pytest.raises(Enumerated):
+        run_check("parity", None, None, BoxDims(12, 12, 12))
+
+
+def test_parity_work_is_the_sum_over_the_sub_boxes():
+    from hexdimer.cli import parity_work
+
+    for top in itertools.product(range(1, 6), repeat=3):
+        want = sum((a * b + b * c + c * a) ** 2 for a, b, c in itertools.product(
+            *(range(1, m + 1) for m in top)))
+        assert parity_work(BoxDims(*top)) == want, top
+
+
+def test_check_parity_fails_on_a_flipped_sign(capsys, monkeypatch):
+    # one -1 entry in the 2,2,2 matrix mixes the signs of its matchings:
+    # that box, the last one checked, is the first to fail, with its
+    # determinant and count as the witness
+    from hexdimer.mesh import HexMesh
+
+    real = HexMesh.kasteleyn_rows
+
+    def flipped(mesh):
+        rows = real(mesh)
+        if tuple(mesh.dims) == (2, 2, 2):
+            rows[0][min(rows[0])] = -1
+        return rows
+
+    monkeypatch.setattr(HexMesh, "kasteleyn_rows", flipped)
+    code, out, _ = run(capsys, "check", "parity", "--max-dims", "2,2,2", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 1 and rep["status"] == "fail"
+    witness = rep["witness"]
+    assert witness["dims"] == [2, 2, 2] and witness["count"] == 20
+    assert abs(witness["det"]) not in (0, 20) and abs(witness["det"]) < 20
+
+
+def test_check_parity_checks_each_hexagon_flip_once(capsys, monkeypatch):
+    # the flip half overlays one matching with its flip at each hexagon,
+    # once per hexagon; an overlay read one component off fails the box
+    import hexdimer.cli as cli
+    from hexdimer.mesh import build_mesh
+
+    real, seen = cli.overlay, []
+
+    def counted(mesh, M1, M2):
+        seen.append((tuple(mesh.dims), M1 ^ M2))
+        return real(mesh, M1, M2)
+
+    monkeypatch.setattr(cli, "overlay", counted)
+    assert run(capsys, "check", "parity", "--max-dims", "3,2,2")[0] == 0
+    for dims in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+        loops = [loop for d, loop in seen if d == dims]
+        hexagons = build_mesh(BoxDims(*dims)).hex_masks.values()
+        assert sorted(loops) == sorted(odd | even for odd, even in hexagons)
+
+    class OffByOne:
+        def __init__(self, lam):
+            self.lam = lam
+
+        def component_count(self):
+            return self.lam.component_count() + 1
+
+    monkeypatch.setattr(cli, "overlay", lambda *args: OffByOne(real(*args)))
+    code, out, _ = run(capsys, "check", "parity", "--max-dims", "1,1,1", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 1 and rep["witness"] == {"dims": [1, 1, 1], "face": [0, 0], "C": 2}
+
+
+def test_check_parity_refuses_a_count_past_the_primes(capsys, monkeypatch):
+    # a synthetic count whose double passes the largest listed prime has no
+    # modulus to read the determinant back from: a usage error, exit 2
+    import hexdimer.cli as cli
+
+    monkeypatch.setattr(cli, "box_count", lambda dims: 2 ** 4422)
+    monkeypatch.setattr(cli, "det_mod", enumeration_raises)
+    code, out, err = run(capsys, "check", "parity", "--max-dims", "2,2,2")
+    assert code == 2 and out == "" and "no listed prime" in err
+    # one below the edge is admitted, with the largest prime
+    monkeypatch.setattr(cli, "box_count", lambda dims: 2 ** 4422 - 1)
     with pytest.raises(Enumerated):
         run_check("parity", None, None, BoxDims(2, 2, 2))
 
@@ -453,8 +542,8 @@ def test_check_eq3_witness_is_what_was_compared(capsys, monkeypatch):
     # one extra factor on the product side: the check fails, the product is
     # built once, and the witness holds the two lists the verdict compared
     import hexdimer.series as series
-    from hexdimer.algebra import lp_neg
-    from hexdimer.series import lmono, mac, mac_tilde
+    from conftest import lp_neg, mac_tilde
+    from hexdimer.series import lmono, mac
 
     real, built = series.z2z2_rhs, []
 
@@ -469,6 +558,23 @@ def test_check_eq3_witness_is_what_was_compared(capsys, monkeypatch):
     assert rep["witness"] == {"lhs": built[0].specialize_signs(-1, -1, -1),
                               "rhs": (mac(1, 5) ** 2).specialize_signs(1, 1, 1)}
     assert rep["witness"]["lhs"] != rep["witness"]["rhs"]
+
+
+def test_check_eq3_refuses_an_order_past_its_top(capsys, monkeypatch):
+    # an order past EQ3_MAX_ORDER is a usage error, refused before any
+    # series product is expanded; before the bound, --order 400 ran on and
+    # an order past the exponent range escaped as an internal error
+    import hexdimer.cli as cli
+    import hexdimer.series as series
+
+    monkeypatch.setattr(series, "_product", enumeration_raises)
+    for order in (str(cli.EQ3_MAX_ORDER + 1), "400", "100000000000000000000", "0"):
+        code, out, err = run(capsys, "check", "eq3", "--order", order)
+        assert code == 2 and out == "" and err.startswith(f"error: eq3 order {order} ")
+    assert run(capsys, "check", "all", "--order", "400")[0] == 2
+    # the top itself is admitted: it gets as far as its first product
+    with pytest.raises(Enumerated):
+        run_check("eq3", None, cli.EQ3_MAX_ORDER, None)
 
 
 def test_check_all_small(capsys):

@@ -469,3 +469,16 @@ def test_unsquish():
         sub = sorted(base.edges)[:subset_size]
         back = {squish_edge(even, f) for f in unsquish(even, sub)} - {IN_PROPELLER}
         assert back == set(sub)
+
+
+def test_the_mesh_cache_keeps_the_latest_meshes(monkeypatch):
+    import hexdimer.mesh as mesh_module
+
+    monkeypatch.setattr(mesh_module, "_MESH_CACHE", {})
+    first = build_mesh(BoxDims(1, 1, 1))
+    assert build_mesh(BoxDims(1, 1, 1)) is first
+    for a in range(2, mesh_module.MESH_CACHE_SIZE + 2):
+        build_mesh(BoxDims(a, 1, 1))
+    assert len(mesh_module._MESH_CACHE) == mesh_module.MESH_CACHE_SIZE
+    assert (1, 1, 1) not in mesh_module._MESH_CACHE  # the oldest went first
+    assert build_mesh(BoxDims(1, 1, 1)) is not first

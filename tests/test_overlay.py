@@ -4,11 +4,12 @@ from typing import List
 
 import pytest
 
-from conftest import FaceTwoFactor, as_faces, mask_of, per_byte_tables, two_factor_weight
-from hexdimer.algebra import Monomial, pack
-from hexdimer.diagrams import (PlanePartition, TooLarge, diagram_of, enumerate_matchings,
-                               flippable_faces, matching_of, tau_move)
-from hexdimer.mesh import BoxDims, HexMesh, UnknownFace, build_mesh
+from conftest import (FaceTwoFactor, as_faces, full_diagram, mask_of, per_byte_tables,
+                      two_factor_weight)
+from hexdimer.algebra import MERSENNE_PRIMES, Monomial, det_mod, pack, prime_above
+from hexdimer.diagrams import (PlanePartition, TooLarge, box_count, diagram_of,
+                               enumerate_matchings, flippable_faces, matching_of, tau_move)
+from hexdimer.mesh import BoxDims, HexMesh, UnknownFace, build_mesh, positions
 from hexdimer.overlay import (
     MeshMismatch, OverlayError,
     assemble_two_factor, distinct_overlays, iter_two_factors,
@@ -21,7 +22,7 @@ def hexagon_setup():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
     empty = matching_of(PlanePartition.empty(dims))
-    full = matching_of(PlanePartition.full(dims))
+    full = matching_of(full_diagram(dims))
     return dims, mesh, empty, full
 
 
@@ -143,6 +144,64 @@ def test_parity_lemma(dims):
     want = (a * b + b * c + c * a) % 2
     for lam in iter_two_factors(BoxDims(a, b, c)):
         assert lam.component_count() % 2 == want
+
+
+# -- the Kasteleyn determinant, check parity's certificate -------------------
+
+
+def row_and_column(mesh: HexMesh, e: int):
+    """The up and down ends of edge e, each numbered in ``vertices`` order
+    among the vertices of its kind: its entry in ``kasteleyn_rows``."""
+    u, v = mesh.edge_ends[e]
+    ups = [i for i, t in enumerate(mesh.vertices) if t.up]
+    downs = [i for i, t in enumerate(mesh.vertices) if not t.up]
+    return ups.index(u), downs.index(v)
+
+
+def matching_sign(mesh: HexMesh, M: int) -> int:
+    """The sign of M read as the permutation from the up vertices to the
+    down ones, each numbered in ``vertices`` order, by its inversions."""
+    perm = [j for i, j in sorted(row_and_column(mesh, e) for e in positions(M))]
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                     for j in range(i + 1, len(perm)))
+    return (-1) ** inversions
+
+
+def signed_det(rows, P: int) -> int:
+    det = det_mod(rows, P)
+    return det if det <= P // 2 else det - P
+
+
+@pytest.mark.parametrize("dims", list(itertools.product((1, 2), repeat=3)), ids=str)
+def test_kasteleyn_det_is_the_sum_of_the_matching_signs(dims):
+    mesh = build_mesh(BoxDims(*dims))
+    want = sum(matching_sign(mesh, M) for M in enumerate_matchings(BoxDims(*dims)))
+    assert signed_det(mesh.kasteleyn_rows(), MERSENNE_PRIMES[0]) == want
+    # every matching has one sign: the parity lemma's certificate
+    assert abs(want) == box_count(BoxDims(*dims))
+
+
+def test_kasteleyn_det_is_plus_or_minus_the_box_count():
+    for dims in itertools.product(range(1, 6), repeat=3):
+        count = box_count(BoxDims(*dims))
+        P = prime_above(2 * count)
+        assert abs(signed_det(build_mesh(BoxDims(*dims)).kasteleyn_rows(), P)) == count, dims
+
+
+@pytest.mark.parametrize("dims, edges", [((2, 2, 2), 30), ((3, 3, 3), 72)], ids=str)
+def test_a_flipped_edge_sign_moves_the_det_off_the_count(dims, edges):
+    # negative control: with one entry -1 the determinant is a signed sum
+    # with both signs, so it is no longer +-N
+    mesh = build_mesh(BoxDims(*dims))
+    count = box_count(BoxDims(*dims))
+    P = prime_above(2 * count)
+    assert len(mesh.edges) == edges
+    for e in range(edges):
+        rows = mesh.kasteleyn_rows()
+        i, j = row_and_column(mesh, e)
+        assert rows[i][j] == 1
+        rows[i][j] = -1
+        assert abs(signed_det(rows, P)) != count, e
 
 
 def mask_weight(wp, lam):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexdimer.algebra import AlgebraError, Series, lp_mul, lp_neg, pack, series_inv
+from conftest import lp_neg, mac_tilde
+from hexdimer.algebra import AlgebraError, Series, lp_mul, pack, series_inv
 from hexdimer import series
 from hexdimer.series import (
-    SeriesError, compare_box_vs_series, eq3_check, lmono, mac, mac_tilde,
+    SeriesError, compare_box_vs_series, eq3_check, lmono, mac,
     z2z2_rhs,
 )
 

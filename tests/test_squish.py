@@ -6,8 +6,8 @@ from functools import reduce
 
 import pytest
 
-from conftest import (as_faces, edge_positions, mask_of, mat_word, propellers, rhombus_ends,
-                      two_factor_weight)
+from conftest import (as_faces, diagram_size, edge_positions, full_diagram, mask_of, mat_word,
+                      propellers, rhombus_ends, two_factor_weight)
 from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
@@ -59,7 +59,7 @@ def hexagon_loop():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
     lam = overlay(mesh, matching_of(PlanePartition.empty(dims)),
-                  matching_of(PlanePartition.full(dims)))
+                  matching_of(full_diagram(dims)))
     return mesh, lam.loops[0]
 
 
@@ -74,7 +74,7 @@ def test_wp_weighs_matchings_by_box_count(dims):
     wp = wp_edge_weighting(mesh)
     for pi in enumerate_diagrams(dims):
         assert wp.weight_of(matching_of(pi)) == \
-            Monomial(1, pack(3 * pi.size(), 0, 0, 0))
+            Monomial(1, pack(3 * diagram_size(pi), 0, 0, 0))
 
 
 def test_wp_empty_matching_is_one():
