@@ -22,7 +22,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, TooLarge, degree,
                       det_mod, mat_mul, mat_neg, mat_pow, prime_above, split as split_key)
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2, box_count,
-                       bounded_count, iter_matchings, matching_of, tau_move, z_poly)
+                       bounded_count, iter_matchings, matching_of, require_count, tau_move,
+                       z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh, positions
 from .overlay import (OverlayError, distinct_overlays, iter_two_factors, overlay,
                       pair_matchings, split)
@@ -199,12 +200,13 @@ def check_pullback(dims: BoxDims) -> CheckReport:
     rep = CheckReport("pullback", {"dims": ",".join(map(str, dims))})
     if not dims.is_even:
         raise UsageError("pullback check needs even dims")
-    bounded_count(dims, 1)
+    n = bounded_count(dims, 1)
     mesh = build_mesh(dims)
     U = pullback_weighting(mesh)
     wp = wp_edge_weighting(mesh.base)
     want = {}  # projection key -> w_p of its 2-factor
-    for mu in iter_matchings(dims):
+    count = 0
+    for count, mu in enumerate(iter_matchings(dims), 1):
         key = projection_key(mesh, mu)
         if key not in want:
             lam = project(mesh, mu)
@@ -212,6 +214,7 @@ def check_pullback(dims: BoxDims) -> CheckReport:
             want[key] = w * w * wp.weight_of(lam.loop_mask())
         if U.weight_of(mu) != want[key]:
             rep.fail({"matching": sorted(map(list, mesh.faces_of(mu)))})
+    require_count(dims, count, n)
     return rep
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb, gcd, isqrt
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -148,33 +148,64 @@ def diagram_weight(pi: PlanePartition, scheme: WeightScheme) -> Monomial:
     return w
 
 
+def _lex_steps(h: List[int], b: int, c: int, budget: int) -> Iterator[Tuple[int, List[int]]]:
+    """The successor rule of the diagrams in lexicographic order, run in
+    place on h, the row-major heights (b columns, all zero at the start)
+    followed by c, the bound past the border: raise the last entry that is
+    below its bounds (the entries above and to its left) and whose prefix
+    sum is below ``budget``, zero every entry after it, and yield the
+    raised index k with the old values of the entries after it, up to the
+    last nonzero one; stop after the last diagram.
+
+    Every zero after the last nonzero entry has a zero to its left or
+    above it, but for two: the first entry of the next row and the entry
+    right after the last nonzero one.  Their left bound is c or that
+    nonzero entry, so the later of the two that exists is the one raised
+    when the entry above it is nonzero.  Otherwise the scan goes back from
+    the last nonzero entry."""
+    n = len(h) - 1
+    # the index of the entry above each entry and of the one to its left,
+    # n (the border) where there is none
+    up = [k - b if k >= b else n for k in range(n)]
+    left = [k - 1 if k % b else n for k in range(n)]
+    last = -1  # the last nonzero entry
+    total = 0  # while scanning back from entry k <= last, the sum of h[:k + 1]
+    while True:
+        k = (last // b + 1) * b
+        if k >= n:
+            k = last + 1
+        if total < budget and k < n and h[up[k]]:
+            old = []
+        else:
+            k = last
+            while k >= 0:
+                v = h[k]
+                if total < budget and v < h[up[k]] and v < h[left[k]]:
+                    break
+                total -= v
+                k -= 1
+            if k < 0:
+                return
+            old = h[k + 1:last + 1]
+            h[k + 1:last + 1] = [0] * len(old)
+        h[k] += 1
+        total += 1
+        last = k
+        yield k, old
+
+
 def enumerate_diagrams(dims: BoxDims, budget: Optional[int] = None) -> Iterator[PlanePartition]:
     """All diagrams in the box with at most ``budget`` boxes (every diagram
-    if None), ascending lexicographic on the heights matrix.
-
-    Each is the successor of the one before: on the row-major entries, raise
-    the last entry that is below its bounds (the entries above and to its
-    left) and whose prefix sum is below the budget, and zero every entry
-    after it."""
+    if None), ascending lexicographic on the heights matrix: the empty one,
+    then each successor (_lex_steps) of the one before."""
     a, b, c = dims
     n = a * b
     budget = n * c if budget is None else budget
     if budget < 0:
         return
-    h = [0] * n
-    total = 0  # while scanning back from entry k, the sum of h[:k + 1]
-    while True:
+    h = [0] * n + [c]
+    for _ in chain([None], _lex_steps(h, b, c, budget)):
         yield PlanePartition(dims, tuple(tuple(h[i:i + b]) for i in range(0, n, b)))
-        k = n - 1
-        while k >= 0 and (total >= budget or
-                          h[k] == min(h[k - b] if k >= b else c, h[k - 1] if k % b else c)):
-            total -= h[k]
-            k -= 1
-        if k < 0:
-            return
-        h[k] += 1
-        total += 1
-        h[k + 1:] = [0] * (n - 1 - k)
 
 
 def diagram_sum(dims: BoxDims, scheme: WeightScheme = Z2Z2,
@@ -303,32 +334,52 @@ def bounded_count(dims: BoxDims, k: int) -> int:
 
 
 def iter_matchings(dims: BoxDims) -> Iterator[int]:
-    """Every perfect matching, as an edge mask (bit p for edge position p),
-    by direct backtracking on the mesh (it does not go through diagrams, so
-    it verifies the bijection independently), in backtracking order."""
-    mesh = build_mesh(dims)
-    full = (1 << len(mesh.vertices)) - 1
-    # per vertex position: (edge bit, other end's bit)
-    nbrs = [tuple((1 << e, 1 << o) for e, o in ves) for ves in mesh.vertex_edges]
-    # an explicit stack, since a long box matches thousands of edges deep:
-    # each entry is (edges matched, vertices covered); every vertex below
-    # the lowest uncovered one is covered, so that one is matched next
-    stack = [(0, 0)]
-    while stack:
-        mask, covered = stack.pop()
-        if covered == full:
-            yield mask
-            continue
-        low = ~covered & (covered + 1)
-        covered |= low
-        for ebit, obit in nbrs[low.bit_length() - 1]:
-            if not covered & obit:
-                stack.append((mask | ebit, covered | obit))
+    """Every perfect matching, as an edge mask (bit p for edge position p):
+    matching_of of each diagram, in the order of enumerate_diagrams, by a
+    walk of hexagon flips from the empty diagram's matching.
+
+    Adding box (i,j,k) flips the hexagon at lattice point (i-k, j-k), which
+    XORs its full mask (``hex_masks``, both halves) into the matching.  So
+    with col[q][v] the XOR of the full masks of boxes (i,j,0..v-1) over
+    cell q = (i,j), raising entry q from v to v+1 XORs col[q][v] ^
+    col[q][v+1] and zeroing it from v XORs col[q][v]: each step of the
+    lexicographic walk (_lex_steps) costs one XOR per entry it changes.
+    The walk holds ab(c+1) masks and no stack."""
+    a, b, c = dims
+    flips = build_mesh(dims).hex_masks
+    col = []
+    for i in range(a):
+        for j in range(b):
+            acc = [0]
+            for k in range(c):
+                odd, even = flips[i - k, j - k]
+                acc.append(acc[-1] ^ odd ^ even)
+            col.append(acc)
+    M = matching_of(PlanePartition.empty(dims))
+    yield M
+    h = [0] * (a * b) + [c]
+    for k, old in _lex_steps(h, b, c, a * b * c):
+        v = h[k]
+        M ^= col[k][v - 1] ^ col[k][v]
+        if old:
+            for q, u in enumerate(old, k + 1):
+                M ^= col[q][u]
+        yield M
 
 
 def enumerate_matchings(dims: BoxDims) -> List[int]:
-    """Every perfect matching (iter_matchings), sorted by their sorted edges."""
+    """Every perfect matching (iter_matchings, the flip walk), sorted by
+    their sorted edges: the list the pair checks overlay."""
     return sorted(iter_matchings(dims), key=face_order)
+
+
+def require_count(dims: BoxDims, got: int, n: int) -> None:
+    """DiagramError (a program fault, not a failed identity) unless a check
+    enumerated ``got`` = n matchings of H_{a,b,c}, n from bounded_count: an
+    enumeration that stopped short must never pass as a whole one."""
+    if got != n:
+        raise DiagramError(f"enumerated {got} matchings of H_{tuple(dims)}, "
+                           f"but MacMahon's product counts {n}")
 
 
 # -- hexagon flips ------------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Set, Tuple
 
-from .diagrams import bounded_count, enumerate_matchings
+from .diagrams import bounded_count, enumerate_matchings, require_count
 from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
 
 
@@ -143,13 +143,15 @@ def pair_matchings(dims: BoxDims) -> List[int]:
     """The box's matchings as sorted masks, for a check that overlays all
     their pairs, each validated once.  TooLarge before any enumeration if
     overlaying the pairs would pass the work bound (bounded_count with
-    k = 2)."""
-    bounded_count(dims, 2)
+    k = 2); DiagramError (require_count) unless there are as many distinct
+    ones as that count says."""
+    n = bounded_count(dims, 2)
     mesh = build_mesh(dims)
     ms = enumerate_matchings(dims)
     for M in ms:
         if not mesh.is_perfect_matching(M):
             raise MeshMismatch("argument is not a perfect matching of the given mesh")
+    require_count(dims, len(set(ms)), n)
     return ms
 
 

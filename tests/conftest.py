@@ -24,6 +24,30 @@ def box_count_oracle(a, b, c):
     return int(n)
 
 
+def backtrack_matchings(dims: BoxDims) -> Iterator[int]:
+    """Every perfect matching of H_{a,b,c} as an edge mask, by backtracking
+    on vertex degrees straight on the mesh: the oracle for iter_matchings,
+    which walks the diagrams, so it checks the bijection independently."""
+    mesh = build_mesh(dims)
+    full = (1 << len(mesh.vertices)) - 1
+    # per vertex position: (edge bit, other end's bit)
+    nbrs = [tuple((1 << e, 1 << o) for e, o in ves) for ves in mesh.vertex_edges]
+    # an explicit stack, since a long box matches thousands of edges deep:
+    # each entry is (edges matched, vertices covered); every vertex below
+    # the lowest uncovered one is covered, so that one is matched next
+    stack = [(0, 0)]
+    while stack:
+        mask, covered = stack.pop()
+        if covered == full:
+            yield mask
+            continue
+        low = ~covered & (covered + 1)
+        covered |= low
+        for ebit, obit in nbrs[low.bit_length() - 1]:
+            if not covered & obit:
+                stack.append((mask | ebit, covered | obit))
+
+
 def mat_word(word: str) -> Mat4:
     """Product of L/R matrices for a turn word, rightmost letter applied
     first: the full 4x4 product, the oracle for squish.transfer_lift_sum."""

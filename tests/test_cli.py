@@ -289,6 +289,49 @@ def test_check_pullback_refuses_from_the_count(capsys, monkeypatch):
         run_check("pullback", BoxDims(4, 4, 4), None, None)
 
 
+def test_an_enumeration_that_stops_short_exits_three(capsys, monkeypatch):
+    # pullback streams iter_matchings and split lists enumerate_matchings,
+    # which sorts it; with the walk's last matching dropped, each is a
+    # program fault that names both counts, never a pass on a smaller box
+    import hexdimer.cli as cli
+    import hexdimer.diagrams as diagrams
+
+    real = diagrams.iter_matchings
+
+    def short(dims):
+        return iter(list(real(dims))[:-1])
+
+    monkeypatch.setattr(cli, "iter_matchings", short)
+    monkeypatch.setattr(diagrams, "iter_matchings", short)
+    for check, dims, n in (("pullback", "2,2,2", 20), ("split", "2,2,1", 6)):
+        code, out, err = run(capsys, "check", check, "-d", dims)
+        assert code == 3 and out == "" and err.startswith("internal error: DiagramError")
+        assert f"enumerated {n - 1} matchings" in err and f"counts {n}" in err
+
+
+def test_pullback_exits_three_on_a_broken_flip_table(capsys, monkeypatch):
+    # the walk reads each box's flip from hex_masks: with two hexagons'
+    # entries swapped, or one cut to one half, it yields masks that are no
+    # matching, which projection_key refuses (exit 3), never a pass
+    import hexdimer.mesh as mesh_module
+
+    monkeypatch.setattr(mesh_module, "_MESH_CACHE", {})  # a mesh of this test's own
+    mesh = mesh_module.build_mesh(BoxDims(2, 2, 2))
+    real = mesh.hex_masks
+    mutants = []
+    for p1, p2 in itertools.combinations(real, 2):
+        mutants.append({**real, p1: real[p2], p2: real[p1]})
+    for pt, (odd, even) in real.items():
+        mutants += [{**real, pt: (odd, 0)}, {**real, pt: (0, even)}]
+    assert len(mutants) == 21 + 14
+    for masks in mutants:
+        monkeypatch.setitem(vars(mesh), "hex_masks", masks)
+        code, out, err = run(capsys, "check", "pullback", "-d", "2,2,2")
+        assert code == 3 and out == "" and err.startswith("internal error:"), masks
+    monkeypatch.setitem(vars(mesh), "hex_masks", real)
+    assert run(capsys, "check", "pullback", "-d", "2,2,2")[0] == 0
+
+
 def test_check_parity_refuses_before_enumerating_any_box(capsys, monkeypatch):
     # parity enumerates no matching: with every enumeration patched to
     # raise, a box whose pairs the old sweep refused (4,4,3) passes

@@ -2,9 +2,9 @@ import itertools
 import random
 
 import pytest
-from conftest import (box_count_oracle, broken_masks, constant_value, diagram_size,
-                      face_matching_of, filled_scan_matching, full_diagram, mask_of,
-                      poly_specialize)
+from conftest import (backtrack_matchings, box_count_oracle, broken_masks, constant_value,
+                      diagram_size, face_matching_of, filled_scan_matching, full_diagram,
+                      mask_of, poly_specialize)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,11 +164,26 @@ def test_big_count():
 @pytest.mark.parametrize("dims", [(a, b, c) for a in range(1, 4) for b in range(1, 4)
                                   for c in range(1, 4)] + [(40, 1, 1), (1, 1, 40)], ids=str)
 def test_box_count_equals_matching_count(dims):
+    # counted straight on the graph, not through the diagrams
     dims = BoxDims(*dims)
-    ms = list(iter_matchings(dims))
+    ms = list(backtrack_matchings(dims))
     assert box_count(dims) == len(ms) == len(set(ms)) == box_count_oracle(*dims)
     assert set(ms) == set(enumerate_matchings(dims))
     mesh = build_mesh(dims)
+    assert all(mesh.is_perfect_matching(M) for M in ms)
+
+
+@pytest.mark.parametrize("dims", list(itertools.product(range(1, 4), repeat=3))
+                         + [(4, 4, 2), (40, 1, 1), (1, 40, 1), (1, 1, 40)], ids=str)
+def test_flip_walk_is_the_diagrams_matchings(dims):
+    # the walk yields matching_of of each diagram in enumerate_diagrams
+    # order, and the set it yields, without repeats, is the oracle's
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    ms = list(iter_matchings(dims))
+    assert ms == [matching_of(pi) for pi in enumerate_diagrams(dims)]
+    assert len(set(ms)) == len(ms) == box_count(dims)
+    assert set(ms) == set(backtrack_matchings(dims))
     assert all(mesh.is_perfect_matching(M) for M in ms)
 
 
@@ -224,7 +239,7 @@ def test_bijection_roundtrip(dims):
         assert diagram_of(mesh, M) == pi
         matchings.add(M)
     # independent enumeration straight on the graph
-    assert set(enumerate_matchings(dims)) == matchings
+    assert set(backtrack_matchings(dims)) == matchings
 
 
 def random_partition(rng, dims):
@@ -390,7 +405,7 @@ def test_matching_masks_are_the_diagrams_matchings(dims):
     dims = BoxDims(*dims)
     mesh = build_mesh(dims)
     want = {matching_of(pi) for pi in enumerate_diagrams(dims)}
-    ms = list(iter_matchings(dims))
+    ms = list(backtrack_matchings(dims))
     assert len(ms) == len(want) and set(ms) == want
     assert [sorted(mesh.faces_of(M)) for M in enumerate_matchings(dims)] == \
         sorted(sorted(mesh.faces_of(M)) for M in ms)
