@@ -15,11 +15,10 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, product
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, TooLarge, degree,
+from .algebra import (LIMIT, MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, TooLarge, degree,
                       det_mod, mat_mul, mat_neg, mat_pow, prime_above, split as split_key)
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2, box_count,
                        bounded_count, iter_matchings, matching_of, require_count, tau_move,
@@ -30,7 +29,7 @@ from .overlay import (OverlayError, distinct_overlays, iter_two_factors, overlay
 from .series import SeriesError, compare_box_vs_series, eq3_check
 from .squish import (EdgeWeighting, SquishError, lemma2_sum, lift_key, lift_preimages, project,
                      projection_key, pullback_weighting, sign_weighting, transfer_lift_sum,
-                     wp_edge_weighting)
+                     wp_edge_weighting, wp_leftover)
 
 
 class UsageError(Exception):
@@ -72,8 +71,8 @@ def check_split(dims: BoxDims) -> CheckReport:
     have disjoint splits; split sizes that add up to N^2 then leave no
     pair out."""
     rep = CheckReport("split", {"dims": ",".join(map(str, dims))})
-    mesh = build_mesh(dims)
     ms = pair_matchings(dims)
+    mesh = build_mesh(dims)
     known = set(ms)
     total = 0
     for lam in distinct_overlays(mesh, ms):
@@ -170,13 +169,14 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     rep = CheckReport("minus-one", {"dims": ",".join(map(str, dims))})
     a, b, c = dims
     sgn = (-1) ** (a * b + b * c + c * a)
+    two_factors = iter_two_factors(dims)  # TooLarge before any mesh is built
     faces = build_mesh(dims).edges
     even = build_mesh(dims.doubled())
     S = sign_weighting(even)
     values = []
     loop_sums: Dict[Tuple[int, ...], int] = {}  # each distinct loop summed once
     checked = set()
-    for lam in iter_two_factors(dims):
+    for lam in two_factors:
         got = lemma2_sum(even, lam, S, loop_sums)
         values.append(got)
         if got != sgn * 2 ** len(lam.loops):
@@ -218,6 +218,29 @@ def check_pullback(dims: BoxDims) -> CheckReport:
     return rep
 
 
+# the most edges of the even mesh `check consistency` may read: -d
+# 182,182,182 (99,372 edges) passes in 8.4 s and 156 MB on a 2-vCPU VM
+CONSISTENCY_EDGE_LIMIT = 10 ** 5
+
+
+def consistency_size(dims: BoxDims) -> None:
+    """TooLarge, from the even dims alone, unless the even mesh has at most
+    CONSISTENCY_EDGE_LIMIT edges and w_p on the base (a, b, c) keeps its
+    t-exponents, depths below a + b + c or on the A-diagonal a depth less
+    ``wp_leftover``, inside the packed range [-2**20, 2**20).  A face
+    ratio's two A-diagonal weights cancel, and the edge bound keeps
+    a + b + c at most 25,000, so its other products stay there too."""
+    a, b, c = base = dims.halved()
+    edges = 4 * (a * b + b * c + c * a)
+    if edges > CONSISTENCY_EDGE_LIMIT:
+        raise TooLarge(f"consistency on H_{tuple(dims)} reads {edges} edges, over the bound "
+                       f"{CONSISTENCY_EDGE_LIMIT}")
+    top = wp_leftover(base) + a + b + c
+    if top >= LIMIT:
+        raise TooLarge(f"the weights of H_{tuple(dims)} take t-exponents up to {top}, over the "
+                       f"bound {LIMIT} of the packed exponent range")
+
+
 def check_consistency(dims: BoxDims) -> CheckReport:
     """Normalized U(t -> -t) * S equals the diagram weight at q,r,s -> -1,
     with p = t^3, on every matching of the even mesh: checked on the empty
@@ -240,6 +263,7 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     rep = CheckReport("consistency", {"dims": ",".join(map(str, dims))})
     if not dims.is_even:
         raise UsageError("consistency check needs even dims")
+    consistency_size(dims)
     mesh = build_mesh(dims)
     U = pullback_weighting(mesh)
     S = sign_weighting(mesh)
@@ -250,9 +274,11 @@ def check_consistency(dims: BoxDims) -> CheckReport:
 
     W = EdgeWeighting(mesh, tuple(minus_t(s * u) for s, u in zip(S.weights, U.weights)))
     a, b, c = mesh.base.dims
-    empty = positions(matching_of(PlanePartition.empty(dims)))
-    w0 = reduce(Monomial.__mul__, map(W.weights.__getitem__, empty))
-    s0, e0 = w0.coeff, split_key(w0.key)[0]
+    # the empty matching's weight, its t-exponents summed as ints: a
+    # product of the packed keys would pass through about -2 wp_leftover
+    empty = [W.weights[p] for p in positions(matching_of(PlanePartition.empty(dims)))]
+    s0 = math.prod(w.coeff for w in empty)
+    e0 = sum(split_key(w.key)[0] for w in empty)
     if (s0, e0) != ((-1) ** (a * b + b * c + c * a), 0):
         rep.fail({"empty_weight": (s0, e0)})
     for pt, cycle in mesh.hex_cycles.items():

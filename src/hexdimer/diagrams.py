@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, pack
@@ -483,12 +483,17 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
 
     The DP runs over columns j = b-1 .. 0 with the column profiles as states:
     S = C(a+c, a) states and fewer than S*a term-dict additions per column.
-    TooLarge, before any state is listed, if a*b*S passes WORK_LIMIT.
+    TooLarge, before any state is listed, if a*b*S passes WORK_LIMIT, as
+    soon as one of C(n+1, 1), C(n+2, 2) .. C(n+k, k) = S does (n = max(a, c),
+    k = min(a, c)): each is the previous one times (n + i) / i.
     """
     a, b, c = dims
-    if a * b * comb(a + c, a) > WORK_LIMIT:
-        raise TooLarge(f"the partition function of H_{tuple(dims)} takes a*b*C(a+c, a) "
-                       f"term-dict additions, over the bound {WORK_LIMIT}")
+    size = 1
+    for i in range(1, min(a, c) + 1):
+        size = size * (max(a, c) + i) // i
+        if a * b * size > WORK_LIMIT:
+            raise TooLarge(f"the partition function of H_{tuple(dims)} takes a*b*C(a+c, a) "
+                           f"term-dict additions, over the bound {WORK_LIMIT}")
     states = _profile_states(a, c)
     sweep = _sweep_pairs(states)
     # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1

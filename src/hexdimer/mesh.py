@@ -22,7 +22,7 @@ ambiguity of the projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -104,6 +104,14 @@ def _down_valid(x, y, a, b, c) -> bool:
 # per class, the offsets from an edge's lattice point of its up end and of
 # its down end: the one place that knows the edge classes' geometry
 _ENDS = {"A": ((0, 0), (0, 0)), "B": ((1, 0), (0, 0)), "C": ((0, 0), (0, 1))}
+
+# the squish map: each claw of H_{2a,2b,2c} (a center and one outer vertex
+# per class) contracts to a vertex of H_{a,b,c}, so a class-cls base edge at
+# lattice point p has two lifts, the cls edges at 2p + each offset below,
+# paired with the class of the outer its lift touches in the up end's claw
+LIFT_OFFSETS = {"A": (((0, 0), "C"), ((1, 1), "B")),
+                "B": (((1, 0), "C"), ((1, 1), "A")),
+                "C": (((0, 1), "A"), ((1, 1), "B"))}
 
 
 class HexMesh:
@@ -254,13 +262,9 @@ class HexMesh:
         return n + n.bit_length()
 
     @cached_property
-    def _vertex_index(self) -> Dict[Triangle, int]:
-        return {t: i for i, t in enumerate(self.vertices)}
-
-    @cached_property
     def edge_ends(self) -> Tuple[Tuple[int, int], ...]:
         """Per edge, the positions in ``vertices`` of its up and down end."""
-        pos = self._vertex_index
+        pos = {t: i for i, t in enumerate(self.vertices)}
         out = []
         for f in self.edges:
             x, y = f.lattice
@@ -312,54 +316,21 @@ class HexMesh:
         return build_mesh(self.dims.halved())
 
     @cached_property
-    def claws(self) -> Tuple[Tuple[int, Optional[str], int], ...]:
-        """The claw partition of an even mesh's vertices, per vertex
-        position: the position in ``base.vertices`` of the base vertex its
-        claw contracts to; its outer class, which is its short edge's
-        class, or None at the claw's center; and its short edge's
-        position, -1 at the center.
-
-        The centers are the down triangles (x, y) with x even and y odd
-        and the up triangles with x odd and y even.  A center contracts to
-        base vertex (x >> 1, y >> 1) of the other orientation, and its
-        three edges, one per class, are the claw's short edges."""
-        if not self.dims.is_even:
-            raise OddDims(f"claws need even side lengths, got {tuple(self.dims)}")
-        base_index, edges, nbrs = self.base._vertex_index, self.edges, self.vertex_edges
-        table: List[Optional[Tuple[int, Optional[str], int]]] = [None] * len(self.vertices)
-        for v, t in enumerate(self.vertices):
-            if t.x & 1 == t.up and t.y & 1 != t.up:
-                if len(nbrs[v]) != 3:
-                    raise MeshError(f"claw broken at {t}")
-                b = base_index[Triangle(t.x >> 1, t.y >> 1, not t.up)]
-                table[v] = (b, None, -1)
-                for e, o in nbrs[v]:
-                    table[o] = (b, edges[e].cls, e)
-        if None in table:
-            raise MeshError("a vertex lies in no claw")
-        return tuple(table)
-
-    @cached_property
     def lifts(self) -> Tuple[Tuple[int, int], ...]:
         """Per base edge position, the positions of its two long-edge
-        preimages (its lifts), ascending: the squish map, 2-to-1 and
-        class-preserving onto the base edges."""
-        base, claws = self.base, self.claws
-        base_at = {ends: j for j, ends in enumerate(base.edge_ends)}
-        fibers: List[List[int]] = [[] for _ in base.edge_ends]
-        for i, (u, v) in enumerate(self.edge_ends):
-            ends = (claws[u][0], claws[v][0])
-            if ends[0] == ends[1]:
-                continue  # short edge
-            # a long edge joins two outers, its up end in the claw of an up
-            # base vertex: ends is (up, down), as in base.edge_ends
-            j = base_at.get(ends)
-            if j is None or base.edges[j].cls != self.edges[i].cls:
-                raise MeshError(f"long edge {self.edges[i]} does not project onto a base edge")
-            fibers[j].append(i)
-        if any(len(v) != 2 for v in fibers):
+        preimages (its lifts), in ``LIFT_OFFSETS`` order: the squish map,
+        2-to-1 and class-preserving onto the base edges."""
+        tables = dict(zip("ABC", self.lattice_table))
+        out = []
+        for f in self.base.edges:
+            x, y = f.lattice
+            table = tables[f.cls]
+            out.append(tuple(table[self.lattice_index(2 * x + dx, 2 * y + dy)]
+                             for (dx, dy), _ in LIFT_OFFSETS[f.cls]))
+        found = [i for pair in out for i in pair]
+        if -1 in found or len(set(found)) != len(found):
             raise MeshError("squish map is not 2-to-1 onto the base edge set")
-        return tuple(map(tuple, fibers))
+        return tuple(out)
 
     @cached_property
     def squish_table(self) -> List[List[int]]:
@@ -378,17 +349,22 @@ class HexMesh:
 
     @cached_property
     def short_mask(self) -> int:
-        """The mask of the short edges."""
-        return sum(1 << e for _, cls, e in self.claws if cls)
+        """The mask of the short edges: every edge that is not a lift."""
+        return ((1 << len(self.edges)) - 1) ^ sum(1 << i for pair in self.lifts for i in pair)
 
     @cached_property
     def long_cover(self) -> Tuple[int, ...]:
-        """Per edge position i, 2^i plus the bits of the short edges at the
-        edge's ends where these are outer vertices of claws.  For a long
-        edge that is both ends: a matching that holds it leaves out those
-        two shorts."""
-        bit = [1 << e if cls else 0 for _, cls, e in self.claws]
-        return tuple((1 << i) | bit[u] | bit[v] for i, (u, v) in enumerate(self.edge_ends))
+        """Per edge position i, 2^i plus the bits of the short edges at its
+        two ends.  It is read at lifts only, whose two ends are outer
+        vertices, each on the one short edge of its claw: a matching that
+        holds the lift leaves out those two shorts."""
+        ends = self.edge_ends
+        at = [0] * len(self.vertices)
+        for e in positions(self.short_mask):
+            u, v = ends[e]
+            at[u] |= 1 << e
+            at[v] |= 1 << e
+        return tuple((1 << i) | at[u] | at[v] for i, (u, v) in enumerate(ends))
 
 
 def corner_sum(t: Triangle) -> Tuple[int, int]:
@@ -431,16 +407,11 @@ def edge_table(values: Sequence[int]) -> List[List[int]]:
 # the most meshes held at once: a check that sweeps every sub-box of a
 # large box (check parity) would otherwise keep all of them
 MESH_CACHE_SIZE = 64
-_MESH_CACHE: Dict[Tuple[int, int, int], HexMesh] = {}
 
 
+@lru_cache(maxsize=MESH_CACHE_SIZE)
 def build_mesh(dims: BoxDims) -> HexMesh:
-    """The mesh of the box, built once while it stays among the last
-    MESH_CACHE_SIZE meshes built."""
-    key = tuple(dims)
-    if key not in _MESH_CACHE:
-        if len(_MESH_CACHE) >= MESH_CACHE_SIZE:
-            del _MESH_CACHE[next(iter(_MESH_CACHE))]  # the oldest
-        _MESH_CACHE[key] = HexMesh(dims)
-    return _MESH_CACHE[key]
+    """The mesh of the box, built once while it stays among the
+    MESH_CACHE_SIZE meshes used last."""
+    return HexMesh(dims)
 

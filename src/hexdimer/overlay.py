@@ -177,5 +177,6 @@ def distinct_overlays(mesh: HexMesh, ms: List[int]) -> Iterator[TwoFactor]:
 def iter_two_factors(dims: BoxDims) -> Iterator[TwoFactor]:
     """Distinct overlays over all matching pairs of the box, streamed
     (pair_matchings, distinct_overlays); TooLarge when called, before any
-    enumeration."""
-    return distinct_overlays(build_mesh(dims), pair_matchings(dims))
+    mesh is built."""
+    ms = pair_matchings(dims)
+    return distinct_overlays(build_mesh(dims), ms)

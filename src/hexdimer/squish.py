@@ -12,8 +12,7 @@ from operator import or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LIMIT, MAT_L, MAT_R, AlgebraError, Monomial, mono_t, split
-from .diagrams import PlanePartition, matching_of
-from .mesh import BoxDims, HexMesh, OddDims, build_mesh, edge_table, positions
+from .mesh import LIFT_OFFSETS, BoxDims, HexMesh, build_mesh, edge_table, positions
 from .overlay import Loop, TwoFactor, assemble_two_factor, iter_two_factors, loop_vertices
 
 
@@ -104,18 +103,29 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
             exps.append(y - max(-c, x - a + 1))
         else:
             exps.append(x - max(-c, y + 1 - b))
-    leftover = sum(exps[p] for p in positions(matching_of(PlanePartition.empty(mesh.dims))))
+    leftover = wp_leftover(mesh.dims)
     for p, f in enumerate(mesh.edges):
         if f.cls == "A" and f.lattice[0] - f.lattice[1] == a - 1:
             exps[p] -= leftover
     return EdgeWeighting(mesh, tuple(map(mono_t, exps)))
 
 
+def wp_leftover(dims: BoxDims) -> int:
+    """The depth sum of the empty matching, which ``wp_edge_weighting``
+    cancels: F(a,b) + F(a,c) + F(b,c) over its top and its two walls, with
+    F(m, n) the sum of min(u, v) over u < m, v < n, in closed form."""
+
+    def F(m: int, n: int) -> int:
+        k, n = sorted((m, n))
+        return n * k * (k - 1) // 2 - (k - 1) * k * (k + 1) // 6
+
+    a, b, c = dims
+    return F(a, b) + F(a, c) + F(b, c)
+
+
 def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
     """U: short edges weigh 1; each long edge weighs what its squished image
-    weighs on the base mesh.  Requires even dims."""
-    if not mesh.dims.is_even:
-        raise OddDims(f"pullback weighting needs even dims, got {tuple(mesh.dims)}")
+    weighs on the base mesh.  OddDims unless the mesh is even."""
     base_w = wp_edge_weighting(mesh.base).weights
     w = [Monomial(1)] * len(mesh.edges)
     for j, pair in enumerate(mesh.lifts):
@@ -130,9 +140,9 @@ def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
 @dataclass(frozen=True)
 class SignRule:
     """For each edge class, the outer-vertex class (in the claw of the base
-    edge's up-triangle endpoint) whose lift carries the -1.  The two
-    lifts of a base edge touch the two outer classes other than its own, so
-    this gives opposite signs within every lift pair."""
+    edge's up-triangle endpoint, ``LIFT_OFFSETS``) whose lift carries the
+    -1.  The two lifts of a base edge touch the two outer classes other than
+    its own there, so this gives opposite signs within every lift pair."""
 
     minus_side: Tuple[Tuple[str, str], ...]  # (edge class, outer class)
 
@@ -141,16 +151,6 @@ class SignRule:
         if sorted(d) != list(CLASSES) or any(d[k] == k or d[k] not in CLASSES
                                              for k in d):
             raise SquishError(f"malformed sign rule {self.minus_side}")
-
-    def sign(self, mesh: HexMesh, j: int, i: int) -> int:
-        """The sign of the edge at position i, a lift of the base edge at
-        position j (``HexMesh.claws``)."""
-        up = mesh.base.edge_ends[j][0]
-        for v in mesh.edge_ends[i]:
-            b, ocls, _ = mesh.claws[v]
-            if b == up and ocls:
-                return -1 if ocls == dict(self.minus_side)[mesh.base.edges[j].cls] else 1
-        raise SquishError(f"{mesh.edges[i]} does not touch the up-endpoint claw")
 
 
 def _candidate_rules() -> List[SignRule]:
@@ -163,42 +163,28 @@ def _candidate_rules() -> List[SignRule]:
 def calibrate_sign_rule() -> SignRule:
     """Pick the first class-side sign rule under which every base loop of the
     calibration meshes has signed lift sum exactly -2."""
-    calib = [BoxDims(1, 1, 1), BoxDims(2, 1, 1)]
+    evens = [build_mesh(BoxDims(1, 1, 1).doubled()), build_mesh(BoxDims(2, 1, 1).doubled())]
     for rule in _candidate_rules():
-        ok = True
-        for dims in calib:
-            even = build_mesh(dims.doubled())
-            S = _sign_weighting_for(even, rule)
-            for lam in iter_two_factors(dims):
-                for loop in lam.loops:
-                    if loop_lift_sum(even, loop, S) != -2:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        signed = ((even, _sign_weighting_for(even, rule)) for even in evens)
+        if all(loop_lift_sum(even, loop, S) == -2 for even, S in signed
+               for lam in iter_two_factors(even.base.dims) for loop in lam.loops):
             return rule
     raise NoValidRule("no class-side sign rule gives loop sums -2; "
                       "a position-dependent rule family would be needed")
 
 
 def _sign_weighting_for(mesh: HexMesh, rule: SignRule) -> EdgeWeighting:
+    minus = dict(rule.minus_side)
     w = [Monomial(1)] * len(mesh.edges)
-    for j, pair in enumerate(mesh.lifts):
-        signs = [rule.sign(mesh, j, i) for i in pair]
-        if signs[0] == signs[1]:
-            raise SquishError(f"lift pair of {mesh.base.edges[j]} got equal signs")
-        for i, s in zip(pair, signs):
-            w[i] = Monomial(s)
+    for f, pair in zip(mesh.base.edges, mesh.lifts):
+        for i, (_, outer) in zip(pair, LIFT_OFFSETS[f.cls]):
+            w[i] = Monomial(-1 if outer == minus[f.cls] else 1)
     return EdgeWeighting(mesh, tuple(w))
 
 
 def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
-    """S: +1 on short edges, calibrated +-1 on long edges."""
-    if not mesh.dims.is_even:
-        raise OddDims(f"sign weighting needs even dims, got {tuple(mesh.dims)}")
+    """S: +1 on short edges, calibrated +-1 on long edges.  OddDims unless
+    the mesh is even."""
     return _sign_weighting_for(mesh, calibrate_sign_rule())
 
 

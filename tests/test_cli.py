@@ -137,6 +137,33 @@ def test_bad_flags(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "split", "-d", "300,300,300"),
+    ("check", "minus-one", "-d", "100,100,100"),
+    ("check", "consistency", "-d", "200,200,200"),
+    ("check", "consistency", "-d", "2000000,2,2"),
+    ("check", "theorem", "-d", "1000000,1000000,1000000"),
+    ("zfun", "-d", "1000000,1000000,1000000"),
+    ("check", "fibers", "-d", "30,30,30"),
+    ("check", "pullback", "-d", "100,100,100"),
+    ("check", "parity", "--max-dims", "13,13,13"),
+], ids=" ".join)
+def test_a_refusal_builds_no_mesh(capsys, monkeypatch, argv):
+    # every size rule reads the dims alone: a refused call exits 2 at once,
+    # before the first mesh
+    from hexdimer.mesh import HexMesh, build_mesh
+
+    def no_mesh(mesh, dims):
+        raise AssertionError(f"H_{tuple(dims)} built")
+
+    monkeypatch.setattr(HexMesh, "__init__", no_mesh)
+    build_mesh.cache_clear()  # so that a cached mesh cannot stand in for one built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "over the bound" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_parse_helpers():
     assert parse_dims("2,3,4") == BoxDims(2, 3, 4)
     assert parse_set("q=-1,p=-p") == {"q": "-1", "p": "-p"}
@@ -313,10 +340,10 @@ def test_pullback_exits_three_on_a_broken_flip_table(capsys, monkeypatch):
     # the walk reads each box's flip from hex_masks: with two hexagons'
     # entries swapped, or one cut to one half, it yields masks that are no
     # matching, which projection_key refuses (exit 3), never a pass
-    import hexdimer.mesh as mesh_module
+    from hexdimer.mesh import build_mesh
 
-    monkeypatch.setattr(mesh_module, "_MESH_CACHE", {})  # a mesh of this test's own
-    mesh = mesh_module.build_mesh(BoxDims(2, 2, 2))
+    build_mesh.cache_clear()  # a mesh of this test's own
+    mesh = build_mesh(BoxDims(2, 2, 2))
     real = mesh.hex_masks
     mutants = []
     for p1, p2 in itertools.combinations(real, 2):
@@ -575,7 +602,7 @@ def test_import_builds_no_mesh():
     # import, so the start-up of every command pays for none of them
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import hexdimer.cli, hexdimer.mesh as m; print(len(m._MESH_CACHE))"
+    code = "import hexdimer.cli, hexdimer.mesh as m; print(m.build_mesh.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "0"

@@ -183,8 +183,34 @@ def test_consistency_enumerates_nothing_and_builds_no_table(monkeypatch):
         for name in ("iter_matchings", "diagram_of", "edge_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))
-    monkeypatch.setattr(mesh_module, "_MESH_CACHE", {})  # fresh meshes
+    build_mesh.cache_clear()  # fresh meshes
     rep = run_check("consistency", BoxDims(16, 16, 16), None, None)[0]
     assert rep.status == "pass"
     mesh = build_mesh(BoxDims(16, 16, 16))
     assert per_byte_tables(mesh) == per_byte_tables(mesh.base) == []
+
+
+class Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("admitted, refused, rule", [
+    ("182,182,182", "184,184,184", "101568 edges"),
+    ("294,294,2", "296,296,2", "t-exponents up to 1069967"),
+    ("24998,2,2", "25000,2,2", "100004 edges"),
+], ids=str)
+def test_the_size_rule_at_its_edges(capsys, monkeypatch, admitted, refused, rule):
+    # the last admitted size gets as far as its first mesh; the first
+    # refused one exits 2 from the dims alone.  The admitted sizes pass end
+    # to end in under 9 s and 160 MB each on a 2-vCPU VM; the flat one has
+    # the edges to spare and meets the exponent clause instead.
+    def built(mesh, dims):
+        raise Built(tuple(dims))
+
+    monkeypatch.setattr(mesh_module.HexMesh, "__init__", built)
+    build_mesh.cache_clear()
+    with pytest.raises(Built):
+        check_consistency(cli.parse_dims(admitted))
+    assert main(["check", "consistency", "-d", refused]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and rule in err and "over the bound" in err

@@ -10,7 +10,7 @@ from conftest import (broken_masks, mask_of, per_byte_tables, propellers, rhombu
                       triangle_corners)
 from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
 from hexdimer.mesh import (
-    BoxDims, Face, HexMesh, MeshError, OddDims,
+    LIFT_OFFSETS, MESH_CACHE_SIZE, BoxDims, Face, HexMesh, MeshError, OddDims,
     UnknownFace, build_mesh, edge_table, positions,
 )
 
@@ -289,7 +289,7 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
-    lazy = ("edge_ends", "vertex_edges", "centroids", "endpoint_bits", "claws", "lifts",
+    lazy = ("edge_ends", "vertex_edges", "centroids", "endpoint_bits", "lifts",
             "squish_table", "long_cover", "short_mask", "lattice_table", "hex_cycles")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
@@ -344,7 +344,7 @@ def test_propellers_partition_and_contract(base):
     assert sorted(i for pair in even.lifts for i in pair) == \
         [i for i, f in enumerate(faces) if f not in shorts]
     for bf, lifts in zip(base_faces, even.lifts):
-        assert len(lifts) == 2 and lifts[0] < lifts[1]
+        assert len(lifts) == 2
         for i in lifts:
             assert faces[i].cls == bf.cls
             assert squish_edge(even, faces[i]) == bf
@@ -354,25 +354,35 @@ def test_propellers_partition_and_contract(base):
                                   BoxDims(3, 2, 2), BoxDims(1, 3, 2), BoxDims(4, 4, 4)],
                          ids=str)
 def test_claws_against_triangle_arithmetic(base):
-    # the claw table, the short mask and the long covers against the
-    # propellers built from each base vertex's triangles
+    # each lift joins the outer of LIFT_OFFSETS' class in the claw of its
+    # base edge's up end to the outer of the third class in the claw of its
+    # down end, the claws being the propellers built from each base
+    # vertex's triangles; the short mask and the long covers follow them
     even = build_mesh(base.doubled())
-    vertex = {t: v for v, t in enumerate(even.vertices)}
-    base_vertex = {t: v for v, t in enumerate(even.base.vertices)}
-    want = [None] * len(even.vertices)
-    short_at = {}
-    for p in propellers(even):
-        b = base_vertex[p.base]
-        want[vertex[p.center]] = (b, None, -1)
-        for cls, o in p.outers.items():
-            want[vertex[o]] = (b, cls, even.edges.index(p.shorts[cls]))
-            short_at[o] = p.shorts[cls]
-    assert list(even.claws) == want
-    assert even.short_mask == mask_of(even, short_at.values())
+    by_base = {p.base: p for p in propellers(even)}
     ends = rhombus_ends(even)
-    for i, f in enumerate(even.edges):
-        assert even.long_cover[i] == mask_of(even, {f} | {short_at[t] for t in ends[f]
-                                                          if t in short_at})
+    for (bf, (up, down)), pair in zip(rhombus_ends(even.base).items(), even.lifts):
+        assert len(pair) == 2
+        for i, (_, outer) in zip(pair, LIFT_OFFSETS[bf.cls]):
+            (third,) = set("ABC") - {bf.cls, outer}
+            assert ends[even.edges[i]] == (by_base[up].outers[outer], by_base[down].outers[third])
+    short_at = {o: p.shorts[cls] for p in propellers(even) for cls, o in p.outers.items()}
+    assert even.short_mask == mask_of(even, short_at.values())
+    for i in (i for pair in even.lifts for i in pair):
+        f = even.edges[i]
+        assert even.long_cover[i] == mask_of(even, {f} | {short_at[t] for t in ends[f]})
+
+
+@pytest.mark.parametrize("cls, offsets", [
+    ("A", (((0, 0), "C"), ((0, 0), "B"))),  # each A lift twice
+    ("B", (((1, 0), "C"), ((0, 1), "A"))),  # one B lift at no edge of H_{4,2,2}
+], ids=("repeated", "missing"))
+def test_a_broken_lift_table_is_refused(monkeypatch, cls, offsets):
+    import hexdimer.mesh as mesh_module
+
+    monkeypatch.setitem(mesh_module.LIFT_OFFSETS, cls, offsets)
+    with pytest.raises(MeshError, match="not 2-to-1"):
+        HexMesh(BoxDims(4, 2, 2)).lifts
 
 
 def test_positions_are_the_set_bits():
@@ -382,7 +392,7 @@ def test_positions_are_the_set_bits():
 
 
 def test_propellers_need_even_dims():
-    for name in ("claws", "lifts", "short_mask", "long_cover"):
+    for name in ("lifts", "short_mask", "long_cover"):
         with pytest.raises(OddDims):
             getattr(HexMesh(BoxDims(2, 1, 2)), name)
 
@@ -471,14 +481,18 @@ def test_unsquish():
         assert back == set(sub)
 
 
-def test_the_mesh_cache_keeps_the_latest_meshes(monkeypatch):
-    import hexdimer.mesh as mesh_module
-
-    monkeypatch.setattr(mesh_module, "_MESH_CACHE", {})
+def test_the_mesh_cache_keeps_the_latest_meshes():
+    build_mesh.cache_clear()
     first = build_mesh(BoxDims(1, 1, 1))
     assert build_mesh(BoxDims(1, 1, 1)) is first
-    for a in range(2, mesh_module.MESH_CACHE_SIZE + 2):
+    for a in range(2, MESH_CACHE_SIZE + 1):
         build_mesh(BoxDims(a, 1, 1))
-    assert len(mesh_module._MESH_CACHE) == mesh_module.MESH_CACHE_SIZE
-    assert (1, 1, 1) not in mesh_module._MESH_CACHE  # the oldest went first
-    assert build_mesh(BoxDims(1, 1, 1)) is not first
+    assert build_mesh.cache_info().currsize == MESH_CACHE_SIZE
+    assert build_mesh(BoxDims(1, 1, 1)) is first  # now the one used last
+    second = build_mesh(BoxDims(2, 1, 1))  # now the one used last
+    build_mesh(BoxDims(MESH_CACHE_SIZE + 1, 1, 1))  # evicts (3, 1, 1)
+    assert build_mesh.cache_info().currsize == MESH_CACHE_SIZE
+    assert build_mesh(BoxDims(1, 1, 1)) is first and build_mesh(BoxDims(2, 1, 1)) is second
+    misses = build_mesh.cache_info().misses
+    build_mesh(BoxDims(3, 1, 1))
+    assert build_mesh.cache_info().misses == misses + 1

@@ -19,7 +19,7 @@ from hexdimer.squish import (
     key_masks, lemma2_sum, lift_key, lift_preimages, loop_lift_sum,
     project, projection_key,
     _loop_lift_choices, _sign_weighting_for, pullback_weighting, sign_weighting,
-    transfer_lift_sum, turn_word, wp_edge_weighting,
+    transfer_lift_sum, turn_word, wp_edge_weighting, wp_leftover,
 )
 
 BASE_DIMS = [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 1)]
@@ -46,13 +46,11 @@ def coin_signs(mesh, seed):
 
 
 def claws_by_base(mesh):
-    """Per base vertex position, its claw's outers: (class, vertex
-    position, short edge position), read off HexMesh.claws."""
-    out = [[] for _ in mesh.base.vertices]
-    for v, (b, cls, e) in enumerate(mesh.claws):
-        if cls:
-            out[b].append((cls, v, e))
-    return out
+    """Per base vertex, its claw's outers: (class, vertex position, short
+    edge position), read off the propellers built by triangle arithmetic."""
+    vertex, edge = {t: v for v, t in enumerate(mesh.vertices)}, edge_positions(mesh)
+    return [[(cls, vertex[o], edge[p.shorts[cls]]) for cls, o in p.outers.items()]
+            for p in propellers(mesh)]
 
 
 def hexagon_loop():
@@ -77,8 +75,16 @@ def test_wp_weighs_matchings_by_box_count(dims):
             Monomial(1, pack(3 * diagram_size(pi), 0, 0, 0))
 
 
+def test_wp_leftover_is_the_sum_of_min_over_the_top_and_walls():
+    def F(m, n):
+        return sum(min(u, v) for u in range(m) for v in range(n))
+
+    for a, b, c in itertools.product(range(1, 9), range(1, 5), range(1, 5)):
+        assert wp_leftover(BoxDims(a, b, c)) == F(a, b) + F(a, c) + F(b, c)
+
+
 def test_wp_empty_matching_is_one():
-    for dims in BASE_DIMS:
+    for dims in itertools.starmap(BoxDims, itertools.product(range(1, 5), repeat=3)):
         mesh = build_mesh(dims)
         wp = wp_edge_weighting(mesh)
         empty = matching_of(PlanePartition.empty(dims))
@@ -184,7 +190,8 @@ def test_some_candidate_rules_fail_nothing():
     from hexdimer.squish import _candidate_rules
     assert len(_candidate_rules()) == 8
     for rule in _candidate_rules():
-        _sign_weighting_for(mesh, rule)  # raises if a pair got equal signs
+        S = _sign_weighting_for(mesh, rule).weights
+        assert all(S[l1].coeff == -S[l2].coeff for l1, l2 in mesh.lifts)
 
 
 # -- projection and fibers -------------------------------------------------------
