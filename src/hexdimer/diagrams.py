@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import gcd, isqrt
+from operator import ge
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, pack
@@ -110,8 +111,20 @@ class PlanePartition:
 
     def __post_init__(self):
         a, b, c = self.dims
-        if len(self.h) != a or any(len(row) != b for row in self.h):
+        h = self.h
+        if len(h) != a or any(len(row) != b for row in h):
             raise DiagramError(f"heights matrix is not {a}x{b}")
+        # the cells in row-major order, each compared at C level with the
+        # one right of it (0 past a row's end) and the one below it: for
+        # ints, weak decrease both ways puts every cell between the 0
+        # padding and cells[0] <= c.  Only a matrix that fails is scanned
+        # cell by cell, for its first fault.
+        cells = list(chain.from_iterable(h))
+        right = cells[1:] + [0]
+        right[b - 1::b] = [0] * a
+        if (set(map(type, cells)) == {int} and all(map(ge, cells, right))
+                and all(map(ge, cells, cells[b:])) and cells[0] <= c):
+            return
         for i in range(a):
             for j in range(b):
                 v = self.h[i][j]
@@ -235,7 +248,9 @@ def matching_of(pi: PlanePartition) -> int:
     face.  A(i,j,k) sits at lattice point (i-k, j-k), B and C(i,j,z) at
     (i-z-1, j-z-1), which moves by (-1,-1), so by -S in the table, per
     step of z: a wall is one strided slice.  Its stop index is that of
-    (i-c-1, j-c-1), in the padding and never negative, so it never wraps."""
+    (i-c-1, j-c-1), in the padding and never negative, so it never wraps.
+    Each position sets a '1' in one bytearray of '0's, bit 0 first, which
+    reversed is the mask in base 2."""
     mesh = build_mesh(pi.dims)
     A, B, C = mesh.lattice_table
     W = mesh.lattice_width
@@ -259,34 +274,47 @@ def matching_of(pi: PlanePartition) -> int:
             up = k
             st += W
         out += C[st:st - up * S:-S]
-    return sum(map((1).__lshift__, out))
+    digits = bytearray(b"0") * len(mesh.edges)
+    for p in out:
+        digits[p] = 49  # b"1"
+    return int(digits[::-1], 2)
 
 
 def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
     """Inverse of matching_of.  Raises NotAMatching unless the edge mask M
     is a perfect matching of the mesh (equivalently, unless it arises from
-    a diagram)."""
-    if not mesh.is_perfect_matching(M):
-        raise NotAMatching("edge set has a vertex of degree != 1")
+    a diagram).
+
+    A mask without the size of a matching (``HexMesh.fits_matching``:
+    negative, a bit past the last edge, or not V/2 bits) is refused before
+    its bits are read.  The heights come from the class-A block alone, the
+    low len(a_points) bits: on the anti-diagonal d = i - j the map
+    i -> x = i - h(i, i-d) is strictly increasing, so the A edges' points
+    (d, x) (``HexMesh.a_points``), sorted, name the cells diagonal by
+    diagonal.  The round trip matching_of(pi) == M then proves M a perfect
+    matching, as matching_of returns only matchings; no endpoint is
+    scanned."""
+    if not mesh.fits_matching(M):
+        raise NotAMatching("edge mask is negative, has a bit past the last edge, "
+                           "or has not one edge per two vertices")
     a, b, c = mesh.dims
-    # class-A edges determine the heights: on the anti-diagonal i - j = d the
-    # map i -> x = i - h(i, i-d) is strictly increasing, so sort and assign.
-    by_diag: Dict[int, List[int]] = {}
-    for f in map(mesh.edges.__getitem__, positions(M)):
-        if f.cls == "A":  # at lattice point (i - k, j - k)
-            by_diag.setdefault(f.i - f.j, []).append(f.i - f.k)
+    points = mesh.a_points
+    found = sorted(map(points.__getitem__, positions(M & ((1 << len(points)) - 1))))
+    if len(found) != a * b:
+        raise NotAMatching(f"{len(found)} horizontal faces, not one per cell of {a}x{b}")
     h = [[0] * b for _ in range(a)]
-    for d, xs in by_diag.items():
-        cells = [(i, i - d) for i in range(max(0, d), min(a, b + d))]
-        if len(xs) != len(cells):
-            raise NotAMatching(f"wrong number of horizontal faces on diagonal {d}")
-        for x, (i, j) in zip(sorted(xs), cells):
+    cell = iter(found)
+    for d in range(1 - b, a):
+        for i in range(max(0, d), min(a, b + d)):
+            e, x = next(cell)
+            if e != d:  # diagonal min(d, e) has too few or too many faces
+                raise NotAMatching(f"wrong number of horizontal faces on diagonal {min(d, e)}")
             k = i - x
             if not 0 <= k <= c:
                 raise NotAMatching(f"face at ({x},{x - d}) implies height {k}")
-            h[i][j] = k
+            h[i][i - d] = k
     try:
-        pi = PlanePartition(BoxDims(a, b, c), tuple(map(tuple, h)))
+        pi = PlanePartition(mesh.dims, tuple(map(tuple, h)))
     except DiagramError as exc:
         raise NotAMatching(str(exc)) from exc
     if matching_of(pi) != M:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -165,6 +166,14 @@ class HexMesh:
         return (x + c + 1) * self.lattice_width + y + c + 1
 
     @cached_property
+    def a_points(self) -> Tuple[Tuple[int, int], ...]:
+        """Per class-A edge, the lattice point (x, y) of A(i,j,k), as
+        (x - y, x) = (i - j, i - k): its anti-diagonal, then x.  ``edges``
+        sorts by class, so the A edges are its first len(a_points)
+        positions, and a mask's A edges are its low len(a_points) bits."""
+        return tuple((f.i - f.j, f.i - f.k) for f in self.edges if f.cls == "A")
+
+    @cached_property
     def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
         """Each hexagonal face, in sorted order, -> the positions of its six
         edges in cyclic order; at lattice point (x, y): up(x,y) -A(x,y)-
@@ -200,18 +209,24 @@ class HexMesh:
         return {pt: (1 << p[0] | 1 << p[2] | 1 << p[4], 1 << p[1] | 1 << p[3] | 1 << p[5])
                 for pt, p in self.hex_cycles.items()}
 
+    def fits_matching(self, M: int) -> bool:
+        """M has the size of a perfect matching: a mask (not negative) with
+        no bit past the last edge and V/2 bits.  The cheap test a mask
+        passes before any check reads its bits."""
+        # a negative mask shifts to -1
+        return not M >> len(self.edges) and 2 * M.bit_count() == len(self.vertices)
+
     def is_perfect_matching(self, M: int) -> bool:
         """Every vertex has degree one, for an edge mask M (bit p for the
-        edge at position p of ``edges``): M holds V/2 mesh edges whose
-        endpoint bits (``endpoint_bits``), summed edge by edge, add up to
-        2^V - 1.  A sum of V bits that carries anywhere has fewer than V
-        ones, so the sum is reached only with one bit per vertex.  No table
-        is read or built."""
-        n = len(self.vertices)
-        if M >> len(self.edges) or 2 * M.bit_count() != n:  # a negative mask shifts to -1
+        edge at position p of ``edges``): M has the size of a matching
+        (``fits_matching``), and the endpoint bits (``endpoint_bits``) of
+        its edges add up to 2^V - 1.  A sum of V bits that carries
+        anywhere has fewer than V ones, so the sum is reached only with
+        one bit per vertex.  The bits are picked out by ``bit_flags`` and
+        summed at C level; no table is read or built."""
+        if not self.fits_matching(M):
             return False
-        bits = self.endpoint_bits
-        return sum(bits[e] for e in positions(M)) == (1 << n) - 1
+        return sum(compress(self.endpoint_bits, bit_flags(M))) == (1 << len(self.vertices)) - 1
 
     # -- edge masks ---------------------------------------------------------
     # An edge set is also an int mask: bit i stands for the i-th edge of
@@ -245,12 +260,11 @@ class HexMesh:
         of such a mask add V endpoint bits below V 2^V, so the low part
         carries into no higher bit; it must be 2^V - 1, the rule of
         ``is_perfect_matching``."""
-        n = len(self.vertices)
-        if M >> len(self.edges) or 2 * M.bit_count() != n:  # a negative mask shifts to -1
+        if not self.fits_matching(M):
             return None
         total = self.edge_sum(M, self.squish_table)
         width = self.endpoint_width
-        if total & ((1 << width) - 1) != (1 << n) - 1:
+        if total & ((1 << width) - 1) != (1 << len(self.vertices)) - 1:
             return None
         return total >> width
 
@@ -374,21 +388,36 @@ def corner_sum(t: Triangle) -> Tuple[int, int]:
     return (3 * t.x + 2, 3 * t.y + 1)
 
 
-_FACE_ORDER = str.maketrans("01", "ba")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def face_order(mask: int) -> str:
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of a mask, from bit 0 up to its highest (one byte
+    for mask 0): 1 for a set bit and 0 for a clear one, the selectors
+    ``itertools.compress`` takes.  The one reader of a mask's bits;
+    ValueError for a negative int, whose ``bin`` has a sign."""
+    if mask < 0:
+        raise ValueError(f"a mask cannot be negative, got {mask}")
+    return bin(mask).encode()[:1:-1].translate(_FLAGS)
+
+
+_FACE_ORDER = bytes.maketrans(b"\0\1", b"ba")
+
+
+def face_order(mask: int) -> bytes:
     """A sort key that orders masks as their sorted edge lists: the mask's
     bits from bit 0 up to its highest, 'a' for an edge and 'b' for none.
     At the least edge in one mask and not the other, the mask holding it
     reads 'a' and comes first, unless the other mask ends there, which
     makes its list a prefix of the first's."""
-    return bin(mask)[:1:-1].translate(_FACE_ORDER) if mask else ""
+    return bit_flags(mask).translate(_FACE_ORDER) if mask else b""
 
 
 def positions(mask: int) -> List[int]:
-    """The positions of a mask's bits, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    """The positions of a mask's bits, ascending, picked at C level from
+    ``bit_flags``.  ValueError for a negative int."""
+    flags = bit_flags(mask)
+    return list(compress(range(len(flags)), flags))
 
 
 def edge_table(values: Sequence[int]) -> List[List[int]]:

@@ -16,7 +16,7 @@ from hexdimer.diagrams import (
     enumerate_matchings, flippable_faces, iter_matchings, matching_of, tau_move,
     z_poly,
 )
-from hexdimer.mesh import BoxDims, Face, build_mesh
+from hexdimer.mesh import BoxDims, Face, HexMesh, build_mesh, positions
 from hexdimer.overlay import MeshMismatch, overlay
 
 
@@ -43,6 +43,55 @@ def test_plane_partition_validation():
         PlanePartition(dims, ((1, 0), (2, 0)))  # increases along a column
     with pytest.raises(DiagramError):
         PlanePartition(dims, ((3, 0), (0, 0)))  # above the box
+
+
+def first_fault(h, dims):
+    """(exception type, message) of the first fault of a heights matrix,
+    found cell by cell in row-major order (the value, then the cell below,
+    then the one to the right), or None: the oracle for PlanePartition's
+    checks."""
+    a, b, c = dims
+    try:
+        if len(h) != a or any(len(row) != b for row in h):
+            raise DiagramError(f"heights matrix is not {a}x{b}")
+        for i in range(a):
+            for j in range(b):
+                v = h[i][j]
+                if type(v) is not int or not 0 <= v <= c:
+                    raise DiagramError(f"height {v!r} at ({i},{j}) is not an integer in [0,{c}]")
+                if i + 1 < a and h[i + 1][j] > v:
+                    raise DiagramError("heights increase along a column")
+                if j + 1 < b and h[i][j + 1] > v:
+                    raise DiagramError("heights increase along a row")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_plane_partition_refuses_as_the_cell_scan(data):
+    # the pairwise row and column comparisons accept exactly the matrices
+    # the cell-by-cell scan accepts, and a refusal names the scan's first
+    # fault, with its exception type
+    a, b, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    value = st.one_of(st.integers(-1, c + 1), st.integers(0, c), st.integers(0, c),
+                      st.sampled_from([True, False, 1.0, "1", None]))
+    shape = st.sampled_from([(a, b)] * 6 + [(a + 1, b), (a, b - 1)])
+    rows, cols = data.draw(shape)
+    h = tuple(tuple(data.draw(value) for _ in range(cols)) for _ in range(rows))
+    if data.draw(st.booleans()):  # a sorted one, mostly a diagram
+        cells = sorted((v for row in h for v in row if type(v) is int), reverse=True)
+        if len(cells) == rows * cols:
+            h = tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+    dims = BoxDims(a, b, c)
+    want = first_fault(h, dims)
+    try:
+        PlanePartition(dims, h)
+        got = None
+    except Exception as exc:
+        got = type(exc), str(exc)
+    assert got == want, h
 
 
 def test_diagram_weight_examples():
@@ -335,6 +384,53 @@ def test_diagram_of_rejects_non_matchings():
                     diagram_of(mesh, mask_of(mesh, (F - mine) | frozenset(three)))
 
 
+def no_endpoint_test(self, M):
+    raise AssertionError("is_perfect_matching was called")
+
+
+def test_diagram_of_reads_only_the_class_a_block(monkeypatch):
+    # with the endpoint test patched off, every diagram up to (3,3,3) and
+    # random 12x12x12 ones still come back from their matchings, and the
+    # heights are read off the low len(a_points) bits alone
+    import hexdimer.diagrams as diagrams_module
+
+    read = []
+
+    def recorded(mask):
+        read.append(mask)
+        return positions(mask)
+
+    monkeypatch.setattr(HexMesh, "is_perfect_matching", no_endpoint_test)
+    monkeypatch.setattr(diagrams_module, "positions", recorded)
+    pis = [pi for dims in itertools.product(range(1, 4), repeat=3)
+           for pi in enumerate_diagrams(BoxDims(*dims))]
+    rng = random.Random(12)
+    pis += [random_partition(rng, BoxDims(12, 12, 12)) for _ in range(20)]
+    for pi in pis:
+        mesh = build_mesh(pi.dims)
+        read.clear()
+        assert diagram_of(mesh, matching_of(pi)) == pi
+        assert len(read) == 1 and not read[0] >> len(mesh.a_points)
+        assert len(mesh.a_points) == sum(f.cls == "A" for f in mesh.edges)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],
+                         ids=str)
+def test_diagram_of_refuses_without_the_endpoint_test(monkeypatch, dims):
+    # the size rule and the round trip refuse every broken mask; the edge
+    # trades at the right popcount are the ones only the round trip sees
+    monkeypatch.setattr(HexMesh, "is_perfect_matching", no_endpoint_test)
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    traded = 0
+    for M in enumerate_matchings(dims):
+        for N in broken_masks(mesh, M):
+            with pytest.raises(NotAMatching):
+                diagram_of(mesh, N)
+            traded += mesh.fits_matching(N)
+    assert traded
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],
                          ids=str)
 def test_bijection_refuses_broken_masks(dims):
@@ -512,6 +608,24 @@ def test_json_format():
     obj = pi.to_json_obj()
     assert obj == {"dims": [2, 2, 1], "heights": [[1, 1], [1, 0]]}
     assert PlanePartition.from_json_obj(obj) == pi
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_drawn_heights_roundtrip(data):
+    # boxes up to (8,8,8), each height drawn below the bounds above and left
+    a, b, c = (data.draw(st.integers(1, 8)) for _ in range(3))
+    h = [[0] * b for _ in range(a)]
+    for i in range(a):
+        for j in range(b):
+            h[i][j] = data.draw(st.integers(0, min(h[i - 1][j] if i else c,
+                                                   h[i][j - 1] if j else c)))
+    dims = BoxDims(a, b, c)
+    pi = PlanePartition(dims, tuple(map(tuple, h)))
+    mesh = build_mesh(dims)
+    M = matching_of(pi)
+    assert mesh.is_perfect_matching(M)
+    assert diagram_of(mesh, M) == pi
 
 
 @given(st.data())

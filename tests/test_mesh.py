@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import (broken_masks, mask_of, per_byte_tables, propellers, rhombus_ends,
                       triangle_corners)
-from hexdimer.diagrams import enumerate_matchings, flippable_faces, tau_move
+from hexdimer.diagrams import (NotAMatching, PlanePartition, diagram_of, enumerate_matchings,
+                               flippable_faces, matching_of, tau_move)
 from hexdimer.mesh import (
     LIFT_OFFSETS, MESH_CACHE_SIZE, BoxDims, Face, HexMesh, MeshError, OddDims,
-    UnknownFace, build_mesh, edge_table, positions,
+    UnknownFace, build_mesh, edge_table, face_order, positions,
 )
 
 
@@ -290,11 +291,19 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
     lazy = ("edge_ends", "vertex_edges", "centroids", "endpoint_bits", "lifts",
-            "squish_table", "long_cover", "short_mask", "lattice_table", "hex_cycles")
+            "squish_table", "long_cover", "short_mask", "lattice_table", "hex_cycles",
+            "a_points")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
     assert not mesh.is_perfect_matching(0)
+    with pytest.raises(NotAMatching):
+        diagram_of(mesh, 0)
     assert not any(name in vars(mesh) for name in lazy)
+    # the bijection reads heights off the class-A points alone (its round
+    # trip runs on the cached mesh of the same box)
+    pi = PlanePartition(mesh.dims, ((1,) * 8,) * 8)
+    assert diagram_of(mesh, matching_of(pi)) == pi
+    assert [name for name in lazy if name in vars(mesh)] == ["a_points"]
     # the endpoint bits are summed edge by edge, without a per-byte table
     assert not mesh.is_perfect_matching((1 << (len(mesh.vertices) // 2)) - 1)
     assert "endpoint_bits" in vars(mesh) and "squish_table" not in vars(mesh)
@@ -387,8 +396,36 @@ def test_a_broken_lift_table_is_refused(monkeypatch, cls, offsets):
 
 def test_positions_are_the_set_bits():
     rng = random.Random(5)
-    for mask in [0, 1, 2, 0b1011] + [rng.getrandbits(70) for _ in range(20)]:
+    masks = [0, 1, 2, 0b1011] + [rng.getrandbits(70) for _ in range(20)]
+    # wide masks, up to 5,000 bits, sparse and dense
+    masks += [rng.getrandbits(w) for w in (255, 256, 257, 1260, 4999, 5000) for _ in range(3)]
+    masks += [2 ** k - 1 for k in (1, 7, 8, 9, 64, 420, 1260, 4999, 5000)]
+    masks += [1 << 4999, 1 << 4999 | 1, sum(1 << rng.randrange(5000) for _ in range(40))]
+    for mask in masks:
         assert positions(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+    # a negative int has no bits to list: its bin() would read '-0b...'
+    for mask in (-1, -2, -0b1011, -(2 ** 5000 - 1), -(1 << 5000)):
+        with pytest.raises(ValueError):
+            positions(mask)
+        with pytest.raises(ValueError):
+            face_order(mask)
+
+
+def test_face_order_sorts_masks_as_edge_lists():
+    rng = random.Random(6)
+    masks = [0, 1, 2, 3, 1 << 9] + [rng.getrandbits(rng.randrange(1, 40)) for _ in range(200)]
+    assert sorted(masks, key=face_order) == sorted(masks, key=positions)
+
+
+def test_fits_matching_is_the_size_rule():
+    mesh = build_mesh(BoxDims(3, 2, 2))
+    m, half = len(mesh.edges), len(mesh.vertices) // 2
+    M = enumerate_matchings(mesh.dims)[0]
+    assert mesh.fits_matching(M) and mesh.fits_matching((1 << half) - 1)
+    assert mesh.fits_matching(((1 << half) - 1) << (m - half))  # the last edge set
+    for bad in (0, -M, M | 1 << m, M ^ 1 << 0 ^ 1 << m, (1 << (half + 1)) - 1,
+                (1 << (half - 1)) - 1, -1, (1 << m) - 1):
+        assert not mesh.fits_matching(bad), bad
 
 
 def test_propellers_need_even_dims():
