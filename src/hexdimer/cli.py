@@ -27,7 +27,7 @@ from .mesh import BoxDims, Face, MeshError, build_mesh, positions
 from .overlay import (OverlayError, distinct_overlays, iter_two_factors, overlay,
                       pair_matchings, split)
 from .series import SeriesError, compare_box_vs_series, eq3_check
-from .squish import (EdgeWeighting, SquishError, lemma2_sum, lift_key, lift_preimages, project,
+from .squish import (EdgeWeighting, SquishError, lemma2_sum, lift_preimages, project,
                      projection_key, pullback_weighting, sign_weighting, transfer_lift_sum,
                      wp_edge_weighting, wp_leftover)
 
@@ -366,7 +366,7 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     sizes = []
     for lam in iter_two_factors(dims):
         pre = lift_preimages(even, lam)
-        key = lift_key(lam)
+        key = lam.doubled, lam.loop_mask()
         distinct = len(set(pre))
         stray = next((mu for mu in pre if projection_key(even, mu) != key), None)
         if not pre or distinct != len(pre) or stray is not None:

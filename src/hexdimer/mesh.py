@@ -108,11 +108,8 @@ _ENDS = {"A": ((0, 0), (0, 0)), "B": ((1, 0), (0, 0)), "C": ((0, 0), (0, 1))}
 
 # the squish map: each claw of H_{2a,2b,2c} (a center and one outer vertex
 # per class) contracts to a vertex of H_{a,b,c}, so a class-cls base edge at
-# lattice point p has two lifts, the cls edges at 2p + each offset below,
-# paired with the class of the outer its lift touches in the up end's claw
-LIFT_OFFSETS = {"A": (((0, 0), "C"), ((1, 1), "B")),
-                "B": (((1, 0), "C"), ((1, 1), "A")),
-                "C": (((0, 1), "A"), ((1, 1), "B"))}
+# lattice point p has two lifts, the cls edges at 2p + each offset below
+LIFT_OFFSETS = {"A": ((0, 0), (1, 1)), "B": ((1, 0), (1, 1)), "C": ((0, 1), (1, 1))}
 
 
 class HexMesh:
@@ -251,10 +248,11 @@ class HexMesh:
         self.check_mask(mask)
         return sum(map(list.__getitem__, table, mask.to_bytes(len(table), "little")))
 
-    def matching_sum(self, M: int) -> Optional[int]:
+    def matching_sum(self, M: int) -> Optional[Tuple[int, int]]:
         """On an even mesh: None unless the mask M is a perfect matching;
-        else its squish digits, the part of M's sum over ``squish_table``
-        above the low ``endpoint_width`` bits.
+        else the masks, over ``base.edges``, of the base edges whose first
+        lift and whose second lift M holds, read off M's sum over
+        ``squish_table``.
 
         The table is read only for a mask of the right size.  The V/2 edges
         of such a mask add V endpoint bits below V 2^V, so the low part
@@ -266,7 +264,8 @@ class HexMesh:
         width = self.endpoint_width
         if total & ((1 << width) - 1) != (1 << len(self.vertices)) - 1:
             return None
-        return total >> width
+        n = len(self.lifts)
+        return total >> width & ((1 << n) - 1), total >> (width + n)
 
     @property
     def endpoint_width(self) -> int:
@@ -338,9 +337,8 @@ class HexMesh:
         out = []
         for f in self.base.edges:
             x, y = f.lattice
-            table = tables[f.cls]
-            out.append(tuple(table[self.lattice_index(2 * x + dx, 2 * y + dy)]
-                             for (dx, dy), _ in LIFT_OFFSETS[f.cls]))
+            out.append(tuple(tables[f.cls][self.lattice_index(2 * x + dx, 2 * y + dy)]
+                             for dx, dy in LIFT_OFFSETS[f.cls]))
         found = [i for pair in out for i in pair]
         if -1 in found or len(set(found)) != len(found):
             raise MeshError("squish map is not 2-to-1 onto the base edge set")
@@ -349,16 +347,18 @@ class HexMesh:
     @cached_property
     def squish_table(self) -> List[List[int]]:
         """The ``edge_table`` of each edge's endpoint bits plus, above the
-        low ``endpoint_width`` bits, its squish digit: 4^j for a long edge,
-        j its image's position in ``base.edges``, and 0 for a short edge.
-        One sum decides a perfect matching and gives its digits
-        (``matching_sum``): 2, 1 or 0 at each base edge whose two lifts it
-        holds, one lift or none; no digit can carry."""
+        low ``endpoint_width`` bits, two fields of n = len(base.edges) bits:
+        bit j of the first for the first lift of base edge j, bit j of the
+        second for its second lift, and nothing for a short edge.  One sum
+        decides a perfect matching and gives the base edges whose first
+        and whose second lift it holds (``matching_sum``); each lift sets
+        its own bit, so no field can carry."""
         values = list(self.endpoint_bits)
         width = self.endpoint_width
-        for j, pair in enumerate(self.lifts):
-            for i in pair:
-                values[i] += 4 ** j << width
+        n = len(self.lifts)
+        for j, (first, second) in enumerate(self.lifts):
+            values[first] += 1 << (width + j)
+            values[second] += 1 << (width + n + j)
         return edge_table(values)
 
     @cached_property

@@ -12,7 +12,7 @@ from operator import or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LIMIT, MAT_L, MAT_R, AlgebraError, Monomial, mono_t, split
-from .mesh import LIFT_OFFSETS, BoxDims, HexMesh, build_mesh, edge_table, positions
+from .mesh import BoxDims, HexMesh, build_mesh, edge_table, positions
 from .overlay import Loop, TwoFactor, assemble_two_factor, iter_two_factors, loop_vertices
 
 
@@ -22,9 +22,6 @@ class SquishError(Exception):
 
 class NoValidRule(SquishError):
     pass
-
-
-CLASSES = ("A", "B", "C")
 
 
 @dataclass(frozen=True)
@@ -42,38 +39,44 @@ class EdgeWeighting:
                               f"{len(self.mesh.edges)} edges of H_{tuple(self.mesh.dims)}")
 
     @cached_property
-    def _tables(self) -> Tuple[List[List[int]], int, int]:
-        """The edge_table of the edges' keys, the mask of the edges weighing
-        -1, and the mask of the edges whose key is not 0.  In every field the
-        exponents' absolute values must sum to less than LIMIT over all
-        edges, so that no edge set's key sum can leave the range;
-        AlgebraError otherwise."""
+    def minus_mask(self) -> int:
+        """The mask of the edges weighing -1; SquishError unless all are +-1."""
         ms = self.weights
         if any(m.coeff not in (1, -1) for m in ms):
             raise SquishError("an edge weight has a coefficient other than +1 or -1")
+        return sum(1 << i for i, m in enumerate(ms) if m.coeff == -1)
+
+    @cached_property
+    def keyed_mask(self) -> int:
+        """The mask of the edges whose weight carries an exponent."""
+        return sum(1 << i for i, m in enumerate(self.weights) if m.key)
+
+    @cached_property
+    def _key_table(self) -> List[List[int]]:
+        """The edge_table of the edges' keys, built by the first
+        ``weight_of``.  In every field the exponents' absolute values must
+        sum to less than LIMIT over all edges, so that no edge set's key sum
+        can leave the range; AlgebraError otherwise."""
         spread = [0, 0, 0, 0]
-        for m in ms:
+        for m in self.weights:
             spread = [s + abs(e) for s, e in zip(spread, split(m.key))]
         if max(spread) >= LIMIT:
             raise AlgebraError(f"edge weights spread {spread} in the exponent fields: "
                                f"a product may leave [-2**20, 2**20)")
-        return (edge_table([m.key for m in ms]),
-                sum(1 << i for i, m in enumerate(ms) if m.coeff == -1),
-                sum(1 << i for i, m in enumerate(ms) if m.key))
+        return edge_table([m.key for m in self.weights])
 
     def weight_of(self, mask: int) -> Monomial:
         """The product of the weights of the edges of a mask: their keys
         added, and -1 if an odd number of them weighs -1."""
-        keys, neg, _ = self._tables
-        key = self.mesh.edge_sum(mask, keys)
-        return Monomial(-1 if (mask & neg).bit_count() & 1 else 1, key)
+        key = self.mesh.edge_sum(mask, self._key_table)
+        return Monomial(-1 if (mask & self.minus_mask).bit_count() & 1 else 1, key)
 
     def face_ratio(self, cycle: Sequence[int]) -> Monomial:
         """The product of the weights on cycle[1::2] over the product on
         cycle[0::2], for an even cycle of edge positions: what a matching's
         weight is multiplied by when a flip of the cycle (a hexagon,
         ``HexMesh.hex_cycles``) swaps the first set of its edges for the
-        second.  Reads ``weights`` directly, without the per-byte tables."""
+        second.  Reads ``weights`` directly, without the per-byte table."""
         w = self.weights
         num = reduce(Monomial.__mul__, map(w.__getitem__, cycle[1::2]))
         den = reduce(Monomial.__mul__, map(w.__getitem__, cycle[0::2]))
@@ -135,33 +138,18 @@ def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
 
 
 # -- sign rule and sign weighting ---------------------------------------------
+# A sign rule is one lift index, 0 or 1, per edge class A, B, C: S weighs the
+# lift lifts[j][rule[class of j]] of every base edge j -1, so the two lifts
+# of a base edge always differ.
 
 
-@dataclass(frozen=True)
-class SignRule:
-    """For each edge class, the outer-vertex class (in the claw of the base
-    edge's up-triangle endpoint, ``LIFT_OFFSETS``) whose lift carries the
-    -1.  The two lifts of a base edge touch the two outer classes other than
-    its own there, so this gives opposite signs within every lift pair."""
-
-    minus_side: Tuple[Tuple[str, str], ...]  # (edge class, outer class)
-
-    def __post_init__(self):
-        d = dict(self.minus_side)
-        if sorted(d) != list(CLASSES) or any(d[k] == k or d[k] not in CLASSES
-                                             for k in d):
-            raise SquishError(f"malformed sign rule {self.minus_side}")
-
-
-def _candidate_rules() -> List[SignRule]:
-    choices = [[x for x in CLASSES if x != cls] for cls in CLASSES]
-    return [SignRule(tuple(zip(CLASSES, pick)))
-            for pick in itertools.product(*choices)]
+def _candidate_rules() -> List[Tuple[int, ...]]:
+    return list(itertools.product((0, 1), repeat=3))
 
 
 @lru_cache(maxsize=1)
-def calibrate_sign_rule() -> SignRule:
-    """Pick the first class-side sign rule under which every base loop of the
+def calibrate_sign_rule() -> Tuple[int, ...]:
+    """Pick the first sign rule under which every base loop of the
     calibration meshes has signed lift sum exactly -2."""
     evens = [build_mesh(BoxDims(1, 1, 1).doubled()), build_mesh(BoxDims(2, 1, 1).doubled())]
     for rule in _candidate_rules():
@@ -169,63 +157,45 @@ def calibrate_sign_rule() -> SignRule:
         if all(loop_lift_sum(even, loop, S) == -2 for even, S in signed
                for lam in iter_two_factors(even.base.dims) for loop in lam.loops):
             return rule
-    raise NoValidRule("no class-side sign rule gives loop sums -2; "
+    raise NoValidRule("no per-class sign rule gives loop sums -2; "
                       "a position-dependent rule family would be needed")
 
 
-def _sign_weighting_for(mesh: HexMesh, rule: SignRule) -> EdgeWeighting:
-    minus = dict(rule.minus_side)
+def _sign_weighting_for(mesh: HexMesh, rule: Tuple[int, ...]) -> EdgeWeighting:
     w = [Monomial(1)] * len(mesh.edges)
     for f, pair in zip(mesh.base.edges, mesh.lifts):
-        for i, (_, outer) in zip(pair, LIFT_OFFSETS[f.cls]):
-            w[i] = Monomial(-1 if outer == minus[f.cls] else 1)
+        w[pair[rule["ABC".index(f.cls)]]] = Monomial(-1)
     return EdgeWeighting(mesh, tuple(w))
 
 
 def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
-    """S: +1 on short edges, calibrated +-1 on long edges.  OddDims unless
-    the mesh is even."""
+    """S: +1 on short edges and on one lift of each base edge, -1 on the
+    lift that the calibrated rule picks.  OddDims unless the mesh is even."""
     return _sign_weighting_for(mesh, calibrate_sign_rule())
 
 
 # -- the projection map --------------------------------------------------------
 
 
-def projection_key(mesh: HexMesh, mu: int) -> int:
-    """The base edges that the long edges of a matching mask project onto,
-    as one int: base-4 digit 2 at a base edge covered twice (doubled), 1 at
-    one covered once (a loop edge), 0 elsewhere, digit j for the j-th edge
-    of ``mesh.base.edges``.  Refuses anything but a perfect matching; one
-    sum over ``HexMesh.squish_table`` decides that and gives the digits
+def projection_key(mesh: HexMesh, mu: int) -> Tuple[int, int]:
+    """The base 2-factor that a matching mask projects onto, as its overlay
+    key (``overlay.overlay_keys``): the masks of the base edges both of
+    whose lifts it holds (doubled) and of those it holds one lift of (loop
+    edges).  Refuses anything but a perfect matching; one sum over
+    ``HexMesh.squish_table`` decides that and gives the lifts it holds
     (``HexMesh.matching_sum``)."""
-    key = mesh.matching_sum(mu)
-    if key is None:
+    lifts = mesh.matching_sum(mu)
+    if lifts is None:
         raise SquishError("projection needs a perfect matching")
-    return key
-
-
-def key_masks(key: int, n: int) -> Tuple[int, int]:
-    """The masks of the doubled and the loop edges of a projection key over
-    n base edges: the high and the low bits of its base-4 digits."""
-    bits = format(key, f"0{2 * n}b")
-    return int(bits[0::2], 2), int(bits[1::2], 2)
-
-
-def lift_key(lam: TwoFactor) -> int:
-    """The projection key that every lift of the base 2-factor lam has."""
-
-    def spread(mask: int) -> int:  # bit j of the mask to bit 2j
-        return int("0".join(format(mask, "b")), 2)
-
-    return 2 * spread(lam.doubled) + spread(lam.loop_mask())
+    first, second = lifts
+    return first & second, first ^ second
 
 
 def project(mesh: HexMesh, mu: int) -> TwoFactor:
     """Contract every claw: the long edges of a matching mask project
     onto a 2-factor of the base mesh (doubled where both lifts are
     present)."""
-    base = mesh.base
-    return assemble_two_factor(base, *key_masks(projection_key(mesh, mu), len(base.edges)))
+    return assemble_two_factor(mesh.base, *projection_key(mesh, mu))
 
 
 def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[int]:
@@ -297,9 +267,9 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     not touch the current edge's lift x, and 0 if it does; the sum is the
     trace of the steps' product around the loop.  Every lift must weigh +1
     or -1; a weight with an exponent, as in U, is refused."""
-    _, neg, keyed = w._tables
+    neg = w.minus_mask
     pairs = [mesh.lifts[j] for j in loop]
-    exps = sum(1 << i for pair in pairs for i in pair) & keyed
+    exps = sum(1 << i for pair in pairs for i in pair) & w.keyed_mask
     if exps:
         p = exps.bit_length() - 1
         raise SquishError(f"lift {mesh.edges[p]} weighs {w.weights[p]}, not +1 or -1")
@@ -343,7 +313,7 @@ def lemma2_sum(mesh: HexMesh, lam: TwoFactor, S: EdgeWeighting,
     if loop_sums is None:
         loop_sums = {}
     # the doubled edges' lifts lie in every preimage
-    neg = S._tables[1]
+    neg = S.minus_mask
     doubled = [i for j in positions(lam.doubled) for i in mesh.lifts[j]]
     total = -1 if sum(neg >> i & 1 for i in doubled) & 1 else 1
     for loop in lam.loops:

@@ -307,6 +307,12 @@ def propellers(mesh):
     return out
 
 
+# per edge class, the class of the outer vertex that each of a base edge's
+# two lifts touches in the claw of the base edge's up end, in the order of
+# HexMesh.lifts (that of mesh.LIFT_OFFSETS); checked against the propellers
+LIFT_OUTERS = {"A": ("C", "B"), "B": ("C", "A"), "C": ("A", "B")}
+
+
 def per_byte_tables(mesh: HexMesh) -> List[str]:
     """The cached attributes of a mesh that hold edge_table rows."""
     return [name for name, v in vars(mesh).items()

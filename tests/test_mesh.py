@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (broken_masks, mask_of, per_byte_tables, propellers, rhombus_ends,
-                      triangle_corners)
+from conftest import (LIFT_OUTERS, broken_masks, mask_of, per_byte_tables, propellers,
+                      rhombus_ends, triangle_corners)
 from hexdimer.diagrams import (NotAMatching, PlanePartition, diagram_of, enumerate_matchings,
                                flippable_faces, matching_of, tau_move)
 from hexdimer.mesh import (
-    LIFT_OFFSETS, MESH_CACHE_SIZE, BoxDims, Face, HexMesh, MeshError, OddDims,
+    MESH_CACHE_SIZE, BoxDims, Face, HexMesh, MeshError, OddDims,
     UnknownFace, build_mesh, edge_table, face_order, positions,
 )
 
@@ -363,7 +363,7 @@ def test_propellers_partition_and_contract(base):
                                   BoxDims(3, 2, 2), BoxDims(1, 3, 2), BoxDims(4, 4, 4)],
                          ids=str)
 def test_claws_against_triangle_arithmetic(base):
-    # each lift joins the outer of LIFT_OFFSETS' class in the claw of its
+    # each lift joins the outer of LIFT_OUTERS' class in the claw of its
     # base edge's up end to the outer of the third class in the claw of its
     # down end, the claws being the propellers built from each base
     # vertex's triangles; the short mask and the long covers follow them
@@ -372,7 +372,7 @@ def test_claws_against_triangle_arithmetic(base):
     ends = rhombus_ends(even)
     for (bf, (up, down)), pair in zip(rhombus_ends(even.base).items(), even.lifts):
         assert len(pair) == 2
-        for i, (_, outer) in zip(pair, LIFT_OFFSETS[bf.cls]):
+        for i, outer in zip(pair, LIFT_OUTERS[bf.cls]):
             (third,) = set("ABC") - {bf.cls, outer}
             assert ends[even.edges[i]] == (by_base[up].outers[outer], by_base[down].outers[third])
     short_at = {o: p.shorts[cls] for p in propellers(even) for cls, o in p.outers.items()}
@@ -383,8 +383,8 @@ def test_claws_against_triangle_arithmetic(base):
 
 
 @pytest.mark.parametrize("cls, offsets", [
-    ("A", (((0, 0), "C"), ((0, 0), "B"))),  # each A lift twice
-    ("B", (((1, 0), "C"), ((0, 1), "A"))),  # one B lift at no edge of H_{4,2,2}
+    ("A", ((0, 0), (0, 0))),  # each A lift twice
+    ("B", ((1, 0), (0, 1))),  # one B lift at no edge of H_{4,2,2}
 ], ids=("repeated", "missing"))
 def test_a_broken_lift_table_is_refused(monkeypatch, cls, offsets):
     import hexdimer.mesh as mesh_module
@@ -392,6 +392,18 @@ def test_a_broken_lift_table_is_refused(monkeypatch, cls, offsets):
     monkeypatch.setitem(mesh_module.LIFT_OFFSETS, cls, offsets)
     with pytest.raises(MeshError, match="not 2-to-1"):
         HexMesh(BoxDims(4, 2, 2)).lifts
+
+
+@pytest.mark.parametrize("base", [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 1)],
+                         ids=str)
+def test_matching_sum_gives_the_lifts_held(base):
+    # the two fields above the endpoint bits: the base edges whose first
+    # and whose second lift a matching holds
+    even = build_mesh(base.doubled())
+    for M in enumerate_matchings(even.dims):
+        want = tuple(sum(1 << j for j, pair in enumerate(even.lifts) if M >> pair[k] & 1)
+                     for k in (0, 1))
+        assert even.matching_sum(M) == want
 
 
 def test_positions_are_the_set_bits():

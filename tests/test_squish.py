@@ -6,19 +6,19 @@ from functools import reduce
 
 import pytest
 
-from conftest import (as_faces, diagram_size, edge_positions, full_diagram, mask_of, mat_word,
-                      propellers, rhombus_ends, two_factor_weight)
+from conftest import (LIFT_OUTERS, as_faces, diagram_size, edge_positions, full_diagram, mask_of,
+                      mat_word, propellers, rhombus_ends, two_factor_weight)
 from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
                                enumerate_matchings, matching_of)
 from hexdimer.mesh import BoxDims, OddDims, UnknownFace, build_mesh, positions
-from hexdimer.overlay import assemble_two_factor, iter_two_factors, overlay
+from hexdimer.overlay import assemble_two_factor, iter_two_factors, overlay, overlay_keys
 from hexdimer.squish import (
-    EdgeWeighting, SignRule, SquishError, calibrate_sign_rule,
-    key_masks, lemma2_sum, lift_key, lift_preimages, loop_lift_sum,
+    EdgeWeighting, SquishError, calibrate_sign_rule,
+    lemma2_sum, lift_preimages, loop_lift_sum,
     project, projection_key,
-    _loop_lift_choices, _sign_weighting_for, pullback_weighting, sign_weighting,
+    _candidate_rules, _loop_lift_choices, _sign_weighting_for, pullback_weighting, sign_weighting,
     transfer_lift_sum, turn_word, wp_edge_weighting, wp_leftover,
 )
 
@@ -126,17 +126,8 @@ def test_pullback_lemma(base):
 
 def test_calibration_returns_a_fixed_rule():
     rule = calibrate_sign_rule()
+    assert rule == (0, 0, 0)  # -1 on lifts[j][0] for every base edge j
     assert rule is calibrate_sign_rule()  # cached, persists
-    d = dict(rule.minus_side)
-    assert sorted(d) == ["A", "B", "C"]
-    assert all(v != k for k, v in d.items())
-
-
-def test_sign_rule_validation():
-    with pytest.raises(SquishError):
-        SignRule((("A", "A"), ("B", "A"), ("C", "A")))
-    with pytest.raises(SquishError):
-        SignRule((("A", "B"), ("B", "A")))
 
 
 def test_lift_pairs_have_opposite_signs():
@@ -150,19 +141,25 @@ def test_lift_pairs_have_opposite_signs():
 
 @pytest.mark.parametrize("base", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 2)], ids=str)
 def test_sign_weightings_against_the_propellers(base):
-    # under every candidate rule, a lift weighs -1 exactly when the outer
-    # it touches, in the propeller of its base edge's up end (built by
-    # triangle arithmetic), has the rule's class for the base edge's class
-    from hexdimer.squish import _candidate_rules
+    # the eight lift-index rules read through LIFT_OUTERS are the eight
+    # class-side rules, one to one (each class picks one of the two outer
+    # classes other than its own); under each, a lift weighs -1 exactly
+    # when the outer it touches, in the propeller of its base edge's up end
+    # (built by triangle arithmetic), has the picked class
     even = build_mesh(BoxDims(*base).doubled())
     by_base = {p.base: p for p in propellers(even)}
-    for rule in _candidate_rules():
+    ends = rhombus_ends(even)
+    sides = {rule: {cls: LIFT_OUTERS[cls][i] for cls, i in zip("ABC", rule)}
+             for rule in _candidate_rules()}
+    assert len(sides) == 8
+    assert {tuple(side.values()) for side in sides.values()} == \
+        set(itertools.product("BC", "AC", "AB"))
+    for rule, minus in sides.items():
         S = _sign_weighting_for(even, rule).weights
-        minus = dict(rule.minus_side)
         for (bf, (up, _)), pair in zip(rhombus_ends(even.base).items(), even.lifts):
             outers = by_base[up].outers
             for i in pair:
-                (cls,) = [c for c, o in outers.items() if o in rhombus_ends(even)[even.edges[i]]]
+                (cls,) = [c for c, o in outers.items() if o in ends[even.edges[i]]]
                 assert S[i] == Monomial(-1 if cls == minus[bf.cls] else 1)
         assert all(S[i] == Monomial(1) for i in positions(even.short_mask))
 
@@ -170,9 +167,7 @@ def test_sign_weightings_against_the_propellers(base):
 def test_global_class_flip_is_gauge():
     # flipping all three class choices leaves every loop sum unchanged
     rule = calibrate_sign_rule()
-    flipped = SignRule(tuple(
-        (cls, next(o for o in "ABC" if o not in (cls, side)))
-        for cls, side in rule.minus_side))
+    flipped = tuple(1 - i for i in rule)
     for base in BASE_DIMS[:2]:
         even = build_mesh(base.doubled())
         for lam in iter_two_factors(base):
@@ -183,11 +178,11 @@ def test_global_class_flip_is_gauge():
 
 
 def test_some_candidate_rules_fail_nothing():
-    # all class-side candidates happen to pass; the calibrated one is just
-    # the first, so rejecting alternatives is not required, but every rule
-    # must give opposite in-pair signs
+    # all eight candidate rules pass (a base loop holds an even number of
+    # edges of each class, so switching one class's lift leaves its sum);
+    # the calibrated one is just the first, so rejecting alternatives is
+    # not required, but every rule must give opposite in-pair signs
     mesh = build_mesh(BoxDims(2, 2, 2))
-    from hexdimer.squish import _candidate_rules
     assert len(_candidate_rules()) == 8
     for rule in _candidate_rules():
         S = _sign_weighting_for(mesh, rule).weights
@@ -432,8 +427,8 @@ def test_consistency_factorization(base):
 @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 2)], ids=str)
 def test_grouped_projection_equals_per_matching_assembly(dims):
     # project once per projection key: every matching of the group assembles,
-    # on its own, to the group's 2-factor; the key's base-4 digits, read one
-    # base edge at a time, are the 2-factor's doubled and loop edges
+    # on its own, to the group's 2-factor; the key, counted one lift at a
+    # time, is the pair of the 2-factor's doubled and loop edges
     mesh = build_mesh(BoxDims(*dims))
     base = mesh.base
     groups = {}
@@ -441,21 +436,32 @@ def test_grouped_projection_equals_per_matching_assembly(dims):
         groups.setdefault(projection_key(mesh, mu), []).append(mu)
     lams = [project(mesh, mus[0]) for mus in groups.values()]
     assert len(set(lams)) == len(lams)
+    squish_of = {i: j for j, pair in enumerate(mesh.lifts) for i in pair}
     for lam, (key, mus) in zip(lams, groups.items()):
-        digits = [key >> 2 * j & 3 for j in range(len(base.edges))]
-        assert key >> 2 * len(base.edges) == 0 and max(digits) <= 2
-        decoded = ({f for f, d in zip(base.edges, digits) if d == 2},
-                   {f for f, d in zip(base.edges, digits) if d == 1})
         faces = as_faces(lam)
-        assert decoded == (faces.doubled, {f for loop in faces.loops for f in loop})
-        assert key == lift_key(lam)
-        assert key_masks(key, len(base.edges)) == tuple(mask_of(base, F) for F in decoded)
-        squish_of = {i: j for j, pair in enumerate(mesh.lifts) for i in pair}
+        assert key == (mask_of(base, faces.doubled),
+                       mask_of(base, {f for loop in faces.loops for f in loop}))
         for mu in mus:
             counts = Counter(squish_of[i] for i in positions(mu & ~mesh.short_mask))
             doubled = sum(1 << j for j, n in counts.items() if n == 2)
             rest = sum(1 << j for j, n in counts.items() if n == 1)
+            assert (doubled, rest) == key
             assert assemble_two_factor(base, doubled, rest) == lam
+
+
+@pytest.mark.parametrize("base", BASE_DIMS, ids=str)
+def test_projection_keys_are_the_overlay_keys(base):
+    # the even mesh's matchings project onto the overlay keys of the base
+    # matchings' pairs, and every lift of a 2-factor has its key
+    even = build_mesh(base.doubled())
+    mus = enumerate_matchings(even.dims)
+    assert {projection_key(even, mu) for mu in mus} == overlay_keys(enumerate_matchings(base))
+    n = 0
+    for lam in iter_two_factors(base):
+        for mu in lift_preimages(even, lam):
+            assert projection_key(even, mu) == (lam.doubled, lam.loop_mask())
+            n += 1
+    assert n == len(mus)
 
 
 def test_projection_key_refuses_a_non_matching():
@@ -533,6 +539,20 @@ def test_minus_one_sums_each_distinct_loop_once(monkeypatch):
     loops = {loop for lam in iter_two_factors(BoxDims(2, 2, 2)) for loop in lam.loops}
     assert set(calls) == {(name, loop) for name in ("brute", "transfer") for loop in loops}
     assert set(calls.values()) == {1}
+
+
+def test_lemma2_sum_builds_no_key_table():
+    # the sign sums read S's -1 mask and exponent mask; only weight_of
+    # builds the per-byte table of the edges' keys
+    even = build_mesh(BoxDims(4, 2, 2))
+    S = sign_weighting(even)
+    for lam in iter_two_factors(BoxDims(2, 1, 1)):
+        lemma2_sum(even, lam, S)
+    assert "_key_table" not in vars(S)
+    assert S.minus_mask == sum(1 << first for first, _ in even.lifts)
+    assert S.keyed_mask == 0
+    S.weight_of(0)
+    assert "_key_table" in vars(S)
 
 
 def test_lemma2_sum_keeps_loop_sums():
