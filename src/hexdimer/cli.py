@@ -16,10 +16,11 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import chain, product
+from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebra import (LIMIT, MAT_I, MAT_L, MAT_R, AlgebraError, Monomial, Poly, TooLarge, degree,
-                      det_mod, mat_mul, mat_neg, mat_pow, prime_above, split as split_key)
+from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Poly, TooLarge, degree, det_mod,
+                      mat_mul, mat_neg, mat_pow, prime_above, split as split_key)
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2, box_count,
                        bounded_count, iter_matchings, matching_of, require_count, tau_move,
                        z_poly)
@@ -29,7 +30,7 @@ from .overlay import (OverlayError, distinct_overlays, iter_two_factors, overlay
 from .series import SeriesError, compare_box_vs_series, eq3_check
 from .squish import (EdgeWeighting, SquishError, lemma2_sum, lift_preimages, project,
                      projection_key, pullback_weighting, sign_weighting, transfer_lift_sum,
-                     wp_edge_weighting, wp_leftover)
+                     wp_edge_weighting)
 
 
 class UsageError(Exception):
@@ -116,6 +117,17 @@ def parity_work(top: BoxDims) -> int:
             + 2 * (s2a * s1b * s1c + s1a * s2b * s1c + s1a * s1b * s2c))
 
 
+def parity_size(max_dims: BoxDims) -> None:
+    """TooLarge, from the dims alone, unless the sweep up to ``max_dims`` stays
+    within PARITY_WORK_LIMIT and a listed prime lies above twice its count."""
+    work = parity_work(max_dims)
+    if work > PARITY_WORK_LIMIT:
+        raise TooLarge(f"parity up to H_{tuple(max_dims)} takes {work} steps (the sum of "
+                       f"(ab + bc + ca)^2 over the sub-boxes), over the bound "
+                       f"{PARITY_WORK_LIMIT}")
+    prime_above(2 * box_count(max_dims))
+
+
 def check_parity(max_dims: BoxDims) -> CheckReport:
     """The parity lemma on every sub-box: any two matchings overlay with
     C = ab + bc + ca (mod 2) components, checked without enumerating any.
@@ -136,12 +148,7 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
     boxes of the full diagram to the empty one in lexicographic order, and
     adding box (i,j,k) flips the hexagon at (i-k, j-k)."""
     rep = CheckReport("parity", {"max_dims": ",".join(map(str, max_dims))})
-    work = parity_work(max_dims)
-    if work > PARITY_WORK_LIMIT:
-        raise TooLarge(f"parity up to H_{tuple(max_dims)} takes {work} steps (the sum of "
-                       f"(ab + bc + ca)^2 over the sub-boxes), over the bound "
-                       f"{PARITY_WORK_LIMIT}")
-    prime_above(2 * box_count(max_dims))  # the largest count of any sub-box
+    parity_size(max_dims)
     for dims in _all_subdims(max_dims):
         a, b, c = dims
         n = a * b + b * c + c * a
@@ -218,27 +225,10 @@ def check_pullback(dims: BoxDims) -> CheckReport:
     return rep
 
 
-# the most edges of the even mesh `check consistency` may read: -d
-# 182,182,182 (99,372 edges) passes in 8.4 s and 156 MB on a 2-vCPU VM
+# the most edges of the even mesh `check consistency` may read, its only
+# size rule: -d 182,182,182 (99,372 edges) passes in 3.5 s and 132 MB, and
+# the flat 314,314,2 (99,852 edges) in 2.7 s and 132 MB, on a 2-vCPU VM
 CONSISTENCY_EDGE_LIMIT = 10 ** 5
-
-
-def consistency_size(dims: BoxDims) -> None:
-    """TooLarge, from the even dims alone, unless the even mesh has at most
-    CONSISTENCY_EDGE_LIMIT edges and w_p on the base (a, b, c) keeps its
-    t-exponents, depths below a + b + c or on the A-diagonal a depth less
-    ``wp_leftover``, inside the packed range [-2**20, 2**20).  A face
-    ratio's two A-diagonal weights cancel, and the edge bound keeps
-    a + b + c at most 25,000, so its other products stay there too."""
-    a, b, c = base = dims.halved()
-    edges = 4 * (a * b + b * c + c * a)
-    if edges > CONSISTENCY_EDGE_LIMIT:
-        raise TooLarge(f"consistency on H_{tuple(dims)} reads {edges} edges, over the bound "
-                       f"{CONSISTENCY_EDGE_LIMIT}")
-    top = wp_leftover(base) + a + b + c
-    if top >= LIMIT:
-        raise TooLarge(f"the weights of H_{tuple(dims)} take t-exponents up to {top}, over the "
-                       f"bound {LIMIT} of the packed exponent range")
 
 
 def check_consistency(dims: BoxDims) -> CheckReport:
@@ -258,32 +248,31 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     (Thurston, "Conway's tiling groups", 1990); Kenyon's "Lectures on
     dimers" states the same as gauge equivalence through face weights.
     An edge on no hexagon lies in every matching or in none, so the empty
-    matching covers it.  The weights are read edge by edge, so no per-byte
-    table is built."""
+    matching covers it.  The signs and exponents are read edge by edge, so
+    no per-byte table and no per-edge monomial is built."""
     rep = CheckReport("consistency", {"dims": ",".join(map(str, dims))})
     if not dims.is_even:
         raise UsageError("consistency check needs even dims")
-    consistency_size(dims)
+    a, b, c = dims.halved()
+    edges = 4 * (a * b + b * c + c * a)
+    if edges > CONSISTENCY_EDGE_LIMIT:
+        raise TooLarge(f"consistency on H_{tuple(dims)} reads {edges} edges, over the bound "
+                       f"{CONSISTENCY_EDGE_LIMIT}")
     mesh = build_mesh(dims)
     U = pullback_weighting(mesh)
     S = sign_weighting(mesh)
     scheme = Z2Z2.with_signs({"q": -1, "r": -1, "s": -1})
-
-    def minus_t(m: Monomial) -> Monomial:  # t -> -t
-        return Monomial(m.coeff * (-1) ** (split_key(m.key)[0] % 2), m.key)
-
-    W = EdgeWeighting(mesh, tuple(minus_t(s * u) for s, u in zip(S.weights, U.weights)))
-    a, b, c = mesh.base.dims
-    # the empty matching's weight, its t-exponents summed as ints: a
-    # product of the packed keys would pass through about -2 wp_leftover
-    empty = [W.weights[p] for p in positions(matching_of(PlanePartition.empty(dims)))]
-    s0 = math.prod(w.coeff for w in empty)
-    e0 = sum(split_key(w.key)[0] for w in empty)
+    # W = U(t -> -t) * S: an odd t-exponent negates its edge's sign
+    exps = tuple(map(add, U.exps, S.exps))
+    W = EdgeWeighting(mesh, tuple(-u * s if e & 1 else u * s
+                                  for u, s, e in zip(U.signs, S.signs, exps)), exps)
+    empty = positions(matching_of(PlanePartition.empty(dims)))
+    s0 = math.prod(map(W.signs.__getitem__, empty))
+    e0 = sum(map(W.exps.__getitem__, empty))
     if (s0, e0) != ((-1) ** (a * b + b * c + c * a), 0):
         rep.fail({"empty_weight": (s0, e0)})
     for pt, cycle in mesh.hex_cycles.items():
-        ratio, box = W.face_ratio(cycle), scheme.box_monomial(*pt, 0)
-        got = (ratio.coeff, split_key(ratio.key)[0])
+        got, box = W.face_ratio(cycle), scheme.box_monomial(*pt, 0)
         want = (box.coeff, 3 * split_key(box.key)[0])
         if got != want:
             rep.fail({"hexagon": list(pt), "ratio": got, "expected": want})
@@ -407,10 +396,12 @@ def run_check(name: str, dims: Optional[BoxDims], order: Optional[int],
             # fibers and theorem read it as the base box, but pullback and
             # consistency as the even box itself
             raise UsageError("check all does not read -d (it takes --order and --max-dims)")
+        # refuse a bad order or --max-dims before the other checks run
         if order is not None:
-            # refuse a bad order before the other checks spend their time
             _check_order("eq1", order, EQ1_MAX_ORDER)
             _check_order("eq2", order, EQ2_MAX_ORDER)
+        if max_dims is not None:
+            parity_size(max_dims)
         names = CHECK_NAMES
     elif name in CHECKS:
         # a flag the check does not read would run an instance nobody asked for

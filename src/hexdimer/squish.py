@@ -6,12 +6,13 @@ transfer-matrix evaluation of signed loop lifts."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import LIMIT, MAT_L, MAT_R, AlgebraError, Monomial, mono_t, split
+from .algebra import MAT_L, MAT_R, Monomial, mono_t
 from .mesh import BoxDims, HexMesh, build_mesh, edge_table, positions
 from .overlay import Loop, TwoFactor, assemble_two_factor, iter_two_factors, loop_vertices
 
@@ -26,63 +27,49 @@ class NoValidRule(SquishError):
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """A monomial weight per edge of a mesh, in ``edges`` order, with t in
-    the first exponent field; coefficients are always +1 or -1."""
+    """A weight sign * t^exp per edge of a mesh, the form of every weight
+    that the two proof weightings and w_p give: ``signs`` holds each edge's
+    sign, +1 or -1, and ``exps`` its t-exponent, both in ``edges`` order."""
 
     mesh: HexMesh
-    weights: Tuple[Monomial, ...]
+    signs: Tuple[int, ...]
+    exps: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != len(self.mesh.edges):
-            raise SquishError(f"{len(self.weights)} edge weights for "
+        object.__setattr__(self, "signs", tuple(self.signs))
+        object.__setattr__(self, "exps", tuple(self.exps))
+        if not len(self.signs) == len(self.exps) == len(self.mesh.edges):
+            raise SquishError(f"{len(self.signs)} signs and {len(self.exps)} exponents for "
                               f"{len(self.mesh.edges)} edges of H_{tuple(self.mesh.dims)}")
+        if not set(self.signs) <= {1, -1}:
+            raise SquishError("an edge sign is not +1 or -1")
 
     @cached_property
-    def minus_mask(self) -> int:
-        """The mask of the edges weighing -1; SquishError unless all are +-1."""
-        ms = self.weights
-        if any(m.coeff not in (1, -1) for m in ms):
-            raise SquishError("an edge weight has a coefficient other than +1 or -1")
-        return sum(1 << i for i, m in enumerate(ms) if m.coeff == -1)
+    def minus(self) -> int:
+        """The mask of the edges weighing -1, built in O(edges)."""
+        return int("".join("1" if s < 0 else "0" for s in reversed(self.signs)), 2)
 
     @cached_property
-    def keyed_mask(self) -> int:
-        """The mask of the edges whose weight carries an exponent."""
-        return sum(1 << i for i, m in enumerate(self.weights) if m.key)
-
-    @cached_property
-    def _key_table(self) -> List[List[int]]:
-        """The edge_table of the edges' keys, built by the first
-        ``weight_of``.  In every field the exponents' absolute values must
-        sum to less than LIMIT over all edges, so that no edge set's key sum
-        can leave the range; AlgebraError otherwise."""
-        spread = [0, 0, 0, 0]
-        for m in self.weights:
-            spread = [s + abs(e) for s, e in zip(spread, split(m.key))]
-        if max(spread) >= LIMIT:
-            raise AlgebraError(f"edge weights spread {spread} in the exponent fields: "
-                               f"a product may leave [-2**20, 2**20)")
-        return edge_table([m.key for m in self.weights])
+    def _exp_table(self) -> List[List[int]]:
+        """The edge_table of the exponents, built by the first ``weight_of``."""
+        return edge_table(self.exps)
 
     def weight_of(self, mask: int) -> Monomial:
-        """The product of the weights of the edges of a mask: their keys
-        added, and -1 if an odd number of them weighs -1."""
-        key = self.mesh.edge_sum(mask, self._key_table)
-        return Monomial(-1 if (mask & self.minus_mask).bit_count() & 1 else 1, key)
+        """The product of the weights of the edges of a mask: their
+        exponents added, and -1 if an odd number of them weighs -1.
+        AlgebraError from ``pack`` if the sum leaves the packed range."""
+        e = self.mesh.edge_sum(mask, self._exp_table)
+        return mono_t(e, -1 if (mask & self.minus).bit_count() & 1 else 1)
 
-    def face_ratio(self, cycle: Sequence[int]) -> Monomial:
-        """The product of the weights on cycle[1::2] over the product on
-        cycle[0::2], for an even cycle of edge positions: what a matching's
-        weight is multiplied by when a flip of the cycle (a hexagon,
-        ``HexMesh.hex_cycles``) swaps the first set of its edges for the
-        second.  Reads ``weights`` directly, without the per-byte table."""
-        w = self.weights
-        num = reduce(Monomial.__mul__, map(w.__getitem__, cycle[1::2]))
-        den = reduce(Monomial.__mul__, map(w.__getitem__, cycle[0::2]))
-        if num.coeff * den.coeff not in (1, -1):
-            raise SquishError("an edge weight has a coefficient other than +1 or -1")
-        return num * Monomial(den.coeff, -den.key)  # a coefficient +-1 is its own inverse
+    def face_ratio(self, cycle: Sequence[int]) -> Tuple[int, int]:
+        """The (sign, t-exponent) of the product of the weights on
+        cycle[1::2] over the product on cycle[0::2], for an even cycle of
+        edge positions: what a matching's weight is multiplied by when a
+        flip of the cycle (a hexagon, ``HexMesh.hex_cycles``) swaps the
+        first set of its edges for the second.  A sign is its own inverse."""
+        e = self.exps
+        return (math.prod(map(self.signs.__getitem__, cycle)),
+                sum(map(e.__getitem__, cycle[1::2])) - sum(map(e.__getitem__, cycle[0::2])))
 
 
 # -- the t-power weighting on the base mesh ----------------------------------
@@ -97,20 +84,17 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
     crosses exactly once.
     """
     a, b, c = mesh.dims
+    leftover = wp_leftover(mesh.dims)
     exps: List[int] = []
     for f in mesh.edges:
         x, y = f.lattice
         if f.cls == "A":
-            exps.append(min(a - 1 - x, b - 1 - y))
+            exps.append(min(a - 1 - x, b - 1 - y) - (leftover if x - y == a - 1 else 0))
         elif f.cls == "B":
             exps.append(y - max(-c, x - a + 1))
         else:
             exps.append(x - max(-c, y + 1 - b))
-    leftover = wp_leftover(mesh.dims)
-    for p, f in enumerate(mesh.edges):
-        if f.cls == "A" and f.lattice[0] - f.lattice[1] == a - 1:
-            exps[p] -= leftover
-    return EdgeWeighting(mesh, tuple(map(mono_t, exps)))
+    return EdgeWeighting(mesh, (1,) * len(exps), exps)
 
 
 def wp_leftover(dims: BoxDims) -> int:
@@ -129,12 +113,10 @@ def wp_leftover(dims: BoxDims) -> int:
 def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
     """U: short edges weigh 1; each long edge weighs what its squished image
     weighs on the base mesh.  OddDims unless the mesh is even."""
-    base_w = wp_edge_weighting(mesh.base).weights
-    w = [Monomial(1)] * len(mesh.edges)
-    for j, pair in enumerate(mesh.lifts):
-        for i in pair:
-            w[i] = base_w[j]
-    return EdgeWeighting(mesh, tuple(w))
+    exps = [0] * len(mesh.edges)
+    for e, (first, second) in zip(wp_edge_weighting(mesh.base).exps, mesh.lifts):
+        exps[first] = exps[second] = e
+    return EdgeWeighting(mesh, (1,) * len(exps), exps)
 
 
 # -- sign rule and sign weighting ---------------------------------------------
@@ -162,10 +144,10 @@ def calibrate_sign_rule() -> Tuple[int, ...]:
 
 
 def _sign_weighting_for(mesh: HexMesh, rule: Tuple[int, ...]) -> EdgeWeighting:
-    w = [Monomial(1)] * len(mesh.edges)
+    signs = [1] * len(mesh.edges)
     for f, pair in zip(mesh.base.edges, mesh.lifts):
-        w[pair[rule["ABC".index(f.cls)]]] = Monomial(-1)
-    return EdgeWeighting(mesh, tuple(w))
+        signs[pair[rule["ABC".index(f.cls)]]] = -1
+    return EdgeWeighting(mesh, signs, (0,) * len(signs))
 
 
 def sign_weighting(mesh: HexMesh) -> EdgeWeighting:
@@ -267,17 +249,15 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     not touch the current edge's lift x, and 0 if it does; the sum is the
     trace of the steps' product around the loop.  Every lift must weigh +1
     or -1; a weight with an exponent, as in U, is refused."""
-    neg = w.minus_mask
+    signs, exps = w.signs, w.exps
     pairs = [mesh.lifts[j] for j in loop]
-    exps = sum(1 << i for pair in pairs for i in pair) & w.keyed_mask
-    if exps:
-        p = exps.bit_length() - 1
-        raise SquishError(f"lift {mesh.edges[p]} weighs {w.weights[p]}, not +1 or -1")
+    p = next((i for pair in pairs for i in pair if exps[i]), None)
+    if p is not None:
+        raise SquishError(f"lift {mesh.edges[p]} weighs {signs[p]} t^{exps[p]}, not +1 or -1")
     bits = mesh.endpoint_bits
     a, b, c, d = 1, 0, 0, 1  # the product so far, rows (a, b) and (c, d)
     for (p0, p1), (q0, q1) in zip(pairs, pairs[1:] + pairs[:1]):
-        s0 = -1 if neg >> q0 & 1 else 1
-        s1 = -1 if neg >> q1 & 1 else 1
+        s0, s1 = signs[q0], signs[q1]
         t00 = 0 if bits[p0] & bits[q0] else s0
         t01 = 0 if bits[p0] & bits[q1] else s1
         t10 = 0 if bits[p1] & bits[q0] else s0
@@ -313,9 +293,7 @@ def lemma2_sum(mesh: HexMesh, lam: TwoFactor, S: EdgeWeighting,
     if loop_sums is None:
         loop_sums = {}
     # the doubled edges' lifts lie in every preimage
-    neg = S.minus_mask
-    doubled = [i for j in positions(lam.doubled) for i in mesh.lifts[j]]
-    total = -1 if sum(neg >> i & 1 for i in doubled) & 1 else 1
+    total = math.prod(S.signs[i] for j in positions(lam.doubled) for i in mesh.lifts[j])
     for loop in lam.loops:
         if loop not in loop_sums:
             loop_sums[loop] = loop_lift_sum(mesh, loop, S)

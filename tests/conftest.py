@@ -7,7 +7,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from hexdimer.algebra import (MAT_I, MAT_L, MAT_R, P_VARS, AlgebraError, LPoly, Mat4, Monomial,
-                              Poly, Series, mat_mul, pack, split)
+                              Poly, Series, mat_mul, mono_t, pack, split)
 from hexdimer.diagrams import PlanePartition
 from hexdimer.mesh import BoxDims, Face, HexMesh, Triangle, UnknownFace, build_mesh, positions
 from hexdimer.series import _as_lmono, _lmono_inv, _product
@@ -285,9 +285,9 @@ class Propeller(NamedTuple):
 
 def propellers(mesh):
     """The claw partition of an even mesh by triangle arithmetic, one claw
-    per base vertex, the oracle for HexMesh.claws: up(x,y) contracts
-    down(2x,2y+1) and its neighbours, down(x,y) up(2x+1,2y) and its
-    neighbours."""
+    per base vertex, the oracle for HexMesh.lifts, short_mask and
+    long_cover: up(x,y) contracts down(2x,2y+1) and its neighbours,
+    down(x,y) up(2x+1,2y) and its neighbours."""
     edge_at = {frozenset(ts): f for f, ts in rhombus_ends(mesh).items()}
     out = []
     for t in mesh.base.vertices:
@@ -358,10 +358,16 @@ def as_faces(lam) -> FaceTwoFactor:
                          tuple(tuple(faces[e] for e in loop) for loop in lam.loops))
 
 
+def monomials(weighting) -> Tuple[Monomial, ...]:
+    """The edge weights of an EdgeWeighting as monomials sign * t^exp, in
+    ``edges`` order."""
+    return tuple(map(mono_t, weighting.exps, weighting.signs))
+
+
 def two_factor_weight(lam: FaceTwoFactor, weighting) -> Monomial:
     """Product of the edge weights of an EdgeWeighting, each read by its
     face, with multiplicity (doubled edges squared)."""
-    weights = dict(zip(weighting.mesh.edges, weighting.weights))
+    weights = dict(zip(weighting.mesh.edges, monomials(weighting)))
     w = Monomial(1)
     for f in lam.edges_with_multiplicity():
         w = w * weights[f]

@@ -147,6 +147,7 @@ def test_bad_flags(capsys):
     ("check", "fibers", "-d", "30,30,30"),
     ("check", "pullback", "-d", "100,100,100"),
     ("check", "parity", "--max-dims", "13,13,13"),
+    ("check", "all", "--max-dims", "13,13,13"),
 ], ids=" ".join)
 def test_a_refusal_builds_no_mesh(capsys, monkeypatch, argv):
     # every size rule reads the dims alone: a refused call exits 2 at once,
@@ -552,15 +553,15 @@ def test_each_package_error_exits_three(capsys, monkeypatch, name):
 
 def test_pullback_fails_on_one_changed_lift_weight(capsys, monkeypatch):
     import hexdimer.cli as cli
-    from hexdimer.algebra import mono_t
     from hexdimer.squish import EdgeWeighting
 
     real = cli.pullback_weighting
 
-    def mutant(mesh):
-        weights = list(real(mesh).weights)
-        weights[mesh.lifts[-1][0]] *= mono_t(1)
-        return EdgeWeighting(mesh, tuple(weights))
+    def mutant(mesh):  # one lift weighed by an extra t
+        U = real(mesh)
+        exps = list(U.exps)
+        exps[mesh.lifts[-1][0]] += 1
+        return EdgeWeighting(mesh, U.signs, exps)
 
     monkeypatch.setattr(cli, "pullback_weighting", mutant)
     for dims in ("2,2,2", "4,4,2"):
@@ -571,7 +572,6 @@ def test_pullback_fails_on_one_changed_lift_weight(capsys, monkeypatch):
 
 def test_minus_one_fails_on_one_flipped_sign(capsys, monkeypatch):
     import hexdimer.cli as cli
-    from hexdimer.algebra import Monomial
     from hexdimer.mesh import build_mesh
     from hexdimer.squish import EdgeWeighting
 
@@ -580,9 +580,10 @@ def test_minus_one_fails_on_one_flipped_sign(capsys, monkeypatch):
     lifts = [i for pair in even.lifts for i in pair]
     for lift in lifts:
         def mutant(mesh):
-            weights = list(real(mesh).weights)
-            weights[lift] = Monomial(-weights[lift].coeff)
-            return EdgeWeighting(mesh, tuple(weights))
+            S = real(mesh)
+            signs = list(S.signs)
+            signs[lift] = -signs[lift]
+            return EdgeWeighting(mesh, signs, S.exps)
 
         monkeypatch.setattr(cli, "sign_weighting", mutant)
         code, out, _ = run(capsys, "check", "minus-one", "-d", "1,1,1", "--format", "json")

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 
 from conftest import (LIFT_OUTERS, as_faces, diagram_size, edge_positions, full_diagram, mask_of,
-                      mat_word, propellers, rhombus_ends, two_factor_weight)
+                      mat_word, monomials, propellers, rhombus_ends, two_factor_weight)
 from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
@@ -33,16 +33,17 @@ def lift_fibers(mesh):
 
 def ones(mesh):
     """The weighting that weighs every edge 1."""
-    return EdgeWeighting(mesh, (Monomial(1),) * len(mesh.edges))
+    m = len(mesh.edges)
+    return EdgeWeighting(mesh, (1,) * m, (0,) * m)
 
 
 def coin_signs(mesh, seed):
     """Seeded random signs on the long edges, 1 on the short edges; no sign
     rule gives them."""
     rng = random.Random(seed)
-    return EdgeWeighting(mesh, tuple(Monomial(1 if mesh.short_mask >> i & 1
-                                              else rng.choice((1, -1)))
-                                     for i in range(len(mesh.edges))))
+    m = len(mesh.edges)
+    return EdgeWeighting(mesh, [1 if mesh.short_mask >> i & 1 else rng.choice((1, -1))
+                                for i in range(m)], (0,) * m)
 
 
 def claws_by_base(mesh):
@@ -103,10 +104,10 @@ def test_pullback_needs_even_dims():
 
 def test_pullback_short_edges_weigh_one_and_lifts_agree():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    U = pullback_weighting(mesh).weights
+    U = monomials(pullback_weighting(mesh))
     for i in positions(mesh.short_mask):
         assert U[i] == Monomial(1)
-    wp = wp_edge_weighting(mesh.base).weights
+    wp = monomials(wp_edge_weighting(mesh.base))
     for j, (l1, l2) in enumerate(mesh.lifts):
         assert U[l1] == U[l2] == wp[j]
 
@@ -132,7 +133,7 @@ def test_calibration_returns_a_fixed_rule():
 
 def test_lift_pairs_have_opposite_signs():
     mesh = build_mesh(BoxDims(2, 2, 2))
-    S = sign_weighting(mesh).weights
+    S = monomials(sign_weighting(mesh))
     for i in positions(mesh.short_mask):
         assert S[i] == Monomial(1)
     for l1, l2 in mesh.lifts:
@@ -155,7 +156,7 @@ def test_sign_weightings_against_the_propellers(base):
     assert {tuple(side.values()) for side in sides.values()} == \
         set(itertools.product("BC", "AC", "AB"))
     for rule, minus in sides.items():
-        S = _sign_weighting_for(even, rule).weights
+        S = monomials(_sign_weighting_for(even, rule))
         for (bf, (up, _)), pair in zip(rhombus_ends(even.base).items(), even.lifts):
             outers = by_base[up].outers
             for i in pair:
@@ -185,7 +186,7 @@ def test_some_candidate_rules_fail_nothing():
     mesh = build_mesh(BoxDims(2, 2, 2))
     assert len(_candidate_rules()) == 8
     for rule in _candidate_rules():
-        S = _sign_weighting_for(mesh, rule).weights
+        S = monomials(_sign_weighting_for(mesh, rule))
         assert all(S[l1].coeff == -S[l2].coeff for l1, l2 in mesh.lifts)
 
 
@@ -323,16 +324,16 @@ def test_loop_lift_sum_equals_sum_over_lift_choices(base):
     base = BoxDims(*base)
     even = build_mesh(base.doubled())
     rng = random.Random(7)
-    coin = EdgeWeighting(even, tuple(Monomial(rng.choice((1, -1))) for _ in even.edges))
+    coin = EdgeWeighting(even, [rng.choice((1, -1)) for _ in even.edges], (0,) * len(even.edges))
     U = pullback_weighting(even)
     n = 0
     for lam in iter_two_factors(base):
         for loop in lam.loops:
             choices = _loop_lift_choices(even, loop)
             for w in (sign_weighting(even), ones(even), coin):
-                want = sum(math.prod(w.weights[i].coeff for i in pick) for pick in choices)
+                want = sum(math.prod(w.signs[i] for i in pick) for pick in choices)
                 assert loop_lift_sum(even, loop, w) == want
-            if any(U.weights[i].key for e in loop for i in even.lifts[e]):
+            if any(U.exps[i] for e in loop for i in even.lifts[e]):
                 with pytest.raises(SquishError):
                     loop_lift_sum(even, loop, U)
                 n += 1
@@ -483,8 +484,9 @@ def test_projection_key_refuses_a_non_matching():
 def test_key_sum_weight_equals_monomial_product():
     mesh = build_mesh(BoxDims(4, 4, 2))
     for w in (pullback_weighting(mesh), sign_weighting(mesh)):
+        weights = monomials(w)
         for mu in enumerate_matchings(mesh.dims):
-            want = reduce(Monomial.__mul__, (w.weights[i] for i in positions(mu)), Monomial(1))
+            want = reduce(Monomial.__mul__, (weights[i] for i in positions(mu)), Monomial(1))
             assert w.weight_of(mu) == want
 
 
@@ -492,32 +494,46 @@ def test_weighting_past_the_range_raises():
     mesh = build_mesh(BoxDims(1, 1, 1))
     m = len(mesh.edges)
 
-    def weighting(at):  # 1 on every edge but those at the positions of at
-        return EdgeWeighting(mesh, tuple(at.get(p, Monomial(1)) for p in range(m)))
+    def weighting(exps=(), signs=()):  # t^exps[i] and signs[i] on edge i, 1 past them
+        return EdgeWeighting(mesh, tuple(signs) + (1,) * (m - len(signs)),
+                             tuple(exps) + (0,) * (m - len(exps)))
 
-    edge = weighting({0: mono_t(LIMIT // 2), 1: mono_t(LIMIT // 2 - 1)})
+    edge = weighting((LIMIT // 2, LIMIT // 2 - 1))
     assert edge.weight_of(0b11) == Monomial(1, pack(LIMIT - 1, 0, 0, 0))
-    # |exponents| summed over all edges reach LIMIT in the t field: any edge
-    # set is refused, even one whose own sum would fit
-    for exps in ((LIMIT // 2, LIMIT // 2), (-LIMIT // 2, LIMIT // 2)):
-        over = weighting({0: mono_t(exps[0]), 1: mono_t(exps[1])})
-        with pytest.raises(AlgebraError):
-            over.weight_of(0b1)
-    # one weight too few or too many, a coefficient other than +-1, a bit
-    # past the last edge
+    # weight_of raises AlgebraError once a sum leaves [-LIMIT, LIMIT), and
+    # only then: each edge alone, and a sum that cancels, still fits
+    for exps, fits in (((LIMIT // 2, LIMIT // 2), False), ((-LIMIT // 2, LIMIT // 2), True),
+                       ((-LIMIT // 2, -LIMIT // 2), True),
+                       ((-LIMIT // 2, -LIMIT // 2 - 1), False)):
+        over = weighting(exps)
+        assert over.weight_of(0b1) == mono_t(exps[0])
+        assert over.weight_of(0b10) == mono_t(exps[1])
+        if fits:
+            assert over.weight_of(0b11) == mono_t(sum(exps))
+        else:
+            with pytest.raises(AlgebraError):
+                over.weight_of(0b11)
+    # one sign or exponent too few or too many, a sign other than +-1, a
+    # bit past the last edge
     for n in (0, 1, m - 1, m + 1):
-        with pytest.raises(SquishError, match=f"{n} edge weights for {m} edges"):
-            EdgeWeighting(mesh, (Monomial(1),) * n)
-    with pytest.raises(SquishError, match="coefficient"):
-        weighting({1: Monomial(2)}).weight_of(0)
+        with pytest.raises(SquishError, match=f"{n} signs and {m} exponents for {m} edges"):
+            EdgeWeighting(mesh, (1,) * n, (0,) * m)
+        with pytest.raises(SquishError, match=f"{m} signs and {n} exponents for {m} edges"):
+            EdgeWeighting(mesh, (1,) * m, (0,) * n)
+    for bad in (2, 0, -2):
+        with pytest.raises(SquishError, match="not \\+1 or -1"):
+            weighting(signs=(1, bad))
     with pytest.raises(UnknownFace):
         edge.weight_of(1 << m)
-    # the same refusal where the weights are read edge by edge
+    # the face ratio reads the signs and exponents edge by edge
     [cycle] = mesh.hex_cycles.values()
-    for i, want in ((1, mono_t(1)), (0, mono_t(-1))):
-        assert weighting({cycle[i]: mono_t(1)}).face_ratio(cycle) == want
-    with pytest.raises(SquishError, match="coefficient"):
-        weighting({cycle[2]: Monomial(2)}).face_ratio(cycle)
+    for i, want in ((1, (1, 1)), (0, (1, -1))):
+        exps = [0] * m
+        exps[cycle[i]] = 1
+        assert weighting(exps).face_ratio(cycle) == want
+    signs = [1] * m
+    signs[cycle[2]] = -1
+    assert weighting(signs=signs).face_ratio(cycle) == (-1, 0)
 
 
 def test_minus_one_sums_each_distinct_loop_once(monkeypatch):
@@ -542,17 +558,18 @@ def test_minus_one_sums_each_distinct_loop_once(monkeypatch):
 
 
 def test_lemma2_sum_builds_no_key_table():
-    # the sign sums read S's -1 mask and exponent mask; only weight_of
-    # builds the per-byte table of the edges' keys
+    # the sign sums read S's signs and exponents edge by edge; only
+    # weight_of builds the per-byte table of the exponents and the -1 mask
     even = build_mesh(BoxDims(4, 2, 2))
     S = sign_weighting(even)
     for lam in iter_two_factors(BoxDims(2, 1, 1)):
         lemma2_sum(even, lam, S)
-    assert "_key_table" not in vars(S)
-    assert S.minus_mask == sum(1 << first for first, _ in even.lifts)
-    assert S.keyed_mask == 0
+    assert "_exp_table" not in vars(S) and "minus" not in vars(S)
+    assert [i for i, s in enumerate(S.signs) if s < 0] == sorted(first for first, _ in even.lifts)
+    assert set(S.exps) == {0}
     S.weight_of(0)
-    assert "_key_table" in vars(S)
+    assert "_exp_table" in vars(S)
+    assert S.minus == sum(1 << first for first, _ in even.lifts)
 
 
 def test_lemma2_sum_keeps_loop_sums():
