@@ -301,11 +301,12 @@ def check_matrices() -> CheckReport:
 # An order outside 1..top is refused, never run smaller.  eq1's top is the
 # largest order the tests cover; eq2 stays at 4 because the benchmark's
 # self-test (perfbench/selftest.py) needs `check eq2 --order 5` refused.
-# eq3's cost grows steeply with its order (order 20 runs in 2.5 s and 30 MB, 25 in
-# 5.8 s and 51 MB, 30 in 19 s and 87 MB on a 2-vCPU VM), so its top is 25.
+# eq3 multiplies integer series, one factor at -1 at a time; end to end on a
+# 2-vCPU VM order 25 runs in 0.11 s, 200 in 0.54 s and 300 in 1.4 s, all in
+# 17 MB, so its top is 300.
 EQ1_MAX_ORDER = 12
 EQ2_MAX_ORDER = 4
-EQ3_MAX_ORDER = 25
+EQ3_MAX_ORDER = 300
 
 
 def _check_order(name: str, order: int, top: int) -> int:
@@ -400,6 +401,7 @@ def run_check(name: str, dims: Optional[BoxDims], order: Optional[int],
         if order is not None:
             _check_order("eq1", order, EQ1_MAX_ORDER)
             _check_order("eq2", order, EQ2_MAX_ORDER)
+            _check_order("eq3", order, EQ3_MAX_ORDER)
         if max_dims is not None:
             parity_size(max_dims)
         names = CHECK_NAMES

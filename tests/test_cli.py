@@ -610,24 +610,31 @@ def test_import_builds_no_mesh():
 
 
 def test_check_eq3_witness_is_what_was_compared(capsys, monkeypatch):
-    # one extra factor on the product side: the check fails, the product is
-    # built once, and the witness holds the two lists the verdict compared
+    # one extra M~(-q) pair in the product's factor list: the check fails,
+    # the product is built once, and the witness holds the two lists the
+    # verdict compared
     import hexdimer.series as series
-    from conftest import lp_neg, mac_tilde
     from hexdimer.series import lmono, mac
 
-    real, built = series.z2z2_rhs, []
+    q = lmono(-1, 1, 0, 0)
+    factors = series.Z2Z2_FACTORS + [(q, 1), (series._lmono_inv(q), 1)]
+    real, built = series._product, []
 
-    def perturbed(n):
-        built.append(real(n) * mac_tilde(lp_neg(lmono(1, 1, 0, 0)), n))
-        return built[-1]
+    def product(n, fs):
+        out = real(n, fs)
+        if len(fs) == len(factors):
+            built.append(out)
+        return out
 
-    monkeypatch.setattr(series, "z2z2_rhs", perturbed)
+    monkeypatch.setattr(series, "Z2Z2_FACTORS", factors)
+    monkeypatch.setattr(series, "_product", product)
     code, out, _ = run(capsys, "check", "eq3", "--order", "5", "--format", "json")
     (rep,) = json.loads(out)
     assert code == 1 and rep["status"] == "fail" and len(built) == 1
-    assert rep["witness"] == {"lhs": built[0].specialize_signs(-1, -1, -1),
+    assert rep["witness"] == {"lhs": built[0].specialize_signs(1, 1, 1),
                               "rhs": (mac(1, 5) ** 2).specialize_signs(1, 1, 1)}
+    # the left side is the perturbed four-variable product at q,r,s -> -1
+    assert rep["witness"]["lhs"] == real(5, factors).specialize_signs(-1, -1, -1)
     assert rep["witness"]["lhs"] != rep["witness"]["rhs"]
 
 
@@ -643,6 +650,14 @@ def test_check_eq3_refuses_an_order_past_its_top(capsys, monkeypatch):
         code, out, err = run(capsys, "check", "eq3", "--order", order)
         assert code == 2 and out == "" and err.startswith(f"error: eq3 order {order} ")
     assert run(capsys, "check", "all", "--order", "400")[0] == 2
+    # check all refuses eq3's order itself, not only through eq1's and eq2's
+    # lower tops, before any check runs
+    monkeypatch.setattr(cli, "EQ1_MAX_ORDER", 10 ** 6)
+    monkeypatch.setattr(cli, "EQ2_MAX_ORDER", 10 ** 6)
+    monkeypatch.setattr(cli, "build_mesh", enumeration_raises)
+    order = str(cli.EQ3_MAX_ORDER + 1)
+    code, out, err = run(capsys, "check", "all", "--order", order)
+    assert code == 2 and out == "" and err.startswith(f"error: eq3 order {order} ")
     # the top itself is admitted: it gets as far as its first product
     with pytest.raises(Enumerated):
         run_check("eq3", None, cli.EQ3_MAX_ORDER, None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import lp_neg, mac_tilde
 from hexdimer.algebra import AlgebraError, Series, lp_mul, pack, series_inv
 from hexdimer import series
+from hexdimer.cli import EQ3_MAX_ORDER
 from hexdimer.series import (
     SeriesError, compare_box_vs_series, eq3_check, lmono, mac,
     z2z2_rhs,
@@ -198,14 +199,36 @@ def test_eq3_fails_on_one_wrong_infinite_binomial(monkeypatch):
     assert eq3_check(N)["match"] is False
 
 
-def test_eq3_negative_control():
-    # dropping a factor from the product breaks the identity
+def test_eq3_left_side_is_the_four_variable_product_at_minus_one():
+    # eq3 takes each factor at -1 before multiplying; the old route expands
+    # the whole (q, r, s) product first and evaluates it after
+    for N in range(15):
+        assert eq3_check(N)["lhs"] == z2z2_rhs(N).specialize_signs(-1, -1, -1)
+
+
+def test_eq3_at_its_top_order_is_the_squared_recurrence():
+    N = EQ3_MAX_ORDER
+    counts = pp_counts_oracle(N)
+    square = [sum(counts[i] * counts[n - i] for i in range(n + 1)) for n in range(N + 1)]
+    assert eq3_check(N) == {"lhs": square, "rhs": square, "match": True}
+
+
+def test_eq3_negative_control(monkeypatch):
+    # the check itself fails when any one factor's monomial is negated, or
+    # when one extra M~(-q) pair joins the product
     N = 6
-    q = lmono(1, 1, 0, 0)
-    perturbed = z2z2_rhs(N) * mac_tilde(lp_neg(q), N)
-    lhs = perturbed.specialize_signs(-1, -1, -1)
-    rhs = (mac(1, N) ** 2).specialize_signs(1, 1, 1)
-    assert lhs != rhs
+    factors = series.Z2Z2_FACTORS
+    assert len(factors) == 15
+    for i, (a, m) in enumerate(factors):
+        ((e, c),) = a.items()
+        monkeypatch.setattr(series, "Z2Z2_FACTORS",
+                            factors[:i] + [({e: -c}, m)] + factors[i + 1:])
+        assert eq3_check(N)["match"] is False, i
+    q = lmono(-1, 1, 0, 0)
+    monkeypatch.setattr(series, "Z2Z2_FACTORS", factors + [(q, 1), (series._lmono_inv(q), 1)])
+    report = eq3_check(N)
+    assert report["match"] is False
+    assert report["lhs"] == z2z2_rhs(N).specialize_signs(-1, -1, -1)
 
 
 def test_compare_mono_boxes():
