@@ -73,9 +73,10 @@ def pack(e0: int, e1: int, e2: int, e3: int) -> int:
     series_inv by n times each key of its input, and the sparse-factor
     products of the series module by N times each factor's key, once per
     factor.  The sums left unchecked
-    cannot wrap: a z_poly key adds at most a*b*c box keys whose fields are 0
-    or 1 (each column weight is a checked Monomial product), and a box of
-    2**20 boxes is far beyond the DP; the Q grading in compare_box_vs_series
+    cannot wrap: a z_poly key adds the (q,r,s) parts of at most b column
+    weights, checked Monomial products of box keys whose fields are 0 or 1,
+    and its unpacking then adds at most a*b*c p's; a box of 2**20 boxes is
+    far beyond the DP; the Q grading in compare_box_vs_series
     adds at most D times pack(1, 1, 1, 1).
     """
     if not (-LIMIT <= e0 < LIMIT and -LIMIT <= e1 < LIMIT

@@ -283,8 +283,9 @@ def check_theorem(dims: BoxDims) -> CheckReport:
     rep = CheckReport("theorem", {"dims": ",".join(map(str, dims))})
     lhs = z_poly(dims.doubled(), Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}))
     z = z_poly(dims, MONO.with_signs({"p": "-p"}))
-    if lhs != z * z:
-        rep.fail({"lhs": lhs.to_json_obj(), "rhs": (z * z).to_json_obj()})
+    rhs = z * z
+    if lhs != rhs:
+        rep.fail({"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()})
     rep.params["lhs"] = str(lhs)
     return rep
 

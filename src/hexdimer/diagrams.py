@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from operator import ge
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, pack
+from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, pack, split
 from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
 
 
@@ -35,7 +35,8 @@ class FaceNotFlippable(DiagramError):
 # the most edge visits a check that enumerates a box's N matchings may
 # spend: N^k (ab + bc + ca), with k = 1 for a check that handles each
 # matching once and k = 2 for one that overlays every pair of them; also
-# the most term-dict additions the partition-function DP (z_poly) may run
+# the most state additions the partition-function DP (z_poly) may run, each
+# one sum of two dicts of packed ints
 WORK_LIMIT = 10 ** 8
 
 
@@ -498,22 +499,64 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme,
     return out
 
 
-def _shifted(terms: Dict[int, int], w: Monomial) -> Dict[int, int]:
-    """terms times the monomial w."""
-    k, d = w.coeff, w.key
-    if k == 1 and not d:
+# the key of p, the variable z_poly's DP evaluates at p = 2^W
+_P_KEY = pack(1, 0, 0, 0)
+
+
+def _p_width(dims: BoxDims) -> int:
+    """W, the bits of one p-power in z_poly's packed values.  Every
+    coefficient the DP forms is a signed count of distinct diagrams of the
+    box, so its absolute value is at most box_count(dims) < 2^(W-1)."""
+    return box_count(dims).bit_length() + 1
+
+
+def _shifted(terms: Dict[int, int], w: Monomial, width: int) -> Dict[int, int]:
+    """terms times the monomial w at p = 2^width: the (q,r,s) part of w's
+    key moves the keys, and its p-power shifts the packed values."""
+    k, key = w.coeff, w.key
+    if k == 1 and not key:
         return terms
-    return {e + d: c * k for e, c in terms.items()}
+    e = split(key)[0]
+    d, shift = key - e * _P_KEY, e * width
+    return {x + d: (v << shift) * k for x, v in terms.items()}
+
+
+def _unpack_p(packed: Dict[int, int], width: int) -> Poly:
+    """The Poly whose value at p = 2^width is ``packed``, a dict from the
+    keys of (q,r,s) parts (p-exponent 0) to ints.  The balanced
+    base-2^width digits of each int, in [-2^(width-1), 2^(width-1)), are the
+    coefficients of p^0, p^1, .. of its (q,r,s) part."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    terms = {}
+    for key, v in packed.items():
+        while v:
+            d = ((v + half) & mask) - half
+            if d:
+                terms[key] = d
+            v = (v - d) >> width
+            key += _P_KEY
+    return Poly._of(terms)
 
 
 def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
     """The box partition function: sum of diagram weights over the box.
 
     The DP runs over columns j = b-1 .. 0 with the column profiles as states:
-    S = C(a+c, a) states and fewer than S*a term-dict additions per column.
+    S = C(a+c, a) states and fewer than S*a state additions per column.
     TooLarge, before any state is listed, if a*b*S passes WORK_LIMIT, as
     soon as one of C(n+1, 1), C(n+2, 2) .. C(n+k, k) = S does (n = max(a, c),
     k = min(a, c)): each is the previous one times (n + i) / i.
+
+    Each state is held at p = 2^W (_p_width), as a dict from the key of a
+    (q,r,s) part to one int, so one int addition merges a whole polynomial
+    in p; the total is unpacked once (_unpack_p).  A partial diagram on
+    columns j..b-1 extends to a whole one in one way only (fill the columns
+    left of j to height c), so every coefficient of every state, partial
+    sum and the total counts distinct diagrams of the box with signs: its
+    absolute value is below 2^(W-1), where balanced base-2^W digits are
+    unique.  So a packed value is 0 exactly when all its coefficients are,
+    and the unpacking is exact.
     """
     a, b, c = dims
     size = 1
@@ -521,20 +564,22 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
         size = size * (max(a, c) + i) // i
         if a * b * size > WORK_LIMIT:
             raise TooLarge(f"the partition function of H_{tuple(dims)} takes a*b*C(a+c, a) "
-                           f"term-dict additions, over the bound {WORK_LIMIT}")
+                           f"state additions, over the bound {WORK_LIMIT}")
+    width = _p_width(dims)
     states = _profile_states(a, c)
     sweep = _sweep_pairs(states)
-    # f[n] = terms of the weighted sum over partial diagrams on columns j..b-1
-    # whose column j equals states[n]; the empty column b starts it off.
+    # f[n] = the weighted sum over partial diagrams on columns j..b-1 whose
+    # column j equals states[n], at p = 2^width; the empty column b starts it
     f: List[Dict[int, int]] = [{} for _ in states]
     f[0][0] = 1
     for j in range(b - 1, -1, -1):
         # column j may take state s iff column j+1 lies below s entrywise
         for n, m in sweep:
             _add_into(f[n], f[m])
-        f = [_shifted(terms, w)
-             for terms, w in zip(f, _column_weights(dims, j, scheme, states))]
+        # in place, so each old state is freed as soon as its new one is made
+        for n, w in enumerate(_column_weights(dims, j, scheme, states)):
+            f[n] = _shifted(f[n], w, width)
     total = Poly()
     for terms in f:
         total = total + Poly(terms)
-    return total
+    return _unpack_p(total.terms, width)

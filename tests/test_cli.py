@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hexdimer.algebra import Poly, pack
 from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, main,
                           parse_dims, parse_set, run_check)
 from hexdimer.diagrams import diagram_sum, iter_matchings
@@ -187,6 +188,32 @@ def test_check_theorem_json(capsys):
     (rep,) = json.loads(out)
     assert rep["status"] == "pass"
     assert rep["params"]["lhs"] == "1 - 2*p + p^2"
+
+
+def test_check_theorem_fails_on_a_perturbed_side(capsys, monkeypatch):
+    # a left side off by p fails the check, and the witness holds the two
+    # sides compared: the right one is the check's one and only product
+    import hexdimer.cli as cli
+
+    real_z, real_mul, products = cli.z_poly, Poly.__mul__, []
+
+    def perturbed(dims, scheme):
+        out = real_z(dims, scheme)
+        return out + Poly({pack(1, 0, 0, 0): 1}) if dims == BoxDims(2, 2, 2) else out
+
+    def mul(x, y):
+        products.append(real_mul(x, y))
+        return products[-1]
+
+    monkeypatch.setattr(cli, "z_poly", perturbed)
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    code, out, _ = run(capsys, "check", "theorem", "-d", "1,1,1", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 1 and rep["status"] == "fail" and len(products) == 1
+    assert str(products[0]) == "1 - 2*p + p^2"
+    assert rep["witness"] == {"lhs": Poly({0: 1, pack(1, 0, 0, 0): -1,
+                                           pack(2, 0, 0, 0): 1}).to_json_obj(),
+                              "rhs": products[0].to_json_obj()}
 
 
 def test_check_minus_one_values(capsys):
@@ -466,7 +493,7 @@ def test_check_parity_refuses_a_count_past_the_primes(capsys, monkeypatch):
 
 
 def test_partition_function_refuses_before_listing_states(capsys, monkeypatch):
-    # the DP runs fewer than a*b*C(a+c, a) term-dict additions; past the
+    # the DP runs fewer than a*b*C(a+c, a) state additions; past the
     # work bound it is refused before any profile state is listed
     import hexdimer.diagrams as diagrams
 

@@ -8,10 +8,11 @@ from conftest import (backtrack_matchings, box_count_oracle, broken_masks, const
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexdimer.algebra import Monomial, pack
+import hexdimer.diagrams as dg
+from hexdimer.algebra import Monomial, Poly, pack
 from hexdimer.diagrams import (
     BOX_COLORS, COUNT, DiagramError, FaceNotFlippable, MONO, NotAMatching, PlanePartition,
-    TooLarge, WeightScheme, Z2Z2, _profile_states, box_count,
+    TooLarge, WeightScheme, Z2Z2, _p_width, _profile_states, _unpack_p, box_count,
     bounded_count, diagram_of, diagram_sum, diagram_weight, enumerate_diagrams,
     enumerate_matchings, flippable_faces, iter_matchings, matching_of, tau_move,
     z_poly,
@@ -248,8 +249,6 @@ def test_box_count_stops_above_the_bound():
 
 
 def test_bounded_count_on_both_sides_of_the_bound(monkeypatch):
-    import hexdimer.diagrams as dg
-
     monkeypatch.setattr(dg, "build_mesh", None)  # any enumeration would fail
     # at N^k (ab + bc + ca) the count passes; one edge visit less refuses it
     for dims in (BoxDims(2, 2, 2), BoxDims(3, 2, 1), BoxDims(40, 1, 1)):
@@ -543,9 +542,40 @@ def test_dp_equals_enumeration(dims):
     # the signed schemes make sums cancel, so a zero coefficient left behind
     # by the DP's in-place accumulation would show as a difference
     dims = BoxDims(*dims)
+    # the last three leave p out, fold it into q, and share it with s: the
+    # DP packs p-powers into its values whichever variables carry them
     for scheme in (Z2Z2, MONO, COUNT, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
-                   MONO.with_signs({"p": "-p"})):
+                   MONO.with_signs({"p": "-p"}), Z2Z2.with_signs({"p": "1"}),
+                   Z2Z2.with_signs({"p": "-q"}), Z2Z2.with_signs({"s": "p", "q": "-1"})):
         assert z_poly(dims, scheme) == diagram_sum(dims, scheme)
+
+
+@pytest.mark.parametrize("width", [2, 3, 19, 64, 114])
+def test_unpack_p_at_its_bound(width):
+    # digits of the largest magnitude allowed, zero digits at the bottom,
+    # inside and at the top, under several (q,r,s) keys
+    rng = random.Random(width)
+    top = (1 << (width - 1)) - 1
+    packed, want = {}, {}
+    for key in (0, pack(0, 1, 0, 0), pack(0, -2, 3, 1), pack(0, 0, 0, 5)):
+        digits = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(12)]
+        digits[0], digits[5:7], digits[-1] = 0, [0, 0], 0
+        digits[rng.randrange(1, 5)] = rng.choice((top, -top))
+        packed[key] = sum(d << (width * n) for n, d in enumerate(digits))
+        want.update({key + pack(n, 0, 0, 0): d for n, d in enumerate(digits) if d})
+    packed[pack(0, 7, 7, 7)] = 0
+    assert _unpack_p(packed, width) == Poly(want)
+
+
+def test_z_poly_needs_its_width(monkeypatch):
+    # 232,848 diagrams need 18 bits and a sign bit; with one bit less the
+    # count wraps into the next p-power
+    dims = BoxDims(4, 4, 4)
+    assert _p_width(dims) == 19
+    monkeypatch.setattr(dg, "_p_width", lambda dims: 18)
+    wrapped = z_poly(dims, COUNT)
+    assert wrapped != Poly({0: 232848})
+    assert wrapped == Poly({0: 232848 - (1 << 18), pack(1, 0, 0, 0): 1})
 
 
 def macmahon_oracle(a, b, c):
@@ -577,16 +607,24 @@ def test_macmahon_oracle_counts_diagrams():
         assert macmahon_oracle(*dims) == by_size
 
 
-def test_main_theorem_base_333():
-    """Z^{6,6,6}(p,-1,-1,-1) = (Z^{3,3,3}(-p))^2 with the right side from
+def assert_main_theorem(n):
+    """Z^{2n,2n,2n}(p,-1,-1,-1) = (Z^{n,n,n}(-p))^2 with the right side from
     the box product, not from z_poly."""
-    zm = [(-1) ** n * x for n, x in enumerate(macmahon_oracle(3, 3, 3))]
+    zm = [(-1) ** k * x for k, x in enumerate(macmahon_oracle(n, n, n))]
     square = [0] * (2 * len(zm) - 1)
     for i, x in enumerate(zm):
         for j, y in enumerate(zm):
             square[i + j] += x * y
-    lhs = z_poly(BoxDims(6, 6, 6), Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}))
-    assert lhs.terms == {pack(n, 0, 0, 0): x for n, x in enumerate(square) if x}
+    lhs = z_poly(BoxDims(2 * n, 2 * n, 2 * n), Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}))
+    assert lhs.terms == {pack(k, 0, 0, 0): x for k, x in enumerate(square) if x}
+
+
+def test_main_theorem_base_333():
+    assert_main_theorem(3)
+
+
+def test_main_theorem_base_444():
+    assert_main_theorem(4)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (3, 2, 1)], ids=str)
