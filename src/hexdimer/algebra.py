@@ -308,16 +308,6 @@ class Series:
         """Coefficientwise evaluation at q,r,s -> +-1; returns plain integers."""
         return [lp_eval_signs(c, sq, sr, ss) for c in self.coeffs]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "vars": ["q", "r", "s"],
-            "order": self.order,
-            "coeffs": [
-                [{"coeff": c, "exp": list(split(e)[1:])} for e, c in sorted(cc.items())]
-                for cc in self.coeffs
-            ],
-        }
-
     def __repr__(self):
         return f"Series(order={self.order})"
 

@@ -311,11 +311,6 @@ class HexMesh:
         return rows
 
     @cached_property
-    def centroids(self) -> Tuple[Tuple[int, int], ...]:
-        """3x each vertex's centroid (its corner sum), in ``vertices`` order."""
-        return tuple(map(corner_sum, self.vertices))
-
-    @cached_property
     def endpoint_bits(self) -> Tuple[int, ...]:
         """Per edge, 2^u + 2^v for the positions u, v of its ends: two edges
         share a vertex exactly when their bits meet."""
@@ -379,13 +374,6 @@ class HexMesh:
             at[u] |= 1 << e
             at[v] |= 1 << e
         return tuple((1 << i) | at[u] | at[v] for i, (u, v) in enumerate(ends))
-
-
-def corner_sum(t: Triangle) -> Tuple[int, int]:
-    """The sum of a triangle's three lattice corners, 3x its centroid."""
-    if t.up:
-        return (3 * t.x + 1, 3 * t.y + 2)
-    return (3 * t.x + 2, 3 * t.y + 1)
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")

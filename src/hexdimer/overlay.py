@@ -1,5 +1,7 @@
 """Overlays of matching pairs: 2-factors, loop decomposition, splitting back
-into ordered pairs, and component parity."""
+into ordered pairs, and component parity.  A loop is a walk over edge
+positions, not oriented in the plane: ``squish.turn_word`` reads its
+orientation off edge classes."""
 
 from __future__ import annotations
 
@@ -19,17 +21,21 @@ class MeshMismatch(OverlayError):
     pass
 
 
-Loop = Tuple[int, ...]  # edge positions in counterclockwise cyclic order
+# edge positions in the order a walk meets them: from the loop's least
+# position, leaving that edge at its down end
+Loop = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class TwoFactor:
     """Doubled edges plus disjoint even loops; every vertex has degree two
     with multiplicity.  ``doubled`` is the mask of the doubled edges; each
-    loop is a tuple of edge positions, counterclockwise and rotated to its
-    least position, so equal 2-factors compare equal.  A position indexes
-    the mesh's sorted tuple of faces ``edges``, so 2-factors sort as by
-    their faces, and ``to_json_obj`` names each edge by its face."""
+    loop is a ``Loop``, a walk from its least edge position that leaves
+    that edge at its down end, so equal 2-factors compare equal.  A walk
+    may run either way around the plane; ``squish.turn_word`` alone reads
+    the orientation.  A position indexes the mesh's sorted tuple of faces
+    ``edges``, so 2-factors sort as by their faces, and ``to_json_obj``
+    names each edge by its face."""
 
     dims: BoxDims
     doubled: int
@@ -51,19 +57,6 @@ class TwoFactor:
         }
 
 
-def loop_vertices(mesh: HexMesh, loop: Loop) -> Tuple[int, ...]:
-    """vertices[i], a position in ``mesh.vertices``, is shared by loop[i]
-    and loop[i+1] (cyclically)."""
-    ends = mesh.edge_ends
-    out = []
-    for e, f in zip(loop, loop[1:] + loop[:1]):
-        (u, v), (u2, v2) = ends[e], ends[f]
-        if (u == u2) == (v == v2):  # an edge's ends are one up and one down vertex
-            raise OverlayError(f"edges {e} and {f} not consecutive")
-        out.append(u if u == u2 else v)
-    return tuple(out)
-
-
 def overlay(mesh: HexMesh, M1: int, M2: int) -> TwoFactor:
     """Superimpose two perfect matchings of the same mesh, given as edge
     masks."""
@@ -76,22 +69,18 @@ def overlay(mesh: HexMesh, M1: int, M2: int) -> TwoFactor:
 def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
     """Build a TwoFactor from the disjoint masks of its doubled edges and
     of the union of its loops (every vertex of ``loops`` must have degree
-    exactly 2 there)."""
+    exactly 2 there), each loop walked as ``Loop`` says."""
     mesh.check_mask(doubled | loops)
     if doubled & loops:
         raise OverlayError("an edge is both doubled and on a loop")
-    ends, nbrs, centroids = mesh.edge_ends, mesh.vertex_edges, mesh.centroids
-    walks: List[List[int]] = []
+    ends, nbrs = mesh.edge_ends, mesh.vertex_edges
+    walks: List[Loop] = []
     rest = loops
     while rest:
-        # e0 is the least edge of its loop; the walk leaves it at its down
-        # end and adds the shoelace term of each vertex it passes
+        # e0 is the least edge of its loop; the walk leaves it at its down end
         seen = rest & -rest
         e0 = seen.bit_length() - 1
-        walk, cur = [e0], e0
-        head = first = ends[e0][1]
-        x0, y0 = centroids[first]
-        area2 = 0
+        walk, cur, head = [e0], e0, ends[e0][1]
         while True:
             for nxt, other in nbrs[head]:
                 if nxt != cur and loops >> nxt & 1:
@@ -106,20 +95,10 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
             seen |= bit
             walk.append(nxt)
             cur, head = nxt, other
-            x1, y1 = centroids[head]
-            area2 += x0 * y1 - x1 * y0
-            x0, y0 = x1, y1
-        x1, y1 = centroids[first]
-        area2 += x0 * y1 - x1 * y0
-        # positive when counterclockwise: the lattice-to-plane map has
-        # positive determinant, so the sign in lattice coordinates is the
-        # geometric one
-        if area2 <= 0:
-            walk[1:] = walk[:0:-1]  # clockwise walk: reverse it, e0 stays first
         rest ^= seen
-        walks.append(walk)
+        walks.append(tuple(walk))
     walks.sort()
-    return TwoFactor(mesh.dims, doubled, tuple(map(tuple, walks)))
+    return TwoFactor(mesh.dims, doubled, tuple(walks))
 
 
 def split(lam: TwoFactor) -> List[Tuple[int, int]]:

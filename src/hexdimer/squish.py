@@ -1,7 +1,8 @@
 """The matching-level squish correspondence: projecting even-mesh matchings
 onto base-mesh 2-factors, preimage enumeration,
 the two proof weightings (the pullback U and the sign weighting S), and the
-transfer-matrix evaluation of signed loop lifts."""
+transfer-matrix evaluation of signed loop lifts over turn words read off
+edge classes."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import MAT_L, MAT_R, Monomial, mono_t
 from .mesh import BoxDims, HexMesh, build_mesh, edge_table, positions
-from .overlay import Loop, TwoFactor, assemble_two_factor, iter_two_factors, loop_vertices
+from .overlay import Loop, TwoFactor, assemble_two_factor, iter_two_factors
 
 
 class SquishError(Exception):
@@ -226,18 +227,25 @@ def _loop_lift_choices(mesh: HexMesh, loop: Loop) -> List[Tuple[int, ...]]:
 # -- loop turns and lift sums ---------------------------------------------------
 
 
+_SWAP = str.maketrans("LR", "RL")
+
+
 def turn_word(mesh: HexMesh, loop: Loop) -> str:
-    """One L or R per vertex of a counterclockwise base loop; any such word
-    carries 6 more Ls than Rs."""
-    centroids = mesh.centroids
-    pts = [centroids[v] for v in loop_vertices(mesh, loop)]
-    letters = []
-    for (x0, y0), (x1, y1), (x2, y2) in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1]):
-        cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
-        if cross == 0:
-            raise SquishError("straight passage in a hexagon-lattice loop")
-        letters.append("L" if cross > 0 else "R")
-    return "".join(letters)
+    """One L or R per vertex of a base loop, read counterclockwise from
+    loop[0].  Letter i of the walk's own word is the turn from loop[i] to
+    loop[i+1] (cyclically): every vertex has one edge of each class, so
+    the walk turns left exactly when the next edge's class follows the
+    current one in the cycle A, B, C.  A closed walk turns six more times
+    one way than the other, so a word with more Rs than Ls is a clockwise
+    walk's; its counterclockwise reading, the word of (loop[0],) +
+    loop[:0:-1], is the word reversed with L and R swapped."""
+    edges = mesh.edges
+    classes = ["ABC".index(edges[e].cls) for e in loop]
+    word = "".join("L" if (nxt - cur) % 3 == 1 else "R"
+                   for cur, nxt in zip(classes, classes[1:] + classes[:1]))
+    if word.count("R") > word.count("L"):
+        return word[::-1].translate(_SWAP)
+    return word
 
 
 def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:

@@ -325,8 +325,9 @@ def per_byte_tables(mesh: HexMesh) -> List[str]:
 @dataclass(frozen=True)
 class FaceTwoFactor:
     """Doubled edges plus disjoint even loops; every vertex has degree two
-    with multiplicity.  Loops are stored counterclockwise and rotated to
-    their lexicographically least edge, so equal 2-factors compare equal."""
+    with multiplicity.  Each loop is stored as the walk from its least
+    edge that leaves that edge at its down end, so equal 2-factors compare
+    equal."""
 
     dims: BoxDims
     doubled: FrozenSet[Face]

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hexdimer.algebra import Poly, pack
-from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, main,
+from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, build_parser, main,
                           parse_dims, parse_set, run_check)
 from hexdimer.diagrams import diagram_sum, iter_matchings
 from hexdimer.mesh import BoxDims
@@ -782,6 +783,36 @@ def test_output_matches_golden_file(capsys):
         code, out, err = run(capsys, *case["argv"])
         assert (code, _masked(out), err) == (case["code"], case["stdout"], case["stderr"]), \
             case["argv"]
+
+
+def readme_cli_lines():
+    """The ``hexdimer`` lines of the README's sh blocks, each as the words
+    after ``hexdimer`` and the comment after its '#' ('' if none)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            if line.startswith("hexdimer "):
+                cmd, _, comment = line.partition("#")
+                out.append((shlex.split(cmd)[1:], comment.strip()))
+    return out
+
+
+def test_readme_cli_lines_match_the_cli(capsys):
+    # a zfun line with a comment prints the comment up to its first comma;
+    # a check line parses and names a check, and is not run
+    lines = readme_cli_lines()
+    zfuns = [(argv, comment.split(",")[0]) for argv, comment in lines
+             if argv[0] == "zfun" and comment]
+    assert len(zfuns) >= 3
+    for argv, want in zfuns:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.strip()) == (0, want), argv
+    checks = [argv for argv, _ in lines if argv[0] == "check"]
+    assert checks
+    parser = build_parser()
+    for argv in checks:
+        assert parser.parse_args(argv).name in CHECK_NAMES + ("all",), argv
 
 
 def test_render_deterministic(tmp_path, capsys):

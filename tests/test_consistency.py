@@ -217,15 +217,15 @@ class Built(Exception):
 
 
 @pytest.mark.parametrize("admitted, refused, rule", [
-    ("182,182,182", "184,184,184", "101568 edges"),
-    ("314,314,2", "316,316,2", "101120 edges"),
-    ("24998,2,2", "25000,2,2", "100004 edges"),
+    ("182,182,182", "184,184,184", "101568 up vertices"),
+    ("314,314,2", "316,316,2", "101120 up vertices"),
+    ("24998,2,2", "25000,2,2", "100004 up vertices"),
 ], ids=str)
 def test_the_size_rule_at_its_edges(capsys, monkeypatch, admitted, refused, rule):
     # the last admitted size gets as far as its first mesh; the first
     # refused one exits 2 from the dims alone.  The admitted sizes pass end
-    # to end in under 4 s and 140 MB each on a 2-vCPU VM; the edge count is
-    # the only rule, so the flat boxes meet it too.
+    # to end in under 4 s and 140 MB each on a 2-vCPU VM; the up-vertex
+    # count is the only rule, so the flat boxes meet it too.
     def built(mesh, dims):
         raise Built(tuple(dims))
 

@@ -290,9 +290,8 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
-    lazy = ("edge_ends", "vertex_edges", "centroids", "endpoint_bits", "lifts",
-            "squish_table", "long_cover", "short_mask", "lattice_table", "hex_cycles",
-            "a_points")
+    lazy = ("edge_ends", "vertex_edges", "endpoint_bits", "lifts", "squish_table",
+            "long_cover", "short_mask", "lattice_table", "hex_cycles", "a_points")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
     assert not mesh.is_perfect_matching(0)

@@ -13,9 +13,9 @@ from hexdimer.mesh import BoxDims, HexMesh, UnknownFace, build_mesh, positions
 from hexdimer.overlay import (
     MeshMismatch, OverlayError,
     assemble_two_factor, distinct_overlays, iter_two_factors,
-    loop_vertices, overlay, overlay_keys, pair_matchings, split,
+    overlay, overlay_keys, pair_matchings, split,
 )
-from hexdimer.squish import wp_edge_weighting
+from hexdimer.squish import turn_word, wp_edge_weighting
 
 
 def hexagon_setup():
@@ -39,8 +39,8 @@ def test_overlay_hexagon_loop():
     assert lam.doubled == 0
     assert len(lam.loops) == 1 and len(lam.loops[0]) == 6
     assert lam.component_count() == 1
-    vs = loop_vertices(mesh, lam.loops[0])
-    assert sorted(vs) == list(range(len(mesh.vertices)))
+    vs = [v for e in lam.loops[0] for v in mesh.edge_ends[e]]
+    assert sorted(vs) == sorted(2 * list(range(len(mesh.vertices))))
 
 
 def test_overlay_rejects_non_matchings():
@@ -55,27 +55,14 @@ def test_loops_are_canonical():
     assert overlay(mesh, empty, full) == overlay(mesh, full, empty)
 
 
-def corner_sum(t):
-    """Sum of a triangle's three lattice corners (up(x,y): (x,y), (x+1,y+1),
-    (x,y+1); down(x,y): (x,y), (x+1,y), (x+1,y+1))."""
-    if t.up:
-        corners = [(t.x, t.y), (t.x + 1, t.y + 1), (t.x, t.y + 1)]
-    else:
-        corners = [(t.x, t.y), (t.x + 1, t.y), (t.x + 1, t.y + 1)]
-    return sum(c[0] for c in corners), sum(c[1] for c in corners)
-
-
 def reference_canonical(mesh, loop):
-    """Orient a loop counterclockwise by the shoelace sum over its vertices,
-    then rotate it to its least edge."""
-    pts = [corner_sum(mesh.vertices[v]) for v in loop_vertices(mesh, loop)]
-    area2 = sum(x1 * y2 - x2 * y1
-                for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
-    assert area2 != 0
-    if area2 < 0:
-        loop = loop[::-1]
+    """Rotate a loop to its least edge, then walk it so that it leaves that
+    edge at its down end."""
     k = loop.index(min(loop))
-    return loop[k:] + loop[:k]
+    loop = loop[k:] + loop[:k]
+    if mesh.edge_ends[loop[0]][1] not in mesh.edge_ends[loop[1]]:
+        loop = loop[:1] + loop[:0:-1]
+    return loop
 
 
 @pytest.mark.parametrize("dims", [(a, b, c) for a in (1, 2) for b in (1, 2)
@@ -332,17 +319,14 @@ def face_assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> FaceTwo
     """Build a TwoFactor from the masks of its doubled edges and of the
     union of its loops (every vertex of ``loops`` must have degree exactly
     2 there)."""
-    ends, nbrs, centroids = mesh.edge_ends, mesh.vertex_edges, mesh.centroids
+    ends, nbrs = mesh.edge_ends, mesh.vertex_edges
     walks: List[List[int]] = []
     rest, limit = loops, loops.bit_count()
     while rest:
-        # e0 is the least edge of its loop; the walk leaves it at its down
-        # end and adds the shoelace term of each vertex it passes
+        # e0 is the least edge of its loop; the walk leaves it at its down end
         e0 = (rest & -rest).bit_length() - 1
         walk, cur = [e0], e0
-        head = first = ends[e0][1]
-        x0, y0 = centroids[first]
-        area2 = 0
+        head = ends[e0][1]
         while True:
             for nxt, other in nbrs[head]:
                 if loops >> nxt & 1 and nxt != cur:
@@ -355,16 +339,6 @@ def face_assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> FaceTwo
             if len(walk) > limit:
                 raise OverlayError(f"loop edges branch off the loop of {mesh.edges[e0]}")
             cur, head = nxt, other
-            x1, y1 = centroids[head]
-            area2 += x0 * y1 - x1 * y0
-            x0, y0 = x1, y1
-        x1, y1 = centroids[first]
-        area2 += x0 * y1 - x1 * y0
-        # positive when counterclockwise: the lattice-to-plane map has
-        # positive determinant, so the sign in lattice coordinates is the
-        # geometric one
-        if area2 <= 0:
-            walk[1:] = walk[:0:-1]  # clockwise walk: reverse it, e0 stays first
         rest &= ~sum(1 << e for e in walk)
         walks.append(walk)
     faces = mesh.edges  # edge positions sort as the edges do
@@ -394,6 +368,80 @@ def test_position_assembly_equals_face_assembly(dims):
     assert len(got) == len(set(got)) == len(oracles)
     assert [oracles[lam] for lam in got] == \
         sorted(oracles.values(), key=lambda tf: (sorted(tf.doubled), tf.loops))
+
+
+# -- the geometric turn word, the oracle of squish.turn_word -------------------
+
+
+def corner_sum(t):
+    """Sum of a triangle's three lattice corners (up(x,y): (x,y), (x+1,y+1),
+    (x,y+1); down(x,y): (x,y), (x+1,y), (x+1,y+1))."""
+    if t.up:
+        corners = [(t.x, t.y), (t.x + 1, t.y + 1), (t.x, t.y + 1)]
+    else:
+        corners = [(t.x, t.y), (t.x + 1, t.y), (t.x + 1, t.y + 1)]
+    return sum(c[0] for c in corners), sum(c[1] for c in corners)
+
+
+def walk_points(mesh, walk):
+    """Per i, the corner sum of the vertex that walk[i] and walk[i+1]
+    (cyclically) share."""
+    ends = [set(mesh.edge_ends[e]) for e in walk]
+    shared = [u & v for u, v in zip(ends, ends[1:] + ends[:1])]
+    assert all(len(v) == 1 for v in shared)
+    return [corner_sum(mesh.vertices[v]) for (v,) in shared]
+
+
+def geometric_turn_word(mesh, walk):
+    """The turn word of a loop, counterclockwise: the walk through its
+    vertices' centroids is reversed after walk[0] when its shoelace sum is
+    negative (the lattice-to-plane map has positive determinant, so the
+    sign in lattice coordinates is the geometric one), and each letter is
+    the sign of the cross product at one vertex."""
+    pts = walk_points(mesh, walk)
+    area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+    assert area2 != 0
+    if area2 < 0:
+        pts = walk_points(mesh, walk[:1] + walk[:0:-1])
+    letters = []
+    for (x0, y0), (x1, y1), (x2, y2) in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1]):
+        cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
+        assert cross != 0
+        letters.append("L" if cross > 0 else "R")
+    return "".join(letters)
+
+
+def geometric_mismatches(dims, word_of):
+    """The loops of the box's 2-factors, each walked both ways, on which
+    word_of(mesh, walk) is not the geometric turn word."""
+    mesh = build_mesh(BoxDims(*dims))
+    loops = {loop for lam in iter_two_factors(BoxDims(*dims)) for loop in lam.loops}
+    return [walk for loop in sorted(loops) for walk in (loop, loop[:1] + loop[:0:-1])
+            if word_of(mesh, walk) != geometric_turn_word(mesh, walk)]
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+def test_turn_word_is_the_geometric_word(dims):
+    assert geometric_mismatches(dims, turn_word) == []
+
+
+def test_a_left_turn_on_a_class_step_back_is_refuted():
+    # negative control: read L where the next class precedes the current
+    # one in A, B, C, and read the word counterclockwise as turn_word
+    # does.  Every word still nets six lefts, but comes out reversed, so
+    # the geometric words refute the rule on every loop whose word is no
+    # palindrome: none of the hexagon's, many of H_(2,2,2)'s
+    def left_on_step_back(mesh, walk):
+        classes = ["ABC".index(mesh.edges[e].cls) for e in walk]
+        word = "".join("L" if (nxt - cur) % 3 == 2 else "R"
+                       for cur, nxt in zip(classes, classes[1:] + classes[:1]))
+        if word.count("R") > word.count("L"):
+            word = word[::-1].translate(str.maketrans("LR", "RL"))
+        assert word.count("L") - word.count("R") == 6
+        return word
+
+    assert geometric_mismatches((1, 1, 1), left_on_step_back) == []
+    assert geometric_mismatches((2, 2, 2), left_on_step_back)
 
 
 def test_assemble_refuses_a_doubled_edge_on_a_loop():

@@ -266,17 +266,3 @@ def test_compare_detects_a_perturbed_series(monkeypatch):
     r = compare_box_vs_series(N, "mono")
     assert r["match"] is False
     assert r["first_mismatch"] == {"term": "p^1", "box": 1, "series": 2}
-
-
-def test_series_json():
-    obj = mac(1, 2).to_json_obj()
-    assert obj["order"] == 2
-    assert obj["coeffs"][2] == [{"coeff": 3, "exp": [0, 0, 0]}]
-    obj = mac_tilde(lmono(-1, 1, 0, -1), 1).to_json_obj()
-    assert obj["coeffs"][1] == [{"coeff": -1, "exp": [-1, 0, 1]},
-                                {"coeff": -1, "exp": [1, 0, -1]}]
-    ser = z2z2_rhs(3)
-    for cc, terms in zip(ser.coeffs, ser.to_json_obj()["coeffs"]):
-        exps = [tuple(t["exp"]) for t in terms]
-        assert exps == sorted(exps)
-        assert {pack(0, *e): t["coeff"] for e, t in zip(exps, terms)} == cc
