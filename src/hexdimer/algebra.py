@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: signed monomials, sparse integer polynomials,
-truncated power series with Laurent coefficients, 4x4 integer matrices, and
-determinants of sparse integer matrices modulo a prime.
+truncated power series with Laurent coefficients, 4x4 integer matrices,
+determinants of sparse integer matrices modulo a prime, and determinants
+of dense integer matrices over the integers.
 
 Polynomials are in ``('p', 'q', 'r', 's')``, the frame of diagram weights
 and partition functions.  Edge weights are monomials whose first variable is
@@ -456,3 +457,32 @@ def det_mod(rows: Sequence[Mapping[int, int]], P: int) -> int:
                 seen[j] = True
                 j = pivot_of[j]
     return det if flips % 2 == 0 else -det % P
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of the n x n integer matrix ``rows``, over the
+    integers, by fraction-free elimination (Bareiss 1968).
+
+    Step k turns every entry of the trailing rows into (pivot * entry -
+    leading entry * pivot row's entry) / the previous pivot.  After it each
+    such entry is a (k+1) x (k+1) minor of the matrix (Sylvester's
+    identity), so every division is exact and the last pivot is the
+    determinant.  A zero pivot is swapped with the first nonzero entry
+    below it, each swap negating the result."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top = m[k]
+        piv = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(piv * v - f * w) // prev for v, w in zip(row[k + 1:], top[k + 1:])]
+        prev = piv
+    return sign * prev

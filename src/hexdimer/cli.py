@@ -23,7 +23,7 @@ from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Poly, TooLarge, degree,
                       mat_mul, mat_neg, mat_pow, prime_above, split as split_key)
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2, box_count,
                        bounded_count, iter_matchings, matching_of, require_count, tau_move,
-                       z_poly)
+                       z_lgv, z_poly)
 from .mesh import BoxDims, Face, MeshError, build_mesh, positions
 from .overlay import (OverlayError, distinct_overlays, iter_two_factors, overlay,
                       pair_matchings, split)
@@ -40,6 +40,11 @@ class UsageError(Exception):
 @dataclass
 class CheckReport:
     name: str
+    # what a pass shows, by how the check computed: "exhaustive" (every
+    # matching, pair, 2-factor or diagram was enumerated), "certificate" (a
+    # local test, with a cited theorem that makes it global) or "exact" (an
+    # exact computation over the integers)
+    guarantee: str
     params: Dict[str, object]
     status: str = "pass"
     witness: Optional[object] = None
@@ -51,13 +56,14 @@ class CheckReport:
             self.witness = witness
 
     def to_json_obj(self) -> dict:
-        return {"check": self.name, "params": self.params,
+        return {"check": self.name, "guarantee": self.guarantee, "params": self.params,
                 "status": self.status, "witness": self.witness,
                 "seconds": round(self.seconds, 3)}
 
     def text(self) -> str:
         ps = " ".join(f"{k}={v}" for k, v in self.params.items())
-        line = f"{self.status.upper()} check={self.name} {ps} ({self.seconds:.2f}s)"
+        line = (f"{self.status.upper()} check={self.name} {self.guarantee} {ps} "
+                f"({self.seconds:.2f}s)")
         if self.witness is not None:
             line += f"\n  witness: {self.witness}"
         return line
@@ -71,7 +77,7 @@ def check_split(dims: BoxDims) -> CheckReport:
     of enumerated matchings that overlay back to it, so distinct overlays
     have disjoint splits; split sizes that add up to N^2 then leave no
     pair out."""
-    rep = CheckReport("split", {"dims": ",".join(map(str, dims))})
+    rep = CheckReport("split", "exhaustive", {"dims": ",".join(map(str, dims))})
     ms = pair_matchings(dims)
     mesh = build_mesh(dims)
     known = set(ms)
@@ -147,7 +153,7 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
     and the one after must overlay with C = n (mod 2).  The walk adds the
     boxes of the full diagram to the empty one in lexicographic order, and
     adding box (i,j,k) flips the hexagon at (i-k, j-k)."""
-    rep = CheckReport("parity", {"max_dims": ",".join(map(str, max_dims))})
+    rep = CheckReport("parity", "certificate", {"max_dims": ",".join(map(str, max_dims))})
     parity_size(max_dims)
     for dims in _all_subdims(max_dims):
         a, b, c = dims
@@ -173,7 +179,7 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
 
 def check_minus_one(dims: BoxDims) -> CheckReport:
     """Sign-weighting lemma at one base size, with transfer cross-check."""
-    rep = CheckReport("minus-one", {"dims": ",".join(map(str, dims))})
+    rep = CheckReport("minus-one", "exhaustive", {"dims": ",".join(map(str, dims))})
     a, b, c = dims
     sgn = (-1) ** (a * b + b * c + c * a)
     two_factors = iter_two_factors(dims)  # TooLarge before any mesh is built
@@ -204,7 +210,7 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
 
 def check_pullback(dims: BoxDims) -> CheckReport:
     """U(mu) = w_p(projection of mu) over all matchings of the even mesh."""
-    rep = CheckReport("pullback", {"dims": ",".join(map(str, dims))})
+    rep = CheckReport("pullback", "exhaustive", {"dims": ",".join(map(str, dims))})
     if not dims.is_even:
         raise UsageError("pullback check needs even dims")
     n = bounded_count(dims, 1)
@@ -253,7 +259,7 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     An edge on no hexagon lies in every matching or in none, so the empty
     matching covers it.  The signs and exponents are read edge by edge, so
     no per-byte table and no per-edge monomial is built."""
-    rep = CheckReport("consistency", {"dims": ",".join(map(str, dims))})
+    rep = CheckReport("consistency", "certificate", {"dims": ",".join(map(str, dims))})
     if not dims.is_even:
         raise UsageError("consistency check needs even dims")
     a, b, c = dims.halved()
@@ -282,10 +288,52 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     return rep
 
 
+# the two sides of the main theorem: Z^{2a,2b,2c}(p,-1,-1,-1) on the even
+# box, and Z^{a,b,c}(-p) on the base box
+THEOREM_LHS = Z2Z2.with_signs({"q": -1, "r": -1, "s": -1})
+THEOREM_RHS = MONO.with_signs({"p": "-p"})
+
+# `check theorem`'s size rule, on the even box's dims sorted so that c is
+# the smallest (a >= b >= c), and bits = abc/4 * W, the size of its
+# partition function at p = 2^W (the even box's abc/4 P boxes, W from
+# _p_width).  Bareiss takes about c^3 products of bits-bit ints, and the
+# path sums about c (a + c)(b + c) additions of them.  On a 2-vCPU VM
+# -d 7,7,7 (0.92 of the first bound) takes 6.1 s end to end and -d 50,50,1
+# (0.81 of the second) 2.3 s; -d 8,8,8 (5.2 times the first) refused, whose
+# sides take 36 s in-process
+THEOREM_BAREISS_LIMIT = 7 * 10 ** 13
+THEOREM_PATH_LIMIT = 5 * 10 ** 10
+
+
+def theorem_size(dims: BoxDims) -> None:
+    """TooLarge, from the dims alone, unless both of `check theorem`'s
+    costs stay within their bounds.  W >= 1 refuses first, before any
+    count; then the box count stops (box_count's ``stop``) at the largest
+    admitted width, so a refused box is never counted to the end."""
+    a, b, c = sorted(dims.doubled(), reverse=True)
+    boxes = a * b * c // 4
+    bareiss, paths = c ** 3 * boxes ** 2, c * (a + c) * (b + c) * boxes
+    # the largest W that both bounds admit
+    top = min(math.isqrt(THEOREM_BAREISS_LIMIT // bareiss), THEOREM_PATH_LIMIT // paths)
+    width = 1
+    if top >= width:
+        width = box_count(BoxDims(c, b, a), (1 << (top - 1)) - 1).bit_length() + 1
+    if width > top:
+        raise TooLarge(f"the theorem on H_{tuple(dims)} is over the bound: on the sorted even "
+                       f"box {(a, b, c)}, bits >= abc/4 * {width}, and Bareiss takes c^3 bits^2 "
+                       f">= {bareiss * width ** 2:.2e} steps (bound {THEOREM_BAREISS_LIMIT:.0e}), "
+                       f"the path sums c(a+c)(b+c) bits >= {paths * width:.2e} "
+                       f"(bound {THEOREM_PATH_LIMIT:.0e})")
+
+
 def check_theorem(dims: BoxDims) -> CheckReport:
-    rep = CheckReport("theorem", {"dims": ",".join(map(str, dims))})
-    lhs = z_poly(dims.doubled(), Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}))
-    z = z_poly(dims, MONO.with_signs({"p": "-p"}))
+    """Z^{2a,2b,2c}(p,-1,-1,-1) = Z^{a,b,c}(-p)^2, both sides exact
+    polynomials in p from one path determinant each (z_lgv), the right one
+    squared as a Poly."""
+    rep = CheckReport("theorem", "exact", {"dims": ",".join(map(str, dims))})
+    theorem_size(dims)
+    lhs = z_lgv(dims.doubled(), THEOREM_LHS)
+    z = z_lgv(dims, THEOREM_RHS)
     rhs = z * z
     if lhs != rhs:
         rep.fail({"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()})
@@ -294,7 +342,7 @@ def check_theorem(dims: BoxDims) -> CheckReport:
 
 
 def check_matrices() -> CheckReport:
-    rep = CheckReport("matrices", {})
+    rep = CheckReport("matrices", "exact", {})
     if mat_mul(MAT_L, MAT_R) != MAT_I or mat_mul(MAT_R, MAT_L) != MAT_I:
         rep.fail("L*R != I")
     if mat_pow(MAT_L, 6) != mat_neg(MAT_I):
@@ -321,7 +369,7 @@ def _check_order(name: str, order: int, top: int) -> int:
 
 def check_eq1(order: int) -> CheckReport:
     n = _check_order("eq1", order, EQ1_MAX_ORDER)
-    rep = CheckReport("eq1", {"order": n})
+    rep = CheckReport("eq1", "exhaustive", {"order": n})
     report = compare_box_vs_series(n, "mono")
     rep.params["coefficients"] = report["box"]
     if not report["match"]:
@@ -331,7 +379,7 @@ def check_eq1(order: int) -> CheckReport:
 
 def check_eq2(order: int) -> CheckReport:
     n = _check_order("eq2", order, EQ2_MAX_ORDER)
-    rep = CheckReport("eq2", {"order": n})
+    rep = CheckReport("eq2", "exhaustive", {"order": n})
     report = compare_box_vs_series(n, "z2z2")
     if not report["match"]:
         rep.fail(report["first_mismatch"])
@@ -340,7 +388,7 @@ def check_eq2(order: int) -> CheckReport:
 
 def check_eq3(order: int) -> CheckReport:
     n = _check_order("eq3", order, EQ3_MAX_ORDER)
-    rep = CheckReport("eq3", {"order": n})
+    rep = CheckReport("eq3", "exact", {"order": n})
     report = eq3_check(n)
     if not report["match"]:
         rep.fail({"lhs": report["lhs"], "rhs": report["rhs"]})
@@ -354,7 +402,7 @@ def check_fibers(dims: BoxDims) -> CheckReport:
     count, so they hold every matching.  Each lift is tested for being a
     perfect matching once, by ``projection_key``.  One fiber is held at a
     time."""
-    rep = CheckReport("fibers", {"dims": ",".join(map(str, dims))})
+    rep = CheckReport("fibers", "exhaustive", {"dims": ",".join(map(str, dims))})
     n = bounded_count(dims.doubled(), 1)
     even = build_mesh(dims.doubled())
     sizes = []

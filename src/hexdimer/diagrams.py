@@ -1,6 +1,7 @@
 """3D Young diagrams (plane partitions) in an a x b x c box, their box
 coloring and weights, the bijection with perfect matchings of the hexagonal
-mesh, hexagon flips, and the partition-function DP.
+mesh, hexagon flips, the partition-function DP, and the partition function
+in p alone by a determinant of lattice-path sums.
 
 A diagram is stored as its heights matrix h, with h[i][j] the number of boxes
 stacked over cell (i,j); weak decrease along rows and columns is exactly the
@@ -16,7 +17,7 @@ from math import gcd, isqrt
 from operator import ge
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, pack, split
+from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, det_int, pack, split
 from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
 
 
@@ -583,3 +584,92 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
     for terms in f:
         total = total + Poly(terms)
     return _unpack_p(total.terms, width)
+
+
+# -- partition function by nonintersecting paths ------------------------------
+
+
+def z_at(dims: BoxDims, scheme: WeightScheme, p: int) -> int:
+    """The box partition function at the integer p = +-2^s, for a scheme
+    whose box monomials hold no q, r or s, by the Lindstrom-Gessel-Viennot
+    lemma (Gessel and Viennot 1985): one c x c determinant over the
+    integers (det_int), with entries from c path-sum DPs.
+
+    A box weighs W(i-k, j-k), its monomial by color.  Permuting the axes
+    permutes the colors Q, R and S, so when those three weigh alike the
+    dims are sorted first, c the smallest.  Level k of a diagram, the cells
+    with h[i][j] > k, shifted by (-k,-k), is an E/D lattice path from
+    (-k, a-k) to (b-k, -k): its E step in column x at height y covers the
+    cells u = -k .. y-1 of that column.  The levels nest exactly when the
+    paths do not meet, and only the identity pairs sources with sinks
+    without a meeting.  With the row origin moved to u0 = -(c-1), an E step
+    leaving (x, y) weighs R'(x, y) = prod_{u=u0}^{y-1} W(u, x) and a D step
+    weighs 1, so no weight is inverted.  Every path from source k has one E
+    step in each column x in [-k, b-1-k], so the origin move multiplies
+    each family by the same prod_k prod_x R'(x, -k), +-p^m, which at
+    p = +-2^s is a sign and a right shift; the shift must be exact.
+
+    Entry (k, l) is the sum over the paths from source k to sink
+    (b-l, -l): 0 when the sink lies left of the source or above it, 1 for
+    a straight vertical path.  One DP per source, over x ascending and y
+    descending, gives the whole row."""
+    if not p or abs(p) & (abs(p) - 1):
+        raise DiagramError(f"p = {p} is not +-2^s")
+    s = abs(p).bit_length() - 1
+    # each color's box weight at p, as a sign and a left shift
+    weight = {}
+    for pos, w in scheme._by_color.items():
+        e, *qrs = split(w.key)
+        if any(qrs):
+            raise DiagramError(f"box weight {w} is not a monomial in p alone")
+        weight[pos] = (-w.coeff if p < 0 and e % 2 else w.coeff, s * e)
+    if weight[1, 0] == weight[0, 1] == weight[1, 1]:
+        dims = BoxDims(*sorted(dims, reverse=True))
+    a, b, c = dims
+    u0 = 1 - c
+    # run[x % 2][y - u0] = R'(x, y), as a sign and a shift, for y = u0 .. a
+    run = []
+    for xp in (0, 1):
+        sign, shift = 1, 0
+        col = [(sign, shift)]
+        for u in range(u0, a):
+            ws, wsh = weight[u % 2, xp]
+            sign, shift = sign * ws, shift + wsh
+            col.append((sign, shift))
+        run.append(col)
+    rows = []
+    for k in range(c):
+        # f[y - u0] = the paths from (-k, a-k) to (x, y); x = -k is straight down
+        f = [1] * (a - k - u0 + 1)
+        row = [0] * c
+        for x in range(-k, b + 1):
+            l = b - x
+            if l < c and -l - u0 < len(f):
+                row[l] = f[-l - u0]
+            if x < b:
+                # an E step leaves column x at height y, then D steps go down
+                weights, acc = run[x % 2], 0
+                for y in range(len(f) - 1, -1, -1):
+                    sign, shift = weights[y]
+                    acc += f[y] << shift if sign > 0 else -(f[y] << shift)
+                    f[y] = acc
+        rows.append(row)
+    sign, shift = 1, 0
+    for k in range(c):
+        for x in range(-k, b - k):
+            ws, wsh = run[x % 2][c - 1 - k]
+            sign, shift = sign * ws, shift + wsh
+    det = det_int(rows)
+    if det & ((1 << shift) - 1):
+        raise DiagramError(f"the path determinant of H_{tuple(dims)} is not divisible by "
+                           f"2^{shift}, the origin move's factor")
+    return sign * (det >> shift)
+
+
+def z_lgv(dims: BoxDims, scheme: WeightScheme) -> Poly:
+    """The box partition function as a polynomial in p, for a scheme whose
+    box monomials hold no q, r or s: z_at at p = 2^W (_p_width), its
+    balanced base-2^W digits read by _unpack_p.  Exact for the reason
+    z_poly is: every coefficient is a signed count of distinct diagrams."""
+    width = _p_width(dims)
+    return _unpack_p({0: z_at(dims, scheme, 1 << width)}, width)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import mat_word, poly_neg, poly_specialize
 from hexdimer.algebra import (
     LIMIT, MAT_I, MAT_L, MAT_R, MERSENNE_PRIMES, Monomial, NonUnitConstantTerm,
-    Poly, Series, AlgebraError, TooLarge, degree, det_mod, lp_eval_signs, lp_mul,
+    Poly, Series, AlgebraError, TooLarge, degree, det_int, det_mod, lp_eval_signs, lp_mul,
     mat_mul, mat_neg, mat_pow, mono_t, pack, prime_above,
     series_inv, split,
 )
@@ -314,6 +314,25 @@ def test_det_mod_is_the_determinant_with_its_sign(rows):
     # a large prime reads the value back; a small one makes pivots vanish
     for P in (MERSENNE_PRIMES[0], 7, 2):
         assert det_mod(rows, P) == want % P
+
+
+@settings(max_examples=100)
+@given(sparse_squares)
+def test_det_int_is_the_determinant_with_its_sign(rows):
+    # entries in [-3, 3] with many zeros: pivots vanish and rows swap
+    n = len(rows)
+    assert det_int([[r.get(j, 0) for j in range(n)] for r in rows]) == leibniz_det(rows, n)
+
+
+def test_det_int_small_cases():
+    assert det_int([]) == 1
+    assert det_int([[-7]]) == -7
+    assert det_int([[0, 1], [1, 0]]) == -1  # a transposition
+    assert det_int([[0, 0], [0, 5]]) == 0  # no pivot in the first column
+    assert det_int([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
+    # entries past 2^64, where every quotient is still exact
+    big = 1 << 200
+    assert det_int([[big, 1], [3, big]]) == big * big - 3
 
 
 def test_det_mod_small_cases():

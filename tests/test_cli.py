@@ -187,7 +187,7 @@ def test_check_theorem_json(capsys):
                        "--format", "json")
     assert code == 0
     (rep,) = json.loads(out)
-    assert rep["status"] == "pass"
+    assert rep["status"] == "pass" and rep["guarantee"] == "exact"
     assert rep["params"]["lhs"] == "1 - 2*p + p^2"
 
 
@@ -196,7 +196,7 @@ def test_check_theorem_fails_on_a_perturbed_side(capsys, monkeypatch):
     # sides compared: the right one is the check's one and only product
     import hexdimer.cli as cli
 
-    real_z, real_mul, products = cli.z_poly, Poly.__mul__, []
+    real_z, real_mul, products = cli.z_lgv, Poly.__mul__, []
 
     def perturbed(dims, scheme):
         out = real_z(dims, scheme)
@@ -206,7 +206,7 @@ def test_check_theorem_fails_on_a_perturbed_side(capsys, monkeypatch):
         products.append(real_mul(x, y))
         return products[-1]
 
-    monkeypatch.setattr(cli, "z_poly", perturbed)
+    monkeypatch.setattr(cli, "z_lgv", perturbed)
     monkeypatch.setattr(Poly, "__mul__", mul)
     code, out, _ = run(capsys, "check", "theorem", "-d", "1,1,1", "--format", "json")
     (rep,) = json.loads(out)
@@ -400,7 +400,7 @@ def test_check_parity_refuses_before_enumerating_any_box(capsys, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, enumeration_raises)
     code, out, err = run(capsys, "check", "parity", "--max-dims", "4,4,3")
-    assert code == 0 and out.startswith("PASS check=parity max_dims=4,4,3") and err == ""
+    assert code == 0 and out.startswith("PASS check=parity certificate max_dims=4,4,3") and err == ""
     # past the work rule (the sum of (ab + bc + ca)^2 over the sub-boxes) it
     # is refused from the dims alone, before the first determinant
     monkeypatch.setattr(cli, "det_mod", enumeration_raises)
@@ -496,20 +496,68 @@ def test_check_parity_refuses_a_count_past_the_primes(capsys, monkeypatch):
 def test_partition_function_refuses_before_listing_states(capsys, monkeypatch):
     # the DP runs fewer than a*b*C(a+c, a) state additions; past the
     # work bound it is refused before any profile state is listed
+    import hexdimer.cli as cli
     import hexdimer.diagrams as diagrams
 
     monkeypatch.setattr(diagrams, "_profile_states", enumeration_raises)
-    for argv in (["zfun", "-d", "300,300,300"], ["check", "theorem", "-d", "6,6,6"]):
-        t0 = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and "over the bound 100000000" in err
-        assert time.perf_counter() - t0 < 0.5
-    # admitted: 13,635,300 additions for zfun -d 300,1,2, and 18,475,600 for
-    # the 10,10,10 side of theorem -d 5,5,5, which is computed first
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "zfun", "-d", "300,300,300")
+    assert code == 2 and out == "" and "over the bound 100000000" in err
+    assert time.perf_counter() - t0 < 0.5
+    # admitted: 13,635,300 additions for zfun -d 300,1,2
     with pytest.raises(Enumerated):
         diagrams.z_poly(BoxDims(300, 1, 2))
+    # check theorem never runs the DP: -d 5,5,5 passes with no state listed
+    code, out, _ = run(capsys, "check", "theorem", "-d", "5,5,5")
+    assert code == 0 and out.startswith("PASS check=theorem exact")
+    # and its own rule refuses -d 8,8,8, its first refused cube, before either
+    # side is computed
+    monkeypatch.setattr(cli, "z_lgv", enumeration_raises)
+    monkeypatch.setattr(diagrams, "det_int", enumeration_raises)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", "theorem", "-d", "8,8,8")
+    assert code == 2 and out == "" and "over the bound" in err
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("dims, admitted", [
+    ("7,7,7", True), ("8,8,8", False), ("50,50,1", True), ("1,50,50", True),
+    ("100,100,1", False), ("1,1,2500", True), ("9,9,6", False), ("2,2,1000000", False),
+])
+def test_theorem_size_rule(capsys, monkeypatch, dims, admitted):
+    # the rule reads the sorted dims, and decides at once: an admitted box
+    # goes on to the evaluator, a refused one exits 2 before it
+    import hexdimer.cli as cli
+
+    monkeypatch.setattr(cli, "z_lgv", enumeration_raises)
+    t0 = time.perf_counter()
+    if admitted:
+        with pytest.raises(Enumerated):
+            run_check("theorem", parse_dims(dims), None, None)
+    else:
+        code, out, err = run(capsys, "check", "theorem", "-d", dims)
+        assert code == 2 and out == "" and "over the bound" in err
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("dims, bound", [((7, 7, 7), "THEOREM_BAREISS_LIMIT"),
+                                         ((50, 50, 1), "THEOREM_PATH_LIMIT")], ids=str)
+def test_theorem_size_rule_at_its_edges(capsys, monkeypatch, dims, bound):
+    # a bound equal to the box's cost admits it, one less refuses it
+    import hexdimer.cli as cli
+    from hexdimer.diagrams import _p_width
+
+    a, b, c = sorted(BoxDims(*dims).doubled(), reverse=True)
+    bits = a * b * c // 4 * _p_width(BoxDims(a, b, c))
+    cost = {"THEOREM_BAREISS_LIMIT": c ** 3 * bits ** 2,
+            "THEOREM_PATH_LIMIT": c * (a + c) * (b + c) * bits}[bound]
+    monkeypatch.setattr(cli, "z_lgv", enumeration_raises)
+    monkeypatch.setattr(cli, bound, cost)
     with pytest.raises(Enumerated):
-        run_check("theorem", BoxDims(5, 5, 5), None, None)
+        run_check("theorem", BoxDims(*dims), None, None)
+    monkeypatch.setattr(cli, bound, cost - 1)
+    code, out, err = run(capsys, "check", "theorem", "-d", ",".join(map(str, dims)))
+    assert code == 2 and out == "" and "over the bound" in err
 
 
 def _swap_one_edge(pairs):
@@ -705,7 +753,7 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     import hexdimer.cli as cli
 
     def broken():
-        rep = CheckReport("matrices", {})
+        rep = CheckReport("matrices", "exact", {})
         rep.fail("synthetic failure")
         return rep
 

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from hexdimer.diagrams import (
     TooLarge, WeightScheme, Z2Z2, _p_width, _profile_states, _unpack_p, box_count,
     bounded_count, diagram_of, diagram_sum, diagram_weight, enumerate_diagrams,
     enumerate_matchings, flippable_faces, iter_matchings, matching_of, tau_move,
-    z_poly,
+    z_at, z_lgv, z_poly,
 )
 from hexdimer.mesh import BoxDims, Face, HexMesh, build_mesh, positions
 from hexdimer.overlay import MeshMismatch, overlay
@@ -607,15 +609,20 @@ def test_macmahon_oracle_counts_diagrams():
         assert macmahon_oracle(*dims) == by_size
 
 
-def assert_main_theorem(n):
-    """Z^{2n,2n,2n}(p,-1,-1,-1) = (Z^{n,n,n}(-p))^2 with the right side from
-    the box product, not from z_poly."""
+# the DP's values, shared by the tests that compare with it: the 8x8x8
+# left side is the slowest of them
+dp = functools.cache(z_poly)
+
+
+def assert_main_theorem(n, z=dp):
+    """Z^{2n,2n,2n}(p,-1,-1,-1) = (Z^{n,n,n}(-p))^2, the left side from the
+    evaluator z, the right side from the box product, not from z."""
     zm = [(-1) ** k * x for k, x in enumerate(macmahon_oracle(n, n, n))]
     square = [0] * (2 * len(zm) - 1)
     for i, x in enumerate(zm):
         for j, y in enumerate(zm):
             square[i + j] += x * y
-    lhs = z_poly(BoxDims(2 * n, 2 * n, 2 * n), Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}))
+    lhs = z(BoxDims(2 * n, 2 * n, 2 * n), LHS)
     assert lhs.terms == {pack(k, 0, 0, 0): x for k, x in enumerate(square) if x}
 
 
@@ -625,6 +632,109 @@ def test_main_theorem_base_333():
 
 def test_main_theorem_base_444():
     assert_main_theorem(4)
+
+
+# -- the partition function by nonintersecting paths ---------------------------
+
+LHS = Z2Z2.with_signs({"q": -1, "r": -1, "s": -1})
+RHS = MONO.with_signs({"p": "-p"})
+# W = +1 on the odd/odd class S, -1 on Q and R: the colour mutant.  (p on
+# S instead of P would only relabel the classes, and pass.)
+MUTANT = Z2Z2.with_signs({"q": -1, "r": -1, "s": 1})
+
+
+@pytest.mark.parametrize("dims", list(itertools.product(range(1, 4), repeat=3))
+                         + [(4, 4, 4), (4, 1, 2), (1, 2, 4)], ids=str)
+def test_lgv_equals_the_dp(dims):
+    # both sides of the theorem, the left on the even box
+    dims = BoxDims(*dims)
+    assert z_lgv(dims.doubled(), LHS) == dp(dims.doubled(), LHS)
+    assert z_lgv(dims, RHS) == dp(dims, RHS)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 1), (4, 2, 3)], ids=str)
+def test_lgv_is_symmetric_in_the_axes(dims):
+    # z_lgv sorts the dims; the DP, run on each order as given, agrees
+    for side, box in ((LHS, BoxDims(*dims).doubled()), (RHS, BoxDims(*dims))):
+        want = z_poly(box, side)
+        for perm in itertools.permutations(box):
+            assert z_lgv(BoxDims(*perm), side) == z_poly(BoxDims(*perm), side) == want
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 3), (1, 2, 4), (2, 1, 3), (2, 3, 4), (3, 1, 2),
+                                  (1, 3, 2), (4, 2, 2)], ids=str)
+def test_lgv_edge_cases_without_sorting(dims):
+    # the mutant weighs Q, R and S unlike, so its dims are not sorted: a < c
+    # puts sinks above sources (entry 0), b < c makes straight vertical
+    # paths (entry 1), and a, b >= c neither
+    dims = BoxDims(*dims)
+    want = diagram_sum(dims, MUTANT)
+    for p in (4, -2, 1, -1):
+        assert z_at(dims, MUTANT, p) == sum(c * p ** dg.split(k)[0]
+                                            for k, c in want.terms.items())
+    assert z_lgv(dims, MUTANT) == z_poly(dims, MUTANT)
+
+
+def test_lgv_main_theorem_base_5():
+    assert_main_theorem(5, z_lgv)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_lgv_colour_mutant_fails_the_theorem(n):
+    dims = BoxDims(n, n, n)
+    z = z_lgv(dims, RHS)
+    assert z_lgv(dims.doubled(), LHS) == z * z
+    assert z_lgv(dims.doubled(), MUTANT) != z * z
+
+
+def test_lgv_refuses_an_inexact_shift(monkeypatch):
+    # the right side of (2,2,2) divides by p^2; a determinant off by one
+    # leaves bits below the shift
+    real = dg.det_int
+    monkeypatch.setattr(dg, "det_int", lambda rows: real(rows) + 1)
+    with pytest.raises(DiagramError, match="not divisible"):
+        z_lgv(BoxDims(2, 2, 2), RHS)
+
+
+def test_lgv_needs_p_alone_and_a_power_of_two():
+    for p in (0, 3, -6):
+        with pytest.raises(DiagramError, match="2\\^s"):
+            z_at(BoxDims(1, 1, 1), RHS, p)
+    with pytest.raises(DiagramError, match="p alone"):
+        z_at(BoxDims(1, 1, 1), Z2Z2, 2)
+
+
+def macmahon_at_minus_one(a, b, c):
+    """MacMahon's prod (1 - q^(i+j+k-1)) / (1 - q^(i+j+k-2)) at q = -1, as a
+    limit: 1 - q^n is 2 for odd n and n (1 + q) for even n, so the value is
+    0 when the numerator has more even exponents, and the ratio of the
+    other factors when both have as many."""
+    sums = [i + j + k for i, j, k in itertools.product(range(1, a + 1), range(1, b + 1),
+                                                        range(1, c + 1))]
+    top, bottom = [n - 1 for n in sums], [n - 2 for n in sums]
+    zeros = sum(n % 2 == 0 for n in top) - sum(n % 2 == 0 for n in bottom)
+    num, den = (math.prod(n if n % 2 == 0 else 2 for n in ns) for ns in (top, bottom))
+    assert zeros >= 0 and num % den == 0
+    return 0 if zeros else num // den
+
+
+def test_macmahon_at_minus_one_is_the_signed_count():
+    for dims in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)]:
+        signed = sum((-1) ** diagram_size(pi) for pi in enumerate_diagrams(BoxDims(*dims)))
+        assert macmahon_at_minus_one(*dims) == signed
+    assert [macmahon_at_minus_one(*d) for d in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (4, 2, 3),
+                                                (3, 3, 3), (5, 4, 2)]] == [0, 1, 2, 18, 0, 60]
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (4, 2, 3), (3, 3, 3),
+                                  (5, 4, 2), (6, 5, 3), (1, 1, 9)], ids=str)
+def test_lgv_at_plus_and_minus_one(dims):
+    # Stembridge's q = -1 phenomenon: closed forms of both sides at p = +-1
+    dims = BoxDims(*dims)
+    m = macmahon_at_minus_one(*dims)
+    assert z_at(dims.doubled(), LHS, -1) == box_count(dims) ** 2
+    assert z_at(dims, RHS, 1) == m
+    assert z_at(dims.doubled(), LHS, 1) == m * m
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (3, 2, 1)], ids=str)
