@@ -165,7 +165,7 @@ def check_parity(max_dims: BoxDims) -> CheckReport:
         if det not in (count, P - count):
             rep.fail({"dims": list(dims), "det": det if det <= P // 2 else det - P,
                       "count": count})
-        M = matching_of(PlanePartition.empty(dims))
+        M = mesh.empty_matching
         for i, j, k in product(range(a), range(b), range(c)):
             pt = (i - k, j - k)
             M2 = tau_move(mesh, M, pt)
@@ -275,7 +275,7 @@ def check_consistency(dims: BoxDims) -> CheckReport:
     exps = tuple(map(add, U.exps, S.exps))
     W = EdgeWeighting(mesh, tuple(-u * s if e & 1 else u * s
                                   for u, s, e in zip(U.signs, S.signs, exps)), exps)
-    empty = positions(matching_of(PlanePartition.empty(dims)))
+    empty = positions(mesh.empty_matching)
     s0 = math.prod(map(W.signs.__getitem__, empty))
     e0 = sum(map(W.exps.__getitem__, empty))
     if (s0, e0) != ((-1) ** (a * b + b * c + c * a), 0):
@@ -590,7 +590,7 @@ def cmd_render(args) -> int:
         raise UsageError("render needs --diagram or --dims")
     dims = pi.dims
     mesh = build_mesh(dims)
-    M = matching_of(pi)
+    M = matching_of(pi) if args.diagram else mesh.empty_matching
     polys = []
 
     def add(f: Face, fill: str, extra: str = ""):
@@ -602,8 +602,7 @@ def cmd_render(args) -> int:
         for f in sorted(mesh.faces_of(M)):
             add(f, _CLASS_FILL[f.cls])
     elif args.what == "twofactor":
-        empty = matching_of(PlanePartition.empty(dims))
-        lam = overlay(mesh, M, empty)
+        lam = overlay(mesh, M, mesh.empty_matching)
         for f in sorted(mesh.faces_of(lam.doubled)):
             add(f, "#cccccc")
         for f in (mesh.edges[e] for loop in lam.loops for e in loop):

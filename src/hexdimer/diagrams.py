@@ -11,10 +11,10 @@ downward-closure condition on the box set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations_with_replacement
 from math import gcd, isqrt
-from operator import ge
+from operator import ge, sub, xor
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, det_int, pack, split
@@ -240,46 +240,19 @@ def diagram_sum(dims: BoxDims, scheme: WeightScheme = Z2Z2,
 
 def matching_of(pi: PlanePartition) -> int:
     """The perfect matching of H_{a,b,c} whose rhombi tile the diagram
-    surface, as an edge mask of the mesh (bit p for edge position p), in
-    O(ab + bc + ca): cell (i,j) shows its top face A(i,j,h[i][j]); in row i
-    the wall between columns j-1 and j shows B(i,j,z) for z in
-    [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is
-    the same down each column.
+    surface, as an edge mask of the mesh (bit p for edge position p).
 
-    The positions are read off the mesh's ``lattice_table``, naming no
-    face.  A(i,j,k) sits at lattice point (i-k, j-k), B and C(i,j,z) at
-    (i-z-1, j-z-1), which moves by (-1,-1), so by -S in the table, per
-    step of z: a wall is one strided slice.  Its stop index is that of
-    (i-c-1, j-c-1), in the padding and never negative, so it never wraps.
-    Each position sets a '1' in one bytearray of '0's, bit 0 first, which
-    reversed is the mask in base 2."""
+    Adding box (i,j,k) to a diagram flips the hexagon at lattice point
+    (i-k, j-k): it XORs the hexagon's full mask into the matching.  So the
+    matching is the empty diagram's XOR the boxes' hexagons, and the h
+    boxes over cell q XOR to P[off_q] ^ P[off_q - h] (``HexMesh.line_prefix``
+    at ``HexMesh.cell_offsets``).  The P[off_q] are folded with the empty
+    matching into ``HexMesh.prefix_base``, which leaves one XOR of an
+    |edges|-bit int per cell, at C level."""
     mesh = build_mesh(pi.dims)
-    A, B, C = mesh.lattice_table
-    W = mesh.lattice_width
-    S = W + 1
-    c = pi.dims.c
-    out: List[int] = []
-    for i, row in enumerate(pi.h):
-        st = mesh.lattice_index(i - 1, -1)  # B(i,j,0), at j = 0
-        left = c
-        for k in row:
-            out += B[st - k * S:st - left * S:-S]
-            out.append(A[st + S - k * S])
-            left = k
-            st += 1
-        out += B[st:st - left * S:-S]
-    for j, col in enumerate(zip(*pi.h)):
-        st = mesh.lattice_index(-1, j - 1)  # C(i,j,0), at i = 0
-        up = c
-        for k in col:
-            out += C[st - k * S:st - up * S:-S]
-            up = k
-            st += W
-        out += C[st:st - up * S:-S]
-    digits = bytearray(b"0") * len(mesh.edges)
-    for p in out:
-        digits[p] = 49  # b"1"
-    return int(digits[::-1], 2)
+    P = mesh.line_prefix
+    return reduce(xor, map(P.__getitem__, map(sub, mesh.cell_offsets, chain.from_iterable(pi.h))),
+                  mesh.prefix_base)
 
 
 def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
@@ -290,33 +263,35 @@ def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
     A mask without the size of a matching (``HexMesh.fits_matching``:
     negative, a bit past the last edge, or not V/2 bits) is refused before
     its bits are read.  The heights come from the class-A block alone, the
-    low len(a_points) bits: on the anti-diagonal d = i - j the map
-    i -> x = i - h(i, i-d) is strictly increasing, so the A edges' points
-    (d, x) (``HexMesh.a_points``), sorted, name the cells diagonal by
-    diagonal.  The round trip matching_of(pi) == M then proves M a perfect
-    matching, as matching_of returns only matchings; no endpoint is
-    scanned."""
+    low len(keys) bits (``HexMesh.a_keys``), which must hold ab edges.  A
+    key is the slot (``HexMesh.line_slot``) of an A edge's lattice point,
+    (x - y + b - 1) L + x + c + 1 with L = a + c + 1.  On the line
+    d = i - j the map i -> x = i - h(i,j) is strictly increasing, so the
+    sorted keys name the cells in the order of their offsets (A(i,j,0)'s
+    keys), line by line.  The cell of rank r gets height
+    h_r = off_r - key_r, and ``PlanePartition`` refuses the heights unless
+    each lies in [0, c] and they weakly decrease.
+
+    That one range check also proves each key on its cell's line:
+    off_r's part within its line's L slots is i + c + 1, in
+    [c + 1, a + c], and a key's is x + c + 1, in [1, a + c].  A key on an
+    earlier line lies at least L + (c + 1) - (a + c) = c + 2 below off_r,
+    one on a later line at least L + 1 - (a + c) = 2 above it.  So every
+    line holds one key per cell, and cell (i,j)'s key is that of its top
+    face A(i-h, j-h), at x = i - h.  The round trip matching_of(pi) == M
+    then proves M a perfect matching, as matching_of returns only
+    matchings; no endpoint is scanned."""
     if not mesh.fits_matching(M):
         raise NotAMatching("edge mask is negative, has a bit past the last edge, "
                            "or has not one edge per two vertices")
-    a, b, c = mesh.dims
-    points = mesh.a_points
-    found = sorted(map(points.__getitem__, positions(M & ((1 << len(points)) - 1))))
+    a, b, _ = mesh.dims
+    keys, ranks = mesh.a_keys
+    found = sorted(map(keys.__getitem__, positions(M & ((1 << len(keys)) - 1))))
     if len(found) != a * b:
         raise NotAMatching(f"{len(found)} horizontal faces, not one per cell of {a}x{b}")
-    h = [[0] * b for _ in range(a)]
-    cell = iter(found)
-    for d in range(1 - b, a):
-        for i in range(max(0, d), min(a, b + d)):
-            e, x = next(cell)
-            if e != d:  # diagonal min(d, e) has too few or too many faces
-                raise NotAMatching(f"wrong number of horizontal faces on diagonal {min(d, e)}")
-            k = i - x
-            if not 0 <= k <= c:
-                raise NotAMatching(f"face at ({x},{x - d}) implies height {k}")
-            h[i][i - d] = k
+    h = list(map(sub, mesh.cell_offsets, map(found.__getitem__, ranks)))
     try:
-        pi = PlanePartition(mesh.dims, tuple(map(tuple, h)))
+        pi = PlanePartition(mesh.dims, tuple(tuple(h[i:i + b]) for i in range(0, a * b, b)))
     except DiagramError as exc:
         raise NotAMatching(str(exc)) from exc
     if matching_of(pi) != M:
@@ -368,24 +343,17 @@ def iter_matchings(dims: BoxDims) -> Iterator[int]:
     matching_of of each diagram, in the order of enumerate_diagrams, by a
     walk of hexagon flips from the empty diagram's matching.
 
-    Adding box (i,j,k) flips the hexagon at lattice point (i-k, j-k), which
-    XORs its full mask (``hex_masks``, both halves) into the matching.  So
-    with col[q][v] the XOR of the full masks of boxes (i,j,0..v-1) over
-    cell q = (i,j), raising entry q from v to v+1 XORs col[q][v] ^
+    col[q][v] = P[off_q] ^ P[off_q - v] is the XOR of the hexagons of boxes
+    (i,j,0..v-1) over cell q = (i,j) (``HexMesh.line_prefix``, as in
+    matching_of).  Raising entry q from v to v+1 XORs col[q][v] ^
     col[q][v+1] and zeroing it from v XORs col[q][v]: each step of the
     lexicographic walk (_lex_steps) costs one XOR per entry it changes.
     The walk holds ab(c+1) masks and no stack."""
     a, b, c = dims
-    flips = build_mesh(dims).hex_masks
-    col = []
-    for i in range(a):
-        for j in range(b):
-            acc = [0]
-            for k in range(c):
-                odd, even = flips[i - k, j - k]
-                acc.append(acc[-1] ^ odd ^ even)
-            col.append(acc)
-    M = matching_of(PlanePartition.empty(dims))
+    mesh = build_mesh(dims)
+    P = mesh.line_prefix
+    col = [[P[o] ^ P[o - v] for v in range(c + 1)] for o in mesh.cell_offsets]
+    M = mesh.empty_matching
     yield M
     h = [0] * (a * b) + [c]
     for k, old in _lex_steps(h, b, c, a * b * c):

@@ -22,8 +22,9 @@ ambiguity of the projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import compress
+from operator import xor
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -163,14 +164,6 @@ class HexMesh:
         return (x + c + 1) * self.lattice_width + y + c + 1
 
     @cached_property
-    def a_points(self) -> Tuple[Tuple[int, int], ...]:
-        """Per class-A edge, the lattice point (x, y) of A(i,j,k), as
-        (x - y, x) = (i - j, i - k): its anti-diagonal, then x.  ``edges``
-        sorts by class, so the A edges are its first len(a_points)
-        positions, and a mask's A edges are its low len(a_points) bits."""
-        return tuple((f.i - f.j, f.i - f.k) for f in self.edges if f.cls == "A")
-
-    @cached_property
     def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
         """Each hexagonal face, in sorted order, -> the positions of its six
         edges in cyclic order; at lattice point (x, y): up(x,y) -A(x,y)-
@@ -205,6 +198,92 @@ class HexMesh:
         face when it holds either."""
         return {pt: (1 << p[0] | 1 << p[2] | 1 << p[4], 1 << p[1] | 1 << p[3] | 1 << p[5])
                 for pt, p in self.hex_cycles.items()}
+
+    # -- the bijection's tables ----------------------------------------------
+    # Box (i,j,k) flips the hexagon at lattice point (i-k, j-k), so the boxes
+    # over cell (i,j) flip hexagons on its line x - y = i - j.
+
+    def line_slot(self, x: int, y: int) -> int:
+        """The slot of lattice point (x, y), (x - y + b - 1) L + x + c + 1
+        with L = a + c + 1: each line d = x - y in [1-b, a-1] takes L slots,
+        its lattice points x in [-c, a-1] the last a + c, so slots order by
+        line, then by x."""
+        a, b, c = self.dims
+        return (x - y + b - 1) * (a + c + 1) + x + c + 1
+
+    @cached_property
+    def empty_matching(self) -> int:
+        """The matching of the empty diagram, read off ``lattice_table``:
+        A(i,j,0) on every cell, at lattice point (i, j), and for z < c the
+        wall B(i,0,z) left of column 0 and the wall C(0,j,z) above row 0, at
+        (i-z-1, -z-1) and (-z-1, j-z-1).  A row of cells is one slice of
+        the table, and a wall, which steps by (-1,-1), one strided slice;
+        its stop, at z = c, lies in the padding and is never negative.  It
+        reads no hexagon, so it builds neither ``hex_cycles`` nor
+        ``line_prefix``."""
+        A, B, C = self.lattice_table
+        a, b, c = self.dims
+        at = self.lattice_index
+        S = self.lattice_width + 1
+        out: List[int] = []
+        for i in range(a):
+            out += A[at(i, 0):at(i, b)]
+            out += B[at(i - 1, -1):at(i - c - 1, -c - 1):-S]
+        for j in range(b):
+            out += C[at(-1, j - 1):at(-c - 1, j - c - 1):-S]
+        digits = bytearray(b"0") * len(self.edges)
+        for p in out:
+            digits[p] = 49  # b"1"
+        return int(digits[::-1], 2)  # bit 0 first, reversed: the mask in base 2
+
+    @cached_property
+    def cell_offsets(self) -> Tuple[int, ...]:
+        """Per cell (i, j), row-major, off = the slot of lattice point
+        (i, j), that of its top face A(i,j,0) and of its box (i,j,0)."""
+        a, b, _ = self.dims
+        return tuple(self.line_slot(i, j) for i in range(a) for j in range(b))
+
+    @cached_property
+    def line_prefix(self) -> List[int]:
+        """P, one mask per slot (``line_slot``): P at the slot of (x, y) is
+        the XOR of the full masks (both halves) of the hexagons on its line
+        at x' <= x, and each line's first slot holds 0.  (a+b-1)(a+c+1)
+        masks, built from ``hex_cycles``.  The boxes k < h over cell q sit
+        at x' in (i - h, i], so they flip P[off_q] ^ P[off_q - h]
+        (``cell_offsets``), and off_q - c is still on the cell's line."""
+        a, b, c = self.dims
+        hexes = self.hex_cycles
+        out = []
+        for d in range(1 - b, a):
+            acc = 0
+            out.append(acc)
+            for x in range(-c, a):
+                if (x, x - d) in hexes:
+                    acc ^= sum(1 << p for p in hexes[x, x - d])
+                out.append(acc)
+        return out
+
+    @cached_property
+    def prefix_base(self) -> int:
+        """``empty_matching`` XOR P[off_q] over every cell q (``line_prefix``,
+        ``cell_offsets``): a diagram's matching is this XOR P[off_q - h_q]
+        over its cells."""
+        P = self.line_prefix
+        return reduce(xor, map(P.__getitem__, self.cell_offsets), self.empty_matching)
+
+    @cached_property
+    def a_keys(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Per class-A edge, the slot of its lattice point (``line_slot``):
+        ``edges`` sorts by class, so the A edges are its first len(keys)
+        positions, and a mask's A edges are its low len(keys) bits.  Then
+        per cell, row-major, its rank among the cells ordered by
+        ``cell_offsets``: line by line, i ascending."""
+        keys = tuple(self.line_slot(*f.lattice) for f in self.edges if f.cls == "A")
+        offsets = self.cell_offsets
+        ranks = [0] * len(offsets)
+        for r, q in enumerate(sorted(range(len(offsets)), key=offsets.__getitem__)):
+            ranks[q] = r
+        return keys, tuple(ranks)
 
     def fits_matching(self, M: int) -> bool:
         """M has the size of a perfect matching: a mask (not negative) with

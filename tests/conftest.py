@@ -248,6 +248,61 @@ def filled_scan_matching(pi):
     return frozenset(M)
 
 
+def line_prefix_of(dims: BoxDims, masks) -> List[int]:
+    """The oracle for HexMesh.line_prefix, from per-hexagon mask halves
+    (HexMesh.hex_masks, or a mutant of them): per line d = x - y in
+    [1-b, a-1] and slot t in [0, a + c], the XOR of both halves of every
+    hexagon on the line at x < t - c."""
+    a, b, c = dims
+    out = []
+    for d in range(1 - b, a):
+        for t in range(a + c + 1):
+            acc = 0
+            for (x, y), (odd, even) in masks.items():
+                if x - y == d and x < t - c:
+                    acc ^= odd ^ even
+            out.append(acc)
+    return out
+
+
+def strided_matching_of(pi) -> int:
+    """Reference matching_of in O(ab + bc + ca), wall by wall off the mesh's
+    ``lattice_table``: cell (i,j) shows its top face A(i,j,h[i][j]); in row
+    i the wall between columns j-1 and j shows B(i,j,z) for z in
+    [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is
+    the same down each column.
+
+    A(i,j,k) sits at lattice point (i-k, j-k), B and C(i,j,z) at
+    (i-z-1, j-z-1), which moves by (-1,-1), so by -S in the table, per
+    step of z: a wall is one strided slice.  Its stop index is that of
+    (i-c-1, j-c-1), in the padding and never negative, so it never wraps."""
+    mesh = build_mesh(pi.dims)
+    A, B, C = mesh.lattice_table
+    W = mesh.lattice_width
+    S = W + 1
+    c = pi.dims.c
+    out: List[int] = []
+    for i, row in enumerate(pi.h):
+        st = mesh.lattice_index(i - 1, -1)  # B(i,j,0), at j = 0
+        left = c
+        for k in row:
+            out += B[st - k * S:st - left * S:-S]
+            out.append(A[st + S - k * S])
+            left = k
+            st += 1
+        out += B[st:st - left * S:-S]
+    for j, col in enumerate(zip(*pi.h)):
+        st = mesh.lattice_index(-1, j - 1)  # C(i,j,0), at i = 0
+        up = c
+        for k in col:
+            out += C[st - k * S:st - up * S:-S]
+            up = k
+            st += W
+        out += C[st:st - up * S:-S]
+    assert len(set(out)) == len(out) and -1 not in out
+    return sum(1 << p for p in out)
+
+
 def face_matching_of(pi) -> int:
     """Reference matching_of in O(ab + bc + ca) that names every face: the
     same walls as matching_of, each face made canonical by subtracting

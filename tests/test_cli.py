@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import line_prefix_of
 
 from hexdimer.algebra import Poly, pack
 from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, build_parser, main,
@@ -366,26 +367,47 @@ def test_an_enumeration_that_stops_short_exits_three(capsys, monkeypatch):
 
 
 def test_pullback_exits_three_on_a_broken_flip_table(capsys, monkeypatch):
-    # the walk reads each box's flip from hex_masks: with two hexagons'
-    # entries swapped, or one cut to one half, it yields masks that are no
-    # matching, which projection_key refuses (exit 3), never a pass
+    # the walk reads each box's flip off line_prefix: rebuilt with two
+    # hexagons' masks swapped, or one cut to one half, it yields masks that
+    # are no matching, which projection_key refuses (exit 3), never a pass.
+    # The mutants run on a mesh of this test's own, dropped from the cache
+    # at the end, so no table a mutant leaves cached outlives the test
     from hexdimer.mesh import build_mesh
 
-    build_mesh.cache_clear()  # a mesh of this test's own
-    mesh = build_mesh(BoxDims(2, 2, 2))
-    real = mesh.hex_masks
-    mutants = []
-    for p1, p2 in itertools.combinations(real, 2):
-        mutants.append({**real, p1: real[p2], p2: real[p1]})
-    for pt, (odd, even) in real.items():
-        mutants += [{**real, pt: (odd, 0)}, {**real, pt: (0, even)}]
-    assert len(mutants) == 21 + 14
-    for masks in mutants:
-        monkeypatch.setitem(vars(mesh), "hex_masks", masks)
-        code, out, err = run(capsys, "check", "pullback", "-d", "2,2,2")
-        assert code == 3 and out == "" and err.startswith("internal error:"), masks
-    monkeypatch.setitem(vars(mesh), "hex_masks", real)
-    assert run(capsys, "check", "pullback", "-d", "2,2,2")[0] == 0
+    dims = BoxDims(2, 2, 2)
+    build_mesh.cache_clear()
+    try:
+        mesh = build_mesh(dims)
+        real = mesh.hex_masks
+        assert line_prefix_of(dims, real) == mesh.line_prefix
+        mutants = []
+        for p1, p2 in itertools.combinations(real, 2):
+            mutants.append({**real, p1: real[p2], p2: real[p1]})
+        for pt, (odd, even) in real.items():
+            mutants += [{**real, pt: (odd, 0)}, {**real, pt: (0, even)}]
+        assert len(mutants) == 21 + 14
+        for masks in mutants:
+            monkeypatch.setitem(vars(mesh), "line_prefix", line_prefix_of(dims, masks))
+            code, out, err = run(capsys, "check", "pullback", "-d", "2,2,2")
+            assert code == 3 and out == "" and err.startswith("internal error:"), masks
+        monkeypatch.setitem(vars(mesh), "line_prefix", line_prefix_of(dims, real))
+        assert run(capsys, "check", "pullback", "-d", "2,2,2")[0] == 0
+    finally:
+        build_mesh.cache_clear()
+
+
+def test_parity_builds_no_line_prefix(capsys):
+    # parity flips hexagons from the empty matching and enumerates no
+    # diagram, so no mesh it builds holds the bijection's prefix table
+    from hexdimer.cli import _all_subdims
+    from hexdimer.mesh import build_mesh
+
+    build_mesh.cache_clear()  # fresh meshes
+    assert run(capsys, "check", "parity", "--max-dims", "3,3,2")[0] == 0
+    for dims in _all_subdims(BoxDims(3, 3, 2)):
+        names = vars(build_mesh(dims))
+        assert "empty_matching" in names
+        assert "line_prefix" not in names and "prefix_base" not in names
 
 
 def test_check_parity_refuses_before_enumerating_any_box(capsys, monkeypatch):
@@ -861,6 +883,25 @@ def test_readme_cli_lines_match_the_cli(capsys):
     parser = build_parser()
     for argv in checks:
         assert parser.parse_args(argv).name in CHECK_NAMES + ("all",), argv
+
+
+def test_render_of_dims_draws_the_empty_matching(tmp_path, capsys):
+    # -d draws the empty diagram off the mesh's empty matching: the same
+    # SVG as the empty diagram's file, with no prefix table built for it
+    from hexdimer.mesh import build_mesh
+
+    diag = tmp_path / "e.json"
+    diag.write_text(json.dumps({"dims": [3, 2, 2], "heights": [[0, 0]] * 3}))
+    build_mesh.cache_clear()  # a fresh mesh
+    for what in ("matching", "twofactor"):
+        assert run(capsys, "render", "-d", "3,2,2", "--what", what,
+                   "-o", str(tmp_path / f"d-{what}.svg"))[0] == 0
+    assert "line_prefix" not in vars(build_mesh(BoxDims(3, 2, 2)))
+    for what in ("matching", "twofactor"):
+        assert run(capsys, "render", "--diagram", str(diag), "--what", what,
+                   "-o", str(tmp_path / f"f-{what}.svg"))[0] == 0
+        assert ((tmp_path / f"d-{what}.svg").read_bytes()
+                == (tmp_path / f"f-{what}.svg").read_bytes())
 
 
 def test_render_deterministic(tmp_path, capsys):

@@ -191,6 +191,10 @@ def test_consistency_enumerates_nothing_and_builds_no_table(monkeypatch):
     assert rep.status == "pass"
     mesh = build_mesh(BoxDims(16, 16, 16))
     assert per_byte_tables(mesh) == per_byte_tables(mesh.base) == []
+    # the empty matching is read off the lattice table, not the prefix XORs
+    assert "empty_matching" in vars(mesh)
+    for m in (mesh, mesh.base):
+        assert "line_prefix" not in vars(m) and "prefix_base" not in vars(m)
 
 
 def test_consistency_builds_no_per_edge_monomial(monkeypatch):

@@ -6,7 +6,7 @@ import random
 import pytest
 from conftest import (backtrack_matchings, box_count_oracle, broken_masks, constant_value,
                       diagram_size, face_matching_of, filled_scan_matching, full_diagram,
-                      mask_of, poly_specialize)
+                      mask_of, poly_specialize, strided_matching_of)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -233,7 +233,8 @@ def test_flip_walk_is_the_diagrams_matchings(dims):
     dims = BoxDims(*dims)
     mesh = build_mesh(dims)
     ms = list(iter_matchings(dims))
-    assert ms == [matching_of(pi) for pi in enumerate_diagrams(dims)]
+    assert ms == list(map(matching_of, enumerate_diagrams(dims)))
+    assert ms == list(map(strided_matching_of, enumerate_diagrams(dims)))
     assert len(set(ms)) == len(ms) == box_count(dims)
     assert set(ms) == set(backtrack_matchings(dims))
     assert all(mesh.is_perfect_matching(M) for M in ms)
@@ -303,10 +304,13 @@ def random_partition(rng, dims):
 
 
 def test_matching_of_equals_filled_scan():
+    # one XOR per cell off the line prefixes against three oracles: the
+    # named faces, the filled-box scan and the wall-by-wall slices
     def check(pi):
         M = matching_of(pi)
-        assert M == face_matching_of(pi), pi
+        assert M == face_matching_of(pi) == strided_matching_of(pi), pi
         assert build_mesh(pi.dims).faces_of(M) == filled_scan_matching(pi), pi
+        assert build_mesh(pi.dims).is_perfect_matching(M)
         return M
 
     for dims in itertools.product(range(1, 4), repeat=3):
@@ -325,7 +329,8 @@ def test_matching_of_equals_filled_scan():
         dims = BoxDims(*(rng.randint(1, 14) for _ in range(3)))
         pi = random_partition(rng, dims)
         assert diagram_of(build_mesh(dims), check(pi)) == pi
-    check(random_partition(rng, BoxDims(12, 12, 12)))
+    for _ in range(50):
+        check(random_partition(rng, BoxDims(12, 12, 12)))
 
 
 def test_matching_of_builds_no_face(monkeypatch):
@@ -385,6 +390,37 @@ def test_diagram_of_rejects_non_matchings():
                     diagram_of(mesh, mask_of(mesh, (F - mine) | frozenset(three)))
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 1), (2, 3, 2)], ids=str)
+def test_diagram_of_refuses_a_traded_wall_and_a_moved_top_face(dims):
+    # two kinds of mask with the size of a matching and ab class-A edges:
+    # one B edge traded for an edge outside M, whose A block still reads as
+    # M's diagram (only the round trip sees it), and one A edge moved onto
+    # another diagonal (the heights' range check sees it); NotAMatching
+    # both, never IndexError
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    a, b, c = dims
+    keys = mesh.a_keys[0]
+    line = [k // (a + c + 1) for k in keys]
+    traded = moved = 0
+    for M in iter_matchings(dims):
+        for p in positions(M):
+            cls = mesh.edges[p].cls
+            if cls == "B":  # for any B or C edge
+                others = range(len(keys), len(mesh.edges))
+            elif cls == "A":  # for an A edge on another diagonal
+                others = [q for q in range(len(keys)) if line[q] != line[p]]
+            else:
+                continue
+            for q in others:
+                if not M >> q & 1:
+                    with pytest.raises(NotAMatching):
+                        diagram_of(mesh, M ^ 1 << p ^ 1 << q)
+                    traded += cls == "B"
+                    moved += cls == "A"
+    assert traded and moved
+
+
 def no_endpoint_test(self, M):
     raise AssertionError("is_perfect_matching was called")
 
@@ -392,7 +428,7 @@ def no_endpoint_test(self, M):
 def test_diagram_of_reads_only_the_class_a_block(monkeypatch):
     # with the endpoint test patched off, every diagram up to (3,3,3) and
     # random 12x12x12 ones still come back from their matchings, and the
-    # heights are read off the low len(a_points) bits alone
+    # heights are read off the low len(keys) bits alone (the A-key table)
     import hexdimer.diagrams as diagrams_module
 
     read = []
@@ -411,8 +447,9 @@ def test_diagram_of_reads_only_the_class_a_block(monkeypatch):
         mesh = build_mesh(pi.dims)
         read.clear()
         assert diagram_of(mesh, matching_of(pi)) == pi
-        assert len(read) == 1 and not read[0] >> len(mesh.a_points)
-        assert len(mesh.a_points) == sum(f.cls == "A" for f in mesh.edges)
+        keys = mesh.a_keys[0]
+        assert len(read) == 1 and not read[0] >> len(keys)
+        assert len(keys) == sum(f.cls == "A" for f in mesh.edges)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],
@@ -772,6 +809,7 @@ def test_drawn_heights_roundtrip(data):
     pi = PlanePartition(dims, tuple(map(tuple, h)))
     mesh = build_mesh(dims)
     M = matching_of(pi)
+    assert M == strided_matching_of(pi)
     assert mesh.is_perfect_matching(M)
     assert diagram_of(mesh, M) == pi
 

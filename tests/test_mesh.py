@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (LIFT_OUTERS, broken_masks, mask_of, per_byte_tables, propellers,
-                      rhombus_ends, triangle_corners)
+from conftest import (LIFT_OUTERS, broken_masks, line_prefix_of, mask_of, per_byte_tables,
+                      propellers, rhombus_ends, triangle_corners)
 from hexdimer.diagrams import (NotAMatching, PlanePartition, diagram_of, enumerate_matchings,
                                flippable_faces, matching_of, tau_move)
 from hexdimer.mesh import (
@@ -291,22 +291,72 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
     lazy = ("edge_ends", "vertex_edges", "endpoint_bits", "lifts", "squish_table",
-            "long_cover", "short_mask", "lattice_table", "hex_cycles", "a_points")
+            "long_cover", "short_mask", "lattice_table", "hex_cycles", "hex_masks",
+            "empty_matching", "cell_offsets", "line_prefix", "prefix_base", "a_keys")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
     assert not mesh.is_perfect_matching(0)
     with pytest.raises(NotAMatching):
         diagram_of(mesh, 0)
     assert not any(name in vars(mesh) for name in lazy)
-    # the bijection reads heights off the class-A points alone (its round
-    # trip runs on the cached mesh of the same box)
+    # the bijection reads heights off the A-key table and the cell offsets
+    # it is keyed against, no mask table (its round trip runs on the
+    # cached mesh of the same box)
     pi = PlanePartition(mesh.dims, ((1,) * 8,) * 8)
     assert diagram_of(mesh, matching_of(pi)) == pi
-    assert [name for name in lazy if name in vars(mesh)] == ["a_points"]
+    assert [name for name in lazy if name in vars(mesh)] == ["cell_offsets", "a_keys"]
     # the endpoint bits are summed edge by edge, without a per-byte table
     assert not mesh.is_perfect_matching((1 << (len(mesh.vertices) // 2)) - 1)
     assert "endpoint_bits" in vars(mesh) and "squish_table" not in vars(mesh)
     assert per_byte_tables(mesh) == []
+
+
+@pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
+                                  BoxDims(4, 1, 6), BoxDims(12, 12, 12)], ids=str)
+def test_line_prefix_is_the_xor_of_the_hexagons_before_each_slot(dims):
+    m = HexMesh(dims)  # a fresh mesh, outside the cache
+    a, b, c = dims
+    assert len(m.line_prefix) == (a + b - 1) * (a + c + 1)
+    assert m.line_prefix == line_prefix_of(dims, m.hex_masks)
+    # a cell's offset is the slot of its lattice point (i, j): its boxes
+    # k < c sit on its line at x = i - k, inside the line's slots
+    L = a + c + 1
+    for q, off in enumerate(m.cell_offsets):
+        i, j = divmod(q, b)
+        assert off == (i - j + b - 1) * L + i + c + 1
+        assert (i - j + b - 1) * L < off - c <= off < (i - j + b) * L
+
+
+@pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
+                                  BoxDims(4, 1, 6)], ids=str)
+def test_empty_matching_builds_no_hexagon_table(dims):
+    # the empty diagram's matching is read off the lattice table alone
+    m = HexMesh(dims)
+    M = m.empty_matching
+    assert "hex_cycles" not in vars(m) and "line_prefix" not in vars(m)
+    assert M == matching_of(PlanePartition.empty(dims))
+    assert m.is_perfect_matching(M)
+    a, b, c = dims
+    assert sorted(f for f in m.faces_of(M) if f.cls == "A") == sorted(
+        Face("A", i, j, 0) for i in range(a) for j in range(b))
+
+
+def test_a_keys_sort_by_line_then_x():
+    for dims in (BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3), BoxDims(4, 1, 6)):
+        m = HexMesh(dims)
+        a, b, c = dims
+        keys, ranks = m.a_keys
+        points = [f.lattice for f in m.edges if f.cls == "A"]
+        assert len(keys) == len(points) == len(set(keys))
+        by_key = [p for _, p in sorted(zip(keys, points))]
+        assert by_key == sorted(points, key=lambda p: (p[0] - p[1], p[0]))
+        # the key of A(i,j,0) is the cell's offset; ranks order the cells
+        # line by line, i ascending
+        offsets = m.cell_offsets
+        assert list(offsets) == [keys[points.index(divmod(q, b))] for q in range(a * b)]
+        cells = sorted(range(a * b), key=lambda q: (q // b - q % b, q // b))
+        assert [ranks[q] for q in cells] == list(range(a * b))
+        assert [offsets[q] for q in cells] == sorted(offsets)
 
 
 def test_face_id_canonical_ranges():
