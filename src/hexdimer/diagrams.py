@@ -18,7 +18,7 @@ from operator import ge, sub, xor
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, det_int, pack, split
-from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
+from .mesh import BoxDims, HexMesh, build_mesh, positions
 
 
 class DiagramError(Exception):
@@ -366,9 +366,9 @@ def iter_matchings(dims: BoxDims) -> Iterator[int]:
 
 
 def enumerate_matchings(dims: BoxDims) -> List[int]:
-    """Every perfect matching (iter_matchings, the flip walk), sorted by
-    their sorted edges: the list the pair checks overlay."""
-    return sorted(iter_matchings(dims), key=face_order)
+    """Every perfect matching, listed in the flip walk's order
+    (iter_matchings): the list the pair checks overlay."""
+    return list(iter_matchings(dims))
 
 
 def require_count(dims: BoxDims, got: int, n: int) -> None:
@@ -494,11 +494,24 @@ def _unpack_p(packed: Dict[int, int], width: int) -> Poly:
     """The Poly whose value at p = 2^width is ``packed``, a dict from the
     keys of (q,r,s) parts (p-exponent 0) to ints.  The balanced
     base-2^width digits of each int, in [-2^(width-1), 2^(width-1)), are the
-    coefficients of p^0, p^1, .. of its (q,r,s) part."""
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    terms = {}
-    for key, v in packed.items():
+    coefficients of p^0, p^1, .. of its (q,r,s) part.
+
+    An int of n > 32 digits is cut at digit k = n // 2: adding half to each
+    of its k low digits makes them nonnegative, so a mask reads the low
+    part.  The per-digit loop rewrites the whole int at each step, so the
+    cuts keep the reading near linear in the int's size."""
+    half, mask, terms = 1 << (width - 1), (1 << width) - 1, {}
+    todo = list(packed.items())
+    while todo:
+        key, v = todo.pop()
+        n = v.bit_length() // width
+        if n > 32:
+            k = n // 2
+            low = (1 << k * width) - 1
+            h = low // mask * half  # half in each of the k low digits
+            lo = ((v + h) & low) - h
+            todo += (key + k * _P_KEY, (v - lo) >> k * width), (key, lo)  # lo first
+            continue
         while v:
             d = ((v + half) & mask) - half
             if d:

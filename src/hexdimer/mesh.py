@@ -468,18 +468,6 @@ def bit_flags(mask: int) -> bytes:
     return bin(mask).encode()[:1:-1].translate(_FLAGS)
 
 
-_FACE_ORDER = bytes.maketrans(b"\0\1", b"ba")
-
-
-def face_order(mask: int) -> bytes:
-    """A sort key that orders masks as their sorted edge lists: the mask's
-    bits from bit 0 up to its highest, 'a' for an edge and 'b' for none.
-    At the least edge in one mask and not the other, the mask holding it
-    reads 'a' and comes first, unless the other mask ends there, which
-    makes its list a prefix of the first's."""
-    return bit_flags(mask).translate(_FACE_ORDER) if mask else b""
-
-
 def positions(mask: int) -> List[int]:
     """The positions of a mask's bits, ascending, picked at C level from
     ``bit_flags``.  ValueError for a negative int."""

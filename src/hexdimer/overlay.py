@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Set, Tuple
 
 from .diagrams import bounded_count, enumerate_matchings, require_count
-from .mesh import BoxDims, HexMesh, build_mesh, face_order, positions
+from .mesh import BoxDims, HexMesh, build_mesh, positions
 
 
 class OverlayError(Exception):
@@ -31,11 +31,11 @@ class TwoFactor:
     """Doubled edges plus disjoint even loops; every vertex has degree two
     with multiplicity.  ``doubled`` is the mask of the doubled edges; each
     loop is a ``Loop``, a walk from its least edge position that leaves
-    that edge at its down end, so equal 2-factors compare equal.  A walk
-    may run either way around the plane; ``squish.turn_word`` alone reads
-    the orientation.  A position indexes the mesh's sorted tuple of faces
-    ``edges``, so 2-factors sort as by their faces, and ``to_json_obj``
-    names each edge by its face."""
+    that edge at its down end, and the loops come in ascending order of
+    that position, so equal 2-factors compare equal.  A walk may run
+    either way around the plane; ``squish.turn_word`` alone reads the
+    orientation.  A position indexes the mesh's sorted tuple of faces
+    ``edges``, and ``to_json_obj`` names each edge by its face."""
 
     dims: BoxDims
     doubled: int
@@ -77,7 +77,8 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
     walks: List[Loop] = []
     rest = loops
     while rest:
-        # e0 is the least edge of its loop; the walk leaves it at its down end
+        # e0, the least edge left, is the least of its loop, so the walks
+        # come out in ascending order; the walk leaves e0 at its down end
         seen = rest & -rest
         e0 = seen.bit_length() - 1
         walk, cur, head = [e0], e0, ends[e0][1]
@@ -97,7 +98,6 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
             cur, head = nxt, other
         rest ^= seen
         walks.append(tuple(walk))
-    walks.sort()
     return TwoFactor(mesh.dims, doubled, tuple(walks))
 
 
@@ -119,8 +119,8 @@ def split(lam: TwoFactor) -> List[Tuple[int, int]]:
 
 
 def pair_matchings(dims: BoxDims) -> List[int]:
-    """The box's matchings as sorted masks, for a check that overlays all
-    their pairs, each validated once.  TooLarge before any enumeration if
+    """The box's matchings as masks, for a check that overlays all their
+    pairs, each validated once.  TooLarge before any enumeration if
     overlaying the pairs would pass the work bound (bounded_count with
     k = 2); DiagramError (require_count) unless there are as many distinct
     ones as that count says."""
@@ -144,13 +144,10 @@ def overlay_keys(ms: List[int]) -> Set[Tuple[int, int]]:
 
 def distinct_overlays(mesh: HexMesh, ms: List[int]) -> Iterator[TwoFactor]:
     """The distinct overlays of all pairs of the validated matching masks
-    ``ms``, each assembled once, in the order of their doubled edges and
-    then their loops.  The keys are sorted by their doubled edges, so only
-    the 2-factors of one doubled-edge set are held at a time."""
-    keys = sorted(overlay_keys(ms), key=lambda key: face_order(key[0]))
-    for _, group in itertools.groupby(keys, key=lambda key: key[0]):
-        yield from sorted((assemble_two_factor(mesh, *key) for key in group),
-                          key=lambda tf: tf.loops)
+    ``ms``, each assembled once, in the order of their sorted keys
+    (overlay_keys): only the keys are held, not the 2-factors."""
+    for key in sorted(overlay_keys(ms)):
+        yield assemble_two_factor(mesh, *key)
 
 
 def iter_two_factors(dims: BoxDims) -> Iterator[TwoFactor]:

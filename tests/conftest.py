@@ -130,6 +130,21 @@ def poly_specialize(x: Poly, assignment: Mapping[str, object]) -> Poly:
     return Poly(tt)
 
 
+def digit_unpack_p(packed: Dict[int, int], width: int) -> Poly:
+    """The Poly whose value at p = 2^width is ``packed``, read one balanced
+    base-2^width digit at a time from the bottom: the oracle for
+    diagrams._unpack_p, which cuts long ints in halves first."""
+    half, mask, terms = 1 << (width - 1), (1 << width) - 1, {}
+    for key, v in packed.items():
+        while v:
+            d = ((v + half) & mask) - half
+            if d:
+                terms[key] = d
+            v = (v - d) >> width
+            key += pack(1, 0, 0, 0)
+    return Poly(terms)
+
+
 def full_diagram(dims: BoxDims) -> PlanePartition:
     a, b, c = dims
     return PlanePartition(dims, tuple((c,) * b for _ in range(a)))

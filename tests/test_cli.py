@@ -9,13 +9,14 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import line_prefix_of
+from conftest import backtrack_matchings, line_prefix_of
+from data.regen_golden import GOLDEN, masked
 
 from hexdimer.algebra import Poly, pack
 from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, build_parser, main,
                           parse_dims, parse_set, run_check)
 from hexdimer.diagrams import diagram_sum, iter_matchings
-from hexdimer.mesh import BoxDims
+from hexdimer.mesh import BoxDims, build_mesh
 
 
 def run(capsys, *argv):
@@ -223,7 +224,41 @@ def test_check_minus_one_values(capsys):
                        "--format", "json")
     assert code == 0
     (rep,) = json.loads(out)
-    assert sorted(rep["params"]["per_two_factor"]) == [-2, -1, -1]
+    # two matchings: each doubled (-1, -1) and the hexagon loop (-2)
+    assert rep["status"] == "pass"
+    assert (rep["params"]["two_factors"], rep["params"]["loops"]) == (3, 1)
+
+
+def overlay_counts(dims):
+    """How many distinct 2-factors and distinct loops the pairs of the
+    backtracked matchings overlay to: a loop is an edge set that the
+    symmetric difference of a pair connects."""
+    mesh = build_mesh(dims)
+    ms = list(backtrack_matchings(dims))
+    keys = {(M1 & M2, M1 ^ M2) for M1 in ms for M2 in ms}
+    loops = set()
+    for _, rest in keys:
+        while rest:
+            seen, todo = set(), [(rest & -rest).bit_length() - 1]
+            while todo:
+                e = todo.pop()
+                if e not in seen:
+                    seen.add(e)
+                    todo += [f for v in mesh.edge_ends[e] for f, _ in mesh.vertex_edges[v]
+                             if rest >> f & 1]
+            loops.add(frozenset(seen))
+            rest &= ~sum(1 << e for e in seen)
+    return len(keys), len(loops)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)], ids=str)
+def test_check_minus_one_counts_two_factors_and_loops(capsys, dims):
+    code, out, _ = run(capsys, "check", "minus-one", "-d", ",".join(map(str, dims)),
+                       "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 0 and rep["status"] == "pass"
+    assert (rep["params"]["two_factors"], rep["params"]["loops"]) == \
+        overlay_counts(BoxDims(*dims))
 
 
 def test_check_fibers(capsys):
@@ -838,20 +873,16 @@ def test_render_two_factor_and_squish(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot write")
 
 
-def _masked(text):
-    """Output with its timing fields zeroed."""
-    text = re.sub(r'"seconds": [0-9.]+', '"seconds": 0', text)
-    return re.sub(r"\(\d+\.\d\ds\)", "(0.00s)", text)
-
-
 def test_output_matches_golden_file(capsys):
-    # stdout, stderr and exit code of fast calls, recorded from an earlier
-    # version of the program; every refactor must keep them byte-identical
-    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    # stdout, stderr and exit code of fast calls, recorded by
+    # data/regen_golden.py from an earlier version of the program: a
+    # refactor keeps them byte-identical, and a change of the output
+    # regenerates only the entries it changes
+    golden = json.loads(GOLDEN.read_text())
     assert len(golden) == 30
     for case in golden:
         code, out, err = run(capsys, *case["argv"])
-        assert (code, _masked(out), err) == (case["code"], case["stdout"], case["stderr"]), \
+        assert (code, masked(out), err) == (case["code"], case["stdout"], case["stderr"]), \
             case["argv"]
 
 

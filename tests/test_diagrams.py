@@ -5,8 +5,8 @@ import random
 
 import pytest
 from conftest import (backtrack_matchings, box_count_oracle, broken_masks, constant_value,
-                      diagram_size, face_matching_of, filled_scan_matching, full_diagram,
-                      mask_of, poly_specialize, strided_matching_of)
+                      diagram_size, digit_unpack_p, face_matching_of, filled_scan_matching,
+                      full_diagram, mask_of, poly_specialize, strided_matching_of)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -535,14 +535,12 @@ def test_tau_move_changes_size_by_one():
                          + [(3, 2, 1)], ids=str)
 def test_matching_masks_are_the_diagrams_matchings(dims):
     # the backtracking masks against the bijection, one diagram at a time;
-    # enumerate_matchings sorts them as their sorted face lists sort
+    # enumerate_matchings lists them in the diagrams' order
     dims = BoxDims(*dims)
-    mesh = build_mesh(dims)
-    want = {matching_of(pi) for pi in enumerate_diagrams(dims)}
+    want = [matching_of(pi) for pi in enumerate_diagrams(dims)]
     ms = list(backtrack_matchings(dims))
-    assert len(ms) == len(want) and set(ms) == want
-    assert [sorted(mesh.faces_of(M)) for M in enumerate_matchings(dims)] == \
-        sorted(sorted(mesh.faces_of(M)) for M in ms)
+    assert len(ms) == len(set(want)) == len(want) and set(ms) == set(want)
+    assert enumerate_matchings(dims) == want
 
 
 def test_column_weights_multiply_up_to_the_first_zero(monkeypatch):
@@ -604,6 +602,33 @@ def test_unpack_p_at_its_bound(width):
         want.update({key + pack(n, 0, 0, 0): d for n, d in enumerate(digits) if d})
     packed[pack(0, 7, 7, 7)] = 0
     assert _unpack_p(packed, width) == Poly(want)
+
+
+@pytest.mark.parametrize("width", [2, 3, 19, 64, 388])
+def test_unpack_p_halves_like_the_digit_loop(width):
+    # ints of 1 to 1,000 digits, below, at and above the 32-digit base case,
+    # negative and positive, under several (q,r,s) keys
+    rng = random.Random(width)
+    top = (1 << (width - 1)) - 1
+    for n in (1, 2, 31, 32, 33, 34, 35, 64, 65, 66, 129, 1000):
+        packed = {}
+        # the top digit's sign is the int's: one positive, two negative
+        for key, last in ((0, top), (pack(0, 1, 0, 0), -1), (pack(0, -2, 3, 1), -top - 1)):
+            digits = [rng.choice((top, -top - 1, 0, rng.randint(-top - 1, top)))
+                      for _ in range(n - 1)] + [last]
+            packed[key] = sum(d << (width * i) for i, d in enumerate(digits))
+        assert _unpack_p(packed, width) == digit_unpack_p(packed, width), n
+        negated = {key: -v for key, v in packed.items()}
+        assert _unpack_p(negated, width) == digit_unpack_p(negated, width), n
+
+
+def test_unpack_p_reads_a_long_left_side():
+    # check theorem -d 50,50,1's left side: 5,001 digits of 388 bits
+    dims = BoxDims(100, 100, 2)
+    width = _p_width(dims)
+    packed = {0: z_at(dims, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}), 1 << width)}
+    got = _unpack_p(packed, width)
+    assert got == digit_unpack_p(packed, width) and len(got.terms) == 5001
 
 
 def test_z_poly_needs_its_width(monkeypatch):

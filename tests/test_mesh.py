@@ -12,7 +12,7 @@ from hexdimer.diagrams import (NotAMatching, PlanePartition, diagram_of, enumera
                                flippable_faces, matching_of, tau_move)
 from hexdimer.mesh import (
     MESH_CACHE_SIZE, BoxDims, Face, HexMesh, MeshError, OddDims,
-    UnknownFace, build_mesh, edge_table, face_order, positions,
+    UnknownFace, build_mesh, edge_table, positions,
 )
 
 
@@ -468,14 +468,6 @@ def test_positions_are_the_set_bits():
     for mask in (-1, -2, -0b1011, -(2 ** 5000 - 1), -(1 << 5000)):
         with pytest.raises(ValueError):
             positions(mask)
-        with pytest.raises(ValueError):
-            face_order(mask)
-
-
-def test_face_order_sorts_masks_as_edge_lists():
-    rng = random.Random(6)
-    masks = [0, 1, 2, 3, 1 << 9] + [rng.getrandbits(rng.randrange(1, 40)) for _ in range(200)]
-    assert sorted(masks, key=face_order) == sorted(masks, key=positions)
 
 
 def test_fits_matching_is_the_size_rule():
