@@ -584,8 +584,9 @@ def cmd_render(args) -> int:
         pi = PlanePartition.empty(parse_dims(args.dims))
     else:
         raise UsageError("render needs --diagram or --dims")
-    dims = pi.dims
-    mesh = build_mesh(dims)
+    if args.what == "squish" and not pi.dims.is_even:
+        raise UsageError("squish render needs even dims")
+    mesh = build_mesh(pi.dims)
     M = matching_of(pi) if args.diagram else mesh.empty_matching
     polys = []
 
@@ -604,8 +605,6 @@ def cmd_render(args) -> int:
         for f in (mesh.edges[e] for loop in lam.loops for e in loop):
             add(f, _CLASS_FILL[f.cls], ' fill-opacity="0.9"')
     else:  # squish
-        if not dims.is_even:
-            raise UsageError("squish render needs even dims")
         for p in positions(M):
             f = mesh.edges[p]
             add(f, "#bbbbbb" if mesh.short_mask >> p & 1 else _CLASS_FILL[f.cls])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import compress
+from itertools import accumulate, compress
 from operator import xor
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -138,30 +138,25 @@ class HexMesh:
 
     # -- basic queries --------------------------------------------------
 
+    def slot(self, x: int, y: int) -> int:
+        """The slot of lattice point (x, y), (x - y + b) L + x + c + 1 with
+        L = a + c + 1: the one numbering of lattice points.  Each line
+        d = x - y in [-b, a], the lines every edge lies on, takes L slots,
+        its points x in [-c-1, a-1], so slots order by line, then by x.  A
+        line's first slot (x = -c-1) holds no edge: the only padding."""
+        d = self.dims  # attribute reads: unpacking calls BoxDims.__iter__
+        return (x - y + d.b) * (d.a + d.c + 1) + x + d.c + 1
+
     @cached_property
     def lattice_table(self) -> Tuple[List[int], List[int], List[int]]:
-        """Per class A, B, C, a flat list that maps each lattice point to
+        """Per class A, B, C, a flat list that maps each slot (``slot``) to
         the position in ``edges`` of the edge of that class there, -1 where
-        there is none, at ``lattice_index``.  One row and one column of
-        padding lie below every edge, so ``hex_cycles`` reads each
-        hexagon's six edges without a bounds test."""
-        size = (self.dims.a + self.dims.c + 1) * self.lattice_width
-        table = {cls: [-1] * size for cls in "ABC"}
+        there is none."""
+        a, b, c = self.dims
+        table = {cls: [-1] * ((a + b + 1) * (a + c + 1)) for cls in "ABC"}
         for p, f in enumerate(self.edges):
-            table[f.cls][self.lattice_index(*f.lattice)] = p
+            table[f.cls][self.slot(*f.lattice)] = p
         return table["A"], table["B"], table["C"]
-
-    @property
-    def lattice_width(self) -> int:
-        """b + c + 2, the index step of x in ``lattice_table``; the step
-        of y is 1, so moving (x, y) by (-1, -1) moves the index by
-        -(lattice_width + 1)."""
-        return self.dims.b + self.dims.c + 2
-
-    def lattice_index(self, x: int, y: int) -> int:
-        """The index of lattice point (x, y) in ``lattice_table``."""
-        c = self.dims.c
-        return (x + c + 1) * self.lattice_width + y + c + 1
 
     @cached_property
     def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
@@ -169,19 +164,22 @@ class HexMesh:
         edges in cyclic order; at lattice point (x, y): up(x,y) -A(x,y)-
         down(x,y) -C(x,y-1)- up(x,y-1) -B(x-1,y-1)- down(x-1,y-1)
         -A(x-1,y-1)- up(x-1,y-1) -C(x-1,y-1)- down(x-1,y) -B(x-1,y)- up(x,y).
+        At slot n that is A[n], C[n+L], B[n-1], A[n-1], C[n-1], B[n-L-1].
         A lattice point is a hexagonal face when all six edges are there,
-        which holds exactly when all six triangles are."""
+        which holds exactly when all six triangles are; only the lines
+        d in [1-b, a-1] hold one, so the lines at +-L stay in the table."""
         A, B, C = self.lattice_table
-        W = self.lattice_width
         a, b, c = self.dims
+        L = a + c + 1
         out = {}
         for x in range(-c, a):
-            n = self.lattice_index(x, -c)
-            for y in range(-c, b):
-                cycle = A[n], C[n - 1], B[n - W - 1], A[n - W - 1], C[n - W - 1], B[n - W]
+            lo = max(-c, x + 1 - a)
+            n = self.slot(x, lo)
+            for y in range(lo, min(b, x + b)):
+                cycle = A[n], C[n + L], B[n - 1], A[n - 1], C[n - 1], B[n - L - 1]
                 if -1 not in cycle:
                     out[x, y] = cycle
-                n += 1
+                n -= L
         return out
 
     def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[int, ...]:
@@ -203,34 +201,24 @@ class HexMesh:
     # Box (i,j,k) flips the hexagon at lattice point (i-k, j-k), so the boxes
     # over cell (i,j) flip hexagons on its line x - y = i - j.
 
-    def line_slot(self, x: int, y: int) -> int:
-        """The slot of lattice point (x, y), (x - y + b - 1) L + x + c + 1
-        with L = a + c + 1: each line d = x - y in [1-b, a-1] takes L slots,
-        its lattice points x in [-c, a-1] the last a + c, so slots order by
-        line, then by x."""
-        a, b, c = self.dims
-        return (x - y + b - 1) * (a + c + 1) + x + c + 1
-
     @cached_property
     def empty_matching(self) -> int:
         """The matching of the empty diagram, read off ``lattice_table``:
         A(i,j,0) on every cell, at lattice point (i, j), and for z < c the
         wall B(i,0,z) left of column 0 and the wall C(0,j,z) above row 0, at
-        (i-z-1, -z-1) and (-z-1, j-z-1).  A row of cells is one slice of
-        the table, and a wall, which steps by (-1,-1), one strided slice;
-        its stop, at z = c, lies in the padding and is never negative.  It
-        reads no hexagon, so it builds neither ``hex_cycles`` nor
-        ``line_prefix``."""
+        (i-z-1, -z-1) and (-z-1, j-z-1).  A row of cells steps by (0, 1),
+        a stride of -L slots, and a wall by (-1,-1), a stride of -1; a
+        wall's stop, at z = c, is its line's padding slot.  It reads no
+        hexagon, so it builds neither ``hex_cycles`` nor ``line_prefix``."""
         A, B, C = self.lattice_table
         a, b, c = self.dims
-        at = self.lattice_index
-        S = self.lattice_width + 1
+        at, L = self.slot, a + c + 1
         out: List[int] = []
         for i in range(a):
-            out += A[at(i, 0):at(i, b)]
-            out += B[at(i - 1, -1):at(i - c - 1, -c - 1):-S]
+            out += A[at(i, 0):at(i, b):-L]
+            out += B[at(i - 1, -1):at(i - c - 1, -c - 1):-1]
         for j in range(b):
-            out += C[at(-1, j - 1):at(-c - 1, j - c - 1):-S]
+            out += C[at(-1, j - 1):at(-c - 1, j - c - 1):-1]
         digits = bytearray(b"0") * len(self.edges)
         for p in out:
             digits[p] = 49  # b"1"
@@ -241,27 +229,25 @@ class HexMesh:
         """Per cell (i, j), row-major, off = the slot of lattice point
         (i, j), that of its top face A(i,j,0) and of its box (i,j,0)."""
         a, b, _ = self.dims
-        return tuple(self.line_slot(i, j) for i in range(a) for j in range(b))
+        return tuple(self.slot(i, j) for i in range(a) for j in range(b))
 
     @cached_property
     def line_prefix(self) -> List[int]:
-        """P, one mask per slot (``line_slot``): P at the slot of (x, y) is
-        the XOR of the full masks (both halves) of the hexagons on its line
-        at x' <= x, and each line's first slot holds 0.  (a+b-1)(a+c+1)
-        masks, built from ``hex_cycles``.  The boxes k < h over cell q sit
-        at x' in (i - h, i], so they flip P[off_q] ^ P[off_q - h]
+        """P, one mask per slot (``slot``): P at the slot of (x, y) is the
+        XOR of the full masks (both halves) of the hexagons on its line at
+        x' <= x, one running XOR per line; each line's first slot is the
+        padding, so it holds 0.  (a+b+1)(a+c+1) masks, built from
+        ``hex_cycles``.  The boxes k < h over cell q sit at x' in
+        (i - h, i], so they flip P[off_q] ^ P[off_q - h]
         (``cell_offsets``), and off_q - c is still on the cell's line."""
         a, b, c = self.dims
-        hexes = self.hex_cycles
-        out = []
-        for d in range(1 - b, a):
-            acc = 0
-            out.append(acc)
-            for x in range(-c, a):
-                if (x, x - d) in hexes:
-                    acc ^= sum(1 << p for p in hexes[x, x - d])
-                out.append(acc)
-        return out
+        L = a + c + 1
+        P = [0] * ((a + b + 1) * L)
+        for pt, cycle in self.hex_cycles.items():
+            P[self.slot(*pt)] = sum(1 << p for p in cycle)
+        for n in range(0, len(P), L):
+            P[n:n + L] = accumulate(P[n:n + L], xor)
+        return P
 
     @cached_property
     def prefix_base(self) -> int:
@@ -273,12 +259,12 @@ class HexMesh:
 
     @cached_property
     def a_keys(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Per class-A edge, the slot of its lattice point (``line_slot``):
+        """Per class-A edge, the slot of its lattice point (``slot``):
         ``edges`` sorts by class, so the A edges are its first len(keys)
         positions, and a mask's A edges are its low len(keys) bits.  Then
         per cell, row-major, its rank among the cells ordered by
         ``cell_offsets``: line by line, i ascending."""
-        keys = tuple(self.line_slot(*f.lattice) for f in self.edges if f.cls == "A")
+        keys = tuple(self.slot(*f.lattice) for f in self.edges if f.cls == "A")
         offsets = self.cell_offsets
         ranks = [0] * len(offsets)
         for r, q in enumerate(sorted(range(len(offsets)), key=offsets.__getitem__)):
@@ -323,7 +309,8 @@ class HexMesh:
 
     def edge_sum(self, mask: int, table: List[List[int]]) -> int:
         """The sum over the edges of a mask of the values an ``edge_table``
-        was built from: one lookup and one addition per byte of the mask."""
+        was built from: one lookup and one addition per byte of the mask
+        (``to_bytes``), the per-byte reader beside ``bit_flags``."""
         self.check_mask(mask)
         return sum(map(list.__getitem__, table, mask.to_bytes(len(table), "little")))
 
@@ -411,7 +398,7 @@ class HexMesh:
         out = []
         for f in self.base.edges:
             x, y = f.lattice
-            out.append(tuple(tables[f.cls][self.lattice_index(2 * x + dx, 2 * y + dy)]
+            out.append(tuple(tables[f.cls][self.slot(2 * x + dx, 2 * y + dy)]
                              for dx, dy in LIFT_OFFSETS[f.cls]))
         found = [i for pair in out for i in pair]
         if -1 in found or len(set(found)) != len(found):
@@ -461,8 +448,11 @@ _FLAGS = bytes.maketrans(b"01", b"\0\1")
 def bit_flags(mask: int) -> bytes:
     """One byte per bit of a mask, from bit 0 up to its highest (one byte
     for mask 0): 1 for a set bit and 0 for a clear one, the selectors
-    ``itertools.compress`` takes.  The one reader of a mask's bits;
-    ValueError for a negative int, whose ``bin`` has a sign."""
+    ``itertools.compress`` takes.  One of the two readers of a mask's
+    bits; the other, ``HexMesh.edge_sum``, reads whole bytes off
+    ``to_bytes``, since one table lookup per byte outruns ``compress``
+    over a sum's per-edge values.  ValueError for a negative int, whose
+    ``bin`` has a sign."""
     if mask < 0:
         raise ValueError(f"a mask cannot be negative, got {mask}")
     return bin(mask).encode()[:1:-1].translate(_FLAGS)

@@ -266,11 +266,11 @@ def filled_scan_matching(pi):
 def line_prefix_of(dims: BoxDims, masks) -> List[int]:
     """The oracle for HexMesh.line_prefix, from per-hexagon mask halves
     (HexMesh.hex_masks, or a mutant of them): per line d = x - y in
-    [1-b, a-1] and slot t in [0, a + c], the XOR of both halves of every
+    [-b, a] and slot t in [0, a + c], the XOR of both halves of every
     hexagon on the line at x < t - c."""
     a, b, c = dims
     out = []
-    for d in range(1 - b, a):
+    for d in range(-b, a + 1):
         for t in range(a + c + 1):
             acc = 0
             for (x, y), (odd, even) in masks.items():
@@ -288,32 +288,33 @@ def strided_matching_of(pi) -> int:
     the same down each column.
 
     A(i,j,k) sits at lattice point (i-k, j-k), B and C(i,j,z) at
-    (i-z-1, j-z-1), which moves by (-1,-1), so by -S in the table, per
-    step of z: a wall is one strided slice.  Its stop index is that of
-    (i-c-1, j-c-1), in the padding and never negative, so it never wraps."""
+    (i-z-1, j-z-1), which moves by (-1,-1), so by -1 slot, per step of z:
+    a wall is one strided slice, on the line x - y = i - j.  Its stop is
+    the slot of (i-c-1, j-c-1), at worst the line's padding, so it never
+    leaves the line.  The next wall of a row, (0, 1) on, is L slots
+    below; the next of a column, (1, 0) on, L + 1 above."""
     mesh = build_mesh(pi.dims)
     A, B, C = mesh.lattice_table
-    W = mesh.lattice_width
-    S = W + 1
-    c = pi.dims.c
+    a, _, c = pi.dims
+    L = a + c + 1
     out: List[int] = []
     for i, row in enumerate(pi.h):
-        st = mesh.lattice_index(i - 1, -1)  # B(i,j,0), at j = 0
+        st = mesh.slot(i - 1, -1)  # B(i,j,0), at j = 0
         left = c
         for k in row:
-            out += B[st - k * S:st - left * S:-S]
-            out.append(A[st + S - k * S])
+            out += B[st - k:st - left:-1]
+            out.append(A[st + 1 - k])
             left = k
-            st += 1
-        out += B[st:st - left * S:-S]
+            st -= L
+        out += B[st:st - left:-1]
     for j, col in enumerate(zip(*pi.h)):
-        st = mesh.lattice_index(-1, j - 1)  # C(i,j,0), at i = 0
+        st = mesh.slot(-1, j - 1)  # C(i,j,0), at i = 0
         up = c
         for k in col:
-            out += C[st - k * S:st - up * S:-S]
+            out += C[st - k:st - up:-1]
             up = k
-            st += W
-        out += C[st:st - up * S:-S]
+            st += L + 1
+        out += C[st:st - up:-1]
     assert len(set(out)) == len(out) and -1 not in out
     return sum(1 << p for p in out)
 

@@ -873,6 +873,20 @@ def test_render_two_factor_and_squish(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot write")
 
 
+def test_squish_render_refuses_odd_dims_before_any_mesh(tmp_path, capsys):
+    # odd dims are refused off the dims alone, by -d or by a diagram
+    # file: no mesh is built and no matching converted first
+    diag = tmp_path / "odd.json"
+    diag.write_text(json.dumps({"dims": [3, 2, 2], "heights": [[1, 0], [0, 0], [0, 0]]}))
+    for source in (("-d", "3,3,3"), ("--diagram", str(diag))):
+        misses = build_mesh.cache_info().misses
+        code, out, err = run(capsys, "render", *source, "--what", "squish",
+                             "-o", str(tmp_path / "x.svg"))
+        assert (code, out) == (2, "") and "even dims" in err, source
+        assert build_mesh.cache_info().misses == misses, source
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_output_matches_golden_file(capsys):
     # stdout, stderr and exit code of fast calls, recorded by
     # data/regen_golden.py from an earlier version of the program: a

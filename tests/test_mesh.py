@@ -138,17 +138,21 @@ def test_hex_cycles_are_the_mesh_edge_keys(dims):
 def test_lattice_table_maps_each_point_to_its_edge(dims):
     m = build_mesh(dims)
     a, b, c = dims
-    W = b + c + 2
-    found = 0
+    size = (a + b + 1) * (a + c + 1)
+    # slot numbers the points x in [-c-1, a-1] on the lines d in [-b, a]
+    # one to one onto the table's indices
+    points = [(x, x - d) for d in range(-b, a + 1) for x in range(-c - 1, a)]
+    assert sorted(m.slot(*pt) for pt in points) == list(range(size))
+    found = []
     for cls, table in zip("ABC", m.lattice_table):
-        assert type(table) is list and len(table) == (a + c + 1) * W
-        for n, p in enumerate(table):
-            x, y = divmod(n, W)
+        assert type(table) is list and len(table) == size
+        for x, y in points:
+            p = table[m.slot(x, y)]
             if p != -1:
-                assert m.edges[p] == Face.from_lattice(cls, x - c - 1, y - c - 1)
-                assert x and y  # the padding row and column hold no edge
-                found += 1
-    assert found == len(m.edges)
+                assert m.edges[p] == Face.from_lattice(cls, x, y)
+                assert x != -c - 1  # the padding slot holds no edge
+                found.append(p)
+    assert sorted(found) == list(range(len(m.edges)))
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)], ids=str)
@@ -316,15 +320,15 @@ def test_tables_are_built_on_first_use():
 def test_line_prefix_is_the_xor_of_the_hexagons_before_each_slot(dims):
     m = HexMesh(dims)  # a fresh mesh, outside the cache
     a, b, c = dims
-    assert len(m.line_prefix) == (a + b - 1) * (a + c + 1)
+    assert len(m.line_prefix) == (a + b + 1) * (a + c + 1)
     assert m.line_prefix == line_prefix_of(dims, m.hex_masks)
     # a cell's offset is the slot of its lattice point (i, j): its boxes
     # k < c sit on its line at x = i - k, inside the line's slots
     L = a + c + 1
     for q, off in enumerate(m.cell_offsets):
         i, j = divmod(q, b)
-        assert off == (i - j + b - 1) * L + i + c + 1
-        assert (i - j + b - 1) * L < off - c <= off < (i - j + b) * L
+        assert off == (i - j + b) * L + i + c + 1
+        assert (i - j + b) * L < off - c <= off < (i - j + b + 1) * L
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
