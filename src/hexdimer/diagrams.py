@@ -264,21 +264,20 @@ def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
     negative, a bit past the last edge, or not V/2 bits) is refused before
     its bits are read.  The heights come from the class-A block alone, the
     low len(keys) bits (``HexMesh.a_keys``), which must hold ab edges.  A
-    key is the slot (``HexMesh.slot``) of an A edge's lattice point,
-    (x - y + b) L + x + c + 1 with L = a + c + 1.  On the line
-    d = i - j the map i -> x = i - h(i,j) is strictly increasing, so the
-    sorted keys name the cells in the order of their offsets (A(i,j,0)'s
-    keys), line by line.  The cell of rank r gets height
-    h_r = off_r - key_r, and ``PlanePartition`` refuses the heights unless
-    each lies in [0, c] and they weakly decrease.
+    key is the slot (``HexMesh.slot``) of an A edge's lattice point, by
+    line x - y, then by x.  On the line d = i - j the map
+    i -> x = i - h(i,j) is strictly increasing, so the sorted keys name
+    the cells in the order of their offsets (A(i,j,0)'s keys), line by
+    line.  The cell of rank r gets height h_r = off_r - key_r, and
+    ``PlanePartition`` refuses the heights unless each lies in [0, c]
+    and they weakly decrease.
 
-    That one range check also proves each key on its cell's line; the
-    proof reads only the line length L and the part of a slot within its
-    line, not where the lines start.  off_r's part within its line's L slots is i + c + 1, in
-    [c + 1, a + c], and a key's is x + c + 1, in [1, a + c].  A key on an
-    earlier line lies at least L + (c + 1) - (a + c) = c + 2 below off_r,
-    one on a later line at least L + 1 - (a + c) = 2 above it.  So every
-    line holds one key per cell, and cell (i,j)'s key is that of its top
+    That one range check also proves each key on its cell's line.  Each
+    line starts with a padding slot, which holds no key, and off_r, at
+    x = i, lies c + 1 + min(i, j) slots above its line's padding and at
+    or below its line's last point.  So a key on an earlier line lies at
+    least c + 2 below off_r, one on a later line at least 2 above it.
+    So every line holds one key per cell, and cell (i,j)'s key is that of its top
     face A(i-h, j-h), at x = i - h.  The round trip matching_of(pi) == M
     then proves M a perfect matching, as matching_of returns only
     matchings; no endpoint is scanned."""

@@ -136,24 +136,29 @@ class HexMesh:
                  if _up_valid(x + ux, y + uy, a, b, c) and _down_valid(x + dx, y + dy, a, b, c)]
         self.edges: Tuple[Face, ...] = tuple(sorted(edges))
 
+        # line d = x - y in [-b, a] holds x in [max(0, d) - c - 1, min(a, d + b) - 1]:
+        # its padding, the c points below its cells and its cells (i, i - d)
+        starts = accumulate((min(a, d + b) - max(0, d) + c + 1 for d in range(-b, a)), initial=0)
+        self.line_origins = tuple(s - max(0, d) + c + 1 for d, s in zip(range(-b, a + 1), starts))
+        self.slot_count = a * b + (a + b + 1) * (c + 1)
+
     # -- basic queries --------------------------------------------------
 
     def slot(self, x: int, y: int) -> int:
-        """The slot of lattice point (x, y), (x - y + b) L + x + c + 1 with
-        L = a + c + 1: the one numbering of lattice points.  Each line
-        d = x - y in [-b, a], the lines every edge lies on, takes L slots,
-        its points x in [-c-1, a-1], so slots order by line, then by x.  A
-        line's first slot (x = -c-1) holds no edge: the only padding."""
-        d = self.dims  # attribute reads: unpacking calls BoxDims.__iter__
-        return (x - y + d.b) * (d.a + d.c + 1) + x + d.c + 1
+        """The slot of lattice point (x, y), ``line_origins[x - y + b] + x``:
+        the one numbering of lattice points.  Slots order by line
+        d = x - y in [-b, a], the lines every edge lies on, then by x.  A
+        line's first slot, x = max(0, d) - c - 1, is its padding, the only
+        slot that holds no edge, so the slots grow with the mesh whatever
+        its shape."""
+        return self.line_origins[x - y + self.dims.b] + x
 
     @cached_property
     def lattice_table(self) -> Tuple[List[int], List[int], List[int]]:
         """Per class A, B, C, a flat list that maps each slot (``slot``) to
         the position in ``edges`` of the edge of that class there, -1 where
         there is none."""
-        a, b, c = self.dims
-        table = {cls: [-1] * ((a + b + 1) * (a + c + 1)) for cls in "ABC"}
+        table = {cls: [-1] * self.slot_count for cls in "ABC"}
         for p, f in enumerate(self.edges):
             table[f.cls][self.slot(*f.lattice)] = p
         return table["A"], table["B"], table["C"]
@@ -164,22 +169,21 @@ class HexMesh:
         edges in cyclic order; at lattice point (x, y): up(x,y) -A(x,y)-
         down(x,y) -C(x,y-1)- up(x,y-1) -B(x-1,y-1)- down(x-1,y-1)
         -A(x-1,y-1)- up(x-1,y-1) -C(x-1,y-1)- down(x-1,y) -B(x-1,y)- up(x,y).
-        At slot n that is A[n], C[n+L], B[n-1], A[n-1], C[n-1], B[n-L-1].
-        A lattice point is a hexagonal face when all six edges are there,
-        which holds exactly when all six triangles are; only the lines
-        d in [1-b, a-1] hold one, so the lines at +-L stay in the table."""
+        At slot n that is A[n], C at (x,y-1), B[n-1], A[n-1], C[n-1], B at
+        (x-1,y).  A lattice point is a hexagonal face when all six edges
+        are there, which holds exactly when all six triangles are; only
+        the lines d in [1-b, a-1] hold one, and on them each of the six
+        points is in its line's range or is its padding."""
         A, B, C = self.lattice_table
         a, b, c = self.dims
-        L = a + c + 1
+        at = self.slot
         out = {}
         for x in range(-c, a):
-            lo = max(-c, x + 1 - a)
-            n = self.slot(x, lo)
-            for y in range(lo, min(b, x + b)):
-                cycle = A[n], C[n + L], B[n - 1], A[n - 1], C[n - 1], B[n - L - 1]
+            for y in range(max(-c, x + 1 - a), min(b, x + b)):
+                n = at(x, y)
+                cycle = A[n], C[at(x, y - 1)], B[n - 1], A[n - 1], C[n - 1], B[at(x - 1, y)]
                 if -1 not in cycle:
                     out[x, y] = cycle
-                n -= L
         return out
 
     def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[int, ...]:
@@ -206,16 +210,15 @@ class HexMesh:
         """The matching of the empty diagram, read off ``lattice_table``:
         A(i,j,0) on every cell, at lattice point (i, j), and for z < c the
         wall B(i,0,z) left of column 0 and the wall C(0,j,z) above row 0, at
-        (i-z-1, -z-1) and (-z-1, j-z-1).  A row of cells steps by (0, 1),
-        a stride of -L slots, and a wall by (-1,-1), a stride of -1; a
-        wall's stop, at z = c, is its line's padding slot.  It reads no
-        hexagon, so it builds neither ``hex_cycles`` nor ``line_prefix``."""
+        (i-z-1, -z-1) and (-z-1, j-z-1).  A wall steps by (-1,-1), a stride
+        of -1 slot, and its stop, at z = c, is its line's padding.  It reads
+        no hexagon and no cell table, so it builds neither ``hex_cycles``
+        nor ``line_prefix`` nor ``cell_offsets``."""
         A, B, C = self.lattice_table
         a, b, c = self.dims
-        at, L = self.slot, a + c + 1
-        out: List[int] = []
+        at = self.slot
+        out = [A[at(i, j)] for i in range(a) for j in range(b)]
         for i in range(a):
-            out += A[at(i, 0):at(i, b):-L]
             out += B[at(i - 1, -1):at(i - c - 1, -c - 1):-1]
         for j in range(b):
             out += C[at(-1, j - 1):at(-c - 1, j - c - 1):-1]
@@ -236,17 +239,18 @@ class HexMesh:
         """P, one mask per slot (``slot``): P at the slot of (x, y) is the
         XOR of the full masks (both halves) of the hexagons on its line at
         x' <= x, one running XOR per line; each line's first slot is the
-        padding, so it holds 0.  (a+b+1)(a+c+1) masks, built from
+        padding, so it holds 0.  ab + (a+b+1)(c+1) masks, built from
         ``hex_cycles``.  The boxes k < h over cell q sit at x' in
         (i - h, i], so they flip P[off_q] ^ P[off_q - h]
         (``cell_offsets``), and off_q - c is still on the cell's line."""
         a, b, c = self.dims
-        L = a + c + 1
-        P = [0] * ((a + b + 1) * L)
+        P = [0] * self.slot_count
         for pt, cycle in self.hex_cycles.items():
             P[self.slot(*pt)] = sum(1 << p for p in cycle)
-        for n in range(0, len(P), L):
-            P[n:n + L] = accumulate(P[n:n + L], xor)
+        for d in range(-b, a + 1):
+            first, last = max(0, d) - c - 1, min(a, d + b) - 1  # the line's x range
+            line = slice(self.slot(first, first - d), self.slot(last, last - d) + 1)
+            P[line] = accumulate(P[line], xor)
         return P
 
     @cached_property
@@ -393,13 +397,18 @@ class HexMesh:
     def lifts(self) -> Tuple[Tuple[int, int], ...]:
         """Per base edge position, the positions of its two long-edge
         preimages (its lifts), in ``LIFT_OFFSETS`` order: the squish map,
-        2-to-1 and class-preserving onto the base edges."""
+        2-to-1 and class-preserving onto the base edges.  MeshError when a
+        lift falls at no edge or off the table, or on an edge another
+        lift holds."""
         tables = dict(zip("ABC", self.lattice_table))
         out = []
         for f in self.base.edges:
             x, y = f.lattice
-            out.append(tuple(tables[f.cls][self.slot(2 * x + dx, 2 * y + dy)]
-                             for dx, dy in LIFT_OFFSETS[f.cls]))
+            try:
+                out.append(tuple(tables[f.cls][self.slot(2 * x + dx, 2 * y + dy)]
+                                 for dx, dy in LIFT_OFFSETS[f.cls]))
+            except IndexError:  # off the table
+                out.append((-1, -1))
         found = [i for pair in out for i in pair]
         if -1 in found or len(set(found)) != len(found):
             raise MeshError("squish map is not 2-to-1 onto the base edge set")

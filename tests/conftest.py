@@ -266,15 +266,15 @@ def filled_scan_matching(pi):
 def line_prefix_of(dims: BoxDims, masks) -> List[int]:
     """The oracle for HexMesh.line_prefix, from per-hexagon mask halves
     (HexMesh.hex_masks, or a mutant of them): per line d = x - y in
-    [-b, a] and slot t in [0, a + c], the XOR of both halves of every
-    hexagon on the line at x < t - c."""
+    [-b, a] and point x in [max(0, d) - c - 1, min(a, d + b) - 1] on it,
+    the XOR of both halves of every hexagon on the line at x' <= x."""
     a, b, c = dims
     out = []
     for d in range(-b, a + 1):
-        for t in range(a + c + 1):
+        for x in range(max(0, d) - c - 1, min(a, d + b)):
             acc = 0
-            for (x, y), (odd, even) in masks.items():
-                if x - y == d and x < t - c:
+            for (x1, y1), (odd, even) in masks.items():
+                if x1 - y1 == d and x1 <= x:
                     acc ^= odd ^ even
             out.append(acc)
     return out
@@ -289,32 +289,27 @@ def strided_matching_of(pi) -> int:
 
     A(i,j,k) sits at lattice point (i-k, j-k), B and C(i,j,z) at
     (i-z-1, j-z-1), which moves by (-1,-1), so by -1 slot, per step of z:
-    a wall is one strided slice, on the line x - y = i - j.  Its stop is
-    the slot of (i-c-1, j-c-1), at worst the line's padding, so it never
-    leaves the line.  The next wall of a row, (0, 1) on, is L slots
-    below; the next of a column, (1, 0) on, L + 1 above."""
+    a wall is one strided slice, on the line x - y = i - j, from the slot
+    of (i-1, j-1).  Its stop is the slot of (i-c-1, j-c-1), at worst the
+    line's padding, so it never leaves the line."""
     mesh = build_mesh(pi.dims)
     A, B, C = mesh.lattice_table
-    a, _, c = pi.dims
-    L = a + c + 1
+    c = pi.dims.c
     out: List[int] = []
     for i, row in enumerate(pi.h):
-        st = mesh.slot(i - 1, -1)  # B(i,j,0), at j = 0
         left = c
-        for k in row:
+        for j, k in enumerate((*row, 0)):
+            st = mesh.slot(i - 1, j - 1)  # B(i,j,0)
             out += B[st - k:st - left:-1]
-            out.append(A[st + 1 - k])
+            if j < len(row):
+                out.append(A[st + 1 - k])
             left = k
-            st -= L
-        out += B[st:st - left:-1]
     for j, col in enumerate(zip(*pi.h)):
-        st = mesh.slot(-1, j - 1)  # C(i,j,0), at i = 0
         up = c
-        for k in col:
+        for i, k in enumerate((*col, 0)):
+            st = mesh.slot(i - 1, j - 1)  # C(i,j,0)
             out += C[st - k:st - up:-1]
             up = k
-            st += L + 1
-        out += C[st:st - up:-1]
     assert len(set(out)) == len(out) and -1 not in out
     return sum(1 << p for p in out)
 

@@ -873,12 +873,19 @@ def test_render_two_factor_and_squish(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot write")
 
 
-def test_squish_render_refuses_odd_dims_before_any_mesh(tmp_path, capsys):
+def test_squish_render_refuses_odd_dims_before_any_mesh(tmp_path, capsys, monkeypatch):
     # odd dims are refused off the dims alone, by -d or by a diagram
     # file: no mesh is built and no matching converted first
+    from hexdimer.mesh import HexMesh
+
+    def no_mesh(mesh, dims):
+        raise AssertionError(f"H_{tuple(dims)} built")
+
+    monkeypatch.setattr(HexMesh, "__init__", no_mesh)
     diag = tmp_path / "odd.json"
     diag.write_text(json.dumps({"dims": [3, 2, 2], "heights": [[1, 0], [0, 0], [0, 0]]}))
     for source in (("-d", "3,3,3"), ("--diagram", str(diag))):
+        build_mesh.cache_clear()  # so that a cached mesh cannot stand in for one built
         misses = build_mesh.cache_info().misses
         code, out, err = run(capsys, "render", *source, "--what", "squish",
                              "-o", str(tmp_path / "x.svg"))

@@ -138,10 +138,10 @@ def test_hex_cycles_are_the_mesh_edge_keys(dims):
 def test_lattice_table_maps_each_point_to_its_edge(dims):
     m = build_mesh(dims)
     a, b, c = dims
-    size = (a + b + 1) * (a + c + 1)
-    # slot numbers the points x in [-c-1, a-1] on the lines d in [-b, a]
-    # one to one onto the table's indices
-    points = [(x, x - d) for d in range(-b, a + 1) for x in range(-c - 1, a)]
+    size = a * b + (a + b + 1) * (c + 1)
+    # slot numbers the points x in [max(0, d) - c - 1, min(a, d + b) - 1]
+    # on the lines d in [-b, a] one to one onto the table's indices
+    points = [(x, x - d) for d in range(-b, a + 1) for x in range(max(0, d) - c - 1, min(a, d + b))]
     assert sorted(m.slot(*pt) for pt in points) == list(range(size))
     found = []
     for cls, table in zip("ABC", m.lattice_table):
@@ -150,9 +150,24 @@ def test_lattice_table_maps_each_point_to_its_edge(dims):
             p = table[m.slot(x, y)]
             if p != -1:
                 assert m.edges[p] == Face.from_lattice(cls, x, y)
-                assert x != -c - 1  # the padding slot holds no edge
+                assert x != max(0, x - y) - c - 1  # the padding slot holds no edge
                 found.append(p)
     assert sorted(found) == list(range(len(m.edges)))
+
+
+@pytest.mark.parametrize("dims", [BoxDims(400, 2, 2), BoxDims(2, 400, 2), BoxDims(2, 2, 400),
+                                  BoxDims(100, 100, 1), BoxDims(1, 1, 1)], ids=str)
+def test_lattice_table_grows_with_the_edges(dims):
+    # every slot but the lines' paddings holds an edge of some class, so
+    # the table has at most a + b + 1 slots more than the mesh has edges,
+    # however long one side is
+    m = HexMesh(dims)  # a fresh mesh, outside the cache
+    a, b, c = dims
+    A, B, C = m.lattice_table
+    assert len(A) == m.slot_count == a * b + (a + b + 1) * (c + 1)
+    paddings = [m.slot(x, x - d) for d in range(-b, a + 1) for x in [max(0, d) - c - 1]]
+    assert [n for n, p in enumerate(zip(A, B, C)) if p == (-1, -1, -1)] == paddings
+    assert len(A) <= len(m.edges) + a + b + 1
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)], ids=str)
@@ -320,15 +335,18 @@ def test_tables_are_built_on_first_use():
 def test_line_prefix_is_the_xor_of_the_hexagons_before_each_slot(dims):
     m = HexMesh(dims)  # a fresh mesh, outside the cache
     a, b, c = dims
-    assert len(m.line_prefix) == (a + b + 1) * (a + c + 1)
+    assert len(m.line_prefix) == a * b + (a + b + 1) * (c + 1)
     assert m.line_prefix == line_prefix_of(dims, m.hex_masks)
-    # a cell's offset is the slot of its lattice point (i, j): its boxes
-    # k < c sit on its line at x = i - k, inside the line's slots
-    L = a + c + 1
+    # a cell's offset is the slot of its lattice point (i, j): its line
+    # d = i - j starts with its padding, then its c + 1 + min(i, j)
+    # points x in [max(0, d) - c, i], so the boxes k < c sit on its line
+    # at x = i - k, inside the line's slots
     for q, off in enumerate(m.cell_offsets):
         i, j = divmod(q, b)
-        assert off == (i - j + b) * L + i + c + 1
-        assert (i - j + b) * L < off - c <= off < (i - j + b + 1) * L
+        d = i - j
+        padding = m.slot(max(0, d) - c - 1, max(0, d) - c - 1 - d)
+        assert off == padding + c + 1 + min(i, j)
+        assert padding < off - c <= off <= m.slot(min(a, d + b) - 1, min(a, d + b) - 1 - d)
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
@@ -337,7 +355,7 @@ def test_empty_matching_builds_no_hexagon_table(dims):
     # the empty diagram's matching is read off the lattice table alone
     m = HexMesh(dims)
     M = m.empty_matching
-    assert "hex_cycles" not in vars(m) and "line_prefix" not in vars(m)
+    assert not {"hex_cycles", "line_prefix", "cell_offsets"} & vars(m).keys()
     assert M == matching_of(PlanePartition.empty(dims))
     assert m.is_perfect_matching(M)
     a, b, c = dims
@@ -438,7 +456,8 @@ def test_claws_against_triangle_arithmetic(base):
 @pytest.mark.parametrize("cls, offsets", [
     ("A", ((0, 0), (0, 0))),  # each A lift twice
     ("B", ((1, 0), (0, 1))),  # one B lift at no edge of H_{4,2,2}
-], ids=("repeated", "missing"))
+    ("A", ((0, 0), (5, 0))),  # the first base edge's second lift past the last line
+], ids=("repeated", "missing", "off-table"))
 def test_a_broken_lift_table_is_refused(monkeypatch, cls, offsets):
     import hexdimer.mesh as mesh_module
 
