@@ -74,11 +74,11 @@ def pack(e0: int, e1: int, e2: int, e3: int) -> int:
     series_inv by n times each key of its input, and the sparse-factor
     products of the series module by N times each factor's key, once per
     factor.  The sums left unchecked
-    cannot wrap: a z_poly key adds the (q,r,s) parts of at most b column
-    weights, checked Monomial products of box keys whose fields are 0 or 1,
-    and its unpacking then adds at most a*b*c p's; a box of 2**20 boxes is
-    far beyond the DP; the Q grading in compare_box_vs_series
-    adds at most D times pack(1, 1, 1, 1).
+    cannot wrap: a z_poly key is a diagram's exponents less a multiple of
+    the unit its states are packed along, so each field lies in
+    [-a*b*c, a*b*c], and z_poly refuses a scheme with a variable once a*b*c
+    reaches 2**20; the Q grading in compare_box_vs_series adds at most D
+    times pack(1, 1, 1, 1).
     """
     if not (-LIMIT <= e0 < LIMIT and -LIMIT <= e1 < LIMIT
             and -LIMIT <= e2 < LIMIT and -LIMIT <= e3 < LIMIT):

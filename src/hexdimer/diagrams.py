@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, permutations, product
 from math import gcd, isqrt
 from operator import ge, sub, xor
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import Monomial, P_VARS, Poly, TooLarge, _add_into, det_int, pack, split
+from .algebra import LIMIT, Monomial, P_VARS, Poly, TooLarge, _add_into, det_int, pack, split
 from .mesh import BoxDims, HexMesh, build_mesh, positions
 
 
@@ -432,9 +432,10 @@ def _sweep_pairs(states: Tuple[Tuple[int, ...], ...]) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme,
+def _column_weights(colors: Dict[Tuple[int, int, int], Monomial], a: int, c: int, j: int,
                     states: Tuple[Tuple[int, ...], ...]) -> List[Monomial]:
-    """Weight of column j filled to each of the states, in state order.
+    """Weight of column j filled to each of the states, in state order, for
+    box (i,j,k) weighing colors[i % 2, j % 2, k % 2] (_reoriented).
 
     Per row i, run[i][h] is the product of the box monomials for k < h.
     States come in lex order, so a state shares its longest common prefix
@@ -442,12 +443,11 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme,
     each distinct prefix up to the state's first zero costs one monomial
     product.
     """
-    a, _, c = dims
     run = []
     for i in range(a):
         row = [Monomial(1)]
         for k in range(c):
-            row.append(row[-1] * scheme.box_monomial(i, j, k))
+            row.append(row[-1] * colors[i % 2, j % 2, k % 2])
         run.append(row)
     out = []
     pre = [Monomial(1)] * (a + 1)
@@ -468,33 +468,48 @@ def _column_weights(dims: BoxDims, j: int, scheme: WeightScheme,
     return out
 
 
-# the key of p, the variable z_poly's DP evaluates at p = 2^W
+# the key of p, the unit of _unpack_p's digits unless it is given another
 _P_KEY = pack(1, 0, 0, 0)
 
 
 def _p_width(dims: BoxDims) -> int:
-    """W, the bits of one p-power in z_poly's packed values.  Every
+    """W, the bits of one digit in z_poly's packed values.  Every
     coefficient the DP forms is a signed count of distinct diagrams of the
     box, so its absolute value is at most box_count(dims) < 2^(W-1)."""
     return box_count(dims).bit_length() + 1
 
 
-def _shifted(terms: Dict[int, int], w: Monomial, width: int) -> Dict[int, int]:
-    """terms times the monomial w at p = 2^width: the (q,r,s) part of w's
-    key moves the keys, and its p-power shifts the packed values."""
+def _unit(scheme: WeightScheme) -> Tuple[int, int]:
+    """(u, pivot): u is the key of the product of the variables that the
+    scheme's box monomials use, and pivot the index of the first of them
+    in P_VARS; p and 0 for a scheme that uses none.  z_poly holds each
+    monomial e as the digit e[pivot] under the key e - e[pivot] u."""
+    used = [any(split(w.key)[n] for w in scheme._by_color.values()) for n in range(4)]
+    return (pack(*map(int, used)), used.index(True)) if any(used) else (_P_KEY, 0)
+
+
+def _shifted(terms: Dict[int, int], w: Monomial, width: int, unit: int,
+             pivot: int) -> Dict[int, int]:
+    """terms times the monomial w, packed along ``unit`` (_unit): w's
+    pivot exponent e shifts the packed values by e digits, and the rest of
+    its key, key - e u, moves the keys."""
     k, key = w.coeff, w.key
     if k == 1 and not key:
         return terms
-    e = split(key)[0]
-    d, shift = key - e * _P_KEY, e * width
+    e = split(key)[pivot]
+    d, shift = key - e * unit, e * width
+    if k == 1:
+        return {x + d: v << shift for x, v in terms.items()}
     return {x + d: (v << shift) * k for x, v in terms.items()}
 
 
-def _unpack_p(packed: Dict[int, int], width: int) -> Poly:
-    """The Poly whose value at p = 2^width is ``packed``, a dict from the
-    keys of (q,r,s) parts (p-exponent 0) to ints.  The balanced
-    base-2^width digits of each int, in [-2^(width-1), 2^(width-1)), are the
-    coefficients of p^0, p^1, .. of its (q,r,s) part.
+def _unpack_p(packed: Dict[int, int], width: int, unit: int = _P_KEY) -> Poly:
+    """The Poly held in ``packed``, a dict from keys to ints: the balanced
+    base-2^width digits of each int, in [-2^(width-1), 2^(width-1)), are
+    the coefficients of key, key + unit, key + 2 unit, ..; at the default
+    unit p, that is the polynomial whose value at p = 2^width is
+    ``packed``.  The caller keeps the monomials apart: no two (key, digit)
+    pairs may name the same one.
 
     An int of n > 32 digits is cut at digit k = n // 2: adding half to each
     of its k low digits makes them nonnegative, so a mask reads the low
@@ -510,48 +525,99 @@ def _unpack_p(packed: Dict[int, int], width: int) -> Poly:
             low = (1 << k * width) - 1
             h = low // mask * half  # half in each of the k low digits
             lo = ((v + h) & low) - h
-            todo += (key + k * _P_KEY, (v - lo) >> k * width), (key, lo)  # lo first
+            todo += (key + k * unit, (v - lo) >> k * width), (key, lo)  # lo first
             continue
         while v:
             d = ((v + half) & mask) - half
             if d:
                 terms[key] = d
             v = (v - d) >> width
-            key += _P_KEY
+            key += unit
     return Poly._of(terms)
+
+
+def _axis_order(dims: BoxDims) -> Tuple[int, int, int]:
+    """The order (t0, t1, t2) of the axes in which z_poly's DP runs: the
+    one whose box (dims[t0], dims[t1], dims[t2]) = (a, b, c) takes the
+    fewest state additions a*b*C(a+c, a), the first of them in
+    permutation order, so a cube keeps its own.  TooLarge, before any
+    state is listed, when every order passes WORK_LIMIT.
+
+    Each C(a+c, a) is built factor by factor, C(n+1, 1), C(n+2, 2) ..
+    C(n+k, k) (n = max(a, c), k = min(a, c)), each the one before times
+    (n + i) / i, and stops once a*b times it passes the cheapest order
+    found so far, or WORK_LIMIT before one is found."""
+    sides = tuple(dims)
+    best, chosen = WORK_LIMIT, None
+    for order in permutations(range(3)):
+        a, b, c = map(sides.__getitem__, order)
+        size = 1
+        for i in range(1, min(a, c) + 1):
+            size = size * (max(a, c) + i) // i
+            if a * b * size > best:
+                break
+        else:
+            if chosen is None or a * b * size < best:
+                best, chosen = a * b * size, order
+    if chosen is None:
+        raise TooLarge(f"the partition function of H_{sides} takes a*b*C(a+c, a) state "
+                       f"additions in every order of its axes, over the bound {WORK_LIMIT}")
+    return chosen
+
+
+def _reoriented(scheme: WeightScheme,
+                order: Tuple[int, int, int]) -> Dict[Tuple[int, int, int], Monomial]:
+    """The box monomials of the box with its axes in ``order``
+    (_axis_order), by the parities of a box's coordinates: its box y is box
+    x of the requested one, x[order[t]] = y[t], and a box's colour depends
+    on the parities of its coordinates alone."""
+    out = {}
+    for y in product((0, 1), repeat=3):
+        x = [0, 0, 0]
+        for t, v in zip(order, y):
+            x[t] = v
+        out[y] = scheme.box_monomial(*x)
+    return out
 
 
 def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
     """The box partition function: sum of diagram weights over the box.
 
-    The DP runs over columns j = b-1 .. 0 with the column profiles as states:
-    S = C(a+c, a) states and fewer than S*a state additions per column.
-    TooLarge, before any state is listed, if a*b*S passes WORK_LIMIT, as
-    soon as one of C(n+1, 1), C(n+2, 2) .. C(n+k, k) = S does (n = max(a, c),
-    k = min(a, c)): each is the previous one times (n + i) / i.
+    Permuting the axes maps the diagrams of one box one to one onto those
+    of the permuted box, so the DP runs on the box (a, b, c) of the
+    cheapest order (_axis_order), each box weighing what it weighs in the
+    requested box (_reoriented).  It runs over columns j = b-1 .. 0 with
+    the column profiles as states: S = C(a+c, a) states and fewer than S*a
+    state additions per column.  TooLarge, before any state is listed, if
+    a*b*S passes WORK_LIMIT in every order, or else if the scheme uses a
+    variable and a*b*c, the largest exponent it can reach, is outside the
+    range of ``pack``.
 
-    Each state is held at p = 2^W (_p_width), as a dict from the key of a
-    (q,r,s) part to one int, so one int addition merges a whole polynomial
-    in p; the total is unpacked once (_unpack_p).  A partial diagram on
-    columns j..b-1 extends to a whole one in one way only (fill the columns
-    left of j to height c), so every coefficient of every state, partial
-    sum and the total counts distinct diagrams of the box with signs: its
-    absolute value is below 2^(W-1), where balanced base-2^W digits are
-    unique.  So a packed value is 0 exactly when all its coefficients are,
-    and the unpacking is exact.
+    Each state is a dict from keys to ints, packed along u, the product of
+    the variables the scheme uses (_unit): the monomial e is the digit
+    e[pivot] of base 2^W (_p_width) under the key e - e[pivot] u, so one
+    int addition merges a whole polynomial in u.  Keys have pivot exponent
+    0, so each monomial has one place.  The total is unpacked once
+    (_unpack_p).  A partial diagram on columns j..b-1 extends to a whole
+    one in one way only (fill the columns left of j to height c), so every
+    coefficient of every state, partial sum and the total counts distinct
+    diagrams of the box with signs: its absolute value is below 2^(W-1),
+    where balanced base-2^W digits are unique.  So a packed value is 0
+    exactly when all its coefficients are, and the unpacking is exact.
     """
-    a, b, c = dims
-    size = 1
-    for i in range(1, min(a, c) + 1):
-        size = size * (max(a, c) + i) // i
-        if a * b * size > WORK_LIMIT:
-            raise TooLarge(f"the partition function of H_{tuple(dims)} takes a*b*C(a+c, a) "
-                           f"state additions, over the bound {WORK_LIMIT}")
+    order = _axis_order(dims)
+    if dims.a * dims.b * dims.c >= LIMIT and any(w.key for w in scheme._by_color.values()):
+        raise TooLarge(f"the partition function of H_{tuple(dims)} reaches exponent a*b*c = "
+                       f"{dims.a * dims.b * dims.c}, outside the exponent range [-2**20, 2**20)")
+    a, b, c = map(tuple(dims).__getitem__, order)
+    colors = _reoriented(scheme, order)
+    unit, pivot = _unit(scheme)
     width = _p_width(dims)
     states = _profile_states(a, c)
     sweep = _sweep_pairs(states)
     # f[n] = the weighted sum over partial diagrams on columns j..b-1 whose
-    # column j equals states[n], at p = 2^width; the empty column b starts it
+    # column j equals states[n], packed along unit; the empty column b
+    # starts it
     f: List[Dict[int, int]] = [{} for _ in states]
     f[0][0] = 1
     for j in range(b - 1, -1, -1):
@@ -559,12 +625,12 @@ def z_poly(dims: BoxDims, scheme: WeightScheme = Z2Z2) -> Poly:
         for n, m in sweep:
             _add_into(f[n], f[m])
         # in place, so each old state is freed as soon as its new one is made
-        for n, w in enumerate(_column_weights(dims, j, scheme, states)):
-            f[n] = _shifted(f[n], w, width)
+        for n, w in enumerate(_column_weights(colors, a, c, j, states)):
+            f[n] = _shifted(f[n], w, width, unit, pivot)
     total = Poly()
     for terms in f:
         total = total + Poly(terms)
-    return _unpack_p(total.terms, width)
+    return _unpack_p(total.terms, width, unit)
 
 
 # -- partition function by nonintersecting paths ------------------------------

@@ -95,12 +95,20 @@ class Face(NamedTuple):
         return cls(klass, i - m, j - m, -m)
 
 
-def _up_valid(x, y, a, b, c) -> bool:
-    return -c <= x <= a - 1 and -c <= y <= b - 1 and 1 - b <= x - y <= a
+def _up_rows(x: int, a: int, b: int, c: int) -> range:
+    """The y of the up triangles up(x, y) of the mesh in column x, where
+    -c <= x <= a-1, -c <= y <= b-1 and 1-b <= x-y <= a; none off [-c, a)."""
+    if not -c <= x < a:
+        return range(0)
+    return range(max(-c, x - a), min(b - 1, x + b - 1) + 1)
 
 
-def _down_valid(x, y, a, b, c) -> bool:
-    return -c <= x <= a - 1 and -c <= y <= b - 1 and -b <= x - y <= a - 1
+def _down_rows(x: int, a: int, b: int, c: int) -> range:
+    """The y of the down triangles down(x, y) of the mesh in column x, where
+    -c <= x <= a-1, -c <= y <= b-1 and -b <= x-y <= a-1; none off [-c, a)."""
+    if not -c <= x < a:
+        return range(0)
+    return range(max(-c, x - a + 1), min(b - 1, x + b) + 1)
 
 
 # per class, the offsets from an edge's lattice point of its up end and of
@@ -119,21 +127,27 @@ class HexMesh:
     def __init__(self, dims: BoxDims):
         self.dims = dims
         a, b, c = dims
+        # column by column, each column's y ranges (_up_rows, _down_rows), so
+        # the build walks the triangles and edges and no empty grid point
         verts: List[Triangle] = []
         for x in range(-c, a):
-            for y in range(-c, b):
-                if _down_valid(x, y, a, b, c):
+            down, up = _down_rows(x, a, b, c), _up_rows(x, a, b, c)
+            for y in range(up.start, down.stop):
+                if y in down:
                     verts.append(Triangle(x, y, False))
-                if _up_valid(x, y, a, b, c):
+                if y in up:
                     verts.append(Triangle(x, y, True))
         self.vertices: Tuple[Triangle, ...] = tuple(verts)  # sorted as built
 
         # an edge of class cls at lattice point (x, y) is there when both
-        # of its ends are
-        edges = [Face.from_lattice(cls, x, y)
-                 for cls, ((ux, uy), (dx, dy)) in _ENDS.items()
-                 for x in range(-c, a) for y in range(-c, b)
-                 if _up_valid(x + ux, y + uy, a, b, c) and _down_valid(x + dx, y + dy, a, b, c)]
+        # of its ends are: its column's y range is the intersection of its
+        # ends' ranges, each shifted back by the end's offset
+        edges = []
+        for cls, ((ux, uy), (dx, dy)) in _ENDS.items():
+            for x in range(-c, a):
+                up, down = _up_rows(x + ux, a, b, c), _down_rows(x + dx, a, b, c)
+                ys = range(max(up.start - uy, down.start - dy), min(up.stop - uy, down.stop - dy))
+                edges += [Face.from_lattice(cls, x, y) for y in ys]
         self.edges: Tuple[Face, ...] = tuple(sorted(edges))
 
         # line d = x - y in [-b, a] holds x in [max(0, d) - c - 1, min(a, d + b) - 1]:

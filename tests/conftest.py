@@ -9,7 +9,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTupl
 from hexdimer.algebra import (MAT_I, MAT_L, MAT_R, P_VARS, AlgebraError, LPoly, Mat4, Monomial,
                               Poly, Series, mat_mul, mono_t, pack, split)
 from hexdimer.diagrams import PlanePartition
-from hexdimer.mesh import BoxDims, Face, HexMesh, Triangle, UnknownFace, build_mesh, positions
+from hexdimer.mesh import (_ENDS, BoxDims, Face, HexMesh, Triangle, UnknownFace, build_mesh,
+                           positions)
 from hexdimer.series import _as_lmono, _lmono_inv, _product
 
 
@@ -170,6 +171,31 @@ def triangle_corners(t: Triangle) -> Tuple[Tuple[int, int], ...]:
     if t.up:
         return ((x, y), (x, y + 1), (x + 1, y + 1))
     return ((x, y), (x + 1, y), (x + 1, y + 1))
+
+
+class GridScanMesh(HexMesh):
+    """HexMesh with its vertices and edges found by testing every point of
+    the (a+c) x (b+c) grid, once for each triangle and once per class for
+    each edge: the oracle for the column ranges HexMesh is built from, and
+    the tables read off them."""
+
+    def __init__(self, dims: BoxDims):
+        super().__init__(dims)
+        a, b, c = dims
+
+        def up_valid(x, y):
+            return -c <= x <= a - 1 and -c <= y <= b - 1 and 1 - b <= x - y <= a
+
+        def down_valid(x, y):
+            return -c <= x <= a - 1 and -c <= y <= b - 1 and -b <= x - y <= a - 1
+
+        grid = [(x, y) for x in range(-c, a) for y in range(-c, b)]
+        self.vertices = tuple(Triangle(x, y, up) for x, y in grid for up in (False, True)
+                              if (up_valid if up else down_valid)(x, y))
+        self.edges = tuple(sorted(
+            Face.from_lattice(cls, x, y)
+            for cls, ((ux, uy), (dx, dy)) in _ENDS.items() for x, y in grid
+            if up_valid(x + ux, y + uy) and down_valid(x + dx, y + dy)))
 
 
 # a shared lattice edge's direction -> the rhombus class, and the offset of

@@ -561,7 +561,7 @@ def test_partition_function_refuses_before_listing_states(capsys, monkeypatch):
     code, out, err = run(capsys, "zfun", "-d", "300,300,300")
     assert code == 2 and out == "" and "over the bound 100000000" in err
     assert time.perf_counter() - t0 < 0.5
-    # admitted: 13,635,300 additions for zfun -d 300,1,2
+    # admitted: 602 additions for zfun -d 300,1,2, in the order (1,2,300)
     with pytest.raises(Enumerated):
         diagrams.z_poly(BoxDims(300, 1, 2))
     # check theorem never runs the DP: -d 5,5,5 passes with no state listed
@@ -575,6 +575,23 @@ def test_partition_function_refuses_before_listing_states(capsys, monkeypatch):
     code, out, err = run(capsys, "check", "theorem", "-d", "8,8,8")
     assert code == 2 and out == "" and "over the bound" in err
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_partition_function_refuses_past_the_exponent_range(capsys, monkeypatch):
+    # a scheme that uses a variable reaches exponent a*b*c, and pack holds
+    # exponents below 2**20: past that the box is refused before any state
+    # is listed, while a scheme that uses none is admitted
+    import hexdimer.diagrams as diagrams
+
+    monkeypatch.setattr(diagrams, "_profile_states", enumeration_raises)
+    for argv in (["-d", "1,1,1100000", "-w", "mono"], ["-d", "1,1048576,1"],
+                 ["-d", "1024,1024,1", "--set", "q=-1,r=-1,s=-1"]):
+        code, out, err = run(capsys, "zfun", *argv)
+        assert code == 2 and out == "" and "outside the exponent range" in err, argv
+    for argv in (["-d", "1,1,1100000", "-w", "count"], ["-d", "1,1,1048575", "-w", "mono"],
+                 ["-d", "1,1048576,1", "--set", "p=-1,q=-1,r=1,s=-1"]):
+        with pytest.raises(Enumerated):
+            main(["zfun", *argv])
 
 
 @pytest.mark.parametrize("dims, admitted", [

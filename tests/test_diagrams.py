@@ -587,6 +587,58 @@ def test_dp_equals_enumeration(dims):
         assert z_poly(dims, scheme) == diagram_sum(dims, scheme)
 
 
+ORDERS = list(itertools.permutations(range(3)))
+# both sides of the main theorem, and two schemes that tie colours together
+ORDER_SCHEMES = (Z2Z2, MONO, COUNT, Z2Z2.with_signs({"q": -1, "r": -1, "s": -1}),
+                 MONO.with_signs({"p": "-p"}), Z2Z2.with_signs({"q": "p"}),
+                 Z2Z2.with_signs({"p": "-s", "r": -1}))
+
+
+@pytest.mark.parametrize("dims", [(a, b, c)
+                                  for a in range(1, 4)
+                                  for b in range(1, 4)
+                                  for c in range(1, 4)]
+                         + [(4, 2, 3), (2, 5, 1), (1, 3, 4)], ids=str)
+def test_dp_equals_enumeration_in_every_axis_order(monkeypatch, dims):
+    # permuting the axes fixes colour P and permutes Q, R and S, so each
+    # order must weigh its boxes as the requested box does; z2z2 keeps q, r
+    # and s apart, so a box weighed in the wrong frame shows
+    dims = BoxDims(*dims)
+    want = {scheme: diagram_sum(dims, scheme) for scheme in ORDER_SCHEMES}
+    for order in ORDERS:
+        monkeypatch.setattr(dg, "_axis_order", lambda dims, order=order: order)
+        for scheme in ORDER_SCHEMES:
+            assert z_poly(dims, scheme) == want[scheme], (order, scheme)
+
+
+def test_an_order_weighed_in_its_own_frame_fails(monkeypatch):
+    # the mutant runs the reordered box but weighs its box y as box y of
+    # the requested one
+    monkeypatch.setattr(dg, "_reoriented", lambda scheme, order: {
+        y: scheme.box_monomial(*y) for y in itertools.product((0, 1), repeat=3)})
+    differ = []
+    for dims in [(1, 2, 3), (3, 1, 2), (2, 3, 1), (1, 1, 2), (2, 1, 1), (3, 2, 1), (2, 2, 3)]:
+        want = diagram_sum(BoxDims(*dims))
+        for order in ORDERS:
+            monkeypatch.setattr(dg, "_axis_order", lambda dims, order=order: order)
+            differ.append(z_poly(BoxDims(*dims)) != want)
+    assert not any(differ[::6])  # the requested order is not reordered
+    assert sum(differ) == 32  # of the 35 reorderings
+
+
+def test_the_dp_runs_the_cheapest_axis_order(monkeypatch):
+    # a*b*C(a+c, a) state additions: 602 for (300,1,2) in the order
+    # (1,2,300), against 13,635,300 as given; a cube keeps its own order
+    assert dg._axis_order(BoxDims(300, 1, 2)) == (1, 2, 0)
+    assert dg._axis_order(BoxDims(2, 2, 300)) == (0, 2, 1)
+    assert dg._axis_order(BoxDims(4, 4, 4)) == (0, 1, 2)
+    real, listed = dg._profile_states, []
+    monkeypatch.setattr(dg, "_profile_states", lambda a, c: listed.append(real(a, c)) or listed[-1])
+    assert constant_value(z_poly(BoxDims(2, 2, 300), COUNT)) == box_count(BoxDims(2, 2, 300))
+    assert constant_value(z_poly(BoxDims(300, 1, 2), COUNT)) == 45451
+    assert [len(states) for states in listed] == [math.comb(4, 2), 301]
+
+
 @pytest.mark.parametrize("width", [2, 3, 19, 64, 114])
 def test_unpack_p_at_its_bound(width):
     # digits of the largest magnitude allowed, zero digits at the bottom,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (LIFT_OUTERS, broken_masks, line_prefix_of, mask_of, per_byte_tables,
-                      propellers, rhombus_ends, triangle_corners)
+from conftest import (LIFT_OUTERS, GridScanMesh, broken_masks, line_prefix_of, mask_of,
+                      per_byte_tables, propellers, rhombus_ends, triangle_corners)
 from hexdimer.diagrams import (NotAMatching, PlanePartition, diagram_of, enumerate_matchings,
                                flippable_faces, matching_of, tau_move)
 from hexdimer.mesh import (
@@ -54,6 +54,38 @@ def test_dims_validation():
         with pytest.raises(MeshError, match="integers"):
             BoxDims(*bad)
     assert BoxDims(1, 2, 3).doubled() == BoxDims(2, 4, 6)
+
+
+@pytest.mark.parametrize("dims", ALL_SMALL + [BoxDims(40, 2, 2), BoxDims(2, 40, 2),
+                                  BoxDims(2, 2, 40), BoxDims(5, 1, 7), BoxDims(7, 3, 9)], ids=str)
+def test_column_ranges_build_the_grid_scan_mesh(dims):
+    # the same triangles and edges, in the same order, so every table read
+    # off them, and every mask, is the one the whole-grid scan gives
+    m, want = HexMesh(dims), GridScanMesh(dims)
+    assert m.vertices == want.vertices and m.edges == want.edges
+    assert m.lattice_table == want.lattice_table
+    assert m.hex_cycles == want.hex_cycles
+    assert m.edge_ends == want.edge_ends
+
+
+@pytest.mark.parametrize("dims", [BoxDims(2, 2, 3000), BoxDims(3000, 2, 2), BoxDims(2, 3000, 2)],
+                         ids=str)
+def test_the_mesh_build_walks_its_columns(monkeypatch, dims):
+    # one y range per column for each triangle kind, and two per column for
+    # each edge class: 8 (a + c) ranges, however long a side is; the
+    # whole-grid scan made (a+c)(b+c) tests for each kind and class
+    import hexdimer.mesh as mesh
+
+    calls = Counter()
+    for name in ("_up_rows", "_down_rows"):
+        real = getattr(mesh, name)
+        monkeypatch.setattr(mesh, name, lambda *args, real=real, name=name:
+                            calls.update([name]) or real(*args))
+    a, b, c = dims
+    m = HexMesh(dims)
+    assert calls == {"_up_rows": 4 * (a + c), "_down_rows": 4 * (a + c)}
+    cells = a * b + b * c + c * a
+    assert len(m.vertices) == 2 * cells and len(m.edges) == 3 * cells - a - b - c
 
 
 @pytest.mark.parametrize("dims", ALL_SMALL, ids=str)
