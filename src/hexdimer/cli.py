@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
@@ -37,18 +37,21 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class CheckReport:
-    name: str
-    # what a pass shows, by how the check computed: "exhaustive" (every
-    # matching, pair, 2-factor or diagram was enumerated), "certificate" (a
-    # local test, with a cited theorem that makes it global) or "exact" (an
-    # exact computation over the integers)
-    guarantee: str
-    params: Dict[str, object]
-    status: str = "pass"
-    witness: Optional[object] = None
-    seconds: float = 0.0
+    __slots__ = ("name", "guarantee", "params", "status", "witness", "seconds")
+
+    def __init__(self, name: str, guarantee: str, params: Dict[str, object],
+                 status: str = "pass", witness: Optional[object] = None, seconds: float = 0.0):
+        self.name = name
+        # what a pass shows, by how the check computed: "exhaustive" (every
+        # matching, pair, 2-factor or diagram was enumerated), "certificate"
+        # (a local test, with a cited theorem that makes it global) or
+        # "exact" (an exact computation over the integers)
+        self.guarantee = guarantee
+        self.params = params
+        self.status = status
+        self.witness = witness
+        self.seconds = seconds
 
     def fail(self, witness):
         self.status = "fail"
@@ -621,7 +624,10 @@ def cmd_render(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    fills a fresh namespace on every call, so ``main`` calls share it."""
     ap = argparse.ArgumentParser(
         prog="hexdimer",
         description="Exact dimer/plane-partition identities on hexagonal meshes.")

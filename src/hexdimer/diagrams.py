@@ -10,7 +10,6 @@ downward-closure condition on the box set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations_with_replacement, permutations, product
 from math import gcd, isqrt
@@ -18,7 +17,7 @@ from operator import ge, sub, xor
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import LIMIT, Monomial, P_VARS, Poly, TooLarge, _add_into, det_int, pack, split
-from .mesh import BoxDims, HexMesh, build_mesh, positions
+from .mesh import BoxDims, HexMesh, Value, _set_field, build_mesh, positions
 
 
 class DiagramError(Exception):
@@ -51,8 +50,7 @@ _SUBSTITUTIONS = {sign + v for sign in ("", "+", "-") for v in ("1",) + P_VARS}
 _KIND_VARS = {"z2z2": P_VARS, "mono": ("p",), "count": ()}
 
 
-@dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(Value):
     """Assigns a (p,q,r,s)-monomial to each box position.
 
     kind 'z2z2':  p, q, r or s by box color (p standing for t^3).
@@ -63,15 +61,17 @@ class WeightScheme:
     another variable, e.g. {'q': -1, 'r': -1, 's': -1} or {'p': '-p'}.
     """
 
-    kind: str = "z2z2"
-    signs: Tuple[Tuple[str, str], ...] = ()
+    __slots__ = ("kind", "signs", "__dict__")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_VARS:
-            raise DiagramError(f"unknown weight scheme {self.kind!r}")
-        for name, val in self.signs:
-            if name not in _KIND_VARS[self.kind]:
-                raise DiagramError(f"weight scheme {self.kind!r} has no variable {name!r}")
+    def __init__(self, kind: str = "z2z2", signs: Tuple[Tuple[str, str], ...] = ()):
+        _set_field(self, "kind", kind)
+        _set_field(self, "signs", signs)
+        _set_field(self, "_key", (kind, signs))
+        if kind not in _KIND_VARS:
+            raise DiagramError(f"unknown weight scheme {kind!r}")
+        for name, val in signs:
+            if name not in _KIND_VARS[kind]:
+                raise DiagramError(f"weight scheme {kind!r} has no variable {name!r}")
             if val not in _SUBSTITUTIONS:
                 raise DiagramError(f"bad substitution {name}={val!r}")
 
@@ -106,15 +106,15 @@ MONO = WeightScheme("mono")
 COUNT = WeightScheme("count")
 
 
-@dataclass(frozen=True)
-class PlanePartition:
-    dims: BoxDims
-    h: Tuple[Tuple[int, ...], ...]  # a rows of b entries
+class PlanePartition(Value):
+    __slots__ = ("dims", "h")  # h: a rows of b entries
 
-    def __post_init__(self):
-        a, b, c = self.dims
-        h = self.h
-        if len(h) != a or any(len(row) != b for row in h):
+    def __init__(self, dims: BoxDims, h: Tuple[Tuple[int, ...], ...]):
+        _set_field(self, "dims", dims)
+        _set_field(self, "h", h)
+        _set_field(self, "_key", (dims, h))
+        a, b, c = dims
+        if len(h) != a or set(map(len, h)) != {b}:
             raise DiagramError(f"heights matrix is not {a}x{b}")
         # the cells in row-major order, each compared at C level with the
         # one right of it (0 past a row's end) and the one below it: for
@@ -129,12 +129,12 @@ class PlanePartition:
             return
         for i in range(a):
             for j in range(b):
-                v = self.h[i][j]
+                v = h[i][j]
                 if type(v) is not int or not 0 <= v <= c:
                     raise DiagramError(f"height {v!r} at ({i},{j}) is not an integer in [0,{c}]")
-                if i + 1 < a and self.h[i + 1][j] > v:
+                if i + 1 < a and h[i + 1][j] > v:
                     raise DiagramError("heights increase along a column")
-                if j + 1 < b and self.h[i][j + 1] > v:
+                if j + 1 < b and h[i][j + 1] > v:
                     raise DiagramError("heights increase along a row")
 
     @classmethod

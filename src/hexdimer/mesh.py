@@ -21,7 +21,6 @@ ambiguity of the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, compress
 from operator import xor
@@ -40,18 +39,62 @@ class OddDims(MeshError):
     pass
 
 
-@dataclass(frozen=True)
-class BoxDims:
-    a: int
-    b: int
-    c: int
+# the assignment a value class's __init__ makes: a name bound once, since
+# looking up object.__setattr__ costs about as much as calling it
+_set_field = object.__setattr__
 
-    def __post_init__(self):
-        if any(type(v) is not int or v < 1 for v in self):
+
+class Value:
+    """The base of the package's frozen value classes.  A subclass names
+    its fields in ``__slots__`` (and ``__dict__`` when it has cached
+    properties).  Its ``__init__`` sets each field, and ``_key``, the
+    tuple of their values in ``__slots__`` order, through ``_set_field``.
+    It gets equality only with instances of its own class, the hash of
+    its field values, the repr ``Name(field=value, ...)`` and an
+    AttributeError on assignment.  Equality and hashing read the one slot
+    ``_key``, not every field."""
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slots by assignment
+        return type(self), self._key
+
+
+class BoxDims(Value):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
+        _set_field(self, "_key", (a, b, c))
+        if not (type(a) is type(b) is type(c) is int and a >= 1 and b >= 1 and c >= 1):
             raise MeshError(f"side lengths must be integers >= 1, got {self}")
 
     def __iter__(self):
-        return iter((self.a, self.b, self.c))
+        return iter(self._key)
 
     @property
     def is_even(self) -> bool:

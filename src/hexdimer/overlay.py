@@ -6,11 +6,10 @@ orientation off edge classes."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, List, Set, Tuple
 
 from .diagrams import bounded_count, enumerate_matchings, require_count
-from .mesh import BoxDims, HexMesh, build_mesh, positions
+from .mesh import BoxDims, HexMesh, Value, _set_field, bit_flags, build_mesh, positions
 
 
 class OverlayError(Exception):
@@ -26,8 +25,7 @@ class MeshMismatch(OverlayError):
 Loop = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TwoFactor:
+class TwoFactor(Value):
     """Doubled edges plus disjoint even loops; every vertex has degree two
     with multiplicity.  ``doubled`` is the mask of the doubled edges; each
     loop is a ``Loop``, a walk from its least edge position that leaves
@@ -37,9 +35,13 @@ class TwoFactor:
     orientation.  A position indexes the mesh's sorted tuple of faces
     ``edges``, and ``to_json_obj`` names each edge by its face."""
 
-    dims: BoxDims
-    doubled: int
-    loops: Tuple[Loop, ...]
+    __slots__ = ("dims", "doubled", "loops")
+
+    def __init__(self, dims: BoxDims, doubled: int, loops: Tuple[Loop, ...]):
+        _set_field(self, "dims", dims)
+        _set_field(self, "doubled", doubled)
+        _set_field(self, "loops", loops)
+        _set_field(self, "_key", (dims, doubled, loops))
 
     def component_count(self) -> int:
         return self.doubled.bit_count() + len(self.loops)
@@ -74,30 +76,30 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
     if doubled & loops:
         raise OverlayError("an edge is both doubled and on a loop")
     ends, nbrs = mesh.edge_ends, mesh.vertex_edges
+    on = bit_flags(loops).ljust(len(mesh.edges), b"\0")  # one byte per edge: on a loop
+    rest = bytearray(on)  # the loop edges no walk has taken yet
     walks: List[Loop] = []
-    rest = loops
-    while rest:
-        # e0, the least edge left, is the least of its loop, so the walks
-        # come out in ascending order; the walk leaves e0 at its down end
-        seen = rest & -rest
-        e0 = seen.bit_length() - 1
+    # e0, the least edge left, is the least of its loop, so the walks come
+    # out in ascending order; the walk leaves e0 at its down end
+    e0 = rest.find(1)
+    while e0 >= 0:
+        rest[e0] = 0
         walk, cur, head = [e0], e0, ends[e0][1]
         while True:
             for nxt, other in nbrs[head]:
-                if nxt != cur and loops >> nxt & 1:
+                if nxt != cur and on[nxt]:
                     break
             else:
                 raise OverlayError(f"loop edges end at {mesh.vertices[head]}")
             if nxt == e0:
                 break
-            bit = 1 << nxt
-            if seen & bit:
+            if not rest[nxt]:
                 raise OverlayError(f"loop edges branch off the loop of {mesh.edges[e0]}")
-            seen |= bit
+            rest[nxt] = 0
             walk.append(nxt)
             cur, head = nxt, other
-        rest ^= seen
         walks.append(tuple(walk))
+        e0 = rest.find(1, e0 + 1)
     return TwoFactor(mesh.dims, doubled, tuple(walks))
 
 
@@ -134,20 +136,30 @@ def pair_matchings(dims: BoxDims) -> List[int]:
     return ms
 
 
-def overlay_keys(ms: List[int]) -> Set[Tuple[int, int]]:
+def overlay_keys(mesh: HexMesh, ms: List[int]) -> Set[int]:
     """The distinct overlay keys over all pairs of the matching masks ``ms``
-    (an overlay is symmetric, so each unordered pair once): the masks of the
-    doubled edges M1 & M2 and of the loop edges M1 ^ M2, which make the
-    overlay (assemble_two_factor)."""
-    return {(M1 & M2, M1 ^ M2) for i, M1 in enumerate(ms) for M2 in ms[i:]}
+    of the mesh (an overlay is symmetric, so each unordered pair once).  The
+    key of a pair is one int, ``(M1 & M2) << m | (M1 ^ M2)`` with m the
+    number of edges: the masks of the doubled edges and of the loop edges,
+    which make the overlay (assemble_two_factor), read back by
+    ``overlay_masks``.  The loop mask is below 2^m, so the keys sort as
+    the (doubled, loops) pairs do."""
+    m = len(mesh.edges)
+    return {(M1 & M2) << m | (M1 ^ M2) for i, M1 in enumerate(ms) for M2 in ms[i:]}
+
+
+def overlay_masks(mesh: HexMesh, key: int) -> Tuple[int, int]:
+    """The (doubled, loops) masks of an overlay key (overlay_keys)."""
+    m = len(mesh.edges)
+    return key >> m, key & ((1 << m) - 1)
 
 
 def distinct_overlays(mesh: HexMesh, ms: List[int]) -> Iterator[TwoFactor]:
     """The distinct overlays of all pairs of the validated matching masks
     ``ms``, each assembled once, in the order of their sorted keys
     (overlay_keys): only the keys are held, not the 2-factors."""
-    for key in sorted(overlay_keys(ms)):
-        yield assemble_two_factor(mesh, *key)
+    for key in sorted(overlay_keys(mesh, ms)):
+        yield assemble_two_factor(mesh, *overlay_masks(mesh, key))
 
 
 def iter_two_factors(dims: BoxDims) -> Iterator[TwoFactor]:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import MAT_L, MAT_R, Monomial, mono_t
-from .mesh import BoxDims, HexMesh, build_mesh, edge_table, positions
+from .mesh import BoxDims, HexMesh, Value, _set_field, build_mesh, edge_table, positions
 from .overlay import Loop, TwoFactor, assemble_two_factor, iter_two_factors
 
 
@@ -26,23 +25,23 @@ class NoValidRule(SquishError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeWeighting:
+class EdgeWeighting(Value):
     """A weight sign * t^exp per edge of a mesh, the form of every weight
     that the two proof weightings and w_p give: ``signs`` holds each edge's
     sign, +1 or -1, and ``exps`` its t-exponent, both in ``edges`` order."""
 
-    mesh: HexMesh
-    signs: Tuple[int, ...]
-    exps: Tuple[int, ...]
+    __slots__ = ("mesh", "signs", "exps", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(self.signs))
-        object.__setattr__(self, "exps", tuple(self.exps))
-        if not len(self.signs) == len(self.exps) == len(self.mesh.edges):
-            raise SquishError(f"{len(self.signs)} signs and {len(self.exps)} exponents for "
-                              f"{len(self.mesh.edges)} edges of H_{tuple(self.mesh.dims)}")
-        if not set(self.signs) <= {1, -1}:
+    def __init__(self, mesh: HexMesh, signs: Sequence[int], exps: Sequence[int]):
+        signs, exps = tuple(signs), tuple(exps)
+        _set_field(self, "mesh", mesh)
+        _set_field(self, "signs", signs)
+        _set_field(self, "exps", exps)
+        _set_field(self, "_key", (mesh, signs, exps))
+        if not len(signs) == len(exps) == len(mesh.edges):
+            raise SquishError(f"{len(signs)} signs and {len(exps)} exponents for "
+                              f"{len(mesh.edges)} edges of H_{tuple(mesh.dims)}")
+        if not set(signs) <= {1, -1}:
             raise SquishError("an edge sign is not +1 or -1")
 
     @cached_property

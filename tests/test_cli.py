@@ -15,7 +15,7 @@ from data.regen_golden import GOLDEN, masked
 from hexdimer.algebra import Poly, pack
 from hexdimer.cli import (CHECK_NAMES, CheckReport, UsageError, build_parser, main,
                           parse_dims, parse_set, run_check)
-from hexdimer.diagrams import diagram_sum, iter_matchings
+from hexdimer.diagrams import Z2Z2, diagram_sum, iter_matchings, z_poly
 from hexdimer.mesh import BoxDims, build_mesh
 
 
@@ -757,6 +757,32 @@ def test_import_builds_no_mesh():
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses would load inspect, ast, dis and tokenize at every start;
+    # -S keeps the site hook out, so only the package's imports count
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, hexdimer.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "hexdimer.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; each parse fills a fresh
+    # namespace, so a call's options never reach the next call
+    assert build_parser() is build_parser()
+    code, capped, _ = run(capsys, "zfun", "-d", "2,2,2", "--cap", "3", "--set", "q=-1")
+    assert code == 0
+    code, out, _ = run(capsys, "zfun", "-d", "2,2,2")
+    assert code == 0 and out.strip() == str(z_poly(BoxDims(2, 2, 2), Z2Z2)) != capped.strip()
+    args = build_parser().parse_args(["zfun", "-d", "2,2,2"])
+    assert (args.cap, args.set, args.weighting, args.format) == (None, None, "z2z2", "text")
 
 
 def test_check_eq3_witness_is_what_was_compared(capsys, monkeypatch):

@@ -1,6 +1,9 @@
+import copy
 import itertools
 import random
+import re
 from collections import Counter
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import (LIFT_OUTERS, GridScanMesh, broken_masks, line_prefix_of, mask_of,
                       per_byte_tables, propellers, rhombus_ends, triangle_corners)
-from hexdimer.diagrams import (NotAMatching, PlanePartition, diagram_of, enumerate_matchings,
-                               flippable_faces, matching_of, tau_move)
+from hexdimer.diagrams import (DiagramError, NotAMatching, PlanePartition, WeightScheme,
+                               diagram_of, enumerate_matchings, flippable_faces, matching_of,
+                               tau_move)
 from hexdimer.mesh import (
     MESH_CACHE_SIZE, BoxDims, Face, HexMesh, MeshError, OddDims,
-    UnknownFace, build_mesh, edge_table, positions,
+    UnknownFace, Value, build_mesh, edge_table, positions,
 )
+from hexdimer.overlay import TwoFactor
+from hexdimer.squish import EdgeWeighting, SquishError
 
 
 def hex_edge_cycle(x, y):
@@ -54,6 +60,93 @@ def test_dims_validation():
         with pytest.raises(MeshError, match="integers"):
             BoxDims(*bad)
     assert BoxDims(1, 2, 3).doubled() == BoxDims(2, 4, 6)
+
+
+# -- the frozen value classes ------------------------------------------------
+
+
+def value_fields():
+    """Per value class, the fields of one instance."""
+    mesh = build_mesh(BoxDims(1, 1, 1))
+    n = len(mesh.edges)
+    return [
+        (BoxDims, (1, 2, 3)),
+        (WeightScheme, ("z2z2", (("p", "-p"), ("q", "-1")))),
+        (PlanePartition, (BoxDims(2, 3, 2), ((2, 1, 0), (1, 1, 0)))),
+        (TwoFactor, (BoxDims(1, 1, 1), 0, ((0, 3, 1, 4, 2, 5),))),
+        (EdgeWeighting, (mesh, (1,) * (n - 1) + (-1,), tuple(range(n)))),
+    ]
+
+
+@pytest.mark.parametrize("cls, fields", value_fields(), ids=lambda v: getattr(v, "__name__", ""))
+def test_value_classes_behave_as_frozen_dataclasses(cls, fields):
+    # the frozen dataclass with the same fields is the oracle of the repr
+    # and the hash, so sets of values iterate in the same order as before
+    one, two = cls(*fields), cls(*fields)
+    assert one == two and not one != two and hash(one) == hash(two)
+    old = make_dataclass(cls.__name__, cls._fields, frozen=True)(*fields)
+    assert repr(one) == repr(old) and hash(one) == hash(old)
+    assert tuple(getattr(one, name) for name in cls._fields) == fields
+    # the same fields in another class: never equal, either way round
+    def init(self, *values):
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    twin = type("Twin", (Value,), {"__slots__": cls._fields, "__init__": init})(*fields)
+    assert one != twin and twin != one and not one == twin
+    assert one != fields
+    for name in cls._fields + ("other",):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(one, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(one, name)
+    assert one == two
+    assert copy.copy(one) == one
+
+
+def test_value_classes_refuse_what_they_refused():
+    # every error of the validation each class ran after its fields were
+    # set, with its message
+    mesh = build_mesh(BoxDims(1, 1, 1))
+    n = len(mesh.edges)
+    refusals = [
+        (lambda: BoxDims(0, 1, 1), MeshError,
+         "side lengths must be integers >= 1, got BoxDims(a=0, b=1, c=1)"),
+        (lambda: BoxDims(1, 2.0, 1), MeshError,
+         "side lengths must be integers >= 1, got BoxDims(a=1, b=2.0, c=1)"),
+        (lambda: BoxDims(1, 1, True), MeshError,
+         "side lengths must be integers >= 1, got BoxDims(a=1, b=1, c=True)"),
+        (lambda: WeightScheme("cube"), DiagramError, "unknown weight scheme 'cube'"),
+        (lambda: WeightScheme("mono", (("q", "-1"),)), DiagramError,
+         "weight scheme 'mono' has no variable 'q'"),
+        (lambda: WeightScheme("z2z2", (("q", "2"),)), DiagramError, "bad substitution q='2'"),
+        (lambda: PlanePartition(BoxDims(2, 2, 1), ((1, 1),)), DiagramError,
+         "heights matrix is not 2x2"),
+        (lambda: PlanePartition(BoxDims(2, 2, 1), ((1, 1), (1,))), DiagramError,
+         "heights matrix is not 2x2"),
+        (lambda: PlanePartition(BoxDims(2, 2, 1), ((2, 1), (1, 0))), DiagramError,
+         "height 2 at (0,0) is not an integer in [0,1]"),
+        (lambda: PlanePartition(BoxDims(2, 2, 1), ((1, 1), (1, -1))), DiagramError,
+         "height -1 at (1,1) is not an integer in [0,1]"),
+        (lambda: PlanePartition(BoxDims(2, 2, 2), ((1, 1), (1.0, 0))), DiagramError,
+         "height 1.0 at (1,0) is not an integer in [0,2]"),
+        (lambda: PlanePartition(BoxDims(2, 2, 1), ((0, 0), (1, 0))), DiagramError,
+         "heights increase along a column"),
+        (lambda: PlanePartition(BoxDims(2, 2, 1), ((0, 1), (0, 0))), DiagramError,
+         "heights increase along a row"),
+        (lambda: EdgeWeighting(mesh, (1,) * (n - 1), (0,) * n), SquishError,
+         f"{n - 1} signs and {n} exponents for {n} edges of H_(1, 1, 1)"),
+        (lambda: EdgeWeighting(mesh, (1,) * n, (0,) * (n + 1)), SquishError,
+         f"{n} signs and {n + 1} exponents for {n} edges of H_(1, 1, 1)"),
+        (lambda: EdgeWeighting(mesh, (1,) * (n - 1) + (0,), (0,) * n), SquishError,
+         "an edge sign is not +1 or -1"),
+    ]
+    for make, error, message in refusals:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+    assert WeightScheme() == WeightScheme("z2z2", ())
+    assert EdgeWeighting(mesh, [1] * n, range(n)) == EdgeWeighting(mesh, (1,) * n, tuple(range(n)))
 
 
 @pytest.mark.parametrize("dims", ALL_SMALL + [BoxDims(40, 2, 2), BoxDims(2, 40, 2),

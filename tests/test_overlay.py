@@ -13,7 +13,7 @@ from hexdimer.mesh import BoxDims, HexMesh, UnknownFace, build_mesh, positions
 from hexdimer.overlay import (
     MeshMismatch, OverlayError,
     assemble_two_factor, distinct_overlays, iter_two_factors,
-    overlay, overlay_keys, pair_matchings, split,
+    overlay, overlay_keys, overlay_masks, pair_matchings, split,
 )
 from hexdimer.squish import turn_word, wp_edge_weighting
 
@@ -253,7 +253,9 @@ def test_grouped_overlays_equal_per_pair_overlays(dims):
     for M1 in ms:
         for M2 in ms:
             pairs_of.setdefault((M1 & M2, M1 ^ M2), set()).add((M1, M2))
-    assert set(pairs_of) == overlay_keys(ms)
+    keys = overlay_keys(mesh, ms)
+    assert set(pairs_of) == {overlay_masks(mesh, key) for key in keys}
+    assert len(keys) == len(pairs_of)
     lams = [assemble_two_factor(mesh, *key) for key in pairs_of]
     assert dict(zip(lams, pairs_of.values())) == per_pair
 
@@ -372,6 +374,33 @@ def test_position_assembly_equals_face_assembly(dims):
     assert len(got) == len(set(got)) == len(oracles)
     assert [oracles[lam] for lam in got] == sorted(oracles.values(), key=lambda tf: (
         mask_of(mesh, tf.doubled), mask_of(mesh, itertools.chain(*tf.loops))))
+
+
+def sorted_partition(rng, dims):
+    """A random diagram: a random matrix with its rows, then its columns,
+    sorted in decreasing order (which keeps the rows sorted)."""
+    a, b, c = dims
+    rows = [sorted((rng.randint(0, c) for _ in range(b)), reverse=True) for _ in range(a)]
+    cols = [sorted(col, reverse=True) for col in zip(*rows)]
+    return PlanePartition(dims, tuple(zip(*cols)))
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (12, 12, 12), (3, 10, 9)], ids=str)
+def test_position_assembly_equals_face_assembly_on_large_boxes(dims):
+    # seeded random diagrams overlaid in pairs and with the empty diagram:
+    # up to tens of loops per overlay, the longest over a hundred edges
+    dims = BoxDims(*dims)
+    mesh = build_mesh(dims)
+    rng = random.Random(str(dims))
+    empty = matching_of(PlanePartition.empty(dims))
+    for _ in range(10):
+        M1, M2 = (matching_of(sorted_partition(rng, dims)) for _ in range(2))
+        for M in (M2, empty):
+            lam = assemble_two_factor(mesh, M1 & M, M1 ^ M)
+            want = face_assemble_two_factor(mesh, M1 & M, M1 ^ M)
+            assert as_faces(lam) == want
+            assert lam.to_json_obj() == want.to_json_obj()
+            assert lam.loop_mask() == M1 ^ M
 
 
 # -- the geometric turn word, the oracle of squish.turn_word -------------------

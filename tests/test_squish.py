@@ -13,7 +13,8 @@ from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
                                enumerate_matchings, matching_of)
 from hexdimer.mesh import BoxDims, OddDims, UnknownFace, build_mesh, positions
-from hexdimer.overlay import assemble_two_factor, iter_two_factors, overlay, overlay_keys
+from hexdimer.overlay import (assemble_two_factor, iter_two_factors, overlay, overlay_keys,
+                              overlay_masks)
 from hexdimer.squish import (
     EdgeWeighting, SquishError, calibrate_sign_rule,
     lemma2_sum, lift_preimages, loop_lift_sum,
@@ -456,7 +457,8 @@ def test_projection_keys_are_the_overlay_keys(base):
     # matchings' pairs, and every lift of a 2-factor has its key
     even = build_mesh(base.doubled())
     mus = enumerate_matchings(even.dims)
-    assert {projection_key(even, mu) for mu in mus} == overlay_keys(enumerate_matchings(base))
+    keys = overlay_keys(even.base, enumerate_matchings(base))
+    assert {projection_key(even, mu) for mu in mus} == {overlay_masks(even.base, k) for k in keys}
     n = 0
     for lam in iter_two_factors(base):
         for mu in lift_preimages(even, lam):
