@@ -24,7 +24,7 @@ from .algebra import (MAT_I, MAT_L, MAT_R, AlgebraError, Poly, TooLarge, degree,
 from .diagrams import (COUNT, MONO, DiagramError, PlanePartition, Z2Z2, box_count,
                        bounded_count, iter_matchings, matching_of, require_count, tau_move,
                        z_lgv, z_poly)
-from .mesh import BoxDims, Face, MeshError, build_mesh, positions
+from .mesh import BoxDims, MeshError, build_mesh, positions
 from .overlay import (OverlayError, distinct_overlays, iter_two_factors, overlay,
                       pair_matchings, split)
 from .series import SeriesError, compare_box_vs_series, eq3_check
@@ -187,7 +187,6 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     a, b, c = dims
     sgn = (-1) ** (a * b + b * c + c * a)
     two_factors = iter_two_factors(dims)  # TooLarge before any mesh is built
-    faces = build_mesh(dims).edges
     even = build_mesh(dims.doubled())
     S = sign_weighting(even)
     loop_sums: Dict[Tuple[int, ...], int] = {}  # each distinct loop summed once
@@ -200,7 +199,7 @@ def check_minus_one(dims: BoxDims) -> CheckReport:
     for loop, brute in loop_sums.items():
         transfer = transfer_lift_sum(even, loop)
         if brute != -2 or transfer != brute:
-            rep.fail({"loop": [list(faces[e]) for e in loop], "brute": brute,
+            rep.fail({"loop": [list(even.base.face(e)) for e in loop], "brute": brute,
                       "transfer": transfer})
     rep.params["two_factors"] = count
     rep.params["loops"] = len(loop_sums)
@@ -233,9 +232,9 @@ def check_pullback(dims: BoxDims) -> CheckReport:
 # the most up vertices of the even mesh `check consistency` may have, its
 # only size rule: ab + bc + ca of the even box, half its vertices and the
 # edge count of one matching (the mesh has about three times as many
-# edges).  -d 182,182,182 (99,372 up vertices, 297,570 edges) passes in
-# 3.5 s and 132 MB, and the flat 314,314,2 (99,852 up vertices) in 2.7 s
-# and 132 MB, on a 2-vCPU VM
+# edges).  End to end on a 2-vCPU VM, -d 182,182,182 (99,372 up vertices,
+# 297,570 edges) passes in 0.7-0.9 s and 89 MB, 2,2,24998 and 24998,2,2 in
+# 0.6-1.0 s and 75-90 MB; 578,578,578 (1,002,252) took 8.0 s and 771 MB
 CONSISTENCY_UP_VERTEX_LIMIT = 10 ** 5
 
 
@@ -553,11 +552,6 @@ _QUAD = {
 _CLASS_FILL = {"A": "#9ecae1", "B": "#a1d99b", "C": "#fdae6b"}
 
 
-def _rhombus(f: Face) -> List[Tuple[int, int]]:
-    x, y = f.lattice
-    return [(x + dx, y + dy) for dx, dy in _QUAD[f.cls]]
-
-
 def _svg(polys: List[Tuple[List[Tuple[float, float]], str]]) -> str:
     xs = [p[0] for poly, _ in polys for p in poly]
     ys = [p[1] for poly, _ in polys for p in poly]
@@ -571,6 +565,16 @@ def _svg(polys: List[Tuple[List[Tuple[float, float]], str]]) -> str:
         out.append(f'<polygon points="{pts}" {style}/>')
     out.append("</svg>")
     return "\n".join(out)
+
+
+# render's size rules, read off the dims alone.  A render draws the
+# ab + bc + ca rhombi of one matching: end to end on a 2-vCPU VM,
+# -d 1,1,249999 (499,999 rhombi) took 9.4 s and 619 MB, -d 300,300,300
+# 4.1 s and 325 MB.  A --diagram render also builds the prefix table
+# (HexMesh.line_prefix), ab + (a+b+1)(c+1) masks of at most |edges| bits:
+# a 120x120x120 diagram (5.6e9 bits) took 2.9 s and 901 MB
+RENDER_RHOMBUS_LIMIT = 5 * 10 ** 5
+RENDER_PREFIX_BIT_LIMIT = 6 * 10 ** 9
 
 
 def cmd_render(args) -> int:
@@ -589,28 +593,33 @@ def cmd_render(args) -> int:
         raise UsageError("render needs --diagram or --dims")
     if args.what == "squish" and not pi.dims.is_even:
         raise UsageError("squish render needs even dims")
+    a, b, c = pi.dims  # the size rules, before any mesh is built
+    rhombi = a * b + b * c + c * a
+    bits = (a * b + (a + b + 1) * (c + 1)) * (3 * rhombi - a - b - c)
+    if rhombi > RENDER_RHOMBUS_LIMIT or args.diagram and bits > RENDER_PREFIX_BIT_LIMIT:
+        raise TooLarge(f"a render of H_{tuple(pi.dims)} is over the bound: {rhombi} rhombi "
+                       f"(bound {RENDER_RHOMBUS_LIMIT}), and {bits:.2e} prefix bits from a "
+                       f"diagram (bound {RENDER_PREFIX_BIT_LIMIT:.0e})")
     mesh = build_mesh(pi.dims)
     M = matching_of(pi) if args.diagram else mesh.empty_matching
     polys = []
 
-    def add(f: Face, fill: str, extra: str = ""):
-        poly = [_svg_point(x, y) for x, y in _rhombus(f)]
-        style = f'fill="{fill}" stroke="#333" stroke-width="1"{extra}'
+    def add(p: int, fill: Optional[str] = None, extra: str = ""):
+        cls, x, y = mesh.edge(p)
+        poly = [_svg_point(x + dx, y + dy) for dx, dy in _QUAD[cls]]
+        style = f'fill="{fill or _CLASS_FILL[cls]}" stroke="#333" stroke-width="1"{extra}'
         polys.append((poly, style))
 
-    if args.what == "matching":
-        for f in sorted(mesh.faces_of(M)):
-            add(f, _CLASS_FILL[f.cls])
-    elif args.what == "twofactor":
+    if args.what == "twofactor":
         lam = overlay(mesh, M, mesh.empty_matching)
-        for f in sorted(mesh.faces_of(lam.doubled)):
-            add(f, "#cccccc")
-        for f in (mesh.edges[e] for loop in lam.loops for e in loop):
-            add(f, _CLASS_FILL[f.cls], ' fill-opacity="0.9"')
-    else:  # squish
+        for p in positions(lam.doubled):
+            add(p, "#cccccc")
+        for p in (e for loop in lam.loops for e in loop):
+            add(p, extra=' fill-opacity="0.9"')
+    else:  # the matching, its short edges grey in a squish render
+        shorts = mesh.short_mask if args.what == "squish" else 0
         for p in positions(M):
-            f = mesh.edges[p]
-            add(f, "#bbbbbb" if mesh.short_mask >> p & 1 else _CLASS_FILL[f.cls])
+            add(p, "#bbbbbb" if shorts >> p & 1 else None)
     svg = _svg(polys)
     try:
         with open(args.out, "w") as fh:

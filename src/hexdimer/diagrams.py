@@ -265,12 +265,12 @@ def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
     its bits are read.  The heights come from the class-A block alone, the
     low len(keys) bits (``HexMesh.a_keys``), which must hold ab edges.  A
     key is the slot (``HexMesh.slot``) of an A edge's lattice point, by
-    line x - y, then by x.  On the line d = i - j the map
-    i -> x = i - h(i,j) is strictly increasing, so the sorted keys name
-    the cells in the order of their offsets (A(i,j,0)'s keys), line by
-    line.  The cell of rank r gets height h_r = off_r - key_r, and
-    ``PlanePartition`` refuses the heights unless each lies in [0, c]
-    and they weakly decrease.
+    line x - y, then by x, as the A edges are numbered, so M's keys come
+    sorted.  On the line d = i - j the map i -> x = i - h(i,j) is strictly
+    increasing, so the keys name the cells in the order of their offsets
+    (A(i,j,0)'s keys), line by line.  The cell of rank r gets height
+    h_r = off_r - key_r, and ``PlanePartition`` refuses the heights
+    unless each lies in [0, c] and they weakly decrease.
 
     That one range check also proves each key on its cell's line.  Each
     line starts with a padding slot, which holds no key, and off_r, at
@@ -286,7 +286,7 @@ def diagram_of(mesh: HexMesh, M: int) -> PlanePartition:
                            "or has not one edge per two vertices")
     a, b, _ = mesh.dims
     keys, ranks = mesh.a_keys
-    found = sorted(map(keys.__getitem__, positions(M & ((1 << len(keys)) - 1))))
+    found = list(map(keys.__getitem__, positions(M & ((1 << len(keys)) - 1))))
     if len(found) != a * b:
         raise NotAMatching(f"{len(found)} horizontal faces, not one per cell of {a}x{b}")
     h = list(map(sub, mesh.cell_offsets, map(found.__getitem__, ranks)))

@@ -13,6 +13,10 @@ Edge classes, keyed by a lattice base point (the table ``_ENDS``):
 * B(x,y): up(x+1,y) -- down(x,y)
 * C(x,y): up(x,y)   -- down(x,y+1)
 
+Vertices and edges are numbered, not stored (``Lines``): the vertices as
+a down and an up block, the edges, by position, as A, B and C blocks,
+each by line d = x - y, then by x.  Faces name edges in output only.
+
 A face of class A at box coordinates (i,j,k) sits at lattice point
 (i-k, j-k); classes B and C at (i-k-1, j-k-1).  Box coordinates are
 canonicalized so that min(i,j,k) = 0, which undoes the (1,1,1)-translation
@@ -21,10 +25,11 @@ ambiguity of the projection.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import xor
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class MeshError(Exception):
@@ -109,12 +114,6 @@ class BoxDims(Value):
         return BoxDims(self.a // 2, self.b // 2, self.c // 2)
 
 
-class Triangle(NamedTuple):
-    x: int
-    y: int
-    up: bool
-
-
 class Face(NamedTuple):
     """One edge of the mesh, equivalently one rhombus position."""
 
@@ -123,35 +122,30 @@ class Face(NamedTuple):
     j: int
     k: int
 
-    @property
-    def lattice(self) -> Tuple[int, int]:
-        if self.cls == "A":
-            return (self.i - self.k, self.j - self.k)
-        return (self.i - self.k - 1, self.j - self.k - 1)
 
-    @classmethod
-    def from_lattice(cls, klass: str, x: int, y: int) -> "Face":
-        # A(x,y) is box (x,y,0), B and C(x,y) box (x+1,y+1,0); subtracting
-        # min(i,j,k) from a box point gives the canonical one
-        i, j = (x, y) if klass == "A" else (x + 1, y + 1)
-        m = min(i, j, 0)
-        return cls(klass, i - m, j - m, -m)
+def _triangle_runs(d: int, a: int, b: int, c: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The x runs (lo, hi) of the down and of the up triangles on line
+    d = x - y: down(x, y) on the lines -b..a-1, up(x, y) on 1-b..a, both at
+    x in [max(0, d) - c, min(a, d + b) - 1]; (0, -1), no run, off them."""
+    run, none = (max(0, d) - c, min(a, d + b) - 1), (0, -1)
+    return (run if -b <= d < a else none), (run if -b < d <= a else none)
 
 
-def _up_rows(x: int, a: int, b: int, c: int) -> range:
-    """The y of the up triangles up(x, y) of the mesh in column x, where
-    -c <= x <= a-1, -c <= y <= b-1 and 1-b <= x-y <= a; none off [-c, a)."""
-    if not -c <= x < a:
-        return range(0)
-    return range(max(-c, x - a), min(b - 1, x + b - 1) + 1)
+class Lines:
+    """Lattice points with one run (lo, hi) of x on each line d = x - y in
+    [-b, a] (``runs``; hi < lo for none), numbered from ``first`` by line,
+    then by x: (x, x - d) has the number ``origin[d + b] + x``, and line
+    d's numbers start at ``starts[d + b]``."""
 
+    __slots__ = ("origin", "starts")
 
-def _down_rows(x: int, a: int, b: int, c: int) -> range:
-    """The y of the down triangles down(x, y) of the mesh in column x, where
-    -c <= x <= a-1, -c <= y <= b-1 and -b <= x-y <= a-1; none off [-c, a)."""
-    if not -c <= x < a:
-        return range(0)
-    return range(max(-c, x - a + 1), min(b - 1, x + b) + 1)
+    def __init__(self, runs: Sequence[Tuple[int, int]], first: int = 0):
+        self.starts = list(accumulate((max(0, hi + 1 - lo) for lo, hi in runs), initial=first))
+        self.origin = [s - lo for s, (lo, _) in zip(self.starts, runs)]
+
+    def xs(self) -> List[range]:
+        """Per line, the x of its points."""
+        return [range(s - o, t - o) for s, t, o in zip(self.starts, self.starts[1:], self.origin)]
 
 
 # per class, the offsets from an edge's lattice point of its up end and of
@@ -170,55 +164,69 @@ class HexMesh:
     def __init__(self, dims: BoxDims):
         self.dims = dims
         a, b, c = dims
-        # column by column, each column's y ranges (_up_rows, _down_rows), so
-        # the build walks the triangles and edges and no empty grid point
-        verts: List[Triangle] = []
-        for x in range(-c, a):
-            down, up = _down_rows(x, a, b, c), _up_rows(x, a, b, c)
-            for y in range(up.start, down.stop):
-                if y in down:
-                    verts.append(Triangle(x, y, False))
-                if y in up:
-                    verts.append(Triangle(x, y, True))
-        self.vertices: Tuple[Triangle, ...] = tuple(verts)  # sorted as built
-
-        # an edge of class cls at lattice point (x, y) is there when both
-        # of its ends are: its column's y range is the intersection of its
-        # ends' ranges, each shifted back by the end's offset
-        edges = []
-        for cls, ((ux, uy), (dx, dy)) in _ENDS.items():
-            for x in range(-c, a):
-                up, down = _up_rows(x + ux, a, b, c), _down_rows(x + dx, a, b, c)
-                ys = range(max(up.start - uy, down.start - dy), min(up.stop - uy, down.stop - dy))
-                edges += [Face.from_lattice(cls, x, y) for y in ys]
-        self.edges: Tuple[Face, ...] = tuple(sorted(edges))
-
-        # line d = x - y in [-b, a] holds x in [max(0, d) - c - 1, min(a, d + b) - 1]:
+        lines = range(-b, a + 1)
+        # line d holds the slots x in [max(0, d) - c - 1, min(a, d + b) - 1]:
         # its padding, the c points below its cells and its cells (i, i - d)
-        starts = accumulate((min(a, d + b) - max(0, d) + c + 1 for d in range(-b, a)), initial=0)
-        self.line_origins = tuple(s - max(0, d) + c + 1 for d, s in zip(range(-b, a + 1), starts))
-        self.slot_count = a * b + (a + b + 1) * (c + 1)
+        self.slots = Lines([(max(0, d) - c - 1, min(a, d + b) - 1) for d in lines])
+        # the triangles' runs on the lines -b-1..a+1: the mesh's and one more at each end
+        downs, ups = zip(*(_triangle_runs(d, a, b, c) for d in range(-b - 1, a + 2)))
+        self.downs = Lines(downs[1:-1])
+        self.ups = Lines(ups[1:-1], self.downs.starts[-1])
+        self.vertex_count = self.ups.starts[-1]
+        # an edge of class cls at (x, y) is there when both of its ends are:
+        # its run on a line is the intersection of its ends' runs, on the
+        # lines of its ends and each shifted back by the end's offset
+        self.classes: Dict[str, Lines] = {}
+        self.edge_count = 0  # the next class's first position, then the count
+        for cls, ((ux, uy), (dx, dy)) in _ENDS.items():
+            runs = [(max(ul - ux, dl - dx), min(uh - ux, dh - dx)) for (ul, uh), (dl, dh), _
+                    in zip(ups[1 + ux - uy:], downs[1 + dx - dy:], lines)]
+            self.classes[cls] = Lines(runs, self.edge_count)
+            self.edge_count = self.classes[cls].starts[-1]
 
-    # -- basic queries --------------------------------------------------
+    # -- the numberings ------------------------------------------------------
 
     def slot(self, x: int, y: int) -> int:
-        """The slot of lattice point (x, y), ``line_origins[x - y + b] + x``:
-        the one numbering of lattice points.  Slots order by line
-        d = x - y in [-b, a], the lines every edge lies on, then by x.  A
-        line's first slot, x = max(0, d) - c - 1, is its padding, the only
-        slot that holds no edge, so the slots grow with the mesh whatever
-        its shape."""
-        return self.line_origins[x - y + self.dims.b] + x
+        """The slot of lattice point (x, y), the one numbering of lattice
+        points (``Lines``): by line d = x - y in [-b, a], the lines every
+        edge lies on, then by x.  A line's first slot is its padding, the
+        only slot that holds no edge, so the slots grow with the mesh
+        whatever its shape."""
+        return self.slots.origin[x - y + self.dims.b] + x
 
-    @cached_property
-    def lattice_table(self) -> Tuple[List[int], List[int], List[int]]:
-        """Per class A, B, C, a flat list that maps each slot (``slot``) to
-        the position in ``edges`` of the edge of that class there, -1 where
-        there is none."""
-        table = {cls: [-1] * self.slot_count for cls in "ABC"}
-        for p, f in enumerate(self.edges):
-            table[f.cls][self.slot(*f.lattice)] = p
-        return table["A"], table["B"], table["C"]
+    def edge(self, p: int) -> Tuple[str, int, int]:
+        """The class and the lattice point of the edge at position p, in
+        the A, B or C block; UnknownFace for a position past the edges."""
+        if not 0 <= p < self.edge_count:
+            raise UnknownFace(f"H_{tuple(self.dims)} has no edge at position {p}")
+        cls = "ABC"[(p >= self.classes["B"].starts[0]) + (p >= self.classes["C"].starts[0])]
+        lines = self.classes[cls]
+        i = bisect_right(lines.starts, p) - 1  # the last line starting at or below p
+        x = p - lines.origin[i]
+        return cls, x, x - i + self.dims.b
+
+    def edge_points(self) -> Iterator[Tuple[str, int, int]]:
+        """The class and the lattice point of every edge, by position."""
+        return ((cls, x, x - i + self.dims.b) for cls, lines in self.classes.items()
+                for i, xs in enumerate(lines.xs()) for x in xs)
+
+    def position(self, cls: str, x: int, y: int) -> int:
+        """The position of the class-cls edge at lattice point (x, y), -1
+        where the mesh has none."""
+        lines, i = self.classes[cls], x - y + self.dims.b
+        if 0 <= i < len(lines.origin):
+            p = lines.origin[i] + x
+            if lines.starts[i] <= p < lines.starts[i + 1]:
+                return p
+        return -1
+
+    def face(self, p: int) -> Face:
+        """The edge at position p as a face, the one maker of a ``Face``:
+        box (x,y,0) for A(x,y), (x+1,y+1,0) for B and C, less min(i,j,k)."""
+        cls, x, y = self.edge(p)
+        i, j = (x, y) if cls == "A" else (x + 1, y + 1)
+        m = min(i, j, 0)
+        return Face(cls, i - m, j - m, -m)
 
     @cached_property
     def hex_cycles(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
@@ -226,21 +234,19 @@ class HexMesh:
         edges in cyclic order; at lattice point (x, y): up(x,y) -A(x,y)-
         down(x,y) -C(x,y-1)- up(x,y-1) -B(x-1,y-1)- down(x-1,y-1)
         -A(x-1,y-1)- up(x-1,y-1) -C(x-1,y-1)- down(x-1,y) -B(x-1,y)- up(x,y).
-        At slot n that is A[n], C at (x,y-1), B[n-1], A[n-1], C[n-1], B at
-        (x-1,y).  A lattice point is a hexagonal face when all six edges
-        are there, which holds exactly when all six triangles are; only
-        the lines d in [1-b, a-1] hold one, and on them each of the six
-        points is in its line's range or is its padding."""
-        A, B, C = self.lattice_table
+        (x, y) is a hexagonal face when those six triangles are there,
+        which is when 1-c <= x < a, 1-c <= y < b and 1-b <= x - y < a, and
+        then all six edges are.  On line d = x - y, with i = d + b and A,
+        B, C the classes' origins (``Lines``), they are at A[i] + x,
+        C[i+1] + x, then B[i], A[i], C[i] and B[i-1] at x - 1."""
+        A, B, C = (lines.origin for lines in self.classes.values())
         a, b, c = self.dims
-        at = self.slot
         out = {}
-        for x in range(-c, a):
-            for y in range(max(-c, x + 1 - a), min(b, x + b)):
-                n = at(x, y)
-                cycle = A[n], C[at(x, y - 1)], B[n - 1], A[n - 1], C[n - 1], B[at(x - 1, y)]
-                if -1 not in cycle:
-                    out[x, y] = cycle
+        for x in range(1 - c, a):
+            for y in range(max(1 - c, x + 1 - a), min(b, x + b)):
+                i = x - y + b
+                n = A[i] + x
+                out[x, y] = n, C[i + 1] + x, B[i] + x - 1, n - 1, C[i] + x - 1, B[i - 1] + x - 1
         return out
 
     def hexface_edges(self, pt: Tuple[int, int]) -> Tuple[int, ...]:
@@ -264,24 +270,21 @@ class HexMesh:
 
     @cached_property
     def empty_matching(self) -> int:
-        """The matching of the empty diagram, read off ``lattice_table``:
-        A(i,j,0) on every cell, at lattice point (i, j), and for z < c the
-        wall B(i,0,z) left of column 0 and the wall C(0,j,z) above row 0, at
-        (i-z-1, -z-1) and (-z-1, j-z-1).  A wall steps by (-1,-1), a stride
-        of -1 slot, and its stop, at z = c, is its line's padding.  It reads
-        no hexagon and no cell table, so it builds neither ``hex_cycles``
-        nor ``line_prefix`` nor ``cell_offsets``."""
-        A, B, C = self.lattice_table
+        """The matching of the empty diagram, as runs of positions: A(i,j,0)
+        on every cell, at lattice point (i, j), which on line d is x in
+        [max(0, d), min(a, d + b)); and for z < c the wall B(i,0,z) left of
+        column 0, at (i-z-1, -z-1) on line i, and the wall C(0,j,z) above
+        row 0, at (-z-1, j-z-1) on line -j: x in [i - c, i) and [-c, 0).
+        It reads no hexagon and no cell table, so it builds neither
+        ``hex_cycles`` nor ``line_prefix`` nor ``cell_offsets``."""
+        A, B, C = (lines.origin for lines in self.classes.values())
         a, b, c = self.dims
-        at = self.slot
-        out = [A[at(i, j)] for i in range(a) for j in range(b)]
-        for i in range(a):
-            out += B[at(i - 1, -1):at(i - c - 1, -c - 1):-1]
-        for j in range(b):
-            out += C[at(-1, j - 1):at(-c - 1, j - c - 1):-1]
-        digits = bytearray(b"0") * len(self.edges)
-        for p in out:
-            digits[p] = 49  # b"1"
+        runs = [(A[d + b] + max(0, d), A[d + b] + min(a, d + b)) for d in range(1 - b, a)]
+        runs += [(B[i + b] + i - c, B[i + b] + i) for i in range(a)]
+        runs += [(C[b - j] - c, C[b - j]) for j in range(b)]
+        digits = bytearray(b"0") * self.edge_count
+        for start, stop in runs:
+            digits[start:stop] = b"1" * (stop - start)
         return int(digits[::-1], 2)  # bit 0 first, reversed: the mask in base 2
 
     @cached_property
@@ -300,13 +303,11 @@ class HexMesh:
         ``hex_cycles``.  The boxes k < h over cell q sit at x' in
         (i - h, i], so they flip P[off_q] ^ P[off_q - h]
         (``cell_offsets``), and off_q - c is still on the cell's line."""
-        a, b, c = self.dims
-        P = [0] * self.slot_count
+        P = [0] * self.slots.starts[-1]
         for pt, cycle in self.hex_cycles.items():
             P[self.slot(*pt)] = sum(1 << p for p in cycle)
-        for d in range(-b, a + 1):
-            first, last = max(0, d) - c - 1, min(a, d + b) - 1  # the line's x range
-            line = slice(self.slot(first, first - d), self.slot(last, last - d) + 1)
+        starts = self.slots.starts
+        for line in map(slice, starts, starts[1:]):
             P[line] = accumulate(P[line], xor)
         return P
 
@@ -320,12 +321,13 @@ class HexMesh:
 
     @cached_property
     def a_keys(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Per class-A edge, the slot of its lattice point (``slot``):
-        ``edges`` sorts by class, so the A edges are its first len(keys)
-        positions, and a mask's A edges are its low len(keys) bits.  Then
-        per cell, row-major, its rank among the cells ordered by
-        ``cell_offsets``: line by line, i ascending."""
-        keys = tuple(self.slot(*f.lattice) for f in self.edges if f.cls == "A")
+        """Per class-A edge, the slot of its lattice point (``slot``): the
+        A edges are the first len(keys) positions, so a mask's A edges are
+        its low len(keys) bits, and they number as the slots do, so the keys
+        ascend.  Then per cell, row-major, its rank among the cells ordered
+        by ``cell_offsets``: line by line, i ascending."""
+        keys = tuple(chain.from_iterable(range(o + xs.start, o + xs.stop) for o, xs in
+                                         zip(self.slots.origin, self.classes["A"].xs())))
         offsets = self.cell_offsets
         ranks = [0] * len(offsets)
         for r, q in enumerate(sorted(range(len(offsets)), key=offsets.__getitem__)):
@@ -337,11 +339,11 @@ class HexMesh:
         no bit past the last edge and V/2 bits.  The cheap test a mask
         passes before any check reads its bits."""
         # a negative mask shifts to -1
-        return not M >> len(self.edges) and 2 * M.bit_count() == len(self.vertices)
+        return not M >> self.edge_count and 2 * M.bit_count() == self.vertex_count
 
     def is_perfect_matching(self, M: int) -> bool:
         """Every vertex has degree one, for an edge mask M (bit p for the
-        edge at position p of ``edges``): M has the size of a matching
+        edge at position p): M has the size of a matching
         (``fits_matching``), and the endpoint bits (``endpoint_bits``) of
         its edges add up to 2^V - 1.  A sum of V bits that carries
         anywhere has fewer than V ones, so the sum is reached only with
@@ -349,22 +351,22 @@ class HexMesh:
         summed at C level; no table is read or built."""
         if not self.fits_matching(M):
             return False
-        return sum(compress(self.endpoint_bits, bit_flags(M))) == (1 << len(self.vertices)) - 1
+        return sum(compress(self.endpoint_bits, bit_flags(M))) == (1 << self.vertex_count) - 1
 
     # -- edge masks ---------------------------------------------------------
-    # An edge set is also an int mask: bit i stands for the i-th edge of
-    # ``edges``.  A per-edge int that adds up over an edge set is read off
+    # An edge set is also an int mask: bit i stands for the edge at
+    # position i.  A per-edge int that adds up over an edge set is read off
     # a mask with per-byte tables (edge_table, edge_sum); each table is a
     # cached property, built the first time it is read.
 
     def faces_of(self, mask: int) -> FrozenSet[Face]:
         """The edges of a mask, as faces."""
         self.check_mask(mask)
-        return frozenset(map(self.edges.__getitem__, positions(mask)))
+        return frozenset(map(self.face, positions(mask)))
 
     def check_mask(self, mask: int) -> None:
         """UnknownFace for a mask with a bit past the last edge."""
-        if mask >> len(self.edges):  # a negative mask shifts to -1
+        if mask >> self.edge_count:  # a negative mask shifts to -1
             raise UnknownFace(f"mask {mask:#x} has a bit past the last edge "
                               f"of H_{tuple(self.dims)}")
 
@@ -377,7 +379,7 @@ class HexMesh:
 
     def matching_sum(self, M: int) -> Optional[Tuple[int, int]]:
         """On an even mesh: None unless the mask M is a perfect matching;
-        else the masks, over ``base.edges``, of the base edges whose first
+        else the masks, over the base edges, of the base edges whose first
         lift and whose second lift M holds, read off M's sum over
         ``squish_table``.
 
@@ -389,7 +391,7 @@ class HexMesh:
             return None
         total = self.edge_sum(M, self.squish_table)
         width = self.endpoint_width
-        if total & ((1 << width) - 1) != (1 << len(self.vertices)) - 1:
+        if total & ((1 << width) - 1) != (1 << self.vertex_count) - 1:
             return None
         n = len(self.lifts)
         return total >> width & ((1 << n) - 1), total >> (width + n)
@@ -398,25 +400,27 @@ class HexMesh:
     def endpoint_width(self) -> int:
         """How many low bits of ``squish_table``'s values hold endpoint
         bits: V + bit_length(V), which a sum of V such bits cannot pass."""
-        n = len(self.vertices)
+        n = self.vertex_count
         return n + n.bit_length()
 
     @cached_property
     def edge_ends(self) -> Tuple[Tuple[int, int], ...]:
-        """Per edge, the positions in ``vertices`` of its up and down end."""
-        pos = {t: i for i, t in enumerate(self.vertices)}
-        out = []
-        for f in self.edges:
-            x, y = f.lattice
-            (ux, uy), (dx, dy) = _ENDS[f.cls]
-            out.append((pos[Triangle(x + ux, y + uy, True)], pos[Triangle(x + dx, y + dy, False)]))
+        """Per edge, the positions of its up and down end: a class's edges on
+        a line pair two runs of vertices, on their lines, shifted by ``_ENDS``."""
+        U, D = self.ups.origin, self.downs.origin
+        out: List[Tuple[int, int]] = []
+        for ((ux, uy), (dx, dy)), lines in zip(_ENDS.values(), self.classes.values()):
+            for i, xs in enumerate(lines.xs()):
+                if xs:
+                    u, v = U[i + ux - uy] + ux, D[i + dx - dy] + dx
+                    out += zip(range(u + xs.start, u + xs.stop), range(v + xs.start, v + xs.stop))
         return tuple(out)
 
     @cached_property
     def vertex_edges(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """Per vertex position, (edge position, other end's position) for
         each edge at it, by ascending edge position."""
-        out: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
+        out: List[List[Tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
         for e, (u, v) in enumerate(self.edge_ends):
             out[u].append((e, v))
             out[v].append((e, u))
@@ -425,16 +429,12 @@ class HexMesh:
     def kasteleyn_rows(self) -> List[Dict[int, int]]:
         """The bipartite adjacency matrix as sparse rows, for
         ``algebra.det_mod``: one row per up vertex and one column per down
-        vertex, each numbered in ``vertices`` order, with entry 1 at the
-        two ends of every edge."""
-        number: List[int] = []
-        count = [0, 0]  # down, up
-        for t in self.vertices:
-            number.append(count[t.up])
-            count[t.up] += 1
-        rows: List[Dict[int, int]] = [{} for _ in range(count[1])]
+        vertex, each numbered in position order within its block, with
+        entry 1 at the two ends of every edge."""
+        downs = self.downs.starts[-1]
+        rows: List[Dict[int, int]] = [{} for _ in range(self.vertex_count - downs)]
         for u, v in self.edge_ends:
-            rows[number[u]][number[v]] = 1
+            rows[u - downs][v] = 1
         return rows
 
     @cached_property
@@ -455,17 +455,9 @@ class HexMesh:
         """Per base edge position, the positions of its two long-edge
         preimages (its lifts), in ``LIFT_OFFSETS`` order: the squish map,
         2-to-1 and class-preserving onto the base edges.  MeshError when a
-        lift falls at no edge or off the table, or on an edge another
-        lift holds."""
-        tables = dict(zip("ABC", self.lattice_table))
-        out = []
-        for f in self.base.edges:
-            x, y = f.lattice
-            try:
-                out.append(tuple(tables[f.cls][self.slot(2 * x + dx, 2 * y + dy)]
-                                 for dx, dy in LIFT_OFFSETS[f.cls]))
-            except IndexError:  # off the table
-                out.append((-1, -1))
+        lift falls at no edge, or on an edge another lift holds."""
+        out = [tuple(self.position(cls, 2 * x + dx, 2 * y + dy) for dx, dy in LIFT_OFFSETS[cls])
+               for cls, x, y in self.base.edge_points()]
         found = [i for pair in out for i in pair]
         if -1 in found or len(set(found)) != len(found):
             raise MeshError("squish map is not 2-to-1 onto the base edge set")
@@ -474,7 +466,7 @@ class HexMesh:
     @cached_property
     def squish_table(self) -> List[List[int]]:
         """The ``edge_table`` of each edge's endpoint bits plus, above the
-        low ``endpoint_width`` bits, two fields of n = len(base.edges) bits:
+        low ``endpoint_width`` bits, two fields of n = base.edge_count bits:
         bit j of the first for the first lift of base edge j, bit j of the
         second for its second lift, and nothing for a short edge.  One sum
         decides a perfect matching and gives the base edges whose first
@@ -491,7 +483,7 @@ class HexMesh:
     @cached_property
     def short_mask(self) -> int:
         """The mask of the short edges: every edge that is not a lift."""
-        return ((1 << len(self.edges)) - 1) ^ sum(1 << i for pair in self.lifts for i in pair)
+        return ((1 << self.edge_count) - 1) ^ sum(1 << i for pair in self.lifts for i in pair)
 
     @cached_property
     def long_cover(self) -> Tuple[int, ...]:
@@ -500,7 +492,7 @@ class HexMesh:
         vertices, each on the one short edge of its claw: a matching that
         holds the lift leaves out those two shorts."""
         ends = self.edge_ends
-        at = [0] * len(self.vertices)
+        at = [0] * self.vertex_count
         for e in positions(self.short_mask):
             u, v = ends[e]
             at[u] |= 1 << e
@@ -532,7 +524,7 @@ def positions(mask: int) -> List[int]:
 
 
 def edge_table(values: Sequence[int]) -> List[List[int]]:
-    """Per-byte sum tables of one int per edge, in ``edges`` order: entry k
+    """Per-byte sum tables of one int per edge, by position: entry k
     of row c is the sum of the values of edges 8c + j over the bits j set
     in k.  The last row has one entry per subset of the edges it covers."""
     table = []

@@ -32,8 +32,8 @@ class TwoFactor(Value):
     that edge at its down end, and the loops come in ascending order of
     that position, so equal 2-factors compare equal.  A walk may run
     either way around the plane; ``squish.turn_word`` alone reads the
-    orientation.  A position indexes the mesh's sorted tuple of faces
-    ``edges``, and ``to_json_obj`` names each edge by its face."""
+    orientation.  A position is the mesh's number of an edge
+    (``HexMesh.edge``), and ``to_json_obj`` names each edge by its face."""
 
     __slots__ = ("dims", "doubled", "loops")
 
@@ -51,11 +51,11 @@ class TwoFactor(Value):
         return sum(1 << e for loop in self.loops for e in loop)
 
     def to_json_obj(self) -> dict:
-        edges = build_mesh(self.dims).edges
+        face = build_mesh(self.dims).face
         return {
             "dims": list(self.dims),
-            "doubled": [list(edges[e]) for e in positions(self.doubled)],
-            "loops": [[list(edges[e]) for e in loop] for loop in self.loops],
+            "doubled": sorted(list(face(e)) for e in positions(self.doubled)),
+            "loops": [[list(face(e)) for e in loop] for loop in self.loops],
         }
 
 
@@ -76,7 +76,7 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
     if doubled & loops:
         raise OverlayError("an edge is both doubled and on a loop")
     ends, nbrs = mesh.edge_ends, mesh.vertex_edges
-    on = bit_flags(loops).ljust(len(mesh.edges), b"\0")  # one byte per edge: on a loop
+    on = bit_flags(loops).ljust(mesh.edge_count, b"\0")  # one byte per edge: on a loop
     rest = bytearray(on)  # the loop edges no walk has taken yet
     walks: List[Loop] = []
     # e0, the least edge left, is the least of its loop, so the walks come
@@ -90,11 +90,11 @@ def assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> TwoFactor:
                 if nxt != cur and on[nxt]:
                     break
             else:
-                raise OverlayError(f"loop edges end at {mesh.vertices[head]}")
+                raise OverlayError(f"loop edges end at vertex {head}")
             if nxt == e0:
                 break
             if not rest[nxt]:
-                raise OverlayError(f"loop edges branch off the loop of {mesh.edges[e0]}")
+                raise OverlayError(f"loop edges branch off the loop of {mesh.face(e0)}")
             rest[nxt] = 0
             walk.append(nxt)
             cur, head = nxt, other
@@ -144,13 +144,13 @@ def overlay_keys(mesh: HexMesh, ms: List[int]) -> Set[int]:
     which make the overlay (assemble_two_factor), read back by
     ``overlay_masks``.  The loop mask is below 2^m, so the keys sort as
     the (doubled, loops) pairs do."""
-    m = len(mesh.edges)
+    m = mesh.edge_count
     return {(M1 & M2) << m | (M1 ^ M2) for i, M1 in enumerate(ms) for M2 in ms[i:]}
 
 
 def overlay_masks(mesh: HexMesh, key: int) -> Tuple[int, int]:
     """The (doubled, loops) masks of an overlay key (overlay_keys)."""
-    m = len(mesh.edges)
+    m = mesh.edge_count
     return key >> m, key & ((1 << m) - 1)
 
 

@@ -28,7 +28,7 @@ class NoValidRule(SquishError):
 class EdgeWeighting(Value):
     """A weight sign * t^exp per edge of a mesh, the form of every weight
     that the two proof weightings and w_p give: ``signs`` holds each edge's
-    sign, +1 or -1, and ``exps`` its t-exponent, both in ``edges`` order."""
+    sign, +1 or -1, and ``exps`` its t-exponent, both by edge position."""
 
     __slots__ = ("mesh", "signs", "exps", "__dict__")
 
@@ -38,9 +38,9 @@ class EdgeWeighting(Value):
         _set_field(self, "signs", signs)
         _set_field(self, "exps", exps)
         _set_field(self, "_key", (mesh, signs, exps))
-        if not len(signs) == len(exps) == len(mesh.edges):
+        if not len(signs) == len(exps) == mesh.edge_count:
             raise SquishError(f"{len(signs)} signs and {len(exps)} exponents for "
-                              f"{len(mesh.edges)} edges of H_{tuple(mesh.dims)}")
+                              f"{mesh.edge_count} edges of H_{tuple(mesh.dims)}")
         if not set(signs) <= {1, -1}:
             raise SquishError("an edge sign is not +1 or -1")
 
@@ -86,11 +86,10 @@ def wp_edge_weighting(mesh: HexMesh) -> EdgeWeighting:
     a, b, c = mesh.dims
     leftover = wp_leftover(mesh.dims)
     exps: List[int] = []
-    for f in mesh.edges:
-        x, y = f.lattice
-        if f.cls == "A":
+    for cls, x, y in mesh.edge_points():
+        if cls == "A":
             exps.append(min(a - 1 - x, b - 1 - y) - (leftover if x - y == a - 1 else 0))
-        elif f.cls == "B":
+        elif cls == "B":
             exps.append(y - max(-c, x - a + 1))
         else:
             exps.append(x - max(-c, y + 1 - b))
@@ -113,7 +112,7 @@ def wp_leftover(dims: BoxDims) -> int:
 def pullback_weighting(mesh: HexMesh) -> EdgeWeighting:
     """U: short edges weigh 1; each long edge weighs what its squished image
     weighs on the base mesh.  OddDims unless the mesh is even."""
-    exps = [0] * len(mesh.edges)
+    exps = [0] * mesh.edge_count
     for e, (first, second) in zip(wp_edge_weighting(mesh.base).exps, mesh.lifts):
         exps[first] = exps[second] = e
     return EdgeWeighting(mesh, (1,) * len(exps), exps)
@@ -144,9 +143,9 @@ def calibrate_sign_rule() -> Tuple[int, ...]:
 
 
 def _sign_weighting_for(mesh: HexMesh, rule: Tuple[int, ...]) -> EdgeWeighting:
-    signs = [1] * len(mesh.edges)
-    for f, pair in zip(mesh.base.edges, mesh.lifts):
-        signs[pair[rule["ABC".index(f.cls)]]] = -1
+    signs = [1] * mesh.edge_count
+    for (cls, _, _), pair in zip(mesh.base.edge_points(), mesh.lifts):
+        signs[pair[rule["ABC".index(cls)]]] = -1
     return EdgeWeighting(mesh, signs, (0,) * len(signs))
 
 
@@ -199,7 +198,7 @@ def lift_preimages(mesh: HexMesh, lam: TwoFactor) -> List[int]:
                    for sel in _loop_lift_choices(mesh, loop)]
         picks = [x | c for x in picks for c in choices]
     shorts_all = mesh.short_mask
-    n = len(mesh.base.vertices)
+    n = mesh.base.vertex_count
     out = []
     for x in picks:
         mu = x ^ shorts_all
@@ -238,8 +237,7 @@ def turn_word(mesh: HexMesh, loop: Loop) -> str:
     one way than the other, so a word with more Rs than Ls is a clockwise
     walk's; its counterclockwise reading, the word of (loop[0],) +
     loop[:0:-1], is the word reversed with L and R swapped."""
-    edges = mesh.edges
-    classes = ["ABC".index(edges[e].cls) for e in loop]
+    classes = ["ABC".index(mesh.edge(e)[0]) for e in loop]
     word = "".join("L" if (nxt - cur) % 3 == 1 else "R"
                    for cur, nxt in zip(classes, classes[1:] + classes[:1]))
     if word.count("R") > word.count("L"):
@@ -260,7 +258,7 @@ def loop_lift_sum(mesh: HexMesh, loop: Loop, w: EdgeWeighting) -> int:
     pairs = [mesh.lifts[j] for j in loop]
     p = next((i for pair in pairs for i in pair if exps[i]), None)
     if p is not None:
-        raise SquishError(f"lift {mesh.edges[p]} weighs {signs[p]} t^{exps[p]}, not +1 or -1")
+        raise SquishError(f"lift {mesh.face(p)} weighs {signs[p]} t^{exps[p]}, not +1 or -1")
     bits = mesh.endpoint_bits
     a, b, c, d = 1, 0, 0, 1  # the product so far, rows (a, b) and (c, d)
     for (p0, p1), (q0, q1) in zip(pairs, pairs[1:] + pairs[:1]):

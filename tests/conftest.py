@@ -9,7 +9,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTupl
 from hexdimer.algebra import (MAT_I, MAT_L, MAT_R, P_VARS, AlgebraError, LPoly, Mat4, Monomial,
                               Poly, Series, mat_mul, mono_t, pack, split)
 from hexdimer.diagrams import PlanePartition
-from hexdimer.mesh import (_ENDS, BoxDims, Face, HexMesh, Triangle, UnknownFace, build_mesh,
+from hexdimer.mesh import (_ENDS, LIFT_OFFSETS, BoxDims, Face, HexMesh, UnknownFace, build_mesh,
                            positions)
 from hexdimer.series import _as_lmono, _lmono_inv, _product
 
@@ -30,7 +30,7 @@ def backtrack_matchings(dims: BoxDims) -> Iterator[int]:
     on vertex degrees straight on the mesh: the oracle for iter_matchings,
     which walks the diagrams, so it checks the bijection independently."""
     mesh = build_mesh(dims)
-    full = (1 << len(mesh.vertices)) - 1
+    full = (1 << mesh.vertex_count) - 1
     # per vertex position: (edge bit, other end's bit)
     nbrs = [tuple((1 << e, 1 << o) for e, o in ves) for ves in mesh.vertex_edges]
     # an explicit stack, since a long box matches thousands of edges deep:
@@ -161,7 +161,15 @@ def mac_tilde(a, N: int) -> Series:
     return _product(N, [(a, 1), (_lmono_inv(a), 1)])
 
 
-# -- faces and triangles, oracles for HexMesh's tables -----------------------
+# -- faces and triangles, oracles for HexMesh's numbering ----------------------
+
+
+class Triangle(NamedTuple):
+    """A vertex of the mesh: up(x, y) or down(x, y)."""
+
+    x: int
+    y: int
+    up: bool
 
 
 def triangle_corners(t: Triangle) -> Tuple[Tuple[int, int], ...]:
@@ -173,14 +181,50 @@ def triangle_corners(t: Triangle) -> Tuple[Tuple[int, int], ...]:
     return ((x, y), (x + 1, y), (x + 1, y + 1))
 
 
-class GridScanMesh(HexMesh):
-    """HexMesh with its vertices and edges found by testing every point of
-    the (a+c) x (b+c) grid, once for each triangle and once per class for
-    each edge: the oracle for the column ranges HexMesh is built from, and
-    the tables read off them."""
+def lattice_face(cls: str, x: int, y: int) -> Face:
+    """The face of the class-cls edge at lattice point (x, y): the box
+    point (x, y, 0) for A and (x+1, y+1, 0) for B and C, moved along
+    (1,1,1) onto min(i, j, k) = 0."""
+    i, j = (x, y) if cls == "A" else (x + 1, y + 1)
+    t = max(-i, -j, 0)
+    return Face(cls, i + t, j + t, t)
+
+
+def face_lattice(f: Face) -> Tuple[int, int]:
+    """The lattice point of a face: (i-k, j-k) for A, (i-k-1, j-k-1) for
+    B and C."""
+    shift = 0 if f.cls == "A" else 1
+    return f.i - f.k - shift, f.j - f.k - shift
+
+
+def hex_edge_cycle(x, y):
+    """The six edges of the hexagonal face at lattice point (x, y), in
+    cyclic order, as faces."""
+    return (
+        lattice_face("A", x, y),
+        lattice_face("C", x, y - 1),
+        lattice_face("B", x - 1, y - 1),
+        lattice_face("A", x - 1, y - 1),
+        lattice_face("C", x - 1, y - 1),
+        lattice_face("B", x - 1, y),
+    )
+
+
+class GridScanMesh:
+    """The mesh at face level, found by testing every point of the
+    (a+c) x (b+c) grid, once for each triangle and once per class for each
+    edge, with no numbering: the oracle for HexMesh's per-line runs and
+    the tables it computes from them.
+
+    ``vertices`` and ``edges`` are the sorted triangles and faces;
+    ``ends`` maps each face to its (up, down) triangles; ``hex_cycles``
+    maps each point whose six cycle faces (``hex_edge_cycle``) are all
+    edges, in sorted order, to those faces; ``empty_matching`` is the
+    face set of the empty diagram, its top faces A(i,j,0) and the walls
+    B(i,0,z) and C(0,j,z); on an even box, ``lifts`` maps each base face
+    to the two faces at twice its lattice point plus LIFT_OFFSETS."""
 
     def __init__(self, dims: BoxDims):
-        super().__init__(dims)
         a, b, c = dims
 
         def up_valid(x, y):
@@ -192,10 +236,45 @@ class GridScanMesh(HexMesh):
         grid = [(x, y) for x in range(-c, a) for y in range(-c, b)]
         self.vertices = tuple(Triangle(x, y, up) for x, y in grid for up in (False, True)
                               if (up_valid if up else down_valid)(x, y))
-        self.edges = tuple(sorted(
-            Face.from_lattice(cls, x, y)
+        self.ends = dict(sorted(
+            (lattice_face(cls, x, y),
+             (Triangle(x + ux, y + uy, True), Triangle(x + dx, y + dy, False)))
             for cls, ((ux, uy), (dx, dy)) in _ENDS.items() for x, y in grid
             if up_valid(x + ux, y + uy) and down_valid(x + dx, y + dy)))
+        self.edges = tuple(self.ends)
+        self.hex_cycles = {pt: hex_edge_cycle(*pt) for pt in grid
+                           if set(hex_edge_cycle(*pt)) <= self.ends.keys()}
+        self.empty_matching = frozenset(
+            [Face("A", i, j, 0) for i in range(a) for j in range(b)]
+            + [Face("B", i, 0, z) for i in range(a) for z in range(c)]
+            + [Face("C", 0, j, z) for j in range(b) for z in range(c)])
+        if dims.is_even:
+            base = GridScanMesh(dims.halved())
+            self.lifts = {f: tuple(lattice_face(f.cls, 2 * x + dx, 2 * y + dy)
+                                   for dx, dy in LIFT_OFFSETS[f.cls])
+                          for f in base.edges for x, y in [face_lattice(f)]}
+
+
+@lru_cache(maxsize=None)
+def edge_faces(mesh: HexMesh) -> Tuple[Face, ...]:
+    """Each edge of the mesh as a face, by position."""
+    return tuple(map(mesh.face, range(mesh.edge_count)))
+
+
+@lru_cache(maxsize=None)
+def vertex_triangles(mesh: HexMesh) -> Tuple[Triangle, ...]:
+    """Each vertex of the mesh as a triangle, by position, read off
+    ``edge_ends``: a vertex is the up (or down) triangle of each edge that
+    has it as its up (or down) end (``rhombus_ends``), which must be one
+    triangle, and no two vertices are the same triangle."""
+    out: List[Optional[Triangle]] = [None] * mesh.vertex_count
+    ends = rhombus_ends(mesh)
+    for p, pair in enumerate(mesh.edge_ends):
+        for v, t in zip(pair, ends[mesh.face(p)]):
+            assert out[v] in (None, t), (v, out[v], t)
+            out[v] = t
+    assert None not in out and len(set(out)) == len(out)
+    return tuple(out)
 
 
 # a shared lattice edge's direction -> the rhombus class, and the offset of
@@ -208,11 +287,11 @@ SIDE_CLASS = {(1, 1): ("A", (0, 0)), (0, 1): ("B", (1, 0)), (1, 0): ("C", (0, 1)
 @lru_cache(maxsize=None)
 def rhombus_ends(mesh: HexMesh) -> Dict[Face, Tuple[Triangle, Triangle]]:
     """Each rhombus of the mesh, sorted, -> its (up, down) triangles: every
-    two triangles of ``mesh.vertices`` with two common corners, named by
-    the direction of the lattice edge they share.  The oracle for
-    HexMesh.edges, edge_ends and vertex_edges."""
+    two triangles of the grid scan's ``vertices`` with two common corners,
+    named by the direction of the lattice edge they share.  The oracle for
+    the edges, edge_ends and vertex_edges, independent of ``_ENDS``."""
     at: Dict[Tuple[Tuple[int, int], ...], List[Triangle]] = {}
-    for t in mesh.vertices:
+    for t in GridScanMesh(mesh.dims).vertices:
         for side in combinations(triangle_corners(t), 2):
             at.setdefault(side, []).append(t)
     out = {}
@@ -221,14 +300,14 @@ def rhombus_ends(mesh: HexMesh) -> Dict[Face, Tuple[Triangle, Triangle]]:
             down, up = sorted(ts, key=lambda t: t.up)
             assert up.up and not down.up
             cls, (dx, dy) = SIDE_CLASS[x2 - x, y2 - y]
-            out[Face.from_lattice(cls, x - dx, y - dy)] = (up, down)
+            out[lattice_face(cls, x - dx, y - dy)] = (up, down)
     return dict(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
 def edge_positions(mesh: HexMesh) -> Dict[Face, int]:
-    """Each edge's position in ``mesh.edges``."""
-    return {f: i for i, f in enumerate(mesh.edges)}
+    """Each edge's position, by its face."""
+    return {f: i for i, f in enumerate(edge_faces(mesh))}
 
 
 def mask_of(mesh: HexMesh, faces: Iterable[Face]) -> int:
@@ -246,7 +325,7 @@ def broken_masks(mesh: HexMesh, M: int) -> Iterator[int]:
     matching: each bit dropped, each bit added, each edge traded for another
     at the right popcount, a bit past the last edge (in the top byte, past
     it, far past it), and -M."""
-    m = len(mesh.edges)
+    m = mesh.edge_count
     bits = positions(M)
     others = [j for j in range(m) if not M >> j & 1]
     for i in bits:
@@ -271,21 +350,21 @@ def filled_scan_matching(pi):
     for i in range(a):
         for j in range(b):
             k = h[i][j]
-            M.add(Face.from_lattice("A", i - k, j - k))
+            M.add(lattice_face("A", i - k, j - k))
     # class B: vertical faces seen along the j axis (wall at j=0 counts as full)
     for i in range(a):
         for j in range(b + 1):
             for k in range(c):
                 left = filled(i, j - 1, k) if j > 0 else True
                 if left and not filled(i, j, k):
-                    M.add(Face.from_lattice("B", i - k - 1, j - k - 1))
+                    M.add(lattice_face("B", i - k - 1, j - k - 1))
     # class C: vertical faces seen along the i axis
     for j in range(b):
         for i in range(a + 1):
             for k in range(c):
                 left = filled(i - 1, j, k) if i > 0 else True
                 if left and not filled(i, j, k):
-                    M.add(Face.from_lattice("C", i - k - 1, j - k - 1))
+                    M.add(lattice_face("C", i - k - 1, j - k - 1))
     return frozenset(M)
 
 
@@ -307,34 +386,26 @@ def line_prefix_of(dims: BoxDims, masks) -> List[int]:
 
 
 def strided_matching_of(pi) -> int:
-    """Reference matching_of in O(ab + bc + ca), wall by wall off the mesh's
-    ``lattice_table``: cell (i,j) shows its top face A(i,j,h[i][j]); in row
-    i the wall between columns j-1 and j shows B(i,j,z) for z in
-    [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0; class C is
-    the same down each column.
-
-    A(i,j,k) sits at lattice point (i-k, j-k), B and C(i,j,z) at
-    (i-z-1, j-z-1), which moves by (-1,-1), so by -1 slot, per step of z:
-    a wall is one strided slice, on the line x - y = i - j, from the slot
-    of (i-1, j-1).  Its stop is the slot of (i-c-1, j-c-1), at worst the
-    line's padding, so it never leaves the line."""
+    """Reference matching_of in O(ab + bc + ca), wall by wall, each face's
+    position looked up by class and lattice point (HexMesh.position): cell
+    (i,j) shows its top face A(i,j,h[i][j]), at lattice point (i-h, j-h);
+    in row i the wall between columns j-1 and j shows B(i,j,z) for z in
+    [h[i][j], h[i][j-1]), taking h[i][-1] = c and h[i][b] = 0, at
+    (i-z-1, j-z-1); class C is the same down each column."""
     mesh = build_mesh(pi.dims)
-    A, B, C = mesh.lattice_table
     c = pi.dims.c
     out: List[int] = []
     for i, row in enumerate(pi.h):
         left = c
         for j, k in enumerate((*row, 0)):
-            st = mesh.slot(i - 1, j - 1)  # B(i,j,0)
-            out += B[st - k:st - left:-1]
+            out += [mesh.position("B", i - z - 1, j - z - 1) for z in range(k, left)]
             if j < len(row):
-                out.append(A[st + 1 - k])
+                out.append(mesh.position("A", i - k, j - k))
             left = k
     for j, col in enumerate(zip(*pi.h)):
         up = c
         for i, k in enumerate((*col, 0)):
-            st = mesh.slot(i - 1, j - 1)  # C(i,j,0)
-            out += C[st - k:st - up:-1]
+            out += [mesh.position("C", i - z - 1, j - z - 1) for z in range(k, up)]
             up = k
     assert len(set(out)) == len(out) and -1 not in out
     return sum(1 << p for p in out)
@@ -382,7 +453,7 @@ def propellers(mesh):
     down(x,y) up(2x+1,2y) and its neighbours."""
     edge_at = {frozenset(ts): f for f, ts in rhombus_ends(mesh).items()}
     out = []
-    for t in mesh.base.vertices:
+    for t in GridScanMesh(mesh.base.dims).vertices:
         x, y = t.x, t.y
         if t.up:
             center = Triangle(2 * x, 2 * y + 1, False)
@@ -445,8 +516,7 @@ class FaceTwoFactor:
 
 def as_faces(lam) -> FaceTwoFactor:
     """A position-level TwoFactor with each edge position read as its face."""
-    mesh = build_mesh(lam.dims)
-    faces = list(mesh.edges)
+    faces = edge_faces(build_mesh(lam.dims))
     return FaceTwoFactor(lam.dims, frozenset(faces[i] for i in positions(lam.doubled)),
                          tuple(tuple(faces[e] for e in loop) for loop in lam.loops))
 
@@ -460,7 +530,7 @@ def monomials(weighting) -> Tuple[Monomial, ...]:
 def two_factor_weight(lam: FaceTwoFactor, weighting) -> Monomial:
     """Product of the edge weights of an EdgeWeighting, each read by its
     face, with multiplicity (doubled edges squared)."""
-    weights = dict(zip(weighting.mesh.edges, monomials(weighting)))
+    weights = dict(zip(edge_faces(weighting.mesh), monomials(weighting)))
     w = Monomial(1)
     for f in lam.edges_with_multiplicity():
         w = w * weights[f]

@@ -1004,3 +1004,124 @@ def test_render_deterministic(tmp_path, capsys):
     run(capsys, "render", "-d", "2,2,2", "--what", "matching", "-o", str(f1))
     run(capsys, "render", "-d", "2,2,2", "--what", "matching", "-o", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_render_size_rule_refuses_before_any_mesh(tmp_path, capsys, monkeypatch):
+    # the rule reads the dims alone: a render it admits reaches the mesh
+    # build, patched to raise; one it refuses exits 2 without a mesh.  The
+    # rhombi, ab + bc + ca, bound -d; a diagram's prefix table,
+    # (ab + (a+b+1)(c+1)) |edges| bits, bounds --diagram as well
+    import hexdimer.cli as cli
+
+    class Built(Exception):
+        pass
+
+    def no_mesh(dims):
+        raise Built(dims)
+
+    monkeypatch.setattr(cli, "build_mesh", no_mesh)
+    out = str(tmp_path / "r.svg")
+
+    def diagram(a, b, c):
+        path = tmp_path / f"{a}-{b}-{c}.json"
+        path.write_text(json.dumps({"dims": [a, b, c], "heights": [[0] * b] * a}))
+        return ["--diagram", str(path)]
+
+    admitted = [["-d", "300,300,300"], ["-d", "1,1,200000"], ["-d", "1,1,249999"],
+                ["-d", "2,2,300", "--what", "squish"], diagram(120, 120, 120),
+                diagram(121, 121, 121), diagram(60, 60, 300), diagram(1, 1, 1000)]
+    refused = [["-d", "1,1,250000"], ["-d", "2,2,200000", "--what", "squish"],
+               ["-d", "600,600,600"], diagram(125, 125, 125), diagram(60, 60, 400),
+               diagram(1, 1, 100000)]
+    for argv in admitted:
+        with pytest.raises(Built):
+            main(["render", *argv, "-o", out])
+    for argv in refused:
+        code, stdout, err = run(capsys, "render", *argv, "-o", out)
+        assert (code, stdout) == (2, "") and "over the bound" in err, argv
+    assert not (tmp_path / "r.svg").exists()
+
+
+def witness_faces(witness, dims, key):
+    """The faces that a witness names under ``key``, with the mesh they
+    must be edges of: a two_factor's doubled and loop edges on its own
+    dims, any other key's on ``dims``."""
+    if key == "two_factor":
+        lam = witness[key]
+        return BoxDims(*lam["dims"]), lam["doubled"] + [f for loop in lam["loops"] for f in loop]
+    return dims, witness[key]
+
+
+@pytest.mark.parametrize("check, dims, patch, keys", [
+    ("minus-one", "2,1,1", "transfer_lift_sum", ("loop",)),
+    ("minus-one", "2,1,1", "lemma2_sum", ("two_factor",)),
+    ("fibers", "1,1,1", "projection_key", ("two_factor", "stray")),
+    ("pullback", "2,2,2", "pullback_weighting", ("matching",)),
+], ids=("minus-one-loop", "minus-one-two-factor", "fibers", "pullback"))
+def test_witnesses_name_edges_by_their_faces(capsys, monkeypatch, check, dims, patch, keys):
+    # a failure forced by patching one step of the check: every edge its
+    # witness names is a [cls, i, j, k] face of the right mesh, never a
+    # position, checked against the whole-grid scan
+    import hexdimer.cli as cli
+    from conftest import GridScanMesh
+    from hexdimer.mesh import Face
+    from hexdimer.squish import EdgeWeighting
+
+    real = getattr(cli, patch)
+    forced = {
+        "transfer_lift_sum": lambda even, loop: real(even, loop) + 1,
+        "lemma2_sum": lambda *args: real(*args) + 1,
+        "projection_key": lambda even, mu: (-1, -1),
+        "pullback_weighting": lambda mesh: EdgeWeighting(
+            mesh, real(mesh).signs, [e + 1 for e in real(mesh).exps]),
+    }
+    monkeypatch.setattr(cli, patch, forced[patch])
+    code, out, _ = run(capsys, "check", check, "-d", dims, "--format", "json")
+    (report,) = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    base = BoxDims(*map(int, dims.split(",")))
+    on = {"stray": base.doubled()}  # fibers' lifts are matchings of the even box
+    for key in keys:
+        mesh_dims, faces = witness_faces(report["witness"], on.get(key, base), key)
+        edges = GridScanMesh(mesh_dims).ends
+        assert faces, key
+        for f in faces:
+            assert type(f) is list and len(f) == 4 and f[0] in ("A", "B", "C"), (key, f)
+            assert all(type(n) is int for n in f[1:]) and Face(*f) in edges, (key, f)
+
+
+def test_checks_and_the_bijection_build_no_face(capsys, monkeypatch):
+    # a Face names an edge in output only: passing checks, whose reports
+    # name no edge, and a bijection round trip build none, mesh builds
+    # included
+    import random
+
+    from hexdimer.diagrams import PlanePartition, diagram_of, matching_of
+    from hexdimer.mesh import Face
+    from hexdimer.overlay import overlay
+
+    made = []
+    real_new = Face.__new__
+
+    def counted(cls, *args):
+        made.append(args)
+        return real_new(cls, *args)
+
+    monkeypatch.setattr(Face, "__new__", counted)
+    build_mesh(BoxDims(1, 1, 1)).face(0)
+    assert len(made) == 1  # the counter counts
+    made.clear()
+    build_mesh.cache_clear()
+    for argv in (["check", "consistency", "-d", "4,4,4"], ["check", "parity", "--max-dims", "3,2,2"],
+                 ["check", "minus-one", "-d", "2,2,1"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    dims = BoxDims(12, 12, 12)
+    mesh = build_mesh(dims)
+    rng = random.Random(38)
+    for _ in range(5):
+        rows = [sorted((rng.randint(0, 12) for _ in range(12)), reverse=True) for _ in range(12)]
+        pi = PlanePartition(dims, tuple(zip(*(sorted(col, reverse=True) for col in zip(*rows)))))
+        M = matching_of(pi)
+        assert diagram_of(mesh, M) == pi
+        assert overlay(mesh, M, mesh.empty_matching).component_count() >= 1
+    assert made == []

@@ -144,7 +144,7 @@ def test_face_ratios_agree_with_the_per_matching_comparison(dims, monkeypatch):
     assert consistency_by_matchings(dims, U, S)
     assert check_consistency(dims).status == "pass"
     mutants = []  # (U, S, whether only the empty matching's test sees it)
-    for p in range(len(mesh.edges)):
+    for p in range(mesh.edge_count):
         mutants += [(U, changed(S, p, sign=-1), False), (changed(U, p, exp=2), S, False),
                     (changed(U, p, sign=-1), S, False)]
     for at_vertex in mesh.vertex_edges:

@@ -5,8 +5,9 @@ import random
 
 import pytest
 from conftest import (backtrack_matchings, box_count_oracle, broken_masks, constant_value,
-                      diagram_size, digit_unpack_p, face_matching_of, filled_scan_matching,
-                      full_diagram, mask_of, poly_specialize, strided_matching_of)
+                      diagram_size, digit_unpack_p, edge_faces, face_matching_of,
+                      filled_scan_matching, full_diagram, mask_of, poly_specialize,
+                      strided_matching_of)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -334,7 +335,7 @@ def test_matching_of_equals_filled_scan():
 
 
 def test_matching_of_builds_no_face(monkeypatch):
-    # on a built mesh the positions come from the lattice table alone
+    # on a built mesh the positions come from the per-line runs alone
     dims = BoxDims(6, 5, 7)
     rng = random.Random(4)
     pis = [PlanePartition.empty(dims), full_diagram(dims)]
@@ -347,7 +348,7 @@ def test_matching_of_builds_no_face(monkeypatch):
 
     monkeypatch.setattr(Face, "__new__", no_face)
     with pytest.raises(AssertionError, match="a Face was built"):  # the guard bites
-        Face.from_lattice("A", 0, 0)
+        Face("A", 0, 0, 0)
     assert [matching_of(pi) for pi in pis] == want
 
 
@@ -356,7 +357,7 @@ def test_empty_and_full_on_hexagon():
     mesh = build_mesh(dims)
     empty = mesh.faces_of(matching_of(PlanePartition.empty(dims)))
     full = mesh.faces_of(matching_of(full_diagram(dims)))
-    assert empty | full == frozenset(mesh.edges)
+    assert empty | full == frozenset(edge_faces(mesh))
     assert not empty & full
     assert {f.cls for f in empty} == {"A", "B", "C"}
 
@@ -365,7 +366,7 @@ def test_diagram_of_rejects_non_matchings():
     dims = BoxDims(1, 1, 1)
     mesh = build_mesh(dims)
     with pytest.raises(NotAMatching):
-        diagram_of(mesh, mask_of(mesh, mesh.edges))
+        diagram_of(mesh, mask_of(mesh, edge_faces(mesh)))
     with pytest.raises(NotAMatching):
         diagram_of(mesh, mask_of(mesh, frozenset()))
     dims = BoxDims(3, 2, 2)
@@ -376,13 +377,13 @@ def test_diagram_of_rejects_non_matchings():
     F = mesh.faces_of(M)
     f = min(F)
     with pytest.raises(NotAMatching):  # one face swapped for a non-edge, a bit past the last
-        diagram_of(mesh, mask_of(mesh, F - {f}) | 1 << len(mesh.edges))
+        diagram_of(mesh, mask_of(mesh, F - {f}) | 1 << mesh.edge_count)
     with pytest.raises(NotAMatching):  # one extra edge
-        diagram_of(mesh, mask_of(mesh, F | {min(frozenset(mesh.edges) - F)}))
+        diagram_of(mesh, mask_of(mesh, F | {min(frozenset(edge_faces(mesh)) - F)}))
     # on a flippable hexagon, its three matched faces traded for three of
     # its faces that do not alternate
     for pt in flippable_faces(mesh, M):
-        cycle = tuple(map(mesh.edges.__getitem__, mesh.hexface_edges(pt)))
+        cycle = tuple(map(mesh.face, mesh.hexface_edges(pt)))
         mine = frozenset(cycle) & F
         for three in itertools.combinations(cycle, 3):
             if frozenset(three) not in (frozenset(cycle[0::2]), frozenset(cycle[1::2])):
@@ -405,9 +406,9 @@ def test_diagram_of_refuses_a_traded_wall_and_a_moved_top_face(dims):
     traded = moved = 0
     for M in iter_matchings(dims):
         for p in positions(M):
-            cls = mesh.edges[p].cls
+            cls = mesh.edge(p)[0]
             if cls == "B":  # for any B or C edge
-                others = range(len(keys), len(mesh.edges))
+                others = range(len(keys), mesh.edge_count)
             elif cls == "A":  # for an A edge on another diagonal
                 others = [q for q in range(len(keys)) if line[q] != line[p]]
             else:
@@ -449,7 +450,7 @@ def test_diagram_of_reads_only_the_class_a_block(monkeypatch):
         assert diagram_of(mesh, matching_of(pi)) == pi
         keys = mesh.a_keys[0]
         assert len(read) == 1 and not read[0] >> len(keys)
-        assert len(keys) == sum(f.cls == "A" for f in mesh.edges)
+        assert len(keys) == sum(cls == "A" for cls, _, _ in mesh.edge_points())
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import make_dataclass
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (LIFT_OUTERS, GridScanMesh, broken_masks, line_prefix_of, mask_of,
-                      per_byte_tables, propellers, rhombus_ends, triangle_corners)
+from conftest import (LIFT_OUTERS, GridScanMesh, broken_masks, edge_faces, face_lattice,
+                      hex_edge_cycle, lattice_face, line_prefix_of, mask_of, per_byte_tables,
+                      propellers, rhombus_ends, triangle_corners, vertex_triangles)
 from hexdimer.diagrams import (DiagramError, NotAMatching, PlanePartition, WeightScheme,
                                diagram_of, enumerate_matchings, flippable_faces, matching_of,
                                tau_move)
@@ -22,24 +24,11 @@ from hexdimer.overlay import TwoFactor
 from hexdimer.squish import EdgeWeighting, SquishError
 
 
-def hex_edge_cycle(x, y):
-    """The six edges of the hexagonal face at lattice point (x, y), in
-    cyclic order, as faces: the oracle for HexMesh.hex_cycles."""
-    return (
-        Face.from_lattice("A", x, y),
-        Face.from_lattice("C", x, y - 1),
-        Face.from_lattice("B", x - 1, y - 1),
-        Face.from_lattice("A", x - 1, y - 1),
-        Face.from_lattice("C", x - 1, y - 1),
-        Face.from_lattice("B", x - 1, y),
-    )
-
-
 def hex_points(mesh):
     """The lattice points that are a corner of six triangles of the mesh,
     sorted: the oracle for the hexagonal faces, the keys of
     HexMesh.hex_cycles."""
-    seen = Counter(p for t in mesh.vertices for p in triangle_corners(t))
+    seen = Counter(p for t in GridScanMesh(mesh.dims).vertices for p in triangle_corners(t))
     return sorted(p for p, n in seen.items() if n == 6)
 
 
@@ -68,7 +57,7 @@ def test_dims_validation():
 def value_fields():
     """Per value class, the fields of one instance."""
     mesh = build_mesh(BoxDims(1, 1, 1))
-    n = len(mesh.edges)
+    n = mesh.edge_count
     return [
         (BoxDims, (1, 2, 3)),
         (WeightScheme, ("z2z2", (("p", "-p"), ("q", "-1")))),
@@ -109,7 +98,7 @@ def test_value_classes_refuse_what_they_refused():
     # every error of the validation each class ran after its fields were
     # set, with its message
     mesh = build_mesh(BoxDims(1, 1, 1))
-    n = len(mesh.edges)
+    n = mesh.edge_count
     refusals = [
         (lambda: BoxDims(0, 1, 1), MeshError,
          "side lengths must be integers >= 1, got BoxDims(a=0, b=1, c=1)"),
@@ -152,33 +141,65 @@ def test_value_classes_refuse_what_they_refused():
 @pytest.mark.parametrize("dims", ALL_SMALL + [BoxDims(40, 2, 2), BoxDims(2, 40, 2),
                                   BoxDims(2, 2, 40), BoxDims(5, 1, 7), BoxDims(7, 3, 9)], ids=str)
 def test_column_ranges_build_the_grid_scan_mesh(dims):
-    # the same triangles and edges, in the same order, so every table read
-    # off them, and every mask, is the one the whole-grid scan gives
+    # the numbering against the whole-grid scan, read at face level: the
+    # edge positions decode to distinct faces of the scan, and the vertex
+    # positions to distinct triangles, covering them all, in blocks (A, B,
+    # C edges; down, then up vertices); position() inverts the decoding
+    # and finds no edge at any other point, on the lines or off them; the
+    # tables computed from the per-line runs are the scan's
     m, want = HexMesh(dims), GridScanMesh(dims)
-    assert m.vertices == want.vertices and m.edges == want.edges
-    assert m.lattice_table == want.lattice_table
-    assert m.hex_cycles == want.hex_cycles
-    assert m.edge_ends == want.edge_ends
+    a, b, c = dims
+    faces = [m.face(p) for p in range(m.edge_count)]
+    triangles = vertex_triangles(m)
+    assert sorted(faces) == list(want.edges) and sorted(triangles) == list(want.vertices)
+    assert [f.cls for f in faces] == sorted(f.cls for f in faces)
+    assert [t.up for t in triangles] == sorted(t.up for t in triangles)
+    assert [m.edge(p) for p in range(m.edge_count)] == list(m.edge_points())
+    assert [lattice_face(*e) for e in m.edge_points()] == faces
+    for cls in "ABC":
+        for x, y in itertools.product(range(-c - 2, a + 2), range(-c - 2, b + 2)):
+            p = m.position(cls, x, y)
+            assert faces[p] == lattice_face(cls, x, y) if p >= 0 else \
+                lattice_face(cls, x, y) not in want.ends
+    cycles = {pt: tuple(map(m.face, cycle)) for pt, cycle in m.hex_cycles.items()}
+    assert list(cycles.items()) == list(want.hex_cycles.items())
+    assert [(triangles[u], triangles[v]) for u, v in m.edge_ends] == [want.ends[f] for f in faces]
+    assert m.faces_of(m.empty_matching) == want.empty_matching
+    if dims.is_even:
+        lifts = {m.base.face(j): (m.face(p), m.face(q)) for j, (p, q) in enumerate(m.lifts)}
+        assert lifts == want.lifts
 
 
 @pytest.mark.parametrize("dims", [BoxDims(2, 2, 3000), BoxDims(3000, 2, 2), BoxDims(2, 3000, 2)],
                          ids=str)
-def test_the_mesh_build_walks_its_columns(monkeypatch, dims):
-    # one y range per column for each triangle kind, and two per column for
-    # each edge class: 8 (a + c) ranges, however long a side is; the
-    # whole-grid scan made (a+c)(b+c) tests for each kind and class
+def test_the_mesh_build_walks_its_lines(monkeypatch, dims):
+    # one pair of triangle runs per line, the a + b + 1 lines and one more
+    # at each end, however long c is: the edge classes' runs are read off
+    # them; the whole-grid scan made (a+c)(b+c) tests for each kind and
+    # class
     import hexdimer.mesh as mesh
 
-    calls = Counter()
-    for name in ("_up_rows", "_down_rows"):
-        real = getattr(mesh, name)
-        monkeypatch.setattr(mesh, name, lambda *args, real=real, name=name:
-                            calls.update([name]) or real(*args))
+    lines = []
+    real = mesh._triangle_runs
+    monkeypatch.setattr(mesh, "_triangle_runs", lambda d, *sides:
+                        lines.append(d) or real(d, *sides))
     a, b, c = dims
     m = HexMesh(dims)
-    assert calls == {"_up_rows": 4 * (a + c), "_down_rows": 4 * (a + c)}
+    assert lines == list(range(-b - 1, a + 2))
     cells = a * b + b * c + c * a
-    assert len(m.vertices) == 2 * cells and len(m.edges) == 3 * cells - a - b - c
+    assert m.vertex_count == 2 * cells and m.edge_count == 3 * cells - a - b - c
+
+
+def test_the_mesh_holds_no_vertex_or_edge():
+    # the build keeps a few ints per line: at 182x182x182 (297,570 edges)
+    # tracemalloc held 41.6 MB when the mesh stored its faces and triangles
+    tracemalloc.start()
+    try:
+        m = HexMesh(BoxDims(182, 182, 182))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert m.edge_count == 297570 and held < 10 ** 6
 
 
 @pytest.mark.parametrize("dims", ALL_SMALL, ids=str)
@@ -186,10 +207,10 @@ def test_vertex_and_edge_counts(dims):
     mesh = build_mesh(dims)
     a, b, c = dims
     pairs = a * b + b * c + c * a
-    assert len(mesh.vertices) == 2 * pairs
-    assert len(mesh.edges) == 3 * pairs - (a + b + c)
+    assert mesh.vertex_count == 2 * pairs
+    assert mesh.edge_count == 3 * pairs - (a + b + c)
     # Euler: internal faces of a connected planar graph
-    assert len(mesh.hex_cycles) == len(mesh.edges) - len(mesh.vertices) + 1
+    assert len(mesh.hex_cycles) == mesh.edge_count - mesh.vertex_count + 1
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(2, 1, 1),
@@ -197,7 +218,7 @@ def test_vertex_and_edge_counts(dims):
 def test_bipartite_and_degrees(dims):
     mesh = build_mesh(dims)
     for u, v in mesh.edge_ends:
-        assert mesh.vertices[u].up and not mesh.vertices[v].up  # ends in opposite classes
+        assert vertex_triangles(mesh)[u].up and not vertex_triangles(mesh)[v].up  # opposite classes
     assert all(1 <= len(at) <= 3 for at in mesh.vertex_edges)
 
 
@@ -205,29 +226,33 @@ def test_bipartite_and_degrees(dims):
 def test_edges_and_edge_ends_against_shared_sides(dims):
     mesh = build_mesh(BoxDims(*dims))
     ends = rhombus_ends(mesh)
-    assert type(mesh.edges) is tuple and mesh.edges == tuple(ends)
-    assert [(mesh.vertices[u], mesh.vertices[v]) for u, v in mesh.edge_ends] == list(ends.values())
-    assert list(mesh.vertices) == sorted(set(mesh.vertices))
+    faces, triangles = edge_faces(mesh), vertex_triangles(mesh)
+    assert sorted(faces) == list(ends)
+    assert [(triangles[u], triangles[v]) for u, v in mesh.edge_ends] == [ends[f] for f in faces]
+    # distinct, numbered down block first, then by line x - y, then by x
+    assert list(triangles) == sorted(set(triangles), key=lambda t: (t.up, t.x - t.y, t.x))
 
 
 @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
 def test_vertex_edges_list_each_vertex_edges_by_face(dims):
     # the edges at each vertex, found by scanning every rhombus's triangles,
-    # sorted as faces: positions ascend as faces do
+    # listed by ascending position
     mesh = build_mesh(BoxDims(*dims))
     ends = rhombus_ends(mesh)
-    for v, t in enumerate(mesh.vertices):
+    faces, triangles = edge_faces(mesh), vertex_triangles(mesh)
+    for v, t in enumerate(triangles):
         want = sorted((f, o) for f, ts in ends.items() if t in ts for o in ts if o != t)
-        assert [(mesh.edges[e], mesh.vertices[o]) for e, o in mesh.vertex_edges[v]] == want
+        assert sorted((faces[e], triangles[o]) for e, o in mesh.vertex_edges[v]) == want
+        assert sorted(mesh.vertex_edges[v]) == list(mesh.vertex_edges[v])
 
 
 def test_small_examples():
     m = build_mesh(BoxDims(1, 1, 1))
-    assert len(m.vertices) == 6 and len(m.edges) == 6 and len(m.hex_cycles) == 1
+    assert m.vertex_count == 6 and m.edge_count == 6 and len(m.hex_cycles) == 1
     m = build_mesh(BoxDims(2, 2, 2))
-    assert len(m.vertices) == 24 and len(m.edges) == 30
+    assert m.vertex_count == 24 and m.edge_count == 30
     m = build_mesh(BoxDims(2, 1, 1))
-    assert len(m.vertices) == 10 and len(m.edges) == 11
+    assert m.vertex_count == 10 and m.edge_count == 11
     assert len(m.hex_cycles) == 2
 
 
@@ -235,14 +260,14 @@ def test_hexagon_edge_cycle():
     m = build_mesh(BoxDims(1, 1, 1))
     (pt,) = m.hex_cycles
     cycle = m.hexface_edges(pt)
-    assert len(cycle) == 6 and set(cycle) == set(range(len(m.edges)))
+    assert len(cycle) == 6 and set(cycle) == set(range(m.edge_count))
     # consecutive edges share a vertex; each vertex seen exactly twice
     touched = []
     for i in range(6):
         shared = set(m.edge_ends[cycle[i]]) & set(m.edge_ends[cycle[(i + 1) % 6]])
         assert len(shared) == 1
         touched.append(shared.pop())
-    assert sorted(touched) == list(range(len(m.vertices)))
+    assert sorted(touched) == list(range(m.vertex_count))
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(4, 3, 5)],
@@ -253,46 +278,43 @@ def test_hex_cycles_are_the_mesh_edge_keys(dims):
     for pt in m.hex_cycles:
         cycle = m.hexface_edges(pt)
         assert cycle is m.hex_cycles[pt]
-        assert tuple(map(m.edges.__getitem__, cycle)) == hex_edge_cycle(*pt)
+        assert tuple(map(m.face, cycle)) == hex_edge_cycle(*pt)
         assert m.hex_masks[pt] == (mask_of(m, hex_edge_cycle(*pt)[0::2]),
                                    mask_of(m, hex_edge_cycle(*pt)[1::2]))
 
 
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
                                   BoxDims(4, 1, 6)], ids=str)
-def test_lattice_table_maps_each_point_to_its_edge(dims):
+def test_slots_number_the_points_of_the_lines(dims):
     m = build_mesh(dims)
     a, b, c = dims
     size = a * b + (a + b + 1) * (c + 1)
     # slot numbers the points x in [max(0, d) - c - 1, min(a, d + b) - 1]
-    # on the lines d in [-b, a] one to one onto the table's indices
+    # on the lines d in [-b, a] one to one onto range(size), by line, then x
     points = [(x, x - d) for d in range(-b, a + 1) for x in range(max(0, d) - c - 1, min(a, d + b))]
-    assert sorted(m.slot(*pt) for pt in points) == list(range(size))
-    found = []
-    for cls, table in zip("ABC", m.lattice_table):
-        assert type(table) is list and len(table) == size
-        for x, y in points:
-            p = table[m.slot(x, y)]
-            if p != -1:
-                assert m.edges[p] == Face.from_lattice(cls, x, y)
-                assert x != max(0, x - y) - c - 1  # the padding slot holds no edge
-                found.append(p)
-    assert sorted(found) == list(range(len(m.edges)))
+    assert [m.slot(*pt) for pt in points] == list(range(size)) == list(range(m.slots.starts[-1]))
+    # every edge of every class lies at one of those points, and none at a
+    # line's first point, its padding
+    for _, x, y in m.edge_points():
+        assert (x, y) in points and x != max(0, x - y) - c - 1
+    for d in range(-b, a + 1):
+        x = max(0, d) - c - 1
+        assert [m.position(cls, x, x - d) for cls in "ABC"] == [-1, -1, -1]
 
 
 @pytest.mark.parametrize("dims", [BoxDims(400, 2, 2), BoxDims(2, 400, 2), BoxDims(2, 2, 400),
                                   BoxDims(100, 100, 1), BoxDims(1, 1, 1)], ids=str)
-def test_lattice_table_grows_with_the_edges(dims):
+def test_slots_grow_with_the_edges(dims):
     # every slot but the lines' paddings holds an edge of some class, so
-    # the table has at most a + b + 1 slots more than the mesh has edges,
+    # there are at most a + b + 1 slots more than the mesh has edges,
     # however long one side is
     m = HexMesh(dims)  # a fresh mesh, outside the cache
     a, b, c = dims
-    A, B, C = m.lattice_table
-    assert len(A) == m.slot_count == a * b + (a + b + 1) * (c + 1)
+    assert m.slots.starts[-1] == a * b + (a + b + 1) * (c + 1)
     paddings = [m.slot(x, x - d) for d in range(-b, a + 1) for x in [max(0, d) - c - 1]]
-    assert [n for n, p in enumerate(zip(A, B, C)) if p == (-1, -1, -1)] == paddings
-    assert len(A) <= len(m.edges) + a + b + 1
+    held = {m.slot(x, y) for _, x, y in m.edge_points()}
+    assert sorted(set(range(m.slots.starts[-1])) - held) == paddings
+    assert m.slots.starts[-1] <= m.edge_count + a + b + 1
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)], ids=str)
@@ -309,7 +331,10 @@ def test_flippable_faces_against_frozensets(dims):
 def test_unknown_faces_and_hexagons():
     m = build_mesh(BoxDims(1, 1, 1))
     with pytest.raises(UnknownFace):
-        m.faces_of(1 << len(m.edges))
+        m.faces_of(1 << m.edge_count)
+    for p in (-1, m.edge_count):
+        with pytest.raises(UnknownFace):
+            m.face(p)
     with pytest.raises(UnknownFace):
         m.hexface_edges((9, 9))
     M = enumerate_matchings(BoxDims(1, 1, 1))[0]
@@ -324,7 +349,7 @@ def degree_oracle(mesh, M):
     if any(f not in ends for f in M):
         return False
     deg = Counter(t for f in M for t in ends[f])
-    return all(deg[t] == 1 for t in mesh.vertices)
+    return all(deg[t] == 1 for t in GridScanMesh(mesh.dims).vertices)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)],
@@ -332,16 +357,16 @@ def degree_oracle(mesh, M):
 def test_is_perfect_matching_against_degree_count(dims):
     mesh = build_mesh(BoxDims(*dims))
     rng = random.Random(str(dims))
-    edges = sorted(mesh.edges)
-    half = len(mesh.vertices) // 2
+    edges = sorted(edge_faces(mesh))
+    half = mesh.vertex_count // 2
     outside = Face("A", 99, 99, 0)
     cases = [(mesh.faces_of(M), True) for M in enumerate_matchings(BoxDims(*dims))]
     # one vertex covered twice: trade f for another edge g at one end of f;
     # the far end of g gets degree 2 and the far end of f degree 0
     for M, _ in list(cases):
         f = rng.choice(sorted(M))
-        t = mesh.vertices.index(rng.choice(rhombus_ends(mesh)[f]))
-        for g in (mesh.edges[e] for e, _ in mesh.vertex_edges[t]):
+        t = vertex_triangles(mesh).index(rng.choice(rhombus_ends(mesh)[f]))
+        for g in (mesh.face(e) for e, _ in mesh.vertex_edges[t]):
             if g != f:
                 cases.append(((M - {f}) | {g}, False))
         cases.append(((M - {f}) | {outside}, False))   # not an edge of the mesh
@@ -366,7 +391,7 @@ def test_is_perfect_matching_against_degree_count(dims):
                          ids=str)
 def test_mask_of_and_faces_of_round_trip(dims):
     mesh = build_mesh(BoxDims(*dims))
-    edges = list(mesh.edges)
+    edges = list(edge_faces(mesh))
     rng = random.Random(str(dims))
     assert mask_of(mesh, edges) == (1 << len(edges)) - 1
     assert mesh.faces_of(0) == frozenset() and mask_of(mesh, []) == 0
@@ -392,7 +417,7 @@ TABLE_DIMS = [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 2), BoxDims(4, 2
 @given(st.sampled_from(TABLE_DIMS), st.data())
 def test_edge_sums_equal_per_edge_sums(dims, data):
     mesh = build_mesh(dims)
-    m = len(mesh.edges)
+    m = mesh.edge_count
     values = data.draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=m, max_size=m))
     # any mask, one with a bit in the top (partial) chunk, and all edges
     top = 1 << (m - 1)
@@ -435,7 +460,7 @@ def test_is_perfect_matching_refuses_broken_masks(dims):
 def test_tables_are_built_on_first_use():
     mesh = HexMesh(BoxDims(8, 8, 8))  # a fresh mesh, outside the cache
     lazy = ("edge_ends", "vertex_edges", "endpoint_bits", "lifts", "squish_table",
-            "long_cover", "short_mask", "lattice_table", "hex_cycles", "hex_masks",
+            "long_cover", "short_mask", "hex_cycles", "hex_masks",
             "empty_matching", "cell_offsets", "line_prefix", "prefix_base", "a_keys")
     assert not any(name in vars(mesh) for name in lazy)
     # a mask at the wrong popcount is refused before anything is read
@@ -450,7 +475,7 @@ def test_tables_are_built_on_first_use():
     assert diagram_of(mesh, matching_of(pi)) == pi
     assert [name for name in lazy if name in vars(mesh)] == ["cell_offsets", "a_keys"]
     # the endpoint bits are summed edge by edge, without a per-byte table
-    assert not mesh.is_perfect_matching((1 << (len(mesh.vertices) // 2)) - 1)
+    assert not mesh.is_perfect_matching((1 << (mesh.vertex_count // 2)) - 1)
     assert "endpoint_bits" in vars(mesh) and "squish_table" not in vars(mesh)
     assert per_byte_tables(mesh) == []
 
@@ -477,7 +502,7 @@ def test_line_prefix_is_the_xor_of_the_hexagons_before_each_slot(dims):
 @pytest.mark.parametrize("dims", [BoxDims(1, 1, 1), BoxDims(3, 2, 1), BoxDims(2, 5, 3),
                                   BoxDims(4, 1, 6)], ids=str)
 def test_empty_matching_builds_no_hexagon_table(dims):
-    # the empty diagram's matching is read off the lattice table alone
+    # the empty diagram's matching is read off the per-line runs alone
     m = HexMesh(dims)
     M = m.empty_matching
     assert not {"hex_cycles", "line_prefix", "cell_offsets"} & vars(m).keys()
@@ -493,8 +518,8 @@ def test_a_keys_sort_by_line_then_x():
         m = HexMesh(dims)
         a, b, c = dims
         keys, ranks = m.a_keys
-        points = [f.lattice for f in m.edges if f.cls == "A"]
-        assert len(keys) == len(points) == len(set(keys))
+        points = [(x, y) for cls, x, y in m.edge_points() if cls == "A"]
+        assert len(keys) == len(points) == len(set(keys)) and list(keys) == sorted(keys)
         by_key = [p for _, p in sorted(zip(keys, points))]
         assert by_key == sorted(points, key=lambda p: (p[0] - p[1], p[0]))
         # the key of A(i,j,0) is the cell's offset; ranks order the cells
@@ -510,9 +535,9 @@ def test_face_id_canonical_ranges():
     # canonical representatives have min offset 0 and land in the box ranges
     for dims in (BoxDims(2, 2, 2), BoxDims(3, 2, 1)):
         a, b, c = dims
-        for f in build_mesh(dims).edges:
+        for f in edge_faces(build_mesh(dims)):
             assert min(f.i, f.j, f.k) >= 0
-            lo = Face.from_lattice(f.cls, *f.lattice)
+            lo = lattice_face(f.cls, *face_lattice(f))
             assert lo == f  # already canonical
             if f.cls == "A":
                 assert 0 <= f.i < a and 0 <= f.j < b and 0 <= f.k <= c
@@ -523,12 +548,17 @@ def test_face_id_canonical_ranges():
 
 
 def test_shifted_face_ids_describe_same_edge():
-    assert Face("A", 1, 1, 1).lattice == Face("A", 0, 0, 0).lattice
-    assert Face.from_lattice("A", 0, 0) == Face("A", 0, 0, 0)
+    assert face_lattice(Face("A", 1, 1, 1)) == face_lattice(Face("A", 0, 0, 0))
+    assert lattice_face("A", 0, 0) == Face("A", 0, 0, 0)
     for cls in "ABC":
         for x, y in itertools.product(range(-4, 5), repeat=2):
-            f = Face.from_lattice(cls, x, y)
-            assert f.lattice == (x, y) and min(f.i, f.j, f.k) == 0
+            f = lattice_face(cls, x, y)
+            assert face_lattice(f) == (x, y) and min(f.i, f.j, f.k) == 0
+    # HexMesh.face names each edge by the canonical face at its point
+    for dims in (BoxDims(3, 2, 4), BoxDims(1, 5, 2)):
+        m = build_mesh(dims)
+        for p, (cls, x, y) in enumerate(m.edge_points()):
+            assert m.face(p) == lattice_face(cls, x, y)
 
 
 @pytest.mark.parametrize("base", [BoxDims(1, 1, 1), BoxDims(2, 1, 1),
@@ -539,12 +569,12 @@ def test_propellers_partition_and_contract(base):
     a, b, c = base
     assert len(props) == 2 * (a * b + b * c + c * a)
     seen = [p.center for p in props] + [o for p in props for o in p.outers.values()]
-    assert sorted(seen) == sorted(even.vertices)
+    assert sorted(seen) == sorted(vertex_triangles(even))
     shorts = {f for p in props for f in p.shorts.values()}
     assert all(tuple(p.shorts) == ("A", "B", "C") for p in props)
     # contraction is the doubled base mesh: the fiber map is a 2-to-1,
     # class-preserving surjection onto base edges
-    faces, base_faces = list(even.edges), list(build_mesh(base).edges)
+    faces, base_faces = edge_faces(even), edge_faces(build_mesh(base))
     assert len(even.lifts) == len(base_faces)
     assert sorted(i for pair in even.lifts for i in pair) == \
         [i for i, f in enumerate(faces) if f not in shorts]
@@ -566,23 +596,26 @@ def test_claws_against_triangle_arithmetic(base):
     even = build_mesh(base.doubled())
     by_base = {p.base: p for p in propellers(even)}
     ends = rhombus_ends(even)
-    for (bf, (up, down)), pair in zip(rhombus_ends(even.base).items(), even.lifts):
+    for j, pair in enumerate(even.lifts):
+        bf = even.base.face(j)
+        up, down = rhombus_ends(even.base)[bf]
         assert len(pair) == 2
         for i, outer in zip(pair, LIFT_OUTERS[bf.cls]):
             (third,) = set("ABC") - {bf.cls, outer}
-            assert ends[even.edges[i]] == (by_base[up].outers[outer], by_base[down].outers[third])
+            assert ends[even.face(i)] == (by_base[up].outers[outer], by_base[down].outers[third])
     short_at = {o: p.shorts[cls] for p in propellers(even) for cls, o in p.outers.items()}
     assert even.short_mask == mask_of(even, short_at.values())
     for i in (i for pair in even.lifts for i in pair):
-        f = even.edges[i]
+        f = even.face(i)
         assert even.long_cover[i] == mask_of(even, {f} | {short_at[t] for t in ends[f]})
 
 
 @pytest.mark.parametrize("cls, offsets", [
     ("A", ((0, 0), (0, 0))),  # each A lift twice
     ("B", ((1, 0), (0, 1))),  # one B lift at no edge of H_{4,2,2}
-    ("A", ((0, 0), (5, 0))),  # the first base edge's second lift past the last line
-], ids=("repeated", "missing", "off-table"))
+    ("A", ((0, 0), (5, 0))),  # the second lifts past the last line
+    ("C", ((0, 1), (0, 9))),  # the second lifts before the first line
+], ids=("repeated", "missing", "off-table", "before-table"))
 def test_a_broken_lift_table_is_refused(monkeypatch, cls, offsets):
     import hexdimer.mesh as mesh_module
 
@@ -620,7 +653,7 @@ def test_positions_are_the_set_bits():
 
 def test_fits_matching_is_the_size_rule():
     mesh = build_mesh(BoxDims(3, 2, 2))
-    m, half = len(mesh.edges), len(mesh.vertices) // 2
+    m, half = mesh.edge_count, mesh.vertex_count // 2
     M = enumerate_matchings(mesh.dims)[0]
     assert mesh.fits_matching(M) and mesh.fits_matching((1 << half) - 1)
     assert mesh.fits_matching(((1 << half) - 1) << (m - half))  # the last edge set
@@ -664,7 +697,7 @@ def unsquish(mesh, base_edges):
     """All long-edge preimages of the given base edges, plus every short edge
     of a propeller incident to one of those preimages."""
     out = set()
-    for f in mesh.edges:
+    for f in edge_faces(mesh):
         if squish_edge(mesh, f) in base_edges:
             out.add(f)
             for t in rhombus_ends(mesh)[f]:
@@ -674,14 +707,14 @@ def unsquish(mesh, base_edges):
 
 def test_squish_edge():
     even = build_mesh(BoxDims(2, 2, 2))
-    shorts = [f for f in even.edges if squish_edge(even, f) is IN_PROPELLER]
-    longs = [f for f in even.edges if f not in shorts]
+    shorts = [f for f in edge_faces(even) if squish_edge(even, f) is IN_PROPELLER]
+    longs = [f for f in edge_faces(even) if f not in shorts]
     assert len(shorts) == 18 and len(longs) == 12
     hits = {}
     for f in longs:
         hits.setdefault(squish_edge(even, f), []).append(f)
     base = build_mesh(BoxDims(1, 1, 1))
-    assert set(hits) == set(base.edges)
+    assert set(hits) == set(edge_faces(base))
     assert all(len(v) == 2 for v in hits.values())
     with pytest.raises(UnknownFace):
         squish_edge(even, Face("A", 9, 9, 0))
@@ -691,8 +724,8 @@ def test_blowup_lifts_are_crossed():
     # the two lifts of a class-o base edge touch outer vertices of the two
     # classes other than o, in crossed pairs
     even = build_mesh(BoxDims(2, 2, 2))
-    faces = list(even.edges)
-    for bf, pair in zip(even.base.edges, even.lifts):
+    faces = edge_faces(even)
+    for bf, pair in zip(edge_faces(even.base), even.lifts):
         for prop_end in range(2):
             classes = set()
             for lf in (faces[i] for i in pair):
@@ -707,14 +740,14 @@ def test_unsquish():
     even = build_mesh(BoxDims(2, 2, 2))
     base = build_mesh(BoxDims(1, 1, 1))
     assert unsquish(even, []) == frozenset()
-    one = sorted(base.edges)[0]
+    one = sorted(edge_faces(base))[0]
     img = unsquish(even, [one])
     assert len(img) == 8  # 2 long lifts + 2 propellers' 6 short edges
     assert {squish_edge(even, f) for f in img} == {one, IN_PROPELLER}
-    assert unsquish(even, base.edges) == frozenset(even.edges)
+    assert unsquish(even, edge_faces(base)) == frozenset(edge_faces(even))
     # psi o phi = identity on edge sets
     for subset_size in (2, 4):
-        sub = sorted(base.edges)[:subset_size]
+        sub = sorted(edge_faces(base))[:subset_size]
         back = {squish_edge(even, f) for f in unsquish(even, sub)} - {IN_PROPELLER}
         assert back == set(sub)
 

@@ -5,7 +5,7 @@ from typing import List
 import pytest
 
 from conftest import (FaceTwoFactor, as_faces, full_diagram, mask_of, per_byte_tables,
-                      two_factor_weight)
+                      two_factor_weight, vertex_triangles)
 from hexdimer.algebra import MERSENNE_PRIMES, Monomial, det_mod, pack, prime_above
 from hexdimer.diagrams import (PlanePartition, TooLarge, box_count, diagram_of,
                                enumerate_matchings, flippable_faces, matching_of, tau_move)
@@ -46,7 +46,7 @@ def test_overlay_hexagon_loop():
     assert len(lam.loops) == 1 and len(lam.loops[0]) == 6
     assert lam.component_count() == 1
     vs = [v for e in lam.loops[0] for v in mesh.edge_ends[e]]
-    assert sorted(vs) == sorted(2 * list(range(len(mesh.vertices))))
+    assert sorted(vs) == sorted(2 * list(range(mesh.vertex_count)))
 
 
 def test_overlay_rejects_non_matchings():
@@ -142,17 +142,17 @@ def test_parity_lemma(dims):
 
 
 def row_and_column(mesh: HexMesh, e: int):
-    """The up and down ends of edge e, each numbered in ``vertices`` order
+    """The up and down ends of edge e, each numbered in position order
     among the vertices of its kind: its entry in ``kasteleyn_rows``."""
     u, v = mesh.edge_ends[e]
-    ups = [i for i, t in enumerate(mesh.vertices) if t.up]
-    downs = [i for i, t in enumerate(mesh.vertices) if not t.up]
+    ups = [i for i, t in enumerate(vertex_triangles(mesh)) if t.up]
+    downs = [i for i, t in enumerate(vertex_triangles(mesh)) if not t.up]
     return ups.index(u), downs.index(v)
 
 
 def matching_sign(mesh: HexMesh, M: int) -> int:
     """The sign of M read as the permutation from the up vertices to the
-    down ones, each numbered in ``vertices`` order, by its inversions."""
+    down ones, each numbered in position order, by its inversions."""
     perm = [j for i, j in sorted(row_and_column(mesh, e) for e in positions(M))]
     inversions = sum(perm[i] > perm[j] for i in range(len(perm))
                      for j in range(i + 1, len(perm)))
@@ -187,7 +187,7 @@ def test_a_flipped_edge_sign_moves_the_det_off_the_count(dims, edges):
     mesh = build_mesh(BoxDims(*dims))
     count = box_count(BoxDims(*dims))
     P = prime_above(2 * count)
-    assert len(mesh.edges) == edges
+    assert mesh.edge_count == edges
     for e in range(edges):
         rows = mesh.kasteleyn_rows()
         i, j = row_and_column(mesh, e)
@@ -337,18 +337,18 @@ def face_assemble_two_factor(mesh: HexMesh, doubled: int, loops: int) -> FaceTwo
                 if loops >> nxt & 1 and nxt != cur:
                     break
             else:
-                raise OverlayError(f"loop edges end at {mesh.vertices[head]}")
+                raise OverlayError(f"loop edges end at vertex {head}")
             if nxt == e0:
                 break
             walk.append(nxt)
             if len(walk) > limit:
-                raise OverlayError(f"loop edges branch off the loop of {mesh.edges[e0]}")
+                raise OverlayError(f"loop edges branch off the loop of {mesh.face(e0)}")
             cur, head = nxt, other
         rest &= ~sum(1 << e for e in walk)
         walks.append(walk)
-    faces = mesh.edges  # edge positions sort as the edges do
+    # the walks, each from its least position, in ascending order of it
     return FaceTwoFactor(mesh.dims, mesh.faces_of(doubled),
-                         tuple(tuple(map(faces.__getitem__, w)) for w in sorted(walks)))
+                         tuple(tuple(map(mesh.face, w)) for w in sorted(walks)))
 
 
 ORACLE_DIMS = [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)] + [(3, 2, 1)]
@@ -422,7 +422,7 @@ def walk_points(mesh, walk):
     ends = [set(mesh.edge_ends[e]) for e in walk]
     shared = [u & v for u, v in zip(ends, ends[1:] + ends[:1])]
     assert all(len(v) == 1 for v in shared)
-    return [corner_sum(mesh.vertices[v]) for (v,) in shared]
+    return [corner_sum(vertex_triangles(mesh)[v]) for (v,) in shared]
 
 
 def geometric_turn_word(mesh, walk):
@@ -465,7 +465,7 @@ def test_a_left_turn_on_a_class_step_back_is_refuted():
     # the geometric words refute the rule on every loop whose word is no
     # palindrome: none of the hexagon's, many of H_(2,2,2)'s
     def left_on_step_back(mesh, walk):
-        classes = ["ABC".index(mesh.edges[e].cls) for e in walk]
+        classes = ["ABC".index(mesh.edge(e)[0]) for e in walk]
         word = "".join("L" if (nxt - cur) % 3 == 2 else "R"
                        for cur, nxt in zip(classes, classes[1:] + classes[:1]))
         if word.count("R") > word.count("L"):
@@ -485,7 +485,7 @@ def test_assemble_refuses_a_doubled_edge_on_a_loop():
         assemble_two_factor(mesh, one, hexagon)
     assert assemble_two_factor(mesh, 0, hexagon).component_count() == 1
     with pytest.raises(UnknownFace):
-        assemble_two_factor(mesh, 1 << len(mesh.edges), hexagon)
+        assemble_two_factor(mesh, 1 << mesh.edge_count, hexagon)
 
 
 def test_bijection_calls_build_no_per_byte_table():

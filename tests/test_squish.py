@@ -6,8 +6,9 @@ from functools import reduce
 
 import pytest
 
-from conftest import (LIFT_OUTERS, as_faces, diagram_size, edge_positions, full_diagram, mask_of,
-                      mat_word, monomials, propellers, rhombus_ends, two_factor_weight)
+from conftest import (LIFT_OUTERS, as_faces, diagram_size, edge_faces, edge_positions,
+                      full_diagram, mask_of, mat_word, monomials, propellers, rhombus_ends,
+                      two_factor_weight, vertex_triangles)
 from hexdimer.algebra import LIMIT, AlgebraError, Monomial, mono_t, pack, split
 from hexdimer.diagrams import (PlanePartition, Z2Z2, diagram_of,
                                diagram_weight, enumerate_diagrams,
@@ -28,13 +29,13 @@ BASE_DIMS = [BoxDims(1, 1, 1), BoxDims(2, 1, 1), BoxDims(2, 2, 1)]
 
 def lift_fibers(mesh):
     """base face -> the faces of its two lifts (HexMesh.lifts read as faces)."""
-    faces = list(mesh.edges)
-    return {bf: tuple(faces[i] for i in pair) for bf, pair in zip(mesh.base.edges, mesh.lifts)}
+    faces = edge_faces(mesh)
+    return {bf: tuple(faces[i] for i in pair) for bf, pair in zip(edge_faces(mesh.base), mesh.lifts)}
 
 
 def ones(mesh):
     """The weighting that weighs every edge 1."""
-    m = len(mesh.edges)
+    m = mesh.edge_count
     return EdgeWeighting(mesh, (1,) * m, (0,) * m)
 
 
@@ -42,7 +43,7 @@ def coin_signs(mesh, seed):
     """Seeded random signs on the long edges, 1 on the short edges; no sign
     rule gives them."""
     rng = random.Random(seed)
-    m = len(mesh.edges)
+    m = mesh.edge_count
     return EdgeWeighting(mesh, [1 if mesh.short_mask >> i & 1 else rng.choice((1, -1))
                                 for i in range(m)], (0,) * m)
 
@@ -50,7 +51,7 @@ def coin_signs(mesh, seed):
 def claws_by_base(mesh):
     """Per base vertex, its claw's outers: (class, vertex position, short
     edge position), read off the propellers built by triangle arithmetic."""
-    vertex, edge = {t: v for v, t in enumerate(mesh.vertices)}, edge_positions(mesh)
+    vertex, edge = {t: v for v, t in enumerate(vertex_triangles(mesh))}, edge_positions(mesh)
     return [[(cls, vertex[o], edge[p.shorts[cls]]) for cls, o in p.outers.items()]
             for p in propellers(mesh)]
 
@@ -158,10 +159,11 @@ def test_sign_weightings_against_the_propellers(base):
         set(itertools.product("BC", "AC", "AB"))
     for rule, minus in sides.items():
         S = monomials(_sign_weighting_for(even, rule))
-        for (bf, (up, _)), pair in zip(rhombus_ends(even.base).items(), even.lifts):
-            outers = by_base[up].outers
+        for j, pair in enumerate(even.lifts):
+            bf = even.base.face(j)
+            outers = by_base[rhombus_ends(even.base)[bf][0]].outers
             for i in pair:
-                (cls,) = [c for c, o in outers.items() if o in ends[even.edges[i]]]
+                (cls,) = [c for c, o in outers.items() if o in ends[even.face(i)]]
                 assert S[i] == Monomial(-1 if cls == minus[bf.cls] else 1)
         assert all(S[i] == Monomial(1) for i in positions(even.short_mask))
 
@@ -239,7 +241,7 @@ def classify_propeller(mesh, mu, outers):
         return "Parallel"
     # turning passage: the two base edges meet the base vertex at 120 or 240
     # degrees; classes tell them apart (same class twice is impossible here)
-    pair = {mesh.base.edges[b1].cls, mesh.base.edges[b2].cls}
+    pair = {mesh.base.edge(b1)[0], mesh.base.edge(b2)[0]}
     if short_cls[0] in pair:
         return "OneTurn"
     return "TwoTurn"
@@ -325,7 +327,8 @@ def test_loop_lift_sum_equals_sum_over_lift_choices(base):
     base = BoxDims(*base)
     even = build_mesh(base.doubled())
     rng = random.Random(7)
-    coin = EdgeWeighting(even, [rng.choice((1, -1)) for _ in even.edges], (0,) * len(even.edges))
+    coin = EdgeWeighting(even, [rng.choice((1, -1)) for _ in range(even.edge_count)],
+                         (0,) * even.edge_count)
     U = pullback_weighting(even)
     n = 0
     for lam in iter_two_factors(base):
@@ -373,7 +376,7 @@ def test_aggregate_sign_sum():
 
 def test_loop_lift_choices_match_filtered_product():
     even = build_mesh(BoxDims(4, 4, 2))
-    fibers, base_faces, index = lift_fibers(even), list(even.base.edges), edge_positions(even)
+    fibers, base_faces, index = lift_fibers(even), edge_faces(even.base), edge_positions(even)
     n = 0
     for lam in iter_two_factors(BoxDims(2, 2, 1)):
         for loop in lam.loops:
@@ -478,7 +481,7 @@ def test_projection_key_refuses_a_non_matching():
     e = mu.bit_length() - 1
     g = next(i for i in range(len(bits)) if i != e and bits[i] & bits[e])
     twice = mu ^ 1 << e | 1 << g
-    assert 2 * twice.bit_count() == len(mesh.vertices)
+    assert 2 * twice.bit_count() == mesh.vertex_count
     with pytest.raises(SquishError, match="perfect matching"):
         projection_key(mesh, twice)
 
@@ -494,7 +497,7 @@ def test_key_sum_weight_equals_monomial_product():
 
 def test_weighting_past_the_range_raises():
     mesh = build_mesh(BoxDims(1, 1, 1))
-    m = len(mesh.edges)
+    m = mesh.edge_count
 
     def weighting(exps=(), signs=()):  # t^exps[i] and signs[i] on edge i, 1 past them
         return EdgeWeighting(mesh, tuple(signs) + (1,) * (m - len(signs)),
